@@ -12,17 +12,11 @@ dropped field fails loudly.
 import json
 import sys
 
-KERNELS = {"parallel", "incremental", "blocked", "simd", "simd-batched"}
-DRIFT_KERNELS = {"incremental", "simd-batched"}
-WORKLOAD_KEYS = (
-    "name", "nx", "ny", "nz", "np", "nu", "nv", "kernels",
-    "speedup_blocked_vs_parallel", "speedup_simd_vs_blocked",
-    "speedup_simd_batched_vs_blocked",
-)
+KERNELS = {"reference", "simd", "simd-batched"}
+WORKLOAD_KEYS = ("name", "nx", "ny", "nz", "np", "nu", "nv", "kernels")
 CONTRACT_KEYS = (
     "drift_significance", "simd_batched_ulp_bound",
-    "simd_batched_rel_abs_bound", "incremental_rel_abs_bound",
-    "incremental_rel_rmse_bound",
+    "simd_batched_rel_abs_bound",
 )
 
 
@@ -52,25 +46,20 @@ def main() -> None:
         for key in WORKLOAD_KEYS:
             assert key in w, f"missing {key}"
         kernels = {k["kernel"]: k for k in w["kernels"]}
-        assert KERNELS <= kernels.keys(), kernels.keys()
+        assert KERNELS == kernels.keys(), kernels.keys()
         for k in kernels.values():
             assert k["secs"] > 0 and k["updates"] > 0
         # The harness bit-compares before reporting; trust but verify.
-        assert kernels["blocked"]["bit_identical_to_parallel"] is True
-        assert kernels["simd"]["bit_identical_to_parallel"] is True
-        # The non-bitwise kernels must carry their measured drift, inside
+        assert kernels["reference"]["bit_identical_to_reference"] is None
+        assert kernels["simd"]["bit_identical_to_reference"] is True
+        # The non-bitwise kernel must carry its measured drift, inside
         # the contract the harness asserted in-process.
-        for name in DRIFT_KERNELS:
-            k = kernels[name]
-            for field in ("drift_ulp_significant", "drift_rel_abs",
-                          "drift_rel_rmse"):
-                assert field in k, f"{name} missing {field}"
         sb = kernels["simd-batched"]
+        for field in ("drift_ulp_significant", "drift_rel_abs",
+                      "drift_rel_rmse"):
+            assert field in sb, f"simd-batched missing {field}"
         assert sb["drift_ulp_significant"] <= bp["contracts"]["simd_batched_ulp_bound"]
         assert sb["drift_rel_abs"] <= bp["contracts"]["simd_batched_rel_abs_bound"]
-        inc = kernels["incremental"]
-        assert inc["drift_rel_abs"] <= bp["contracts"]["incremental_rel_abs_bound"]
-        assert inc["drift_rel_rmse"] <= bp["contracts"]["incremental_rel_rmse_bound"]
     print(f"backproject JSON schema OK ({bp['simd_backend']} backend, "
           f"features: {', '.join(bp['detected_features']) or 'none'})")
 

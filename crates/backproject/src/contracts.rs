@@ -1,18 +1,15 @@
-//! Numerical drift contracts for the kernels that are **not** bitwise.
+//! Numerical drift contract for the one kernel that is **not** bitwise.
 //!
-//! The bit-identical family (`reference` / `parallel` / `window` /
-//! `blocked` / `simd`) needs no tolerance: equality is asserted on raw
-//! bytes. Two kernels reassociate f32 additions and therefore drift:
+//! The bit-identical family (`reference` / `window` / `simd`) needs no
+//! tolerance: equality is asserted on raw bytes. `simd-batched` folds
+//! per-voxel partial sums over `P`-projection batches into the accumulator
+//! once per batch, which reassociates f32 additions and therefore drifts.
 //!
-//! * `incremental` — running-sum homogeneous coordinates across `i`;
-//! * `simd-batched` — per-voxel partial sums over `P`-projection batches
-//!   folded into the accumulator once per batch.
-//!
-//! This module pins that drift the way the fused filter pins its ≤ 4 ULP
-//! contract: a measured bound with margin, asserted by tests *and* by the
-//! bench harness before a non-bitwise number is reported, and surfaced in
-//! `BENCH_backproject.json` so `"bit_identical_to_parallel": false` is a
-//! documented contract rather than an unbounded shrug.
+//! This module pins that drift: a measured bound with margin, asserted by
+//! tests *and* by the bench harness before a non-bitwise number is
+//! reported, and surfaced in `BENCH_backproject.json` so
+//! `"bit_identical_to_reference": false` is a documented contract rather
+//! than an unbounded shrug.
 //!
 //! Raw ULP distance explodes under cancellation (voxels whose accumulated
 //! value lands near zero have tiny ULPs), so the contract is two-sided:
@@ -37,25 +34,6 @@ pub const SIMD_BATCHED_ULP_BOUND: u64 = 128;
 /// all voxels (governs the insignificant, cancellation-prone ones).
 /// Measured ≤ 3e-7.
 pub const SIMD_BATCHED_REL_ABS_BOUND: f32 = 1e-5;
-
-/// `incremental` vs the bitwise family: max `|Δ| / peak|reference|`.
-///
-/// Unlike batching, the incremental kernel's running-sum homogeneous
-/// coordinates *move the sampling point* by an error that grows along the
-/// `i` axis, so its drift scales with `nx` and a per-sample ULP claim
-/// would be vacuous (measured ULP distances reach the tens of thousands
-/// on noise-like data). The honest contract is magnitude-relative:
-/// measured 1.7e-4 at 64³, 6.0e-4 at 128³ and 5.4e-3 at the 256³ bench
-/// workload on worst-case noise phantoms — the growth is superlinear in
-/// `nx` once the moved sampling point starts crossing bilinear cells, so
-/// the bound is pinned from the largest benched size, not extrapolated:
-/// 2e-2 (≈ 3.7× the 256³ measurement).
-pub const INCREMENTAL_REL_ABS_BOUND: f32 = 2e-2;
-
-/// `incremental` vs the bitwise family: `rmse / peak|reference|`
-/// (measured 2.3e-5 at 64³ and 7.8e-5 at 128³ on noise phantoms; pinned
-/// at 1e-3 with the same `nx`-growth margin).
-pub const INCREMENTAL_REL_RMSE_BOUND: f32 = 1e-3;
 
 /// f32 ULP distance via the ordered-integer mapping (monotone over the
 /// reals, −0.0 and +0.0 identified). Non-finite inputs are `u64::MAX`

@@ -1,4 +1,4 @@
-//! The equivalent back-projection kernels.
+//! The oracle kernel and its streaming form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,7 +27,7 @@ pub(crate) fn depth_ok(z: f32) -> bool {
     z.is_finite() && z > 0.0
 }
 
-fn check_args(stack_np: usize, mats: &[ProjectionMatrix]) {
+pub(crate) fn check_args(stack_np: usize, mats: &[ProjectionMatrix]) {
     assert_eq!(
         stack_np,
         mats.len(),
@@ -70,50 +70,6 @@ pub fn backproject_reference(
         }
     }
     KernelStats::for_updates(updates, (nx * ny * nz) as u64, stack.len() as u64)
-}
-
-/// The register-accumulating data-parallel kernel (Section 4.3.1): each
-/// voxel sums its `N_p` contributions in a register and writes the volume
-/// once; Z slices are distributed over the rayon pool (the CUDA grid's
-/// role). Bit-identical to [`backproject_reference`].
-pub fn backproject_parallel(
-    stack: &ProjectionStack,
-    mats: &[ProjectionMatrix],
-    vol: &mut Volume,
-) -> KernelStats {
-    check_args(stack.np(), mats);
-    let (nx, ny, nz) = (vol.nx(), vol.ny(), vol.nz());
-    let z_offset = vol.z_offset();
-    let v_offset = stack.v_offset() as f32;
-    let slice_len = nx * ny;
-    let updates = AtomicU64::new(0);
-    vol.data_mut()
-        .par_chunks_mut(slice_len)
-        .enumerate()
-        .for_each(|(k, slice)| {
-            let kk = (k + z_offset) as f32;
-            let mut local = 0u64;
-            for j in 0..ny {
-                for i in 0..nx {
-                    let mut sum = 0.0f32;
-                    for (s, mat) in mats.iter().enumerate() {
-                        let (x, y, z) = project_f32(&mat.rows_f32, i as f32, j as f32, kk);
-                        if !depth_ok(z) {
-                            continue;
-                        }
-                        sum += 1.0 / (z * z) * stack.sub_pixel(s, x, y - v_offset);
-                        local += 1;
-                    }
-                    slice[j * nx + i] += sum;
-                }
-            }
-            updates.fetch_add(local, Ordering::Relaxed);
-        });
-    KernelStats::for_updates(
-        updates.into_inner(),
-        (nx * ny * nz) as u64,
-        stack.len() as u64,
-    )
 }
 
 /// Listing 1 proper: the streaming kernel sampling through the
@@ -165,63 +121,6 @@ pub fn backproject_window(
     )
 }
 
-/// Strength-reduced variant of [`backproject_parallel`]: the homogeneous
-/// coordinates are affine in the voxel index, so the inner `i` loop
-/// advances them by constant increments (`x_h += m₀₀` etc.) instead of
-/// re-evaluating three dot products — the classic back-projection
-/// optimisation on CPUs (and the layout GPU compilers reduce to).
-///
-/// The reassociated f32 arithmetic drifts from the reference by a few ULP
-/// per row (bounded by the tests), in exchange for substantially less work
-/// per update; see `bench_backproject` for the measured gap.
-pub fn backproject_incremental(
-    stack: &ProjectionStack,
-    mats: &[ProjectionMatrix],
-    vol: &mut Volume,
-) -> KernelStats {
-    check_args(stack.np(), mats);
-    let (nx, ny, nz) = (vol.nx(), vol.ny(), vol.nz());
-    let z_offset = vol.z_offset();
-    let v_offset = stack.v_offset() as f32;
-    let slice_len = nx * ny;
-    let updates = AtomicU64::new(0);
-    vol.data_mut()
-        .par_chunks_mut(slice_len)
-        .enumerate()
-        .for_each(|(k, slice)| {
-            let kk = (k + z_offset) as f32;
-            let mut local = 0u64;
-            for (s, mat) in mats.iter().enumerate() {
-                let r = &mat.rows_f32;
-                for j in 0..ny {
-                    let jj = j as f32;
-                    // Homogeneous coords at i = 0, then per-i increments.
-                    let mut xh = r[0][1] * jj + r[0][2] * kk + r[0][3];
-                    let mut yh = r[1][1] * jj + r[1][2] * kk + r[1][3];
-                    let mut zh = r[2][1] * jj + r[2][2] * kk + r[2][3];
-                    let row = &mut slice[j * nx..(j + 1) * nx];
-                    for px in row.iter_mut() {
-                        if depth_ok(zh) {
-                            let x = xh / zh;
-                            let y = yh / zh;
-                            *px += 1.0 / (zh * zh) * stack.sub_pixel(s, x, y - v_offset);
-                            local += 1;
-                        }
-                        xh += r[0][0];
-                        yh += r[1][0];
-                        zh += r[2][0];
-                    }
-                }
-            }
-            updates.fetch_add(local, Ordering::Relaxed);
-        });
-    KernelStats::for_updates(
-        updates.into_inner(),
-        (nx * ny * nz) as u64,
-        stack.len() as u64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,18 +140,6 @@ mod tests {
             *px = ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5;
         }
         p
-    }
-
-    #[test]
-    fn parallel_matches_reference_bitwise() {
-        let g = geom();
-        let stack = random_stack(&g);
-        let mats = ProjectionMatrix::full_scan(&g);
-        let mut a = Volume::zeros(g.nx, g.ny, g.nz);
-        let mut b = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_reference(&stack, &mats, &mut a);
-        backproject_parallel(&stack, &mats, &mut b);
-        assert_eq!(a.data(), b.data(), "kernels must agree bit-for-bit");
     }
 
     #[test]
@@ -302,7 +189,7 @@ mod tests {
             let s1 = (r + 1) * g.np / nr;
             let part = stack.extract_window(0, g.nv, s0, s1);
             let mut partial = Volume::zeros(g.nx, g.ny, g.nz);
-            backproject_parallel(&part, &mats[s0..s1], &mut partial);
+            backproject_reference(&part, &mats[s0..s1], &mut partial);
             sum.accumulate(&partial);
         }
         let err = full.max_abs_diff(&sum);
@@ -332,29 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_kernel_matches_reference_within_ulps() {
-        let g = geom();
-        let stack = random_stack(&g);
-        let mats = ProjectionMatrix::full_scan(&g);
-        let mut exact = Volume::zeros(g.nx, g.ny, g.nz);
-        let mut incr = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_reference(&stack, &mats, &mut exact);
-        backproject_incremental(&stack, &mats, &mut incr);
-        // Reassociation drift only: tiny relative to the accumulated
-        // magnitudes (paper's acceptance threshold is 1e-5 RMSE).
-        let rmse = exact.rmse(&incr);
-        assert!(rmse < 1e-6, "incremental kernel drifted: RMSE {rmse}");
-        let max = exact.max_abs_diff(&incr);
-        assert!(max < 1e-4, "max drift {max}");
-    }
-
-    #[test]
     fn zero_projections_give_zero_volume() {
         let g = geom();
         let stack = ProjectionStack::zeros(g.nv, g.np, g.nu);
         let mats = ProjectionMatrix::full_scan(&g);
         let mut v = Volume::zeros(g.nx, g.ny, g.nz);
-        let stats = backproject_parallel(&stack, &mats, &mut v);
+        let stats = backproject_reference(&stack, &mats, &mut v);
         assert!(v.data().iter().all(|&x| x == 0.0));
         // `updates` counts accumulations actually performed. For a valid
         // scan geometry every voxel sits in front of the source, so the
@@ -402,7 +272,7 @@ mod tests {
         assert!(summed.proj_bytes < launches * (h as u64) * row_bytes);
         // Work counters match the non-streaming kernel over the same scan.
         let mut full = Volume::zeros(g.nx, g.ny, g.nz);
-        let reference = backproject_parallel(&stack, &mats, &mut full);
+        let reference = backproject_reference(&stack, &mats, &mut full);
         assert_eq!(summed.updates, reference.updates);
     }
 
@@ -412,8 +282,7 @@ mod tests {
         // its contributions identically; before the unified
         // `z.is_finite() && z > 0.0` guard, `backproject_reference`'s
         // `z <= 0.0` let NaN depths through (NaN fails every comparison)
-        // and poisoned the volume, while the incremental kernel's
-        // `zh > 0.0` skipped them.
+        // and poisoned the volume.
         let g = geom();
         let stack = random_stack(&g);
         let mut mats = ProjectionMatrix::full_scan(&g);
@@ -460,25 +329,20 @@ mod tests {
             "guard-skipped voxels must not be counted as updates"
         );
 
-        // All four kernels agree on the degenerate input.
-        let mut par = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut par);
-        assert_eq!(with_bad.data(), par.data());
-
-        let mut incr = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_incremental(&stack, &mats, &mut incr);
-        assert!(incr.data().iter().all(|x| x.is_finite()));
-        let rmse = with_bad.rmse(&incr);
-        assert!(
-            rmse < 1e-6,
-            "incremental drifted on degenerate input: {rmse}"
-        );
+        // The fast kernel and both streaming forms agree on the
+        // degenerate input.
+        let mut simd = Volume::zeros(g.nx, g.ny, g.nz);
+        crate::backproject_simd(&stack, &mats, &mut simd);
+        assert_eq!(with_bad.data(), simd.data());
 
         let mut window = TextureWindow::new(g.nv, g.np, g.nu, 0);
         window.write_rows(stack.rows_block(0, g.nv), 0, g.nv);
         let mut win = Volume::zeros(g.nx, g.ny, g.nz);
         backproject_window(&window, &mats, &mut win);
         assert_eq!(with_bad.data(), win.data());
+        let mut win_simd = Volume::zeros(g.nx, g.ny, g.nz);
+        crate::backproject_window_simd(&window, &mats, &mut win_simd);
+        assert_eq!(with_bad.data(), win_simd.data());
     }
 
     #[test]
@@ -488,7 +352,7 @@ mod tests {
         stack.data_mut().fill(1.0);
         let mats = ProjectionMatrix::full_scan(&g);
         let mut v = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut v);
+        backproject_reference(&stack, &mats, &mut v);
         let c = v.get(g.nx / 2, g.ny / 2, g.nz / 2);
         assert!(c > 0.0);
         // Every in-footprint voxel accumulated N_p positive weights around
@@ -503,10 +367,10 @@ mod tests {
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
         let mut once = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut once);
+        backproject_reference(&stack, &mats, &mut once);
         let mut twice = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut twice);
-        backproject_parallel(&stack, &mats, &mut twice);
+        backproject_reference(&stack, &mats, &mut twice);
+        backproject_reference(&stack, &mats, &mut twice);
         for (a, b) in once.data().iter().zip(twice.data()) {
             assert!((2.0 * a - b).abs() <= 2.0 * a.abs() * 1e-6 + 1e-6);
         }

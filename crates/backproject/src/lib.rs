@@ -1,57 +1,48 @@
 //! Voxel-driven FDK back-projection kernels.
 //!
-//! Three functionally equivalent implementations, mirroring the paper:
+//! One oracle and one fast family, mirroring the paper (which ships a
+//! single kernel validated against RTK):
 //!
 //! * [`backproject_reference`] — Algorithm 1 verbatim: the RTK-style serial
 //!   quadruple loop with the bilinear `SubPixel` fetch and the `1/z²`
 //!   geometric weight, in single precision. The ground truth every other
 //!   kernel is bit-compared against.
-//! * [`backproject_parallel`] — the same arithmetic with per-voxel register
-//!   accumulation over all projections of the batch (one volume write per
-//!   voxel, the memory-traffic optimisation of Section 4.3.1), parallelised
-//!   over Z slices with rayon — playing the role of the CUDA thread grid.
-//! * [`backproject_window`] — Listing 1 proper: samples projections through
-//!   a [`TextureWindow`], the modular ring buffer over detector rows
+//! * [`backproject_window`] — the oracle's streaming form, Listing 1
+//!   proper: per-voxel register accumulation over the batch's projections
+//!   (one volume write per voxel, Section 4.3.1), sampling through a
+//!   [`TextureWindow`], the modular ring buffer over detector rows
 //!   (`Z = z % dimZ` in `devPixel`) that enables streaming/out-of-core
 //!   reconstruction, with the `offset_volume_z` / `offset_proj_y` offsets.
+//! * [`backproject_simd`] / [`backproject_window_simd`] — the hot path:
+//!   the same arithmetic in the same rounding order over L1 tiles
+//!   ([`TileShape`]) with f32x8 AVX2 lanes, and a portable scalar twin that
+//!   is the only path on a host without AVX2 (see `docs/performance.md`
+//!   and the `scalefbp-bench` binary for measurements).
+//! * [`backproject_simd_batched`] / [`backproject_window_simd_batched`] —
+//!   the SIMD kernel folding `P` projections per accumulator touch; the
+//!   only kernel that is not bitwise, bounded by [`contracts`].
 //!
-//! All kernels accumulate in `f32` in ascending projection order, so the
-//! three produce **bit-identical** volumes (asserted in tests) — the
-//! property the paper relies on when validating the streaming kernel
-//! against RTK.
-//!
-//! On top of the straight kernels, the cache-blocked hot path
-//! ([`backproject_blocked`] / [`backproject_window_blocked`], tile shape
-//! [`TileShape`]) tiles the `(i, j)` plane into L1-sized blocks, iterates
-//! projections outermost per tile and hoists the per-row dot-product
-//! constants — the same arithmetic in the same rounding order, so it stays
-//! bit-identical to the straight kernels while keeping the detector
-//! footprint cache-resident (see `docs/performance.md` and the
-//! `scalefbp-bench` binary for measurements).
+//! Every kernel but the batched one accumulates in `f32` in ascending
+//! projection order, so they produce **bit-identical** volumes (asserted
+//! in tests) — the property the paper relies on when validating the
+//! streaming kernel against RTK.
 //!
 //! Every kernel returns [`KernelStats`] (guard-passing updates, FLOPs,
 //! bytes staged) so the roofline analysis of Figure 12 can be regenerated
 //! without hardware counters.
 
-mod blocked;
 pub mod contracts;
 mod counters;
 mod kernels;
 mod simd;
 mod texture;
 
-pub use blocked::{
-    backproject_blocked, backproject_blocked_with, backproject_window_blocked,
-    backproject_window_blocked_with, TileShape,
-};
 pub use counters::{KernelStats, FLOPS_PER_UPDATE};
-pub use kernels::{
-    backproject_incremental, backproject_parallel, backproject_reference, backproject_window,
-};
+pub use kernels::{backproject_reference, backproject_window};
 pub use simd::{
     backproject_simd, backproject_simd_batched, backproject_simd_with,
     backproject_simd_with_backend, backproject_window_simd, backproject_window_simd_batched,
     backproject_window_simd_with, backproject_window_simd_with_backend, detected_cpu_features,
-    simd_backend, SimdBackend, SimdTuning, MAX_SIMD_BATCH,
+    simd_backend, SimdBackend, SimdTuning, TileShape, MAX_SIMD_BATCH,
 };
 pub use texture::TextureWindow;

@@ -1,22 +1,45 @@
-//! The explicit-SIMD back-projection hot path: f32x8 lanes across the
-//! contiguous `i` axis inside the blocked kernel's L1 tiles.
+//! The fast kernel family: L1-tiled back-projection with f32x8 lanes across
+//! the contiguous `i` axis.
 //!
-//! The blocked kernel's interior fast path is already the vector shape —
-//! per-projection constants hoisted out of the `i` loop, a branch-free
-//! bilinear blend, truncate-and-adjust floors — so this module lowers it to
-//! `core::arch` x86-64 AVX2 intrinsics behind runtime feature detection
-//! ([`simd_backend`]), with a portable scalar fallback that executes the
-//! *identical* per-voxel operation sequence (every vector op here is
-//! lane-wise IEEE: no FMA, no reassociation), so the two backends are
-//! **bitwise interchangeable** and only throughput differs.
+//! [`backproject_reference`](crate::backproject_reference) walks the whole
+//! volume once per projection, so every voxel is re-read `N_p` times and
+//! the resident detector working set is `N_p × rows × N_u`. This module
+//! restructures the same arithmetic:
+//!
+//! * the `(i, j)` plane is tiled into L1-sized blocks ([`TileShape`]) and
+//!   `zslab` z-slices are walked per tile pass (z-major slab tiling), so
+//!   one projection's detector footprint — and, streaming, the
+//!   [`TextureWindow`] ring rows — is reused across the slab while
+//!   cache-hot;
+//! * within a tile the **projection loop is outermost**: per-voxel
+//!   contributions accumulate in a zero-initialised tile buffer in
+//!   ascending projection order and are added to the volume once (the
+//!   register accumulation of Section 4.3.1);
+//! * the `r·[i, j, k, 1]` dot products hoist the `r[·][1]·j` and
+//!   `r[·][2]·k` products out of the inner `i` loop. The products are
+//!   hoisted, not turned into running sums, so every f32 rounding step
+//!   matches the reference dot product bit for bit;
+//! * the interior of the detector takes a branch-free bilinear blend with
+//!   truncate-and-adjust floors ([`fast_floor`]); boundary and non-finite
+//!   coordinates take the guarded `sub_pixel` slow path;
+//! * the f32 projection-matrix rows are packed into a flat dense array
+//!   ([`pack_rows`]) so the inner loops do not stride through 152-byte
+//!   `ProjectionMatrix` records.
+//!
+//! That loop nest is lowered to `core::arch` x86-64 AVX2 intrinsics behind
+//! runtime feature detection ([`simd_backend`]), with a portable scalar
+//! twin that executes the *identical* per-voxel operation sequence (every
+//! vector op here is lane-wise IEEE: no FMA, no reassociation), so the two
+//! backends are **bitwise interchangeable** and only throughput differs.
+//! The scalar twin is the only path on a host without AVX2.
 //!
 //! Two tunings are exposed as kernels:
 //!
 //! * [`backproject_simd`] ([`SimdTuning::EXACT`], batch = 1) — one
 //!   projection folded into the tile accumulator at a time, in ascending
-//!   projection order: the verbatim addition sequence of
-//!   `backproject_blocked`, hence **bit-identical** to the
-//!   `reference`/`parallel`/`blocked` family.
+//!   projection order: the addition sequence of
+//!   [`backproject_window`](crate::backproject_window)'s register
+//!   accumulation, hence **bit-identical** to the oracle.
 //! * [`backproject_simd_batched`] ([`SimdTuning::BATCHED`], batch = 8) —
 //!   accumulates `P` projections into a register-resident partial before
 //!   touching the accumulator, amortising volume write traffic the way
@@ -25,11 +48,6 @@
 //!   so it carries a drift contract instead of bitwise equality: see
 //!   [`crate::contracts`] (`SIMD_BATCHED_*`).
 //!
-//! Both walk `zslab` z-slices per tile pass (z-major slab tiling), so one
-//! projection's detector footprint — and, streaming, the
-//! [`TextureWindow`] ring rows — is reused across `zslab` slices while
-//! cache-hot.
-//!
 //! Lane layout and masking: lanes are 8 contiguous `i` voxels; tile rows
 //! are padded to a lane multiple so accumulator loads/stores never need
 //! masks, while tail lanes are masked out of the *depth* predicate — they
@@ -37,16 +55,71 @@
 //! memory), never counted in [`KernelStats::updates`], and never written
 //! back. Non-finite detector coordinates fail the ordered interior
 //! comparisons per lane and are routed to the guarded `sub_pixel` slow
-//! path, exactly like the (fixed) blocked kernel.
+//! path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 use scalefbp_geom::{ProjectionMatrix, ProjectionStack, Volume};
 
-use crate::blocked::{fast_floor, pack_rows, TileShape};
-use crate::kernels::depth_ok;
+use crate::kernels::{check_args, depth_ok};
 use crate::{KernelStats, TextureWindow};
+
+/// Truncate-and-adjust floor: `f32::floor` lowers to a libm call on the
+/// baseline x86-64 target (no SSE4.1 `roundss`), which dominates the
+/// per-sample cost of the straight kernels. The cast trick is bit-exact
+/// with `x.floor() as isize` for every finite input.
+///
+/// **Non-finite inputs are not handled here**: Rust's saturating cast maps
+/// `NaN as isize` to **0** — a perfectly valid index — so callers must
+/// reject non-finite coordinates *before* flooring. The interior guards in
+/// this crate do that with float-domain comparisons (NaN and ±∞ fail
+/// every ordered comparison), which routes non-finite coordinates to the
+/// guarded `sub_pixel` slow path without adding a branch for finite ones.
+#[inline(always)]
+pub(crate) fn fast_floor(x: f32) -> isize {
+    let t = x as isize;
+    t.wrapping_sub((t as f32 > x) as isize)
+}
+
+/// The `(i, j)` tile of one inner loop nest.
+///
+/// The defaults keep the tile's accumulator (`bi·bj` f32) plus one
+/// projection's detector footprint comfortably inside a 32 KiB L1 while
+/// leaving the inner `i` loop long enough to amortise the per-row setup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TileShape {
+    /// Tile width along `i` (the unit-stride volume axis).
+    pub bi: usize,
+    /// Tile height along `j`.
+    pub bj: usize,
+}
+
+impl TileShape {
+    /// L1-sized default tile: 64 × 8 voxels (2 KiB accumulator).
+    pub const L1: TileShape = TileShape { bi: 64, bj: 8 };
+
+    /// A tile of `bi × bj` voxels.
+    ///
+    /// # Panics
+    /// Panics if either extent is zero.
+    pub fn new(bi: usize, bj: usize) -> Self {
+        assert!(bi > 0 && bj > 0, "tile extents must be positive");
+        TileShape { bi, bj }
+    }
+}
+
+impl Default for TileShape {
+    fn default() -> Self {
+        TileShape::L1
+    }
+}
+
+/// Packs the kernel-facing f32 rows densely (48 B apiece, contiguous) so
+/// the inner loops never stride through the full matrix records.
+fn pack_rows(mats: &[ProjectionMatrix]) -> Vec<[[f32; 4]; 3]> {
+    mats.iter().map(|m| m.rows_f32).collect()
+}
 
 /// Largest supported projection batch (bounds the stack-resident hoisted
 /// constant arrays).
@@ -113,11 +186,10 @@ pub fn detected_cpu_features() -> Vec<&'static str> {
 /// Tuning knobs of the SIMD loop nest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimdTuning {
-    /// L1 tile of the `(i, j)` plane (clamped to the volume at entry, like
-    /// the blocked kernel).
+    /// L1 tile of the `(i, j)` plane (clamped to the volume at entry).
     pub tile: TileShape,
-    /// Projections folded per accumulator touch. `1` preserves the blocked
-    /// kernel's addition sequence exactly; larger values regroup the
+    /// Projections folded per accumulator touch. `1` preserves the oracle's
+    /// addition sequence exactly; larger values regroup the
     /// per-voxel sum (drift-bounded, see [`crate::contracts`]). Clamped to
     /// `1..=`[`MAX_SIMD_BATCH`].
     pub batch: usize,
@@ -196,14 +268,6 @@ struct ChunkArgs {
 
 type Fallback<'a> = &'a (dyn Fn(usize, f32, f32) -> f32 + Sync);
 
-fn check_args(held_np: usize, mats: &[ProjectionMatrix]) {
-    assert_eq!(
-        held_np,
-        mats.len(),
-        "one projection matrix per held projection is required"
-    );
-}
-
 /// The shared driver: clamps the tile, distributes `zslab`-deep chunks of
 /// slices over the rayon pool and runs the chosen backend on each. Returns
 /// the guard-passing update count.
@@ -222,8 +286,9 @@ fn simd_core(
     if slice_len == 0 || vol.nz() == 0 {
         return 0;
     }
-    // Same entry clamp as `blocked_core`: any positive tile produces the
-    // same bits, so shrinking an oversized tile is free of numerics.
+    // Clamp the tile to the volume plane: an oversized tile would size its
+    // accumulator from the caller's shape rather than the volume's. Any
+    // positive tile produces the same bits, so clamping is free of numerics.
     let (bi, bj) = (tuning.tile.bi.min(nx), tuning.tile.bj.min(ny));
     debug_assert!(
         bi > 0 && bj > 0 && bi <= nx && bj <= ny,
@@ -336,7 +401,7 @@ fn chunk_scalar(
                             for (t, r) in rows[sb..se].iter().enumerate() {
                                 let s = sb + t;
                                 // Same products, same left-to-right adds as
-                                // `project_f32` and the blocked kernel.
+                                // `project_f32`'s `r0·i + r1·j + r2·k + r3`.
                                 let zh = ((r[2][0] * ii + bzs[t]) + czs[t]) + r[2][3];
                                 if !depth_ok(zh) {
                                     continue;
@@ -506,8 +571,8 @@ unsafe fn chunk_avx2(
                             for (t, r) in rows[sb..se].iter().enumerate() {
                                 let s = sb + t;
                                 // zh = ((r20·i + bz) + cz) + r23, the exact
-                                // hoisted-dot-product order of the blocked
-                                // kernel, broadcast per projection.
+                                // hoisted-dot-product order of the scalar
+                                // twin, broadcast per projection.
                                 let zh = _mm256_add_ps(
                                     _mm256_add_ps(
                                         _mm256_add_ps(
@@ -734,8 +799,9 @@ fn window_geom(window: &TextureWindow) -> SampleGeom {
 }
 
 /// SIMD in-core kernel, bit-identical to
-/// [`backproject_parallel`](crate::backproject_parallel) (batch = 1 keeps
-/// the exact addition sequence). Backend from [`simd_backend`].
+/// [`backproject_reference`](crate::backproject_reference) on a zeroed
+/// volume (batch = 1 keeps the exact addition sequence). Backend from
+/// [`simd_backend`].
 pub fn backproject_simd(
     stack: &ProjectionStack,
     mats: &[ProjectionMatrix],
@@ -745,7 +811,7 @@ pub fn backproject_simd(
 }
 
 /// Projection-batched SIMD in-core kernel ([`SimdTuning::BATCHED`]): drift
-/// vs the bitwise family bounded by the `SIMD_BATCHED_*` contract in
+/// vs the oracle bounded by the `SIMD_BATCHED_*` contract in
 /// [`crate::contracts`].
 pub fn backproject_simd_batched(
     stack: &ProjectionStack,
@@ -857,7 +923,7 @@ mod tests {
     use crate::contracts::{
         DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
     };
-    use crate::{backproject_blocked, backproject_parallel, backproject_window_blocked};
+    use crate::{backproject_reference, backproject_window};
     use scalefbp_geom::{CbctGeometry, VolumeDecomposition};
 
     fn geom() -> CbctGeometry {
@@ -877,13 +943,13 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_blocked_bitwise() {
+    fn simd_matches_reference_bitwise() {
         let g = geom();
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
         let mut a = Volume::zeros(g.nx, g.ny, g.nz);
         let mut b = Volume::zeros(g.nx, g.ny, g.nz);
-        let sa = backproject_blocked(&stack, &mats, &mut a);
+        let sa = backproject_reference(&stack, &mats, &mut a);
         let sb = backproject_simd(&stack, &mats, &mut b);
         assert_eq!(a.data(), b.data(), "simd kernel must be bit-identical");
         assert_eq!(sa, sb, "stats must agree too");
@@ -902,10 +968,10 @@ mod tests {
             SimdTuning::EXACT,
             SimdBackend::Scalar,
         );
-        // Scalar twin must equal blocked on its own…
-        let mut blk = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_blocked(&stack, &mats, &mut blk);
-        assert_eq!(blk.data(), sc.data(), "scalar backend vs blocked");
+        // Scalar twin must equal the oracle on its own…
+        let mut oracle = Volume::zeros(g.nx, g.ny, g.nz);
+        backproject_reference(&stack, &mats, &mut oracle);
+        assert_eq!(oracle.data(), sc.data(), "scalar backend vs reference");
         // …and the vector backend must equal the scalar twin when the CPU
         // has it.
         #[cfg(target_arch = "x86_64")]
@@ -930,7 +996,7 @@ mod tests {
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
         let mut reference = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut reference);
+        backproject_reference(&stack, &mats, &mut reference);
         // batch = 1 must stay bitwise under any tile/zslab (including an
         // oversized tile, which entry-clamps).
         for (bi, bj, zslab) in [
@@ -958,7 +1024,7 @@ mod tests {
         let mats = ProjectionMatrix::full_scan(&g);
         let mut exact = Volume::zeros(g.nx, g.ny, g.nz);
         let mut batched = Volume::zeros(g.nx, g.ny, g.nz);
-        let se = backproject_parallel(&stack, &mats, &mut exact);
+        let se = backproject_reference(&stack, &mats, &mut exact);
         let sb = backproject_simd_batched(&stack, &mats, &mut batched);
         assert_eq!(se.updates, sb.updates, "batching must not change coverage");
         let drift = DriftStats::measure(exact.data(), batched.data(), DRIFT_SIGNIFICANCE);
@@ -992,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn window_simd_matches_window_blocked_per_slab() {
+    fn window_simd_matches_window_kernel_per_slab() {
         let g = geom();
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
@@ -1012,16 +1078,16 @@ mod tests {
                 stats.merge(&if simd {
                     backproject_window_simd(&window, &mats, &mut slab)
                 } else {
-                    backproject_window_blocked(&window, &mats, &mut slab)
+                    backproject_window(&window, &mats, &mut slab)
                 });
                 assembled.paste_slab(&slab);
             }
             (assembled, stats)
         };
-        let (blocked, blocked_stats) = run(false);
+        let (oracle, oracle_stats) = run(false);
         let (simd, simd_stats) = run(true);
-        assert_eq!(blocked.data(), simd.data());
-        assert_eq!(blocked_stats, simd_stats);
+        assert_eq!(oracle.data(), simd.data());
+        assert_eq!(oracle_stats, simd_stats);
     }
 
     #[test]
@@ -1031,29 +1097,38 @@ mod tests {
         let g = CbctGeometry::ideal(13, 9, 20, 24);
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
-        let mut par = Volume::zeros(g.nx, g.ny, g.nz);
-        let sp = backproject_parallel(&stack, &mats, &mut par);
+        let mut oracle = Volume::zeros(g.nx, g.ny, g.nz);
+        let so = backproject_reference(&stack, &mats, &mut oracle);
         let mut simd = Volume::zeros(g.nx, g.ny, g.nz);
         let ss = backproject_simd(&stack, &mats, &mut simd);
-        assert_eq!(par.data(), simd.data());
+        assert_eq!(oracle.data(), simd.data());
         assert_eq!(
-            sp.updates, ss.updates,
+            so.updates, ss.updates,
             "tail lanes must not inflate updates"
         );
     }
 
     #[test]
     fn simd_accumulates_into_existing_volume() {
+        // Each voxel's contributions are summed from zero and added to the
+        // volume once, so a second launch adds exactly the first one's
+        // result.
         let g = geom();
         let stack = random_stack(&g);
         let mats = ProjectionMatrix::full_scan(&g);
-        let mut twice = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut twice);
+        let mut once = Volume::zeros(g.nx, g.ny, g.nz);
+        backproject_simd(&stack, &mats, &mut once);
+        let mut twice = once.clone();
         backproject_simd(&stack, &mats, &mut twice);
-        let mut twice_par = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&stack, &mats, &mut twice_par);
-        backproject_parallel(&stack, &mats, &mut twice_par);
-        assert_eq!(twice.data(), twice_par.data());
+        for (a, b) in once.data().iter().zip(twice.data()) {
+            assert_eq!((a + a).to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile extents must be positive")]
+    fn zero_tile_rejected() {
+        let _ = TileShape::new(0, 4);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl TextureWindow {
         self.data.len() * 4
     }
 
-    /// The raw ring buffer, `[slot][s][u]`-ordered, for the blocked
+    /// The raw ring buffer, `[slot][s][u]`-ordered, for the SIMD
     /// kernel's guard-free interior sampling path.
     #[inline]
     pub(crate) fn data(&self) -> &[f32] {

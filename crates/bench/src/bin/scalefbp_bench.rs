@@ -1,18 +1,17 @@
 //! `scalefbp-bench` — the reproducible kernel benchmark harness.
 //!
 //! Runs fixed phantom workloads through every back-projection kernel
-//! (reference / parallel / incremental / blocked / simd / simd-batched)
-//! and both filtering strategies (two-pass / fused), then emits
-//! machine-readable JSON:
+//! (reference / simd / simd-batched), then emits machine-readable JSON:
 //!
 //! * `BENCH_backproject.json` — per-workload, per-kernel wall seconds,
-//!   performed updates, GUPS, the headline speedups
-//!   (`speedup_blocked_vs_parallel`, `speedup_simd_vs_blocked`,
-//!   `speedup_simd_batched_vs_blocked`), the SIMD backend and CPU
-//!   features the run detected, and the drift-contract bounds the
-//!   non-bitwise kernels were asserted against in-process.
-//! * `BENCH_filter.json` — per-workload row-filtering throughput for the
-//!   two strategies and `speedup_fused_vs_two_pass`.
+//!   performed updates, GUPS, the bitwise verdict against the `reference`
+//!   oracle, the SIMD backend and CPU features the run detected, and the
+//!   drift-contract bounds `simd-batched` was asserted against
+//!   in-process.
+//!
+//! (Filter throughput is measured by the root benchmark:
+//! `filter.stack_s`, `filter.rows_per_s` and `fft.row_us` in
+//! `BENCHMARK.json`.)
 //!
 //! ```text
 //! cargo run --release -p scalefbp-bench --bin scalefbp-bench
@@ -75,7 +74,7 @@
 //! noise floor with a fixed seed), so updates/bytes/bit-identity fields
 //! are reproducible run to run; the timings of course are not. `--quick`
 //! substitutes a tiny workload for CI smoke runs. Every kernel's volume
-//! is compared against the parallel kernel's and the bitwise verdict is
+//! is compared against the reference oracle's and the bitwise verdict is
 //! recorded in the JSON, so a speedup obtained by breaking numerics
 //! would show up immediately.
 
@@ -83,12 +82,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use scalefbp::substrates::backproject::contracts::{
-    DriftStats, DRIFT_SIGNIFICANCE, INCREMENTAL_REL_ABS_BOUND, INCREMENTAL_REL_RMSE_BOUND,
-    SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
+    DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
 };
 use scalefbp::substrates::backproject::{
-    backproject_blocked, backproject_incremental, backproject_parallel, backproject_reference,
-    backproject_simd, backproject_simd_batched, detected_cpu_features, simd_backend, KernelStats,
+    backproject_reference, backproject_simd, backproject_simd_batched, detected_cpu_features,
+    simd_backend, KernelStats,
 };
 use scalefbp::substrates::exec::{CpuExecutor, Executor, KernelChoice, SimExecutor};
 use scalefbp::substrates::filter::{FilterPipeline, FilterWindow};
@@ -134,20 +132,10 @@ struct Workload {
     geom: CbctGeometry,
     filtered: ProjectionStack,
     mats: Vec<ProjectionMatrix>,
-    /// Whether the serial reference kernel is timed too (skipped on the
-    /// largest workload — it is the same arithmetic, just minutes slower).
-    run_reference: bool,
 }
 
 impl Workload {
-    fn new(
-        name: &'static str,
-        n: usize,
-        np: usize,
-        nu: usize,
-        nv: usize,
-        run_reference: bool,
-    ) -> Self {
+    fn new(name: &'static str, n: usize, np: usize, nu: usize, nv: usize) -> Self {
         let geom = CbctGeometry::ideal(n, np, nu, nv);
         let mut projections = forward_project(&geom, &uniform_ball(&geom, 0.5, 1.0));
         add_noise(&mut projections, 0x5EED_CBC7_2021);
@@ -160,7 +148,6 @@ impl Workload {
             geom,
             filtered: projections,
             mats,
-            run_reference,
         }
     }
 }
@@ -169,9 +156,10 @@ struct KernelRun {
     kernel: &'static str,
     secs: f64,
     stats: KernelStats,
-    bit_identical_to_parallel: Option<bool>,
-    /// Drift vs the parallel kernel for the non-bitwise kernels
-    /// (`incremental`, `simd-batched`); `None` for the bitwise family.
+    /// `None` for the oracle itself.
+    bit_identical_to_reference: Option<bool>,
+    /// Drift vs the oracle for the non-bitwise kernel (`simd-batched`);
+    /// `None` for the bitwise family.
     drift: Option<DriftStats>,
 }
 
@@ -205,9 +193,9 @@ fn assert_backend_agreement(w: &Workload) {
     let cpu = CpuExecutor::new();
     let mut sim_vol = Volume::zeros(g.nx, g.ny, g.nz);
     let mut cpu_vol = Volume::zeros(g.nx, g.ny, g.nz);
-    sim.backproject(KernelChoice::Parallel, &w.filtered, &w.mats, &mut sim_vol)
+    sim.backproject(KernelChoice::default(), &w.filtered, &w.mats, &mut sim_vol)
         .expect("sim backend back-projection");
-    cpu.backproject(KernelChoice::Parallel, &w.filtered, &w.mats, &mut cpu_vol)
+    cpu.backproject(KernelChoice::default(), &w.filtered, &w.mats, &mut cpu_vol)
         .expect("cpu backend back-projection");
     assert_bitwise(
         &sim_vol,
@@ -222,81 +210,22 @@ fn bench_backproject(w: &Workload, reps: usize) -> Vec<KernelRun> {
     let mats = &w.mats;
     assert_backend_agreement(w);
 
-    let (par_secs, par_stats, par_vol) =
-        time_kernel(reps, g, |v| backproject_parallel(stack, mats, v));
-
-    let mut runs = Vec::new();
-    if w.run_reference {
-        let (secs, stats, vol) = time_kernel(reps, g, |v| backproject_reference(stack, mats, v));
-        runs.push(KernelRun {
-            kernel: "reference",
-            secs,
-            stats,
-            bit_identical_to_parallel: Some(vol.data() == par_vol.data()),
-            drift: None,
-        });
-    }
-    runs.push(KernelRun {
-        kernel: "parallel",
-        secs: par_secs,
-        stats: par_stats,
-        bit_identical_to_parallel: None,
-        drift: None,
-    });
-    let (inc_secs, inc_stats, inc_vol) =
-        time_kernel(reps, g, |v| backproject_incremental(stack, mats, v));
-    let inc_drift = DriftStats::measure(par_vol.data(), inc_vol.data(), DRIFT_SIGNIFICANCE);
-    assert!(
-        inc_drift.rel_abs() <= INCREMENTAL_REL_ABS_BOUND
-            && inc_drift.rel_rmse() <= INCREMENTAL_REL_RMSE_BOUND,
-        "{}: incremental kernel drift (rel_abs {:.3e}, rel_rmse {:.3e}) exceeds the \
-         contract ({INCREMENTAL_REL_ABS_BOUND:.0e}, {INCREMENTAL_REL_RMSE_BOUND:.0e}) — \
-         refusing to report its timing",
-        w.name,
-        inc_drift.rel_abs(),
-        inc_drift.rel_rmse()
-    );
-    runs.push(KernelRun {
-        kernel: "incremental",
-        secs: inc_secs,
-        stats: inc_stats,
-        bit_identical_to_parallel: Some(inc_vol.data() == par_vol.data()),
-        drift: Some(inc_drift),
-    });
-    let (blk_secs, blk_stats, blk_vol) =
-        time_kernel(reps, g, |v| backproject_blocked(stack, mats, v));
-    assert_eq!(
-        blk_vol.data(),
-        par_vol.data(),
-        "{}: blocked kernel diverged from parallel — refusing to report its timing",
-        w.name
-    );
-    runs.push(KernelRun {
-        kernel: "blocked",
-        secs: blk_secs,
-        stats: blk_stats,
-        bit_identical_to_parallel: Some(true),
-        drift: None,
-    });
+    // The oracle is timed once: it is the same arithmetic, an order of
+    // magnitude slower, and only its bits matter here.
+    let (ref_secs, ref_stats, oracle) =
+        time_kernel(1, g, |v| backproject_reference(stack, mats, v));
     let (simd_secs, simd_stats, simd_vol) =
         time_kernel(reps, g, |v| backproject_simd(stack, mats, v));
     assert_eq!(
         simd_vol.data(),
-        par_vol.data(),
-        "{}: simd kernel ({} backend) diverged from parallel — refusing to report its timing",
+        oracle.data(),
+        "{}: simd kernel ({} backend) diverged from reference — refusing to report its timing",
         w.name,
         simd_backend().name()
     );
-    runs.push(KernelRun {
-        kernel: "simd",
-        secs: simd_secs,
-        stats: simd_stats,
-        bit_identical_to_parallel: Some(true),
-        drift: None,
-    });
     let (sb_secs, sb_stats, sb_vol) =
         time_kernel(reps, g, |v| backproject_simd_batched(stack, mats, v));
-    let sb_drift = DriftStats::measure(par_vol.data(), sb_vol.data(), DRIFT_SIGNIFICANCE);
+    let sb_drift = DriftStats::measure(oracle.data(), sb_vol.data(), DRIFT_SIGNIFICANCE);
     assert!(
         sb_drift.within(SIMD_BATCHED_ULP_BOUND, SIMD_BATCHED_REL_ABS_BOUND),
         "{}: simd-batched drift ({} ULP, rel_abs {:.3e}) exceeds the contract \
@@ -306,72 +235,29 @@ fn bench_backproject(w: &Workload, reps: usize) -> Vec<KernelRun> {
         sb_drift.max_ulp_significant,
         sb_drift.rel_abs()
     );
-    runs.push(KernelRun {
-        kernel: "simd-batched",
-        secs: sb_secs,
-        stats: sb_stats,
-        bit_identical_to_parallel: Some(sb_vol.data() == par_vol.data()),
-        drift: Some(sb_drift),
-    });
-    runs
-}
-
-struct FilterRun {
-    mode: &'static str,
-    secs: f64,
-    rows: usize,
-}
-
-fn bench_filter(w: &Workload, reps: usize) -> (Vec<FilterRun>, f32) {
-    let g = &w.geom;
-    let pipeline = FilterPipeline::new(g, FilterWindow::RamLak);
-    let rows = g.nv * g.np;
-
-    let mut best = [f64::INFINITY; 2];
-    let mut out: [Option<ProjectionStack>; 2] = [None, None];
-    for _ in 0..reps.max(1) {
-        for (slot, fused) in [(0usize, false), (1usize, true)] {
-            let mut stack = w.filtered.clone();
-            let t = Instant::now();
-            if fused {
-                pipeline.filter_stack_fused(&mut stack);
-            } else {
-                pipeline.filter_stack(&mut stack);
-            }
-            best[slot] = best[slot].min(t.elapsed().as_secs_f64());
-            out[slot] = Some(stack);
-        }
-    }
-    let two_pass = out[0].take().unwrap();
-    let fused = out[1].take().unwrap();
-    let mut max_abs = 0.0f32;
-    for (a, b) in two_pass.data().iter().zip(fused.data()) {
-        max_abs = max_abs.max((a - b).abs());
-    }
-    (
-        vec![
-            FilterRun {
-                mode: "two-pass",
-                secs: best[0],
-                rows,
-            },
-            FilterRun {
-                mode: "fused",
-                secs: best[1],
-                rows,
-            },
-        ],
-        max_abs,
-    )
-}
-
-fn json_workload_header(out: &mut String, w: &Workload) {
-    let g = &w.geom;
-    let _ = writeln!(
-        out,
-        "      \"name\": \"{}\",\n      \"nx\": {}, \"ny\": {}, \"nz\": {},\n      \"np\": {}, \"nu\": {}, \"nv\": {},",
-        w.name, g.nx, g.ny, g.nz, g.np, g.nu, g.nv
-    );
+    vec![
+        KernelRun {
+            kernel: "reference",
+            secs: ref_secs,
+            stats: ref_stats,
+            bit_identical_to_reference: None,
+            drift: None,
+        },
+        KernelRun {
+            kernel: "simd",
+            secs: simd_secs,
+            stats: simd_stats,
+            bit_identical_to_reference: Some(true),
+            drift: None,
+        },
+        KernelRun {
+            kernel: "simd-batched",
+            secs: sb_secs,
+            stats: sb_stats,
+            bit_identical_to_reference: Some(sb_vol.data() == oracle.data()),
+            drift: Some(sb_drift),
+        },
+    ]
 }
 
 fn emit_backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -> String {
@@ -388,7 +274,7 @@ fn emit_backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -
         .map(|f| format!("\"{f}\""))
         .collect();
     let _ = writeln!(out, "  \"detected_features\": [{}],", features.join(", "));
-    // The drift contracts the non-bitwise numbers above were asserted
+    // The drift contract the non-bitwise numbers below were asserted
     // against before being written (see the backproject contracts module).
     out.push_str("  \"contracts\": {\n");
     let _ = writeln!(out, "    \"drift_significance\": {DRIFT_SIGNIFICANCE},");
@@ -398,25 +284,22 @@ fn emit_backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -
     );
     let _ = writeln!(
         out,
-        "    \"simd_batched_rel_abs_bound\": {SIMD_BATCHED_REL_ABS_BOUND:e},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"incremental_rel_abs_bound\": {INCREMENTAL_REL_ABS_BOUND:e},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"incremental_rel_rmse_bound\": {INCREMENTAL_REL_RMSE_BOUND:e}"
+        "    \"simd_batched_rel_abs_bound\": {SIMD_BATCHED_REL_ABS_BOUND:e}"
     );
     out.push_str("  },\n");
     out.push_str("  \"workloads\": [\n");
     for (wi, (w, runs)) in results.iter().enumerate() {
         out.push_str("    {\n");
-        json_workload_header(&mut out, w);
+        let g = &w.geom;
+        let _ = writeln!(
+            out,
+            "      \"name\": \"{}\",\n      \"nx\": {}, \"ny\": {}, \"nz\": {},\n      \"np\": {}, \"nu\": {}, \"nv\": {},",
+            w.name, g.nx, g.ny, g.nz, g.np, g.nu, g.nv
+        );
         out.push_str("      \"kernels\": [\n");
         for (i, r) in runs.iter().enumerate() {
             let gups = r.stats.updates as f64 / r.secs.max(1e-12) / 1e9;
-            let bit = match r.bit_identical_to_parallel {
+            let bit = match r.bit_identical_to_reference {
                 Some(b) => b.to_string(),
                 None => "null".to_string(),
             };
@@ -431,7 +314,7 @@ fn emit_backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -
             };
             let _ = writeln!(
                 out,
-                "        {{\"kernel\": \"{}\", \"secs\": {:.6}, \"updates\": {}, \"gups\": {:.4}, \"bit_identical_to_parallel\": {}{}}}{}",
+                "        {{\"kernel\": \"{}\", \"secs\": {:.6}, \"updates\": {}, \"gups\": {:.4}, \"bit_identical_to_reference\": {}{}}}{}",
                 r.kernel,
                 r.secs,
                 r.stats.updates,
@@ -441,60 +324,7 @@ fn emit_backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -
                 if i + 1 < runs.len() { "," } else { "" }
             );
         }
-        out.push_str("      ],\n");
-        let secs_of = |name: &str| runs.iter().find(|r| r.kernel == name).map(|r| r.secs);
-        let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-            (Some(n), Some(d)) => n / d.max(1e-12),
-            _ => 0.0,
-        };
-        let blocked = ratio(secs_of("parallel"), secs_of("blocked"));
-        let simd = ratio(secs_of("blocked"), secs_of("simd"));
-        let batched = ratio(secs_of("blocked"), secs_of("simd-batched"));
-        let _ = writeln!(out, "      \"speedup_blocked_vs_parallel\": {blocked:.4},");
-        let _ = writeln!(out, "      \"speedup_simd_vs_blocked\": {simd:.4},");
-        let _ = writeln!(
-            out,
-            "      \"speedup_simd_batched_vs_blocked\": {batched:.4}"
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if wi + 1 < results.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn emit_filter_json(results: &[(&Workload, Vec<FilterRun>, f32)], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"filter\",\n");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"workloads\": [\n");
-    for (wi, (w, runs, max_abs)) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        json_workload_header(&mut out, w);
-        out.push_str("      \"modes\": [\n");
-        for (i, r) in runs.iter().enumerate() {
-            let rows_per_sec = r.rows as f64 / r.secs.max(1e-12);
-            let _ = writeln!(
-                out,
-                "        {{\"mode\": \"{}\", \"secs\": {:.6}, \"rows\": {}, \"rows_per_sec\": {:.1}}}{}",
-                r.mode,
-                r.secs,
-                r.rows,
-                rows_per_sec,
-                if i + 1 < runs.len() { "," } else { "" }
-            );
-        }
-        out.push_str("      ],\n");
-        let secs_of = |name: &str| runs.iter().find(|r| r.mode == name).map(|r| r.secs);
-        let speedup = match (secs_of("two-pass"), secs_of("fused")) {
-            (Some(t), Some(f)) => t / f.max(1e-12),
-            _ => 0.0,
-        };
-        let _ = writeln!(out, "      \"speedup_fused_vs_two_pass\": {speedup:.4},");
-        let _ = writeln!(out, "      \"max_abs_deviation\": {:.3e}", max_abs);
+        out.push_str("      ]\n");
         let _ = writeln!(
             out,
             "    }}{}",
@@ -1769,11 +1599,11 @@ fn main() {
         .unwrap_or(if quick { 1 } else { 2 });
 
     let workloads: Vec<Workload> = if quick {
-        vec![Workload::new("ball-quick-32", 32, 24, 64, 48, true)]
+        vec![Workload::new("ball-quick-32", 32, 24, 64, 48)]
     } else {
         vec![
-            Workload::new("ball-128", 128, 48, 192, 192, true),
-            Workload::new("ball-256", 256, 48, 320, 320, false),
+            Workload::new("ball-128", 128, 48, 192, 192),
+            Workload::new("ball-256", 256, 48, 320, 320),
         ]
     };
 
@@ -1783,22 +1613,11 @@ fn main() {
     );
 
     let mut bp_results = Vec::new();
-    let mut f_results = Vec::new();
     for w in &workloads {
         eprintln!(
             "  {}: {}³ volume, {} projections of {}×{}",
             w.name, w.geom.nx, w.geom.np, w.geom.nu, w.geom.nv
         );
-        let (filter_runs, max_abs) = bench_filter(w, reps);
-        for r in &filter_runs {
-            eprintln!(
-                "    filter/{:<9} {:>9.4}s  ({:.0} rows/s)",
-                r.mode,
-                r.secs,
-                r.rows as f64 / r.secs.max(1e-12)
-            );
-        }
-        f_results.push((w, filter_runs, max_abs));
         let runs = bench_backproject(w, reps);
         for r in &runs {
             eprintln!(
@@ -1812,27 +1631,23 @@ fn main() {
     }
 
     let bp_json = emit_backproject_json(&bp_results, quick);
-    let f_json = emit_filter_json(&f_results, quick);
     std::fs::create_dir_all(&out_dir).expect("create out-dir");
     let bp_path = format!("{out_dir}/BENCH_backproject.json");
-    let f_path = format!("{out_dir}/BENCH_filter.json");
     std::fs::write(&bp_path, &bp_json).expect("write BENCH_backproject.json");
-    std::fs::write(&f_path, &f_json).expect("write BENCH_filter.json");
-    eprintln!("wrote {bp_path} and {f_path}");
+    eprintln!("wrote {bp_path}");
 
     for (w, runs) in &bp_results {
         let secs_of = |name: &str| runs.iter().find(|r| r.kernel == name).map(|r| r.secs);
-        if let (Some(p), Some(b)) = (secs_of("parallel"), secs_of("blocked")) {
-            let simd = secs_of("simd")
-                .map(|s| format!(", simd {:.2}x vs blocked", b / s.max(1e-12)))
-                .unwrap_or_default();
-            let batched = secs_of("simd-batched")
-                .map(|s| format!(", simd-batched {:.2}x vs blocked", b / s.max(1e-12)))
-                .unwrap_or_default();
+        if let (Some(r), Some(s), Some(b)) = (
+            secs_of("reference"),
+            secs_of("simd"),
+            secs_of("simd-batched"),
+        ) {
             println!(
-                "{}: blocked {:.2}x vs parallel{simd}{batched} ({} backend)",
+                "{}: simd {:.2}x, simd-batched {:.2}x vs reference ({} backend)",
                 w.name,
-                p / b.max(1e-12),
+                r / s.max(1e-12),
+                r / b.max(1e-12),
                 simd_backend().name()
             );
         }

@@ -1,7 +1,7 @@
-//! Shared helpers for the table/figure harness binaries and criterion
-//! benches. Each binary under `src/bin/` regenerates one table or figure
-//! of the paper's evaluation section; see `DESIGN.md` for the index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured values.
+//! Shared helpers for the table/figure harness binaries. Each binary
+//! under `src/bin/` regenerates one table or figure of the paper's
+//! evaluation section; see `DESIGN.md` for the index and `EXPERIMENTS.md`
+//! for recorded paper-vs-measured values.
 
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
 use scalefbp_phantom::{forward_project, uniform_ball};

@@ -6,9 +6,9 @@ use rand::SeedableRng;
 use scalefbp::{
     fault_tolerant_reconstruct_checkpointed, fault_tolerant_reconstruct_observed,
     fdk_reconstruct_configured, fdk_reconstruct_slab, iterative_reconstruct_distributed,
-    BackendChoice, CheckpointSpec, DeviceSpec, FdkConfig, FilterChoice, FilterWindow,
-    IterativeConfig, IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot,
-    OutOfCoreReconstructor, PipelinedReconstructor, RankLayout, ReduceMode,
+    BackendChoice, CheckpointSpec, DeviceSpec, FdkConfig, FilterWindow, IterativeConfig,
+    IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor,
+    PipelinedReconstructor, RankLayout, ReduceMode,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
@@ -58,15 +58,6 @@ fn parse_device(spec: &str) -> Result<DeviceSpec, CliError> {
     Err(CliError::Message(format!(
         "unknown device `{spec}` (v100 | a100 | tiny:BYTES)"
     )))
-}
-
-/// Parses `--reduce-mode` (default `hierarchical`, the pre-existing
-/// behaviour) into a [`ReduceMode`].
-fn parse_reduce_mode(args: &mut Args) -> Result<ReduceMode, CliError> {
-    args.opt("reduce-mode")
-        .unwrap_or_else(|| "hierarchical".into())
-        .parse()
-        .map_err(CliError::Message)
 }
 
 fn build_phantom(name: &str, geom: &CbctGeometry) -> Result<Phantom, CliError> {
@@ -369,6 +360,19 @@ fn recovery_summary(events: &[RecoveryEvent]) -> String {
     s
 }
 
+/// `--name` as one of the dispatch enums. Without the flag the run takes
+/// the enum's own `Default`, so the library and the CLI cannot disagree
+/// about what the default is.
+fn parse_choice<T>(args: &mut Args, name: &str) -> Result<T, CliError>
+where
+    T: Default + std::str::FromStr<Err = String>,
+{
+    args.opt(name).map_or_else(
+        || Ok(T::default()),
+        |v| v.parse().map_err(CliError::Message),
+    )
+}
+
 /// `scalefbp reconstruct`.
 pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let scan_path = PathBuf::from(args.require("scan")?);
@@ -380,22 +384,9 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let mode = args.opt("mode").unwrap_or_else(|| "incore".into());
     let device = parse_device(&args.opt("device").unwrap_or_else(|| "v100".into()))?;
-    let kernel: KernelChoice = args
-        .opt("kernel")
-        .unwrap_or_else(|| "parallel".into())
-        .parse()
-        .map_err(CliError::Message)?;
-    let filter_mode: FilterChoice = args
-        .opt("filter-mode")
-        .unwrap_or_else(|| "two-pass".into())
-        .parse()
-        .map_err(CliError::Message)?;
-    let backend: BackendChoice = args
-        .opt("backend")
-        .unwrap_or_else(|| "sim".into())
-        .parse()
-        .map_err(CliError::Message)?;
-    let reduce_mode = parse_reduce_mode(args)?;
+    let kernel: KernelChoice = parse_choice(args, "kernel")?;
+    let backend: BackendChoice = parse_choice(args, "backend")?;
+    let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
     let checkpoint = parse_checkpoint_spec(args)?;
     if checkpoint.is_some() && mode != "outofcore" && mode != "distributed" {
         return Err(CliError::Message(format!(
@@ -431,13 +422,12 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                 let cfg = FdkConfig::new(geom.clone())
                     .with_window(window)
                     .with_kernel(kernel)
-                    .with_filter(filter_mode)
                     .with_backend(backend);
                 let v = fdk_reconstruct_configured(&cfg, &projections)
                     .map_err(|e| CliError::Message(e.to_string()))?;
                 (
                     v,
-                    format!("in-core, {kernel} kernel, {filter_mode} filter, {backend} backend"),
+                    format!("in-core, {kernel} kernel, {backend} backend"),
                     chrome_trace_json(&[]),
                     MetricsRegistry::new().snapshot(),
                 )
@@ -447,7 +437,6 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                     .with_window(window)
                     .with_device(device)
                     .with_kernel(kernel)
-                    .with_filter(filter_mode)
                     .with_backend(backend);
                 let rec = OutOfCoreReconstructor::with_observability(cfg, MetricsRegistry::new())
                     .map_err(|e| CliError::Message(e.to_string()))?;
@@ -472,7 +461,6 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                     .with_window(window)
                     .with_device(device)
                     .with_kernel(kernel)
-                    .with_filter(filter_mode)
                     .with_backend(backend);
                 let rec = PipelinedReconstructor::new(cfg)
                     .map_err(|e| CliError::Message(e.to_string()))?;
@@ -519,7 +507,6 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                 let cfg = FdkConfig::new(geom.clone())
                     .with_window(window)
                     .with_kernel(kernel)
-                    .with_filter(filter_mode)
                     .with_backend(backend)
                     .with_reduce_mode(reduce_mode)
                     .with_timeout_scale(timeout_scale);
@@ -581,11 +568,7 @@ pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
     let (geom, projections, source) = load_or_synthesize(args)?;
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let device = parse_device(&args.opt("device").unwrap_or_else(|| "v100".into()))?;
-    let backend: BackendChoice = args
-        .opt("backend")
-        .unwrap_or_else(|| "sim".into())
-        .parse()
-        .map_err(CliError::Message)?;
+    let backend: BackendChoice = parse_choice(args, "backend")?;
     let plan = parse_fault_plan(args, &single_rank_scenario())?.unwrap_or_else(FaultPlan::none);
 
     let cfg = FdkConfig::new(geom.clone())
@@ -630,12 +613,8 @@ pub fn distributed(args: &mut Args) -> Result<String, CliError> {
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let nr: usize = args.typed_or("nr", 2, "integer")?;
     let ng: usize = args.typed_or("ng", 2, "integer")?;
-    let reduce_mode = parse_reduce_mode(args)?;
-    let backend: BackendChoice = args
-        .opt("backend")
-        .unwrap_or_else(|| "sim".into())
-        .parse()
-        .map_err(CliError::Message)?;
+    let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
+    let backend: BackendChoice = parse_choice(args, "backend")?;
     let plan =
         parse_fault_plan(args, &FaultScenario::mixed(nr * ng))?.unwrap_or_else(FaultPlan::none);
     let plan = apply_straggler_plan(args, plan, nr * ng)?;
@@ -698,7 +677,7 @@ pub fn iterative(args: &mut Args) -> Result<String, CliError> {
     };
     let mut cfg = IterativeConfig::new(solver, iters);
     cfg.ranks = ranks;
-    cfg.reduce_mode = parse_reduce_mode(args)?;
+    cfg.reduce_mode = parse_choice(args, "reduce-mode")?;
     cfg.checkpoint = parse_checkpoint_spec(args)?;
     let ckpt_note = checkpoint_note(&cfg.checkpoint);
 
@@ -805,11 +784,7 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
         std::env::temp_dir().join(format!("scalefbp-serve-{}", std::process::id()))
     });
 
-    let backend: BackendChoice = args
-        .opt("backend")
-        .unwrap_or_else(|| "sim".into())
-        .parse()
-        .map_err(CliError::Message)?;
+    let backend: BackendChoice = parse_choice(args, "backend")?;
 
     let mut cfg = ServeConfig::new(devices, device, ckpt_root).with_backend(backend);
     if let Some(fs) = args.opt("fault-seed") {

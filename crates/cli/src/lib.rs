@@ -64,11 +64,10 @@ COMMANDS:
   reconstruct --scan scan.sfbp --geom scan.geom --out vol.sfbp
               [--window ramlak|shepplogan|cosine|hamming|hann]
               [--mode incore|outofcore|pipeline|distributed]
-              [--kernel reference|parallel|incremental|blocked|simd|simd-batched]
-              [--filter-mode two-pass|fused]
-                  pick the back-projection kernel and filtering strategy
-                  (see docs/performance.md; defaults reproduce the
-                  bit-exact reference behaviour)
+              [--kernel reference|simd|simd-batched]
+                  pick the back-projection kernel (default: simd, which
+                  reproduces the reference oracle bit for bit; see
+                  docs/performance.md)
               [--backend sim|cpu]
                   compute backend behind the executor seam: `sim` charges
                   the gpusim cost model, `cpu` runs natively with zero
@@ -180,6 +179,12 @@ mod tests {
         let out = run(["help".to_string()]).unwrap();
         assert!(out.contains("reconstruct"));
         assert!(out.contains("simulate"));
+        let kernels: Vec<_> = scalefbp::KernelChoice::ALL
+            .iter()
+            .map(|k| k.name())
+            .collect();
+        assert!(out.contains(&format!("--kernel {}", kernels.join("|"))));
+        assert!(out.contains(&format!("default: {}", scalefbp::KernelChoice::default())));
     }
 
     #[test]

@@ -97,58 +97,47 @@ fn outofcore_and_pipeline_modes_match_incore() {
 }
 
 #[test]
-fn blocked_kernel_flag_matches_default_bitwise() {
+fn kernel_flag_matches_default_bitwise() {
     let dir = tmpdir("kernel-flag");
     let scan = dir.join("scan.sfbp");
     call(&["simulate", "--ideal", "24", "--out", scan.to_str().unwrap()]).unwrap();
-
-    let mut volumes = Vec::new();
-    for (kernel, tag) in [("parallel", "a"), ("blocked", "b"), ("reference", "c")] {
-        let vol = dir.join(format!("vol_{tag}.sfbp"));
-        let out = call(&[
+    let reconstruct = |vol: &std::path::Path, extra: &[&str]| {
+        let mut tokens = vec![
             "reconstruct",
             "--scan",
             scan.to_str().unwrap(),
             "--out",
             vol.to_str().unwrap(),
-            "--kernel",
-            kernel,
-        ])
-        .unwrap();
-        assert!(out.contains(kernel), "{kernel}: {out}");
-        volumes.push(std::fs::read(&vol).unwrap());
+        ];
+        tokens.extend_from_slice(extra);
+        call(&tokens)
+    };
+
+    // No flag runs the default kernel (simd), which is the oracle's bits.
+    let vol = dir.join("vol_default.sfbp");
+    let out = reconstruct(&vol, &[]).unwrap();
+    assert!(out.contains("simd kernel"), "{out}");
+    let default = std::fs::read(&vol).unwrap();
+    for kernel in ["simd", "reference"] {
+        let vol = dir.join(format!("vol_{kernel}.sfbp"));
+        let out = reconstruct(&vol, &["--kernel", kernel]).unwrap();
+        assert!(out.contains(&format!("{kernel} kernel")), "{kernel}: {out}");
+        assert_eq!(
+            default,
+            std::fs::read(&vol).unwrap(),
+            "--kernel {kernel} differs from the default"
+        );
     }
-    assert_eq!(volumes[0], volumes[1], "blocked differs from parallel");
-    assert_eq!(volumes[0], volumes[2], "reference differs from parallel");
 
-    // The fused filter is not bitwise, but the command must succeed and
-    // report the strategy it ran.
-    let vol = dir.join("vol_fused.sfbp");
-    let out = call(&[
-        "reconstruct",
-        "--scan",
-        scan.to_str().unwrap(),
-        "--out",
-        vol.to_str().unwrap(),
-        "--kernel",
-        "blocked",
-        "--filter-mode",
-        "fused",
-    ])
-    .unwrap();
-    assert!(out.contains("fused"), "{out}");
-
-    // Unknown names are rejected with the candidate list.
-    let err = call(&[
-        "reconstruct",
-        "--scan",
-        scan.to_str().unwrap(),
-        "--out",
-        vol.to_str().unwrap(),
-        "--kernel",
-        "warp",
-    ]);
-    assert!(format!("{err:?}").contains("unknown kernel"), "{err:?}");
+    // Removed and unknown names are rejected with the candidate list.
+    for kernel in ["parallel", "blocked", "incremental", "warp"] {
+        let err = format!("{:?}", reconstruct(&vol, &["--kernel", kernel]));
+        assert!(err.contains("unknown kernel"), "{kernel}: {err}");
+        assert!(err.contains("reference|simd|simd-batched"), "{err}");
+    }
+    // The filter strategy is no longer selectable.
+    let err = reconstruct(&vol, &["--filter-mode", "two-pass"]).unwrap_err();
+    assert!(err.to_string().contains("unknown option(s)"), "{err}");
 }
 
 #[test]

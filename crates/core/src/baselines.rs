@@ -14,7 +14,7 @@
 //!   al.'s out-of-core variant re-streams the *entire* projection set for
 //!   every sub-volume chunk (the redundancy the paper eliminates).
 
-use scalefbp_backproject::backproject_parallel;
+use scalefbp_backproject::backproject_simd;
 use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume, VolumeDecomposition};
 use scalefbp_gpusim::DeviceSpec;
@@ -177,7 +177,7 @@ pub fn distributed_np_only(
         // The full volume, resident on every rank — the scheme's defining
         // (and limiting) property.
         let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&part, &mats[s0..s1], &mut vol);
+        backproject_simd(&part, &mats[s0..s1], &mut vol);
 
         // One world-wide collective.
         comm.reduce_sum_f32(0, vol.data_mut());

@@ -94,8 +94,7 @@ impl From<ExecError> for ReconstructionError {
 }
 
 // `KernelChoice`, `FilterChoice` and `BackendChoice` are defined in
-// `scalefbp-exec` (the executors dispatch on them) and re-exported above
-// unchanged, so the pre-executor public API is preserved.
+// `scalefbp-exec` (the executors dispatch on them) and re-exported above.
 
 /// Configuration of a reconstruction run.
 #[derive(Clone, Debug)]
@@ -110,8 +109,6 @@ pub struct FdkConfig {
     pub device: DeviceSpec,
     /// Back-projection kernel the drivers dispatch to.
     pub kernel: KernelChoice,
-    /// Filtering execution strategy.
-    pub filter: FilterChoice,
     /// Reduction algorithm for the distributed drivers. The default
     /// ([`ReduceMode::Hierarchical`]) reproduces the pre-existing
     /// tree-reduce behaviour bit-for-bit; see `docs/communication.md`.
@@ -133,7 +130,7 @@ pub struct FdkConfig {
 
 impl FdkConfig {
     /// A config with the paper's defaults (`N_c = 8`, Ram-Lak window,
-    /// V100-16GB device, parallel kernel, two-pass filter).
+    /// V100-16GB device, SIMD kernel).
     pub fn new(geometry: CbctGeometry) -> Self {
         FdkConfig {
             geometry,
@@ -141,7 +138,6 @@ impl FdkConfig {
             nc: 8,
             device: DeviceSpec::v100_16gb(),
             kernel: KernelChoice::default(),
-            filter: FilterChoice::default(),
             reduce_mode: ReduceMode::default(),
             backend: BackendChoice::default(),
             timeout_scale: 2.0,
@@ -170,12 +166,6 @@ impl FdkConfig {
     /// Builder: back-projection kernel.
     pub fn with_kernel(mut self, kernel: KernelChoice) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Builder: filtering strategy.
-    pub fn with_filter(mut self, filter: FilterChoice) -> Self {
-        self.filter = filter;
         self
     }
 
@@ -247,8 +237,7 @@ mod tests {
         assert_eq!(c.nc, 8);
         assert_eq!(c.window, FilterWindow::RamLak);
         assert_eq!(c.device.name, "V100-16GB");
-        assert_eq!(c.kernel, KernelChoice::Parallel);
-        assert_eq!(c.filter, FilterChoice::TwoPass);
+        assert_eq!(c.kernel, KernelChoice::Simd);
         assert_eq!(c.reduce_mode, ReduceMode::Hierarchical);
         assert_eq!(c.timeout_scale, 2.0);
         c.validate().unwrap();
@@ -271,12 +260,12 @@ mod tests {
             assert_eq!(k.name().parse::<KernelChoice>().unwrap(), k);
             assert_eq!(format!("{k}"), k.name());
         }
-        for f in [FilterChoice::TwoPass, FilterChoice::Fused] {
-            assert_eq!(f.name().parse::<FilterChoice>().unwrap(), f);
+        assert_eq!(KernelChoice::ALL.len(), 3);
+        assert_eq!(FilterChoice::default(), FilterChoice::TwoPass);
+        for gone in ["parallel", "blocked", "incremental", "warp"] {
+            let err = gone.parse::<KernelChoice>().unwrap_err();
+            assert!(err.contains("unknown kernel"), "{err}");
         }
-        assert_eq!("twopass".parse::<FilterChoice>(), Ok(FilterChoice::TwoPass));
-        assert!("warp".parse::<KernelChoice>().is_err());
-        assert!("triple".parse::<FilterChoice>().is_err());
     }
 
     #[test]

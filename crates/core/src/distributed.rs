@@ -13,7 +13,7 @@ use scalefbp_mpisim::{
 };
 use scalefbp_obs::MetricsRegistry;
 
-use crate::{FdkConfig, ReconstructionError};
+use crate::{FdkConfig, FilterChoice, ReconstructionError};
 
 /// Result of a distributed run.
 #[derive(Clone, Debug)]
@@ -76,7 +76,6 @@ pub fn distributed_reconstruct(
     let window = config.window;
     let reduce_mode = config.reduce_mode;
     let kernel_choice = config.kernel;
-    let filter_choice = config.filter;
     // One executor shared by every rank closure: the compute dispatch is
     // identical per rank, and the kernels are pure functions of their
     // inputs, so sharing changes nothing observable.
@@ -105,7 +104,7 @@ pub fn distributed_reconstruct(
                 assign.s_begin,
                 assign.s_end,
             );
-            exec.filter_stack(&filter, filter_choice, &mut part)
+            exec.filter_stack(&filter, FilterChoice::default(), &mut part)
                 .expect("filter stage failed");
 
             let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);

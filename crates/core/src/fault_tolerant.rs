@@ -281,11 +281,10 @@ struct FtCtx<'a> {
     recovery: &'a RecoveryLog,
     scale: f32,
     /// The compute backend every chunk runs on, with the configured
-    /// kernel and filter strategy. Dispatch is pure, so any rank can
-    /// recompute any chunk bit for bit on any backend.
+    /// kernel. Dispatch is pure, so any rank can recompute any chunk bit
+    /// for bit on any backend.
     exec: &'a dyn Executor,
     kernel: KernelChoice,
-    filter_mode: FilterChoice,
     /// Wire format of the worker→leader data plane:
     /// [`ReduceMode::Segmented`] ships per-segment pieces, everything
     /// else one message per chunk. The summation order never changes, so
@@ -335,7 +334,7 @@ impl FtCtx<'_> {
             self.projections
                 .extract_window(task.rows.begin, task.rows.end, a.s_begin, a.s_end);
         self.exec
-            .filter_stack(self.filter, self.filter_mode, &mut part)
+            .filter_stack(self.filter, FilterChoice::default(), &mut part)
             .expect("filter stage failed");
         let mut slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
         self.exec
@@ -494,7 +493,6 @@ fn ft_run(
                 scale: filter.backprojection_scale() as f32,
                 exec: exec_ref.as_ref(),
                 kernel: config.kernel,
-                filter_mode: config.filter,
                 reduce_mode: config.reduce_mode,
                 chunks_computed: registry_ref.rank_counter("ft.chunks.computed", comm.rank()),
                 integrity_failures: registry_ref

@@ -2,13 +2,12 @@
 
 use std::sync::Arc;
 
-use scalefbp_backproject::backproject_parallel;
 use scalefbp_faults::NoFaults;
 use scalefbp_filter::{FilterPipeline, FilterWindow};
 use scalefbp_geom::{compute_ab, CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
 use scalefbp_obs::MetricsRegistry;
 
-use crate::{FdkConfig, ReconstructionError};
+use crate::{FdkConfig, FilterChoice, ReconstructionError};
 
 /// Reconstructs the full volume in memory with the Ram-Lak window:
 /// filtering (Eq 2) → back-projection (Algorithm 1) → FDK normalisation.
@@ -20,7 +19,7 @@ pub fn fdk_reconstruct(
     geom: &CbctGeometry,
     projections: &ProjectionStack,
 ) -> Result<Volume, ReconstructionError> {
-    fdk_reconstruct_with(geom, projections, FilterWindow::RamLak)
+    fdk_reconstruct_configured(&FdkConfig::new(geom.clone()), projections)
 }
 
 /// [`fdk_reconstruct`] with an explicit apodisation window.
@@ -29,74 +28,22 @@ pub fn fdk_reconstruct_with(
     projections: &ProjectionStack,
     window: FilterWindow,
 ) -> Result<Volume, ReconstructionError> {
-    geom.validate()?;
-    if projections.nv() != geom.nv || projections.np() != geom.np || projections.nu() != geom.nu {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "projections {}×{}×{} vs geometry {}×{}×{}",
-            projections.nv(),
-            projections.np(),
-            projections.nu(),
-            geom.nv,
-            geom.np,
-            geom.nu
-        )));
-    }
-
-    let pipeline = FilterPipeline::new(geom, window);
-    let mut filtered = projections.clone();
-    pipeline.filter_stack(&mut filtered);
-
-    let mats = ProjectionMatrix::full_scan(geom);
-    let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
-    backproject_parallel(&filtered, &mats, &mut vol);
-
-    let scale = pipeline.backprojection_scale() as f32;
-    for v in vol.data_mut() {
-        *v *= scale;
-    }
-    Ok(vol)
+    fdk_reconstruct_configured(
+        &FdkConfig::new(geom.clone()).with_window(window),
+        projections,
+    )
 }
 
 /// [`fdk_reconstruct`] honouring the full [`FdkConfig`]: apodisation
-/// window, back-projection [`KernelChoice`](crate::KernelChoice),
-/// [`FilterChoice`](crate::FilterChoice) and compute
-/// [`BackendChoice`](crate::BackendChoice). With the default config this
-/// is bit-identical to [`fdk_reconstruct`]; the `Blocked`/`Fused` fast
-/// paths and the `cpu` backend are validated against it in the workspace
-/// property tests.
+/// window, back-projection [`KernelChoice`](crate::KernelChoice) and
+/// compute [`BackendChoice`](crate::BackendChoice). The `Reference` oracle
+/// and the `cpu` backend are validated bitwise against the default in the
+/// workspace property tests.
 pub fn fdk_reconstruct_configured(
     config: &FdkConfig,
     projections: &ProjectionStack,
 ) -> Result<Volume, ReconstructionError> {
-    let geom = &config.geometry;
-    config.validate()?;
-    if projections.nv() != geom.nv || projections.np() != geom.np || projections.nu() != geom.nu {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "projections {}×{}×{} vs geometry {}×{}×{}",
-            projections.nv(),
-            projections.np(),
-            projections.nu(),
-            geom.nv,
-            geom.np,
-            geom.nu
-        )));
-    }
-
-    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new())?;
-
-    let pipeline = FilterPipeline::new(geom, config.window);
-    let mut filtered = projections.clone();
-    exec.filter_stack(&pipeline, config.filter, &mut filtered)?;
-
-    let mats = ProjectionMatrix::full_scan(geom);
-    let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
-    exec.backproject(config.kernel, &filtered, &mats, &mut vol)?;
-
-    let scale = pipeline.backprojection_scale() as f32;
-    for v in vol.data_mut() {
-        *v *= scale;
-    }
-    Ok(vol)
+    reconstruct_slices(config, projections, None)
 }
 
 /// Region-of-interest reconstruction: only global slices `[z_begin,
@@ -115,7 +62,24 @@ pub fn fdk_reconstruct_slab(
     z_end: usize,
     window: FilterWindow,
 ) -> Result<Volume, ReconstructionError> {
-    geom.validate()?;
+    reconstruct_slices(
+        &FdkConfig::new(geom.clone()).with_window(window),
+        projections,
+        Some((z_begin, z_end)),
+    )
+}
+
+/// The in-core body every entry point above shares: shape check → filter →
+/// back-project → FDK scale. `roi` restricts the run to global slices
+/// `[z_begin, z_end)` and the detector rows they need; `None` is the whole
+/// volume from the whole stack.
+fn reconstruct_slices(
+    config: &FdkConfig,
+    projections: &ProjectionStack,
+    roi: Option<(usize, usize)>,
+) -> Result<Volume, ReconstructionError> {
+    let geom = &config.geometry;
+    config.validate()?;
     if projections.nv() != geom.nv || projections.np() != geom.np || projections.nu() != geom.nu {
         return Err(ReconstructionError::ShapeMismatch(format!(
             "projections {}×{}×{} vs geometry {}×{}×{}",
@@ -127,27 +91,39 @@ pub fn fdk_reconstruct_slab(
             geom.nu
         )));
     }
-    if z_begin >= z_end || z_end > geom.nz {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "slice range [{z_begin}, {z_end}) invalid for nz={}",
-            geom.nz
-        )));
-    }
+    let (mut part, mut vol) = match roi {
+        None => (
+            projections.clone(),
+            Volume::zeros(geom.nx, geom.ny, geom.nz),
+        ),
+        Some((z_begin, z_end)) => {
+            if z_begin >= z_end || z_end > geom.nz {
+                return Err(ReconstructionError::ShapeMismatch(format!(
+                    "slice range [{z_begin}, {z_end}) invalid for nz={}",
+                    geom.nz
+                )));
+            }
+            let rows = compute_ab(geom, z_begin, z_end);
+            (
+                projections.extract_window(rows.begin, rows.end, 0, geom.np),
+                Volume::zeros_slab(geom.nx, geom.ny, z_end - z_begin, z_begin),
+            )
+        }
+    };
 
-    let rows = compute_ab(geom, z_begin, z_end);
-    let mut part = projections.extract_window(rows.begin, rows.end, 0, geom.np);
-    let pipeline = FilterPipeline::new(geom, window);
-    pipeline.filter_stack(&mut part);
+    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new())?;
+
+    let pipeline = FilterPipeline::new(geom, config.window);
+    exec.filter_stack(&pipeline, FilterChoice::default(), &mut part)?;
 
     let mats = ProjectionMatrix::full_scan(geom);
-    let mut slab = Volume::zeros_slab(geom.nx, geom.ny, z_end - z_begin, z_begin);
-    backproject_parallel(&part, &mats, &mut slab);
+    exec.backproject(config.kernel, &part, &mats, &mut vol)?;
 
     let scale = pipeline.backprojection_scale() as f32;
-    for v in slab.data_mut() {
+    for v in vol.data_mut() {
         *v *= scale;
     }
-    Ok(slab)
+    Ok(vol)
 }
 
 #[cfg(test)]
@@ -333,17 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_reconstruction_is_bit_identical() {
+    fn reference_kernel_reconstruction_is_bit_identical() {
         let g = geom();
         let ball = uniform_ball(&g, 0.5, 1.0);
         let p = forward_project(&g, &ball);
         let baseline = fdk_reconstruct(&g, &p).unwrap();
-        let blocked = fdk_reconstruct_configured(
-            &FdkConfig::new(g).with_kernel(crate::KernelChoice::Blocked),
+        let oracle = fdk_reconstruct_configured(
+            &FdkConfig::new(g).with_kernel(crate::KernelChoice::Reference),
             &p,
         )
         .unwrap();
-        assert_eq!(baseline.data(), blocked.data());
+        assert_eq!(baseline.data(), oracle.data());
     }
 
     #[test]
@@ -365,27 +341,6 @@ mod tests {
             ),
             Err(ReconstructionError::Backend(_))
         ));
-    }
-
-    #[test]
-    fn fused_filter_reconstruction_stays_close_to_two_pass() {
-        let g = geom();
-        let ball = uniform_ball(&g, 0.5, 1.0);
-        let p = forward_project(&g, &ball);
-        let two_pass = fdk_reconstruct(&g, &p).unwrap();
-        let fused = fdk_reconstruct_configured(
-            &FdkConfig::new(g.clone()).with_filter(crate::FilterChoice::Fused),
-            &p,
-        )
-        .unwrap();
-        let mut max = 0.0f32;
-        for (a, b) in two_pass.data().iter().zip(fused.data()) {
-            max = max.max((a - b).abs());
-        }
-        // The fused filter differs by a few f64 ULP before the f32 store;
-        // through the back-projection sum that stays far below any
-        // clinically meaningful level.
-        assert!(max < 1e-4, "max fused-vs-two-pass deviation {max}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{config_fingerprint, slab_from_bytes, slab_to_bytes};
-use crate::{FdkConfig, ReconstructionError};
+use crate::{FdkConfig, FilterChoice, ReconstructionError};
 
 /// Per-batch record of one out-of-core run (a row of Table 5, per batch).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -230,7 +230,7 @@ impl OutOfCoreReconstructor {
         let pipeline = FilterPipeline::new(g, self.config.window);
         let mut filtered = projections.clone();
         self.exec
-            .filter_stack(&pipeline, self.config.filter, &mut filtered)?;
+            .filter_stack(&pipeline, FilterChoice::default(), &mut filtered)?;
         let scale = pipeline.backprojection_scale() as f32;
 
         let mats = ProjectionMatrix::full_scan(g);
@@ -447,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_streams_bit_identically() {
+    fn reference_kernel_streams_bit_identically() {
         let g = geom();
         let p = projections(&g);
         let full_bytes = (g.projection_bytes() + g.volume_bytes()) as u64;
@@ -456,9 +456,9 @@ mod tests {
             .unwrap()
             .reconstruct(&p)
             .unwrap();
-        let blocked_cfg = base_cfg.with_kernel(crate::KernelChoice::Blocked);
-        let rec = OutOfCoreReconstructor::with_observability(blocked_cfg, MetricsRegistry::new())
-            .unwrap();
+        let oracle_cfg = base_cfg.with_kernel(crate::KernelChoice::Reference);
+        let rec =
+            OutOfCoreReconstructor::with_observability(oracle_cfg, MetricsRegistry::new()).unwrap();
         assert!(rec.nb() < g.nz, "expected an actual out-of-core plan");
         let (vol, report) = rec.reconstruct(&p).unwrap();
         assert_eq!(vol.data(), baseline.data());
@@ -639,9 +639,9 @@ mod tests {
         let rec = OutOfCoreReconstructor::new(cfg.clone()).unwrap();
         let spec = CheckpointSpec::new("ck", 1).killing_after(1);
         let _ = rec.reconstruct_checkpointed(&p, &ep, &spec);
-        // Same directory, different filter configuration: must refuse.
+        // Same directory, different filter window: must refuse.
         let other =
-            OutOfCoreReconstructor::new(cfg.with_filter(crate::FilterChoice::Fused)).unwrap();
+            OutOfCoreReconstructor::new(cfg.with_window(crate::FilterWindow::Hann)).unwrap();
         match other.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("ck", 1).resuming()) {
             Err(ReconstructionError::Checkpoint(what)) => {
                 assert!(what.contains("stale"), "{what}")

@@ -12,7 +12,7 @@
 //! matrices, the same filter pipeline, the same kernels. Only the angle
 //! table, the per-pixel weighting and the normalisation differ.
 
-use scalefbp_backproject::backproject_parallel;
+use scalefbp_backproject::backproject_simd;
 use scalefbp_filter::{FilterPipeline, FilterWindow};
 use scalefbp_geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
 
@@ -133,7 +133,7 @@ pub fn fdk_reconstruct_short_scan(
         .map(|s| ProjectionMatrix::new(geom, arc_angle(s, geom.np, arc)))
         .collect();
     let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
-    backproject_parallel(&filtered, &mats, &mut vol);
+    backproject_simd(&filtered, &mats, &mut vol);
 
     // Normalisation: Δβ·D_so², and ×2 to undo the full-scan redundancy ½
     // folded into the filter (Parker weighting already accounts for the
@@ -246,7 +246,7 @@ mod tests {
             .map(|s| ProjectionMatrix::new(&g, arc_angle(s, g.np, arc)))
             .collect();
         let mut naive = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_parallel(&filtered, &mats, &mut naive);
+        backproject_simd(&filtered, &mats, &mut naive);
         let scale = (2.0 * arc / g.np as f64 * g.dso * g.dso) as f32;
         for v in naive.data_mut() {
             *v *= scale;

@@ -1,48 +1,36 @@
 //! The dispatch enums shared by every driver: which back-projection
-//! kernel, which filtering strategy, and which compute backend.
+//! kernel and which compute backend.
 //!
 //! These lived in `scalefbp::config` before the executor split; they
 //! moved here so the executors can dispatch on them without a circular
 //! dependency, and `scalefbp` re-exports them unchanged.
 
-/// Which back-projection kernel the drivers run.
+/// Which back-projection kernel the drivers run: one oracle plus the fast
+/// family.
 ///
-/// All variants produce bit-identical volumes for the in-core and streaming
-/// paths except [`Incremental`](KernelChoice::Incremental) and
-/// [`SimdBatched`](KernelChoice::SimdBatched), whose reassociated f32
-/// arithmetic drifts within the explicit bounds pinned in the backproject
+/// `Reference` and `Simd` produce bit-identical volumes on the in-core and
+/// streaming paths; [`SimdBatched`](KernelChoice::SimdBatched) reassociates
+/// f32 sums and drifts within the explicit bound pinned in the backproject
 /// crate's `contracts` module (see `docs/performance.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelChoice {
     /// Algorithm 1 verbatim: the serial quadruple loop. Slow; the ground
-    /// truth for equivalence testing.
+    /// truth for equivalence testing. Streams through `backproject_window`.
     Reference,
-    /// Register-accumulating slice-parallel kernel (Section 4.3.1).
+    /// L1-tiled f32x8 SIMD (AVX2 with runtime detection, portable scalar
+    /// twin otherwise). Bit-identical to `Reference` on either backend.
     #[default]
-    Parallel,
-    /// The affine-increment kernel — fastest per-update arithmetic, *not*
-    /// bit-identical. Streaming drivers fall back to the windowed kernel.
-    Incremental,
-    /// Cache-blocked hot path: `(i, j)` tiles with projection-outer
-    /// iteration and hoisted row constants. Bit-identical to `Parallel`.
-    Blocked,
-    /// Explicit f32x8 SIMD over the blocked tiles (AVX2 with runtime
-    /// detection, portable scalar twin otherwise). Bit-identical to
-    /// `Parallel` on either backend.
     Simd,
     /// The SIMD kernel with projection batching: `P` projections
     /// accumulate in a register partial per voxel pass. Fastest; drift vs
-    /// `Parallel` is ULP-bounded, *not* bitwise.
+    /// `Reference` is ULP-bounded, *not* bitwise.
     SimdBatched,
 }
 
 impl KernelChoice {
     /// All selectable kernels, in benchmark display order.
-    pub const ALL: [KernelChoice; 6] = [
+    pub const ALL: [KernelChoice; 3] = [
         KernelChoice::Reference,
-        KernelChoice::Parallel,
-        KernelChoice::Incremental,
-        KernelChoice::Blocked,
         KernelChoice::Simd,
         KernelChoice::SimdBatched,
     ];
@@ -51,9 +39,6 @@ impl KernelChoice {
     pub fn name(self) -> &'static str {
         match self {
             KernelChoice::Reference => "reference",
-            KernelChoice::Parallel => "parallel",
-            KernelChoice::Incremental => "incremental",
-            KernelChoice::Blocked => "blocked",
             KernelChoice::Simd => "simd",
             KernelChoice::SimdBatched => "simd-batched",
         }
@@ -71,56 +56,26 @@ impl std::str::FromStr for KernelChoice {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "reference" => Ok(KernelChoice::Reference),
-            "parallel" => Ok(KernelChoice::Parallel),
-            "incremental" => Ok(KernelChoice::Incremental),
-            "blocked" => Ok(KernelChoice::Blocked),
             "simd" => Ok(KernelChoice::Simd),
             "simd-batched" => Ok(KernelChoice::SimdBatched),
             other => Err(format!(
-                "unknown kernel '{other}' (expected reference|parallel|incremental|blocked|simd|simd-batched)"
+                "unknown kernel '{other}' (expected reference|simd|simd-batched)"
             )),
         }
     }
 }
 
-/// How the ramp-filtering stage is executed.
+/// How the ramp-filtering stage is executed. Only the two-pass path
+/// exists; the enum survives with this single variant because
+/// `benchmark/` compiles against
+/// `Executor::filter_stack(&plan, FilterChoice::default(), ..)` and may
+/// not change in the PR that removed the fused path. The parameter goes at
+/// the next `benchmark`-archetype PR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FilterChoice {
-    /// Weight+convolve, then a second scaling pass (the original shape).
+    /// Weight + convolve, then the discretisation scale on the f32 store.
     #[default]
     TwoPass,
-    /// Single fused pass with the scale folded into the frequency response
-    /// and zero per-row allocations. Matches TwoPass to a few f32 ULP.
-    Fused,
-}
-
-impl FilterChoice {
-    /// Stable lowercase name (used in CLI flags and BENCH JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            FilterChoice::TwoPass => "two-pass",
-            FilterChoice::Fused => "fused",
-        }
-    }
-}
-
-impl std::fmt::Display for FilterChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for FilterChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "two-pass" | "twopass" => Ok(FilterChoice::TwoPass),
-            "fused" => Ok(FilterChoice::Fused),
-            other => Err(format!(
-                "unknown filter mode '{other}' (expected two-pass|fused)"
-            )),
-        }
-    }
 }
 
 /// Which executor backs the drivers' transfers and kernel launches.

@@ -223,7 +223,7 @@ pub trait Executor: Send + Sync {
     /// Snapshot of the cumulative traffic/work counters.
     fn counters(&self) -> DeviceCounters;
 
-    /// Runs the filtering stage through the configured strategy.
+    /// Runs the filtering stage ([`FilterChoice`] has a single variant).
     fn filter_stack(
         &self,
         pipeline: &FilterPipeline,

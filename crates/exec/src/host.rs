@@ -3,22 +3,12 @@
 //! bitwise identical by construction.
 
 use scalefbp_backproject::{
-    backproject_blocked, backproject_incremental, backproject_parallel, backproject_reference,
-    backproject_simd, backproject_simd_batched, backproject_window, backproject_window_blocked,
+    backproject_reference, backproject_simd, backproject_simd_batched, backproject_window,
     backproject_window_simd, backproject_window_simd_batched, KernelStats, TextureWindow,
 };
-use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{ProjectionMatrix, ProjectionStack, Volume};
 
-use crate::{FilterChoice, KernelChoice};
-
-/// Runs the filtering stage through the configured strategy.
-pub fn run_filter(pipeline: &FilterPipeline, choice: FilterChoice, stack: &mut ProjectionStack) {
-    match choice {
-        FilterChoice::TwoPass => pipeline.filter_stack(stack),
-        FilterChoice::Fused => pipeline.filter_stack_fused(stack),
-    }
-}
+use crate::KernelChoice;
 
 /// Dispatches the configured in-core back-projection kernel.
 pub fn run_backprojection(
@@ -29,19 +19,13 @@ pub fn run_backprojection(
 ) -> KernelStats {
     match choice {
         KernelChoice::Reference => backproject_reference(stack, mats, vol),
-        KernelChoice::Parallel => backproject_parallel(stack, mats, vol),
-        KernelChoice::Incremental => backproject_incremental(stack, mats, vol),
-        KernelChoice::Blocked => backproject_blocked(stack, mats, vol),
         KernelChoice::Simd => backproject_simd(stack, mats, vol),
         KernelChoice::SimdBatched => backproject_simd_batched(stack, mats, vol),
     }
 }
 
-/// Dispatches the streaming (ring-buffer) back-projection kernel. The
-/// blocked and SIMD kernels have dedicated windowed variants; the other
-/// choices all stream through `backproject_window`, which is already the
-/// bit-exact equivalent of `Reference`/`Parallel` (`Incremental` has no
-/// streaming form, so it falls back too).
+/// Dispatches the streaming (ring-buffer) back-projection kernel;
+/// `backproject_window` is the oracle's streaming form.
 pub fn run_window_backprojection(
     choice: KernelChoice,
     window: &TextureWindow,
@@ -49,9 +33,8 @@ pub fn run_window_backprojection(
     vol: &mut Volume,
 ) -> KernelStats {
     match choice {
-        KernelChoice::Blocked => backproject_window_blocked(window, mats, vol),
+        KernelChoice::Reference => backproject_window(window, mats, vol),
         KernelChoice::Simd => backproject_window_simd(window, mats, vol),
         KernelChoice::SimdBatched => backproject_window_simd_batched(window, mats, vol),
-        _ => backproject_window(window, mats, vol),
     }
 }

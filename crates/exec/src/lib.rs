@@ -208,7 +208,7 @@ mod tests {
         let mats = scalefbp_geom::ProjectionMatrix::full_scan(&g);
         let mut v = scalefbp_geom::Volume::zeros(g.nx, g.ny, g.nz);
         assert!(matches!(
-            stub.backproject(KernelChoice::Parallel, &p, &mats, &mut v),
+            stub.backproject(KernelChoice::default(), &p, &mats, &mut v),
             Err(ExecError::Unsupported(_))
         ));
     }

@@ -107,10 +107,10 @@ impl Executor for SimExecutor {
     fn filter_stack(
         &self,
         pipeline: &FilterPipeline,
-        choice: FilterChoice,
+        _choice: FilterChoice,
         stack: &mut ProjectionStack,
     ) -> Result<(), ExecError> {
-        host::run_filter(pipeline, choice, stack);
+        pipeline.filter_stack(stack);
         Ok(())
     }
 

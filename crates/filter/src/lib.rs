@@ -24,6 +24,6 @@ mod pipeline;
 mod ramp;
 mod weights;
 
-pub use pipeline::{FilterPipeline, FilterScratch};
+pub use pipeline::FilterPipeline;
 pub use ramp::{FilterWindow, RampKernel};
 pub use weights::cosine_weight;

@@ -1,28 +1,10 @@
 //! The reusable per-geometry filtering plan.
 
 use rayon::prelude::*;
-use scalefbp_fft::{Complex, RealFftPlan};
+use scalefbp_fft::RealFftPlan;
 use scalefbp_geom::{CbctGeometry, ProjectionStack};
 
 use crate::{FilterWindow, RampKernel};
-
-/// Reusable buffers for the fused filtering path
-/// ([`FilterPipeline::filter_row_fused`]): one padded time-domain row, one
-/// half-spectrum and the FFT scratch, allocated once and recycled across
-/// every row a thread filters. The two-pass path allocates all of these
-/// afresh per row.
-#[derive(Clone, Debug)]
-pub struct FilterScratch {
-    /// Zero-padded weighted row (time domain). Only the first `nu` slots
-    /// are ever written; the tail stays zero across reuses.
-    padded: Vec<f64>,
-    /// Half-spectrum of the padded row.
-    spec: Vec<Complex>,
-    /// Packed half-length FFT working buffer.
-    fft: Vec<Complex>,
-    /// Filtered row before the f32 store.
-    time: Vec<f64>,
-}
 
 /// A reusable filtering plan for one acquisition geometry.
 ///
@@ -46,10 +28,6 @@ pub struct FilterPipeline {
     du2: Vec<f64>,
     /// Post-convolution scale: `Δa · 1/2`.
     scale: f64,
-    /// Frequency response with `scale` folded in — the fused path applies
-    /// the discretisation scale as `spectrum_len` multiplies here instead
-    /// of a second full pass over every output sample.
-    response_scaled: Vec<f64>,
 }
 
 impl FilterPipeline {
@@ -68,14 +46,12 @@ impl FilterPipeline {
             })
             .collect();
         let scale = tau * 0.5;
-        let response_scaled = kernel.response().iter().map(|h| h * scale).collect();
         FilterPipeline {
             geom: geom.clone(),
             kernel,
             rfft,
             du2,
             scale,
-            response_scaled,
         }
     }
 
@@ -111,56 +87,6 @@ impl FilterPipeline {
         }
     }
 
-    /// Allocates the reusable buffers for the fused path.
-    pub fn make_scratch(&self) -> FilterScratch {
-        FilterScratch {
-            padded: vec![0.0f64; self.kernel.padded_len()],
-            spec: vec![Complex::ZERO; self.rfft.spectrum_len()],
-            fft: vec![Complex::ZERO; self.rfft.scratch_len()],
-            time: vec![0.0f64; self.kernel.padded_len()],
-        }
-    }
-
-    /// The fused-pass variant of [`filter_row`](Self::filter_row): the same
-    /// cosine weight + windowed ramp, but
-    ///
-    /// * the discretisation scale is folded into the frequency response
-    ///   (`spectrum_len` multiplies instead of the two-pass version's extra
-    ///   full pass over every output sample), and
-    /// * all intermediates live in the caller's [`FilterScratch`], so the
-    ///   steady state performs **zero** heap allocations per row (the
-    ///   two-pass path performs five).
-    ///
-    /// The result differs from `filter_row` only by f64 rounding in the
-    /// scale application — within a few ULP after the f32 store (pinned by
-    /// tests and a workspace proptest).
-    pub fn filter_row_fused(&self, row: &mut [f32], v: usize, scratch: &mut FilterScratch) {
-        assert_eq!(row.len(), self.geom.nu, "row length mismatch");
-        let g = &self.geom;
-        let cv = 0.5 * (g.nv as f64 - 1.0) + g.sigma_v;
-        let dvv = g.dv * (v as f64 - cv);
-        let dv2 = dvv * dvv;
-        let dsd2 = g.dsd * g.dsd;
-
-        // Pack + cosine weight. Only the first `nu` slots are written; the
-        // padded tail is zeroed at scratch construction and never touched.
-        for (u, (&px, slot)) in row.iter().zip(scratch.padded.iter_mut()).enumerate() {
-            let w = g.dsd / (self.du2[u] + dv2 + dsd2).sqrt();
-            *slot = px as f64 * w;
-        }
-
-        self.rfft
-            .forward_into(&scratch.padded, &mut scratch.spec, &mut scratch.fft);
-        for (z, &h) in scratch.spec.iter_mut().zip(&self.response_scaled) {
-            *z = z.scale(h);
-        }
-        self.rfft
-            .inverse_into(&scratch.spec, &mut scratch.time, &mut scratch.fft);
-        for (px, &val) in row.iter_mut().zip(&scratch.time) {
-            *px = val as f32;
-        }
-    }
-
     /// Filters a whole (possibly partial) projection stack in place,
     /// parallelised over detector rows. Respects the stack's `v_offset` so
     /// partial stacks weight with their global row index.
@@ -178,28 +104,6 @@ impl FilterPipeline {
                 let v = v_offset + v_local;
                 for s in 0..np {
                     self.filter_row(&mut block[s * nu..(s + 1) * nu], v);
-                }
-            });
-    }
-
-    /// [`filter_stack`](Self::filter_stack) through the fused per-row pass:
-    /// one [`FilterScratch`] per detector-row block, recycled across the
-    /// block's `N_p` rows.
-    pub fn filter_stack_fused(&self, stack: &mut ProjectionStack) {
-        assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
-        let np = stack.np();
-        let nu = stack.nu();
-        let v_offset = stack.v_offset();
-        let row_stride = np * nu;
-        stack
-            .data_mut()
-            .par_chunks_mut(row_stride)
-            .enumerate()
-            .for_each(|(v_local, block)| {
-                let v = v_offset + v_local;
-                let mut scratch = self.make_scratch();
-                for s in 0..np {
-                    self.filter_row_fused(&mut block[s * nu..(s + 1) * nu], v, &mut scratch);
                 }
             });
     }
@@ -323,82 +227,5 @@ mod tests {
         let f = FilterPipeline::new(&g, FilterWindow::RamLak);
         let mut row = vec![0.0f32; g.nu + 1];
         f.filter_row(&mut row, 0);
-    }
-
-    /// Distance in units-in-the-last-place between two finite f32s, using
-    /// the monotone ordered-integer mapping.
-    fn ulp_distance(a: f32, b: f32) -> u32 {
-        fn ordered(x: f32) -> i64 {
-            let bits = x.to_bits() as i32;
-            (if bits < 0 { i32::MIN - bits } else { bits }) as i64
-        }
-        (ordered(a) - ordered(b)).unsigned_abs() as u32
-    }
-
-    #[test]
-    fn fused_row_matches_two_pass_within_ulps() {
-        let g = geom();
-        for window in [FilterWindow::RamLak, FilterWindow::SheppLogan] {
-            let f = FilterPipeline::new(&g, window);
-            let mut scratch = f.make_scratch();
-            for v in [0, g.nv / 2, g.nv - 1] {
-                let base: Vec<f32> = (0..g.nu)
-                    .map(|u| ((u * 13 + v * 7) % 23) as f32 * 0.17 - 1.5)
-                    .collect();
-                let mut two_pass = base.clone();
-                let mut fused = base.clone();
-                f.filter_row(&mut two_pass, v);
-                f.filter_row_fused(&mut fused, v, &mut scratch);
-                for (u, (&a, &b)) in two_pass.iter().zip(&fused).enumerate() {
-                    assert!(a.is_finite() && b.is_finite(), "v={v} u={u}");
-                    // Folding the scale into the response reorders one f64
-                    // multiply; after the f32 store the paths agree to a
-                    // couple of ULP.
-                    assert!(
-                        ulp_distance(a, b) <= 4,
-                        "v={v} u={u}: two-pass {a} vs fused {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_stack_matches_fused_rows_with_global_offsets() {
-        let g = geom();
-        let f = FilterPipeline::new(&g, FilterWindow::Hann);
-        let mut full = ProjectionStack::zeros(g.nv, g.np, g.nu);
-        for (i, px) in full.data_mut().iter_mut().enumerate() {
-            *px = ((i * 29 % 97) as f32) * 0.02 - 0.5;
-        }
-        let mut window = full.extract_window(5, 13, 0, g.np);
-        f.filter_stack_fused(&mut window);
-        let mut scratch = f.make_scratch();
-        for v_local in 0..8 {
-            for s in [0, g.np / 2, g.np - 1] {
-                let mut row: Vec<f32> = full.row(v_local + 5, s).to_vec();
-                f.filter_row_fused(&mut row, v_local + 5, &mut scratch);
-                assert_eq!(window.row(v_local, s), &row[..], "v={v_local} s={s}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_scratch_reuse_leaves_no_residue() {
-        let g = geom();
-        let f = FilterPipeline::new(&g, FilterWindow::RamLak);
-        let make =
-            |amp: f32| -> Vec<f32> { (0..g.nu).map(|u| (u as f32 * 0.31).sin() * amp).collect() };
-        // Filter a loud row first, then a quiet one through the same
-        // scratch; the quiet result must be bitwise what a fresh scratch
-        // produces.
-        let mut scratch = f.make_scratch();
-        let mut loud = make(1e4);
-        f.filter_row_fused(&mut loud, 2, &mut scratch);
-        let mut reused = make(1e-3);
-        f.filter_row_fused(&mut reused, 9, &mut scratch);
-        let mut fresh = make(1e-3);
-        f.filter_row_fused(&mut fresh, 9, &mut f.make_scratch());
-        assert_eq!(reused, fresh);
     }
 }

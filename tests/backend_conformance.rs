@@ -2,12 +2,12 @@
 //! item 2, PR 9 tentpole).
 //!
 //! Three contracts, asserted over a differential grid of
-//! backend × kernel × filter-mode × driver cells (including the
-//! out-of-core and checkpoint/resume drivers):
+//! backend × kernel × driver cells (including the out-of-core and
+//! checkpoint/resume drivers):
 //!
 //! 1. **Numerics** — the `sim` and `cpu` backends produce bitwise
-//!    identical volumes in every cell, and both match the pre-refactor
-//!    direct call path (filter pipeline + kernel function, no executor).
+//!    identical volumes in every cell, and both match the direct call
+//!    path (filter pipeline + the oracle kernel, no executor).
 //! 2. **Accounting invariance** — the `sim` backend reproduces the
 //!    pre-refactor `gpusim` charges exactly: golden `gpu.*` counter and
 //!    modelled-seconds snapshots captured *before* the executor refactor
@@ -26,14 +26,11 @@ use proptest::prelude::*;
 use scalefbp::substrates::phantom::{forward_project, uniform_ball};
 use scalefbp::{
     fault_tolerant_reconstruct_observed, fdk_reconstruct, fdk_reconstruct_configured,
-    BackendChoice, CbctGeometry, CheckpointSpec, DeviceSpec, FdkConfig, FilterChoice, KernelChoice,
+    BackendChoice, CbctGeometry, CheckpointSpec, DeviceSpec, FdkConfig, KernelChoice,
     MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor, PipelinedReconstructor, RankLayout,
     ReconstructionError, Volume,
 };
-use scalefbp_backproject::{
-    backproject_blocked, backproject_incremental, backproject_parallel, backproject_reference,
-    backproject_simd, backproject_simd_batched,
-};
+use scalefbp_backproject::{backproject_reference, backproject_simd_batched};
 use scalefbp_exec::{
     ExecError, Executor, KernelKind, LaunchDescriptor, WgpuStubExecutor, TIME_DOMAIN_METRICS,
 };
@@ -76,30 +73,25 @@ fn fnv(v: &Volume) -> u32 {
     h
 }
 
-/// The pre-refactor direct call path: filter pipeline plus the kernel
-/// function, no executor anywhere. This is byte-for-byte what
-/// `fdk_reconstruct_configured` did before the seam existed, and the
-/// reference every (backend, kernel, filter) cell must reproduce.
+/// The direct call path: filter pipeline plus the kernel function, no
+/// executor anywhere — the reference every (backend, kernel) cell must
+/// reproduce. The bitwise kernels are anchored on the oracle;
+/// `simd-batched` reassociates its sums, so only its own function has its
+/// bits.
 fn direct_reconstruct(
     geom: &CbctGeometry,
     projections: &ProjectionStack,
     kernel: KernelChoice,
-    filter: FilterChoice,
 ) -> Volume {
     let pipeline = FilterPipeline::new(geom, scalefbp::FilterWindow::RamLak);
     let mut filtered = projections.clone();
-    match filter {
-        FilterChoice::TwoPass => pipeline.filter_stack(&mut filtered),
-        FilterChoice::Fused => pipeline.filter_stack_fused(&mut filtered),
-    }
+    pipeline.filter_stack(&mut filtered);
     let mats = ProjectionMatrix::full_scan(geom);
     let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
     match kernel {
-        KernelChoice::Reference => backproject_reference(&filtered, &mats, &mut vol),
-        KernelChoice::Parallel => backproject_parallel(&filtered, &mats, &mut vol),
-        KernelChoice::Incremental => backproject_incremental(&filtered, &mats, &mut vol),
-        KernelChoice::Blocked => backproject_blocked(&filtered, &mats, &mut vol),
-        KernelChoice::Simd => backproject_simd(&filtered, &mats, &mut vol),
+        KernelChoice::Reference | KernelChoice::Simd => {
+            backproject_reference(&filtered, &mats, &mut vol)
+        }
         KernelChoice::SimdBatched => backproject_simd_batched(&filtered, &mats, &mut vol),
     };
     let scale = pipeline.backprojection_scale() as f32;
@@ -110,12 +102,11 @@ fn direct_reconstruct(
 }
 
 // ---------------------------------------------------------------------
-// The differential grid: backend × kernel × filter-mode × driver.
+// The differential grid: backend × kernel × driver.
 // ---------------------------------------------------------------------
 
-/// In-core cells: every kernel × filter combination is bitwise
-/// identical across the computing backends *and* to the pre-refactor
-/// direct path.
+/// In-core cells: every kernel is bitwise identical across the
+/// computing backends *and* to the direct path.
 #[test]
 fn incore_grid_is_bitwise_identical_across_backends() {
     // SIMD kernels read `SCALEFBP_SIMD` per call: pin the ambient state
@@ -124,20 +115,13 @@ fn incore_grid_is_bitwise_identical_across_backends() {
     let g = CbctGeometry::ideal(16, 24, 24, 24);
     let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
     for kernel in KernelChoice::ALL {
-        for filter in [FilterChoice::TwoPass, FilterChoice::Fused] {
-            let direct = direct_reconstruct(&g, &p, kernel, filter);
-            for backend in BackendChoice::COMPUTE {
-                let cfg = FdkConfig::new(g.clone())
-                    .with_kernel(kernel)
-                    .with_filter(filter)
-                    .with_backend(backend);
-                let got = fdk_reconstruct_configured(&cfg, &p).unwrap();
-                assert_bitwise(
-                    &direct,
-                    &got,
-                    &format!("incore {backend}/{kernel}/{filter}"),
-                );
-            }
+        let direct = direct_reconstruct(&g, &p, kernel);
+        for backend in BackendChoice::COMPUTE {
+            let cfg = FdkConfig::new(g.clone())
+                .with_kernel(kernel)
+                .with_backend(backend);
+            let got = fdk_reconstruct_configured(&cfg, &p).unwrap();
+            assert_bitwise(&direct, &got, &format!("incore {backend}/{kernel}"));
         }
     }
 }
@@ -149,11 +133,7 @@ fn incore_grid_is_bitwise_identical_across_backends() {
 fn outofcore_grid_matches_across_backends_and_kernels() {
     let _env = SimdEnvGuard::cleared();
     let (g, p) = golden_scan();
-    for kernel in [
-        KernelChoice::Parallel,
-        KernelChoice::Blocked,
-        KernelChoice::Simd,
-    ] {
+    for kernel in KernelChoice::ALL {
         let mut runs = Vec::new();
         for backend in BackendChoice::COMPUTE {
             let cfg = FdkConfig::new(g.clone())
@@ -585,35 +565,32 @@ proptest! {
         prop_assert_eq!(stub.validated_launches(), expected_launches);
     }
 
-    /// Random (shape, kernel, filter, backend) cells: the configured
-    /// path agrees bitwise with the pre-refactor direct call path on
-    /// both computing backends; with the default cell it also matches
-    /// the plain `fdk_reconstruct` quickstart path.
+    /// Random (shape, kernel, backend) cells: the configured path agrees
+    /// bitwise with the direct call path on both computing backends; with
+    /// the default kernel it also matches the plain `fdk_reconstruct`
+    /// quickstart path.
     #[test]
     fn random_cells_match_the_direct_path(
         n in 4usize..10,
         np_extra in 0usize..6,
         kernel_idx in 0usize..KernelChoice::ALL.len(),
-        fused in any::<bool>(),
     ) {
         let _env = SimdEnvGuard::cleared();
         let kernel = KernelChoice::ALL[kernel_idx];
-        let filter = if fused { FilterChoice::Fused } else { FilterChoice::TwoPass };
         let g = CbctGeometry::ideal(2 * n, 2 * n + np_extra, 2 * n + 2, 2 * n + 2);
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
-        let direct = direct_reconstruct(&g, &p, kernel, filter);
+        let direct = direct_reconstruct(&g, &p, kernel);
         for backend in BackendChoice::COMPUTE {
             let cfg = FdkConfig::new(g.clone())
                 .with_kernel(kernel)
-                .with_filter(filter)
                 .with_backend(backend);
             let got = fdk_reconstruct_configured(&cfg, &p).unwrap();
             prop_assert!(
                 direct.data().iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{} {} {} diverged from the direct path", backend, kernel, filter
+                "{} {} diverged from the direct path", backend, kernel
             );
         }
-        if kernel == KernelChoice::Parallel && filter == FilterChoice::TwoPass {
+        if kernel == KernelChoice::default() {
             let plain = fdk_reconstruct(&g, &p).unwrap();
             prop_assert_eq!(plain.data(), direct.data());
         }

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use scalefbp::{fdk_reconstruct, CbctGeometry};
-use scalefbp_backproject::backproject_parallel;
+use scalefbp_backproject::backproject_simd;
 use scalefbp_filter::{FilterPipeline, FilterWindow};
 use scalefbp_geom::{ProjectionMatrix, RankLayout, Volume, VolumeDecomposition};
 use scalefbp_iosim::{DatasetStore, StorageEndpoint};
@@ -51,7 +51,7 @@ fn sharded_store_drives_a_full_reconstruction() {
                     .unwrap();
                 filter.filter_stack(&mut window);
                 let mut partial = Volume::zeros_slab(geom.nx, geom.ny, task.nz(), task.z_begin);
-                backproject_parallel(&window, &mats[assign.s_begin..assign.s_end], &mut partial);
+                backproject_simd(&window, &mats[assign.s_begin..assign.s_end], &mut partial);
                 slab.accumulate(&partial);
             }
             for v in slab.data_mut() {

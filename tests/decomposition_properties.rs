@@ -3,13 +3,8 @@
 //! is built on.
 
 use proptest::prelude::*;
-use scalefbp_backproject::{
-    backproject_blocked_with, backproject_parallel, TextureWindow, TileShape,
-};
-use scalefbp_filter::{FilterPipeline, FilterWindow};
-use scalefbp_geom::{
-    CbctGeometry, ProjectionMatrix, ProjectionStack, RankLayout, Volume, VolumeDecomposition,
-};
+use scalefbp_backproject::TextureWindow;
+use scalefbp_geom::{CbctGeometry, ProjectionStack, RankLayout, VolumeDecomposition};
 use scalefbp_mpisim::{hierarchical_reduce_sum, World};
 use scalefbp_obs::{
     validate_chrome_trace, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
@@ -184,88 +179,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-}
-
-proptest! {
-    // Each case runs two full (small) back-projections.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The cache-blocked kernel is **bit-identical** to the parallel
-    /// kernel for every tile shape, volume-slab offset and partial
-    /// detector-row window — the contract that lets the drivers switch
-    /// kernels freely. Exercises partial tiles (tile > extent, tile = 1)
-    /// and windows whose `v_offset` shifts the sampling coordinates.
-    #[test]
-    fn blocked_kernel_bit_identical_across_tiles_slabs_and_windows(
-        bi in 1usize..40,
-        bj in 1usize..24,
-        z_begin in 0usize..16,
-        dz in 1usize..9,
-        v_cut in 0usize..6,
-        seed in any::<u64>(),
-    ) {
-        let g = CbctGeometry::ideal(20, 14, 32, 28);
-        let mut stack = ProjectionStack::zeros(g.nv, g.np, g.nu);
-        let mut state = seed | 1;
-        for px in stack.data_mut() {
-            *px = lcg(&mut state);
-        }
-        let mats = ProjectionMatrix::full_scan(&g);
-
-        let z0 = z_begin.min(g.nz - 1);
-        let z1 = (z0 + dz).min(g.nz);
-        // Trim rows off both detector edges: a genuine partial window
-        // with a non-zero v_offset.
-        let v0 = v_cut.min(g.nv / 4);
-        let part = stack.extract_window(v0, g.nv - v0, 0, g.np);
-
-        let mut straight = Volume::zeros_slab(g.nx, g.ny, z1 - z0, z0);
-        let mut blocked = straight.clone();
-        let sa = backproject_parallel(&part, &mats, &mut straight);
-        let sb = backproject_blocked_with(&part, &mats, &mut blocked, TileShape::new(bi, bj));
-        prop_assert_eq!(
-            straight.data(),
-            blocked.data(),
-            "tile {}×{}, slab [{}, {}), rows [{}, {})",
-            bi, bj, z0, z1, v0, g.nv - v0
-        );
-        prop_assert_eq!(sa, sb, "kernel stats diverged");
-    }
-
-    /// The fused filter path tracks the two-pass path within a few f32
-    /// ULP on arbitrary rows — the scale fold is the only reordered
-    /// operation, so the drift never exceeds the last couple of bits.
-    #[test]
-    fn fused_filter_tracks_two_pass_within_ulps(
-        v in 0usize..28,
-        amp_bits in 0u32..12,
-        seed in any::<u64>(),
-    ) {
-        let g = CbctGeometry::ideal(20, 14, 32, 28);
-        let pipeline = FilterPipeline::new(&g, FilterWindow::RamLak);
-        let amp = (1u32 << amp_bits) as f32;
-        let mut state = seed | 1;
-        let base: Vec<f32> = (0..g.nu).map(|_| lcg(&mut state) * amp).collect();
-        let mut two_pass = base.clone();
-        let mut fused = base;
-        pipeline.filter_row(&mut two_pass, v);
-        pipeline.filter_row_fused(&mut fused, v, &mut pipeline.make_scratch());
-        for (u, (&a, &b)) in two_pass.iter().zip(&fused).enumerate() {
-            prop_assert!(a.is_finite() && b.is_finite(), "u={}", u);
-            let ulps = {
-                let oa = a.to_bits() as i32;
-                let ob = b.to_bits() as i32;
-                let na = if oa < 0 { i32::MIN - oa } else { oa } as i64;
-                let nb = if ob < 0 { i32::MIN - ob } else { ob } as i64;
-                (na - nb).unsigned_abs()
-            };
-            prop_assert!(
-                ulps <= 4,
-                "u={}: two-pass {} vs fused {} ({} ulps)",
-                u, a, b, ulps
-            );
         }
     }
 }

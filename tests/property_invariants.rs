@@ -2,7 +2,7 @@
 //! decomposition, the transforms and the kernels.
 
 use proptest::prelude::*;
-use scalefbp_backproject::{backproject_parallel, backproject_reference, TextureWindow};
+use scalefbp_backproject::{backproject_reference, backproject_simd, TextureWindow};
 use scalefbp_fft::{convolve, convolve_direct, Complex, FftPlan, RealFftPlan};
 use scalefbp_geom::{
     compute_ab, projection_angle, CbctGeometry, ProjectionMatrix, ProjectionStack, RowRange,
@@ -362,7 +362,7 @@ proptest! {
         let mut a = Volume::zeros(g.nx, g.ny, g.nz);
         let mut b = Volume::zeros(g.nx, g.ny, g.nz);
         backproject_reference(&stack, &mats, &mut a);
-        backproject_parallel(&stack, &mats, &mut b);
+        backproject_simd(&stack, &mats, &mut b);
         prop_assert_eq!(a.data(), b.data());
     }
 

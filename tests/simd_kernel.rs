@@ -4,30 +4,30 @@
 //! Two families of guarantees:
 //!
 //! * **Bitwise**: `simd` (either backend, any tile/zslab tuning, batch 1)
-//!   reproduces `blocked` — and therefore `parallel` — bit for bit, on
-//!   arbitrary volume shapes including non-multiple-of-8 widths, volume
-//!   slabs and partial detector windows.
-//! * **Bounded drift**: `simd-batched` and `incremental` sit inside the
-//!   explicit contracts of the backproject crate's `contracts` module.
+//!   reproduces the `reference` oracle bit for bit, on arbitrary volume
+//!   shapes including non-multiple-of-8 widths, volume slabs and partial
+//!   detector windows; its streaming form reproduces `backproject_window`.
+//! * **Bounded drift**: `simd-batched` sits inside the explicit contract of
+//!   the backproject crate's `contracts` module.
 //!
-//! Plus the regression that motivated this work: a projection matrix with
-//! a non-finite detector row (NaN `x`-row, ±∞ `y`-row) used to slip past
-//! the blocked fast path's integer-domain bounds check — Rust's
+//! Plus the regression that motivated the float-domain interior guards: a
+//! projection matrix with a non-finite detector row (NaN `x`-row, ±∞
+//! `y`-row) used to slip past an integer-domain bounds check — Rust's
 //! saturating cast maps `NaN as isize` to 0, a valid index — and poison
-//! tile accumulators with NaN. Every kernel must now produce fully finite
-//! volumes from such matrices, and the bitwise family must still agree.
+//! tile accumulators with NaN. Every kernel, in-core and streaming, must
+//! produce fully finite volumes from such matrices, and the bitwise family
+//! must still agree.
 
 use proptest::prelude::*;
 use scalefbp_backproject::contracts::{
-    DriftStats, DRIFT_SIGNIFICANCE, INCREMENTAL_REL_ABS_BOUND, INCREMENTAL_REL_RMSE_BOUND,
-    SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
+    DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
 };
 use scalefbp_backproject::{
-    backproject_blocked, backproject_blocked_with, backproject_incremental, backproject_parallel,
-    backproject_reference, backproject_simd, backproject_simd_batched, backproject_simd_with,
-    backproject_simd_with_backend, backproject_window_blocked, backproject_window_simd_with,
-    simd_backend, SimdBackend, SimdTuning, TextureWindow, TileShape, MAX_SIMD_BATCH,
+    backproject_reference, backproject_simd, backproject_simd_with, backproject_simd_with_backend,
+    backproject_window, backproject_window_simd_with, simd_backend, SimdBackend, SimdTuning,
+    TextureWindow, TileShape, MAX_SIMD_BATCH,
 };
+use scalefbp_exec::{host, KernelChoice};
 use scalefbp_geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume, VolumeDecomposition};
 
 fn lcg(state: &mut u64) -> f32 {
@@ -46,71 +46,71 @@ fn noisy_stack(g: &CbctGeometry, seed: u64) -> ProjectionStack {
     stack
 }
 
-/// Runs every selectable kernel on the given (possibly corrupted)
-/// matrices and returns the volumes in a fixed order.
+/// Runs every selectable kernel, in-core and through a full-height
+/// streaming window, on the given (possibly corrupted) matrices. The
+/// oracle's in-core volume comes first.
 fn all_kernels(
     g: &CbctGeometry,
     stack: &ProjectionStack,
     mats: &[ProjectionMatrix],
-) -> Vec<(&'static str, Volume)> {
+) -> Vec<(String, KernelChoice, Volume)> {
+    let mut window = TextureWindow::new(g.nv, g.np, g.nu, 0);
+    window.write_rows(stack.rows_block(0, g.nv), 0, g.nv);
     let mut out = Vec::new();
-    for name in [
-        "reference",
-        "parallel",
-        "incremental",
-        "blocked",
-        "simd",
-        "simd-batched",
-    ] {
+    for kernel in KernelChoice::ALL {
         let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
-        match name {
-            "reference" => backproject_reference(stack, mats, &mut vol),
-            "parallel" => backproject_parallel(stack, mats, &mut vol),
-            "incremental" => backproject_incremental(stack, mats, &mut vol),
-            "blocked" => backproject_blocked(stack, mats, &mut vol),
-            "simd" => backproject_simd(stack, mats, &mut vol),
-            "simd-batched" => backproject_simd_batched(stack, mats, &mut vol),
-            _ => unreachable!(),
-        };
-        out.push((name, vol));
+        host::run_backprojection(kernel, stack, mats, &mut vol);
+        out.push((format!("{kernel}"), kernel, vol));
+        let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
+        host::run_window_backprojection(kernel, &window, mats, &mut vol);
+        out.push((format!("{kernel} (streaming)"), kernel, vol));
     }
     out
 }
 
+/// Every kernel stays finite on `mats`, and the bitwise family agrees
+/// with the oracle.
+fn assert_never_poisoned(
+    g: &CbctGeometry,
+    stack: &ProjectionStack,
+    mats: &[ProjectionMatrix],
+    what: &str,
+) {
+    let vols = all_kernels(g, stack, mats);
+    let oracle = &vols[0].2;
+    for (name, kernel, vol) in &vols {
+        assert!(
+            vol.data().iter().all(|v| v.is_finite()),
+            "{name}: {what} leaked a non-finite voxel"
+        );
+        if *kernel != KernelChoice::SimdBatched {
+            // simd-batched is drift-bounded, checked finite above.
+            assert_eq!(
+                oracle.data(),
+                vol.data(),
+                "{name} diverged from reference on the {what} scan"
+            );
+        }
+    }
+}
+
 /// The regression: a NaN detector `x`-row with a healthy depth row passes
-/// the `z > 0` guard, so the sampling coordinate itself is NaN. The old
-/// blocked fast path floored it to index 0 and blended NaN into the tile
-/// accumulator; now every kernel must route it to the guarded slow path
-/// and keep the volume finite — and the bitwise family must still agree.
+/// the `z > 0` guard, so the sampling coordinate itself is NaN. An
+/// integer-domain interior test floors it to index 0 and blends NaN into
+/// the tile accumulator; every kernel must route it to the guarded slow
+/// path and keep the volume finite — and the bitwise family must still
+/// agree.
 #[test]
 fn nan_coordinate_row_never_poisons_any_kernel() {
     let g = CbctGeometry::ideal(18, 12, 28, 24);
     let stack = noisy_stack(&g, 0xBAD_C0FFEE);
     let mut mats = ProjectionMatrix::full_scan(&g);
     mats[3].rows_f32[0] = [f32::NAN; 4];
-
-    let vols = all_kernels(&g, &stack, &mats);
-    for (name, vol) in &vols {
-        assert!(
-            vol.data().iter().all(|v| v.is_finite()),
-            "{name}: NaN x-row leaked a non-finite voxel"
-        );
-    }
-    let reference = &vols[0].1;
-    for (name, vol) in &vols[1..] {
-        if *name == "incremental" || *name == "simd-batched" {
-            continue; // drift-bounded, checked finite above
-        }
-        assert_eq!(
-            reference.data(),
-            vol.data(),
-            "{name} diverged from reference on the NaN-row scan"
-        );
-    }
+    assert_never_poisoned(&g, &stack, &mats, "NaN x-row");
 }
 
 /// Same regression with ±∞: an infinite `y`-row produces `y = ±∞`, which
-/// the old integer-domain guard saturated to a huge (rejected) or tiny
+/// an integer-domain guard saturates to a huge (rejected) or tiny
 /// (accepted!) index depending on sign. All kernels must stay finite.
 #[test]
 fn infinite_coordinate_row_never_poisons_any_kernel() {
@@ -119,24 +119,7 @@ fn infinite_coordinate_row_never_poisons_any_kernel() {
     for inf in [f32::INFINITY, f32::NEG_INFINITY] {
         let mut mats = ProjectionMatrix::full_scan(&g);
         mats[5].rows_f32[1] = [inf; 4];
-        let vols = all_kernels(&g, &stack, &mats);
-        for (name, vol) in &vols {
-            assert!(
-                vol.data().iter().all(|v| v.is_finite()),
-                "{name}: {inf} y-row leaked a non-finite voxel"
-            );
-        }
-        let reference = &vols[0].1;
-        for (name, vol) in &vols[1..] {
-            if *name == "incremental" || *name == "simd-batched" {
-                continue;
-            }
-            assert_eq!(
-                reference.data(),
-                vol.data(),
-                "{name} diverged from reference on the {inf}-row scan"
-            );
-        }
+        assert_never_poisoned(&g, &stack, &mats, &format!("{inf} y-row"));
     }
 }
 
@@ -167,35 +150,11 @@ fn avx2_and_scalar_backends_are_bit_identical() {
     }
 }
 
-/// The incremental kernel's coordinate drift on a worst-case noise scan
-/// sits inside the pinned magnitude-relative contract.
-#[test]
-fn incremental_drift_honours_contract_on_noise() {
-    let g = CbctGeometry::ideal(24, 16, 36, 32);
-    let stack = noisy_stack(&g, 0xD21F7);
-    let mats = ProjectionMatrix::full_scan(&g);
-    let mut par = Volume::zeros(g.nx, g.ny, g.nz);
-    backproject_parallel(&stack, &mats, &mut par);
-    let mut inc = Volume::zeros(g.nx, g.ny, g.nz);
-    backproject_incremental(&stack, &mats, &mut inc);
-    let d = DriftStats::measure(par.data(), inc.data(), DRIFT_SIGNIFICANCE);
-    assert!(
-        d.rel_abs() <= INCREMENTAL_REL_ABS_BOUND,
-        "rel_abs {:.3e} above the {INCREMENTAL_REL_ABS_BOUND:.0e} contract",
-        d.rel_abs()
-    );
-    assert!(
-        d.rel_rmse() <= INCREMENTAL_REL_RMSE_BOUND,
-        "rel_rmse {:.3e} above the {INCREMENTAL_REL_RMSE_BOUND:.0e} contract",
-        d.rel_rmse()
-    );
-}
-
 proptest! {
     // Each case runs two full (small) back-projections.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `simd` with batch 1 is bit-identical to `blocked` for every volume
+    /// `simd` with batch 1 is bit-identical to `reference` for every volume
     /// width (including non-multiples of 8, which exercise the masked
     /// tail lanes), tile shape, z-slab depth, volume-slab offset and
     /// partial detector window — with matching update counts.
@@ -223,9 +182,9 @@ proptest! {
         let part = stack.extract_window(v0, g.nv - v0, 0, g.np);
 
         let tile = TileShape::new(bi, bj);
-        let mut blocked = Volume::zeros_slab(g.nx, g.ny, z1 - z0, z0);
-        let mut simd = blocked.clone();
-        let sb = backproject_blocked_with(&part, &mats, &mut blocked, tile);
+        let mut oracle = Volume::zeros_slab(g.nx, g.ny, z1 - z0, z0);
+        let mut simd = oracle.clone();
+        let so = backproject_reference(&part, &mats, &mut oracle);
         let ss = backproject_simd_with(
             &part,
             &mats,
@@ -233,12 +192,12 @@ proptest! {
             SimdTuning { tile, batch: 1, zslab },
         );
         prop_assert_eq!(
-            blocked.data(),
+            oracle.data(),
             simd.data(),
             "{}×{} volume, tile {}×{}, zslab {}, slab [{}, {}), rows [{}, {})",
             nx, ny, bi, bj, zslab, z0, z1, v0, g.nv - v0
         );
-        prop_assert_eq!(sb, ss, "kernel stats diverged");
+        prop_assert_eq!(so, ss, "kernel stats diverged");
     }
 
     /// Projection batching regroups only the per-voxel sum: for every
@@ -270,8 +229,8 @@ proptest! {
         );
     }
 
-    /// The streaming (ring-buffer window) SIMD kernel reproduces the
-    /// streaming blocked kernel bit for bit across arbitrary slab batch
+    /// The streaming (ring-buffer window) SIMD kernel reproduces
+    /// `backproject_window` bit for bit across arbitrary slab batch
     /// sizes — the contract that lets the out-of-core and pipelined
     /// drivers dispatch it.
     #[test]
@@ -304,16 +263,16 @@ proptest! {
                         SimdTuning { tile: TileShape::new(bi, 8), batch: 1, zslab },
                     );
                 } else {
-                    backproject_window_blocked(&window, &mats, &mut slab);
+                    backproject_window(&window, &mats, &mut slab);
                 }
                 assembled.paste_slab(&slab);
             }
             assembled
         };
-        let blocked = run(false);
+        let oracle = run(false);
         let simd = run(true);
         prop_assert_eq!(
-            blocked.data(),
+            oracle.data(),
             simd.data(),
             "nb {}, tile bi {}, zslab {}",
             nb, bi, zslab
