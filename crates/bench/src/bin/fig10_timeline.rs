@@ -61,7 +61,9 @@ fn main() {
         FdkConfig::new(w.geom.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .expect("plan");
-    let (_, report) = rec.reconstruct(&w.projections).expect("run");
+    let (_, report) = rec
+        .reconstruct(&w.projections, &scalefbp_faults::FaultPlan::none(), None)
+        .expect("run");
     print!("{}", report.trace.render_ascii(76));
     println!(
         "overlap efficiency {:.0}% over {:.2} s wall",

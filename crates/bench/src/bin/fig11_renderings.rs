@@ -7,7 +7,7 @@
 //! cargo run --release -p scalefbp-bench --bin fig11_renderings
 //! ```
 
-use scalefbp::{fdk_reconstruct_with, FilterWindow};
+use scalefbp::{fdk_reconstruct_configured, FdkConfig, FilterWindow};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::{mip_to_pgm, slice_to_pgm};
 use scalefbp_phantom::{bumblebee_like, coffee_bean_like, forward_project, rasterize};
@@ -24,8 +24,12 @@ fn main() {
         let geom = DatasetPreset::by_name(name).unwrap().scaled(5).geometry;
         let phantom = build(&geom);
         let projections = forward_project(&geom, &phantom);
-        let vol = fdk_reconstruct_with(&geom, &projections, FilterWindow::SheppLogan)
-            .expect("reconstruction");
+        let vol = fdk_reconstruct_configured(
+            &FdkConfig::new(geom.clone()).with_window(FilterWindow::SheppLogan),
+            &projections,
+            None,
+        )
+        .expect("reconstruction");
 
         let truth = rasterize(&geom, &phantom);
         println!(

@@ -1,5 +1,5 @@
 //! Regenerates **Figure 8**: a reconstructed 512×512-class slice of
-//! tomo_00030 produced through the segmented `MPI_Reduce` of a 4-rank
+//! tomo_00030 produced through the per-batch reduction of a 4-rank
 //! group, written as a PGM image, with the numerical comparison against
 //! the single-node reconstruction.
 //!
@@ -7,7 +7,8 @@
 //! cargo run --release -p scalefbp-bench --bin fig8_reduce_slice
 //! ```
 
-use scalefbp::{distributed_reconstruct, fdk_reconstruct, FdkConfig, RankLayout};
+use scalefbp::{fault_tolerant_reconstruct, fdk_reconstruct, FdkConfig, RankLayout};
+use scalefbp_faults::FaultPlan;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::slice_to_pgm;
 use scalefbp_phantom::{forward_project, Phantom};
@@ -28,13 +29,19 @@ fn main() {
     let projections = forward_project(&geom, &phantom);
 
     // Figure 3's example layout: one group of N_r = 4 ranks splitting N_p,
-    // merged by exactly one segmented reduce per batch.
+    // merged by exactly one group reduction per batch.
     let cfg = FdkConfig::new(geom.clone()).with_nc(4);
     let t0 = std::time::Instant::now();
-    let out = distributed_reconstruct(&cfg, RankLayout::new(4, 1, 4), &projections, 2)
-        .expect("distributed run failed");
+    let out = fault_tolerant_reconstruct(
+        &cfg,
+        RankLayout::new(4, 1, 4),
+        &projections,
+        &FaultPlan::none(),
+        None,
+    )
+    .expect("distributed run failed");
     println!(
-        "4-rank segmented-reduce reconstruction: {:.2} s wall, {:.1} MB over the network",
+        "4-rank group-reduce reconstruction: {:.2} s wall, {:.1} MB over the network",
         t0.elapsed().as_secs_f64(),
         out.network.bytes as f64 / 1e6
     );

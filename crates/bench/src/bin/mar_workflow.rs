@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use scalefbp::{fdk_reconstruct_with, CbctGeometry, FilterWindow};
+use scalefbp::{fdk_reconstruct_configured, CbctGeometry, FdkConfig, FilterWindow};
 use scalefbp_geom::{ProjectionStack, Volume};
 use scalefbp_iterative::{forward_project_volume, RayMarchConfig};
 use scalefbp_phantom::{forward_project, rasterize, Ellipsoid, Phantom};
@@ -97,7 +97,12 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    let mut recon = fdk_reconstruct_with(&geom, &sino, FilterWindow::Hann).expect("pass 0");
+    let mut recon = fdk_reconstruct_configured(
+        &FdkConfig::new(geom.clone()).with_window(FilterWindow::Hann),
+        &sino,
+        None,
+    )
+    .expect("pass 0");
     println!(
         "pass 0 (naive FBP):      tissue RMSE {:.4}  [{:.2} s]",
         tissue_rmse(&recon),
@@ -123,7 +128,12 @@ fn main() {
         let metal_trace = forward_project_volume(&geom, &mask_vol, RayMarchConfig::default());
         let mut working = sino.clone();
         inpaint(&mut working, &metal_trace, 0.01);
-        recon = fdk_reconstruct_with(&geom, &working, FilterWindow::Hann).expect("MAR pass");
+        recon = fdk_reconstruct_configured(
+            &FdkConfig::new(geom.clone()).with_window(FilterWindow::Hann),
+            &working,
+            None,
+        )
+        .expect("MAR pass");
         println!(
             "pass {pass} (MAR inpainted): tissue RMSE {:.4}  [{:.2} s]",
             tissue_rmse(&recon),

@@ -62,7 +62,7 @@ fn main() {
                 (w.geom.projection_bytes() + w.geom.volume_bytes()) as u64,
             ));
         let rec = OutOfCoreReconstructor::new(cfg).expect("plan");
-        let (_, report) = rec.reconstruct(&w.projections).expect("run");
+        let (_, report) = rec.reconstruct(&w.projections, None).expect("run");
         let rows: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         println!(
             "{:>5} {:>8} {:>10} {:>12} {:>11.2}",

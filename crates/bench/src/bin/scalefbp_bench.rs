@@ -101,9 +101,9 @@ use scalefbp::timing::{
     simulate_distributed_with_mode, simulate_with_stragglers, straggler_comparison,
 };
 use scalefbp::{
-    fault_tolerant_reconstruct_checkpointed, fault_tolerant_reconstruct_observed,
-    iterative_reconstruct_distributed, CheckpointSpec, DeviceSpec, FdkConfig, IterativeConfig,
-    IterativeSolver, MetricsRegistry, OutOfCoreReconstructor, ReconstructionError, ReduceMode,
+    fault_tolerant_reconstruct, iterative_reconstruct_distributed, CheckpointSpec, DeviceSpec,
+    FdkConfig, IterativeConfig, IterativeSolver, MetricsRegistry, OutOfCoreReconstructor,
+    ReconstructionError, ReduceMode,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario};
 use scalefbp_integration::testsupport::{assert_bitwise, fresh_dir, kill_points};
@@ -688,7 +688,7 @@ fn run_chaos(quick: bool, out_dir: &str) {
     let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
     let cfg = FdkConfig::new(g).with_device(DeviceSpec::tiny(2_000_000));
     let rec = OutOfCoreReconstructor::new(cfg).expect("out-of-core plan");
-    let (golden, report) = rec.reconstruct(&p).expect("golden out-of-core run");
+    let (golden, report) = rec.reconstruct(&p, None).expect("golden out-of-core run");
     let slabs = report.batches.len();
     eprintln!(
         "  outofcore: {slabs} slabs, kill grid {:?}",
@@ -697,7 +697,10 @@ fn run_chaos(quick: bool, out_dir: &str) {
     for k in kill_points(slabs, quick) {
         let dir = fresh_dir(Path::new(out_dir), &format!("chaos-ooc-{k}"));
         let ep = StorageEndpoint::local_nvme(Some(dir));
-        match rec.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).killing_after(k)) {
+        match rec.reconstruct(
+            &p,
+            Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+        ) {
             Err(ReconstructionError::Interrupted { completed_slabs }) => {
                 assert_eq!(completed_slabs, k, "kill switch fired at the wrong commit")
             }
@@ -707,7 +710,7 @@ fn run_chaos(quick: bool, out_dir: &str) {
             ),
         }
         let (resumed, _) = rec
-            .reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).resuming())
+            .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
             .expect("resume from checkpoint");
         assert_bitwise(&golden, &resumed, &format!("outofcore k={k}"));
         let resumed_slabs = ep
@@ -744,21 +747,18 @@ fn run_chaos(quick: bool, out_dir: &str) {
     let seeds: Vec<u64> = if quick { vec![7] } else { vec![7, 21] };
     for seed in seeds {
         let plan = FaultPlan::generate(seed, &FaultScenario::mixed(layout.num_ranks()));
-        let golden =
-            fault_tolerant_reconstruct_observed(&cfg, layout, &p, &plan, MetricsRegistry::new())
-                .expect("golden distributed run");
+        let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &plan, None)
+            .expect("golden distributed run");
         // One full checkpointed run counts the durable slabs and checks
         // that checkpointing alone does not perturb the bits.
         let dir = fresh_dir(Path::new(out_dir), &format!("chaos-ft-{seed}-full"));
         let ep = StorageEndpoint::local_nvme(Some(dir));
-        let full = fault_tolerant_reconstruct_checkpointed(
+        let full = fault_tolerant_reconstruct(
             &cfg,
             layout,
             &p,
             &plan,
-            MetricsRegistry::new(),
-            &ep,
-            &CheckpointSpec::new("", 1),
+            Some((&ep, &CheckpointSpec::new("", 1))),
         )
         .expect("full checkpointed distributed run");
         assert_bitwise(
@@ -778,14 +778,12 @@ fn run_chaos(quick: bool, out_dir: &str) {
         for k in kill_points(slabs, quick) {
             let dir = fresh_dir(Path::new(out_dir), &format!("chaos-ft-{seed}-{k}"));
             let ep = StorageEndpoint::local_nvme(Some(dir));
-            match fault_tolerant_reconstruct_checkpointed(
+            match fault_tolerant_reconstruct(
                 &cfg,
                 layout,
                 &p,
                 &plan,
-                MetricsRegistry::new(),
-                &ep,
-                &CheckpointSpec::new("", 1).killing_after(k),
+                Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
             ) {
                 Err(ReconstructionError::Interrupted { completed_slabs }) => {
                     assert_eq!(completed_slabs, k, "kill switch fired at the wrong commit")
@@ -795,14 +793,12 @@ fn run_chaos(quick: bool, out_dir: &str) {
                     other.map(|_| ())
                 ),
             }
-            let out = fault_tolerant_reconstruct_checkpointed(
+            let out = fault_tolerant_reconstruct(
                 &cfg,
                 layout,
                 &p,
                 &plan,
-                MetricsRegistry::new(),
-                &ep,
-                &CheckpointSpec::new("", 1).resuming(),
+                Some((&ep, &CheckpointSpec::new("", 1).resuming())),
             )
             .expect("resume from checkpoint");
             assert_bitwise(

@@ -9,9 +9,10 @@
 
 use scalefbp::baselines::{scheme_costs, Scheme};
 use scalefbp::{
-    distributed_reconstruct, DeviceSpec, FdkConfig, OutOfCoreReconstructor, RankLayout,
+    fault_tolerant_reconstruct, DeviceSpec, FdkConfig, OutOfCoreReconstructor, RankLayout,
 };
 use scalefbp_bench::{fmt_bytes, MeasuredWorkload};
+use scalefbp_faults::FaultPlan;
 use scalefbp_geom::DatasetPreset;
 
 fn analytic_section() {
@@ -67,7 +68,7 @@ fn measured_section() {
         FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .unwrap();
-    let (_, report) = rec.reconstruct(&w.projections).unwrap();
+    let (_, report) = rec.reconstruct(&w.projections, None).unwrap();
     let chunks = report.batches.len() as u64;
     let lu_h2d = g.projection_bytes() as u64 * chunks;
     println!(
@@ -79,12 +80,13 @@ fn measured_section() {
 
     // Communication: segmented (2×2) vs one wide group (4×1) at 4 ranks.
     let cfg = FdkConfig::new(g.clone()).with_nc(2);
-    let global = distributed_reconstruct(&cfg, RankLayout::new(4, 1, 2), &w.projections, 2)
-        .unwrap()
-        .network;
-    let segmented = distributed_reconstruct(&cfg, RankLayout::new(2, 2, 2), &w.projections, 2)
-        .unwrap()
-        .network;
+    let network = |layout| {
+        fault_tolerant_reconstruct(&cfg, layout, &w.projections, &FaultPlan::none(), None)
+            .unwrap()
+            .network
+    };
+    let global = network(RankLayout::new(4, 1, 2));
+    let segmented = network(RankLayout::new(2, 2, 2));
     println!(
         "network bytes: segmented groups {} vs one wide group {} (both 4 ranks)",
         fmt_bytes(segmented.bytes),

@@ -4,11 +4,10 @@ use std::path::{Path, PathBuf};
 
 use rand::SeedableRng;
 use scalefbp::{
-    fault_tolerant_reconstruct_checkpointed, fault_tolerant_reconstruct_observed,
-    fdk_reconstruct_configured, fdk_reconstruct_slab, iterative_reconstruct_distributed,
-    BackendChoice, CheckpointSpec, DeviceSpec, FdkConfig, FilterWindow, IterativeConfig,
-    IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor,
-    PipelinedReconstructor, RankLayout, ReduceMode,
+    fault_tolerant_reconstruct, fdk_reconstruct_configured, iterative_reconstruct_distributed,
+    BackendChoice, CheckpointSpec, DeviceSpec, FaultTolerantOutcome, FdkConfig, FilterWindow,
+    IterativeConfig, IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot,
+    OutOfCoreReconstructor, PipelineReport, PipelinedReconstructor, RankLayout, ReduceMode, Volume,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
@@ -373,6 +372,62 @@ where
     )
 }
 
+/// The pipelined driver as `pipeline` and `reconstruct --mode pipeline`
+/// both run it. With `nvme` the load stage reads from the modelled
+/// node-local NVMe endpoint, whose `io.*` traffic then lands in the
+/// report's metrics; `pipeline` always attaches it, `reconstruct` only
+/// under a fault plan (the endpoint is where storage faults are injected).
+fn run_pipeline(
+    cfg: FdkConfig,
+    projections: &ProjectionStack,
+    plan: &FaultPlan,
+    nvme: bool,
+) -> Result<(Volume, PipelineReport), CliError> {
+    let rec = PipelinedReconstructor::new(cfg).map_err(|e| CliError::Message(e.to_string()))?;
+    let nvme = nvme.then(|| StorageEndpoint::local_nvme(None));
+    rec.reconstruct(projections, plan, nvme.as_ref())
+        .map_err(|e| CliError::Message(e.to_string()))
+}
+
+/// The distributed driver as `distributed` and `reconstruct --mode
+/// distributed` both run it: `--nr`/`--ng` and the fault, straggler and
+/// timeout flags complete `cfg`, then the world runs (checkpointed when
+/// `checkpoint` is given). Returns the outcome and the
+/// summary both commands print: layout, reduce mode, traffic, checkpoint
+/// and recovery notes.
+fn run_distributed(
+    args: &mut Args,
+    cfg: FdkConfig,
+    projections: &ProjectionStack,
+    checkpoint: &Option<(StorageEndpoint, CheckpointSpec)>,
+) -> Result<(FaultTolerantOutcome, String), CliError> {
+    let nr: usize = args.typed_or("nr", 2, "integer")?;
+    let ng: usize = args.typed_or("ng", 2, "integer")?;
+    let world = nr.saturating_mul(ng);
+    let plan =
+        parse_fault_plan(args, &FaultScenario::mixed(world))?.unwrap_or_else(FaultPlan::none);
+    let plan = apply_straggler_plan(args, plan, world)?;
+    let cfg = cfg.with_timeout_scale(parse_timeout_scale(args)?);
+    // A struct literal, not `RankLayout::new`: the driver validates the
+    // layout against the scan and reports a bad one as an error.
+    let out = fault_tolerant_reconstruct(
+        &cfg,
+        RankLayout { nr, ng, nc: 2 },
+        projections,
+        &plan,
+        checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
+    )
+    .map_err(|e| CliError::Message(e.to_string()))?;
+    let summary = format!(
+        "N_r={nr} N_g={ng}, {} reduce, {:.1} MB network{}{}",
+        cfg.reduce_mode,
+        out.network.bytes as f64 / 1e6,
+        checkpoint_note(checkpoint),
+        recovery_summary(&out.recovery)
+    );
+    Ok((out, summary))
+}
+
 /// `scalefbp reconstruct`.
 pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let scan_path = PathBuf::from(args.require("scan")?);
@@ -393,6 +448,19 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             "--checkpoint-dir needs --mode outofcore or distributed (got `{mode}`)"
         )));
     }
+    let slab: Option<(usize, usize)> = match args.opt("slab") {
+        Some(_) if mode != "incore" => {
+            return Err(CliError::Message(format!(
+                "--slab needs --mode incore (got `{mode}`)"
+            )))
+        }
+        Some(slab) => Some(
+            slab.split_once(':')
+                .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+                .ok_or_else(|| CliError::Message(format!("bad --slab `{slab}` (want Z0:Z1)")))?,
+        ),
+        None => None,
+    };
 
     let geom = geometry_from_text(&std::fs::read_to_string(&geom_path)?)
         .map_err(|e| CliError::Message(format!("{}: {e}", geom_path.display())))?;
@@ -403,148 +471,76 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     // Every arm yields (volume, detail, chrome-trace JSON, metrics);
     // modes without instrumented substrates export empty-but-valid
     // documents so --trace-out / --metrics-out work uniformly.
-    let (volume, detail, trace_json, metrics) = if let Some(slab) = args.opt("slab") {
-        let (z0, z1) = slab
-            .split_once(':')
-            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-            .ok_or_else(|| CliError::Message(format!("bad --slab `{slab}` (want Z0:Z1)")))?;
-        let v = fdk_reconstruct_slab(&geom, &projections, z0, z1, window)
-            .map_err(|e| CliError::Message(e.to_string()))?;
-        (
-            v,
-            format!("ROI slab [{z0}, {z1})"),
-            chrome_trace_json(&[]),
-            MetricsRegistry::new().snapshot(),
-        )
-    } else {
-        match mode.as_str() {
-            "incore" => {
-                let cfg = FdkConfig::new(geom.clone())
-                    .with_window(window)
-                    .with_kernel(kernel)
-                    .with_backend(backend);
-                let v = fdk_reconstruct_configured(&cfg, &projections)
-                    .map_err(|e| CliError::Message(e.to_string()))?;
-                (
-                    v,
-                    format!("in-core, {kernel} kernel, {backend} backend"),
-                    chrome_trace_json(&[]),
-                    MetricsRegistry::new().snapshot(),
+    // The flags every mode shares; the arms add what only they honour.
+    let cfg = FdkConfig::new(geom.clone())
+        .with_window(window)
+        .with_kernel(kernel)
+        .with_backend(backend);
+    let (volume, detail, trace_json, metrics) = match mode.as_str() {
+        "incore" => {
+            let v = fdk_reconstruct_configured(&cfg, &projections, slab)
+                .map_err(|e| CliError::Message(e.to_string()))?;
+            let what = match slab {
+                Some((z0, z1)) => format!("ROI slab [{z0}, {z1})"),
+                None => "in-core".to_string(),
+            };
+            (
+                v,
+                format!("{what}, {kernel} kernel, {backend} backend"),
+                chrome_trace_json(&[]),
+                MetricsRegistry::new().snapshot(),
+            )
+        }
+        "outofcore" => {
+            let rec = OutOfCoreReconstructor::new(cfg.with_device(device))
+                .map_err(|e| CliError::Message(e.to_string()))?;
+            let (v, report) = rec
+                .reconstruct(
+                    &projections,
+                    checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
                 )
-            }
-            "outofcore" => {
-                let cfg = FdkConfig::new(geom.clone())
-                    .with_window(window)
-                    .with_device(device)
-                    .with_kernel(kernel)
-                    .with_backend(backend);
-                let rec = OutOfCoreReconstructor::with_observability(cfg, MetricsRegistry::new())
-                    .map_err(|e| CliError::Message(e.to_string()))?;
-                let (v, report) = match &checkpoint {
-                    Some((ep, spec)) => rec.reconstruct_checkpointed(&projections, ep, spec),
-                    None => rec.reconstruct(&projections),
-                }
                 .map_err(|e| CliError::Message(e.to_string()))?;
-                let ckpt_note = checkpoint_note(&checkpoint);
-                let detail = format!(
-                    "out-of-core: N_b={} over {} batches, H2D {:.1} MB{ckpt_note}",
-                    report.nb,
-                    report.batches.len(),
-                    report.device.h2d_bytes as f64 / 1e6
-                );
-                let trace = report.serial_trace().to_chrome_trace();
-                (v, detail, trace, report.metrics)
-            }
-            "pipeline" => {
-                let plan = parse_fault_plan(args, &single_rank_scenario())?;
-                let cfg = FdkConfig::new(geom.clone())
-                    .with_window(window)
-                    .with_device(device)
-                    .with_kernel(kernel)
-                    .with_backend(backend);
-                let rec = PipelinedReconstructor::new(cfg)
-                    .map_err(|e| CliError::Message(e.to_string()))?;
-                let registry = MetricsRegistry::new();
-                let (v, report) = match &plan {
-                    Some(p) => {
-                        let nvme = StorageEndpoint::with_observability(
-                            "local-nvme",
-                            1.9e9,
-                            1.2e9,
-                            None,
-                            registry.clone(),
-                        );
-                        rec.reconstruct_observed(&projections, p, 0, Some(&nvme), registry)
-                    }
-                    None => rec.reconstruct_observed(
-                        &projections,
-                        &FaultPlan::none(),
-                        0,
-                        None,
-                        registry,
-                    ),
-                }
-                .map_err(|e| CliError::Message(e.to_string()))?;
-                let faults = if plan.is_some() {
-                    recovery_summary(&report.recovery)
-                } else {
-                    String::new()
-                };
-                let detail = format!(
-                    "threaded pipeline: overlap efficiency {:.0}%{faults}",
-                    report.overlap_efficiency * 100.0
-                );
-                let trace = report.model_trace.to_chrome_trace();
-                (v, detail, trace, report.metrics)
-            }
-            "distributed" => {
-                let nr: usize = args.typed_or("nr", 2, "integer")?;
-                let ng: usize = args.typed_or("ng", 2, "integer")?;
-                let plan = parse_fault_plan(args, &FaultScenario::mixed(nr * ng))?
-                    .unwrap_or_else(FaultPlan::none);
-                let plan = apply_straggler_plan(args, plan, nr * ng)?;
-                let timeout_scale = parse_timeout_scale(args)?;
-                let cfg = FdkConfig::new(geom.clone())
-                    .with_window(window)
-                    .with_kernel(kernel)
-                    .with_backend(backend)
-                    .with_reduce_mode(reduce_mode)
-                    .with_timeout_scale(timeout_scale);
-                let layout = RankLayout::new(nr, ng, 2);
-                let out = match &checkpoint {
-                    Some((ep, spec)) => fault_tolerant_reconstruct_checkpointed(
-                        &cfg,
-                        layout,
-                        &projections,
-                        &plan,
-                        MetricsRegistry::new(),
-                        ep,
-                        spec,
-                    ),
-                    None => fault_tolerant_reconstruct_observed(
-                        &cfg,
-                        layout,
-                        &projections,
-                        &plan,
-                        MetricsRegistry::new(),
-                    ),
-                }
-                .map_err(|e| CliError::Message(e.to_string()))?;
-                let detail = format!(
-                    "fault-tolerant distributed: N_r={nr} N_g={ng}, \
-                     {reduce_mode} reduce, {:.1} MB network{}{}",
-                    out.network.bytes as f64 / 1e6,
-                    checkpoint_note(&checkpoint),
-                    recovery_summary(&out.recovery)
-                );
-                let trace = out.chrome_trace();
-                (out.volume, detail, trace, out.metrics)
-            }
-            other => {
-                return Err(CliError::Message(format!(
-                    "unknown mode `{other}` (incore | outofcore | pipeline | distributed)"
-                )))
-            }
+            let ckpt_note = checkpoint_note(&checkpoint);
+            let detail = format!(
+                "out-of-core: N_b={} over {} batches, H2D {:.1} MB{ckpt_note}",
+                report.nb,
+                report.batches.len(),
+                report.device.h2d_bytes as f64 / 1e6
+            );
+            let trace = report.serial_trace().to_chrome_trace();
+            (v, detail, trace, report.metrics)
+        }
+        "pipeline" => {
+            let plan = parse_fault_plan(args, &single_rank_scenario())?;
+            let (v, report) = run_pipeline(
+                cfg.with_device(device),
+                &projections,
+                plan.as_ref().unwrap_or(&FaultPlan::none()),
+                plan.is_some(),
+            )?;
+            let faults = if plan.is_some() {
+                recovery_summary(&report.recovery)
+            } else {
+                String::new()
+            };
+            let detail = format!(
+                "threaded pipeline: overlap efficiency {:.0}%{faults}",
+                report.overlap_efficiency * 100.0
+            );
+            let trace = report.model_trace.to_chrome_trace();
+            (v, detail, trace, report.metrics)
+        }
+        "distributed" => {
+            let cfg = cfg.with_reduce_mode(reduce_mode);
+            let (out, summary) = run_distributed(args, cfg, &projections, &checkpoint)?;
+            let detail = format!("fault-tolerant distributed: {summary}");
+            let trace = out.chrome_trace();
+            (out.volume, detail, trace, out.metrics)
+        }
+        other => {
+            return Err(CliError::Message(format!(
+                "unknown mode `{other}` (incore | outofcore | pipeline | distributed)"
+            )))
         }
     };
     let obs_note = write_observability(args, &trace_json, &metrics)?;
@@ -571,17 +567,11 @@ pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
     let backend: BackendChoice = parse_choice(args, "backend")?;
     let plan = parse_fault_plan(args, &single_rank_scenario())?.unwrap_or_else(FaultPlan::none);
 
-    let cfg = FdkConfig::new(geom.clone())
+    let cfg = FdkConfig::new(geom)
         .with_window(window)
         .with_device(device)
         .with_backend(backend);
-    let rec = PipelinedReconstructor::new(cfg).map_err(|e| CliError::Message(e.to_string()))?;
-    let registry = MetricsRegistry::new();
-    let nvme =
-        StorageEndpoint::with_observability("local-nvme", 1.9e9, 1.2e9, None, registry.clone());
-    let (volume, report) = rec
-        .reconstruct_observed(&projections, &plan, 0, Some(&nvme), registry)
-        .map_err(|e| CliError::Message(e.to_string()))?;
+    let (volume, report) = run_pipeline(cfg, &projections, &plan, true)?;
 
     let obs_note =
         write_observability(args, &report.model_trace.to_chrome_trace(), &report.metrics)?;
@@ -611,41 +601,23 @@ pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
 pub fn distributed(args: &mut Args) -> Result<String, CliError> {
     let (geom, projections, source) = load_or_synthesize(args)?;
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
-    let nr: usize = args.typed_or("nr", 2, "integer")?;
-    let ng: usize = args.typed_or("ng", 2, "integer")?;
-    let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
     let backend: BackendChoice = parse_choice(args, "backend")?;
-    let plan =
-        parse_fault_plan(args, &FaultScenario::mixed(nr * ng))?.unwrap_or_else(FaultPlan::none);
-    let plan = apply_straggler_plan(args, plan, nr * ng)?;
-    let timeout_scale = parse_timeout_scale(args)?;
-
-    let cfg = FdkConfig::new(geom.clone())
+    let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
+    let cfg = FdkConfig::new(geom)
         .with_window(window)
         .with_backend(backend)
-        .with_reduce_mode(reduce_mode)
-        .with_timeout_scale(timeout_scale);
-    let out = fault_tolerant_reconstruct_observed(
-        &cfg,
-        RankLayout::new(nr, ng, 2),
-        &projections,
-        &plan,
-        MetricsRegistry::new(),
-    )
-    .map_err(|e| CliError::Message(e.to_string()))?;
+        .with_reduce_mode(reduce_mode);
+    let (out, summary) = run_distributed(args, cfg, &projections, &None)?;
 
     let obs_note = write_observability(args, &out.chrome_trace(), &out.metrics)?;
     if let Some(path) = args.opt("out") {
         std::fs::write(&path, encode_volume(&out.volume))?;
     }
     Ok(format!(
-        "distributed ({source}): {}×{}×{} on N_r={nr} N_g={ng}, \
-         {reduce_mode} reduce, {:.1} MB network{}\n{obs_note}",
+        "distributed ({source}): {}×{}×{} on {summary}\n{obs_note}",
         out.volume.nx(),
         out.volume.ny(),
         out.volume.nz(),
-        out.network.bytes as f64 / 1e6,
-        recovery_summary(&out.recovery)
     ))
 }
 

@@ -73,12 +73,17 @@ COMMANDS:
                   the gpusim cost model, `cpu` runs natively with zero
                   modelled time; volumes are bitwise identical on both
                   (see docs/backends.md)
-              [--device v100|a100|tiny:BYTES] [--slab Z0:Z1]
-              [--nr N --ng N]           (distributed rank layout)
+              [--device v100|a100|tiny:BYTES]
+              [--slab Z0:Z1]            (incore mode: only these slices)
+              [--nr N --ng N]           (distributed rank layout,
+                                         1 ≤ nr ≤ N_p and 1 ≤ ng ≤ N_z)
               [--reduce-mode dense|hierarchical|segmented]
-                  group-reduction algorithm for distributed mode (see
-                  docs/communication.md; the default reproduces the
-                  hierarchical tree bit-for-bit)
+                  distributed mode folds worker chunks at the group
+                  leader in rank order whatever the mode (same bits in
+                  all three); the flag picks the wire framing (segmented
+                  ships one message per z-segment) and the modelled
+                  reduce cost the deadlines derive from (default
+                  hierarchical; see docs/communication.md)
               [--fault-seed N | --fault-plan FILE]
                   inject a deterministic fault schedule (pipeline and
                   distributed modes) and recover; prints the recovery log

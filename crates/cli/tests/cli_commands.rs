@@ -640,3 +640,108 @@ fn helpful_errors() {
     std::fs::write(&bogus, b"not a container").unwrap();
     assert!(call(&["info", "--file", bogus.to_str().unwrap()]).is_err());
 }
+
+/// `scan.sfbp` of `simulate --ideal N` in a fresh directory.
+fn ideal_scan(tag: &str, n: &str) -> (PathBuf, String) {
+    let dir = tmpdir(tag);
+    let scan = dir.join("scan.sfbp").to_str().unwrap().to_string();
+    call(&["simulate", "--ideal", n, "--out", &scan]).unwrap();
+    (dir, scan)
+}
+
+/// A rank layout that does not fit the scan (16³ volume, 24 projections)
+/// is an ordinary error from both commands — not a panic (`--nr 0`,
+/// `--ng 17`) and not a world that never joins (`--nr 25`).
+#[test]
+fn distributed_layout_flags_are_validated() {
+    let (dir, scan) = ideal_scan("layout", "16");
+    let out = dir.join("vol.sfbp").to_str().unwrap().to_string();
+    for flag in [["--nr", "0"], ["--ng", "17"], ["--nr", "25"]] {
+        let reconstruct = [
+            "reconstruct",
+            "--scan",
+            &scan,
+            "--out",
+            &out,
+            "--mode",
+            "distributed",
+        ];
+        for cmd in [&reconstruct[..], &["distributed", "--scan", &scan]] {
+            match call(&[cmd, &flag[..]].concat()) {
+                Err(CliError::Message(m)) => assert!(m.contains("invalid rank layout"), "{m}"),
+                other => panic!("{cmd:?} {flag:?}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// `--slab` is an argument of the in-core run: it honours `--kernel` and
+/// `--backend` rather than running the defaults whatever was asked, and it
+/// is refused with any other `--mode`.
+#[test]
+fn slab_honours_kernel_and_backend_and_needs_incore_mode() {
+    let (dir, scan) = ideal_scan("slabflags", "16");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let oracle = ["--kernel", "reference", "--backend", "cpu"];
+    let base = ["reconstruct", "--scan", &scan, "--out"];
+    call(&[&base[..], &[&path("full.sfbp")], &oracle].concat()).unwrap();
+    let roi = [&path("roi.sfbp"), "--slab", "2:6"];
+    let out = call(&[&base[..], &roi, &oracle].concat()).unwrap();
+    assert!(out.contains("reference kernel, cpu backend"), "{out}");
+
+    use scalefbp_iosim::format::decode_volume;
+    let full = decode_volume(&std::fs::read(path("full.sfbp")).unwrap()).unwrap();
+    let roi_vol = decode_volume(&std::fs::read(path("roi.sfbp")).unwrap()).unwrap();
+    for k in 0..4 {
+        assert_eq!(roi_vol.slice(k), full.slice(2 + k), "slice {}", 2 + k);
+    }
+
+    let err = call(&[&base[..], &roi, &["--mode", "pipeline"]].concat());
+    assert!(
+        format!("{err:?}").contains("--slab needs --mode incore"),
+        "{err:?}"
+    );
+    let err = call(&[&base[..], &roi, &["--backend", "wgpu"]].concat());
+    assert!(format!("{err:?}").contains("unknown backend"), "{err:?}");
+}
+
+/// Each self-contained command shares one function with its `reconstruct
+/// --mode` arm: on the same scan the pairs write the same volume, metrics
+/// and trace bytes. The pipeline pair needs a fault seed for that —
+/// without one `pipeline` still attaches the modelled NVMe endpoint and
+/// `reconstruct` does not, so only the volumes agree.
+#[test]
+fn self_contained_commands_match_their_reconstruct_modes() {
+    let (dir, scan) = ideal_scan("pairs", "16");
+    // Runs `head … extra` and returns its [volume, metrics, trace] bytes.
+    let exports = |head: &[&str], extra: &[&str]| -> [Vec<u8>; 3] {
+        let files = ["sfbp", "metrics", "trace"].map(|ext| {
+            dir.join(format!("{}.{ext}", head[0]))
+                .to_str()
+                .unwrap()
+                .to_string()
+        });
+        let outs = [
+            "--out",
+            &files[0],
+            "--metrics-out",
+            &files[1],
+            "--trace-out",
+            &files[2],
+        ];
+        call(&[head, &outs, extra].concat()).unwrap();
+        files.map(|f| std::fs::read(f).unwrap())
+    };
+    let pair = |cmd: &str, extra: &[&str]| {
+        (
+            exports(&[cmd, "--scan", &scan], extra),
+            exports(&["reconstruct", "--scan", &scan, "--mode", cmd], extra),
+        )
+    };
+    let (own, rec) = pair("pipeline", &["--fault-seed", "11"]);
+    assert!(own == rec, "pipeline pair under a fault seed");
+    let (own, rec) = pair("pipeline", &[]);
+    assert!(own[0] == rec[0] && own[1] != rec[1], "NVMe endpoint rows");
+    let (own, rec) = pair("distributed", &[]);
+    assert!(own == rec, "distributed pair");
+}

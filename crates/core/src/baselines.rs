@@ -140,8 +140,8 @@ pub fn scheme_costs(geom: &CbctGeometry, scheme: Scheme, nc: usize) -> SchemeCos
 /// detector rows, and a single **world-wide** reduction merges the copies
 /// at rank 0.
 ///
-/// Numerically equivalent to [`crate::distributed_reconstruct`] (it is the
-/// same maths, decomposed worse); its communication and memory footprints
+/// Numerically equivalent to [`crate::fault_tolerant_reconstruct`] (it is
+/// the same maths, decomposed worse); its communication and memory footprints
 /// are what Table 2 charges it for. Used by the ablation benches.
 pub fn distributed_np_only(
     config: &FdkConfig,
@@ -150,17 +150,7 @@ pub fn distributed_np_only(
 ) -> Result<(Volume, NetworkStats), ReconstructionError> {
     config.validate()?;
     let g = &config.geometry;
-    if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "projections {}×{}×{} vs geometry {}×{}×{}",
-            projections.nv(),
-            projections.np(),
-            projections.nu(),
-            g.nv,
-            g.np,
-            g.nu
-        )));
-    }
+    config.check_projections(projections)?;
     assert!(nranks > 0, "need at least one rank");
 
     let window = config.window;
@@ -302,11 +292,12 @@ mod tests {
             scalefbp_phantom::forward_project(&g, &scalefbp_phantom::uniform_ball(&g, 0.5, 1.0));
         let cfg = FdkConfig::new(g.clone()).with_nc(2);
         let (_, ifdk_net) = distributed_np_only(&cfg, 4, &projections).unwrap();
-        let ours = crate::distributed_reconstruct(
+        let ours = crate::fault_tolerant_reconstruct(
             &cfg,
             scalefbp_geom::RankLayout::new(2, 2, 2),
             &projections,
-            2,
+            &scalefbp_faults::FaultPlan::none(),
+            None,
         )
         .unwrap();
         assert!(

@@ -1,8 +1,10 @@
 //! Glue between the reconstruction drivers and `scalefbp-ckpt`: config
-//! fingerprinting and the slab byte encoding the drivers checkpoint with.
+//! fingerprinting, the slab byte encoding the drivers checkpoint with, and
+//! the commit loop the out-of-core and distributed drivers share.
 
-use scalefbp_ckpt::fingerprint;
+use scalefbp_ckpt::{fingerprint, CheckpointSpec, CheckpointStore};
 use scalefbp_geom::Volume;
+use scalefbp_iosim::StorageEndpoint;
 
 use crate::{FdkConfig, ReconstructionError};
 
@@ -77,6 +79,51 @@ pub fn slab_from_bytes(
         *dst = f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
     }
     Ok(slab)
+}
+
+/// Opens the run's store in `spec.dir` on `endpoint`: with `spec.resume`
+/// an existing manifest is picked up (and refused if its fingerprint is
+/// not `fp`), otherwise the run starts from an empty one.
+pub(crate) fn open_store(
+    endpoint: &StorageEndpoint,
+    spec: &CheckpointSpec,
+    fp: u64,
+) -> Result<CheckpointStore, ReconstructionError> {
+    Ok(if spec.resume {
+        CheckpointStore::open_or_create(endpoint, &spec.dir, fp)?
+    } else {
+        CheckpointStore::create(endpoint, &spec.dir, fp)?
+    })
+}
+
+/// Queues one finished slab in `pending` and, once `spec.every` slabs
+/// wait there, durably commits them one by one. The chaos kill switch
+/// (`spec.kill_after_saves`) is checked after each commit — so a kill can
+/// land between a slab's commit and the next, exactly the crash window
+/// the resume path must cover.
+pub(crate) fn commit_slab(
+    store: &mut CheckpointStore,
+    spec: &CheckpointSpec,
+    pending: &mut Vec<Volume>,
+    slab: Volume,
+) -> Result<(), ReconstructionError> {
+    pending.push(slab);
+    if pending.len() < spec.every {
+        return Ok(());
+    }
+    for slab in pending.drain(..) {
+        let z0 = slab.z_offset();
+        store.save_slab(z0, z0 + slab.nz(), &slab_to_bytes(&slab))?;
+        if spec
+            .kill_after_saves
+            .is_some_and(|k| store.saves_this_run() >= k)
+        {
+            return Err(ReconstructionError::Interrupted {
+                completed_slabs: store.saves_this_run(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use scalefbp_exec::{CpuExecutor, ExecError, Executor, SimExecutor};
 use scalefbp_faults::FaultInject;
 use scalefbp_filter::FilterWindow;
-use scalefbp_geom::{CbctGeometry, GeometryError};
+use scalefbp_geom::{CbctGeometry, GeometryError, ProjectionStack};
 use scalefbp_gpusim::{DeviceError, DeviceSpec};
 use scalefbp_obs::MetricsRegistry;
 
@@ -38,10 +38,12 @@ pub enum ReconstructionError {
         /// Slab checkpoints this run committed before dying.
         completed_slabs: usize,
     },
-    /// The configured compute backend refused the run (e.g. the
-    /// wgpu-stub validates launches but cannot compute), or an
-    /// executor operation failed outside the device error model.
+    /// An executor operation failed outside the device error model
+    /// (e.g. a zero-work launch).
     Backend(String),
+    /// The rank layout does not fit the problem: the distributed driver
+    /// needs `1 ≤ N_r ≤ N_p` and `1 ≤ N_g ≤ N_z`.
+    Layout(String),
 }
 
 impl std::fmt::Display for ReconstructionError {
@@ -60,6 +62,7 @@ impl std::fmt::Display for ReconstructionError {
                 "run interrupted by chaos kill switch after {completed_slabs} checkpointed slab(s)"
             ),
             ReconstructionError::Backend(what) => write!(f, "backend error: {what}"),
+            ReconstructionError::Layout(what) => write!(f, "invalid rank layout: {what}"),
         }
     }
 }
@@ -109,9 +112,12 @@ pub struct FdkConfig {
     pub device: DeviceSpec,
     /// Back-projection kernel the drivers dispatch to.
     pub kernel: KernelChoice,
-    /// Reduction algorithm for the distributed drivers. The default
-    /// ([`ReduceMode::Hierarchical`]) reproduces the pre-existing
-    /// tree-reduce behaviour bit-for-bit; see `docs/communication.md`.
+    /// Reduction algorithm. The iterative driver runs the named
+    /// collective. The FDK distributed driver folds worker chunks at the
+    /// group leader in rank order whatever the mode (same bits in all
+    /// three); there the mode picks the wire framing (`segmented` ships
+    /// one message per z-segment) and the modelled reduce cost its
+    /// deadlines derive from. See `docs/communication.md`.
     pub reduce_mode: ReduceMode,
     /// Compute backend the drivers execute on. The default
     /// ([`BackendChoice::Sim`]) reproduces the pre-executor `gpusim`
@@ -197,32 +203,45 @@ impl FdkConfig {
         Ok(())
     }
 
+    /// Checks that `projections` is the full `N_v × N_p × N_u` stack the
+    /// geometry describes — every driver's first step.
+    pub fn check_projections(
+        &self,
+        projections: &ProjectionStack,
+    ) -> Result<(), ReconstructionError> {
+        let g = &self.geometry;
+        if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
+            return Err(ReconstructionError::ShapeMismatch(format!(
+                "projections {}×{}×{} vs geometry {}×{}×{}",
+                projections.nv(),
+                projections.np(),
+                projections.nu(),
+                g.nv,
+                g.np,
+                g.nu
+            )));
+        }
+        Ok(())
+    }
+
     /// Builds the configured compute backend: `sim` wraps a simulated
     /// device of [`self.device`](FdkConfig::device) that consults
     /// `injector` (as `rank`) and records rank-labelled `gpu.*` metrics
-    /// into `registry`; `cpu` records byte-domain metrics only. The
-    /// wgpu stub validates launches but cannot compute, so asking a
-    /// driver to run on it fails here with
-    /// [`ReconstructionError::Backend`].
+    /// into `registry`; `cpu` records byte-domain metrics only.
     pub fn build_executor(
         &self,
         injector: Arc<dyn FaultInject>,
         rank: usize,
         registry: MetricsRegistry,
-    ) -> Result<Arc<dyn Executor>, ReconstructionError> {
+    ) -> Arc<dyn Executor> {
         match self.backend {
-            BackendChoice::Sim => Ok(Arc::new(SimExecutor::with_observability(
+            BackendChoice::Sim => Arc::new(SimExecutor::with_observability(
                 self.device.clone(),
                 injector,
                 rank,
                 registry,
-            ))),
-            BackendChoice::Cpu => Ok(Arc::new(CpuExecutor::with_observability(rank, registry))),
-            BackendChoice::WgpuStub => Err(ReconstructionError::Backend(
-                "the wgpu-stub backend validates launch descriptors but cannot compute; \
-                 select backend sim or cpu for reconstruction"
-                    .to_string(),
             )),
+            BackendChoice::Cpu => Arc::new(CpuExecutor::with_observability(rank, registry)),
         }
     }
 }

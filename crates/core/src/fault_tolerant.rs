@@ -1,18 +1,25 @@
-//! Fault-tolerant distributed reconstruction.
+//! The distributed framework (Section 4.4) on the in-process MPI
+//! substrate: rank groups (Eq 9–12), per-group sub-volume batches, one
+//! reduction per group and batch — run under an explicit failure model.
 //!
-//! [`distributed_reconstruct`](crate::distributed_reconstruct) assumes a
-//! perfectly reliable world: its group collectives deadlock the moment a
-//! rank dies and its point-to-point receives block forever on a lost
-//! message. This module re-runs the same decomposition under an explicit
-//! failure model ([`scalefbp_faults::FaultPlan`]) with a recovery
-//! protocol built from three ingredients:
+//! Every rank takes its `N_p/N_r` projection share and the detector-row
+//! ranges of its group's sub-volume batches (the 2-D input split of
+//! Figure 3a), filters and back-projects a *partial* sub-volume per batch,
+//! and the group leader ships the reduced, normalised slabs to world rank
+//! 0 (the stand-in for the parallel file system), which assembles the
+//! volume. A group collective deadlocks the moment a rank dies, and a
+//! blocking receive waits forever on a lost message, so the data plane is
+//! point-to-point with deadlines, and a [`scalefbp_faults::FaultPlan`]
+//! (possibly empty) says what goes wrong. The recovery protocol has three
+//! ingredients:
 //!
-//! 1. **Chunked point-to-point reduction.** Instead of the hierarchical
-//!    segmented reduce, each worker ships its partial sub-volume (one
-//!    *chunk* per batch) to the group leader, which accumulates chunks in
-//!    a fixed rank order. The fixed order makes the summation bitwise
-//!    reproducible no matter when — or on which surviving rank — a chunk
-//!    was produced.
+//! 1. **Chunked point-to-point reduction.** Each worker ships its partial
+//!    sub-volume (one *chunk* per batch) to the group leader, which
+//!    accumulates chunks in a fixed rank order — in every
+//!    [`ReduceMode`], which here only selects the wire framing and the
+//!    modelled deadlines (see `docs/communication.md`). The fixed order
+//!    makes the summation bitwise reproducible no matter when — or on
+//!    which surviving rank — a chunk was produced.
 //! 2. **Timeout + retry-with-backoff failure detection.** Every awaited
 //!    message has a deadline; deadlines double per attempt. A peer that
 //!    misses all attempts is declared dead and its outstanding work is
@@ -36,7 +43,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use scalefbp_ckpt::{CheckpointSpec, CheckpointStore};
+use scalefbp_ckpt::CheckpointSpec;
 use scalefbp_exec::{Executor, FilterChoice, KernelChoice};
 use scalefbp_faults::{
     BackoffPolicy, Channel, FaultInject, FaultInjector, FaultKind, FaultPlan, NoFaults,
@@ -55,7 +62,7 @@ use scalefbp_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
 use scalefbp_pipeline::TraceCollector;
 
-use crate::checkpoint::{config_fingerprint, slab_from_bytes, slab_to_bytes};
+use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
 use crate::{FdkConfig, ReconstructionError};
 
 /// Worker → leader partial sub-volume, tag + batch index.
@@ -371,94 +378,61 @@ impl FtCtx<'_> {
     }
 }
 
-/// Runs the paper's distributed reconstruction under the given fault
-/// plan, recovering from injected rank failures, message drops and
-/// stragglers. With `FaultPlan::none()` this is the fault-free baseline
-/// the recovered runs are compared against: recomputed chunks are
-/// bit-identical and summed in the same fixed order, so a recovered
-/// volume equals the fault-free volume bit for bit.
-pub fn fault_tolerant_reconstruct(
-    config: &FdkConfig,
-    layout: RankLayout,
-    projections: &ProjectionStack,
-    plan: &FaultPlan,
-) -> Result<FaultTolerantOutcome, ReconstructionError> {
-    fault_tolerant_reconstruct_observed(config, layout, projections, plan, MetricsRegistry::new())
-}
-
-/// [`fault_tolerant_reconstruct`] with every counter recorded into a
-/// caller-supplied registry: the world's per-rank `mpi.*` traffic plus
-/// the protocol's `ft.chunks.computed` per-rank counters. The outcome
-/// carries the final snapshot, whose per-rank views merge back to the
-/// global aggregate (see [`MetricsSnapshot::rank_view`]).
-pub fn fault_tolerant_reconstruct_observed(
-    config: &FdkConfig,
-    layout: RankLayout,
-    projections: &ProjectionStack,
-    plan: &FaultPlan,
-    registry: MetricsRegistry,
-) -> Result<FaultTolerantOutcome, ReconstructionError> {
-    ft_run(config, layout, projections, plan, registry, None)
-}
-
-/// [`fault_tolerant_reconstruct_observed`] with crash-consistent slab
-/// checkpoints committed by the root into `spec.dir` on `endpoint` every
+/// Runs the paper's distributed reconstruction on `layout.num_ranks()`
+/// simulated ranks (threads) under the given fault plan, recovering from
+/// injected rank failures, message drops and stragglers. With
+/// `FaultPlan::none()` this is the fault-free baseline the recovered runs
+/// are compared against: recomputed chunks are bit-identical and summed
+/// in the same fixed order, so a recovered volume equals the fault-free
+/// volume bit for bit.
+///
+/// The layout must give every rank a projection and every group a slice
+/// (`1 ≤ N_r ≤ N_p`, `1 ≤ N_g ≤ N_z`, `N_c ≥ 1`); anything else is
+/// [`ReconstructionError::Layout`].
+///
+/// The outcome's `metrics` snapshot carries the world's per-rank `mpi.*`
+/// traffic plus the protocol's `ft.*` per-rank counters; its per-rank
+/// views merge back to the global aggregate (see
+/// [`MetricsSnapshot::rank_view`]).
+///
+/// With `checkpoint = Some((endpoint, spec))` the root commits
+/// crash-consistent slab checkpoints into `spec.dir` on `endpoint` every
 /// `spec.every` slabs. With `spec.resume`, groups whose slabs are all
 /// committed are loaded from the checkpoint instead of collected; the
 /// resumed volume is bitwise identical to an uninterrupted run under the
 /// same fault plan. The chaos harness arms `spec.kill_after_saves` to
 /// abort the root mid-run with [`ReconstructionError::Interrupted`] —
 /// shutdown is still delivered to every rank, so the world joins cleanly.
-pub fn fault_tolerant_reconstruct_checkpointed(
+pub fn fault_tolerant_reconstruct(
     config: &FdkConfig,
     layout: RankLayout,
     projections: &ProjectionStack,
     plan: &FaultPlan,
-    registry: MetricsRegistry,
-    endpoint: &StorageEndpoint,
-    spec: &CheckpointSpec,
-) -> Result<FaultTolerantOutcome, ReconstructionError> {
-    let fp = config_fingerprint(
-        config,
-        &format!("distributed:nr={},ng={}", layout.nr, layout.ng),
-    );
-    ft_run(
-        config,
-        layout,
-        projections,
-        plan,
-        registry,
-        Some((endpoint, spec, fp)),
-    )
-}
-
-fn ft_run(
-    config: &FdkConfig,
-    layout: RankLayout,
-    projections: &ProjectionStack,
-    plan: &FaultPlan,
-    registry: MetricsRegistry,
-    ckpt: Option<FtCkpt>,
+    checkpoint: Option<(&StorageEndpoint, &CheckpointSpec)>,
 ) -> Result<FaultTolerantOutcome, ReconstructionError> {
     config.validate()?;
     let g = &config.geometry;
-    if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "projections {}×{}×{} vs geometry {}×{}×{}",
-            projections.nv(),
-            projections.np(),
-            projections.nu(),
-            g.nv,
-            g.np,
-            g.nu
+    config.check_projections(projections)?;
+    if layout.nr == 0 || layout.nr > g.np {
+        return Err(ReconstructionError::Layout(format!(
+            "N_r={} must be between 1 and N_p={} (every rank needs a projection)",
+            layout.nr, g.np
         )));
     }
-    assert!(
-        g.nz >= layout.ng,
-        "more groups ({}) than volume slices ({})",
-        layout.ng,
-        g.nz
-    );
+    if layout.ng == 0 || layout.ng > g.nz {
+        return Err(ReconstructionError::Layout(format!(
+            "N_g={} must be between 1 and N_z={} (every group needs a slice)",
+            layout.ng, g.nz
+        )));
+    }
+    if layout.nc == 0 {
+        return Err(ReconstructionError::Layout("N_c must be positive".into()));
+    }
+    let ckpt: Option<FtCkpt> = checkpoint.map(|(endpoint, spec)| {
+        let driver = format!("distributed:nr={},ng={}", layout.nr, layout.ng);
+        (endpoint, spec, config_fingerprint(config, &driver))
+    });
+    let registry = MetricsRegistry::new();
 
     let injector = FaultInjector::new(plan.clone());
     let recovery = RecoveryLog::new();
@@ -467,7 +441,7 @@ fn ft_run(
     // One compute backend shared by every rank: dispatch is pure, and
     // its accounting stays out of the run's registry (as before the
     // executor refactor, the FT protocol records no `gpu.*` metrics).
-    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new())?;
+    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new());
     let exec_ref = &exec;
     let recovery_ref = &recovery;
     let registry_ref = &registry;
@@ -1044,24 +1018,18 @@ fn ft_root_inner(
     ctx: &FtCtx,
     ckpt: Option<FtCkpt>,
 ) -> Result<Volume, ReconstructionError> {
-    let mut store: Option<CheckpointStore> = None;
+    // The store travels with its spec; `committed` is what an earlier
+    // (interrupted) run left behind.
+    let mut store = None;
     let mut committed: Vec<(usize, usize)> = Vec::new();
-    let (every, kill_after) = match ckpt {
-        Some((endpoint, spec, fp)) => {
-            let s = if spec.resume {
-                CheckpointStore::open_or_create(endpoint, &spec.dir, fp)?
-            } else {
-                CheckpointStore::create(endpoint, &spec.dir, fp)?
-            };
-            committed = s.manifest().committed_ranges();
-            store = Some(s);
-            (spec.every, spec.kill_after_saves)
-        }
-        None => (1, None),
-    };
+    if let Some((endpoint, spec, fp)) = ckpt {
+        let s = open_store(endpoint, spec, fp)?;
+        committed = s.manifest().committed_ranges();
+        store = Some((s, spec));
+    }
 
     let mut out = Volume::zeros(ctx.g.nx, ctx.g.ny, ctx.g.nz);
-    let mut pending: Vec<(usize, usize, Vec<u8>)> = Vec::new();
+    let mut pending: Vec<Volume> = Vec::new();
     for group in 0..ctx.layout.ng {
         let ranges: Vec<(usize, usize)> = ctx
             .group_decomp(group)
@@ -1074,7 +1042,7 @@ fn ft_root_inner(
         // collected. Its ranks still compute and send — those messages
         // sit in mailboxes until shutdown — so the fault replay under a
         // given plan stays deterministic.
-        if let Some(s) = store
+        if let Some((s, _)) = store
             .as_ref()
             .filter(|_| ranges.iter().all(|r| committed.contains(r)))
         {
@@ -1092,39 +1060,14 @@ fn ft_root_inner(
         } else {
             ft_collect_group_slabs(comm, ctx, group)
         };
-        for slab in &slabs {
-            out.paste_slab(slab);
-            if let Some(s) = store.as_mut() {
-                let z0 = slab.z_offset();
-                pending.push((z0, z0 + slab.nz(), slab_to_bytes(slab)));
-                if pending.len() >= every {
-                    flush_saves(s, &mut pending, kill_after)?;
-                }
+        for slab in slabs {
+            out.paste_slab(&slab);
+            if let Some((s, spec)) = store.as_mut() {
+                commit_slab(s, spec, &mut pending, slab)?;
             }
         }
     }
     Ok(out)
-}
-
-/// Durably commits the pending slabs one by one, checking the chaos kill
-/// switch after each commit — so a kill can land between a slab's commit
-/// and the next, exactly the crash window the resume path must cover.
-fn flush_saves(
-    store: &mut CheckpointStore,
-    pending: &mut Vec<(usize, usize, Vec<u8>)>,
-    kill_after: Option<usize>,
-) -> Result<(), ReconstructionError> {
-    for (z0, z1, payload) in pending.drain(..) {
-        store.save_slab(z0, z1, &payload)?;
-        if let Some(k) = kill_after {
-            if store.saves_this_run() >= k {
-                return Err(ReconstructionError::Interrupted {
-                    completed_slabs: store.saves_this_run(),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Root-side collection of one remote group's finished slabs, degrading
@@ -1270,6 +1213,7 @@ mod tests {
             RankLayout::new(2, 2, 2),
             &p,
             &FaultPlan::none(),
+            None,
         )
         .unwrap();
         assert!(out.recovery.is_empty());
@@ -1289,6 +1233,7 @@ mod tests {
             RankLayout::new(1, 2, 2),
             &p,
             &FaultPlan::none(),
+            None,
         )
         .unwrap();
         assert_eq!(out.volume.data(), reference.data());
@@ -1300,12 +1245,12 @@ mod tests {
         let g = CbctGeometry::ideal(16, 16, 24, 20);
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let layout = RankLayout::new(2, 2, 2);
-        let out = fault_tolerant_reconstruct_observed(
+        let out = fault_tolerant_reconstruct(
             &FdkConfig::new(g).with_nc(2),
             layout,
             &p,
             &FaultPlan::none(),
-            MetricsRegistry::new(),
+            None,
         )
         .unwrap();
         let m = &out.metrics;
@@ -1349,6 +1294,7 @@ mod tests {
                     layout,
                     &p,
                     &FaultPlan::none(),
+                    None,
                 )
                 .unwrap()
                 .volume
@@ -1369,7 +1315,7 @@ mod tests {
         let cfg = FdkConfig::new(g)
             .with_nc(2)
             .with_reduce_mode(ReduceMode::Segmented);
-        let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none())
+        let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None)
             .unwrap()
             .volume;
         // Corrupt the first sealed frame rank 1 sends: its leader detects
@@ -1381,9 +1327,7 @@ mod tests {
             op_index: 0,
             kind: scalefbp_faults::FaultKind::BitFlip { seed: 7 },
         }]);
-        let out =
-            fault_tolerant_reconstruct_observed(&cfg, layout, &p, &plan, MetricsRegistry::new())
-                .unwrap();
+        let out = fault_tolerant_reconstruct(&cfg, layout, &p, &plan, None).unwrap();
         assert_eq!(out.volume.data(), golden.data());
         assert!(
             out.recovery
@@ -1407,7 +1351,7 @@ mod tests {
         let cfg = FdkConfig::new(g)
             .with_nc(2)
             .with_reduce_mode(ReduceMode::Segmented);
-        let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none())
+        let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None)
             .unwrap()
             .volume;
 
@@ -1416,30 +1360,15 @@ mod tests {
         let ep = StorageEndpoint::local_nvme(Some(d));
         // Kill after group 0's two slabs commit, mid-distributed-run.
         let spec = CheckpointSpec::new("ck", 1).killing_after(2);
-        match fault_tolerant_reconstruct_checkpointed(
-            &cfg,
-            layout,
-            &p,
-            &FaultPlan::none(),
-            MetricsRegistry::new(),
-            &ep,
-            &spec,
-        ) {
+        match fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), Some((&ep, &spec))) {
             Err(ReconstructionError::Interrupted { completed_slabs: 2 }) => {}
             other => panic!("kill switch did not fire: {:?}", other.map(|_| ())),
         }
 
         let resume = CheckpointSpec::new("ck", 1).resuming();
-        let out = fault_tolerant_reconstruct_checkpointed(
-            &cfg,
-            layout,
-            &p,
-            &FaultPlan::none(),
-            MetricsRegistry::new(),
-            &ep,
-            &resume,
-        )
-        .unwrap();
+        let out =
+            fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), Some((&ep, &resume)))
+                .unwrap();
         assert_eq!(
             out.volume.data(),
             golden.data(),
@@ -1447,6 +1376,32 @@ mod tests {
         );
         let snap = ep.metrics_registry().snapshot();
         assert_eq!(snap.counter("ckpt.resumed.slabs", None), Some(2));
+    }
+
+    /// A layout that leaves a rank without a projection or a group
+    /// without a slice is refused before any rank starts: a rank that
+    /// panics mid-protocol (empty share, `N_r > N_p`) never joins, and the
+    /// world hangs with it.
+    #[test]
+    fn layout_that_does_not_fit_the_scan_is_a_typed_error() {
+        let g = CbctGeometry::ideal(16, 16, 24, 20);
+        let cfg = FdkConfig::new(g.clone());
+        let run = |nr, ng, p: &ProjectionStack| {
+            let layout = RankLayout { nr, ng, nc: 2 };
+            fault_tolerant_reconstruct(&cfg, layout, p, &FaultPlan::none(), None).map(|_| ())
+        };
+        let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
+        for (nr, ng) in [(0, 1), (g.np + 1, 1), (1, 0), (1, g.nz + 1)] {
+            assert!(
+                matches!(run(nr, ng, &p), Err(ReconstructionError::Layout(_))),
+                "nr={nr} ng={ng}"
+            );
+        }
+        let bad = ProjectionStack::zeros(g.nv, g.np, g.nu + 2);
+        assert!(matches!(
+            run(1, 1, &bad),
+            Err(ReconstructionError::ShapeMismatch(_))
+        ));
     }
 
     #[test]

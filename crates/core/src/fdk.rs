@@ -1,9 +1,9 @@
-//! One-call in-core FDK reconstruction.
+//! In-core FDK reconstruction: the quickstart call and its configured form.
 
 use std::sync::Arc;
 
 use scalefbp_faults::NoFaults;
-use scalefbp_filter::{FilterPipeline, FilterWindow};
+use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{compute_ab, CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
 use scalefbp_obs::MetricsRegistry;
 
@@ -19,79 +19,31 @@ pub fn fdk_reconstruct(
     geom: &CbctGeometry,
     projections: &ProjectionStack,
 ) -> Result<Volume, ReconstructionError> {
-    fdk_reconstruct_configured(&FdkConfig::new(geom.clone()), projections)
+    fdk_reconstruct_configured(&FdkConfig::new(geom.clone()), projections, None)
 }
 
-/// [`fdk_reconstruct`] with an explicit apodisation window.
-pub fn fdk_reconstruct_with(
-    geom: &CbctGeometry,
-    projections: &ProjectionStack,
-    window: FilterWindow,
-) -> Result<Volume, ReconstructionError> {
-    fdk_reconstruct_configured(
-        &FdkConfig::new(geom.clone()).with_window(window),
-        projections,
-    )
-}
-
-/// [`fdk_reconstruct`] honouring the full [`FdkConfig`]: apodisation
+/// In-core reconstruction honouring the full [`FdkConfig`]: apodisation
 /// window, back-projection [`KernelChoice`](crate::KernelChoice) and
 /// compute [`BackendChoice`](crate::BackendChoice). The `Reference` oracle
 /// and the `cpu` backend are validated bitwise against the default in the
 /// workspace property tests.
+///
+/// `slices = Some((z_begin, z_end))` is the region-of-interest form: only
+/// global slices `[z_begin, z_end)`, from only the detector rows those
+/// slices need (`ComputeAB`). The returned slab's `z_offset` is `z_begin`
+/// and its voxels are bit-identical to the same slices of the full
+/// reconstruction — a clinician re-reconstructing ten slices around a
+/// feature pays for ten slices, not for the volume. `None` is the whole
+/// volume from the whole stack.
 pub fn fdk_reconstruct_configured(
     config: &FdkConfig,
     projections: &ProjectionStack,
-) -> Result<Volume, ReconstructionError> {
-    reconstruct_slices(config, projections, None)
-}
-
-/// Region-of-interest reconstruction: only global slices `[z_begin,
-/// z_end)` of the volume, from only the detector rows those slices need
-/// (`ComputeAB`). The returned slab's `z_offset` is `z_begin`; its voxels
-/// are bit-identical to the corresponding slices of the full
-/// reconstruction.
-///
-/// This is the user-facing face of the paper's decomposition: a clinician
-/// re-reconstructing ten slices around a feature pays for ten slices, not
-/// for the volume.
-pub fn fdk_reconstruct_slab(
-    geom: &CbctGeometry,
-    projections: &ProjectionStack,
-    z_begin: usize,
-    z_end: usize,
-    window: FilterWindow,
-) -> Result<Volume, ReconstructionError> {
-    reconstruct_slices(
-        &FdkConfig::new(geom.clone()).with_window(window),
-        projections,
-        Some((z_begin, z_end)),
-    )
-}
-
-/// The in-core body every entry point above shares: shape check → filter →
-/// back-project → FDK scale. `roi` restricts the run to global slices
-/// `[z_begin, z_end)` and the detector rows they need; `None` is the whole
-/// volume from the whole stack.
-fn reconstruct_slices(
-    config: &FdkConfig,
-    projections: &ProjectionStack,
-    roi: Option<(usize, usize)>,
+    slices: Option<(usize, usize)>,
 ) -> Result<Volume, ReconstructionError> {
     let geom = &config.geometry;
     config.validate()?;
-    if projections.nv() != geom.nv || projections.np() != geom.np || projections.nu() != geom.nu {
-        return Err(ReconstructionError::ShapeMismatch(format!(
-            "projections {}×{}×{} vs geometry {}×{}×{}",
-            projections.nv(),
-            projections.np(),
-            projections.nu(),
-            geom.nv,
-            geom.np,
-            geom.nu
-        )));
-    }
-    let (mut part, mut vol) = match roi {
+    config.check_projections(projections)?;
+    let (mut part, mut vol) = match slices {
         None => (
             projections.clone(),
             Volume::zeros(geom.nx, geom.ny, geom.nz),
@@ -111,7 +63,7 @@ fn reconstruct_slices(
         }
     };
 
-    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new())?;
+    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new());
 
     let pipeline = FilterPipeline::new(geom, config.window);
     exec.filter_stack(&pipeline, FilterChoice::default(), &mut part)?;
@@ -129,6 +81,7 @@ fn reconstruct_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalefbp_filter::FilterWindow;
     use scalefbp_phantom::{forward_project, rasterize, uniform_ball, Phantom};
 
     /// A geometry with a moderate cone angle and enough sampling for
@@ -266,7 +219,8 @@ mod tests {
         let p = forward_project(&g, &ball);
         let full = fdk_reconstruct(&g, &p).unwrap();
         for (z0, z1) in [(0, 6), (20, 28), (g.nz - 5, g.nz)] {
-            let slab = fdk_reconstruct_slab(&g, &p, z0, z1, FilterWindow::RamLak).unwrap();
+            let slab =
+                fdk_reconstruct_configured(&FdkConfig::new(g.clone()), &p, Some((z0, z1))).unwrap();
             assert_eq!(slab.z_offset(), z0);
             for k in 0..(z1 - z0) {
                 assert_eq!(slab.slice(k), full.slice(z0 + k), "slice {}", z0 + k);
@@ -278,14 +232,13 @@ mod tests {
     fn slab_roi_rejects_bad_range() {
         let g = geom();
         let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
-        assert!(matches!(
-            fdk_reconstruct_slab(&g, &p, 5, 5, FilterWindow::RamLak),
-            Err(ReconstructionError::ShapeMismatch(_))
-        ));
-        assert!(matches!(
-            fdk_reconstruct_slab(&g, &p, 0, g.nz + 1, FilterWindow::RamLak),
-            Err(ReconstructionError::ShapeMismatch(_))
-        ));
+        let cfg = FdkConfig::new(g.clone());
+        for bad in [(5, 5), (0, g.nz + 1)] {
+            assert!(matches!(
+                fdk_reconstruct_configured(&cfg, &p, Some(bad)),
+                Err(ReconstructionError::ShapeMismatch(_))
+            ));
+        }
     }
 
     #[test]
@@ -304,7 +257,7 @@ mod tests {
         let ball = uniform_ball(&g, 0.5, 1.0);
         let p = forward_project(&g, &ball);
         let plain = fdk_reconstruct(&g, &p).unwrap();
-        let configured = fdk_reconstruct_configured(&FdkConfig::new(g), &p).unwrap();
+        let configured = fdk_reconstruct_configured(&FdkConfig::new(g), &p, None).unwrap();
         assert_eq!(plain.data(), configured.data());
     }
 
@@ -317,30 +270,25 @@ mod tests {
         let oracle = fdk_reconstruct_configured(
             &FdkConfig::new(g).with_kernel(crate::KernelChoice::Reference),
             &p,
+            None,
         )
         .unwrap();
         assert_eq!(baseline.data(), oracle.data());
     }
 
     #[test]
-    fn cpu_backend_is_bit_identical_and_stub_refuses_to_compute() {
+    fn cpu_backend_is_bit_identical() {
         let g = geom();
         let ball = uniform_ball(&g, 0.5, 1.0);
         let p = forward_project(&g, &ball);
-        let sim = fdk_reconstruct_configured(&FdkConfig::new(g.clone()), &p).unwrap();
+        let sim = fdk_reconstruct_configured(&FdkConfig::new(g.clone()), &p, None).unwrap();
         let cpu = fdk_reconstruct_configured(
-            &FdkConfig::new(g.clone()).with_backend(crate::BackendChoice::Cpu),
+            &FdkConfig::new(g).with_backend(crate::BackendChoice::Cpu),
             &p,
+            None,
         )
         .unwrap();
         assert_eq!(sim.data(), cpu.data());
-        assert!(matches!(
-            fdk_reconstruct_configured(
-                &FdkConfig::new(g).with_backend(crate::BackendChoice::WgpuStub),
-                &p,
-            ),
-            Err(ReconstructionError::Backend(_))
-        ));
     }
 
     #[test]
@@ -348,8 +296,11 @@ mod tests {
         let g = geom();
         let ball = uniform_ball(&g, 0.5, 1.0);
         let p = forward_project(&g, &ball);
-        let ram = fdk_reconstruct_with(&g, &p, FilterWindow::RamLak).unwrap();
-        let hann = fdk_reconstruct_with(&g, &p, FilterWindow::Hann).unwrap();
+        let with = |w| {
+            fdk_reconstruct_configured(&FdkConfig::new(g.clone()).with_window(w), &p, None).unwrap()
+        };
+        let ram = with(FilterWindow::RamLak);
+        let hann = with(FilterWindow::Hann);
         let c_ram = ram.get(g.nx / 2, g.ny / 2, g.nz / 2);
         let c_hann = hann.get(g.nx / 2, g.ny / 2, g.nz / 2);
         // Hann smooths but preserves the interior level roughly.

@@ -19,17 +19,32 @@
 //!
 //! ## Entry points
 //!
+//! One way into each driver; what varies is an argument, not a function
+//! name.
+//!
 //! * [`fdk_reconstruct`] — the one-call in-core FDK reconstruction
 //!   (filter + back-project + normalise): the quickstart API.
+//!   [`fdk_reconstruct_configured`] is the same run under an
+//!   [`FdkConfig`] (window, kernel, backend), optionally restricted to a
+//!   slice range.
 //! * [`OutOfCoreReconstructor`] — Algorithm 3 on a simulated device with a
 //!   hard memory capacity: streams detector-row windows through a
-//!   [`scalefbp_backproject::TextureWindow`] and emits sub-volume slabs.
+//!   [`scalefbp_backproject::TextureWindow`] and emits sub-volume slabs;
+//!   `reconstruct(p, checkpoint)` optionally commits and resumes slab
+//!   checkpoints.
 //! * [`PipelinedReconstructor`] — the five-stage threaded pipeline of
 //!   Figure 9 (load → filter → back-project → store on one rank), with
-//!   span tracing for the Figure 10 timelines.
-//! * [`distributed_reconstruct`] — the full distributed framework on the
+//!   span tracing for the Figure 10 timelines;
+//!   `reconstruct(p, plan, storage)` runs it under a fault plan against
+//!   an optional modelled storage endpoint.
+//! * [`fault_tolerant_reconstruct`] — the distributed framework on the
 //!   in-process MPI substrate: rank groups (Eq 9–12), per-group sub-volume
-//!   batches, hierarchical segmented reduction (Section 4.4.2).
+//!   batches, one rank-ordered reduction per group and batch
+//!   (Section 4.4.2), under a fault plan (`FaultPlan::none()` for a
+//!   reliable world) and with optional checkpoints.
+//! * [`iterative_reconstruct_distributed`] and
+//!   [`fdk_reconstruct_short_scan`] — SIRT/MLEM on the segmented
+//!   collective, and Parker-weighted short scans.
 //! * [`timing`] — the discrete-event **timing mode** that replays the same
 //!   task graph at paper scale (1024 GPUs, 4096³ volumes) with calibrated
 //!   stage durations; the source of the Figure 13–15 "measured
@@ -71,7 +86,6 @@ pub(crate) static TIMING_TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex:
 pub mod baselines;
 pub mod checkpoint;
 mod config;
-mod distributed;
 mod fault_tolerant;
 mod fdk;
 mod iterative;
@@ -84,14 +98,10 @@ pub use checkpoint::config_fingerprint;
 pub use config::{
     BackendChoice, FdkConfig, FilterChoice, KernelChoice, ReconstructionError, ReduceMode,
 };
-pub use distributed::{distributed_reconstruct, DistributedOutcome};
 pub use fault_tolerant::{
-    derive_deadlines, fault_tolerant_reconstruct, fault_tolerant_reconstruct_checkpointed,
-    fault_tolerant_reconstruct_observed, ChunkLedger, FaultTolerantOutcome, FtDeadlines,
+    derive_deadlines, fault_tolerant_reconstruct, ChunkLedger, FaultTolerantOutcome, FtDeadlines,
 };
-pub use fdk::{
-    fdk_reconstruct, fdk_reconstruct_configured, fdk_reconstruct_slab, fdk_reconstruct_with,
-};
+pub use fdk::{fdk_reconstruct, fdk_reconstruct_configured};
 pub use iterative::{
     iterative_fingerprint, iterative_reconstruct_distributed, IterativeConfig, IterativeOutcome,
     IterativeSolver,
@@ -99,6 +109,9 @@ pub use iterative::{
 pub use outofcore::{OutOfCoreReconstructor, OutOfCoreReport};
 pub use pipelined::{PipelineReport, PipelinedReconstructor};
 pub use scalefbp_ckpt::{CheckpointSpec, CheckpointStore};
+// The other argument types of the entry points above.
+pub use scalefbp_faults::FaultPlan;
+pub use scalefbp_iosim::StorageEndpoint;
 pub use shortscan::fdk_reconstruct_short_scan;
 
 /// Re-exports of every substrate crate.
@@ -118,8 +131,8 @@ pub mod substrates {
     pub use scalefbp_pipeline as pipeline;
 }
 
-// The observability layer's entry types, at the crate root: a registry
-// to thread through `*_observed` runs and the snapshot they export.
+// The observability layer's entry types, at the crate root: the
+// snapshot every driver's report carries, and the registry behind it.
 pub use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 
 // The most-used substrate types, at the crate root for ergonomics.

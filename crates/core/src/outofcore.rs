@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use scalefbp_backproject::{KernelStats, TextureWindow};
-use scalefbp_ckpt::{resume_partition, CheckpointSpec, CheckpointStore};
+use scalefbp_ckpt::{resume_partition, CheckpointSpec};
 use scalefbp_exec::{Executor, LaunchDescriptor};
 use scalefbp_faults::NoFaults;
 use scalefbp_filter::FilterPipeline;
@@ -13,7 +13,7 @@ use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::TraceCollector;
 
-use crate::checkpoint::{config_fingerprint, slab_from_bytes, slab_to_bytes};
+use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
 use crate::{FdkConfig, FilterChoice, ReconstructionError};
 
 /// Per-batch record of one out-of-core run (a row of Table 5, per batch).
@@ -110,15 +110,6 @@ impl OutOfCoreReconstructor {
     /// [`ReconstructionError::DeviceTooSmall`] if even a one-slice slab
     /// exceeds device memory.
     pub fn new(config: FdkConfig) -> Result<Self, ReconstructionError> {
-        Self::with_observability(config, MetricsRegistry::new())
-    }
-
-    /// [`new`](Self::new) recording the device's `gpu.*` metrics and the
-    /// slab loop's `ooc.*` counters into a caller-supplied registry.
-    pub fn with_observability(
-        config: FdkConfig,
-        registry: MetricsRegistry,
-    ) -> Result<Self, ReconstructionError> {
         config.validate()?;
         let g = &config.geometry;
         // Planning always follows the configured device spec, whatever
@@ -137,7 +128,11 @@ impl OutOfCoreReconstructor {
             let slab_bytes = (g.nx * g.ny * nb * 4) as u64;
             let needed = window_bytes + slab_bytes + mats_bytes;
             if needed <= capacity {
-                let exec = config.build_executor(Arc::new(NoFaults), 0, registry.clone())?;
+                // The device's `gpu.*` metrics and the slab loop's `ooc.*`
+                // counters land in one registry; its snapshot comes back
+                // in the report.
+                let registry = MetricsRegistry::new();
+                let exec = config.build_executor(Arc::new(NoFaults), 0, registry.clone());
                 return Ok(OutOfCoreReconstructor {
                     exec,
                     config,
@@ -163,16 +158,6 @@ impl OutOfCoreReconstructor {
         self.window_rows
     }
 
-    /// The compute backend (for inspecting counters mid-run).
-    pub fn executor(&self) -> &Arc<dyn Executor> {
-        &self.exec
-    }
-
-    /// The registry this reconstructor reports into.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// The sub-volume plan.
     pub fn plan(&self) -> VolumeDecomposition {
         VolumeDecomposition::full(&self.config.geometry, self.nb)
@@ -181,49 +166,24 @@ impl OutOfCoreReconstructor {
     /// Runs the full reconstruction: filter on the "CPU", stream row
     /// windows to the device, back-project each slab, normalise, assemble.
     ///
-    /// Bit-identical to [`crate::fdk_reconstruct_with`] on the same inputs
-    /// (asserted by the integration tests) — the paper's criterion for the
-    /// streaming kernel.
-    pub fn reconstruct(
-        &self,
-        projections: &ProjectionStack,
-    ) -> Result<(Volume, OutOfCoreReport), ReconstructionError> {
-        self.reconstruct_inner(projections, None)
-    }
-
-    /// [`reconstruct`](Self::reconstruct) with crash-consistent slab
-    /// checkpoints committed into `spec.dir` on `endpoint` every
+    /// Bit-identical to [`crate::fdk_reconstruct_configured`] on the same
+    /// inputs (asserted by the integration tests) — the paper's criterion
+    /// for the streaming kernel.
+    ///
+    /// With `checkpoint = Some((endpoint, spec))`, crash-consistent slab
+    /// checkpoints are committed into `spec.dir` on `endpoint` every
     /// `spec.every` slabs. With `spec.resume`, slabs already committed by
     /// an earlier (interrupted) run are loaded instead of recomputed; the
     /// resumed volume is bitwise identical to an uninterrupted run. The
     /// chaos harness arms `spec.kill_after_saves` to abort mid-run with
     /// [`ReconstructionError::Interrupted`].
-    pub fn reconstruct_checkpointed(
+    pub fn reconstruct(
         &self,
         projections: &ProjectionStack,
-        endpoint: &StorageEndpoint,
-        spec: &CheckpointSpec,
-    ) -> Result<(Volume, OutOfCoreReport), ReconstructionError> {
-        self.reconstruct_inner(projections, Some((endpoint, spec)))
-    }
-
-    fn reconstruct_inner(
-        &self,
-        projections: &ProjectionStack,
-        ckpt: Option<(&StorageEndpoint, &CheckpointSpec)>,
+        checkpoint: Option<(&StorageEndpoint, &CheckpointSpec)>,
     ) -> Result<(Volume, OutOfCoreReport), ReconstructionError> {
         let g = &self.config.geometry;
-        if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
-            return Err(ReconstructionError::ShapeMismatch(format!(
-                "projections {}×{}×{} vs geometry {}×{}×{}",
-                projections.nv(),
-                projections.np(),
-                projections.nu(),
-                g.nv,
-                g.np,
-                g.nu
-            )));
-        }
+        self.config.check_projections(projections)?;
         let run_start = std::time::Instant::now();
 
         // Filter stage (the paper's CPU-side thread).
@@ -242,24 +202,23 @@ impl OutOfCoreReconstructor {
         let window_buf = self.exec.alloc(window_bytes)?;
         let mut window = TextureWindow::new(self.window_rows, g.np, g.nu, 0);
 
-        // Checkpoint store + resume partition. `done` holds indices of
-        // tasks whose slabs an earlier run already committed.
-        let mut store: Option<CheckpointStore> = None;
+        // Checkpoint store (with its spec) + resume partition. `done` holds
+        // indices of tasks whose slabs an earlier run already committed.
+        let mut store = None;
         let mut done: Vec<usize> = Vec::new();
-        if let Some((endpoint, spec)) = ckpt {
-            let fp = config_fingerprint(&self.config, "outofcore");
-            let s = if spec.resume {
-                CheckpointStore::open_or_create(endpoint, &spec.dir, fp)?
-            } else {
-                CheckpointStore::create(endpoint, &spec.dir, fp)?
-            };
+        if let Some((endpoint, spec)) = checkpoint {
+            let s = open_store(
+                endpoint,
+                spec,
+                config_fingerprint(&self.config, "outofcore"),
+            )?;
             let ranges: Vec<(usize, usize)> = decomp
                 .tasks()
                 .iter()
                 .map(|t| (t.z_begin, t.z_begin + t.nz()))
                 .collect();
             done = resume_partition(&ranges, &s.manifest().committed_ranges()).0;
-            store = Some(s);
+            store = Some((s, spec));
         }
 
         let mut out = Volume::zeros(g.nx, g.ny, g.nz);
@@ -276,14 +235,14 @@ impl OutOfCoreReconstructor {
         // reads only rows inside `task.rows`, which keeps the output
         // bitwise identical to an uninterrupted run.
         let mut prev_computed = false;
-        let mut pending: Vec<(usize, usize, Vec<u8>)> = Vec::new();
+        let mut pending: Vec<Volume> = Vec::new();
 
         for (i, task) in decomp.tasks().iter().enumerate() {
             let batch_start = std::time::Instant::now();
 
             if done.contains(&i) {
                 let z = (task.z_begin, task.z_begin + task.nz());
-                let payload = store.as_ref().unwrap().load_slab(z, None)?;
+                let payload = store.as_ref().unwrap().0.load_slab(z, None)?;
                 out.paste_slab(&slab_from_bytes(g.nx, g.ny, z, &payload)?);
                 prev_computed = false;
                 batches_done.inc();
@@ -328,20 +287,8 @@ impl OutOfCoreReconstructor {
             out.paste_slab(&slab);
             prev_computed = true;
 
-            if let (Some(store), Some((_, spec))) = (store.as_mut(), ckpt) {
-                pending.push((task.z_begin, task.z_begin + task.nz(), slab_to_bytes(&slab)));
-                if pending.len() >= spec.every {
-                    for (z0, z1, payload) in pending.drain(..) {
-                        store.save_slab(z0, z1, &payload)?;
-                        if let Some(k) = spec.kill_after_saves {
-                            if store.saves_this_run() >= k {
-                                return Err(ReconstructionError::Interrupted {
-                                    completed_slabs: store.saves_this_run(),
-                                });
-                            }
-                        }
-                    }
-                }
+            if let Some((store, spec)) = store.as_mut() {
+                commit_slab(store, spec, &mut pending, slab)?;
             }
 
             batches_done.inc();
@@ -399,7 +346,7 @@ mod tests {
         let cfg = tiny_device_config(&g, full_bytes / 3);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
         assert!(rec.nb() < g.nz, "expected an actual out-of-core plan");
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, None).unwrap();
         assert_eq!(
             vol.data(),
             reference.data(),
@@ -414,7 +361,7 @@ mod tests {
         let p = projections(&g);
         let cfg = tiny_device_config(&g, (g.projection_bytes() + g.volume_bytes()) as u64 / 2);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (_, report) = rec.reconstruct(&p).unwrap();
+        let (_, report) = rec.reconstruct(&p, None).unwrap();
         let rows_total: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         // Differential loading: bounded by the detector height plus the
         // per-slab guard rows.
@@ -436,7 +383,7 @@ mod tests {
         let p = projections(&g);
         let cfg = tiny_device_config(&g, (g.projection_bytes() + g.volume_bytes()) as u64 / 2);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (_, report) = rec.reconstruct(&p).unwrap();
+        let (_, report) = rec.reconstruct(&p, None).unwrap();
         // Kernel updates = voxels × projections.
         assert_eq!(report.kernel.updates, g.voxel_updates() as u64);
         // D2H carried every slab once.
@@ -454,13 +401,12 @@ mod tests {
         let base_cfg = tiny_device_config(&g, full_bytes / 3);
         let (baseline, _) = OutOfCoreReconstructor::new(base_cfg.clone())
             .unwrap()
-            .reconstruct(&p)
+            .reconstruct(&p, None)
             .unwrap();
         let oracle_cfg = base_cfg.with_kernel(crate::KernelChoice::Reference);
-        let rec =
-            OutOfCoreReconstructor::with_observability(oracle_cfg, MetricsRegistry::new()).unwrap();
+        let rec = OutOfCoreReconstructor::new(oracle_cfg).unwrap();
         assert!(rec.nb() < g.nz, "expected an actual out-of-core plan");
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, None).unwrap();
         assert_eq!(vol.data(), baseline.data());
         // The deterministic slab-loop counter mirrors the merged stats.
         assert_eq!(
@@ -481,8 +427,8 @@ mod tests {
         // The plan follows the configured device spec, not the backend.
         assert_eq!(sim.nb(), cpu.nb());
         assert_eq!(sim.window_rows(), cpu.window_rows());
-        let (vol_sim, rep_sim) = sim.reconstruct(&p).unwrap();
-        let (vol_cpu, rep_cpu) = cpu.reconstruct(&p).unwrap();
+        let (vol_sim, rep_sim) = sim.reconstruct(&p, None).unwrap();
+        let (vol_cpu, rep_cpu) = cpu.reconstruct(&p, None).unwrap();
         assert_eq!(vol_sim.data(), vol_cpu.data());
         // Byte/call/update counters agree; only modelled time differs.
         assert_eq!(rep_sim.device.h2d_bytes, rep_cpu.device.h2d_bytes);
@@ -532,7 +478,7 @@ mod tests {
             "test setup: device must be smaller than the output"
         );
         let rec = OutOfCoreReconstructor::new(tiny_device_config(&g, budget)).unwrap();
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, None).unwrap();
         assert_eq!(vol.len() * 4, vol_bytes as usize);
         assert!(report.device.peak_allocated <= budget);
         assert!(report.device.peak_allocated < vol_bytes);
@@ -544,10 +490,8 @@ mod tests {
         let p = projections(&g);
         let cfg = tiny_device_config(&g, (g.projection_bytes() + g.volume_bytes()) as u64 / 2);
         let run = || {
-            let rec =
-                OutOfCoreReconstructor::with_observability(cfg.clone(), MetricsRegistry::new())
-                    .unwrap();
-            let (_, report) = rec.reconstruct(&p).unwrap();
+            let rec = OutOfCoreReconstructor::new(cfg.clone()).unwrap();
+            let (_, report) = rec.reconstruct(&p, None).unwrap();
             (report.serial_trace().to_chrome_trace(), report.metrics)
         };
         let (trace_a, metrics_a) = run();
@@ -578,10 +522,10 @@ mod tests {
         let p = projections(&g);
         let cfg = tiny_device_config(&g, (g.projection_bytes() + g.volume_bytes()) as u64 / 3);
         let rec = OutOfCoreReconstructor::new(cfg.clone()).unwrap();
-        let (plain, _) = rec.reconstruct(&p).unwrap();
+        let (plain, _) = rec.reconstruct(&p, None).unwrap();
         let ep = ckpt_endpoint("clean");
         let spec = CheckpointSpec::new("ck", 1);
-        let (vol, _) = rec.reconstruct_checkpointed(&p, &ep, &spec).unwrap();
+        let (vol, _) = rec.reconstruct(&p, Some((&ep, &spec))).unwrap();
         assert_eq!(vol.data(), plain.data());
         let snap = ep.metrics_registry().snapshot();
         assert!(
@@ -597,19 +541,19 @@ mod tests {
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
         let n_tasks = rec.plan().num_subvolumes();
         assert!(n_tasks >= 3, "need a few slabs to kill mid-run");
-        let (golden, _) = rec.reconstruct(&p).unwrap();
+        let (golden, _) = rec.reconstruct(&p, None).unwrap();
 
         for kill_after in [1, n_tasks / 2, n_tasks - 1] {
             let ep = ckpt_endpoint(&format!("kill{kill_after}"));
             let spec = CheckpointSpec::new("ck", 1).killing_after(kill_after);
-            match rec.reconstruct_checkpointed(&p, &ep, &spec) {
+            match rec.reconstruct(&p, Some((&ep, &spec))) {
                 Err(ReconstructionError::Interrupted { completed_slabs }) => {
                     assert_eq!(completed_slabs, kill_after)
                 }
                 other => panic!("kill switch did not fire: {:?}", other.map(|_| ())),
             }
             let resume = CheckpointSpec::new("ck", 1).resuming();
-            let (vol, report) = rec.reconstruct_checkpointed(&p, &ep, &resume).unwrap();
+            let (vol, report) = rec.reconstruct(&p, Some((&ep, &resume))).unwrap();
             assert_eq!(
                 vol.data(),
                 golden.data(),
@@ -638,11 +582,11 @@ mod tests {
         let ep = ckpt_endpoint("stale");
         let rec = OutOfCoreReconstructor::new(cfg.clone()).unwrap();
         let spec = CheckpointSpec::new("ck", 1).killing_after(1);
-        let _ = rec.reconstruct_checkpointed(&p, &ep, &spec);
+        let _ = rec.reconstruct(&p, Some((&ep, &spec)));
         // Same directory, different filter window: must refuse.
         let other =
             OutOfCoreReconstructor::new(cfg.with_window(crate::FilterWindow::Hann)).unwrap();
-        match other.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("ck", 1).resuming()) {
+        match other.reconstruct(&p, Some((&ep, &CheckpointSpec::new("ck", 1).resuming()))) {
             Err(ReconstructionError::Checkpoint(what)) => {
                 assert!(what.contains("stale"), "{what}")
             }
@@ -656,7 +600,7 @@ mod tests {
         let bad = ProjectionStack::zeros(g.nv - 1, g.np, g.nu);
         let rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
         assert!(matches!(
-            rec.reconstruct(&bad),
+            rec.reconstruct(&bad, None),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
     }

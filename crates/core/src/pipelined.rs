@@ -27,6 +27,11 @@ const MODEL_HOST_LOAD_BW: f64 = 8.0e9;
 const MODEL_FILTER_BW: f64 = 2.0e9;
 const MODEL_STORE_BW: f64 = 6.0e9;
 
+/// The pipeline is the single-rank driver: its device, its storage view,
+/// its recovery events and its `pipeline.*` / `gpu.*` metrics are all
+/// labelled rank 0.
+const RANK: usize = 0;
+
 /// Outcome statistics of a pipelined run.
 #[derive(Clone, Debug)]
 pub struct PipelineReport {
@@ -80,7 +85,6 @@ impl RetryCounters {
 fn h2d_with_retry(
     exec: &dyn Executor,
     bytes: u64,
-    rank: usize,
     recovery: &RecoveryLog,
     retries: &RetryCounters,
 ) -> f64 {
@@ -90,7 +94,7 @@ fn h2d_with_retry(
         |attempt, delay, _e| {
             retries.on_retry(delay);
             recovery.record(RecoveryEvent::DeviceRetry {
-                rank,
+                rank: RANK,
                 op: "h2d".to_string(),
                 attempt,
             });
@@ -102,7 +106,6 @@ fn h2d_with_retry(
 fn d2h_with_retry(
     exec: &dyn Executor,
     bytes: u64,
-    rank: usize,
     recovery: &RecoveryLog,
     retries: &RetryCounters,
 ) -> f64 {
@@ -112,7 +115,7 @@ fn d2h_with_retry(
         |attempt, delay, _e| {
             retries.on_retry(delay);
             recovery.record(RecoveryEvent::DeviceRetry {
-                rank,
+                rank: RANK,
                 op: "d2h".to_string(),
                 attempt,
             });
@@ -124,7 +127,6 @@ fn d2h_with_retry(
 fn storage_read_with_retry(
     storage: &StorageEndpoint,
     bytes: u64,
-    rank: usize,
     recovery: &RecoveryLog,
     retries: &RetryCounters,
 ) -> f64 {
@@ -134,7 +136,7 @@ fn storage_read_with_retry(
         |attempt, delay, _e| {
             retries.on_retry(delay);
             recovery.record(RecoveryEvent::IoRetry {
-                rank,
+                rank: RANK,
                 what: "projection batch".to_string(),
                 attempt,
             });
@@ -172,68 +174,39 @@ impl PipelinedReconstructor {
     }
 
     /// Runs the pipelined reconstruction. Numerically identical to
-    /// [`crate::fdk_reconstruct_with`] (same kernels, same order), just
-    /// overlapped across threads.
+    /// [`crate::fdk_reconstruct_configured`] (same kernels, same order),
+    /// just overlapped across threads.
+    ///
+    /// The simulated device and the optional `storage` endpoint (the
+    /// modelled source of the load stage) consult `plan`'s injector, and
+    /// every injected transfer/OOM/read error is retried — each retry
+    /// lands in the report's [`RecoveryLog`]-backed `recovery` list and in
+    /// the trace. With `FaultPlan::none()` this is exactly the fault-free
+    /// path, so recovered runs compare bit-for-bit against it.
+    ///
+    /// The report's `metrics` snapshot carries the device's `gpu.*` and
+    /// the pipeline's `pipeline.*` counters; with `storage` they are
+    /// recorded into the endpoint's own registry, so its `io.*` traffic
+    /// lands in the same snapshot.
     pub fn reconstruct(
         &self,
         projections: &ProjectionStack,
-    ) -> Result<(Volume, PipelineReport), ReconstructionError> {
-        self.reconstruct_with_faults(projections, &FaultPlan::none(), 0, None)
-    }
-
-    /// [`reconstruct`](Self::reconstruct) under a fault plan: the
-    /// simulated device and the optional storage endpoint consult the
-    /// plan's injector (as world rank `rank`), and every injected
-    /// transfer/OOM/read error is retried — each retry lands in the
-    /// report's [`RecoveryLog`]-backed `recovery` list and in the trace.
-    /// With `FaultPlan::none()` this is exactly the fault-free path, so
-    /// recovered runs compare bit-for-bit against it.
-    pub fn reconstruct_with_faults(
-        &self,
-        projections: &ProjectionStack,
         plan: &FaultPlan,
-        rank: usize,
         storage: Option<&StorageEndpoint>,
-    ) -> Result<(Volume, PipelineReport), ReconstructionError> {
-        self.reconstruct_observed(projections, plan, rank, storage, MetricsRegistry::new())
-    }
-
-    /// [`reconstruct_with_faults`](Self::reconstruct_with_faults) with
-    /// every counter recorded into a caller-supplied registry. The device
-    /// reports rank-labelled `gpu.*` metrics into it, the pipeline adds
-    /// `pipeline.*` counters, and the report carries the final snapshot;
-    /// pass the registry a [`StorageEndpoint`] was built with to collect
-    /// `io.*` traffic in the same snapshot.
-    pub fn reconstruct_observed(
-        &self,
-        projections: &ProjectionStack,
-        plan: &FaultPlan,
-        rank: usize,
-        storage: Option<&StorageEndpoint>,
-        registry: MetricsRegistry,
     ) -> Result<(Volume, PipelineReport), ReconstructionError> {
         let g = &self.config.geometry;
-        if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
-            return Err(ReconstructionError::ShapeMismatch(format!(
-                "projections {}×{}×{} vs geometry {}×{}×{}",
-                projections.nv(),
-                projections.np(),
-                projections.nu(),
-                g.nv,
-                g.np,
-                g.nu
-            )));
-        }
+        self.config.check_projections(projections)?;
+        let registry = storage.map_or_else(MetricsRegistry::new, |s| s.metrics_registry().clone());
 
         let injector = FaultInjector::new(plan.clone());
         let recovery = RecoveryLog::new();
         let exec = self.config.build_executor(
             injector.clone() as Arc<dyn FaultInject>,
-            rank,
+            RANK,
             registry.clone(),
-        )?;
+        );
         let storage =
-            storage.map(|s| s.with_fault_injector(injector as Arc<dyn FaultInject>, rank));
+            storage.map(|s| s.with_fault_injector(injector as Arc<dyn FaultInject>, RANK));
         let filter = FilterPipeline::new(g, self.config.window);
         let scale = filter.backprojection_scale() as f32;
         let mats = ProjectionMatrix::full_scan(g);
@@ -245,9 +218,9 @@ impl PipelinedReconstructor {
         let now = move || t0.elapsed().as_secs_f64();
 
         let retry_counters = RetryCounters::new(&registry);
-        let batches_done = registry.rank_counter("pipeline.batches", rank);
-        let rows_loaded = registry.rank_counter("pipeline.rows.loaded", rank);
-        let kernel_updates = registry.rank_counter("pipeline.kernel.updates", rank);
+        let batches_done = registry.rank_counter("pipeline.batches", RANK);
+        let rows_loaded = registry.rank_counter("pipeline.rows.loaded", RANK);
+        let kernel_updates = registry.rank_counter("pipeline.kernel.updates", RANK);
         // Modelled per-batch stage durations (seconds), indexed by
         // `task.index`; replayed through the DES after the threads join.
         let model_secs = Mutex::new(vec![[0.0f64; 4]; tasks.len()]);
@@ -274,7 +247,7 @@ impl PipelinedReconstructor {
                     let bytes = (r.len() * g.np * g.nu * 4) as u64;
                     let secs = if let Some(st) = &load_storage {
                         // Model (and fault-inject) the read from storage.
-                        storage_read_with_retry(st, bytes, rank, load_recovery, load_retries)
+                        storage_read_with_retry(st, bytes, load_recovery, load_retries)
                     } else {
                         bytes as f64 / MODEL_HOST_LOAD_BW
                     };
@@ -327,7 +300,6 @@ impl PipelinedReconstructor {
                         device_secs += h2d_with_retry(
                             bp_exec.as_ref(),
                             (r.len() * g.np * g.nu * 4) as u64,
-                            rank,
                             bp_recovery,
                             bp_retries,
                         );
@@ -344,7 +316,6 @@ impl PipelinedReconstructor {
                     device_secs += d2h_with_retry(
                         bp_exec.as_ref(),
                         (slab.len() * 4) as u64,
-                        rank,
                         bp_recovery,
                         bp_retries,
                     );
@@ -389,7 +360,7 @@ impl PipelinedReconstructor {
                 .simulate();
         model_trace.absorb_recovery_log(&recovery);
         registry
-            .rank_gauge("pipeline.model.makespan_secs", rank)
+            .rank_gauge("pipeline.model.makespan_secs", RANK)
             .set(model_makespan);
 
         trace.absorb_recovery_log(&recovery);
@@ -424,7 +395,7 @@ mod tests {
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let reference = fdk_reconstruct(&g, &p).unwrap();
         let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         assert_eq!(vol.data(), reference.data());
         assert!(report.wall_secs > 0.0);
         // All four stages ran for every batch.
@@ -441,7 +412,7 @@ mod tests {
         let g = geom();
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-        let (_, report) = rec.reconstruct(&p).unwrap();
+        let (_, report) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         let batches = g.nz.div_ceil(rec.nb());
         assert!(batches > 1, "test needs an actual multi-batch plan");
 
@@ -496,7 +467,7 @@ mod tests {
             FdkConfig::new(g.clone()).with_kernel(crate::KernelChoice::Reference),
         )
         .unwrap();
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         assert_eq!(vol.data(), baseline.data());
         // The rank-0 kernel counter saw every update exactly once.
         assert_eq!(
@@ -513,9 +484,9 @@ mod tests {
             (g.projection_bytes() + g.volume_bytes()) as u64 / 2,
         ));
         let ooc = crate::OutOfCoreReconstructor::new(cfg.clone()).unwrap();
-        let (_, ooc_report) = ooc.reconstruct(&p).unwrap();
+        let (_, ooc_report) = ooc.reconstruct(&p, None).unwrap();
         let pipe = PipelinedReconstructor::new(cfg).unwrap();
-        let (_, pipe_report) = pipe.reconstruct(&p).unwrap();
+        let (_, pipe_report) = pipe.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         assert_eq!(pipe_report.device.h2d_bytes, ooc_report.device.h2d_bytes);
         assert_eq!(pipe_report.device.d2h_bytes, ooc_report.device.d2h_bytes);
         assert_eq!(
@@ -532,7 +503,7 @@ mod tests {
         let rec =
             PipelinedReconstructor::new(FdkConfig::new(g).with_backend(crate::BackendChoice::Cpu))
                 .unwrap();
-        let (vol, report) = rec.reconstruct(&p).unwrap();
+        let (vol, report) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         assert_eq!(vol.data(), reference.data());
         assert!(report.device.h2d_bytes > 0);
         assert_eq!(report.device.transfer_secs, 0.0);
@@ -544,7 +515,7 @@ mod tests {
         let g = geom();
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let rec = PipelinedReconstructor::new(FdkConfig::new(g)).unwrap();
-        let (_, report) = rec.reconstruct(&p).unwrap();
+        let (_, report) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
         let art = report.trace.render_ascii(60);
         assert!(art.contains("load"));
         assert!(art.contains("store"));
@@ -556,11 +527,9 @@ mod tests {
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
         let run = || {
-            let registry = MetricsRegistry::new();
-            let storage =
-                StorageEndpoint::with_observability("pfs", 2.0e9, 1.5e9, None, registry.clone());
+            let storage = StorageEndpoint::new("pfs", 2.0e9, 1.5e9, None);
             let (_, report) = rec
-                .reconstruct_observed(&p, &FaultPlan::none(), 0, Some(&storage), registry)
+                .reconstruct(&p, &FaultPlan::none(), Some(&storage))
                 .unwrap();
             (report.model_trace.to_chrome_trace(), report.metrics)
         };
@@ -589,7 +558,7 @@ mod tests {
         let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
         let bad = ProjectionStack::zeros(g.nv, g.np + 1, g.nu);
         assert!(matches!(
-            rec.reconstruct(&bad),
+            rec.reconstruct(&bad, &FaultPlan::none(), None),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
     }

@@ -84,8 +84,7 @@ pub enum FilterChoice {
 /// equal across the two — and differ only in accounting: `Sim` charges
 /// the `gpusim` cost model (capacity, modelled seconds, `gpu.*` time
 /// counters), `Cpu` records the same byte/call counters with zero
-/// modelled time. `WgpuStub` validates launch descriptors and buffer
-/// lifetimes but cannot compute (see `docs/backends.md`).
+/// modelled time (see `docs/backends.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendChoice {
     /// The `gpusim` cost model: enforced capacity, modelled seconds,
@@ -96,28 +95,17 @@ pub enum BackendChoice {
     /// Native host execution: unlimited memory, zero modelled time,
     /// byte/call accounting only.
     Cpu,
-    /// Descriptor/lifetime validation without compute — the seam a real
-    /// wgpu backend plugs into.
-    WgpuStub,
 }
 
 impl BackendChoice {
     /// All backends, in display order.
-    pub const ALL: [BackendChoice; 3] = [
-        BackendChoice::Sim,
-        BackendChoice::Cpu,
-        BackendChoice::WgpuStub,
-    ];
-
-    /// The two backends that actually compute volumes.
-    pub const COMPUTE: [BackendChoice; 2] = [BackendChoice::Sim, BackendChoice::Cpu];
+    pub const ALL: [BackendChoice; 2] = [BackendChoice::Sim, BackendChoice::Cpu];
 
     /// Stable lowercase name (used in CLI flags and BENCH JSON).
     pub fn name(self) -> &'static str {
         match self {
             BackendChoice::Sim => "sim",
             BackendChoice::Cpu => "cpu",
-            BackendChoice::WgpuStub => "wgpu-stub",
         }
     }
 }
@@ -134,10 +122,7 @@ impl std::str::FromStr for BackendChoice {
         match s {
             "sim" => Ok(BackendChoice::Sim),
             "cpu" => Ok(BackendChoice::Cpu),
-            "wgpu-stub" | "wgpustub" => Ok(BackendChoice::WgpuStub),
-            other => Err(format!(
-                "unknown backend '{other}' (expected sim|cpu|wgpu-stub)"
-            )),
+            other => Err(format!("unknown backend '{other}' (expected sim|cpu)")),
         }
     }
 }
@@ -152,12 +137,9 @@ mod tests {
             assert_eq!(b.name().parse::<BackendChoice>().unwrap(), b);
             assert_eq!(format!("{b}"), b.name());
         }
-        assert_eq!(
-            "wgpustub".parse::<BackendChoice>(),
-            Ok(BackendChoice::WgpuStub)
-        );
         let err = "cuda".parse::<BackendChoice>().unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
+        assert_eq!(BackendChoice::ALL.len(), 2);
         assert_eq!(BackendChoice::default(), BackendChoice::Sim);
     }
 }

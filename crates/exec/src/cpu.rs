@@ -1,7 +1,7 @@
 //! [`CpuExecutor`]: native host execution with byte/call accounting and
 //! zero modelled time.
 //!
-//! The CPU backend runs exactly the same kernels as [`SimExecutor`]
+//! The CPU backend runs exactly the same kernels as [`SimExecutor`](crate::SimExecutor)
 //! (via [`crate::host`]) so volumes are bitwise identical; what changes
 //! is the resource model: memory is unlimited (allocation is pure
 //! bookkeeping and never fails), transfers and launches cost zero

@@ -28,9 +28,6 @@ pub enum ExecError {
     /// A launch descriptor or transfer violated a validity invariant
     /// (dead buffer, aliasing output, zero work, oversized transfer).
     InvalidLaunch(String),
-    /// The backend cannot perform this operation (the wgpu stub
-    /// validates but does not compute).
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for ExecError {
@@ -38,7 +35,6 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Device(e) => write!(f, "device error: {e}"),
             ExecError::InvalidLaunch(what) => write!(f, "invalid launch: {what}"),
-            ExecError::Unsupported(what) => write!(f, "unsupported on this backend: {what}"),
         }
     }
 }
@@ -52,8 +48,7 @@ impl From<DeviceError> for ExecError {
 }
 
 /// Opaque handle of one executor-owned buffer. Stable for the lifetime
-/// of the owning [`ExecBuffer`]; stale ids are how the stub's proptests
-/// express use-after-free sequences.
+/// of the owning [`ExecBuffer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufferId(pub u64);
 
@@ -87,7 +82,7 @@ impl KernelKind {
 
 /// A backend-neutral kernel launch: what the drivers hand to
 /// [`Executor::launch`]. The `sim` backend charges its cost model from
-/// `work_items`; the wgpu stub validates the referenced buffers.
+/// `work_items`.
 #[derive(Clone, Debug)]
 pub struct LaunchDescriptor {
     /// Which primitive to run.
@@ -146,7 +141,6 @@ pub struct ExecBuffer {
 pub(crate) enum BufferGuard {
     Sim(scalefbp_gpusim::DeviceBuffer),
     Cpu(crate::cpu::CpuAllocGuard),
-    Stub(crate::stub::StubAllocGuard),
 }
 
 impl ExecBuffer {
@@ -189,10 +183,10 @@ impl std::fmt::Debug for ExecBuffer {
 ///   counters with zero modelled time, so cross-backend snapshots are
 ///   equal outside [`TIME_DOMAIN_METRICS`].
 /// * **Lifetimes**: transfers and launches may only reference live
-///   buffer ids; an output buffer never aliases an input. The wgpu stub
-///   rejects violations with [`ExecError::InvalidLaunch`]; the real
-///   backends are exempt from id validation (their drivers hold the
-///   `ExecBuffer`s, so the ids are live by construction).
+///   buffer ids; an output buffer never aliases an input. The in-process
+///   backends do not validate ids (their drivers hold the `ExecBuffer`s,
+///   so the ids are live by construction); a zero-work launch is
+///   rejected with [`ExecError::InvalidLaunch`].
 pub trait Executor: Send + Sync {
     /// Which backend this executor implements.
     fn backend(&self) -> BackendChoice;

@@ -5,14 +5,12 @@
 //! crate puts one [`Executor`] trait between the drivers and the
 //! resources — buffer alloc/free, host↔device transfer, kernel launch,
 //! sync, and the byte+time accounting hooks feeding `scalefbp-obs` —
-//! with three implementations:
+//! with two implementations:
 //!
 //! * [`SimExecutor`] — today's `gpusim` cost model, reproducing the
 //!   pre-executor `gpu.*` counters and modelled seconds exactly.
 //! * [`CpuExecutor`] — the same host kernels natively: unlimited
 //!   memory, zero modelled time, byte/call accounting only.
-//! * [`WgpuStubExecutor`] — validates launch descriptors and buffer
-//!   lifetimes without computing; the seam a real wgpu backend fills.
 //!
 //! The cross-backend contracts (bitwise volumes, snapshot equality
 //! outside [`TIME_DOMAIN_METRICS`]) are pinned by
@@ -23,7 +21,6 @@ pub mod cpu;
 mod executor;
 pub mod host;
 pub mod sim;
-pub mod stub;
 
 pub use choices::{BackendChoice, FilterChoice, KernelChoice};
 pub use cpu::CpuExecutor;
@@ -31,7 +28,6 @@ pub use executor::{
     BufferId, ExecBuffer, ExecError, Executor, KernelKind, LaunchDescriptor, TIME_DOMAIN_METRICS,
 };
 pub use sim::SimExecutor;
-pub use stub::WgpuStubExecutor;
 
 #[cfg(test)]
 mod tests {
@@ -138,78 +134,5 @@ mod tests {
             assert_eq!(sa.updates, sb.updates, "{kernel}");
             assert_eq!(va.data(), vb.data(), "{kernel}");
         }
-    }
-
-    #[test]
-    fn stub_validates_lifetimes_sizes_and_aliasing() {
-        let stub = WgpuStubExecutor::new();
-        let a = stub.alloc(100).unwrap();
-        let b = stub.alloc(200).unwrap();
-        assert_eq!(stub.live_buffers(), 2);
-
-        // Valid launch.
-        let ok = LaunchDescriptor {
-            kind: KernelKind::BackProject,
-            label: "bp",
-            inputs: vec![a.id()],
-            output: Some(b.id()),
-            work_items: 10,
-        };
-        stub.launch(&ok).unwrap();
-
-        // Output aliases input.
-        let alias = LaunchDescriptor {
-            kind: KernelKind::BackProject,
-            label: "bp",
-            inputs: vec![a.id(), b.id()],
-            output: Some(b.id()),
-            work_items: 10,
-        };
-        assert!(matches!(
-            stub.launch(&alias),
-            Err(ExecError::InvalidLaunch(_))
-        ));
-
-        // Zero work.
-        assert!(matches!(
-            stub.launch(&LaunchDescriptor::backprojection(0)),
-            Err(ExecError::InvalidLaunch(_))
-        ));
-
-        // Oversized transfer, then use-after-free.
-        assert!(stub.h2d(Some(a.id()), 100).is_ok());
-        assert!(matches!(
-            stub.h2d(Some(a.id()), 101),
-            Err(ExecError::InvalidLaunch(_))
-        ));
-        let stale = a.id();
-        drop(a);
-        assert!(matches!(
-            stub.d2h(Some(stale), 1),
-            Err(ExecError::InvalidLaunch(_))
-        ));
-        let dead_input = LaunchDescriptor {
-            kind: KernelKind::Filter,
-            label: "filter",
-            inputs: vec![stale],
-            output: None,
-            work_items: 1,
-        };
-        assert!(matches!(
-            stub.launch(&dead_input),
-            Err(ExecError::InvalidLaunch(_))
-        ));
-        assert_eq!(stub.validated_launches(), 1);
-        assert!(stub.rejected_ops() >= 4);
-
-        // Compute is refused, not silently skipped.
-        let g = CbctGeometry::ideal(8, 10, 12, 12);
-        let p = scalefbp_geom::ProjectionStack::zeros(g.nv, g.np, g.nu);
-        let mats = scalefbp_geom::ProjectionMatrix::full_scan(&g);
-        let mut v = scalefbp_geom::Volume::zeros(g.nx, g.ny, g.nz);
-        assert!(matches!(
-            stub.backproject(KernelChoice::default(), &p, &mats, &mut v),
-            Err(ExecError::Unsupported(_))
-        ));
     }
 }

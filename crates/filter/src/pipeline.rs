@@ -89,11 +89,15 @@ impl FilterPipeline {
 
     /// Filters a whole (possibly partial) projection stack in place,
     /// parallelised over detector rows. Respects the stack's `v_offset` so
-    /// partial stacks weight with their global row index.
+    /// partial stacks weight with their global row index. A stack with no
+    /// rows or no projections is left untouched.
     pub fn filter_stack(&self, stack: &mut ProjectionStack) {
         assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
         let np = stack.np();
         let nu = stack.nu();
+        if stack.data().is_empty() {
+            return;
+        }
         let v_offset = stack.v_offset();
         let row_stride = np * nu;
         stack
@@ -186,6 +190,16 @@ mod tests {
                 assert_eq!(window.row(v, s), full_f.row(v + 10, s), "v={v} s={s}");
             }
         }
+    }
+
+    /// A stack with `np == 0` has a zero row stride, which
+    /// `par_chunks_mut` rejects with a panic — it must never get there.
+    #[test]
+    fn empty_stack_is_a_no_op() {
+        let g = geom();
+        let f = FilterPipeline::new(&g, FilterWindow::RamLak);
+        f.filter_stack(&mut ProjectionStack::zeros(g.nv, 0, g.nu));
+        f.filter_stack(&mut ProjectionStack::zeros(0, g.np, g.nu));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   the paper uses: volume `[z][y][x]`, projections `[v][s][u]` (detector-row
 //!   major, so a row range is one contiguous block across all projections —
 //!   the property that makes the 2-D input split cheap).
-//! * [`datasets`] — presets for the six real-world datasets of Section 6.1 /
+//! * `datasets` — presets for the six real-world datasets of Section 6.1 /
 //!   Table 4, plus scaled-down variants for laptop-sized runs.
 
 mod datasets;

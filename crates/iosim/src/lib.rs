@@ -10,7 +10,7 @@
 //!   NVMe-class local read bandwidth consistent with Table 5's `T_load`).
 //!   Endpoints can also *actually* read/write files, so small runs exercise
 //!   real I/O while paper-scale runs only run the cost model.
-//! * [`format`] — minimal on-disk formats: a raw f32 container for volumes
+//! * [`mod@format`] — minimal on-disk formats: a raw f32 container for volumes
 //!   and projection stacks (`SFBP` header + little-endian data) and binary
 //!   PGM slice export for visual inspection (the Figure 8 / Figure 11
 //!   deliverables).

@@ -92,7 +92,7 @@ impl Mlem {
     }
 
     /// Turns a freshly forward-projected stack `fp = A·x` into the
-    /// guarded update ratio `b ⊘ fp` in place (see [`guarded_ratio`] for
+    /// guarded update ratio `b ⊘ fp` in place (see `guarded_ratio` for
     /// the zero/denormal/non-finite policy) and returns the mean absolute
     /// ratio deviation over informative rays. Elementwise — the
     /// distributed driver runs it redundantly on every rank over the

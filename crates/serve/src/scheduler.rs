@@ -9,8 +9,7 @@
 //! a run therefore produces byte-identical schedules, logs, and metric
 //! exports — while every job's *numerics* are computed for real, so
 //! outputs are bitwise comparable against standalone
-//! [`fdk_reconstruct_configured`](scalefbp::fdk_reconstruct_configured)
-//! runs.
+//! [`fdk_reconstruct_configured`] runs.
 //!
 //! Scheduling policy, in one paragraph: jobs are admitted against a
 //! global memory-backlog budget and queued FIFO. Each device runs one
@@ -1252,7 +1251,7 @@ impl<'a> Engine<'a> {
                 for job in fresh {
                     self.completed_ids.insert(job.spec.id);
                     let cfg_job = job_config(self.cfg, &job.spec);
-                    let volume = fdk_reconstruct_configured(&cfg_job, &job.spec.projections)
+                    let volume = fdk_reconstruct_configured(&cfg_job, &job.spec.projections, None)
                         .map_err(|e| ServeError::Reconstruction {
                             job: job.spec.id,
                             detail: e.to_string(),
@@ -1329,7 +1328,7 @@ impl<'a> Engine<'a> {
             let _ = dev.d2h(d2h);
         }
 
-        match rec.reconstruct_checkpointed(&job.spec.projections, &endpoint, &spec) {
+        match rec.reconstruct(&job.spec.projections, Some((&endpoint, &spec))) {
             Err(ReconstructionError::Interrupted { completed_slabs }) if !is_final => {
                 debug_assert_eq!(completed_slabs, to - from);
                 job.slabs_done = to;
@@ -1578,7 +1577,7 @@ mod tests {
             .find(|j| matches!(j.class, JobClass::Long { .. }))
             .unwrap()
             .projections;
-        let (_, report) = rec.reconstruct(&p).unwrap();
+        let (_, report) = rec.reconstruct(&p, None).unwrap();
         let actual: f64 = report
             .batches
             .iter()

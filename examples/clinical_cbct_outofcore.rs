@@ -6,7 +6,7 @@
 //! cargo run --release -p scalefbp-examples --example clinical_cbct_outofcore
 //! ```
 
-use scalefbp::{DeviceSpec, FdkConfig, FilterWindow, PipelinedReconstructor};
+use scalefbp::{DeviceSpec, FaultPlan, FdkConfig, FilterWindow, PipelinedReconstructor};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::slice_to_pgm;
 use scalefbp_phantom::{bead_pile, forward_project};
@@ -38,7 +38,7 @@ fn main() {
     println!("pipeline plan: N_b = {} slices/batch", rec.nb());
 
     let (volume, report) = rec
-        .reconstruct(&projections)
+        .reconstruct(&projections, &FaultPlan::none(), None)
         .expect("reconstruction failed");
 
     println!("\nFigure-10-style stage timeline (load → filter → bp → store):");

@@ -1,5 +1,5 @@
 //! The distributed framework end to end: eight simulated ranks
-//! reconstruct a bumblebee-style scan with the segmented reduction, then
+//! reconstruct a bumblebee-style scan with one reduction per group, then
 //! the timing mode projects the same pipeline to the paper's 1024-GPU
 //! scale.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use scalefbp::timing::{simulate_distributed, strong_scaling_sweep};
-use scalefbp::{distributed_reconstruct, fdk_reconstruct, FdkConfig, RankLayout};
+use scalefbp::{fault_tolerant_reconstruct, fdk_reconstruct, FaultPlan, FdkConfig, RankLayout};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 use scalefbp_phantom::{bumblebee_like, forward_project};
@@ -30,8 +30,9 @@ fn main() {
     let layout = RankLayout::new(4, 2, 4);
     let cfg = FdkConfig::new(geom.clone()).with_nc(4);
     let t0 = std::time::Instant::now();
-    let outcome =
-        distributed_reconstruct(&cfg, layout, &projections, 4).expect("distributed run failed");
+    // A reliable world: no injected faults, no checkpoints.
+    let outcome = fault_tolerant_reconstruct(&cfg, layout, &projections, &FaultPlan::none(), None)
+        .expect("distributed run failed");
     println!(
         "8 ranks (N_r=4, N_g=2) finished in {:.2} s wall; network moved {:.1} MB in {} messages",
         t0.elapsed().as_secs_f64(),

@@ -66,7 +66,7 @@ fn main() {
     );
 
     let (volume, report) = rec
-        .reconstruct(&projections)
+        .reconstruct(&projections, None)
         .expect("reconstruction failed");
 
     println!("\nper-batch streaming (differential rows, Figure 4):");

@@ -1,7 +1,7 @@
 //! Cross-backend conformance suite for the executor seam (ROADMAP
 //! item 2, PR 9 tentpole).
 //!
-//! Three contracts, asserted over a differential grid of
+//! Two contracts, asserted over a differential grid of
 //! backend × kernel × driver cells (including the out-of-core and
 //! checkpoint/resume drivers):
 //!
@@ -12,9 +12,6 @@
 //!    pre-refactor `gpusim` charges exactly: golden `gpu.*` counter and
 //!    modelled-seconds snapshots captured *before* the executor refactor
 //!    are pinned bit for bit, as are the `PerfModel` charges.
-//! 3. **Lifetimes** — random launch sequences against the wgpu stub
-//!    never violate the buffer-lifetime/alias/size invariants: the
-//!    stub's verdicts match an independent model of the rules.
 //!
 //! Cross-backend metric snapshots are compared with
 //! [`TIME_DOMAIN_METRICS`] excluded — modelled time is the *only*
@@ -25,15 +22,13 @@ use proptest::prelude::*;
 
 use scalefbp::substrates::phantom::{forward_project, uniform_ball};
 use scalefbp::{
-    fault_tolerant_reconstruct_observed, fdk_reconstruct, fdk_reconstruct_configured,
-    BackendChoice, CbctGeometry, CheckpointSpec, DeviceSpec, FdkConfig, KernelChoice,
-    MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor, PipelinedReconstructor, RankLayout,
-    ReconstructionError, Volume,
+    fault_tolerant_reconstruct, fdk_reconstruct, fdk_reconstruct_configured, BackendChoice,
+    CbctGeometry, CheckpointSpec, DeviceSpec, FdkConfig, KernelChoice, MetricsSnapshot,
+    OutOfCoreReconstructor, PipelinedReconstructor, RankLayout, ReconstructionError, ReduceMode,
+    Volume,
 };
 use scalefbp_backproject::{backproject_reference, backproject_simd_batched};
-use scalefbp_exec::{
-    ExecError, Executor, KernelKind, LaunchDescriptor, WgpuStubExecutor, TIME_DOMAIN_METRICS,
-};
+use scalefbp_exec::TIME_DOMAIN_METRICS;
 use scalefbp_faults::FaultPlan;
 use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{ProjectionMatrix, ProjectionStack};
@@ -116,11 +111,11 @@ fn incore_grid_is_bitwise_identical_across_backends() {
     let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
     for kernel in KernelChoice::ALL {
         let direct = direct_reconstruct(&g, &p, kernel);
-        for backend in BackendChoice::COMPUTE {
+        for backend in BackendChoice::ALL {
             let cfg = FdkConfig::new(g.clone())
                 .with_kernel(kernel)
                 .with_backend(backend);
-            let got = fdk_reconstruct_configured(&cfg, &p).unwrap();
+            let got = fdk_reconstruct_configured(&cfg, &p, None).unwrap();
             assert_bitwise(&direct, &got, &format!("incore {backend}/{kernel}"));
         }
     }
@@ -135,14 +130,13 @@ fn outofcore_grid_matches_across_backends_and_kernels() {
     let (g, p) = golden_scan();
     for kernel in KernelChoice::ALL {
         let mut runs = Vec::new();
-        for backend in BackendChoice::COMPUTE {
+        for backend in BackendChoice::ALL {
             let cfg = FdkConfig::new(g.clone())
                 .with_device(golden_device(&g))
                 .with_kernel(kernel)
                 .with_backend(backend);
-            let rec =
-                OutOfCoreReconstructor::with_observability(cfg, MetricsRegistry::new()).unwrap();
-            runs.push(rec.reconstruct(&p).unwrap());
+            let rec = OutOfCoreReconstructor::new(cfg).unwrap();
+            runs.push(rec.reconstruct(&p, None).unwrap());
         }
         let (sim_vol, sim_rep) = &runs[0];
         let (cpu_vol, cpu_rep) = &runs[1];
@@ -184,14 +178,10 @@ fn outofcore_grid_matches_across_backends_and_kernels() {
 fn pipelined_driver_matches_across_backends() {
     let (g, p) = golden_scan();
     let mut runs = Vec::new();
-    for backend in BackendChoice::COMPUTE {
+    for backend in BackendChoice::ALL {
         let cfg = FdkConfig::new(g.clone()).with_backend(backend);
         let rec = PipelinedReconstructor::new(cfg).unwrap();
-        let registry = MetricsRegistry::new();
-        runs.push(
-            rec.reconstruct_observed(&p, &FaultPlan::none(), 0, None, registry)
-                .unwrap(),
-        );
+        runs.push(rec.reconstruct(&p, &FaultPlan::none(), None).unwrap());
     }
     let (sim_vol, sim_rep) = &runs[0];
     let (cpu_vol, cpu_rep) = &runs[1];
@@ -210,8 +200,8 @@ fn pipelined_driver_matches_across_backends() {
     );
 }
 
-/// Distributed (fault-tolerant) cells: rank worlds on both backends
-/// produce bitwise identical volumes and identical snapshots — the FT
+/// Distributed cells: rank worlds on both backends produce bitwise
+/// identical volumes and identical snapshots in every reduce mode — the
 /// protocol records no `gpu.*` metrics, so nothing is excluded here
 /// beyond the time domain.
 #[test]
@@ -219,27 +209,27 @@ fn distributed_driver_matches_across_backends() {
     let _serial = WORLD_LOCK.lock().unwrap();
     let g = CbctGeometry::ideal(16, 16, 24, 20);
     let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
-    let mut outs = Vec::new();
-    for backend in BackendChoice::COMPUTE {
-        let cfg = FdkConfig::new(g.clone()).with_nc(2).with_backend(backend);
-        outs.push(
-            fault_tolerant_reconstruct_observed(
-                &cfg,
-                RankLayout::new(2, 2, 2),
-                &p,
-                &FaultPlan::none(),
-                MetricsRegistry::new(),
-            )
-            .unwrap(),
+    for mode in ReduceMode::ALL {
+        let outs = BackendChoice::ALL.map(|backend| {
+            let cfg = FdkConfig::new(g.clone())
+                .with_nc(2)
+                .with_reduce_mode(mode)
+                .with_backend(backend);
+            let layout = RankLayout::new(2, 2, 2);
+            fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None).unwrap()
+        });
+        assert_bitwise(
+            &outs[0].volume,
+            &outs[1].volume,
+            &format!("distributed {mode}"),
+        );
+        assert_snapshots_match(
+            &outs[0].metrics,
+            &outs[1].metrics,
+            TIME_DOMAIN_METRICS,
+            &format!("distributed {mode} snapshots"),
         );
     }
-    assert_bitwise(&outs[0].volume, &outs[1].volume, "distributed driver");
-    assert_snapshots_match(
-        &outs[0].metrics,
-        &outs[1].metrics,
-        TIME_DOMAIN_METRICS,
-        "distributed snapshots",
-    );
 }
 
 /// Checkpoint/resume cells: a run killed mid-stream on either backend
@@ -252,25 +242,28 @@ fn checkpoint_resume_is_bitwise_identical_on_both_backends() {
         let cfg = FdkConfig::new(g.clone()).with_device(golden_device(&g));
         OutOfCoreReconstructor::new(cfg)
             .unwrap()
-            .reconstruct(&p)
+            .reconstruct(&p, None)
             .unwrap()
     };
     let slabs = golden.1.batches.len();
     let k = (slabs / 2).max(1);
-    for backend in BackendChoice::COMPUTE {
+    for backend in BackendChoice::ALL {
         let cfg = FdkConfig::new(g.clone())
             .with_device(golden_device(&g))
             .with_backend(backend);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
         let ep = scratch_endpoint(&format!("backend-ckpt-{backend}"));
-        match rec.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).killing_after(k)) {
+        match rec.reconstruct(
+            &p,
+            Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+        ) {
             Err(ReconstructionError::Interrupted { completed_slabs }) => {
                 assert_eq!(completed_slabs, k)
             }
             other => panic!("expected Interrupted, got {:?}", other.map(|_| ())),
         }
         let (resumed, _) = rec
-            .reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).resuming())
+            .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
             .unwrap();
         assert_bitwise(&golden.0, &resumed, &format!("ckpt resume on {backend}"));
         assert_eq!(
@@ -279,23 +272,6 @@ fn checkpoint_resume_is_bitwise_identical_on_both_backends() {
             "{backend} must load, not recompute"
         );
     }
-}
-
-/// The stub backend is rejected up front by every reconstruction
-/// driver — it validates, it does not compute.
-#[test]
-fn stub_backend_is_rejected_by_the_drivers() {
-    let g = CbctGeometry::ideal(8, 10, 12, 12);
-    let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
-    let cfg = FdkConfig::new(g).with_backend(BackendChoice::WgpuStub);
-    assert!(matches!(
-        fdk_reconstruct_configured(&cfg, &p),
-        Err(ReconstructionError::Backend(_))
-    ));
-    assert!(matches!(
-        OutOfCoreReconstructor::new(cfg).map(|_| ()),
-        Err(ReconstructionError::Backend(_))
-    ));
 }
 
 // ---------------------------------------------------------------------
@@ -310,8 +286,8 @@ fn stub_backend_is_rejected_by_the_drivers() {
 fn ooc_sim_accounting_matches_pre_refactor_golden() {
     let (g, p) = golden_scan();
     let cfg = FdkConfig::new(g.clone()).with_device(golden_device(&g));
-    let rec = OutOfCoreReconstructor::with_observability(cfg, MetricsRegistry::new()).unwrap();
-    let (vol, rep) = rec.reconstruct(&p).unwrap();
+    let rec = OutOfCoreReconstructor::new(cfg).unwrap();
+    let (vol, rep) = rec.reconstruct(&p, None).unwrap();
 
     assert_eq!((rep.nb, rep.window_rows), (4, 13), "plan");
     let d = &rep.device;
@@ -351,9 +327,7 @@ fn ooc_sim_accounting_matches_pre_refactor_golden() {
 fn pipeline_sim_accounting_matches_pre_refactor_golden() {
     let (g, p) = golden_scan();
     let rec = PipelinedReconstructor::new(FdkConfig::new(g)).unwrap();
-    let (vol, rep) = rec
-        .reconstruct_observed(&p, &FaultPlan::none(), 0, None, MetricsRegistry::new())
-        .unwrap();
+    let (vol, rep) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
 
     let d = &rep.device;
     assert_eq!(d.h2d_bytes, 663_552);
@@ -380,7 +354,7 @@ fn pipeline_sim_accounting_matches_pre_refactor_golden() {
 #[test]
 fn incore_default_volume_matches_pre_refactor_golden() {
     let (g, p) = golden_scan();
-    let vol = fdk_reconstruct_configured(&FdkConfig::new(g), &p).unwrap();
+    let vol = fdk_reconstruct_configured(&FdkConfig::new(g), &p, None).unwrap();
     assert_eq!(fnv(&vol), 0xdca9_a5ea, "volume fingerprint");
 }
 
@@ -406,164 +380,8 @@ fn perfmodel_charges_are_unchanged() {
 // Property tests.
 // ---------------------------------------------------------------------
 
-/// One mirror-model operation against the stub executor.
-#[derive(Clone, Debug)]
-enum StubOp {
-    /// Allocate `bytes` into pool slot `slot` (freeing any previous
-    /// occupant first — its id goes stale).
-    Alloc {
-        slot: usize,
-        bytes: u64,
-    },
-    /// Drop the buffer in `slot`, if any. Its id goes stale.
-    Free {
-        slot: usize,
-    },
-    /// Transfer `bytes` against `slot`'s *last-ever* id (possibly
-    /// stale), or against no buffer if the slot never allocated.
-    H2d {
-        slot: usize,
-        bytes: u64,
-    },
-    D2h {
-        slot: usize,
-        bytes: u64,
-    },
-    /// Launch with inputs from `input_slots`' last ids and optionally
-    /// `output_slot`'s last id.
-    Launch {
-        input_slots: Vec<usize>,
-        output_slot: Option<usize>,
-        work: u64,
-    },
-}
-
-const POOL: usize = 5;
-
-/// Decodes one random word into an operation. Zero sizes/work and
-/// stale-id references are deliberately reachable — they are the
-/// rejection cases the invariants are about.
-fn decode_op(word: u64) -> StubOp {
-    let slot = ((word >> 8) % POOL as u64) as usize;
-    let bytes = (word >> 16) % 400;
-    match word % 5 {
-        0 => StubOp::Alloc {
-            slot,
-            bytes: bytes % 300,
-        },
-        1 => StubOp::Free { slot },
-        2 => StubOp::H2d { slot, bytes },
-        3 => StubOp::D2h { slot, bytes },
-        _ => StubOp::Launch {
-            input_slots: (0..(word >> 32) % 3)
-                .map(|i| ((word >> (34 + 3 * i)) % POOL as u64) as usize)
-                .collect(),
-            output_slot: ((word >> 44) & 1 == 1).then(|| ((word >> 45) % POOL as u64) as usize),
-            work: (word >> 48) % 50,
-        },
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random operation sequences: the stub's accept/reject verdicts
-    /// match an independent model of the lifetime/alias/size rules, and
-    /// its live-buffer table never drifts from the model's.
-    #[test]
-    fn stub_never_violates_lifetime_invariants(
-        words in proptest::collection::vec(any::<u64>(), 1..40),
-    ) {
-        let ops: Vec<StubOp> = words.into_iter().map(decode_op).collect();
-        let stub = WgpuStubExecutor::new();
-        // The mirror: live buffers we hold, sizes of live ids, and the
-        // last id each slot ever produced (stale after free/realloc).
-        let mut held: Vec<Option<scalefbp_exec::ExecBuffer>> = (0..POOL).map(|_| None).collect();
-        let mut last_id: Vec<Option<scalefbp_exec::BufferId>> = vec![None; POOL];
-        let mut expected_rejects = 0u64;
-        let mut expected_launches = 0u64;
-
-        let live = |held: &Vec<Option<scalefbp_exec::ExecBuffer>>,
-                    id: scalefbp_exec::BufferId|
-         -> Option<u64> {
-            held.iter()
-                .flatten()
-                .find(|b| b.id() == id)
-                .map(|b| b.bytes())
-        };
-
-        for op in &ops {
-            match op {
-                StubOp::Alloc { slot, bytes } => {
-                    held[*slot] = None; // old id (if any) goes stale
-                    match stub.alloc(*bytes) {
-                        Ok(buf) => {
-                            prop_assert!(*bytes > 0, "zero-byte alloc must be rejected");
-                            last_id[*slot] = Some(buf.id());
-                            held[*slot] = Some(buf);
-                        }
-                        Err(ExecError::InvalidLaunch(_)) => {
-                            prop_assert_eq!(*bytes, 0, "only zero-byte allocs may be rejected");
-                            expected_rejects += 1;
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("unexpected {e}"))),
-                    }
-                }
-                StubOp::Free { slot } => {
-                    held[*slot] = None;
-                }
-                StubOp::H2d { slot, bytes } | StubOp::D2h { slot, bytes } => {
-                    let id = last_id[*slot];
-                    let valid = *bytes > 0
-                        && match id {
-                            None => true,
-                            Some(id) => live(&held, id).is_some_and(|size| *bytes <= size),
-                        };
-                    let got = match op {
-                        StubOp::H2d { .. } => stub.h2d(id, *bytes),
-                        _ => stub.d2h(id, *bytes),
-                    };
-                    prop_assert_eq!(got.is_ok(), valid, "transfer verdict for {:?}", op);
-                    if !valid {
-                        expected_rejects += 1;
-                    }
-                }
-                StubOp::Launch { input_slots, output_slot, work } => {
-                    let inputs: Vec<_> =
-                        input_slots.iter().filter_map(|&s| last_id[s]).collect();
-                    let output = output_slot.and_then(|s| last_id[s]);
-                    let valid = *work > 0
-                        && inputs.iter().all(|&id| live(&held, id).is_some())
-                        && output.is_none_or(|out| {
-                            live(&held, out).is_some() && !inputs.contains(&out)
-                        });
-                    let mut desc = LaunchDescriptor {
-                        kind: KernelKind::BackProject,
-                        label: "prop-bp",
-                        inputs,
-                        output: None,
-                        work_items: *work,
-                    };
-                    desc.output = output;
-                    prop_assert_eq!(
-                        stub.launch(&desc).is_ok(),
-                        valid,
-                        "launch verdict for {:?}",
-                        op
-                    );
-                    if valid {
-                        expected_launches += 1;
-                    } else {
-                        expected_rejects += 1;
-                    }
-                }
-            }
-            let model_live = held.iter().flatten().count();
-            prop_assert_eq!(stub.live_buffers(), model_live, "live-table drift");
-        }
-        prop_assert_eq!(stub.rejected_ops(), expected_rejects);
-        prop_assert_eq!(stub.validated_launches(), expected_launches);
-    }
 
     /// Random (shape, kernel, backend) cells: the configured path agrees
     /// bitwise with the direct call path on both computing backends; with
@@ -580,11 +398,11 @@ proptest! {
         let g = CbctGeometry::ideal(2 * n, 2 * n + np_extra, 2 * n + 2, 2 * n + 2);
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let direct = direct_reconstruct(&g, &p, kernel);
-        for backend in BackendChoice::COMPUTE {
+        for backend in BackendChoice::ALL {
             let cfg = FdkConfig::new(g.clone())
                 .with_kernel(kernel)
                 .with_backend(backend);
-            let got = fdk_reconstruct_configured(&cfg, &p).unwrap();
+            let got = fdk_reconstruct_configured(&cfg, &p, None).unwrap();
             prop_assert!(
                 direct.data().iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{} {} diverged from the direct path", backend, kernel
@@ -609,8 +427,8 @@ proptest! {
             ((g.projection_bytes() + g.volume_bytes()) as u64 / denom).max(64 * 1024),
         );
         let cfg = FdkConfig::new(g.clone()).with_device(spec);
-        let rec = OutOfCoreReconstructor::with_observability(cfg, MetricsRegistry::new()).unwrap();
-        let (_, rep) = rec.reconstruct(&p).unwrap();
+        let rec = OutOfCoreReconstructor::new(cfg).unwrap();
+        let (_, rep) = rec.reconstruct(&p, None).unwrap();
 
         let batches = rep.batches.len() as u64;
         let d = &rep.device;

@@ -5,7 +5,8 @@
 
 use scalefbp::baselines::{scheme_costs, Scheme};
 use scalefbp::{
-    distributed_reconstruct, DeviceSpec, FdkConfig, OutOfCoreReconstructor, RankLayout,
+    fault_tolerant_reconstruct, DeviceSpec, FaultPlan, FdkConfig, OutOfCoreReconstructor,
+    RankLayout,
 };
 use scalefbp_geom::{CbctGeometry, DatasetPreset};
 use scalefbp_phantom::{forward_project, uniform_ball};
@@ -48,7 +49,7 @@ fn measured_h2d_traffic_ours_vs_lu_restreaming() {
         FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .unwrap();
-    let (_, report) = rec.reconstruct(&projections).unwrap();
+    let (_, report) = rec.reconstruct(&projections, None).unwrap();
     let chunks = report.batches.len() as u64;
     let lu_h2d = g.projection_bytes() as u64 * chunks;
     assert!(
@@ -68,12 +69,13 @@ fn measured_comm_segmented_vs_global() {
     let g = CbctGeometry::ideal(24, 32, 48, 40);
     let projections = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
     let cfg = FdkConfig::new(g.clone()).with_nc(2);
-    let global = distributed_reconstruct(&cfg, RankLayout::new(4, 1, 2), &projections, 2)
-        .unwrap()
-        .network;
-    let segmented = distributed_reconstruct(&cfg, RankLayout::new(2, 2, 2), &projections, 2)
-        .unwrap()
-        .network;
+    let network = |layout| {
+        fault_tolerant_reconstruct(&cfg, layout, &projections, &FaultPlan::none(), None)
+            .unwrap()
+            .network
+    };
+    let global = network(RankLayout::new(4, 1, 2));
+    let segmented = network(RankLayout::new(2, 2, 2));
     assert!(
         segmented.bytes < global.bytes,
         "segmented {} vs global {}",

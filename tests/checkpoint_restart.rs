@@ -11,9 +11,8 @@
 //! surfaced in the [`RecoveryLog`] and the `integrity.*` metrics.
 
 use scalefbp::{
-    fault_tolerant_reconstruct_checkpointed, fault_tolerant_reconstruct_observed, CheckpointSpec,
-    DeviceSpec, FdkConfig, MetricsRegistry, OutOfCoreReconstructor, ReconstructionError,
-    ReduceMode,
+    fault_tolerant_reconstruct, CheckpointSpec, DeviceSpec, FdkConfig, OutOfCoreReconstructor,
+    ReconstructionError, ReduceMode,
 };
 use scalefbp_faults::{
     open_frame, seal_frame, Channel, FaultEvent, FaultKind, FaultPlan, FaultScenario, RecoveryEvent,
@@ -38,20 +37,23 @@ fn killed_outofcore_run_resumes_bitwise() {
     let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
     let cfg = FdkConfig::new(g).with_device(DeviceSpec::tiny(1_000_000));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    let (golden, report) = rec.reconstruct(&p).unwrap();
+    let (golden, report) = rec.reconstruct(&p, None).unwrap();
     let slabs = report.batches.len();
     assert!(slabs >= 3, "want a multi-slab run, got {slabs}");
 
     for k in kill_points(slabs, false) {
         let ep = scratch_endpoint(&format!("ckpt-ooc-{k}"));
-        match rec.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).killing_after(k)) {
+        match rec.reconstruct(
+            &p,
+            Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+        ) {
             Err(ReconstructionError::Interrupted { completed_slabs }) => {
                 assert_eq!(completed_slabs, k)
             }
             other => panic!("expected Interrupted, got {:?}", other.map(|_| ())),
         }
         let (resumed, _) = rec
-            .reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1).resuming())
+            .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
             .unwrap();
         assert_bitwise(&golden, &resumed, &format!("outofcore k={k}"));
         assert_eq!(resumed_slabs(&ep), k as u64);
@@ -70,39 +72,29 @@ fn killed_distributed_segmented_run_resumes_bitwise_under_faults() {
     let cfg = FdkConfig::new(g)
         .with_nc(2)
         .with_reduce_mode(ReduceMode::Segmented);
-    let golden = fault_tolerant_reconstruct_observed(
-        &cfg,
-        layout,
-        &p,
-        &FaultPlan::none(),
-        MetricsRegistry::new(),
-    )
-    .unwrap()
-    .volume;
+    let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None)
+        .unwrap()
+        .volume;
 
     let plan = FaultPlan::generate(21, &FaultScenario::mixed(layout.num_ranks()));
     let ep = scratch_endpoint("ckpt-ft-seg");
-    match fault_tolerant_reconstruct_checkpointed(
+    match fault_tolerant_reconstruct(
         &cfg,
         layout,
         &p,
         &plan,
-        MetricsRegistry::new(),
-        &ep,
-        &CheckpointSpec::new("", 1).killing_after(2),
+        Some((&ep, &CheckpointSpec::new("", 1).killing_after(2))),
     ) {
         Err(ReconstructionError::Interrupted { completed_slabs: 2 }) => {}
         other => panic!("expected Interrupted after 2, got {:?}", other.map(|_| ())),
     }
 
-    let out = fault_tolerant_reconstruct_checkpointed(
+    let out = fault_tolerant_reconstruct(
         &cfg,
         layout,
         &p,
         &plan,
-        MetricsRegistry::new(),
-        &ep,
-        &CheckpointSpec::new("", 1).resuming(),
+        Some((&ep, &CheckpointSpec::new("", 1).resuming())),
     )
     .unwrap();
     assert_bitwise(&golden, &out.volume, "distributed segmented resume");
@@ -123,14 +115,7 @@ fn corrupted_frame_is_detected_retried_and_logged() {
     let cfg = FdkConfig::new(g)
         .with_nc(2)
         .with_reduce_mode(ReduceMode::Segmented);
-    let golden = fault_tolerant_reconstruct_observed(
-        &cfg,
-        layout,
-        &p,
-        &FaultPlan::none(),
-        MetricsRegistry::new(),
-    )
-    .unwrap();
+    let golden = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None).unwrap();
 
     let plan = FaultPlan::from_events(vec![FaultEvent {
         rank: 1,
@@ -138,8 +123,7 @@ fn corrupted_frame_is_detected_retried_and_logged() {
         op_index: 0,
         kind: FaultKind::BitFlip { seed: 99 },
     }]);
-    let registry = MetricsRegistry::new();
-    let out = fault_tolerant_reconstruct_observed(&cfg, layout, &p, &plan, registry).unwrap();
+    let out = fault_tolerant_reconstruct(&cfg, layout, &p, &plan, None).unwrap();
 
     assert_bitwise(&golden.volume, &out.volume, "corrupt-frame recovery");
     assert!(
@@ -171,19 +155,17 @@ fn stale_checkpoint_is_refused_by_both_drivers() {
     let ep = scratch_endpoint("ckpt-stale-cross");
     let cfg = FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(1_000_000));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    rec.reconstruct_checkpointed(&p, &ep, &CheckpointSpec::new("", 1))
+    rec.reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1))))
         .unwrap();
 
     let layout = RankLayout::new(2, 2, 2);
     let dcfg = FdkConfig::new(g).with_nc(2);
-    let err = fault_tolerant_reconstruct_checkpointed(
+    let err = fault_tolerant_reconstruct(
         &dcfg,
         layout,
         &p,
         &FaultPlan::none(),
-        MetricsRegistry::new(),
-        &ep,
-        &CheckpointSpec::new("", 1).resuming(),
+        Some((&ep, &CheckpointSpec::new("", 1).resuming())),
     )
     .map(|out| out.volume.data().len())
     .expect_err("cross-driver resume must fail");

@@ -1,16 +1,26 @@
 //! The distributed framework must reproduce the single-node FDK result for
 //! every rank layout — the correctness property behind the whole
 //! decomposition.
+//!
+//! Volumes are compared exactly or within f32 reassociation tolerance;
+//! traffic and work are asserted as lower bounds only. Under a loaded
+//! `cargo test` a healthy rank can miss the 500 ms chunk deadline and be
+//! speculated against: same bits, but extra recomputes and control
+//! messages.
 
-use scalefbp::{distributed_reconstruct, fdk_reconstruct, FdkConfig, RankLayout, ReduceMode};
-use scalefbp_geom::CbctGeometry;
+use scalefbp::{
+    fault_tolerant_reconstruct, fdk_reconstruct, FaultPlan, FaultTolerantOutcome, FdkConfig,
+    RankLayout, ReduceMode,
+};
+use scalefbp_geom::{CbctGeometry, ProjectionStack, Volume};
 use scalefbp_phantom::{forward_project, uniform_ball, Phantom};
 
-fn setup() -> (
-    CbctGeometry,
-    scalefbp_geom::ProjectionStack,
-    scalefbp_geom::Volume,
-) {
+/// Serialises the rank worlds: failure detection is timeout-based, so
+/// sibling worlds competing for two cores turn healthy ranks into
+/// stragglers.
+static WORLD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn setup() -> (CbctGeometry, ProjectionStack, Volume) {
     let geom = CbctGeometry::ideal(24, 32, 48, 40);
     let phantom = uniform_ball(&geom, 0.55, 1.0);
     let projections = forward_project(&geom, &phantom);
@@ -18,13 +28,30 @@ fn setup() -> (
     (geom, projections, reference)
 }
 
+/// One fault-free run on an `nr × ng` layout with two batches per group.
+fn run(
+    cfg: &FdkConfig,
+    nr: usize,
+    ng: usize,
+    projections: &ProjectionStack,
+) -> FaultTolerantOutcome {
+    let _serial = WORLD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault_tolerant_reconstruct(
+        cfg,
+        RankLayout::new(nr, ng, 2),
+        projections,
+        &FaultPlan::none(),
+        None,
+    )
+    .unwrap_or_else(|e| panic!("nr={nr} ng={ng}: {e}"))
+}
+
 #[test]
 fn every_layout_reproduces_the_reference() {
     let (geom, projections, reference) = setup();
+    let cfg = FdkConfig::new(geom).with_nc(2);
     for (nr, ng) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (2, 4), (3, 3)] {
-        let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-        let out = distributed_reconstruct(&cfg, RankLayout::new(nr, ng, 2), &projections, 2)
-            .unwrap_or_else(|e| panic!("nr={nr} ng={ng}: {e}"));
+        let out = run(&cfg, nr, ng, &projections);
         let err = reference.max_abs_diff(&out.volume);
         assert!(err < 3e-4, "nr={nr} ng={ng}: max diff {err}");
     }
@@ -32,67 +59,48 @@ fn every_layout_reproduces_the_reference() {
 
 #[test]
 fn volume_only_split_is_bit_identical() {
-    // ng-way volume split with nr=1 never regroups any f32 sum.
+    // ng-way volume split with nr=1 never regroups any f32 sum; ng=1 is
+    // the whole driver on a single rank.
     let (geom, projections, reference) = setup();
-    for ng in [2, 3, 4, 6] {
-        let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-        let out =
-            distributed_reconstruct(&cfg, RankLayout::new(1, ng, 2), &projections, 1).unwrap();
+    let cfg = FdkConfig::new(geom).with_nc(2);
+    for ng in [1, 2, 3, 4, 6] {
+        let out = run(&cfg, 1, ng, &projections);
         assert_eq!(out.volume.data(), reference.data(), "ng={ng}");
     }
 }
 
 #[test]
-fn node_topology_does_not_change_the_result() {
-    // The hierarchical reduce is a pure regrouping; any ranks-per-node
-    // gives sums within f32 reassociation tolerance.
-    let (geom, projections, reference) = setup();
-    for rpn in [1, 2, 4] {
-        let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-        let out =
-            distributed_reconstruct(&cfg, RankLayout::new(4, 1, 2), &projections, rpn).unwrap();
-        let err = reference.max_abs_diff(&out.volume);
-        assert!(err < 3e-4, "rpn={rpn}: max diff {err}");
-    }
-}
-
-#[test]
 fn network_traffic_scales_with_group_width_not_world_size() {
-    // The segmented collective: widening groups (nr) adds reduce traffic;
-    // adding groups (ng) at fixed nr adds only slab shipping, not
-    // reduction rounds.
+    // Widening groups (nr) adds reduce traffic: every worker ships its
+    // partial of every batch to the leader. Adding groups (ng) at fixed
+    // nr adds only slab shipping to the root.
     let (geom, projections, _) = setup();
-    let run = |nr: usize, ng: usize| {
-        let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-        distributed_reconstruct(&cfg, RankLayout::new(nr, ng, 2), &projections, 2)
-            .unwrap()
-            .network
-            .bytes
-    };
-    let narrow = run(1, 4); // no reduction at all
-    let wide = run(4, 1); // 4-rank reduce of the full volume
+    let cfg = FdkConfig::new(geom.clone()).with_nc(2);
+    let narrow = run(&cfg, 1, 4, &projections).network.bytes; // no reduction at all
+    let wide = run(&cfg, 4, 1, &projections).network.bytes; // 4-rank reduce of the full volume
+    let vol = geom.volume_bytes() as u64;
+    // nr=4,ng=1: three workers each ship one full volume of partials.
+    assert!(wide >= 3 * vol, "wide {wide} vs 3 × volume {vol}");
+    // nr=1,ng=4: three leaders ship their quarter to the root.
+    assert!(narrow >= 3 * vol / 4, "narrow {narrow} vs ¾ volume {vol}");
     assert!(
         wide > narrow,
         "reduction traffic missing: wide {wide} vs narrow {narrow}"
     );
-    let vol = geom.volume_bytes() as u64;
-    // nr=1,ng=4: only leader→root slabs (3 groups ship, group 0 is root).
-    assert!(narrow <= vol, "narrow {narrow} vs volume {vol}");
 }
 
 #[test]
 fn every_reduce_mode_reproduces_the_reference() {
-    // The mode only changes how group partials are combined — all three
-    // must land within f32 reassociation tolerance of single-node FDK on
-    // every layout, including non-power-of-two group widths.
+    // The mode only changes how group partials travel — all three must
+    // land within f32 reassociation tolerance of single-node FDK on every
+    // layout, including non-power-of-two group widths.
     let (geom, projections, reference) = setup();
     for (nr, ng) in [(2, 2), (3, 2), (4, 1)] {
         for mode in ReduceMode::ALL {
             let cfg = FdkConfig::new(geom.clone())
                 .with_nc(2)
                 .with_reduce_mode(mode);
-            let out = distributed_reconstruct(&cfg, RankLayout::new(nr, ng, 2), &projections, 2)
-                .unwrap_or_else(|e| panic!("nr={nr} ng={ng} mode={mode}: {e}"));
+            let out = run(&cfg, nr, ng, &projections);
             let err = reference.max_abs_diff(&out.volume);
             assert!(err < 3e-4, "nr={nr} ng={ng} mode={mode}: max diff {err}");
         }
@@ -101,42 +109,35 @@ fn every_reduce_mode_reproduces_the_reference() {
 
 #[test]
 fn dense_and_segmented_modes_are_bit_identical() {
-    // Both fold contributions in ascending rank order per element — the
-    // canonical-ordering contract of docs/communication.md — so the
-    // assembled volumes match bitwise, owner slab by owner slab.
+    // The leader folds contributions in ascending rank order per element
+    // — the canonical-ordering contract of docs/communication.md — so the
+    // assembled volumes match bitwise whether chunks travel whole or as
+    // per-segment pieces.
     let (geom, projections, _) = setup();
-    for (nr, ng) in [(2, 2), (3, 2), (4, 1)] {
-        let run = |mode: ReduceMode| {
+    for (nr, ng) in [(2, 2), (3, 2), (4, 1), (1, 3)] {
+        let volume = |mode: ReduceMode| {
             let cfg = FdkConfig::new(geom.clone())
                 .with_nc(2)
                 .with_reduce_mode(mode);
-            distributed_reconstruct(&cfg, RankLayout::new(nr, ng, 2), &projections, 2)
-                .unwrap()
-                .volume
+            run(&cfg, nr, ng, &projections).volume
         };
-        let dense = run(ReduceMode::Dense);
-        let segmented = run(ReduceMode::Segmented);
+        let dense = volume(ReduceMode::Dense);
+        let segmented = volume(ReduceMode::Segmented);
         assert_eq!(dense.data(), segmented.data(), "nr={nr} ng={ng}");
     }
 }
 
 #[test]
 fn default_config_matches_explicit_hierarchical_bitwise() {
-    // No --reduce-mode flag ⇒ pre-PR behaviour, bit for bit.
+    // No --reduce-mode flag ⇒ the hierarchical setting, bit for bit.
     let (geom, projections, _) = setup();
-    let layout = RankLayout::new(3, 2, 2);
     let default_cfg = FdkConfig::new(geom.clone()).with_nc(2);
     assert_eq!(default_cfg.reduce_mode, ReduceMode::Hierarchical);
-    let default_out = distributed_reconstruct(&default_cfg, layout, &projections, 2).unwrap();
-    let explicit = distributed_reconstruct(
-        &FdkConfig::new(geom.clone())
-            .with_nc(2)
-            .with_reduce_mode(ReduceMode::Hierarchical),
-        layout,
-        &projections,
-        2,
-    )
-    .unwrap();
+    let explicit_cfg = FdkConfig::new(geom)
+        .with_nc(2)
+        .with_reduce_mode(ReduceMode::Hierarchical);
+    let default_out = run(&default_cfg, 3, 2, &projections);
+    let explicit = run(&explicit_cfg, 3, 2, &projections);
     assert_eq!(default_out.volume.data(), explicit.volume.data());
 }
 
@@ -152,22 +153,23 @@ fn asymmetric_phantom_survives_distribution() {
     ]);
     let projections = forward_project(&geom, &phantom);
     let reference = fdk_reconstruct(&geom, &projections).unwrap();
-    let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-    let out = distributed_reconstruct(&cfg, RankLayout::new(2, 3, 2), &projections, 2).unwrap();
+    let cfg = FdkConfig::new(geom).with_nc(2);
+    let out = run(&cfg, 2, 3, &projections);
     let err = reference.max_abs_diff(&out.volume);
     assert!(err < 3e-4, "max diff {err}");
 }
 
 #[test]
 fn work_conservation_across_layouts() {
-    // Total kernel updates are invariant to the decomposition.
+    // Every rank computes one chunk per batch of its group (two batches
+    // here), whatever the layout; speculation can only add recomputes.
     let (geom, projections, _) = setup();
-    let expected = geom.voxel_updates() as u64;
+    let cfg = FdkConfig::new(geom).with_nc(2);
     for (nr, ng) in [(1, 1), (2, 2), (4, 2)] {
-        let cfg = FdkConfig::new(geom.clone()).with_nc(2);
-        let out =
-            distributed_reconstruct(&cfg, RankLayout::new(nr, ng, 2), &projections, 2).unwrap();
-        let total: u64 = out.per_rank_kernel.iter().map(|k| k.updates).sum();
-        assert_eq!(total, expected, "nr={nr} ng={ng}");
+        let out = run(&cfg, nr, ng, &projections);
+        for rank in 0..nr * ng {
+            let chunks = out.metrics.counter("ft.chunks.computed", Some(rank));
+            assert!(chunks >= Some(2), "nr={nr} ng={ng} rank {rank}: {chunks:?}");
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! projections generated with the forward model, reconstructed, compared
 //! against the standard volume).
 
-use scalefbp::{fdk_reconstruct, fdk_reconstruct_with, CbctGeometry, FilterWindow};
+use scalefbp::{
+    fdk_reconstruct, fdk_reconstruct_configured, CbctGeometry, FdkConfig, FilterWindow,
+};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_phantom::{
     coffee_bean_like, forward_project, rasterize, uniform_ball, Phantom, PhotonScan,
@@ -73,7 +75,12 @@ fn noisy_photon_counts_still_reconstruct() {
     let ideal = forward_project(&geom, &phantom);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let scan = PhotonScan::from_projections(&ideal, 200.0, 50_000.0, Some(&mut rng));
-    let vol = fdk_reconstruct_with(&geom, &scan.normalise(), FilterWindow::Hann).unwrap();
+    let vol = fdk_reconstruct_configured(
+        &FdkConfig::new(geom.clone()).with_window(FilterWindow::Hann),
+        &scan.normalise(),
+        None,
+    )
+    .unwrap();
     let c = vol.get(geom.nx / 2, geom.ny / 2, geom.nz / 2);
     assert!(
         (c - density).abs() < 0.15 * density,

@@ -40,7 +40,8 @@ fn run_ft(
     layout: RankLayout,
     plan: &FaultPlan,
 ) -> FaultTolerantOutcome {
-    fault_tolerant_reconstruct(&FdkConfig::new(g.clone()).with_nc(2), layout, p, plan).unwrap()
+    fault_tolerant_reconstruct(&FdkConfig::new(g.clone()).with_nc(2), layout, p, plan, None)
+        .unwrap()
 }
 
 fn run_ft_mode(
@@ -55,6 +56,7 @@ fn run_ft_mode(
         layout,
         p,
         plan,
+        None,
     )
     .unwrap()
 }
@@ -366,7 +368,7 @@ fn device_transfer_errors_are_retried_in_pipeline() {
     let g = geom();
     let p = projections(&g);
     let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p).unwrap();
+    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
     // First h2d and first d2h both fail once.
     let plan = FaultPlan::from_events(vec![
         FaultEvent {
@@ -382,7 +384,7 @@ fn device_transfer_errors_are_retried_in_pipeline() {
             kind: FaultKind::TransferError,
         },
     ]);
-    let (vol, report) = rec.reconstruct_with_faults(&p, &plan, 0, None).unwrap();
+    let (vol, report) = rec.reconstruct(&p, &plan, None).unwrap();
     assert_eq!(vol.data(), reference.data());
     let retries: Vec<_> = report
         .recovery
@@ -400,7 +402,7 @@ fn storage_read_errors_are_retried_in_pipeline() {
     let g = geom();
     let p = projections(&g);
     let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p).unwrap();
+    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
     let plan = FaultPlan::from_events(vec![
         FaultEvent {
             rank: 0,
@@ -416,9 +418,7 @@ fn storage_read_errors_are_retried_in_pipeline() {
         },
     ]);
     let nvme = StorageEndpoint::local_nvme(None);
-    let (vol, report) = rec
-        .reconstruct_with_faults(&p, &plan, 0, Some(&nvme))
-        .unwrap();
+    let (vol, report) = rec.reconstruct(&p, &plan, Some(&nvme)).unwrap();
     assert_eq!(vol.data(), reference.data());
     let retries = report
         .recovery
@@ -437,7 +437,7 @@ fn generated_device_io_plans_are_deterministic_in_pipeline() {
     let g = geom();
     let p = projections(&g);
     let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p).unwrap();
+    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
     let scenario = FaultScenario {
         world_size: 1,
         max_rank_failures: 0,
@@ -451,14 +451,10 @@ fn generated_device_io_plans_are_deterministic_in_pipeline() {
     for seed in [7u64, 8] {
         let plan = FaultPlan::generate(seed, &scenario);
         let nvme = StorageEndpoint::local_nvme(None);
-        let (vol, report) = rec
-            .reconstruct_with_faults(&p, &plan, 0, Some(&nvme))
-            .unwrap();
+        let (vol, report) = rec.reconstruct(&p, &plan, Some(&nvme)).unwrap();
         assert_eq!(vol.data(), reference.data(), "seed {seed}");
         let nvme2 = StorageEndpoint::local_nvme(None);
-        let (vol2, report2) = rec
-            .reconstruct_with_faults(&p, &plan, 0, Some(&nvme2))
-            .unwrap();
+        let (vol2, report2) = rec.reconstruct(&p, &plan, Some(&nvme2)).unwrap();
         assert_eq!(vol.data(), vol2.data());
         assert_eq!(report.recovery, report2.recovery, "seed {seed}");
     }

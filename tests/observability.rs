@@ -9,8 +9,7 @@ use std::path::PathBuf;
 
 use scalefbp::substrates::phantom::{forward_project, uniform_ball};
 use scalefbp::{
-    fault_tolerant_reconstruct_observed, CbctGeometry, FdkConfig, MetricsRegistry,
-    PipelinedReconstructor, RankLayout,
+    fault_tolerant_reconstruct, CbctGeometry, FdkConfig, PipelinedReconstructor, RankLayout,
 };
 use scalefbp_cli::run;
 use scalefbp_faults::FaultPlan;
@@ -129,10 +128,9 @@ fn metrics_snapshot_matches_substrate_reports() {
     let g = CbctGeometry::ideal(16, 24, 24, 24);
     let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
     let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let registry = MetricsRegistry::new();
-    let storage = StorageEndpoint::with_observability("pfs", 2.0e9, 1.0e9, None, registry.clone());
+    let storage = StorageEndpoint::new("pfs", 2.0e9, 1.0e9, None);
     let (_, report) = rec
-        .reconstruct_observed(&p, &FaultPlan::none(), 0, Some(&storage), registry)
+        .reconstruct(&p, &FaultPlan::none(), Some(&storage))
         .unwrap();
 
     let m = &report.metrics;
@@ -168,12 +166,12 @@ fn distributed_snapshot_equals_merge_of_rank_views() {
     let g = CbctGeometry::ideal(16, 16, 24, 20);
     let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
     let layout = RankLayout::new(2, 2, 2);
-    let out = fault_tolerant_reconstruct_observed(
+    let out = fault_tolerant_reconstruct(
         &FdkConfig::new(g).with_nc(2),
         layout,
         &p,
         &FaultPlan::none(),
-        MetricsRegistry::new(),
+        None,
     )
     .unwrap();
 

@@ -4,8 +4,8 @@
 //! fails.
 
 use scalefbp::{
-    fdk_reconstruct_with, DeviceSpec, FdkConfig, FilterWindow, OutOfCoreReconstructor,
-    PipelinedReconstructor,
+    fdk_reconstruct_configured, DeviceSpec, FaultPlan, FdkConfig, FilterWindow,
+    OutOfCoreReconstructor, PipelinedReconstructor,
 };
 use scalefbp_geom::CbctGeometry;
 use scalefbp_gpusim::Device;
@@ -28,7 +28,12 @@ fn volume_heavy_setup() -> (CbctGeometry, scalefbp_geom::ProjectionStack) {
 #[test]
 fn bit_identical_across_device_budgets() {
     let (geom, projections) = volume_heavy_setup();
-    let reference = fdk_reconstruct_with(&geom, &projections, FilterWindow::RamLak).unwrap();
+    let reference = fdk_reconstruct_configured(
+        &FdkConfig::new(geom.clone()).with_window(FilterWindow::RamLak),
+        &projections,
+        None,
+    )
+    .unwrap();
     let full = (geom.projection_bytes() + geom.volume_bytes()) as u64;
     let mut plans = std::collections::HashSet::new();
     let mut budget = full;
@@ -39,7 +44,7 @@ fn bit_identical_across_device_budgets() {
         match OutOfCoreReconstructor::new(cfg) {
             Ok(rec) => {
                 plans.insert(rec.nb());
-                let (vol, _) = rec.reconstruct(&projections).unwrap();
+                let (vol, _) = rec.reconstruct(&projections, None).unwrap();
                 assert_eq!(vol.data(), reference.data(), "budget {budget}");
             }
             Err(_) => break,
@@ -65,7 +70,12 @@ fn every_window_choice_is_equivalent() {
         FilterWindow::Hamming,
         FilterWindow::Hann,
     ] {
-        let reference = fdk_reconstruct_with(&geom, &projections, window).unwrap();
+        let reference = fdk_reconstruct_configured(
+            &FdkConfig::new(geom.clone()).with_window(window),
+            &projections,
+            None,
+        )
+        .unwrap();
         let cfg = FdkConfig::new(geom.clone())
             .with_window(window)
             .with_device(DeviceSpec::tiny(
@@ -73,7 +83,7 @@ fn every_window_choice_is_equivalent() {
             ));
         let (vol, _) = OutOfCoreReconstructor::new(cfg)
             .unwrap()
-            .reconstruct(&projections)
+            .reconstruct(&projections, None)
             .unwrap();
         assert_eq!(vol.data(), reference.data(), "{window:?}");
     }
@@ -87,11 +97,11 @@ fn pipelined_and_sequential_streaming_agree() {
     ));
     let (seq, _) = OutOfCoreReconstructor::new(cfg.clone())
         .unwrap()
-        .reconstruct(&projections)
+        .reconstruct(&projections, None)
         .unwrap();
     let (pipe, _) = PipelinedReconstructor::new(cfg)
         .unwrap()
-        .reconstruct(&projections)
+        .reconstruct(&projections, &FaultPlan::none(), None)
         .unwrap();
     assert_eq!(seq.data(), pipe.data());
 }
@@ -118,7 +128,7 @@ fn table5_feasibility_boundary() {
     // Ours: streams within the budget.
     let cfg = FdkConfig::new(geom.clone()).with_device(DeviceSpec::tiny(device_budget));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    let (vol, report) = rec.reconstruct(&projections).unwrap();
+    let (vol, report) = rec.reconstruct(&projections, None).unwrap();
     assert_eq!(vol.len(), geom.volume_voxels());
     assert!(report.device.peak_allocated <= device_budget);
 }
@@ -130,7 +140,7 @@ fn streaming_never_reloads_rows() {
         let budget = (geom.projection_bytes() + geom.volume_bytes()) as u64 / denom + 65536;
         let cfg = FdkConfig::new(geom.clone()).with_device(DeviceSpec::tiny(budget));
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (_, report) = rec.reconstruct(&projections).unwrap();
+        let (_, report) = rec.reconstruct(&projections, None).unwrap();
         let rows: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         assert!(
             rows <= geom.nv + 2 * report.batches.len(),

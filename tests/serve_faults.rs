@@ -83,7 +83,8 @@ fn seeded_device_kills_recover_deterministically() {
     let inputs = generate(&spec);
     for (id, volume) in &report.volumes {
         let job = inputs.iter().find(|j| j.id == *id).unwrap();
-        let golden = fdk_reconstruct_configured(&job_config(cfg, job), &job.projections).unwrap();
+        let golden =
+            fdk_reconstruct_configured(&job_config(cfg, job), &job.projections, None).unwrap();
         assert_bitwise(&golden, volume, &format!("job {id} after device kills"));
     }
 }
@@ -184,7 +185,8 @@ fn seeded_stragglers_hedge_and_stay_bitwise() {
     assert_eq!(hedged.volumes.len(), jobs);
     for (id, volume) in &hedged.volumes {
         let job = inputs.iter().find(|j| j.id == *id).unwrap();
-        let golden = fdk_reconstruct_configured(&job_config(&cfg, job), &job.projections).unwrap();
+        let golden =
+            fdk_reconstruct_configured(&job_config(&cfg, job), &job.projections, None).unwrap();
         assert_bitwise(&golden, volume, &format!("job {id} after hedged recovery"));
     }
 }
@@ -218,7 +220,8 @@ fn corrupt_checkpoint_slab_restarts_job_from_scratch() {
         report.log.join("\n")
     );
 
-    let golden = fdk_reconstruct_configured(&job_config(&cfg, &job), &job.projections).unwrap();
+    let golden =
+        fdk_reconstruct_configured(&job_config(&cfg, &job), &job.projections, None).unwrap();
     assert_bitwise(&golden, &report.volumes[0].1, "job after corrupt slab");
 
     let (_, replay) = run_once("serve-corrupt-b");

@@ -82,7 +82,7 @@ fn every_job_is_bitwise_identical_to_a_standalone_run() {
 
     for (id, volume) in &report.volumes {
         let job = jobs.iter().find(|j| j.id == *id).unwrap();
-        let golden = fdk_reconstruct_configured(&job_config(&cfg, job), &job.projections)
+        let golden = fdk_reconstruct_configured(&job_config(&cfg, job), &job.projections, None)
             .expect("standalone reconstruction");
         assert_bitwise(&golden, volume, &format!("job {id} ({})", job.class.name()));
     }
@@ -185,6 +185,6 @@ fn preempted_long_job_migrates_across_devices_bitwise() {
     assert_eq!(report.metrics.counter("serve.device.kills", None), Some(1));
     assert!(!report.device_alive[0] && report.device_alive[1]);
 
-    let golden = fdk_reconstruct_configured(&job_config(&cfg, &job), &projections).unwrap();
+    let golden = fdk_reconstruct_configured(&job_config(&cfg, &job), &projections, None).unwrap();
     assert_bitwise(&golden, &report.volumes[0].1, "migrated long job");
 }
