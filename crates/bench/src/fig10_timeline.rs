@@ -4,7 +4,7 @@
 //! trace from the threaded pipeline.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig10_timeline
+//! cargo run --release -p scalefbp-bench -- fig10_timeline
 //! ```
 
 use scalefbp::timing::simulate_distributed;
@@ -13,7 +13,7 @@ use scalefbp_bench::MeasuredWorkload;
 use scalefbp_geom::{DatasetPreset, RankLayout};
 use scalefbp_perfmodel::MachineParams;
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let machine = MachineParams::abci_v100();
 
     // (a) Single V100, tomo_00029 → 2048³ (paper: ~137.7 s, load 9.5 s,

@@ -4,7 +4,7 @@
 //! 3-D Slicer screenshots of the proprietary scans).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig11_renderings
+//! cargo run --release -p scalefbp-bench -- fig11_renderings
 //! ```
 
 use scalefbp::{fdk_reconstruct_configured, FdkConfig, FilterWindow};
@@ -14,7 +14,7 @@ use scalefbp_phantom::{bumblebee_like, coffee_bean_like, forward_project, raster
 
 type SceneBuilder = fn(&scalefbp_geom::CbctGeometry) -> scalefbp_phantom::Phantom;
 
-fn main() {
+pub fn run(_: &crate::Options) {
     println!("Figure 11 analogue — dataset-shaped reconstructions for visual inspection\n");
     let scenes: [(&str, SceneBuilder); 2] = [
         ("coffee_bean", coffee_bean_like),

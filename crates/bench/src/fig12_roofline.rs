@@ -3,7 +3,7 @@
 //! 512³ … 2048³ of tomo_00030, ours vs the RTK-style kernel.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig12_roofline
+//! cargo run --release -p scalefbp-bench -- fig12_roofline
 //! ```
 //!
 //! The AI values come from the kernel's analytic FLOP/byte counters
@@ -15,7 +15,7 @@ use scalefbp_backproject::{KernelStats, FLOPS_PER_UPDATE};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::roofline::{Roofline, RooflinePoint};
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let roof = Roofline::v100();
     println!(
         "Figure 12 — roofline on V100 (ceiling {:.1e} FLOP/s, ridge at {:.1} FLOP/byte)",

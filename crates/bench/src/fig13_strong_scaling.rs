@@ -4,7 +4,7 @@
 //! the paper's reported numbers alongside for comparison.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig13_strong_scaling
+//! cargo run --release -p scalefbp-bench -- fig13_strong_scaling
 //! ```
 
 use scalefbp::timing::strong_scaling_sweep;
@@ -22,7 +22,7 @@ struct Panel {
     paper: &'static [f64],
 }
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let machine = MachineParams::abci_v100();
     let panels = [
         Panel {

@@ -3,14 +3,14 @@
 //! flattens onto the PFS store floor (~9 s in the paper).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig14_weak_scaling
+//! cargo run --release -p scalefbp-bench -- fig14_weak_scaling
 //! ```
 
 use scalefbp::timing::weak_scaling_sweep;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let machine = MachineParams::abci_v100();
     println!("Figure 14 — weak scaling to 4096³ (store-bound floor; paper ≈ 9 s projected,");
     println!("12.9–15.3 s (a) and 9–12.7 s (b) measured)\n");

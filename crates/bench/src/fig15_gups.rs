@@ -3,14 +3,14 @@
 //! 4…1024 GPUs.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig15_gups
+//! cargo run --release -p scalefbp-bench -- fig15_gups
 //! ```
 
 use scalefbp::timing::strong_scaling_sweep;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let machine = MachineParams::abci_v100();
     println!("Figure 15 — aggregate GUPS for 4096³ outputs (paper peaks ≈ 25,000–35,000");
     println!("GUPS at 1024 GPUs, two orders of magnitude over one GPU)\n");

@@ -4,7 +4,7 @@
 //! the single-node reconstruction.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin fig8_reduce_slice
+//! cargo run --release -p scalefbp-bench -- fig8_reduce_slice
 //! ```
 
 use scalefbp::{fault_tolerant_reconstruct, fdk_reconstruct, FdkConfig, RankLayout};
@@ -13,7 +13,7 @@ use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::slice_to_pgm;
 use scalefbp_phantom::{forward_project, Phantom};
 
-fn main() {
+pub fn run(_: &crate::Options) {
     println!("Figure 8 — MPI_Reduce on a slice of tomo_00030\n");
 
     // tomo_00030's geometry scaled 4× (paper slice: 512²; ours: 128² at

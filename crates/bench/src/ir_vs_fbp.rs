@@ -2,7 +2,7 @@
 //! reconstruction (the IR rows of Table 2).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin ir_vs_fbp
+//! cargo run --release -p scalefbp-bench -- ir_vs_fbp
 //! ```
 //!
 //! Section 1 of the paper: "FBP is commonly regarded as the standard image
@@ -18,7 +18,7 @@ use scalefbp_geom::CbctGeometry;
 use scalefbp_iterative::{Mlem, RayMarchConfig, Sirt};
 use scalefbp_phantom::{forward_project, rasterize, uniform_ball};
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let g = CbctGeometry::ideal(32, 40, 56, 48);
     let ball = uniform_ball(&g, 0.55, 1.0);
     let b = forward_project(&g, &ball);

@@ -2,7 +2,7 @@
 //! per-dataset `N_r` choices?
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin layout_search
+//! cargo run --release -p scalefbp-bench -- layout_search
 //! ```
 //!
 //! The paper picks `N_r = 16` (coffee bean), `8` (coffee bean 2x,
@@ -14,7 +14,7 @@
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::{MachineParams, PerfModel};
 
-fn main() {
+pub fn run(_: &crate::Options) {
     let model = PerfModel::new(MachineParams::abci_v100());
     println!("layout search at 1024 GPUs, N_c = 8 (projected runtimes, Eq 17)\n");
     for (name, paper_nr) in [

@@ -1,15 +1,42 @@
-//! Shared helpers for the table/figure harness binaries. Each binary
-//! under `src/bin/` regenerates one table or figure of the paper's
-//! evaluation section; see `DESIGN.md` for the index and `EXPERIMENTS.md`
-//! for recorded paper-vs-measured values.
+//! Shared helpers for the programs behind `scalefbp-bench <name>`. Each
+//! program (one module beside `main.rs`) regenerates one table, figure or
+//! `BENCH_*.json` of the evaluation; see `DESIGN.md` for the index and
+//! `EXPERIMENTS.md` for recorded paper-vs-measured values.
 
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
 use scalefbp_phantom::{forward_project, uniform_ball};
 
-/// Prints a row of right-aligned cells under a fixed width.
-pub fn print_row(cells: &[String], width: usize) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>width$}")).collect();
-    println!("{}", line.join(" "));
+pub use scalefbp::substrates::obs::JsonValue;
+
+/// Declares structs that are also JSON objects — one key per field, in
+/// declaration order — so the schema of a `BENCH_*.json` row is written
+/// once, where the row is.
+#[macro_export]
+macro_rules! json_record {
+    ($($(#[$meta:meta])* struct $name:ident {
+        $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+    })*) => {$(
+        $(#[$meta])*
+        #[derive(Clone)]
+        struct $name {
+            $($(#[$fmeta])* $field: $ty),*
+        }
+
+        impl From<$name> for $crate::JsonValue {
+            fn from(row: $name) -> Self {
+                $crate::JsonValue::object([$((stringify!($field), row.$field.into())),*])
+            }
+        }
+    )*};
+}
+
+/// Writes `doc` to `out_dir/file` through the one JSON pretty-printer,
+/// creating `out_dir` if needed.
+pub fn write_json(out_dir: &str, file: &str, doc: &JsonValue) {
+    std::fs::create_dir_all(out_dir).expect("create out-dir");
+    let path = format!("{out_dir}/{file}");
+    std::fs::write(&path, doc.to_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 /// Formats seconds with sensible precision.

@@ -4,7 +4,7 @@
 //! reconstruction parameters … e.g. Metal Artifact Reduction (MAR)").
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin mar_workflow
+//! cargo run --release -p scalefbp-bench -- mar_workflow
 //! ```
 //!
 //! Implements the classic sinogram-inpainting MAR loop from the public
@@ -60,7 +60,7 @@ fn inpaint(sino: &mut ProjectionStack, mask: &ProjectionStack, threshold: f32) {
     }
 }
 
-fn main() {
+pub fn run(_: &crate::Options) {
     // A tissue ball with a dense metal implant.
     let geom = CbctGeometry::ideal(48, 96, 96, 80);
     let r = geom.footprint_radius();

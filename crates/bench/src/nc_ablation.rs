@@ -3,7 +3,7 @@
 //! process fewer slices when using larger `N_c`").
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin nc_ablation
+//! cargo run --release -p scalefbp-bench -- nc_ablation
 //! ```
 //!
 //! Sweeps `N_c` for a single-GPU tomo_00029 → 2048³ run: larger `N_c`
@@ -15,7 +15,7 @@ use scalefbp_bench::{fmt_bytes, MeasuredWorkload};
 use scalefbp_geom::{DatasetPreset, RankLayout, VolumeDecomposition};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
 
-fn main() {
+pub fn run(_: &crate::Options) {
     println!("N_c ablation — batch count vs device footprint vs runtime\n");
 
     // Paper scale (modelled): tomo_00029 → 2048³, one V100.

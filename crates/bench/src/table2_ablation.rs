@@ -4,7 +4,7 @@
 //! 2-D scheme vs iFDK-style (`N_p`-only) vs RTK/Lu-style (no split).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin table2_ablation
+//! cargo run --release -p scalefbp-bench -- table2_ablation
 //! ```
 
 use scalefbp::baselines::{scheme_costs, Scheme};
@@ -94,7 +94,7 @@ fn measured_section() {
     );
 }
 
-fn main() {
+pub fn run(_: &crate::Options) {
     println!("Table 2 — decomposition scheme comparison (quantitative columns)\n");
     analytic_section();
     measured_section();

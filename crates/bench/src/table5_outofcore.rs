@@ -4,7 +4,7 @@
 //! the full working set exceeds device memory).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-bench --bin table5_outofcore
+//! cargo run --release -p scalefbp-bench -- table5_outofcore
 //! ```
 //!
 //! The paper-scale rows come from the calibrated Section-5 model (a V100
@@ -100,7 +100,7 @@ fn measured_section() {
     }
 }
 
-fn main() {
+pub fn run(_: &crate::Options) {
     println!("Table 5 — out-of-core single-GPU evaluation");
     println!(
         "(paper: V100 achieves 111.6–129.2 GUPS ours / 104.7–113.7 RTK; RTK ✗ beyond 8 GB volumes)"

@@ -1,10 +1,7 @@
 //! Shared kill/resume helpers for the checkpoint/restart tests, the
-//! chaos-replay bench harness, and the serve scheduler tests.
-//!
-//! These used to be copy-pasted between `tests/checkpoint_restart.rs`
-//! and the `scalefbp-bench` chaos subcommand; they live here once so
-//! the bitwise-identity assertion and the kill-grid policy cannot
-//! drift between the harnesses.
+//! serve scheduler tests and the `scalefbp-bench` programs; they live
+//! here once so the bitwise-identity assertion and the kill-grid policy
+//! cannot drift between the suites.
 
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
@@ -162,18 +159,13 @@ impl Drop for SimdEnvGuard {
 
 /// Kill grid for a run of `slabs` durable commits: first commit, middle,
 /// and last-but-one (so the resume path covers nearly-empty and
-/// nearly-full checkpoints). `quick` keeps only the middle point.
-pub fn kill_points(slabs: usize, quick: bool) -> Vec<usize> {
+/// nearly-full checkpoints).
+pub fn kill_points(slabs: usize) -> Vec<usize> {
     assert!(
         slabs >= 2,
         "kill/resume needs a multi-slab run, got {slabs}"
     );
-    let mid = (slabs / 2).max(1);
-    let mut ks = if quick {
-        vec![mid]
-    } else {
-        vec![1, mid, slabs - 1]
-    };
+    let mut ks = vec![1, (slabs / 2).max(1), slabs - 1];
     ks.dedup();
     ks
 }
@@ -184,9 +176,8 @@ mod tests {
 
     #[test]
     fn kill_points_cover_edges_and_dedup() {
-        assert_eq!(kill_points(2, false), vec![1]);
-        assert_eq!(kill_points(6, false), vec![1, 3, 5]);
-        assert_eq!(kill_points(6, true), vec![3]);
+        assert_eq!(kill_points(2), vec![1]);
+        assert_eq!(kill_points(6), vec![1, 3, 5]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! A minimal JSON writer helper and recursive-descent parser.
+//! A minimal JSON tree: recursive-descent parser, pretty-printer, and the
+//! string-escaping helper the streaming exporters share.
 //!
-//! The vendored `serde` is a marker-trait stub (see `vendor/README.md`),
-//! so the exporters hand-write their JSON and this parser provides the
-//! matching read side for validation — `trace-validate`, the golden
-//! tests, and the CI smoke step all go through [`parse_json`].
+//! The vendored `serde` is a marker-trait stub (see `vendor/README.md`).
+//! The metrics and Chrome-trace exporters stream their byte-pinned
+//! formats by hand on top of [`write_json_escaped`]; everything else (the
+//! `scalefbp-bench` artefacts) builds a [`JsonValue`] and prints it with
+//! [`JsonValue::to_pretty`]. [`parse_json`] is the matching read side —
+//! `trace-validate`, the golden tests and the CI smoke steps go through it.
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
 pub fn write_json_escaped(out: &mut String, s: &str) {
@@ -85,6 +88,139 @@ impl JsonValue {
             }
             _ => None,
         }
+    }
+
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, JsonValue::Array(_) | JsonValue::Object(_))
+    }
+
+    /// Renders the tree as a document ending in a newline: 2-space indent,
+    /// and an array or object whose members are all scalars (or that is
+    /// empty) stays on one line. Integral numbers below 1e16 print without
+    /// a fraction, every other finite number in Rust's shortest
+    /// round-trip form, so `parse_json(&v.to_pretty()) == Ok(v)` for any
+    /// finite tree. JSON has no non-finite numbers: NaN and ±∞ are
+    /// written as `null`.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) if !n.is_finite() => out.push_str("null"),
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 1e16 => {
+                out.push_str(&format!("{n}"))
+            }
+            JsonValue::Number(n) => out.push_str(&format!("{n:?}")),
+            JsonValue::String(s) => write_json_escaped(out, s),
+            JsonValue::Array(items) => {
+                write_members(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            JsonValue::Object(fields) => write_members(
+                out,
+                indent,
+                ['{', '}'],
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+/// Writes one array (keyless members) or object between `brackets`.
+fn write_members<'a>(
+    out: &mut String,
+    indent: usize,
+    brackets: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a JsonValue)> + Clone,
+) {
+    let one_line = members.clone().all(|(_, v)| v.is_scalar());
+    let pad = |out: &mut String, width: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', width));
+    };
+    out.push(brackets[0]);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if !one_line {
+            pad(out, indent + 2);
+        } else if i > 0 {
+            out.push(' ');
+        }
+        if let Some(key) = key {
+            write_json_escaped(out, key);
+            out.push_str(": ");
+        }
+        value.write_pretty(out, indent + 2);
+    }
+    if !one_line {
+        pad(out, indent);
+    }
+    out.push(brackets[1]);
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+/// An `f32` enters through its shortest decimal form, so `0.1f32` prints
+/// as `0.1` and not as the f64 expansion of its bits.
+impl From<f32> for JsonValue {
+    fn from(n: f32) -> Self {
+        JsonValue::Number(n.to_string().parse().expect("f32 Display parses as f64"))
+    }
+}
+
+/// Numbers are `f64`, so integers are exact only up to 2^53; a counter
+/// beyond that is refused rather than silently rounded.
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        assert!(n <= 1 << 53, "{n} is not exactly representable in JSON");
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::from(n as u64)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
     }
 }
 
@@ -296,6 +432,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -335,6 +472,89 @@ mod tests {
         assert_eq!(parse_json("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse_json("7.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("-7").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn pretty_layout_is_pinned() {
+        let doc = JsonValue::object([
+            ("benchmark", "demo".into()),
+            ("seed", 104_435_263_119_393_u64.into()),
+            ("empty", JsonValue::Array(vec![])),
+            ("modes", vec!["dense", "segmented"].into()),
+            (
+                "points",
+                JsonValue::Array(vec![JsonValue::object([
+                    ("f", 2.0.into()),
+                    ("secs", 0.000_001_25.into()),
+                    ("missing", JsonValue::from(None::<u64>)),
+                    ("nan", f64::NAN.into()),
+                ])]),
+            ),
+        ]);
+        assert_eq!(
+            doc.to_pretty(),
+            r#"{
+  "benchmark": "demo",
+  "seed": 104435263119393,
+  "empty": [],
+  "modes": ["dense", "segmented"],
+  "points": [
+    {"f": 2, "secs": 1.25e-6, "missing": null, "nan": null}
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not exactly representable")]
+    fn counters_beyond_2_pow_53_are_refused() {
+        let _ = JsonValue::from((1u64 << 53) + 1);
+    }
+
+    /// A random finite tree: nested arrays/objects, strings with every
+    /// escape class, counters up to 2^53, negative and sub-normal floats.
+    fn random_tree(rng: &mut proptest::TestRng, depth: u32) -> JsonValue {
+        const STRINGS: [&str; 5] = ["", "plain", "q\"b\\s/", "\n\r\t\u{1}\u{1f}", "µ→😀"];
+        let kinds = if depth == 0 { 8 } else { 10 };
+        match rng.below(kinds) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.below(2) == 1),
+            2 => JsonValue::from(rng.below((1 << 53) + 1)),
+            3 => JsonValue::from(1u64 << 53),
+            4 => JsonValue::Number(-(rng.below(1 << 53) as f64)),
+            5 => {
+                JsonValue::Number((rng.unit_f64() - 0.5) * 10f64.powi(rng.below(600) as i32 - 300))
+            }
+            6 => JsonValue::Number(
+                f64::from_bits(rng.below(1 << 52)) * [1.0, -1.0][rng.below(2) as usize],
+            ),
+            7 => STRINGS[rng.below(5) as usize].into(),
+            8 => JsonValue::Array(
+                (0..rng.below(4))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.below(4))
+                    .map(|i| {
+                        let key = format!("{}{i}", STRINGS[rng.below(5) as usize]);
+                        (key, random_tree(rng, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pretty_round_trips_through_the_parser(seed in any::<u32>()) {
+            let tree = random_tree(&mut proptest::TestRng::deterministic("json-tree", seed), 4);
+            let text = tree.to_pretty();
+            prop_assert_eq!(parse_json(&text), Ok(tree), "{}", text);
+        }
     }
 
     #[test]

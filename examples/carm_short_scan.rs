@@ -4,7 +4,7 @@
 //! constrained C-arms).
 //!
 //! ```text
-//! cargo run --release -p scalefbp-examples --example carm_short_scan
+//! cargo run --release -p scalefbp --example carm_short_scan
 //! ```
 
 use scalefbp::shortscan::{fan_half_angle, short_scan_arc};

@@ -3,7 +3,7 @@
 //! timeline of Figure 10.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-examples --example clinical_cbct_outofcore
+//! cargo run --release -p scalefbp --example clinical_cbct_outofcore
 //! ```
 
 use scalefbp::{DeviceSpec, FaultPlan, FdkConfig, FilterWindow, PipelinedReconstructor};

@@ -4,7 +4,7 @@
 //! scale.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-examples --example distributed_cluster
+//! cargo run --release -p scalefbp --example distributed_cluster
 //! ```
 
 use scalefbp::timing::{simulate_distributed, strong_scaling_sweep};

@@ -2,7 +2,7 @@
 //! scaled to laptop size, from raw photon counts to an out-of-core volume.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-examples --example microscopy_coffee_bean
+//! cargo run --release -p scalefbp --example microscopy_coffee_bean
 //! ```
 //!
 //! Exercises the full acquisition path the paper describes: the Zeiss

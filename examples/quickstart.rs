@@ -1,7 +1,7 @@
 //! Quickstart: reconstruct a 3-D Shepp-Logan phantom with one call.
 //!
 //! ```text
-//! cargo run --release -p scalefbp-examples --example quickstart
+//! cargo run --release -p scalefbp --example quickstart
 //! ```
 //!
 //! Simulates a cone-beam scan of the classic head phantom, runs the

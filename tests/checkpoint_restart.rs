@@ -21,6 +21,7 @@ use scalefbp_geom::{CbctGeometry, RankLayout};
 use scalefbp_integration::testsupport::{
     assert_bitwise, kill_points, resumed_slabs, scratch_endpoint,
 };
+use scalefbp_iosim::StorageEndpoint;
 use scalefbp_phantom::{forward_project, uniform_ball};
 
 /// Failure detection in the distributed driver is timeout-based; two
@@ -29,40 +30,42 @@ use scalefbp_phantom::{forward_project, uniform_ball};
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Out-of-core: kill mid-run at every interesting commit count, resume,
-/// compare bitwise. The tiny device forces a multi-slab decomposition.
+/// compare bitwise. The tiny devices force multi-slab decompositions.
 #[test]
 fn killed_outofcore_run_resumes_bitwise() {
-    let n = 16;
-    let g = CbctGeometry::ideal(n, n * 3 / 2, n * 3 / 2, n * 3 / 2);
-    let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
-    let cfg = FdkConfig::new(g).with_device(DeviceSpec::tiny(1_000_000));
-    let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    let (golden, report) = rec.reconstruct(&p, None).unwrap();
-    let slabs = report.batches.len();
-    assert!(slabs >= 3, "want a multi-slab run, got {slabs}");
+    for (n, device_bytes) in [(16, 1_000_000), (16, 2_000_000), (24, 2_000_000)] {
+        let g = CbctGeometry::ideal(n, n * 3 / 2, n * 3 / 2, n * 3 / 2);
+        let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
+        let cfg = FdkConfig::new(g).with_device(DeviceSpec::tiny(device_bytes));
+        let rec = OutOfCoreReconstructor::new(cfg).unwrap();
+        let (golden, report) = rec.reconstruct(&p, None).unwrap();
+        let slabs = report.batches.len();
 
-    for k in kill_points(slabs, false) {
-        let ep = scratch_endpoint(&format!("ckpt-ooc-{k}"));
-        match rec.reconstruct(
-            &p,
-            Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
-        ) {
-            Err(ReconstructionError::Interrupted { completed_slabs }) => {
-                assert_eq!(completed_slabs, k)
+        for k in kill_points(slabs) {
+            let what = format!("outofcore n={n} device={device_bytes} k={k}");
+            let ep = scratch_endpoint(&format!("ckpt-ooc-{n}-{device_bytes}-{k}"));
+            match rec.reconstruct(
+                &p,
+                Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+            ) {
+                Err(ReconstructionError::Interrupted { completed_slabs }) => {
+                    assert_eq!(completed_slabs, k, "{what}")
+                }
+                other => panic!("{what}: expected Interrupted, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected Interrupted, got {:?}", other.map(|_| ())),
+            let (resumed, _) = rec
+                .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
+                .unwrap();
+            assert_bitwise(&golden, &resumed, &what);
+            assert_eq!(resumed_slabs(&ep), k as u64, "{what}");
         }
-        let (resumed, _) = rec
-            .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
-            .unwrap();
-        assert_bitwise(&golden, &resumed, &format!("outofcore k={k}"));
-        assert_eq!(resumed_slabs(&ep), k as u64);
     }
 }
 
-/// Segmented-mode fault-tolerant distributed run, killed mid-slab under
-/// a seeded fault plan (delays, drops, a rank failure), then resumed:
-/// bitwise identical to the golden fault-free answer.
+/// Segmented-mode fault-tolerant distributed run under seeded fault plans
+/// (delays, drops, a rank failure, a corrupted frame): checkpointing alone
+/// must not change the bits, and a run killed at every interesting commit
+/// count then resumed is bitwise identical to the golden fault-free answer.
 #[test]
 fn killed_distributed_segmented_run_resumes_bitwise_under_faults() {
     let _serial = SERIAL.lock().unwrap();
@@ -76,29 +79,46 @@ fn killed_distributed_segmented_run_resumes_bitwise_under_faults() {
         .unwrap()
         .volume;
 
-    let plan = FaultPlan::generate(21, &FaultScenario::mixed(layout.num_ranks()));
-    let ep = scratch_endpoint("ckpt-ft-seg");
-    match fault_tolerant_reconstruct(
-        &cfg,
-        layout,
-        &p,
-        &plan,
-        Some((&ep, &CheckpointSpec::new("", 1).killing_after(2))),
-    ) {
-        Err(ReconstructionError::Interrupted { completed_slabs: 2 }) => {}
-        other => panic!("expected Interrupted after 2, got {:?}", other.map(|_| ())),
-    }
+    for seed in [7, 21] {
+        let plan = FaultPlan::generate(seed, &FaultScenario::mixed(layout.num_ranks()));
+        let run = |ep: &StorageEndpoint, spec: CheckpointSpec| {
+            fault_tolerant_reconstruct(&cfg, layout, &p, &plan, Some((ep, &spec)))
+        };
 
-    let out = fault_tolerant_reconstruct(
-        &cfg,
-        layout,
-        &p,
-        &plan,
-        Some((&ep, &CheckpointSpec::new("", 1).resuming())),
-    )
-    .unwrap();
-    assert_bitwise(&golden, &out.volume, "distributed segmented resume");
-    assert_eq!(resumed_slabs(&ep), 2);
+        let ep = scratch_endpoint(&format!("ckpt-ft-seg-{seed}-full"));
+        let full = run(&ep, CheckpointSpec::new("", 1)).unwrap();
+        assert_bitwise(
+            &golden,
+            &full.volume,
+            &format!("distributed seed={seed} (checkpointed, no kill)"),
+        );
+        let slabs = ep
+            .metrics_registry()
+            .snapshot()
+            .counter("ckpt.saves", None)
+            .unwrap_or(0) as usize;
+
+        for k in kill_points(slabs) {
+            let what = format!("distributed seed={seed} k={k}");
+            let ep = scratch_endpoint(&format!("ckpt-ft-seg-{seed}-{k}"));
+            match run(&ep, CheckpointSpec::new("", 1).killing_after(k)) {
+                Err(ReconstructionError::Interrupted { completed_slabs }) => {
+                    assert_eq!(completed_slabs, k, "{what}")
+                }
+                other => panic!("{what}: expected Interrupted, got {:?}", other.map(|_| ())),
+            }
+            let out = run(&ep, CheckpointSpec::new("", 1).resuming()).unwrap();
+            assert_bitwise(&golden, &out.volume, &what);
+            // Resume is per group: only a group whose every slab committed
+            // is loaded instead of recomputed.
+            let per_group = slabs / layout.ng;
+            assert_eq!(
+                resumed_slabs(&ep),
+                (k / per_group * per_group) as u64,
+                "{what}"
+            );
+        }
+    }
 }
 
 /// A seeded `Corrupt` fault flips a byte in a sealed chunk frame. The
