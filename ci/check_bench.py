@@ -19,8 +19,8 @@ import sys
 # -> keys it must carry.
 REQUIRED = {
     "backproject": {
-        "": ("quick", "backend", "simd_backend", "detected_features",
-             "contracts", "workloads"),
+        "": ("quick", "backend", "simd_backend", "threads",
+             "detected_features", "contracts", "workloads"),
         "contracts": ("drift_significance", "simd_batched_ulp_bound",
                       "simd_batched_rel_abs_bound"),
         "workloads[]": ("name", "nx", "ny", "nz", "np", "nu", "nv", "kernels"),
@@ -99,6 +99,7 @@ def check_backproject(bp, path, backend):
         assert bp["simd_backend"] == backend, (
             f"expected {backend} backend, got {bp['simd_backend']}"
         )
+    assert isinstance(bp["threads"], int) and bp["threads"] >= 1, bp["threads"]
     assert isinstance(bp["detected_features"], list)
     for key, bound in bp["contracts"].items():
         assert bound > 0, f"contract {key} not positive"
@@ -119,7 +120,7 @@ def check_backproject(bp, path, backend):
             assert field in sb, f"simd-batched missing {field}"
         assert sb["drift_ulp_significant"] <= bp["contracts"]["simd_batched_ulp_bound"]
         assert sb["drift_rel_abs"] <= bp["contracts"]["simd_batched_rel_abs_bound"]
-    return (f"{bp['simd_backend']} backend, features: "
+    return (f"{bp['simd_backend']} backend, {bp['threads']} thread(s), features: "
             f"{', '.join(bp['detected_features']) or 'none'}")
 
 

@@ -15,6 +15,7 @@ use scalefbp::substrates::exec::{CpuExecutor, Executor, KernelChoice, SimExecuto
 use scalefbp::substrates::filter::{FilterPipeline, FilterWindow};
 use scalefbp::substrates::geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
 use scalefbp::substrates::phantom::{forward_project, uniform_ball};
+use scalefbp::substrates::rayon::current_num_threads;
 use scalefbp::DeviceSpec;
 use scalefbp_bench::{write_json, JsonValue};
 use scalefbp_integration::testsupport::assert_bitwise;
@@ -218,6 +219,8 @@ fn backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -> Jso
         // in-process before any timing is reported.
         ("backend", "cpu".into()),
         ("simd_backend", simd_backend().name().into()),
+        // The parallel kernels' thread budget: `gups` is per process.
+        ("threads", current_num_threads().into()),
         ("detected_features", detected_cpu_features().into()),
         // The drift contract the non-bitwise numbers below were asserted
         // against before being written (see the backproject contracts module).

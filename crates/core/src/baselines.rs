@@ -20,7 +20,7 @@ use scalefbp_geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume, Vol
 use scalefbp_gpusim::DeviceSpec;
 use scalefbp_mpisim::{NetworkStats, World};
 
-use crate::{FdkConfig, ReconstructionError};
+use crate::{with_rank_budget, FdkConfig, ReconstructionError};
 
 /// A decomposition scheme under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,7 +154,7 @@ pub fn distributed_np_only(
     assert!(nranks > 0, "need at least one rank");
 
     let window = config.window;
-    let (results, network) = World::run_with_stats(nranks, |mut comm| {
+    let rank = with_rank_budget(nranks, |mut comm| {
         let r = comm.rank();
         let s0 = r * g.np / nranks;
         let s1 = (r + 1) * g.np / nranks;
@@ -181,6 +181,7 @@ pub fn distributed_np_only(
             None
         }
     });
+    let (results, network) = World::run_with_stats(nranks, rank);
 
     let volume = results
         .into_iter()

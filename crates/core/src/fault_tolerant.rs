@@ -63,7 +63,7 @@ use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
 use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
-use crate::{FdkConfig, ReconstructionError};
+use crate::{with_rank_budget, FdkConfig, ReconstructionError};
 
 /// Worker → leader partial sub-volume, tag + batch index.
 const CHUNK_TAG: u64 = 20_000;
@@ -450,7 +450,7 @@ pub fn fault_tolerant_reconstruct(
         layout.num_ranks(),
         injector.clone() as Arc<dyn FaultInject>,
         registry.clone(),
-        |mut comm| {
+        with_rank_budget(layout.num_ranks(), |mut comm| {
             let filter = FilterPipeline::new(g, window);
             let mats = ProjectionMatrix::full_scan(g);
             let ctx = FtCtx {
@@ -483,7 +483,7 @@ pub fn fault_tolerant_reconstruct(
                 ft_worker(&mut comm, &ctx);
                 None
             }
-        },
+        }),
     );
 
     let volume = results

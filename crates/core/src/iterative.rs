@@ -50,7 +50,7 @@ use scalefbp_iterative::{
 use scalefbp_mpisim::{hierarchical_reduce_sum_canonical, segment_partition, NetworkStats, World};
 use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 
-use crate::{ReconstructionError, ReduceMode};
+use crate::{with_rank_budget, ReconstructionError, ReduceMode};
 
 /// Which iterative solver to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -331,7 +331,7 @@ pub fn iterative_reconstruct_distributed(
         p,
         Arc::new(NoFaults),
         registry.clone(),
-        |mut comm| -> RankResult {
+        with_rank_budget(p, |mut comm| -> RankResult {
             let rank = comm.rank();
             let metrics = comm.metrics().clone();
             let fproj_pixels = metrics.rank_counter("iter.fproj.pixels", rank);
@@ -481,7 +481,7 @@ pub fn iterative_reconstruct_distributed(
                 saves,
                 ckpt_error,
             }
-        },
+        }),
     );
 
     let mut root = results

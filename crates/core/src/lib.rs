@@ -116,6 +116,8 @@ pub use shortscan::fdk_reconstruct_short_scan;
 
 /// Re-exports of every substrate crate.
 pub mod substrates {
+    /// The thread budget the parallel kernels split their work under.
+    pub use rayon;
     pub use scalefbp_backproject as backproject;
     pub use scalefbp_exec as exec;
     pub use scalefbp_fft as fft;
@@ -139,3 +141,48 @@ pub use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 pub use scalefbp_filter::FilterWindow;
 pub use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack, RankLayout, Volume};
 pub use scalefbp_gpusim::DeviceSpec;
+
+/// Wraps the body of an in-process rank so each of `ranks` ranks runs
+/// with an even share of the caller's thread budget (at least 1): a world
+/// of ranks never starts more kernel threads than its caller may use.
+pub(crate) fn with_rank_budget<T, F>(
+    ranks: usize,
+    body: F,
+) -> impl Fn(scalefbp_mpisim::Communicator) -> T + Send + Sync
+where
+    T: Send,
+    F: Fn(scalefbp_mpisim::Communicator) -> T + Send + Sync,
+{
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads((rayon::current_num_threads() / ranks.max(1)).max(1))
+        .build()
+        .expect("a thread budget always builds");
+    move |rank| pool.install(|| body(rank))
+}
+
+#[cfg(test)]
+mod tests {
+    use scalefbp_mpisim::World;
+
+    #[test]
+    fn ranks_divide_the_thread_budget() {
+        let budget = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        let per_rank = |threads, ranks| {
+            budget(threads).install(|| {
+                World::run(
+                    ranks,
+                    crate::with_rank_budget(ranks, |_| rayon::current_num_threads()),
+                )
+            })
+        };
+        assert_eq!(per_rank(2, 2), [1, 1]);
+        assert_eq!(per_rank(2, 4), [1, 1, 1, 1]);
+        assert_eq!(per_rank(2, 1), [2]);
+        assert_eq!(per_rank(4, 2), [2, 2]);
+    }
+}

@@ -231,6 +231,12 @@ impl PipelinedReconstructor {
         let (q3_tx, q3_rx) = BoundedQueue::<Volume>::new(2).split();
 
         let mut out = Volume::zeros(g.nx, g.ny, g.nz);
+        // The filter and back-projection stages compute with the caller's
+        // thread budget, as they would on the caller's own thread.
+        let stage_budget = &rayon::ThreadPoolBuilder::new()
+            .num_threads(rayon::current_num_threads())
+            .build()
+            .expect("a thread budget always builds");
 
         std::thread::scope(|scope| {
             // Load thread: pulls each batch's *differential* row block.
@@ -269,8 +275,14 @@ impl PipelinedReconstructor {
             scope.spawn(move || {
                 while let Ok((task, mut window)) = q1_rx.pop() {
                     let start = now();
-                    filter_exec
-                        .filter_stack(filter_ref, FilterChoice::default(), &mut window)
+                    stage_budget
+                        .install(|| {
+                            filter_exec.filter_stack(
+                                filter_ref,
+                                FilterChoice::default(),
+                                &mut window,
+                            )
+                        })
                         .unwrap_or_else(|e| panic!("filter stage failed: {e}"));
                     let bytes = (window.nv() * window.np() * window.nu() * 4) as f64;
                     filter_model.lock().unwrap()[task.index][1] = bytes / MODEL_FILTER_BW;
@@ -306,8 +318,10 @@ impl PipelinedReconstructor {
                         tex.write_rows(rows.data(), r.begin, r.end);
                     }
                     let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
-                    let stats = bp_exec
-                        .backproject_window(kernel_choice, &tex, mats_ref, &mut slab)
+                    let stats = stage_budget
+                        .install(|| {
+                            bp_exec.backproject_window(kernel_choice, &tex, mats_ref, &mut slab)
+                        })
                         .unwrap_or_else(|e| panic!("back-projection stage failed: {e}"));
                     kernel_updates.add(stats.updates);
                     device_secs += bp_exec

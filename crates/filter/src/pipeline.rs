@@ -1,10 +1,20 @@
 //! The reusable per-geometry filtering plan.
 
 use rayon::prelude::*;
-use scalefbp_fft::RealFftPlan;
+use scalefbp_fft::{Complex, RealFftPlan};
 use scalefbp_geom::{CbctGeometry, ProjectionStack};
 
 use crate::{FilterWindow, RampKernel};
+
+/// The buffers one row's filtering needs; one set per worker.
+struct RowScratch {
+    /// The weighted row, zero-padded to the transform length.
+    padded: Vec<f64>,
+    spectrum: Vec<Complex>,
+    /// The half-length complex transform's work buffer.
+    fft: Vec<Complex>,
+    filtered: Vec<f64>,
+}
 
 /// A reusable filtering plan for one acquisition geometry.
 ///
@@ -64,6 +74,23 @@ impl FilterPipeline {
     /// Filters one detector row in place. `v` is the **global** detector row
     /// index (used for the cosine weight's vertical term).
     pub fn filter_row(&self, row: &mut [f32], v: usize) {
+        self.filter_row_into(row, v, &mut self.scratch());
+    }
+
+    /// Fresh buffers for [`filter_row_into`](Self::filter_row_into).
+    fn scratch(&self) -> RowScratch {
+        let n = self.rfft.len();
+        RowScratch {
+            padded: vec![0.0; n],
+            spectrum: vec![Complex::ZERO; self.rfft.spectrum_len()],
+            fft: vec![Complex::ZERO; self.rfft.scratch_len()],
+            filtered: vec![0.0; n],
+        }
+    }
+
+    /// [`filter_row`](Self::filter_row) through reusable buffers: the
+    /// same operations in the same order, so the same bits.
+    fn filter_row_into(&self, row: &mut [f32], v: usize, s: &mut RowScratch) {
         assert_eq!(row.len(), self.geom.nu, "row length mismatch");
         let g = &self.geom;
         let cv = 0.5 * (g.nv as f64 - 1.0) + g.sigma_v;
@@ -71,26 +98,30 @@ impl FilterPipeline {
         let dv2 = dvv * dvv;
         let dsd2 = g.dsd * g.dsd;
 
-        let mut padded = vec![0.0f64; self.kernel.padded_len()];
-        for (u, (&px, slot)) in row.iter().zip(padded.iter_mut()).enumerate() {
+        // Only the first `nu` samples are written; the zero padding
+        // beyond them is never touched.
+        for (u, (&px, slot)) in row.iter().zip(s.padded.iter_mut()).enumerate() {
             let w = g.dsd / (self.du2[u] + dv2 + dsd2).sqrt();
             *slot = px as f64 * w;
         }
 
-        let mut spec = self.rfft.forward(&padded);
-        for (z, &h) in spec.iter_mut().zip(self.kernel.response()) {
+        self.rfft
+            .forward_into(&s.padded, &mut s.spectrum, &mut s.fft);
+        for (z, &h) in s.spectrum.iter_mut().zip(self.kernel.response()) {
             *z = z.scale(h);
         }
-        let out = self.rfft.inverse(&spec);
-        for (px, &val) in row.iter_mut().zip(&out) {
+        self.rfft
+            .inverse_into(&s.spectrum, &mut s.filtered, &mut s.fft);
+        for (px, &val) in row.iter_mut().zip(&s.filtered) {
             *px = (val * self.scale) as f32;
         }
     }
 
     /// Filters a whole (possibly partial) projection stack in place,
-    /// parallelised over detector rows. Respects the stack's `v_offset` so
-    /// partial stacks weight with their global row index. A stack with no
-    /// rows or no projections is left untouched.
+    /// parallelised over detector rows with one set of row buffers per
+    /// worker. Respects the stack's `v_offset` so partial stacks weight
+    /// with their global row index. A stack with no rows or no projections
+    /// is left untouched.
     pub fn filter_stack(&self, stack: &mut ProjectionStack) {
         assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
         let np = stack.np();
@@ -104,12 +135,15 @@ impl FilterPipeline {
             .data_mut()
             .par_chunks_mut(row_stride)
             .enumerate()
-            .for_each(|(v_local, block)| {
-                let v = v_offset + v_local;
-                for s in 0..np {
-                    self.filter_row(&mut block[s * nu..(s + 1) * nu], v);
-                }
-            });
+            .for_each_init(
+                || self.scratch(),
+                |scratch, (v_local, block)| {
+                    let v = v_offset + v_local;
+                    for row in block.chunks_exact_mut(nu) {
+                        self.filter_row_into(row, v, scratch);
+                    }
+                },
+            );
     }
 
     /// The back-projection scale that completes the FDK normalisation when
