@@ -10,10 +10,10 @@ use scalefbp::{
     OutOfCoreReconstructor, PipelineReport, PipelinedReconstructor, RankLayout, ReduceMode, Volume,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
-use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
+use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack, RowSource};
 use scalefbp_iosim::format::{
     decode_projections, decode_volume, encode_projections, encode_volume, geometry_from_text,
-    geometry_to_text, mip_to_pgm, slice_to_pgm,
+    geometry_to_text, mip_to_pgm, slice_to_pgm, ScanFile,
 };
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{chrome_trace_json, validate_chrome_trace, validate_metrics_json};
@@ -310,12 +310,47 @@ fn write_observability(
     Ok(note)
 }
 
+/// Opens a `.sfbp` scan for reading by rows; its header and length are
+/// checked here, before any driver starts.
+fn open_scan(path: &Path) -> Result<ScanFile, CliError> {
+    ScanFile::open(path).map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
+}
+
+/// The whole scan of `file`, for the drivers that take it in memory.
+fn read_scan(file: &ScanFile, path: &Path) -> Result<ProjectionStack, CliError> {
+    file.read_all()
+        .map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
+}
+
+/// A scan on disk, read by the drivers as they need it, or one
+/// synthesized in memory.
+enum Scan {
+    File(ScanFile, PathBuf),
+    Memory(ProjectionStack),
+}
+
+impl Scan {
+    /// The scan as the streaming drivers read it.
+    fn rows(&self) -> &dyn RowSource {
+        match self {
+            Scan::File(file, _) => file,
+            Scan::Memory(stack) => stack,
+        }
+    }
+
+    /// The whole scan in memory.
+    fn into_stack(self) -> Result<ProjectionStack, CliError> {
+        match self {
+            Scan::File(file, path) => read_scan(&file, &path),
+            Scan::Memory(stack) => Ok(stack),
+        }
+    }
+}
+
 /// Input for the self-contained `pipeline` / `distributed` commands:
 /// an on-disk scan when `--scan` is given, otherwise a synthesized
 /// uniform-ball scan of an ideal geometry (`--ideal N`, default 24).
-fn load_or_synthesize(
-    args: &mut Args,
-) -> Result<(CbctGeometry, ProjectionStack, String), CliError> {
+fn load_or_synthesize(args: &mut Args) -> Result<(CbctGeometry, Scan, String), CliError> {
     if let Some(scan) = args.opt("scan") {
         let scan_path = PathBuf::from(scan);
         let geom_path = args
@@ -324,9 +359,9 @@ fn load_or_synthesize(
             .unwrap_or_else(|| geometry_path(&scan_path));
         let geom = geometry_from_text(&std::fs::read_to_string(&geom_path)?)
             .map_err(|e| CliError::Message(format!("{}: {e}", geom_path.display())))?;
-        let projections = decode_projections(&std::fs::read(&scan_path)?)
-            .map_err(|e| CliError::Message(format!("{}: {e}", scan_path.display())))?;
-        Ok((geom, projections, format!("{}", scan_path.display())))
+        let file = open_scan(&scan_path)?;
+        let source = format!("{}", scan_path.display());
+        Ok((geom, Scan::File(file, scan_path), source))
     } else {
         let _ = args.opt("geom");
         let n: usize = args.typed_or("ideal", 24, "integer")?;
@@ -334,7 +369,11 @@ fn load_or_synthesize(
         geom.validate()
             .map_err(|e| CliError::Message(format!("invalid geometry: {e}")))?;
         let projections = forward_project(&geom, &uniform_ball(&geom, 0.55, 1.0));
-        Ok((geom, projections, format!("synthetic ball, ideal {n}")))
+        Ok((
+            geom,
+            Scan::Memory(projections),
+            format!("synthetic ball, ideal {n}"),
+        ))
     }
 }
 
@@ -379,7 +418,7 @@ where
 /// under a fault plan (the endpoint is where storage faults are injected).
 fn run_pipeline(
     cfg: FdkConfig,
-    projections: &ProjectionStack,
+    projections: &dyn RowSource,
     plan: &FaultPlan,
     nvme: bool,
 ) -> Result<(Volume, PipelineReport), CliError> {
@@ -464,8 +503,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
 
     let geom = geometry_from_text(&std::fs::read_to_string(&geom_path)?)
         .map_err(|e| CliError::Message(format!("{}: {e}", geom_path.display())))?;
-    let projections = decode_projections(&std::fs::read(&scan_path)?)
-        .map_err(|e| CliError::Message(format!("{}: {e}", scan_path.display())))?;
+    let scan = open_scan(&scan_path)?;
 
     let t0 = std::time::Instant::now();
     // Every arm yields (volume, detail, chrome-trace JSON, metrics);
@@ -478,6 +516,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
         .with_backend(backend);
     let (volume, detail, trace_json, metrics) = match mode.as_str() {
         "incore" => {
+            let projections = read_scan(&scan, &scan_path)?;
             let v = fdk_reconstruct_configured(&cfg, &projections, slab)
                 .map_err(|e| CliError::Message(e.to_string()))?;
             let what = match slab {
@@ -495,10 +534,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             let rec = OutOfCoreReconstructor::new(cfg.with_device(device))
                 .map_err(|e| CliError::Message(e.to_string()))?;
             let (v, report) = rec
-                .reconstruct(
-                    &projections,
-                    checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
-                )
+                .reconstruct(&scan, checkpoint.as_ref().map(|(ep, spec)| (ep, spec)))
                 .map_err(|e| CliError::Message(e.to_string()))?;
             let ckpt_note = checkpoint_note(&checkpoint);
             let detail = format!(
@@ -514,7 +550,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             let plan = parse_fault_plan(args, &single_rank_scenario())?;
             let (v, report) = run_pipeline(
                 cfg.with_device(device),
-                &projections,
+                &scan,
                 plan.as_ref().unwrap_or(&FaultPlan::none()),
                 plan.is_some(),
             )?;
@@ -532,6 +568,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
         }
         "distributed" => {
             let cfg = cfg.with_reduce_mode(reduce_mode);
+            let projections = read_scan(&scan, &scan_path)?;
             let (out, summary) = run_distributed(args, cfg, &projections, &checkpoint)?;
             let detail = format!("fault-tolerant distributed: {summary}");
             let trace = out.chrome_trace();
@@ -561,7 +598,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
 /// against the modelled NVMe endpoint, exporting the deterministic model
 /// trace and metrics snapshot.
 pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
-    let (geom, projections, source) = load_or_synthesize(args)?;
+    let (geom, scan, source) = load_or_synthesize(args)?;
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let device = parse_device(&args.opt("device").unwrap_or_else(|| "v100".into()))?;
     let backend: BackendChoice = parse_choice(args, "backend")?;
@@ -571,7 +608,7 @@ pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
         .with_window(window)
         .with_device(device)
         .with_backend(backend);
-    let (volume, report) = run_pipeline(cfg, &projections, &plan, true)?;
+    let (volume, report) = run_pipeline(cfg, scan.rows(), &plan, true)?;
 
     let obs_note =
         write_observability(args, &report.model_trace.to_chrome_trace(), &report.metrics)?;
@@ -599,7 +636,8 @@ pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
 /// optional fault schedule), exporting the recovery timeline and the
 /// per-rank mergeable metrics snapshot.
 pub fn distributed(args: &mut Args) -> Result<String, CliError> {
-    let (geom, projections, source) = load_or_synthesize(args)?;
+    let (geom, scan, source) = load_or_synthesize(args)?;
+    let projections = scan.into_stack()?;
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let backend: BackendChoice = parse_choice(args, "backend")?;
     let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
@@ -628,7 +666,8 @@ pub fn distributed(args: &mut Args) -> Result<String, CliError> {
 /// pair; `--checkpoint-dir`/`--resume` make long runs crash-consistent
 /// (see docs/iterative.md).
 pub fn iterative(args: &mut Args) -> Result<String, CliError> {
-    let (geom, projections, source) = load_or_synthesize(args)?;
+    let (geom, scan, source) = load_or_synthesize(args)?;
+    let projections = scan.into_stack()?;
     let solver_name = args.opt("solver").unwrap_or_else(|| "sirt".into());
     let iters: usize = args.typed_or("iters", 10, "integer")?;
     let ranks: usize = args.typed_or("ranks", 4, "integer")?;

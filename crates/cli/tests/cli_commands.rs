@@ -745,3 +745,39 @@ fn self_contained_commands_match_their_reconstruct_modes() {
     let (own, rec) = pair("distributed", &[]);
     assert!(own == rec, "distributed pair");
 }
+
+/// A scan truncated by one byte, and a 25-byte header whose dimensions
+/// (`2^22` each) overflow `usize`: `info` and every driver refuse both
+/// with an error naming the container problem, before reading a row.
+#[test]
+fn hostile_scans_are_refused_by_every_command() {
+    let (dir, scan) = ideal_scan("hostile", "12");
+    let good = std::fs::read(&scan).unwrap();
+    let mut overflow = b"SFBP\x02".to_vec();
+    for dim in [1u32 << 22, 1 << 22, 1 << 22, 0, 0] {
+        overflow.extend_from_slice(&dim.to_le_bytes());
+    }
+    let sidecar = std::fs::read(format!("{scan}.geom")).unwrap();
+    for (name, bytes, why) in [
+        ("truncated", &good[..good.len() - 1], "length mismatch"),
+        ("overflow", &overflow[..], "dimensions overflow"),
+    ] {
+        let path = dir.join(format!("{name}.sfbp"));
+        std::fs::write(&path, bytes).unwrap();
+        std::fs::write(dir.join(format!("{name}.sfbp.geom")), &sidecar).unwrap();
+        let path = path.to_str().unwrap();
+        assert!(call(&["info", "--file", path]).is_err(), "{name}: info");
+        let out = dir.join("never.sfbp");
+        let out = out.to_str().unwrap();
+        for mode in ["incore", "outofcore", "pipeline", "distributed"] {
+            let cmd = ["reconstruct", "--scan", path, "--out", out, "--mode", mode];
+            match call(&cmd) {
+                Err(CliError::Message(m)) => assert!(m.contains(why), "{name} {mode}: {m}"),
+                other => panic!("{name} {mode}: {other:?}"),
+            }
+        }
+        for cmd in ["pipeline", "distributed"] {
+            assert!(call(&[cmd, "--scan", path]).is_err(), "{name}: {cmd}");
+        }
+    }
+}

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use scalefbp_exec::{CpuExecutor, ExecError, Executor, SimExecutor};
 use scalefbp_faults::FaultInject;
 use scalefbp_filter::FilterWindow;
-use scalefbp_geom::{CbctGeometry, GeometryError, ProjectionStack};
+use scalefbp_geom::{CbctGeometry, GeometryError, RowSource};
 use scalefbp_gpusim::{DeviceError, DeviceSpec};
 use scalefbp_obs::MetricsRegistry;
 
@@ -44,6 +44,9 @@ pub enum ReconstructionError {
     /// The rank layout does not fit the problem: the distributed driver
     /// needs `1 ≤ N_r ≤ N_p` and `1 ≤ N_g ≤ N_z`.
     Layout(String),
+    /// Reading the projections failed: an I/O error, or a row source that
+    /// returned rows of the wrong shape.
+    Input(String),
 }
 
 impl std::fmt::Display for ReconstructionError {
@@ -63,6 +66,7 @@ impl std::fmt::Display for ReconstructionError {
             ),
             ReconstructionError::Backend(what) => write!(f, "backend error: {what}"),
             ReconstructionError::Layout(what) => write!(f, "invalid rank layout: {what}"),
+            ReconstructionError::Input(what) => write!(f, "input error: {what}"),
         }
     }
 }
@@ -203,22 +207,18 @@ impl FdkConfig {
         Ok(())
     }
 
-    /// Checks that `projections` is the full `N_v × N_p × N_u` stack the
+    /// Checks that `projections` is the full `N_v × N_p × N_u` scan the
     /// geometry describes — every driver's first step.
     pub fn check_projections(
         &self,
-        projections: &ProjectionStack,
+        projections: &dyn RowSource,
     ) -> Result<(), ReconstructionError> {
         let g = &self.geometry;
-        if projections.nv() != g.nv || projections.np() != g.np || projections.nu() != g.nu {
+        let (nv, np, nu) = projections.shape();
+        if (nv, np, nu) != (g.nv, g.np, g.nu) {
             return Err(ReconstructionError::ShapeMismatch(format!(
-                "projections {}×{}×{} vs geometry {}×{}×{}",
-                projections.nv(),
-                projections.np(),
-                projections.nu(),
-                g.nv,
-                g.np,
-                g.nu
+                "projections {nv}×{np}×{nu} vs geometry {}×{}×{}",
+                g.nv, g.np, g.nu
             )));
         }
         Ok(())

@@ -28,12 +28,14 @@
 //!   [`FdkConfig`] (window, kernel, backend), optionally restricted to a
 //!   slice range.
 //! * [`OutOfCoreReconstructor`] — Algorithm 3 on a simulated device with a
-//!   hard memory capacity: streams detector-row windows through a
-//!   [`scalefbp_backproject::TextureWindow`] and emits sub-volume slabs;
-//!   `reconstruct(p, checkpoint)` optionally commits and resumes slab
-//!   checkpoints.
+//!   hard memory capacity: reads detector-row blocks from a [`RowSource`]
+//!   (a [`ProjectionStack`], or a `.sfbp` file read by rows), streams them
+//!   through a [`scalefbp_backproject::TextureWindow`] and emits
+//!   sub-volume slabs; `reconstruct(p, checkpoint)` optionally commits and
+//!   resumes slab checkpoints.
 //! * [`PipelinedReconstructor`] — the five-stage threaded pipeline of
-//!   Figure 9 (load → filter → back-project → store on one rank), with
+//!   Figure 9 (load → filter → back-project → store on one rank, reading
+//!   from a [`RowSource`] block by block), with
 //!   span tracing for the Figure 10 timelines;
 //!   `reconstruct(p, plan, storage)` runs it under a fault plan against
 //!   an optional modelled storage endpoint.
@@ -92,6 +94,7 @@ mod iterative;
 mod outofcore;
 mod pipelined;
 pub mod shortscan;
+mod stream;
 pub mod timing;
 
 pub use checkpoint::config_fingerprint;
@@ -139,7 +142,9 @@ pub use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 
 // The most-used substrate types, at the crate root for ergonomics.
 pub use scalefbp_filter::FilterWindow;
-pub use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack, RankLayout, Volume};
+pub use scalefbp_geom::{
+    CbctGeometry, DatasetPreset, ProjectionStack, RankLayout, RowSource, Volume,
+};
 pub use scalefbp_gpusim::DeviceSpec;
 
 /// Wraps the body of an in-process rank so each of `ranks` ranks runs

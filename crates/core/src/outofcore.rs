@@ -7,13 +7,14 @@ use scalefbp_ckpt::{resume_partition, CheckpointSpec};
 use scalefbp_exec::{Executor, LaunchDescriptor};
 use scalefbp_faults::NoFaults;
 use scalefbp_filter::FilterPipeline;
-use scalefbp_geom::{ProjectionMatrix, ProjectionStack, Volume, VolumeDecomposition};
+use scalefbp_geom::{ProjectionMatrix, RowSource, Volume, VolumeDecomposition};
 use scalefbp_gpusim::DeviceCounters;
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
+use crate::stream::{read_block, RowBlocks, BLOCK_BYTES};
 use crate::{FdkConfig, FilterChoice, ReconstructionError};
 
 /// Per-batch record of one out-of-core run (a row of Table 5, per batch).
@@ -103,6 +104,9 @@ pub struct OutOfCoreReconstructor {
     registry: MetricsRegistry,
     nb: usize,
     window_rows: usize,
+    /// Bytes per row block read from the source ([`BLOCK_BYTES`]; the
+    /// stream tests shrink it to cut batches into several blocks).
+    pub(crate) block_bytes: usize,
 }
 
 impl OutOfCoreReconstructor {
@@ -139,6 +143,7 @@ impl OutOfCoreReconstructor {
                     registry,
                     nb,
                     window_rows,
+                    block_bytes: BLOCK_BYTES,
                 });
             }
             if nb == 1 {
@@ -163,8 +168,11 @@ impl OutOfCoreReconstructor {
         VolumeDecomposition::full(&self.config.geometry, self.nb)
     }
 
-    /// Runs the full reconstruction: filter on the "CPU", stream row
-    /// windows to the device, back-project each slab, normalise, assemble.
+    /// Runs the full reconstruction: read each batch's new detector rows
+    /// from `projections` in blocks, filter each block on the "CPU" and
+    /// stream it into the device ring, back-project each slab, normalise,
+    /// assemble. The scan is never held whole: a block is dropped once it
+    /// is in the ring. A failed read returns [`ReconstructionError::Input`].
     ///
     /// Bit-identical to [`crate::fdk_reconstruct_configured`] on the same
     /// inputs (asserted by the integration tests) — the paper's criterion
@@ -179,22 +187,20 @@ impl OutOfCoreReconstructor {
     /// [`ReconstructionError::Interrupted`].
     pub fn reconstruct(
         &self,
-        projections: &ProjectionStack,
+        projections: &dyn RowSource,
         checkpoint: Option<(&StorageEndpoint, &CheckpointSpec)>,
     ) -> Result<(Volume, OutOfCoreReport), ReconstructionError> {
         let g = &self.config.geometry;
         self.config.check_projections(projections)?;
         let run_start = std::time::Instant::now();
 
-        // Filter stage (the paper's CPU-side thread).
+        // Filter stage (the paper's CPU-side thread), block by block.
         let pipeline = FilterPipeline::new(g, self.config.window);
-        let mut filtered = projections.clone();
-        self.exec
-            .filter_stack(&pipeline, FilterChoice::default(), &mut filtered)?;
         let scale = pipeline.backprojection_scale() as f32;
 
         let mats = ProjectionMatrix::full_scan(g);
         let decomp = self.plan();
+        let blocks = RowBlocks::new(decomp.tasks(), g.np, g.nu, self.block_bytes);
 
         // Device-resident working set.
         let mat_buf = self.exec.alloc((g.np * 12 * 4) as u64)?;
@@ -263,7 +269,12 @@ impl OutOfCoreReconstructor {
                 h2d_secs = self
                     .exec
                     .h2d(Some(window_buf.id()), (r.len() * g.np * g.nu * 4) as u64)?;
-                window.write_rows(filtered.rows_block(r.begin, r.end), r.begin, r.end);
+                for block in blocks.split(r) {
+                    let mut rows = read_block(projections, block)?;
+                    self.exec
+                        .filter_stack(&pipeline, FilterChoice::default(), &mut rows)?;
+                    window.write_rows(rows.data(), block.begin, block.end);
+                }
             }
 
             let slab_bytes = (g.nx * g.ny * task.nz() * 4) as u64;
@@ -320,7 +331,7 @@ impl OutOfCoreReconstructor {
 mod tests {
     use super::*;
     use crate::fdk_reconstruct;
-    use scalefbp_geom::CbctGeometry;
+    use scalefbp_geom::{CbctGeometry, ProjectionStack};
     use scalefbp_gpusim::DeviceSpec;
     use scalefbp_phantom::{forward_project, uniform_ball};
 

@@ -11,12 +11,13 @@ use scalefbp_faults::{
     RecoveryLog,
 };
 use scalefbp_filter::FilterPipeline;
-use scalefbp_geom::{ProjectionMatrix, ProjectionStack, SubVolumeTask, Volume};
+use scalefbp_geom::{ProjectionMatrix, ProjectionStack, RowSource, SubVolumeTask, Volume};
 use scalefbp_gpusim::DeviceCounters;
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::{BoundedQueue, PipelineModel, TraceCollector};
 
+use crate::stream::{read_block, RowBlocks, BLOCK_BYTES};
 use crate::{FdkConfig, FilterChoice, OutOfCoreReconstructor, ReconstructionError};
 
 /// Modelled host bandwidths feeding the deterministic timing model
@@ -154,7 +155,14 @@ pub struct PipelinedReconstructor {
     config: FdkConfig,
     nb: usize,
     window_rows: usize,
+    /// Bytes per row block read from the source ([`BLOCK_BYTES`]; the
+    /// stream tests shrink it to cut batches into several blocks).
+    pub(crate) block_bytes: usize,
 }
+
+/// What the stage queues carry: a batch, one block of its new rows, and
+/// whether that block is the batch's last.
+type Block = (SubVolumeTask, ProjectionStack, bool);
 
 impl PipelinedReconstructor {
     /// Plans the pipeline (same working-set planning as the out-of-core
@@ -165,6 +173,7 @@ impl PipelinedReconstructor {
             nb: planner.nb(),
             window_rows: planner.window_rows(),
             config,
+            block_bytes: BLOCK_BYTES,
         })
     }
 
@@ -177,12 +186,20 @@ impl PipelinedReconstructor {
     /// [`crate::fdk_reconstruct_configured`] (same kernels, same order),
     /// just overlapped across threads.
     ///
+    /// The load stage reads each batch's new detector rows from
+    /// `projections` in blocks; a block travels load → filter → ring and
+    /// is dropped once it is in the ring, so the run holds the ring plus
+    /// a few blocks, never the scan. A failed read returns
+    /// [`ReconstructionError::Input`] after every stage thread has joined.
+    ///
     /// The simulated device and the optional `storage` endpoint (the
     /// modelled source of the load stage) consult `plan`'s injector, and
     /// every injected transfer/OOM/read error is retried — each retry
     /// lands in the report's [`RecoveryLog`]-backed `recovery` list and in
     /// the trace. With `FaultPlan::none()` this is exactly the fault-free
-    /// path, so recovered runs compare bit-for-bit against it.
+    /// path, so recovered runs compare bit-for-bit against it. Storage
+    /// reads and device transfers are modelled once per batch, whatever
+    /// its number of blocks.
     ///
     /// The report's `metrics` snapshot carries the device's `gpu.*` and
     /// the pipeline's `pipeline.*` counters; with `storage` they are
@@ -190,7 +207,7 @@ impl PipelinedReconstructor {
     /// lands in the same snapshot.
     pub fn reconstruct(
         &self,
-        projections: &ProjectionStack,
+        projections: &dyn RowSource,
         plan: &FaultPlan,
         storage: Option<&StorageEndpoint>,
     ) -> Result<(Volume, PipelineReport), ReconstructionError> {
@@ -212,6 +229,7 @@ impl PipelinedReconstructor {
         let mats = ProjectionMatrix::full_scan(g);
         let decomp = scalefbp_geom::VolumeDecomposition::full(g, self.nb);
         let tasks: Vec<SubVolumeTask> = decomp.tasks().to_vec();
+        let blocks = RowBlocks::new(&tasks, g.np, g.nu, self.block_bytes);
 
         let trace = TraceCollector::new();
         let t0 = Instant::now();
@@ -226,8 +244,8 @@ impl PipelinedReconstructor {
         let model_secs = Mutex::new(vec![[0.0f64; 4]; tasks.len()]);
 
         // Queues of Figure 9 (load→filter, filter→bp, bp→store).
-        let (q1_tx, q1_rx) = BoundedQueue::<(SubVolumeTask, ProjectionStack)>::new(2).split();
-        let (q2_tx, q2_rx) = BoundedQueue::<(SubVolumeTask, ProjectionStack)>::new(2).split();
+        let (q1_tx, q1_rx) = BoundedQueue::<Block>::new(2).split();
+        let (q2_tx, q2_rx) = BoundedQueue::<Block>::new(2).split();
         let (q3_tx, q3_rx) = BoundedQueue::<Volume>::new(2).split();
 
         let mut out = Volume::zeros(g.nx, g.ny, g.nz);
@@ -238,15 +256,17 @@ impl PipelinedReconstructor {
             .build()
             .expect("a thread budget always builds");
 
-        std::thread::scope(|scope| {
-            // Load thread: pulls each batch's *differential* row block.
+        let loaded = std::thread::scope(|scope| {
+            // Load thread: reads each batch's *differential* rows, block
+            // by block. On a failed read it stops; the closed queue then
+            // drains every later stage.
             let load_trace = trace.clone();
-            let load_tasks = tasks.clone();
             let load_storage = storage.clone();
             let load_recovery = &recovery;
             let load_retries = &retry_counters;
             let load_model = &model_secs;
-            scope.spawn(move || {
+            let load_tasks = &tasks;
+            let load = scope.spawn(move || -> Result<(), ReconstructionError> {
                 for task in load_tasks {
                     let start = now();
                     let r = task.new_rows;
@@ -259,12 +279,20 @@ impl PipelinedReconstructor {
                     };
                     rows_loaded.add(r.len() as u64);
                     load_model.lock().unwrap()[task.index][0] = secs;
-                    let window = projections.extract_window(r.begin, r.end, 0, g.np);
-                    load_trace.record("load", task.index, start, now());
-                    if q1_tx.push((task, window)).is_err() {
-                        return;
+                    let parts = blocks.split(r);
+                    let n = parts.len();
+                    for (i, part) in parts.into_iter().enumerate() {
+                        let rows = read_block(projections, part)?;
+                        let last = i + 1 == n;
+                        if last {
+                            load_trace.record("load", task.index, start, now());
+                        }
+                        if q1_tx.push((task.clone(), rows, last)).is_err() {
+                            return Ok(());
+                        }
                     }
                 }
+                Ok(())
             });
 
             // Filter thread (CPU, Equation 2).
@@ -273,27 +301,29 @@ impl PipelinedReconstructor {
             let filter_exec = Arc::clone(&exec);
             let filter_model = &model_secs;
             scope.spawn(move || {
-                while let Ok((task, mut window)) = q1_rx.pop() {
-                    let start = now();
+                let mut batch_start = None;
+                while let Ok((task, mut rows, last)) = q1_rx.pop() {
+                    let start = *batch_start.get_or_insert_with(now);
                     stage_budget
                         .install(|| {
-                            filter_exec.filter_stack(
-                                filter_ref,
-                                FilterChoice::default(),
-                                &mut window,
-                            )
+                            filter_exec.filter_stack(filter_ref, FilterChoice::default(), &mut rows)
                         })
                         .unwrap_or_else(|e| panic!("filter stage failed: {e}"));
-                    let bytes = (window.nv() * window.np() * window.nu() * 4) as f64;
-                    filter_model.lock().unwrap()[task.index][1] = bytes / MODEL_FILTER_BW;
-                    filter_trace.record("filter", task.index, start, now());
-                    if q2_tx.push((task, window)).is_err() {
+                    if last {
+                        let bytes = (task.new_rows.len() * g.np * g.nu * 4) as f64;
+                        filter_model.lock().unwrap()[task.index][1] = bytes / MODEL_FILTER_BW;
+                        filter_trace.record("filter", task.index, start, now());
+                        batch_start = None;
+                    }
+                    if q2_tx.push((task, rows, last)).is_err() {
                         return;
                     }
                 }
             });
 
-            // Back-projection thread (the simulated GPU).
+            // Back-projection thread (the simulated GPU): every block goes
+            // into the ring and is dropped; the batch's last block runs
+            // the transfers and the kernel.
             let bp_trace = trace.clone();
             let bp_exec = Arc::clone(&exec);
             let bp_recovery = &recovery;
@@ -304,8 +334,18 @@ impl PipelinedReconstructor {
             let bp_model = &model_secs;
             scope.spawn(move || {
                 let mut tex = TextureWindow::new(window_rows, g.np, g.nu, 0);
-                while let Ok((task, rows)) = q2_rx.pop() {
-                    let start = now();
+                let mut batch_start = None;
+                while let Ok((task, rows, last)) = q2_rx.pop() {
+                    let start = *batch_start.get_or_insert_with(now);
+                    if rows.nv() > 0 {
+                        let v = rows.v_offset();
+                        tex.write_rows(rows.data(), v, v + rows.nv());
+                    }
+                    drop(rows);
+                    if !last {
+                        continue;
+                    }
+                    batch_start = None;
                     let r = task.new_rows;
                     let mut device_secs = 0.0;
                     if !r.is_empty() {
@@ -315,7 +355,6 @@ impl PipelinedReconstructor {
                             bp_recovery,
                             bp_retries,
                         );
-                        tex.write_rows(rows.data(), r.begin, r.end);
                     }
                     let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
                     let stats = stage_budget
@@ -359,7 +398,13 @@ impl PipelinedReconstructor {
                     item += 1;
                 }
             });
+
+            load.join()
         });
+        match loaded {
+            Ok(result) => result?,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
 
         // Replay the batches through the deterministic queue recurrence:
         // same stage order and queue capacity as the real threads, but on

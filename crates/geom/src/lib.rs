@@ -45,7 +45,7 @@ pub use frame::SourceDetectorFrame;
 pub use grouping::{RankAssignment, RankLayout};
 pub use matrix::{Mat3x4, Mat4x4, ProjectionMatrix, Vec4};
 pub use params::{CbctGeometry, GeometryError};
-pub use projection::ProjectionStack;
+pub use projection::{ProjectionStack, RowSource};
 pub use volume::Volume;
 
 /// Full-scan angle (radians) of projection `s` out of `np`: `φ = 2π·s/N_p`.

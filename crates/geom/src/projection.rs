@@ -1,5 +1,52 @@
 //! Detector-row-major projection stack: the input container of Figure 3a.
 
+/// Where a streaming driver reads detector rows from: a scan held in
+/// memory, a `.sfbp` file read by rows, or a row-sharded dataset.
+///
+/// A driver asks only for the row bands it needs (Eq 6–7), so a source
+/// that reads lazily bounds host memory by the ring of rows, not by the
+/// scan.
+pub trait RowSource: Sync {
+    /// `(N_v, N_p, N_u)` of the whole scan.
+    fn shape(&self) -> (usize, usize, usize);
+
+    /// Global detector rows `[v_begin, v_end)` of every projection, as a
+    /// partial stack with `v_offset = v_begin`. A range outside the scan
+    /// is an error, never a panic.
+    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack>;
+}
+
+impl RowSource for ProjectionStack {
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.nv, self.np, self.nu)
+    }
+
+    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
+        if v_begin < self.v_offset || v_begin > v_end || v_end > self.v_offset + self.nv {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "rows [{v_begin}, {v_end}) outside held [{}, {})",
+                    self.v_offset,
+                    self.v_offset + self.nv
+                ),
+            ));
+        }
+        Ok(self.extract_window(v_begin, v_end, self.s_offset, self.s_offset + self.np))
+    }
+}
+
+/// A shared scan reads like the scan it shares.
+impl<T: RowSource + Send> RowSource for std::sync::Arc<T> {
+    fn shape(&self) -> (usize, usize, usize) {
+        T::shape(self)
+    }
+
+    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
+        T::read_rows(self, v_begin, v_end)
+    }
+}
+
 /// A stack of `N_p` projections stored detector-row major: `[v][s][u]`.
 ///
 /// This is the input layout of Figure 3a (`N_v × N_p × N_u`). Storing the
@@ -272,6 +319,20 @@ mod tests {
         let inner = w.extract_window(3, 5, 1, 2);
         assert_eq!(inner.v_offset(), 3);
         assert_eq!(inner.get(0, 0, 1), p.get(3, 1, 1));
+    }
+
+    #[test]
+    fn read_rows_is_extract_window_and_refuses_out_of_range() {
+        let p = counting_stack(6, 4, 3);
+        assert_eq!(p.shape(), (6, 4, 3));
+        assert_eq!(p.read_rows(2, 5).unwrap(), p.extract_window(2, 5, 0, 4));
+        assert_eq!(p.read_rows(3, 3).unwrap().nv(), 0);
+        let w = p.extract_window(2, 5, 0, 4);
+        assert_eq!(w.read_rows(3, 5).unwrap(), p.extract_window(3, 5, 0, 4));
+        for (b, e) in [(0, 7), (4, 3), (1, 3)] {
+            let err = w.read_rows(b, e).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "[{b}, {e})");
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 
 use std::path::{Path, PathBuf};
 
-use scalefbp_geom::{CbctGeometry, ProjectionStack};
+use scalefbp_geom::{CbctGeometry, ProjectionStack, RowSource};
 
 use crate::format::{
-    decode_projections, encode_projections, geometry_from_text, geometry_to_text, FormatError,
+    check_rows, decode_projections, encode_projections, geometry_from_text, geometry_to_text,
+    FormatError,
 };
 use crate::StorageEndpoint;
 
@@ -236,6 +237,22 @@ impl DatasetStore {
     }
 }
 
+impl RowSource for DatasetStore {
+    fn shape(&self) -> (usize, usize, usize) {
+        let g = &self.geometry;
+        (g.nv, g.np, g.nu)
+    }
+
+    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
+        check_rows(0, self.geometry.nv, v_begin, v_end)?;
+        self.read_window(v_begin, v_end, 0, self.geometry.np)
+            .map_err(|e| match e {
+                DatasetError::Io(e) => e,
+                other => std::io::Error::new(std::io::ErrorKind::InvalidData, other),
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +316,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_source_reads_what_the_stack_holds() {
+        let (endpoint, dir, geom, stack) = setup("rowsource", 3);
+        let store = DatasetStore::open(&endpoint, &dir).unwrap();
+        assert_eq!(store.shape(), stack.shape());
+        for (b, e) in [(0, geom.nv), (4, 13), (9, 9)] {
+            assert_eq!(
+                store.read_rows(b, e).unwrap(),
+                stack.read_rows(b, e).unwrap()
+            );
+        }
+        let err = store.read_rows(geom.nv - 1, geom.nv + 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

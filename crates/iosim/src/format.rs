@@ -1,13 +1,24 @@
 //! On-disk formats: raw f32 containers and PGM slice export.
 
-use bytes::{Buf, BufMut};
-use scalefbp_geom::{ProjectionStack, Volume};
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
+
+use bytes::BufMut;
+use scalefbp_geom::{ProjectionStack, RowSource, Volume};
 
 /// Magic bytes of the raw container.
 const MAGIC: &[u8; 4] = b"SFBP";
 /// Container kind tags.
 const KIND_VOLUME: u8 = 1;
 const KIND_PROJECTIONS: u8 = 2;
+/// Header bytes: magic, kind, then four (volume) or five (projections)
+/// little-endian `u32` fields.
+const VOLUME_HEADER: usize = 21;
+const PROJECTIONS_HEADER: usize = 25;
+/// Bytes [`ScanFile`] reads and converts per positioned read.
+const READ_CHUNK: usize = 1 << 18;
 
 /// Errors while decoding a container.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,6 +50,12 @@ impl std::fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+impl From<FormatError> for io::Error {
+    fn from(e: FormatError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
 fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
     out.reserve(data.len() * 4);
     for &v in data {
@@ -46,18 +63,60 @@ fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
     }
 }
 
-fn take_f32s(mut buf: &[u8], n: usize) -> Result<Vec<f32>, FormatError> {
-    if buf.len() != n * 4 {
+/// Converts little-endian bytes into `out`, four bytes per value.
+fn f32s_from_le(bytes: &[u8], out: &mut [f32]) {
+    for (dst, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *dst = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
+
+/// The `N` header fields after magic and kind, once both check out.
+fn header_fields<const N: usize>(
+    data: &[u8],
+    kind: u8,
+    wrong_kind: &'static str,
+) -> Result<[usize; N], FormatError> {
+    let len = 5 + 4 * N;
+    if data.len() < len || &data[0..4] != MAGIC {
+        return Err(FormatError::BadHeader("magic"));
+    }
+    if data[4] != kind {
+        return Err(FormatError::BadHeader(wrong_kind));
+    }
+    let mut fields = [0; N];
+    for (f, b) in fields.iter_mut().zip(data[5..len].chunks_exact(4)) {
+        *f = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+    }
+    Ok(fields)
+}
+
+/// Elements the header's three dimensions promise, checked against the
+/// payload length. A product that overflows `usize` is a bad header, not
+/// a wrapped count that happens to match a short file.
+fn payload_elements(dims: [usize; 3], payload_bytes: u64) -> Result<usize, FormatError> {
+    let n = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|n| n.checked_mul(4).is_some())
+        .ok_or(FormatError::BadHeader("dimensions overflow usize"))?;
+    if payload_bytes != n as u64 * 4 {
         return Err(FormatError::LengthMismatch {
             expected: n,
-            got: buf.len() / 4,
+            got: (payload_bytes / 4) as usize,
         });
     }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_f32_le());
+    Ok(n)
+}
+
+/// Refuses rows `[v_begin, v_end)` unless they lie inside `[lo, hi)`.
+pub(crate) fn check_rows(lo: usize, hi: usize, v_begin: usize, v_end: usize) -> io::Result<()> {
+    if v_begin < lo || v_begin > v_end || v_end > hi {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("rows [{v_begin}, {v_end}) outside the scan's [{lo}, {hi})"),
+        ));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encodes a volume (with its slab offset) into the raw container.
@@ -75,20 +134,11 @@ pub fn encode_volume(vol: &Volume) -> Vec<u8> {
 
 /// Decodes a volume container.
 pub fn decode_volume(data: &[u8]) -> Result<Volume, FormatError> {
-    if data.len() < 21 || &data[0..4] != MAGIC {
-        return Err(FormatError::BadHeader("magic"));
-    }
-    if data[4] != KIND_VOLUME {
-        return Err(FormatError::BadHeader("kind is not volume"));
-    }
-    let mut hdr = &data[5..21];
-    let nx = hdr.get_u32_le() as usize;
-    let ny = hdr.get_u32_le() as usize;
-    let nz = hdr.get_u32_le() as usize;
-    let z_offset = hdr.get_u32_le() as usize;
-    let payload = take_f32s(&data[21..], nx * ny * nz)?;
+    let [nx, ny, nz, z_offset] = header_fields(data, KIND_VOLUME, "kind is not volume")?;
+    let payload = &data[VOLUME_HEADER..];
+    payload_elements([nx, ny, nz], payload.len() as u64)?;
     let mut v = Volume::zeros_slab(nx, ny, nz, z_offset);
-    v.data_mut().copy_from_slice(&payload);
+    f32s_from_le(payload, v.data_mut());
     Ok(v)
 }
 
@@ -108,22 +158,97 @@ pub fn encode_projections(stack: &ProjectionStack) -> Vec<u8> {
 
 /// Decodes a projection-stack container.
 pub fn decode_projections(data: &[u8]) -> Result<ProjectionStack, FormatError> {
-    if data.len() < 25 || &data[0..4] != MAGIC {
-        return Err(FormatError::BadHeader("magic"));
-    }
-    if data[4] != KIND_PROJECTIONS {
-        return Err(FormatError::BadHeader("kind is not projections"));
-    }
-    let mut hdr = &data[5..25];
-    let nv = hdr.get_u32_le() as usize;
-    let np = hdr.get_u32_le() as usize;
-    let nu = hdr.get_u32_le() as usize;
-    let v_offset = hdr.get_u32_le() as usize;
-    let s_offset = hdr.get_u32_le() as usize;
-    let payload = take_f32s(&data[25..], nv * np * nu)?;
+    let [nv, np, nu, v_offset, s_offset] =
+        header_fields(data, KIND_PROJECTIONS, "kind is not projections")?;
+    let payload = &data[PROJECTIONS_HEADER..];
+    payload_elements([nv, np, nu], payload.len() as u64)?;
     let mut p = ProjectionStack::zeros_window(nv, np, nu, v_offset, s_offset);
-    p.data_mut().copy_from_slice(&payload);
+    f32s_from_le(payload, p.data_mut());
     Ok(p)
+}
+
+/// A projection-stack container opened for reading by detector rows.
+///
+/// [`open`](Self::open) reads and checks the header and the file length
+/// once. The stack is `[v][s][u]`, so a band of rows is one contiguous
+/// byte range: [`RowSource::read_rows`] reads it with one positioned read
+/// through a small buffer, and a streaming driver holds only the rows it
+/// asked for. The values are bit-identical to [`decode_projections`].
+#[derive(Debug)]
+pub struct ScanFile {
+    file: File,
+    nv: usize,
+    np: usize,
+    nu: usize,
+    v_offset: usize,
+    s_offset: usize,
+}
+
+impl ScanFile {
+    /// Opens `path` and checks its header against the file length.
+    /// Header problems come back as [`io::ErrorKind::InvalidData`]
+    /// wrapping a [`FormatError`].
+    pub fn open(path: &Path) -> io::Result<ScanFile> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len < PROJECTIONS_HEADER as u64 {
+            return Err(FormatError::BadHeader("magic").into());
+        }
+        let mut header = [0u8; PROJECTIONS_HEADER];
+        file.read_exact_at(&mut header, 0)?;
+        let [nv, np, nu, v_offset, s_offset] =
+            header_fields(&header, KIND_PROJECTIONS, "kind is not projections")?;
+        payload_elements([nv, np, nu], len - PROJECTIONS_HEADER as u64)?;
+        Ok(ScanFile {
+            file,
+            nv,
+            np,
+            nu,
+            v_offset,
+            s_offset,
+        })
+    }
+
+    /// The whole stack, in one allocation: what the in-core and
+    /// distributed drivers take.
+    pub fn read_all(&self) -> io::Result<ProjectionStack> {
+        let mut p =
+            ProjectionStack::zeros_window(self.nv, self.np, self.nu, self.v_offset, self.s_offset);
+        self.read_into(0, p.data_mut())?;
+        Ok(p)
+    }
+
+    /// Fills `out` from the payload, starting at element `first`.
+    fn read_into(&self, first: usize, out: &mut [f32]) -> io::Result<()> {
+        let mut buf = vec![0u8; READ_CHUNK.min(out.len() * 4)];
+        let mut offset = PROJECTIONS_HEADER as u64 + first as u64 * 4;
+        for dst in out.chunks_mut(READ_CHUNK / 4) {
+            let bytes = &mut buf[..dst.len() * 4];
+            self.file.read_exact_at(bytes, offset)?;
+            f32s_from_le(bytes, dst);
+            offset += bytes.len() as u64;
+        }
+        Ok(())
+    }
+}
+
+impl RowSource for ScanFile {
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.nv, self.np, self.nu)
+    }
+
+    fn read_rows(&self, v_begin: usize, v_end: usize) -> io::Result<ProjectionStack> {
+        check_rows(self.v_offset, self.v_offset + self.nv, v_begin, v_end)?;
+        let mut p = ProjectionStack::zeros_window(
+            v_end - v_begin,
+            self.np,
+            self.nu,
+            v_begin,
+            self.s_offset,
+        );
+        self.read_into((v_begin - self.v_offset) * self.np * self.nu, p.data_mut())?;
+        Ok(p)
+    }
 }
 
 /// Serialises a geometry as a stable `key = value` text block (one
@@ -294,6 +419,98 @@ mod tests {
                 got: 7
             })
         ));
+    }
+
+    /// A bare header of `kind` whose three dimensions are `2^22` each:
+    /// their product wraps to 0 in a 64-bit `usize`.
+    fn overflowing_header(kind: u8, fields: usize) -> Vec<u8> {
+        let mut data = MAGIC.to_vec();
+        data.push(kind);
+        for f in 0..fields {
+            let v: u32 = if f < 3 { 1 << 22 } else { 0 };
+            data.extend_from_slice(&v.to_le_bytes());
+        }
+        data
+    }
+
+    #[test]
+    fn overflowing_projection_dims_are_a_bad_header() {
+        let data = overflowing_header(KIND_PROJECTIONS, 5);
+        assert_eq!(data.len(), PROJECTIONS_HEADER);
+        assert_eq!(
+            decode_projections(&data),
+            Err(FormatError::BadHeader("dimensions overflow usize"))
+        );
+    }
+
+    #[test]
+    fn overflowing_volume_dims_are_a_bad_header() {
+        let data = overflowing_header(KIND_VOLUME, 4);
+        assert_eq!(data.len(), VOLUME_HEADER);
+        assert_eq!(
+            decode_volume(&data),
+            Err(FormatError::BadHeader("dimensions overflow usize"))
+        );
+    }
+
+    fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("scalefbp-format-{tag}-{}.sfbp", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn scan_file_reads_the_decoded_bits_by_rows() {
+        let mut p = ProjectionStack::zeros_window(7, 3, 5, 2, 4);
+        for (i, x) in p.data_mut().iter_mut().enumerate() {
+            *x = (i as f32 * 0.37).sin() * 1e3;
+        }
+        // Enough rows that a band spans several read chunks.
+        let mut big = ProjectionStack::zeros(9, 40, 500);
+        for (i, x) in big.data_mut().iter_mut().enumerate() {
+            *x = f32::from_bits(i as u32 ^ 0x3f80_1234);
+        }
+        for (tag, stack) in [("small", &p), ("big", &big)] {
+            let bytes = encode_projections(stack);
+            let path = scratch_file(tag, &bytes);
+            let scan = ScanFile::open(&path).unwrap();
+            let decoded = decode_projections(&bytes).unwrap();
+            assert_eq!(scan.read_all().unwrap(), decoded);
+            assert_eq!(scan.shape(), (stack.nv(), stack.np(), stack.nu()), "{tag}");
+            let (lo, hi) = (stack.v_offset(), stack.v_offset() + stack.nv());
+            for (b, e) in [(lo, hi), (lo + 1, hi - 2), (hi - 1, hi), (lo + 3, lo + 3)] {
+                let rows = scan.read_rows(b, e).unwrap();
+                assert_eq!(rows, decoded.read_rows(b, e).unwrap(), "{tag} [{b}, {e})");
+                assert_eq!(rows.v_offset(), b);
+            }
+            for (b, e) in [(hi - 1, hi + 1), (lo + 2, lo + 1)] {
+                let err = scan.read_rows(b, e).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{tag} [{b}, {e})");
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn scan_file_refuses_what_decode_refuses() {
+        let good = encode_projections(&ProjectionStack::zeros(2, 3, 4));
+        let cases: [(&str, Vec<u8>); 5] = [
+            ("truncated", good[..good.len() - 1].to_vec()),
+            ("overflow", overflowing_header(KIND_PROJECTIONS, 5)),
+            ("volume", encode_volume(&Volume::zeros(2, 2, 2))),
+            ("short", good[..10].to_vec()),
+            ("empty", Vec::new()),
+        ];
+        for (tag, bytes) in cases {
+            let expected = decode_projections(&bytes).unwrap_err();
+            let path = scratch_file(tag, &bytes);
+            let err = ScanFile::open(&path).unwrap_err();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}");
+            let inner = err.get_ref().and_then(|e| e.downcast_ref::<FormatError>());
+            assert_eq!(inner, Some(&expected), "{tag}");
+        }
     }
 
     #[test]

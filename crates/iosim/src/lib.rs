@@ -11,9 +11,9 @@
 //!   Endpoints can also *actually* read/write files, so small runs exercise
 //!   real I/O while paper-scale runs only run the cost model.
 //! * [`mod@format`] — minimal on-disk formats: a raw f32 container for volumes
-//!   and projection stacks (`SFBP` header + little-endian data) and binary
-//!   PGM slice export for visual inspection (the Figure 8 / Figure 11
-//!   deliverables).
+//!   and projection stacks (`SFBP` header + little-endian data), read whole
+//!   or by detector rows ([`format::ScanFile`]), and binary PGM slice export
+//!   for visual inspection (the Figure 8 / Figure 11 deliverables).
 
 pub mod dataset;
 pub mod format;
