@@ -781,3 +781,43 @@ fn hostile_scans_are_refused_by_every_command() {
         }
     }
 }
+
+/// A `.geom` sidecar whose pitch is infinite, or whose detector offset is
+/// NaN, parses: geometry validation must refuse it. Every `--mode` of the
+/// real binary exits 1 with an error, not a panic, and writes no volume
+/// (before the check, `du = inf` zeroed the ramp and `sigma_u = NaN` made
+/// every weight NaN, and both wrote a volume).
+#[test]
+fn non_finite_sidecar_geometry_is_refused() {
+    let (dir, scan) = ideal_scan("nonfinite", "12");
+    let sidecar = std::fs::read_to_string(format!("{scan}.geom")).unwrap();
+    for (key, value) in [("du", "inf"), ("sigma_u", "NaN")] {
+        let bad = dir.join(format!("{key}.sfbp"));
+        std::fs::copy(&scan, &bad).unwrap();
+        let text: String = sidecar
+            .lines()
+            .map(|l| match l.split_once(" = ") {
+                Some((k, _)) if k == key => format!("{key} = {value}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        assert_ne!(text, sidecar, "the sidecar has a `{key}` line");
+        std::fs::write(dir.join(format!("{key}.sfbp.geom")), text).unwrap();
+        for mode in ["incore", "outofcore", "pipeline", "distributed"] {
+            let out = dir.join(format!("vol-{key}-{mode}.sfbp"));
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
+                .args(["reconstruct", "--scan", bad.to_str().unwrap()])
+                .args(["--out", out.to_str().unwrap(), "--mode", mode])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{key} {mode}: {stderr}");
+            assert!(
+                stderr.contains(&format!("`{key}` must be finite")),
+                "{stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{key} {mode}: {stderr}");
+            assert!(!out.exists(), "{key} {mode} wrote a volume");
+        }
+    }
+}

@@ -12,6 +12,10 @@
 //! * [`RealFftPlan`] — a real-to-complex FFT of length `n` computed via a
 //!   complex FFT of length `n/2` (the classic packing trick), which is what a
 //!   production filtering pipeline uses because projection rows are real.
+//! * [`RealFftPlan::filter_lanes`] — [`LANES`] real rows at once through
+//!   forward transform, frequency-response multiply and inverse, one row
+//!   per SIMD lane, bit-identical to running the scalar transforms per row
+//!   (the batched-FFT filtering the paper gets from IPP/MKL).
 //! * [`convolve`] / [`circular_convolve`] — FFT-based linear and circular
 //!   convolution, plus [`convolve_direct`] as the O(n²) reference used by the
 //!   test-suite to validate the fast paths.
@@ -23,10 +27,12 @@
 
 mod complex;
 mod conv;
+mod lanes;
 mod plan;
 mod rfft;
 
 pub use complex::Complex;
 pub use conv::{circular_convolve, convolve, convolve_direct, next_pow2};
+pub use lanes::{LaneScratch, LANES};
 pub use plan::{Direction, FftPlan};
 pub use rfft::RealFftPlan;

@@ -83,6 +83,21 @@ impl FftPlan {
         self.n == 0
     }
 
+    /// The bit-reversal permutation [`process`](Self::process) applies.
+    pub(crate) fn rev(&self) -> &[u32] {
+        &self.rev
+    }
+
+    /// Each butterfly stage's forward twiddles, in the order
+    /// [`process`](Self::process) runs the stages: stage `s` has half-size
+    /// `2^s` and that many twiddles.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &[Complex]> {
+        self.stage_offsets
+            .iter()
+            .enumerate()
+            .map(|(s, &off)| &self.twiddles[off..off + (1 << s)])
+    }
+
     /// In-place transform of `data` in the given `direction`.
     ///
     /// The inverse transform includes the `1/N` normalisation, so

@@ -12,9 +12,9 @@ use crate::{Complex, Direction, FftPlan};
 #[derive(Clone, Debug)]
 pub struct RealFftPlan {
     n: usize,
-    half_plan: FftPlan,
+    pub(crate) half_plan: FftPlan,
     /// `e^{-πik/ (n/2)}` untangling twiddles for k in 0..n/2.
-    twiddles: Vec<Complex>,
+    pub(crate) twiddles: Vec<Complex>,
 }
 
 impl RealFftPlan {

@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 pub enum GeometryError {
     /// A dimension (detector or volume grid, projection count) is zero.
     ZeroDimension(&'static str),
+    /// A length, pitch or correction offset is NaN or infinite.
+    NonFinite(&'static str),
     /// A physical length (distance or pitch) is not strictly positive.
     NonPositiveLength(&'static str),
     /// The detector must sit beyond the rotation axis: `Dsd > Dso`.
@@ -20,6 +22,7 @@ impl std::fmt::Display for GeometryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GeometryError::ZeroDimension(name) => write!(f, "dimension `{name}` must be nonzero"),
+            GeometryError::NonFinite(name) => write!(f, "`{name}` must be finite"),
             GeometryError::NonPositiveLength(name) => {
                 write!(f, "length `{name}` must be strictly positive")
             }
@@ -128,7 +131,7 @@ impl CbctGeometry {
                 return Err(GeometryError::ZeroDimension(name));
             }
         }
-        for (v, name) in [
+        let lengths = [
             (self.dso, "dso"),
             (self.dsd, "dsd"),
             (self.du, "du"),
@@ -136,8 +139,19 @@ impl CbctGeometry {
             (self.dx, "dx"),
             (self.dy, "dy"),
             (self.dz, "dz"),
-        ] {
-            if v <= 0.0 || v.is_nan() {
+        ];
+        let offsets = [
+            (self.sigma_u, "sigma_u"),
+            (self.sigma_v, "sigma_v"),
+            (self.sigma_cor, "sigma_cor"),
+        ];
+        for &(v, name) in lengths.iter().chain(&offsets) {
+            if !v.is_finite() {
+                return Err(GeometryError::NonFinite(name));
+            }
+        }
+        for (v, name) in lengths {
+            if v <= 0.0 {
                 return Err(GeometryError::NonPositiveLength(name));
             }
         }
@@ -268,6 +282,27 @@ mod tests {
         assert_eq!(g.validate(), Err(GeometryError::NonPositiveLength("du")));
         g.du = -1.0;
         assert_eq!(g.validate(), Err(GeometryError::NonPositiveLength("du")));
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        for (name, set) in [
+            ("du", (|g, x| g.du = x) as fn(&mut CbctGeometry, f64)),
+            ("dso", |g, x| g.dso = x),
+            ("sigma_u", |g, x| g.sigma_u = x),
+            ("sigma_v", |g, x| g.sigma_v = x),
+            ("sigma_cor", |g, x| g.sigma_cor = x),
+        ] {
+            for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut g = CbctGeometry::ideal(16, 30, 24, 24);
+                set(&mut g, x);
+                assert_eq!(
+                    g.validate(),
+                    Err(GeometryError::NonFinite(name)),
+                    "{name} = {x}"
+                );
+            }
+        }
     }
 
     #[test]
