@@ -20,9 +20,7 @@ import sys
 REQUIRED = {
     "backproject": {
         "": ("quick", "backend", "simd_backend", "threads",
-             "detected_features", "contracts", "workloads"),
-        "contracts": ("drift_significance", "simd_batched_ulp_bound",
-                      "simd_batched_rel_abs_bound"),
+             "detected_features", "workloads"),
         "workloads[]": ("name", "nx", "ny", "nz", "np", "nu", "nv", "kernels"),
         "workloads[].kernels[]": ("kernel", "secs", "updates", "gups",
                                   "bit_identical_to_reference"),
@@ -101,25 +99,15 @@ def check_backproject(bp, path, backend):
         )
     assert isinstance(bp["threads"], int) and bp["threads"] >= 1, bp["threads"]
     assert isinstance(bp["detected_features"], list)
-    for key, bound in bp["contracts"].items():
-        assert bound > 0, f"contract {key} not positive"
 
     for w in bp["workloads"]:
         kernels = {k["kernel"]: k for k in w["kernels"]}
-        assert kernels.keys() == {"reference", "simd", "simd-batched"}, kernels.keys()
+        assert kernels.keys() == {"reference", "simd"}, kernels.keys()
         for k in kernels.values():
             assert k["secs"] > 0 and k["updates"] > 0
         # The harness bit-compares before reporting; trust but verify.
         assert kernels["reference"]["bit_identical_to_reference"] is None
         assert kernels["simd"]["bit_identical_to_reference"] is True
-        # The non-bitwise kernel must carry its measured drift, inside
-        # the contract the harness asserted in-process.
-        sb = kernels["simd-batched"]
-        for field in ("drift_ulp_significant", "drift_rel_abs",
-                      "drift_rel_rmse"):
-            assert field in sb, f"simd-batched missing {field}"
-        assert sb["drift_ulp_significant"] <= bp["contracts"]["simd_batched_ulp_bound"]
-        assert sb["drift_rel_abs"] <= bp["contracts"]["simd_batched_rel_abs_bound"]
     return (f"{bp['simd_backend']} backend, {bp['threads']} thread(s), features: "
             f"{', '.join(bp['detected_features']) or 'none'}")
 

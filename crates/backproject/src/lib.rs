@@ -1,6 +1,6 @@
 //! Voxel-driven FDK back-projection kernels.
 //!
-//! One oracle and one fast family, mirroring the paper (which ships a
+//! One oracle and one fast kernel, mirroring the paper (which ships a
 //! single kernel validated against RTK):
 //!
 //! * [`backproject_reference`] — Algorithm 1 verbatim: the RTK-style serial
@@ -15,23 +15,21 @@
 //!   reconstruction, with the `offset_volume_z` / `offset_proj_y` offsets.
 //! * [`backproject_simd`] / [`backproject_window_simd`] — the hot path:
 //!   the same arithmetic in the same rounding order over L1 tiles
-//!   ([`TileShape`]) with f32x8 AVX2 lanes, and a portable scalar twin that
-//!   is the only path on a host without AVX2 (see `docs/performance.md`
-//!   and the `scalefbp-bench` binary for measurements).
-//! * [`backproject_simd_batched`] / [`backproject_window_simd_batched`] —
-//!   the SIMD kernel folding `P` projections per accumulator touch; the
-//!   only kernel that is not bitwise, bounded by [`contracts`].
+//!   ([`TileShape`]), with each z-column's `u`, depth and weight computed
+//!   once per projection and reused along `k`, in f32x8 AVX2 lanes with a
+//!   portable scalar twin that is the only path on a host without AVX2
+//!   (see `docs/performance.md` and the `scalefbp-bench` binary for
+//!   measurements).
 //!
-//! Every kernel but the batched one accumulates in `f32` in ascending
-//! projection order, so they produce **bit-identical** volumes (asserted
-//! in tests) — the property the paper relies on when validating the
-//! streaming kernel against RTK.
+//! Every kernel accumulates in `f32` in ascending projection order, so
+//! they produce **bit-identical** volumes (asserted in tests) — the
+//! property the paper relies on when validating the streaming kernel
+//! against RTK.
 //!
 //! Every kernel returns [`KernelStats`] (guard-passing updates, FLOPs,
 //! bytes staged) so the roofline analysis of Figure 12 can be regenerated
 //! without hardware counters.
 
-pub mod contracts;
 mod counters;
 mod kernels;
 mod simd;
@@ -40,9 +38,8 @@ mod texture;
 pub use counters::{KernelStats, FLOPS_PER_UPDATE};
 pub use kernels::{backproject_reference, backproject_window};
 pub use simd::{
-    backproject_simd, backproject_simd_batched, backproject_simd_with,
-    backproject_simd_with_backend, backproject_window_simd, backproject_window_simd_batched,
-    backproject_window_simd_with, backproject_window_simd_with_backend, detected_cpu_features,
-    simd_backend, SimdBackend, SimdTuning, TileShape, MAX_SIMD_BATCH,
+    backproject_simd, backproject_simd_with, backproject_simd_with_backend,
+    backproject_window_simd, backproject_window_simd_with, backproject_window_simd_with_backend,
+    detected_cpu_features, simd_backend, SimdBackend, SimdTuning, TileShape,
 };
 pub use texture::TextureWindow;

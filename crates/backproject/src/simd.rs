@@ -1,30 +1,39 @@
-//! The fast kernel family: L1-tiled back-projection with f32x8 lanes across
-//! the contiguous `i` axis.
+//! The fast kernel: L1-tiled back-projection with f32x8 lanes across the
+//! contiguous `i` axis, reusing each z-column's invariants along `k`.
 //!
 //! [`backproject_reference`](crate::backproject_reference) walks the whole
 //! volume once per projection, so every voxel is re-read `N_p` times and
-//! the resident detector working set is `N_p × rows × N_u`. This module
+//! every projection is re-done from scratch per voxel. This module
 //! restructures the same arithmetic:
 //!
-//! * the `(i, j)` plane is tiled into L1-sized blocks ([`TileShape`]) and
-//!   `zslab` z-slices are walked per tile pass (z-major slab tiling), so
-//!   one projection's detector footprint — and, streaming, the
-//!   [`TextureWindow`] ring rows — is reused across the slab while
-//!   cache-hot;
+//! * the volume is cut into **bands** of `bj` rows over the call's whole
+//!   `k` range — the parallel chunks, disjoint, so the bits never depend on
+//!   the thread count — and each band is walked in `bi`-wide [`TileShape`]
+//!   tiles and `zslab`-deep `k` blocks, so one projection's detector
+//!   footprint (and, streaming, the [`TextureWindow`] ring rows) is reused
+//!   across the block while cache-hot;
 //! * within a tile the **projection loop is outermost**: per-voxel
 //!   contributions accumulate in a zero-initialised tile buffer in
 //!   ascending projection order and are added to the volume once (the
 //!   register accumulation of Section 4.3.1);
-//! * the `r·[i, j, k, 1]` dot products hoist the `r[·][1]·j` and
-//!   `r[·][2]·k` products out of the inner `i` loop. The products are
-//!   hoisted, not turned into running sums, so every f32 rounding step
-//!   matches the reference dot product bit for bit;
+//! * **column invariants.** On a circular orbit the `k` column of the
+//!   matrix rows for `u` (row 0) and depth (row 2) is exactly `±0.0`, so
+//!   `r[0][2]·k` and `r[2][2]·k` have the same bits for every `k ≥ 0`.
+//!   The depth `zh`, `x = xh/zh`, the weight `1/zh²`, the depth and
+//!   u-interior masks and the u-taps (`u0`, `eu`, `1 − eu`) are then
+//!   constant along a z-column: they are computed once per (projection,
+//!   `j`, 8-lane `i` group) and reused for every `k` of the block. Per
+//!   voxel only `yh = (r10·i + r11·j + r12·k) + r13`, `y = yh/zh`, the `v`
+//!   floor, the ring slot, the four taps and the blend remain. A
+//!   projection whose `k` column is not zero in both rows (a tilted, NaN
+//!   or ±∞ matrix) takes the same nest with the invariants recomputed for
+//!   every `k` (a run of length 1);
+//! * every sum is evaluated in `project_f32`'s order and every division
+//!   stays a division, so each f32 rounding step matches the reference
+//!   bit for bit;
 //! * the interior of the detector takes a branch-free bilinear blend with
 //!   truncate-and-adjust floors ([`fast_floor`]); boundary and non-finite
-//!   coordinates take the guarded `sub_pixel` slow path;
-//! * the f32 projection-matrix rows are packed into a flat dense array
-//!   ([`pack_rows`]) so the inner loops do not stride through 152-byte
-//!   `ProjectionMatrix` records.
+//!   coordinates take the guarded `sub_pixel` slow path.
 //!
 //! That loop nest is lowered to `core::arch` x86-64 AVX2 intrinsics behind
 //! runtime feature detection ([`simd_backend`]), with a portable scalar
@@ -33,29 +42,13 @@
 //! backends are **bitwise interchangeable** and only throughput differs.
 //! The scalar twin is the only path on a host without AVX2.
 //!
-//! Two tunings are exposed as kernels:
-//!
-//! * [`backproject_simd`] ([`SimdTuning::EXACT`], batch = 1) — one
-//!   projection folded into the tile accumulator at a time, in ascending
-//!   projection order: the addition sequence of
-//!   [`backproject_window`](crate::backproject_window)'s register
-//!   accumulation, hence **bit-identical** to the oracle.
-//! * [`backproject_simd_batched`] ([`SimdTuning::BATCHED`], batch = 8) —
-//!   accumulates `P` projections into a register-resident partial before
-//!   touching the accumulator, amortising volume write traffic the way
-//!   iFDK fuses projections per voxel pass. This *regroups* the per-voxel
-//!   f32 sum (`acc + (c₁ + c₂ + …)` instead of `((acc + c₁) + c₂) + …`),
-//!   so it carries a drift contract instead of bitwise equality: see
-//!   [`crate::contracts`] (`SIMD_BATCHED_*`).
-//!
-//! Lane layout and masking: lanes are 8 contiguous `i` voxels; tile rows
-//! are padded to a lane multiple so accumulator loads/stores never need
+//! Lane layout and masking: lanes are 8 contiguous `i` voxels; the tile
+//! accumulator holds whole lane groups so its loads/stores never need
 //! masks, while tail lanes are masked out of the *depth* predicate — they
-//! are never initialised, never gathered (masked-gather lanes touch no
-//! memory), never counted in [`KernelStats::updates`], and never written
-//! back. Non-finite detector coordinates fail the ordered interior
-//! comparisons per lane and are routed to the guarded `sub_pixel` slow
-//! path.
+//! are never gathered (masked-gather lanes touch no memory), never counted
+//! in [`KernelStats::updates`], and never written back. Non-finite
+//! detector coordinates fail the ordered interior comparisons per lane and
+//! are routed to the guarded `sub_pixel` slow path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,11 +75,12 @@ pub(crate) fn fast_floor(x: f32) -> isize {
     t.wrapping_sub((t as f32 > x) as isize)
 }
 
-/// The `(i, j)` tile of one inner loop nest.
+/// The `(i, j)` tile of one inner loop nest; `bj` is also the height of a
+/// parallel band.
 ///
-/// The defaults keep the tile's accumulator (`bi·bj` f32) plus one
+/// The defaults keep the tile's accumulator (`bi·bj·zslab` f32) plus one
 /// projection's detector footprint comfortably inside a 32 KiB L1 while
-/// leaving the inner `i` loop long enough to amortise the per-row setup.
+/// leaving the inner loops long enough to amortise the per-column setup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileShape {
     /// Tile width along `i` (the unit-stride volume axis).
@@ -96,8 +90,9 @@ pub struct TileShape {
 }
 
 impl TileShape {
-    /// L1-sized default tile: 64 × 8 voxels (2 KiB accumulator).
-    pub const L1: TileShape = TileShape { bi: 64, bj: 8 };
+    /// L1-sized default tile: 64 × 4 voxels (a 16 KiB accumulator at the
+    /// default `zslab`).
+    pub const L1: TileShape = TileShape { bi: 64, bj: 4 };
 
     /// A tile of `bi × bj` voxels.
     ///
@@ -114,16 +109,6 @@ impl Default for TileShape {
         TileShape::L1
     }
 }
-
-/// Packs the kernel-facing f32 rows densely (48 B apiece, contiguous) so
-/// the inner loops never stride through the full matrix records.
-fn pack_rows(mats: &[ProjectionMatrix]) -> Vec<[[f32; 4]; 3]> {
-    mats.iter().map(|m| m.rows_f32).collect()
-}
-
-/// Largest supported projection batch (bounds the stack-resident hoisted
-/// constant arrays).
-pub const MAX_SIMD_BATCH: usize = 32;
 
 /// Which implementation backs the SIMD kernels on this run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,39 +168,24 @@ pub fn detected_cpu_features() -> Vec<&'static str> {
     features
 }
 
-/// Tuning knobs of the SIMD loop nest.
+/// Tuning knobs of the SIMD loop nest. Any positive values give the same
+/// bits; only reuse distance and parallel grain change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimdTuning {
-    /// L1 tile of the `(i, j)` plane (clamped to the volume at entry).
+    /// L1 tile of the `(i, j)` plane; `bj` rows are one parallel band.
+    /// Each extent is clamped to `1..=` the volume's at entry.
     pub tile: TileShape,
-    /// Projections folded per accumulator touch. `1` preserves the oracle's
-    /// addition sequence exactly; larger values regroup the
-    /// per-voxel sum (drift-bounded, see [`crate::contracts`]). Clamped to
-    /// `1..=`[`MAX_SIMD_BATCH`].
-    pub batch: usize,
-    /// Z-slices walked per tile pass (z-major slab tiling); per-voxel
-    /// arithmetic and order are unaffected, only reuse distance changes.
+    /// `k` slices per accumulator block: the run a column's invariants are
+    /// reused over. Clamped to `1..=nz`.
     pub zslab: usize,
-}
-
-impl SimdTuning {
-    /// Bit-identical tuning: one projection per accumulator fold.
-    pub const EXACT: SimdTuning = SimdTuning {
-        tile: TileShape::L1,
-        batch: 1,
-        zslab: 4,
-    };
-    /// Projection-batched tuning (8 projections per voxel pass).
-    pub const BATCHED: SimdTuning = SimdTuning {
-        tile: TileShape::L1,
-        batch: 8,
-        zslab: 4,
-    };
 }
 
 impl Default for SimdTuning {
     fn default() -> Self {
-        SimdTuning::EXACT
+        SimdTuning {
+            tile: TileShape::L1,
+            zslab: 16,
+        }
     }
 }
 
@@ -255,22 +225,40 @@ fn ring_slot(v: usize, base: usize, h: usize) -> usize {
     }
 }
 
+/// True when the projection's `u` and depth rows ignore `k` (their `k`
+/// entries are `±0.0`), so `r·k` has the same bits for every `k ≥ 0` and a
+/// z-column's invariants can be computed once. `NaN` compares unequal.
+#[inline(always)]
+fn column_invariant(r: &[[f32; 4]; 3]) -> bool {
+    r[0][2] == 0.0 && r[2][2] == 0.0
+}
+
+/// One accumulator block: `bw × blen` voxels at `(i0, j0)`, `kz` slices
+/// from global z index `k0`. The accumulator holds `groups = ⌈bw/8⌉` lane
+/// groups per row, `k`-innermost: voxel `(i0 + 8g + l, j0 + tj, k0 + k)`
+/// is `acc[((tj·groups + g)·kz + k)·8 + l]`.
 #[derive(Clone, Copy)]
-struct ChunkArgs {
-    nx: usize,
-    ny: usize,
-    bi: usize,
-    bj: usize,
-    batch: usize,
-    /// Global z index of the chunk's first slice.
+struct Tile {
+    i0: usize,
+    bw: usize,
+    j0: usize,
+    blen: usize,
     k0: usize,
+    kz: usize,
+}
+
+impl Tile {
+    fn groups(&self) -> usize {
+        self.bw.div_ceil(8)
+    }
 }
 
 type Fallback<'a> = &'a (dyn Fn(usize, f32, f32) -> f32 + Sync);
 
-/// The shared driver: clamps the tile, distributes `zslab`-deep chunks of
-/// slices over the rayon pool and runs the chosen backend on each. Returns
-/// the guard-passing update count.
+/// The shared driver: clamps the tuning, cuts the volume into `bj`-row
+/// bands over every slice and runs the chosen backend on each band's
+/// tiles, distributing bands over the rayon pool. Returns the
+/// guard-passing update count.
 fn simd_core(
     rows: &[[[f32; 4]; 3]],
     vol: &mut Volume,
@@ -280,185 +268,159 @@ fn simd_core(
     backend: SimdBackend,
     fallback: Fallback<'_>,
 ) -> u64 {
-    let (nx, ny) = (vol.nx(), vol.ny());
+    let (nx, ny, nz) = (vol.nx(), vol.ny(), vol.nz());
     let z_offset = vol.z_offset();
-    let slice_len = nx * ny;
-    if slice_len == 0 || vol.nz() == 0 {
+    if nx == 0 || ny == 0 || nz == 0 {
         return 0;
     }
-    // Clamp the tile to the volume plane: an oversized tile would size its
-    // accumulator from the caller's shape rather than the volume's. Any
-    // positive tile produces the same bits, so clamping is free of numerics.
-    let (bi, bj) = (tuning.tile.bi.min(nx), tuning.tile.bj.min(ny));
-    debug_assert!(
-        bi > 0 && bj > 0 && bi <= nx && bj <= ny,
-        "clamped tile {bi}×{bj} must be positive and fit the {nx}×{ny} plane"
-    );
-    let batch = tuning.batch.clamp(1, MAX_SIMD_BATCH);
-    let zslab = tuning.zslab.max(1);
+    // Clamp every extent to 1..=the volume's: the fields are `pub`, so a
+    // zero extent can skip `TileShape::new`'s assert, and an oversized one
+    // would size the accumulator from the caller's shape. Any positive
+    // tuning produces the same bits.
+    let bi = tuning.tile.bi.clamp(1, nx);
+    let bj = tuning.tile.bj.clamp(1, ny);
+    let zslab = tuning.zslab.clamp(1, nz);
     // AVX2 gathers index with i32 lanes; a stack that large takes the
-    // scalar twin instead (same bits, no wraparound).
-    let vector_ok = data.len() <= i32::MAX as usize;
-    let use_avx2 = matches!(backend, SimdBackend::Avx2) && vector_ok;
+    // scalar twin instead (same bits, no wraparound). So does a caller
+    // that pins `SimdBackend::Avx2` on a host without it.
+    #[cfg(target_arch = "x86_64")]
+    let use_avx2 = backend == SimdBackend::Avx2
+        && is_x86_feature_detected!("avx2")
+        && data.len() <= i32::MAX as usize;
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = backend;
+
+    // Band `b` owns rows `[b·bj, (b+1)·bj)` of every slice: one `&mut`
+    // row block per slice, so bands are disjoint and the parallel split
+    // cannot change a bit.
+    let mut bands: Vec<Vec<&mut [f32]>> = (0..ny.div_ceil(bj))
+        .map(|_| Vec::with_capacity(nz))
+        .collect();
+    for slice in vol.data_mut().chunks_mut(nx * ny) {
+        for (band, block) in bands.iter_mut().zip(slice.chunks_mut(nx * bj)) {
+            band.push(block);
+        }
+    }
+    let acc_len = bj * bi.div_ceil(8) * 8 * zslab;
     let updates = AtomicU64::new(0);
-    vol.data_mut()
-        .par_chunks_mut(slice_len * zslab)
-        .enumerate()
-        .for_each(|(c, chunk)| {
-            let args = ChunkArgs {
-                nx,
-                ny,
-                bi,
-                bj,
-                batch,
-                k0: c * zslab + z_offset,
-            };
-            #[cfg(target_arch = "x86_64")]
-            let local = if use_avx2 {
-                // Safety: `use_avx2` implies the caller-verified AVX2
-                // capability (via `simd_backend`'s runtime detection) and
-                // gather indices that fit i32.
-                unsafe { chunk_avx2(rows, chunk, args, geom, data, fallback) }
-            } else {
-                chunk_scalar(rows, chunk, args, geom, data, fallback)
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let local = {
-                let _ = use_avx2;
-                chunk_scalar(rows, chunk, args, geom, data, fallback)
-            };
+    bands.par_chunks_mut(1).enumerate().for_each_init(
+        || vec![0.0f32; acc_len],
+        |acc, (b, band)| {
+            let band = &mut band[0];
+            let blen = band[0].len() / nx;
+            let mut local = 0u64;
+            for (kb, block) in band.chunks_mut(zslab).enumerate() {
+                for i0 in (0..nx).step_by(bi) {
+                    let t = Tile {
+                        i0,
+                        bw: bi.min(nx - i0),
+                        j0: b * bj,
+                        blen,
+                        k0: z_offset + kb * zslab,
+                        kz: block.len(),
+                    };
+                    let acc = &mut acc[..t.blen * t.groups() * t.kz * 8];
+                    acc.fill(0.0);
+                    #[cfg(target_arch = "x86_64")]
+                    let n = if use_avx2 {
+                        // SAFETY: `use_avx2` checked the AVX2 capability
+                        // and that every index into `data` fits i32; `acc`
+                        // holds the tile's whole lane groups.
+                        unsafe { tile_avx2(rows, acc, t, geom, data, fallback) }
+                    } else {
+                        tile_scalar(rows, acc, t, geom, data, fallback)
+                    };
+                    #[cfg(not(target_arch = "x86_64"))]
+                    let n = tile_scalar(rows, acc, t, geom, data, fallback);
+                    local += n;
+                    flush(block, acc, t, nx);
+                }
+            }
             updates.fetch_add(local, Ordering::Relaxed);
-        });
+        },
+    );
     updates.into_inner()
 }
 
-/// The portable twin of [`chunk_avx2`]: per voxel it performs the same
-/// operations in the same order (hoisted constants, one guard, truncate
-/// floor, four taps, the verbatim blend tree, batch partial initialised by
-/// its first contribution), so scalar and vector runs are bit-identical.
-fn chunk_scalar(
+/// Adds a finished tile accumulator to the volume rows it covers: one add
+/// per voxel, so the order between voxels is free.
+fn flush(block: &mut [&mut [f32]], acc: &[f32], t: Tile, nx: usize) {
+    let groups = t.groups();
+    for (k, slice_rows) in block.iter_mut().enumerate() {
+        for tj in 0..t.blen {
+            let row = &mut slice_rows[tj * nx + t.i0..][..t.bw];
+            for (g, dst) in row.chunks_mut(8).enumerate() {
+                let src = &acc[((tj * groups + g) * t.kz + k) * 8..][..dst.len()];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+            }
+        }
+    }
+}
+
+/// The portable twin of [`tile_avx2`]: per voxel it performs the same
+/// operations in the same order (the same column invariants, one guard,
+/// truncate floor, four taps, the verbatim blend tree, the accumulator
+/// add), so scalar and vector runs are bit-identical.
+fn tile_scalar(
     rows: &[[[f32; 4]; 3]],
-    chunk: &mut [f32],
-    a: ChunkArgs,
+    acc: &mut [f32],
+    t: Tile,
     g: &SampleGeom,
     data: &[f32],
     fallback: Fallback<'_>,
 ) -> u64 {
-    let ChunkArgs {
-        nx,
-        ny,
-        bi,
-        bj,
-        batch,
-        k0,
-    } = a;
-    let slice_len = nx * ny;
-    let kz = chunk.len() / slice_len;
-    let np = rows.len();
-    let mut acc = vec![0.0f32; bi * bj * kz];
+    let groups = t.groups();
+    let row_len = g.np * g.nu;
     let mut local = 0u64;
-    let (mut cxs, mut cys, mut czs) = (
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-    );
-    let (mut bxs, mut bys, mut bzs) = (
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-    );
-    let mut j0 = 0;
-    while j0 < ny {
-        let j1 = (j0 + bj).min(ny);
-        let blen = j1 - j0;
-        let mut i0 = 0;
-        while i0 < nx {
-            let i1 = (i0 + bi).min(nx);
-            let bw = i1 - i0;
-            acc[..bw * blen * kz].fill(0.0);
-            let mut sb = 0;
-            while sb < np {
-                let se = (sb + batch).min(np);
-                for k in 0..kz {
-                    let kk = (k0 + k) as f32;
-                    for (t, r) in rows[sb..se].iter().enumerate() {
-                        cxs[t] = r[0][2] * kk;
-                        cys[t] = r[1][2] * kk;
-                        czs[t] = r[2][2] * kk;
+    for (s, r) in rows.iter().enumerate() {
+        let run = if column_invariant(r) { t.kz } else { 1 };
+        for tj in 0..t.blen {
+            let jj = (t.j0 + tj) as f32;
+            let (bx, by, bz) = (r[0][1] * jj, r[1][1] * jj, r[2][1] * jj);
+            for ti in 0..t.bw {
+                let ii = (t.i0 + ti) as f32;
+                // `project_f32`'s `((r0·i + r1·j) + r2·k) + r3`, with the
+                // `i`/`j` partial sums hoisted out of the `k` loop.
+                let (px, py, pz) = (r[0][0] * ii + bx, r[1][0] * ii + by, r[2][0] * ii + bz);
+                let cell = &mut acc[((tj * groups + ti / 8) * t.kz) * 8 + ti % 8..];
+                for kr in (0..t.kz).step_by(run) {
+                    let kk = (t.k0 + kr) as f32;
+                    let zh = (pz + r[2][2] * kk) + r[2][3];
+                    if !depth_ok(zh) {
+                        continue;
                     }
-                    for (tj, j) in (j0..j1).enumerate() {
-                        let jj = j as f32;
-                        for (t, r) in rows[sb..se].iter().enumerate() {
-                            bxs[t] = r[0][1] * jj;
-                            bys[t] = r[1][1] * jj;
-                            bzs[t] = r[2][1] * jj;
-                        }
-                        let arow = &mut acc[(k * blen + tj) * bw..][..bw];
-                        for (ti, i) in (i0..i1).enumerate() {
-                            let ii = i as f32;
-                            let mut partial = 0.0f32;
-                            let mut init = false;
-                            for (t, r) in rows[sb..se].iter().enumerate() {
-                                let s = sb + t;
-                                // Same products, same left-to-right adds as
-                                // `project_f32`'s `r0·i + r1·j + r2·k + r3`.
-                                let zh = ((r[2][0] * ii + bzs[t]) + czs[t]) + r[2][3];
-                                if !depth_ok(zh) {
-                                    continue;
-                                }
-                                let xh = ((r[0][0] * ii + bxs[t]) + cxs[t]) + r[0][3];
-                                let yh = ((r[1][0] * ii + bys[t]) + cys[t]) + r[1][3];
-                                let x = xh / zh;
-                                let y = yh / zh - g.v_shift;
-                                let w = 1.0 / (zh * zh);
-                                // Float-domain interior guard: NaN/±∞ fail
-                                // the ordered comparisons and take the
-                                // guarded slow path (the fast_floor NaN
-                                // escape cannot recur here).
-                                let samp = if x >= 0.0 && x < g.u_max && y >= g.lo_v && y < g.hi_v {
-                                    let u0 = fast_floor(x) as usize;
-                                    let v0 = fast_floor(y) as usize;
-                                    let eu = x - u0 as f32;
-                                    let ev = y - v0 as f32;
-                                    let s0 = ring_slot(v0, g.base, g.h);
-                                    let s1 = ring_slot(v0 + 1, g.base, g.h);
-                                    let r0 = (s0 * g.np + s) * g.nu + u0;
-                                    let r1 = (s1 * g.np + s) * g.nu + u0;
-                                    let t1 = data[r0] * (1.0 - eu) + data[r0 + 1] * eu;
-                                    let t2 = data[r1] * (1.0 - eu) + data[r1 + 1] * eu;
-                                    t1 * (1.0 - ev) + t2 * ev
-                                } else {
-                                    fallback(s, x, y)
-                                };
-                                let contrib = w * samp;
-                                // First contribution *initialises* the
-                                // partial — `0.0 + contrib` would flip a
-                                // -0.0 contribution to +0.0 and break the
-                                // batch = 1 bitwise contract.
-                                partial = if init { partial + contrib } else { contrib };
-                                init = true;
-                                local += 1;
-                            }
-                            if init {
-                                arow[ti] += partial;
-                            }
-                        }
-                    }
-                }
-                sb = se;
-            }
-            for k in 0..kz {
-                let slice = &mut chunk[k * slice_len..(k + 1) * slice_len];
-                for (tj, j) in (j0..j1).enumerate() {
-                    let arow = &acc[(k * blen + tj) * bw..][..bw];
-                    for (d, &v) in slice[j * nx + i0..j * nx + i1].iter_mut().zip(arow) {
-                        *d += v;
+                    local += run as u64;
+                    let x = ((px + r[0][2] * kk) + r[0][3]) / zh;
+                    let w = 1.0 / (zh * zh);
+                    // Float-domain interior guards: NaN/±∞ fail the ordered
+                    // comparisons and take the guarded slow path (the
+                    // fast_floor NaN escape cannot recur here).
+                    let u_in = x >= 0.0 && x < g.u_max;
+                    let u0 = if u_in { fast_floor(x) as usize } else { 0 };
+                    let eu = x - u0 as f32;
+                    let omeu = 1.0 - eu;
+                    let col = s * g.nu + u0;
+                    for k in kr..kr + run {
+                        let kk = (t.k0 + k) as f32;
+                        let y = ((py + r[1][2] * kk) + r[1][3]) / zh - g.v_shift;
+                        let samp = if u_in && y >= g.lo_v && y < g.hi_v {
+                            let v0 = fast_floor(y) as usize;
+                            let ev = y - v0 as f32;
+                            let r0 = ring_slot(v0, g.base, g.h) * row_len + col;
+                            let r1 = ring_slot(v0 + 1, g.base, g.h) * row_len + col;
+                            let t1 = data[r0] * omeu + data[r0 + 1] * eu;
+                            let t2 = data[r1] * omeu + data[r1 + 1] * eu;
+                            t1 * (1.0 - ev) + t2 * ev
+                        } else {
+                            fallback(s, x, y)
+                        };
+                        cell[k * 8] += w * samp;
                     }
                 }
             }
-            i0 = i1;
         }
-        j0 = j1;
     }
     local
 }
@@ -466,38 +428,25 @@ fn chunk_scalar(
 /// The AVX2 lowering: 8 contiguous `i` voxels per register. Every intrinsic
 /// used is lane-wise IEEE round-to-nearest (`mul`/`add`/`sub`/`div`,
 /// blends, masked gathers — **no FMA**, which would fuse a rounding step),
-/// so each lane reproduces [`chunk_scalar`]'s scalar arithmetic bit for
-/// bit.
+/// so each lane reproduces [`tile_scalar`]'s arithmetic bit for bit.
+///
+/// # Safety
+/// The CPU must support AVX2, every in-bounds index into `data` must fit
+/// an `i32`, and `acc` must hold `t.blen · t.groups() · t.kz · 8` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn chunk_avx2(
+unsafe fn tile_avx2(
     rows: &[[[f32; 4]; 3]],
-    chunk: &mut [f32],
-    a: ChunkArgs,
+    acc: &mut [f32],
+    t: Tile,
     g: &SampleGeom,
     data: &[f32],
     fallback: Fallback<'_>,
 ) -> u64 {
     use std::arch::x86_64::*;
 
-    let ChunkArgs {
-        nx,
-        ny,
-        bi,
-        bj,
-        batch,
-        k0,
-    } = a;
-    let slice_len = nx * ny;
-    let kz = chunk.len() / slice_len;
-    let np = rows.len();
-    // Tile rows padded to a lane multiple: accumulator loads/stores are
-    // always full-width; pad lanes are masked out of the depth predicate,
-    // never initialised, and never written back.
-    let pad = (bi + 7) & !7;
-    let mut acc = vec![0.0f32; pad * bj * kz];
+    let groups = t.groups();
     let mut local = 0u64;
-
     let zero = _mm256_setzero_ps();
     let onev = _mm256_set1_ps(1.0);
     let infv = _mm256_set1_ps(f32::INFINITY);
@@ -513,259 +462,170 @@ unsafe fn chunk_avx2(
     let h_vec = _mm256_set1_epi32(h_i32);
     let h_m1 = _mm256_set1_epi32(h_i32 - 1);
     let base_v = _mm256_set1_epi32(g.base as i32);
-    let np_v = _mm256_set1_epi32(g.np as i32);
-    let nu_v = _mm256_set1_epi32(g.nu as i32);
+    // Elements per ring slot; `(s0·np + s)·nu + u0 = s0·row + (s·nu + u0)`
+    // in wrapping i32 arithmetic, exact for every in-bounds index.
+    let row_v = _mm256_set1_epi32((g.np * g.nu) as i32);
     let ptr = data.as_ptr();
-    let (mut cxs, mut cys, mut czs) = (
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-    );
-    let (mut bxs, mut bys, mut bzs) = (
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-        [0.0f32; MAX_SIMD_BATCH],
-    );
 
-    let mut j0 = 0;
-    while j0 < ny {
-        let j1 = (j0 + bj).min(ny);
-        let blen = j1 - j0;
-        let mut i0 = 0;
-        while i0 < nx {
-            let i1 = (i0 + bi).min(nx);
-            let bw = i1 - i0;
-            let groups = bw.div_ceil(8);
-            acc[..pad * blen * kz].fill(0.0);
-            let mut sb = 0;
-            while sb < np {
-                let se = (sb + batch).min(np);
-                for k in 0..kz {
-                    let kk = (k0 + k) as f32;
-                    for (t, r) in rows[sb..se].iter().enumerate() {
-                        cxs[t] = r[0][2] * kk;
-                        cys[t] = r[1][2] * kk;
-                        czs[t] = r[2][2] * kk;
+    // Truncate-and-adjust floor, vectorised. Interior coordinates are
+    // >= 0 so the adjust never fires for live lanes; junk in masked lanes
+    // is discarded.
+    let floor = |v: __m256| {
+        let tr = _mm256_cvttps_epi32(v);
+        _mm256_add_epi32(
+            tr,
+            _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_cvtepi32_ps(tr), v)),
+        )
+    };
+
+    for (s, r) in rows.iter().enumerate() {
+        let run = if column_invariant(r) { t.kz } else { 1 };
+        let (r00, r10, r20) = (
+            _mm256_set1_ps(r[0][0]),
+            _mm256_set1_ps(r[1][0]),
+            _mm256_set1_ps(r[2][0]),
+        );
+        let (r03, r13, r23) = (
+            _mm256_set1_ps(r[0][3]),
+            _mm256_set1_ps(r[1][3]),
+            _mm256_set1_ps(r[2][3]),
+        );
+        let s_nu = _mm256_set1_epi32((s * g.nu) as i32);
+        for tj in 0..t.blen {
+            let jj = (t.j0 + tj) as f32;
+            let bx = _mm256_set1_ps(r[0][1] * jj);
+            let by = _mm256_set1_ps(r[1][1] * jj);
+            let bz = _mm256_set1_ps(r[2][1] * jj);
+            for gi in 0..groups {
+                let ibase = t.i0 + gi * 8;
+                let lanes = (t.bw - gi * 8).min(8) as i32;
+                let tail = _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(lanes), lane));
+                let vii =
+                    _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(ibase as i32), lane));
+                // The hoisted `r0·i + r1·j` partial sums of the three rows.
+                let px = _mm256_add_ps(_mm256_mul_ps(r00, vii), bx);
+                let py = _mm256_add_ps(_mm256_mul_ps(r10, vii), by);
+                let pz = _mm256_add_ps(_mm256_mul_ps(r20, vii), bz);
+                let cell = &mut acc[(tj * groups + gi) * t.kz * 8..][..t.kz * 8];
+                let mut kr = 0;
+                while kr < t.kz {
+                    let kk = (t.k0 + kr) as f32;
+                    // The column invariants: zh = (pz + r22·k) + r23, x, w.
+                    let zh = _mm256_add_ps(_mm256_add_ps(pz, _mm256_set1_ps(r[2][2] * kk)), r23);
+                    // depth_ok: 0 < zh < ∞ (NaN fails both ordered
+                    // compares); tail lanes excluded.
+                    let m_d = _mm256_and_ps(
+                        _mm256_and_ps(
+                            _mm256_cmp_ps::<_CMP_GT_OQ>(zh, zero),
+                            _mm256_cmp_ps::<_CMP_LT_OQ>(zh, infv),
+                        ),
+                        tail,
+                    );
+                    let dbits = _mm256_movemask_ps(m_d);
+                    if dbits == 0 {
+                        kr += run;
+                        continue;
                     }
-                    for (tj, j) in (j0..j1).enumerate() {
-                        let jj = j as f32;
-                        for (t, r) in rows[sb..se].iter().enumerate() {
-                            bxs[t] = r[0][1] * jj;
-                            bys[t] = r[1][1] * jj;
-                            bzs[t] = r[2][1] * jj;
-                        }
-                        let arow = &mut acc[(k * blen + tj) * pad..][..pad];
-                        for gi in 0..groups {
-                            let ibase = i0 + gi * 8;
-                            let lanes = (bw - gi * 8).min(8) as i32;
-                            let tail = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-                                _mm256_set1_epi32(lanes),
-                                lane,
-                            ));
-                            let vii = _mm256_cvtepi32_ps(_mm256_add_epi32(
-                                _mm256_set1_epi32(ibase as i32),
-                                lane,
-                            ));
-                            let mut partial = zero;
-                            let mut init = zero;
-                            for (t, r) in rows[sb..se].iter().enumerate() {
-                                let s = sb + t;
-                                // zh = ((r20·i + bz) + cz) + r23, the exact
-                                // hoisted-dot-product order of the scalar
-                                // twin, broadcast per projection.
-                                let zh = _mm256_add_ps(
-                                    _mm256_add_ps(
-                                        _mm256_add_ps(
-                                            _mm256_mul_ps(_mm256_set1_ps(r[2][0]), vii),
-                                            _mm256_set1_ps(bzs[t]),
-                                        ),
-                                        _mm256_set1_ps(czs[t]),
-                                    ),
-                                    _mm256_set1_ps(r[2][3]),
-                                );
-                                // depth_ok: 0 < zh < ∞ (NaN fails both
-                                // ordered compares); tail lanes excluded.
-                                let m_d = _mm256_and_ps(
-                                    _mm256_and_ps(
-                                        _mm256_cmp_ps::<_CMP_GT_OQ>(zh, zero),
-                                        _mm256_cmp_ps::<_CMP_LT_OQ>(zh, infv),
-                                    ),
-                                    tail,
-                                );
-                                let dbits = _mm256_movemask_ps(m_d);
-                                if dbits == 0 {
-                                    continue;
+                    local += (dbits.count_ones() as usize * run) as u64;
+                    let xh = _mm256_add_ps(_mm256_add_ps(px, _mm256_set1_ps(r[0][2] * kk)), r03);
+                    let x = _mm256_div_ps(xh, zh);
+                    let w = _mm256_div_ps(onev, _mm256_mul_ps(zh, zh));
+                    // Float-domain u-interior mask: non-finite coordinates
+                    // fail OQ compares lane-wise and divert to the guarded
+                    // slow path.
+                    let m_u = _mm256_and_ps(
+                        _mm256_and_ps(
+                            _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero),
+                            _mm256_cmp_ps::<_CMP_LT_OQ>(x, u_maxv),
+                        ),
+                        m_d,
+                    );
+                    let iu = floor(x);
+                    let eu = _mm256_sub_ps(x, _mm256_cvtepi32_ps(iu));
+                    let omeu = _mm256_sub_ps(onev, eu);
+                    let col = _mm256_add_epi32(s_nu, iu);
+                    for k in kr..kr + run {
+                        let kk = (t.k0 + k) as f32;
+                        let yh =
+                            _mm256_add_ps(_mm256_add_ps(py, _mm256_set1_ps(r[1][2] * kk)), r13);
+                        let y = _mm256_sub_ps(_mm256_div_ps(yh, zh), v_shiftv);
+                        let mi = _mm256_and_ps(
+                            _mm256_and_ps(
+                                _mm256_cmp_ps::<_CMP_GE_OQ>(y, lo_vv),
+                                _mm256_cmp_ps::<_CMP_LT_OQ>(y, hi_vv),
+                            ),
+                            m_u,
+                        );
+                        let iv = floor(y);
+                        let ev = _mm256_sub_ps(y, _mm256_cvtepi32_ps(iv));
+                        // Ring slots for v0 and v0+1 without a division:
+                        // slot = t - h·[t > h-1].
+                        let t0 = _mm256_sub_epi32(iv, base_v);
+                        let s0 = _mm256_sub_epi32(
+                            t0,
+                            _mm256_and_si256(_mm256_cmpgt_epi32(t0, h_m1), h_vec),
+                        );
+                        let t1 = _mm256_add_epi32(t0, one_i);
+                        let s1 = _mm256_sub_epi32(
+                            t1,
+                            _mm256_and_si256(_mm256_cmpgt_epi32(t1, h_m1), h_vec),
+                        );
+                        let i0 = _mm256_add_epi32(_mm256_mullo_epi32(s0, row_v), col);
+                        let i1 = _mm256_add_epi32(_mm256_mullo_epi32(s1, row_v), col);
+                        // Masked gathers: lanes with a zero mask never touch
+                        // memory, so junk indices in boundary/tail lanes are
+                        // harmless.
+                        let g00 = _mm256_mask_i32gather_ps::<4>(zero, ptr, i0, mi);
+                        let g01 = _mm256_mask_i32gather_ps::<4>(
+                            zero,
+                            ptr,
+                            _mm256_add_epi32(i0, one_i),
+                            mi,
+                        );
+                        let g10 = _mm256_mask_i32gather_ps::<4>(zero, ptr, i1, mi);
+                        let g11 = _mm256_mask_i32gather_ps::<4>(
+                            zero,
+                            ptr,
+                            _mm256_add_epi32(i1, one_i),
+                            mi,
+                        );
+                        // The verbatim `sub_pixel` blend tree.
+                        let t1v = _mm256_add_ps(_mm256_mul_ps(g00, omeu), _mm256_mul_ps(g01, eu));
+                        let t2v = _mm256_add_ps(_mm256_mul_ps(g10, omeu), _mm256_mul_ps(g11, eu));
+                        let samp = _mm256_add_ps(
+                            _mm256_mul_ps(t1v, _mm256_sub_ps(onev, ev)),
+                            _mm256_mul_ps(t2v, ev),
+                        );
+                        let mut contrib = _mm256_mul_ps(w, samp);
+                        // Depth-passing lanes outside the interior take the
+                        // guarded slow path, one lane at a time (boundary
+                        // voxels only).
+                        let fbits = _mm256_movemask_ps(_mm256_andnot_ps(mi, m_d));
+                        if fbits != 0 {
+                            let mut xs = [0.0f32; 8];
+                            let mut ys = [0.0f32; 8];
+                            let mut ws = [0.0f32; 8];
+                            let mut cs = [0.0f32; 8];
+                            _mm256_storeu_ps(xs.as_mut_ptr(), x);
+                            _mm256_storeu_ps(ys.as_mut_ptr(), y);
+                            _mm256_storeu_ps(ws.as_mut_ptr(), w);
+                            _mm256_storeu_ps(cs.as_mut_ptr(), contrib);
+                            for (l, c) in cs.iter_mut().enumerate() {
+                                if fbits & (1 << l) != 0 {
+                                    *c = ws[l] * fallback(s, xs[l], ys[l]);
                                 }
-                                local += dbits.count_ones() as u64;
-                                let xh = _mm256_add_ps(
-                                    _mm256_add_ps(
-                                        _mm256_add_ps(
-                                            _mm256_mul_ps(_mm256_set1_ps(r[0][0]), vii),
-                                            _mm256_set1_ps(bxs[t]),
-                                        ),
-                                        _mm256_set1_ps(cxs[t]),
-                                    ),
-                                    _mm256_set1_ps(r[0][3]),
-                                );
-                                let yh = _mm256_add_ps(
-                                    _mm256_add_ps(
-                                        _mm256_add_ps(
-                                            _mm256_mul_ps(_mm256_set1_ps(r[1][0]), vii),
-                                            _mm256_set1_ps(bys[t]),
-                                        ),
-                                        _mm256_set1_ps(cys[t]),
-                                    ),
-                                    _mm256_set1_ps(r[1][3]),
-                                );
-                                let x = _mm256_div_ps(xh, zh);
-                                let y = _mm256_sub_ps(_mm256_div_ps(yh, zh), v_shiftv);
-                                let w = _mm256_div_ps(onev, _mm256_mul_ps(zh, zh));
-                                // Float-domain interior mask: non-finite
-                                // coordinates fail OQ compares lane-wise
-                                // and divert to the guarded slow path.
-                                let mi = _mm256_and_ps(
-                                    _mm256_and_ps(
-                                        _mm256_and_ps(
-                                            _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero),
-                                            _mm256_cmp_ps::<_CMP_LT_OQ>(x, u_maxv),
-                                        ),
-                                        _mm256_and_ps(
-                                            _mm256_cmp_ps::<_CMP_GE_OQ>(y, lo_vv),
-                                            _mm256_cmp_ps::<_CMP_LT_OQ>(y, hi_vv),
-                                        ),
-                                    ),
-                                    m_d,
-                                );
-                                // Truncate-and-adjust floor, vectorised.
-                                // Interior coordinates are >= 0 so the
-                                // adjust never fires for live lanes; junk
-                                // in masked lanes is discarded below.
-                                let tu = _mm256_cvttps_epi32(x);
-                                let iu = _mm256_add_epi32(
-                                    tu,
-                                    _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(
-                                        _mm256_cvtepi32_ps(tu),
-                                        x,
-                                    )),
-                                );
-                                let tv = _mm256_cvttps_epi32(y);
-                                let iv = _mm256_add_epi32(
-                                    tv,
-                                    _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(
-                                        _mm256_cvtepi32_ps(tv),
-                                        y,
-                                    )),
-                                );
-                                let eu = _mm256_sub_ps(x, _mm256_cvtepi32_ps(iu));
-                                let ev = _mm256_sub_ps(y, _mm256_cvtepi32_ps(iv));
-                                // Ring slots for v0 and v0+1 without a
-                                // division: slot = t - h·[t > h-1].
-                                let t0 = _mm256_sub_epi32(iv, base_v);
-                                let s0 = _mm256_sub_epi32(
-                                    t0,
-                                    _mm256_and_si256(_mm256_cmpgt_epi32(t0, h_m1), h_vec),
-                                );
-                                let t1i = _mm256_add_epi32(t0, one_i);
-                                let s1 = _mm256_sub_epi32(
-                                    t1i,
-                                    _mm256_and_si256(_mm256_cmpgt_epi32(t1i, h_m1), h_vec),
-                                );
-                                let sv = _mm256_set1_epi32(s as i32);
-                                let r0 = _mm256_add_epi32(
-                                    _mm256_mullo_epi32(
-                                        _mm256_add_epi32(_mm256_mullo_epi32(s0, np_v), sv),
-                                        nu_v,
-                                    ),
-                                    iu,
-                                );
-                                let r1 = _mm256_add_epi32(
-                                    _mm256_mullo_epi32(
-                                        _mm256_add_epi32(_mm256_mullo_epi32(s1, np_v), sv),
-                                        nu_v,
-                                    ),
-                                    iu,
-                                );
-                                // Masked gathers: lanes with a zero mask
-                                // never touch memory, so junk indices in
-                                // boundary/tail lanes are harmless.
-                                let g00 = _mm256_mask_i32gather_ps::<4>(zero, ptr, r0, mi);
-                                let g01 = _mm256_mask_i32gather_ps::<4>(
-                                    zero,
-                                    ptr,
-                                    _mm256_add_epi32(r0, one_i),
-                                    mi,
-                                );
-                                let g10 = _mm256_mask_i32gather_ps::<4>(zero, ptr, r1, mi);
-                                let g11 = _mm256_mask_i32gather_ps::<4>(
-                                    zero,
-                                    ptr,
-                                    _mm256_add_epi32(r1, one_i),
-                                    mi,
-                                );
-                                // The verbatim `sub_pixel` blend tree.
-                                let omeu = _mm256_sub_ps(onev, eu);
-                                let t1v =
-                                    _mm256_add_ps(_mm256_mul_ps(g00, omeu), _mm256_mul_ps(g01, eu));
-                                let t2v =
-                                    _mm256_add_ps(_mm256_mul_ps(g10, omeu), _mm256_mul_ps(g11, eu));
-                                let samp = _mm256_add_ps(
-                                    _mm256_mul_ps(t1v, _mm256_sub_ps(onev, ev)),
-                                    _mm256_mul_ps(t2v, ev),
-                                );
-                                let mut contrib = _mm256_mul_ps(w, samp);
-                                // Depth-passing lanes outside the interior
-                                // take the guarded slow path, one lane at a
-                                // time (boundary voxels only).
-                                let fb = _mm256_andnot_ps(mi, m_d);
-                                let fbits = _mm256_movemask_ps(fb);
-                                if fbits != 0 {
-                                    let mut xs = [0.0f32; 8];
-                                    let mut ys = [0.0f32; 8];
-                                    let mut ws = [0.0f32; 8];
-                                    let mut cs = [0.0f32; 8];
-                                    _mm256_storeu_ps(xs.as_mut_ptr(), x);
-                                    _mm256_storeu_ps(ys.as_mut_ptr(), y);
-                                    _mm256_storeu_ps(ws.as_mut_ptr(), w);
-                                    _mm256_storeu_ps(cs.as_mut_ptr(), contrib);
-                                    for (l, c) in cs.iter_mut().enumerate() {
-                                        if fbits & (1 << l) != 0 {
-                                            *c = ws[l] * fallback(s, xs[l], ys[l]);
-                                        }
-                                    }
-                                    contrib = _mm256_loadu_ps(cs.as_ptr());
-                                }
-                                // Batch partial: the first contribution
-                                // initialises the lane (select, not
-                                // `0.0 + contrib` — that would flip -0.0
-                                // and break the batch = 1 bitwise
-                                // contract); dead lanes keep their state.
-                                let sum = _mm256_add_ps(partial, contrib);
-                                let upd = _mm256_blendv_ps(contrib, sum, init);
-                                partial = _mm256_blendv_ps(partial, upd, m_d);
-                                init = _mm256_or_ps(init, m_d);
                             }
-                            // One accumulator touch per batch, only for
-                            // initialised lanes (pad/tail lanes stay 0).
-                            let av = _mm256_loadu_ps(arow.as_ptr().add(gi * 8));
-                            let anew = _mm256_blendv_ps(av, _mm256_add_ps(av, partial), init);
-                            _mm256_storeu_ps(arow.as_mut_ptr().add(gi * 8), anew);
+                            contrib = _mm256_loadu_ps(cs.as_ptr());
                         }
+                        // Only depth-passing lanes touch the accumulator.
+                        let p = cell[k * 8..][..8].as_mut_ptr();
+                        let av = _mm256_loadu_ps(p);
+                        _mm256_storeu_ps(p, _mm256_blendv_ps(av, _mm256_add_ps(av, contrib), m_d));
                     }
-                }
-                sb = se;
-            }
-            for k in 0..kz {
-                let slice = &mut chunk[k * slice_len..(k + 1) * slice_len];
-                for (tj, j) in (j0..j1).enumerate() {
-                    let arow = &acc[(k * blen + tj) * pad..][..bw];
-                    for (d, &v) in slice[j * nx + i0..j * nx + i1].iter_mut().zip(arow) {
-                        *d += v;
-                    }
+                    kr += run;
                 }
             }
-            i0 = i1;
         }
-        j0 = j1;
     }
     local
 }
@@ -800,25 +660,13 @@ fn window_geom(window: &TextureWindow) -> SampleGeom {
 
 /// SIMD in-core kernel, bit-identical to
 /// [`backproject_reference`](crate::backproject_reference) on a zeroed
-/// volume (batch = 1 keeps the exact addition sequence). Backend from
-/// [`simd_backend`].
+/// volume. Backend from [`simd_backend`].
 pub fn backproject_simd(
     stack: &ProjectionStack,
     mats: &[ProjectionMatrix],
     vol: &mut Volume,
 ) -> KernelStats {
-    backproject_simd_with_backend(stack, mats, vol, SimdTuning::EXACT, simd_backend())
-}
-
-/// Projection-batched SIMD in-core kernel ([`SimdTuning::BATCHED`]): drift
-/// vs the oracle bounded by the `SIMD_BATCHED_*` contract in
-/// [`crate::contracts`].
-pub fn backproject_simd_batched(
-    stack: &ProjectionStack,
-    mats: &[ProjectionMatrix],
-    vol: &mut Volume,
-) -> KernelStats {
-    backproject_simd_with_backend(stack, mats, vol, SimdTuning::BATCHED, simd_backend())
+    backproject_simd_with_backend(stack, mats, vol, SimdTuning::default(), simd_backend())
 }
 
 /// [`backproject_simd`] with explicit tuning (backend still auto-detected).
@@ -842,7 +690,7 @@ pub fn backproject_simd_with_backend(
     backend: SimdBackend,
 ) -> KernelStats {
     check_args(stack.np(), mats);
-    let rows = pack_rows(mats);
+    let rows: Vec<_> = mats.iter().map(|m| m.rows_f32).collect();
     let geom = incore_geom(stack);
     let voxels = (vol.nx() * vol.ny() * vol.nz()) as u64;
     let updates = simd_core(
@@ -865,17 +713,7 @@ pub fn backproject_window_simd(
     mats: &[ProjectionMatrix],
     vol: &mut Volume,
 ) -> KernelStats {
-    backproject_window_simd_with_backend(window, mats, vol, SimdTuning::EXACT, simd_backend())
-}
-
-/// Projection-batched streaming kernel (drift-bounded like
-/// [`backproject_simd_batched`]).
-pub fn backproject_window_simd_batched(
-    window: &TextureWindow,
-    mats: &[ProjectionMatrix],
-    vol: &mut Volume,
-) -> KernelStats {
-    backproject_window_simd_with_backend(window, mats, vol, SimdTuning::BATCHED, simd_backend())
+    backproject_window_simd_with_backend(window, mats, vol, SimdTuning::default(), simd_backend())
 }
 
 /// [`backproject_window_simd`] with explicit tuning.
@@ -898,7 +736,7 @@ pub fn backproject_window_simd_with_backend(
     backend: SimdBackend,
 ) -> KernelStats {
     check_args(window.np(), mats);
-    let rows = pack_rows(mats);
+    let rows: Vec<_> = mats.iter().map(|m| m.rows_f32).collect();
     let geom = window_geom(window);
     let voxels = (vol.nx() * vol.ny() * vol.nz()) as u64;
     let updates = simd_core(
@@ -920,9 +758,6 @@ pub fn backproject_window_simd_with_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contracts::{
-        DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
-    };
     use crate::{backproject_reference, backproject_window};
     use scalefbp_geom::{CbctGeometry, VolumeDecomposition};
 
@@ -965,7 +800,7 @@ mod tests {
             &stack,
             &mats,
             &mut sc,
-            SimdTuning::EXACT,
+            SimdTuning::default(),
             SimdBackend::Scalar,
         );
         // Scalar twin must equal the oracle on its own…
@@ -981,7 +816,7 @@ mod tests {
                 &stack,
                 &mats,
                 &mut vx,
-                SimdTuning::EXACT,
+                SimdTuning::default(),
                 SimdBackend::Avx2,
             );
             assert_eq!(sc.data(), vx.data(), "avx2 vs scalar backend");
@@ -997,64 +832,25 @@ mod tests {
         let mats = ProjectionMatrix::full_scan(&g);
         let mut reference = Volume::zeros(g.nx, g.ny, g.nz);
         backproject_reference(&stack, &mats, &mut reference);
-        // batch = 1 must stay bitwise under any tile/zslab (including an
-        // oversized tile, which entry-clamps).
+        // Bitwise under any tile/zslab (including an oversized tile and
+        // zero extents, which entry-clamp).
         for (bi, bj, zslab) in [
             (1, 1, 1),
             (3, 5, 2),
             (24, 16, 7),
             (13, 2, 4),
             (100, 100, 99),
+            (8, 0, 4),
+            (0, 3, 0),
         ] {
             let mut b = Volume::zeros(g.nx, g.ny, g.nz);
             let tuning = SimdTuning {
-                tile: TileShape::new(bi, bj),
-                batch: 1,
+                tile: TileShape { bi, bj },
                 zslab,
             };
             backproject_simd_with(&stack, &mats, &mut b, tuning);
             assert_eq!(reference.data(), b.data(), "tile {bi}×{bj} zslab {zslab}");
         }
-    }
-
-    #[test]
-    fn batched_kernel_honours_drift_contract() {
-        let g = geom();
-        let stack = random_stack(&g);
-        let mats = ProjectionMatrix::full_scan(&g);
-        let mut exact = Volume::zeros(g.nx, g.ny, g.nz);
-        let mut batched = Volume::zeros(g.nx, g.ny, g.nz);
-        let se = backproject_reference(&stack, &mats, &mut exact);
-        let sb = backproject_simd_batched(&stack, &mats, &mut batched);
-        assert_eq!(se.updates, sb.updates, "batching must not change coverage");
-        let drift = DriftStats::measure(exact.data(), batched.data(), DRIFT_SIGNIFICANCE);
-        assert!(
-            drift.within(SIMD_BATCHED_ULP_BOUND, SIMD_BATCHED_REL_ABS_BOUND),
-            "batched drift out of contract: {drift:?}"
-        );
-    }
-
-    #[test]
-    fn batch_of_one_equals_batch_of_np() {
-        // A batch covering every projection still visits them in ascending
-        // order; only the accumulator grouping changes.
-        let g = geom();
-        let stack = random_stack(&g);
-        let mats = ProjectionMatrix::full_scan(&g);
-        let mut one = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_simd(&stack, &mats, &mut one);
-        let mut all = Volume::zeros(g.nx, g.ny, g.nz);
-        let tuning = SimdTuning {
-            tile: TileShape::L1,
-            batch: MAX_SIMD_BATCH,
-            zslab: 4,
-        };
-        backproject_simd_with(&stack, &mats, &mut all, tuning);
-        let drift = DriftStats::measure(one.data(), all.data(), DRIFT_SIGNIFICANCE);
-        assert!(
-            drift.within(SIMD_BATCHED_ULP_BOUND, SIMD_BATCHED_REL_ABS_BOUND),
-            "full-batch drift out of contract: {drift:?}"
-        );
     }
 
     #[test]

@@ -4,12 +4,8 @@
 
 use std::time::Instant;
 
-use scalefbp::substrates::backproject::contracts::{
-    DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
-};
 use scalefbp::substrates::backproject::{
-    backproject_reference, backproject_simd, backproject_simd_batched, detected_cpu_features,
-    simd_backend, KernelStats,
+    backproject_reference, backproject_simd, detected_cpu_features, simd_backend, KernelStats,
 };
 use scalefbp::substrates::exec::{CpuExecutor, Executor, KernelChoice, SimExecutor};
 use scalefbp::substrates::filter::{FilterPipeline, FilterWindow};
@@ -65,9 +61,6 @@ struct KernelRun {
     stats: KernelStats,
     /// `None` for the oracle itself.
     bit_identical_to_reference: Option<bool>,
-    /// Drift vs the oracle for the non-bitwise kernel (`simd-batched`);
-    /// `None` for the bitwise family.
-    drift: Option<DriftStats>,
 }
 
 impl KernelRun {
@@ -136,45 +129,24 @@ fn bench_backproject(w: &Workload, reps: usize) -> Vec<KernelRun> {
         w.name,
         simd_backend().name()
     );
-    let (sb_secs, sb_stats, sb_vol) =
-        time_kernel(reps, g, |v| backproject_simd_batched(stack, mats, v));
-    let sb_drift = DriftStats::measure(oracle.data(), sb_vol.data(), DRIFT_SIGNIFICANCE);
-    assert!(
-        sb_drift.within(SIMD_BATCHED_ULP_BOUND, SIMD_BATCHED_REL_ABS_BOUND),
-        "{}: simd-batched drift ({} ULP, rel_abs {:.3e}) exceeds the contract \
-         ({SIMD_BATCHED_ULP_BOUND} ULP, {SIMD_BATCHED_REL_ABS_BOUND:.0e}) — \
-         refusing to report its timing",
-        w.name,
-        sb_drift.max_ulp_significant,
-        sb_drift.rel_abs()
-    );
     vec![
         KernelRun {
             kernel: "reference",
             secs: ref_secs,
             stats: ref_stats,
             bit_identical_to_reference: None,
-            drift: None,
         },
         KernelRun {
             kernel: "simd",
             secs: simd_secs,
             stats: simd_stats,
             bit_identical_to_reference: Some(true),
-            drift: None,
-        },
-        KernelRun {
-            kernel: "simd-batched",
-            secs: sb_secs,
-            stats: sb_stats,
-            bit_identical_to_reference: Some(sb_vol.data() == oracle.data()),
-            drift: Some(sb_drift),
         },
     ]
 }
 
 fn kernel_json(r: &KernelRun) -> JsonValue {
-    let mut fields = vec![
+    JsonValue::object([
         ("kernel", r.kernel.into()),
         ("secs", r.secs.into()),
         ("updates", r.stats.updates.into()),
@@ -183,15 +155,7 @@ fn kernel_json(r: &KernelRun) -> JsonValue {
             "bit_identical_to_reference",
             r.bit_identical_to_reference.into(),
         ),
-    ];
-    if let Some(d) = &r.drift {
-        fields.extend([
-            ("drift_ulp_significant", d.max_ulp_significant.into()),
-            ("drift_rel_abs", d.rel_abs().into()),
-            ("drift_rel_rmse", d.rel_rmse().into()),
-        ]);
-    }
-    JsonValue::object(fields)
+    ])
 }
 
 fn backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -> JsonValue {
@@ -222,19 +186,6 @@ fn backproject_json(results: &[(&Workload, Vec<KernelRun>)], quick: bool) -> Jso
         // The parallel kernels' thread budget: `gups` is per process.
         ("threads", current_num_threads().into()),
         ("detected_features", detected_cpu_features().into()),
-        // The drift contract the non-bitwise numbers below were asserted
-        // against before being written (see the backproject contracts module).
-        (
-            "contracts",
-            JsonValue::object([
-                ("drift_significance", DRIFT_SIGNIFICANCE.into()),
-                ("simd_batched_ulp_bound", SIMD_BATCHED_ULP_BOUND.into()),
-                (
-                    "simd_batched_rel_abs_bound",
-                    SIMD_BATCHED_REL_ABS_BOUND.into(),
-                ),
-            ]),
-        ),
         ("workloads", workloads.collect::<Vec<_>>().into()),
     ])
 }
@@ -277,16 +228,11 @@ pub fn run(opts: &crate::Options) {
 
     for (w, runs) in &results {
         let secs_of = |name: &str| runs.iter().find(|r| r.kernel == name).map(|r| r.secs);
-        if let (Some(r), Some(s), Some(b)) = (
-            secs_of("reference"),
-            secs_of("simd"),
-            secs_of("simd-batched"),
-        ) {
+        if let (Some(r), Some(s)) = (secs_of("reference"), secs_of("simd")) {
             println!(
-                "{}: simd {:.2}x, simd-batched {:.2}x vs reference ({} backend)",
+                "{}: simd {:.2}x vs reference ({} backend)",
                 w.name,
                 r / s.max(1e-12),
-                r / b.max(1e-12),
                 simd_backend().name()
             );
         }

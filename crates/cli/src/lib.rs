@@ -64,7 +64,7 @@ COMMANDS:
   reconstruct --scan scan.sfbp --geom scan.geom --out vol.sfbp
               [--window ramlak|shepplogan|cosine|hamming|hann]
               [--mode incore|outofcore|pipeline|distributed]
-              [--kernel reference|simd|simd-batched]
+              [--kernel reference|simd]
                   pick the back-projection kernel (default: simd, which
                   reproduces the reference oracle bit for bit; see
                   docs/performance.md)

@@ -279,9 +279,9 @@ mod tests {
             assert_eq!(k.name().parse::<KernelChoice>().unwrap(), k);
             assert_eq!(format!("{k}"), k.name());
         }
-        assert_eq!(KernelChoice::ALL.len(), 3);
+        assert_eq!(KernelChoice::ALL.len(), 2);
         assert_eq!(FilterChoice::default(), FilterChoice::TwoPass);
-        for gone in ["parallel", "blocked", "incremental", "warp"] {
+        for gone in ["parallel", "blocked", "incremental", "warp", "simd-batched"] {
             let err = gone.parse::<KernelChoice>().unwrap_err();
             assert!(err.contains("unknown kernel"), "{err}");
         }

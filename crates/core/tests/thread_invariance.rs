@@ -89,6 +89,13 @@ fn back_projection_kernels_ignore_the_thread_budget() {
     assert_invariant("backproject_simd", || {
         volume_and_updates(g, |vol| backproject_simd(&stack, &mats, vol))
     });
+    // A slab at a z offset, thinner than the volume is wide: its parallel
+    // chunks are row bands over every slice, not z-blocks.
+    assert_invariant("backproject_simd on a slab", || {
+        let mut slab = Volume::zeros_slab(g.nx, g.ny, 16, 20);
+        let updates = backproject_simd(&stack, &mats, &mut slab).updates;
+        (bits(slab.data()), updates)
+    });
     assert_invariant("backproject_window_simd", || {
         volume_and_updates(g, |vol| backproject_window_simd(&window, &mats, vol))
     });

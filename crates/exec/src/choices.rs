@@ -5,42 +5,30 @@
 //! moved here so the executors can dispatch on them without a circular
 //! dependency, and `scalefbp` re-exports them unchanged.
 
-/// Which back-projection kernel the drivers run: one oracle plus the fast
-/// family.
-///
-/// `Reference` and `Simd` produce bit-identical volumes on the in-core and
-/// streaming paths; [`SimdBatched`](KernelChoice::SimdBatched) reassociates
-/// f32 sums and drifts within the explicit bound pinned in the backproject
-/// crate's `contracts` module (see `docs/performance.md`).
+/// Which back-projection kernel the drivers run: the oracle or the fast
+/// kernel. Both produce bit-identical volumes on the in-core and streaming
+/// paths (see `docs/performance.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelChoice {
     /// Algorithm 1 verbatim: the serial quadruple loop. Slow; the ground
     /// truth for equivalence testing. Streams through `backproject_window`.
     Reference,
-    /// L1-tiled f32x8 SIMD (AVX2 with runtime detection, portable scalar
-    /// twin otherwise). Bit-identical to `Reference` on either backend.
+    /// L1-tiled f32x8 SIMD reusing each z-column's invariants along `k`
+    /// (AVX2 with runtime detection, portable scalar twin otherwise).
+    /// Bit-identical to `Reference` on either backend.
     #[default]
     Simd,
-    /// The SIMD kernel with projection batching: `P` projections
-    /// accumulate in a register partial per voxel pass. Fastest; drift vs
-    /// `Reference` is ULP-bounded, *not* bitwise.
-    SimdBatched,
 }
 
 impl KernelChoice {
     /// All selectable kernels, in benchmark display order.
-    pub const ALL: [KernelChoice; 3] = [
-        KernelChoice::Reference,
-        KernelChoice::Simd,
-        KernelChoice::SimdBatched,
-    ];
+    pub const ALL: [KernelChoice; 2] = [KernelChoice::Reference, KernelChoice::Simd];
 
     /// Stable lowercase name (used in CLI flags and BENCH JSON).
     pub fn name(self) -> &'static str {
         match self {
             KernelChoice::Reference => "reference",
             KernelChoice::Simd => "simd",
-            KernelChoice::SimdBatched => "simd-batched",
         }
     }
 }
@@ -57,9 +45,8 @@ impl std::str::FromStr for KernelChoice {
         match s {
             "reference" => Ok(KernelChoice::Reference),
             "simd" => Ok(KernelChoice::Simd),
-            "simd-batched" => Ok(KernelChoice::SimdBatched),
             other => Err(format!(
-                "unknown kernel '{other}' (expected reference|simd|simd-batched)"
+                "unknown kernel '{other}' (expected reference|simd)"
             )),
         }
     }

@@ -3,8 +3,8 @@
 //! bitwise identical by construction.
 
 use scalefbp_backproject::{
-    backproject_reference, backproject_simd, backproject_simd_batched, backproject_window,
-    backproject_window_simd, backproject_window_simd_batched, KernelStats, TextureWindow,
+    backproject_reference, backproject_simd, backproject_window, backproject_window_simd,
+    KernelStats, TextureWindow,
 };
 use scalefbp_geom::{ProjectionMatrix, ProjectionStack, Volume};
 
@@ -20,7 +20,6 @@ pub fn run_backprojection(
     match choice {
         KernelChoice::Reference => backproject_reference(stack, mats, vol),
         KernelChoice::Simd => backproject_simd(stack, mats, vol),
-        KernelChoice::SimdBatched => backproject_simd_batched(stack, mats, vol),
     }
 }
 
@@ -35,6 +34,5 @@ pub fn run_window_backprojection(
     match choice {
         KernelChoice::Reference => backproject_window(window, mats, vol),
         KernelChoice::Simd => backproject_window_simd(window, mats, vol),
-        KernelChoice::SimdBatched => backproject_window_simd_batched(window, mats, vol),
     }
 }

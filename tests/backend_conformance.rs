@@ -27,7 +27,7 @@ use scalefbp::{
     OutOfCoreReconstructor, PipelinedReconstructor, RankLayout, ReconstructionError, ReduceMode,
     Volume,
 };
-use scalefbp_backproject::{backproject_reference, backproject_simd_batched};
+use scalefbp_backproject::backproject_reference;
 use scalefbp_exec::TIME_DOMAIN_METRICS;
 use scalefbp_faults::FaultPlan;
 use scalefbp_filter::FilterPipeline;
@@ -68,27 +68,16 @@ fn fnv(v: &Volume) -> u32 {
     h
 }
 
-/// The direct call path: filter pipeline plus the kernel function, no
+/// The direct call path: filter pipeline plus the oracle kernel, no
 /// executor anywhere — the reference every (backend, kernel) cell must
-/// reproduce. The bitwise kernels are anchored on the oracle;
-/// `simd-batched` reassociates its sums, so only its own function has its
-/// bits.
-fn direct_reconstruct(
-    geom: &CbctGeometry,
-    projections: &ProjectionStack,
-    kernel: KernelChoice,
-) -> Volume {
+/// reproduce.
+fn direct_reconstruct(geom: &CbctGeometry, projections: &ProjectionStack) -> Volume {
     let pipeline = FilterPipeline::new(geom, scalefbp::FilterWindow::RamLak);
     let mut filtered = projections.clone();
     pipeline.filter_stack(&mut filtered);
     let mats = ProjectionMatrix::full_scan(geom);
     let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
-    match kernel {
-        KernelChoice::Reference | KernelChoice::Simd => {
-            backproject_reference(&filtered, &mats, &mut vol)
-        }
-        KernelChoice::SimdBatched => backproject_simd_batched(&filtered, &mats, &mut vol),
-    };
+    backproject_reference(&filtered, &mats, &mut vol);
     let scale = pipeline.backprojection_scale() as f32;
     for v in vol.data_mut() {
         *v *= scale;
@@ -109,8 +98,8 @@ fn incore_grid_is_bitwise_identical_across_backends() {
     let _env = SimdEnvGuard::cleared();
     let g = CbctGeometry::ideal(16, 24, 24, 24);
     let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+    let direct = direct_reconstruct(&g, &p);
     for kernel in KernelChoice::ALL {
-        let direct = direct_reconstruct(&g, &p, kernel);
         for backend in BackendChoice::ALL {
             let cfg = FdkConfig::new(g.clone())
                 .with_kernel(kernel)
@@ -397,7 +386,7 @@ proptest! {
         let kernel = KernelChoice::ALL[kernel_idx];
         let g = CbctGeometry::ideal(2 * n, 2 * n + np_extra, 2 * n + 2, 2 * n + 2);
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
-        let direct = direct_reconstruct(&g, &p, kernel);
+        let direct = direct_reconstruct(&g, &p);
         for backend in BackendChoice::ALL {
             let cfg = FdkConfig::new(g.clone())
                 .with_kernel(kernel)

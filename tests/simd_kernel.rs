@@ -1,34 +1,42 @@
-//! Cross-crate tests for the SIMD back-projection kernels and the
+//! Cross-crate tests for the SIMD back-projection kernel and the
 //! non-finite-coordinate regression.
 //!
-//! Two families of guarantees:
-//!
-//! * **Bitwise**: `simd` (either backend, any tile/zslab tuning, batch 1)
-//!   reproduces the `reference` oracle bit for bit, on arbitrary volume
-//!   shapes including non-multiple-of-8 widths, volume slabs and partial
-//!   detector windows; its streaming form reproduces `backproject_window`.
-//! * **Bounded drift**: `simd-batched` sits inside the explicit contract of
-//!   the backproject crate's `contracts` module.
+//! **Bitwise** is the one guarantee: `simd` (either backend, any
+//! tile/zslab tuning) reproduces the `reference` oracle bit for bit, on
+//! arbitrary volume shapes including non-multiple-of-8 widths, volume
+//! slabs and partial detector windows, and whatever the matrices' `k`
+//! column holds (the column-invariant hoist applies only where it is
+//! `±0.0`); its streaming form reproduces `backproject_window`.
 //!
 //! Plus the regression that motivated the float-domain interior guards: a
 //! projection matrix with a non-finite detector row (NaN `x`-row, ±∞
 //! `y`-row) used to slip past an integer-domain bounds check — Rust's
 //! saturating cast maps `NaN as isize` to 0, a valid index — and poison
 //! tile accumulators with NaN. Every kernel, in-core and streaming, must
-//! produce fully finite volumes from such matrices, and the bitwise family
-//! must still agree.
+//! produce fully finite volumes from such matrices and still agree.
 
 use proptest::prelude::*;
-use scalefbp_backproject::contracts::{
-    DriftStats, DRIFT_SIGNIFICANCE, SIMD_BATCHED_REL_ABS_BOUND, SIMD_BATCHED_ULP_BOUND,
-};
 use scalefbp_backproject::{
     backproject_reference, backproject_simd, backproject_simd_with, backproject_simd_with_backend,
-    backproject_window, backproject_window_simd_with, simd_backend, SimdBackend, SimdTuning,
-    TextureWindow, TileShape, MAX_SIMD_BATCH,
+    backproject_window, backproject_window_simd, backproject_window_simd_with,
+    backproject_window_simd_with_backend, simd_backend, SimdBackend, SimdTuning, TextureWindow,
+    TileShape,
 };
 use scalefbp_exec::{host, KernelChoice};
 use scalefbp_geom::{CbctGeometry, ProjectionMatrix, ProjectionStack, Volume, VolumeDecomposition};
+
+/// Values a matrix's `k` column may hold besides the circular orbit's
+/// `+0.0`: only `-0.0` keeps the column invariant; the rest (tiny,
+/// subnormal, NaN, ±∞) must take the per-`k` route.
+const K_COLUMN: [f32; 7] = [
+    -0.0,
+    1e-6,
+    -3e-4,
+    f32::from_bits(1),
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+];
 
 fn lcg(state: &mut u64) -> f32 {
     *state = state
@@ -53,23 +61,22 @@ fn all_kernels(
     g: &CbctGeometry,
     stack: &ProjectionStack,
     mats: &[ProjectionMatrix],
-) -> Vec<(String, KernelChoice, Volume)> {
+) -> Vec<(String, Volume)> {
     let mut window = TextureWindow::new(g.nv, g.np, g.nu, 0);
     window.write_rows(stack.rows_block(0, g.nv), 0, g.nv);
     let mut out = Vec::new();
     for kernel in KernelChoice::ALL {
         let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
         host::run_backprojection(kernel, stack, mats, &mut vol);
-        out.push((format!("{kernel}"), kernel, vol));
+        out.push((format!("{kernel}"), vol));
         let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
         host::run_window_backprojection(kernel, &window, mats, &mut vol);
-        out.push((format!("{kernel} (streaming)"), kernel, vol));
+        out.push((format!("{kernel} (streaming)"), vol));
     }
     out
 }
 
-/// Every kernel stays finite on `mats`, and the bitwise family agrees
-/// with the oracle.
+/// Every kernel stays finite on `mats` and agrees with the oracle.
 fn assert_never_poisoned(
     g: &CbctGeometry,
     stack: &ProjectionStack,
@@ -77,20 +84,17 @@ fn assert_never_poisoned(
     what: &str,
 ) {
     let vols = all_kernels(g, stack, mats);
-    let oracle = &vols[0].2;
-    for (name, kernel, vol) in &vols {
+    let oracle = &vols[0].1;
+    for (name, vol) in &vols {
         assert!(
             vol.data().iter().all(|v| v.is_finite()),
             "{name}: {what} leaked a non-finite voxel"
         );
-        if *kernel != KernelChoice::SimdBatched {
-            // simd-batched is drift-bounded, checked finite above.
-            assert_eq!(
-                oracle.data(),
-                vol.data(),
-                "{name} diverged from reference on the {what} scan"
-            );
-        }
+        assert_eq!(
+            oracle.data(),
+            vol.data(),
+            "{name} diverged from reference on the {what} scan"
+        );
     }
 }
 
@@ -98,8 +102,7 @@ fn assert_never_poisoned(
 /// the `z > 0` guard, so the sampling coordinate itself is NaN. An
 /// integer-domain interior test floors it to index 0 and blends NaN into
 /// the tile accumulator; every kernel must route it to the guarded slow
-/// path and keep the volume finite — and the bitwise family must still
-/// agree.
+/// path and keep the volume finite — and still agree.
 #[test]
 fn nan_coordinate_row_never_poisons_any_kernel() {
     let g = CbctGeometry::ideal(18, 12, 28, 24);
@@ -123,9 +126,28 @@ fn infinite_coordinate_row_never_poisons_any_kernel() {
     }
 }
 
+/// Only the `k` column of the `u` and depth rows corrupted, one value of
+/// [`K_COLUMN`] per projection: `-0.0` keeps the column invariant, every
+/// other value turns the hoist off for that projection, and the volume
+/// must stay finite and equal to the oracle's either way.
+#[test]
+fn k_column_corruption_never_poisons_any_kernel() {
+    let g = CbctGeometry::ideal(18, 12, 28, 24);
+    let stack = noisy_stack(&g, 0xBAD_C0FFEE);
+    for row in [0, 2] {
+        let mut mats = ProjectionMatrix::full_scan(&g);
+        for (m, &value) in mats.iter_mut().zip(&K_COLUMN) {
+            m.rows_f32[row][2] = value;
+        }
+        assert_never_poisoned(&g, &stack, &mats, &format!("k column of row {row}"));
+    }
+}
+
 /// Both SIMD backends must agree bitwise — the scalar twin executes the
 /// identical operation sequence, so this holds on every machine where
-/// AVX2 is detected (and is vacuously skipped elsewhere).
+/// AVX2 is detected (and is vacuously skipped elsewhere). Two cases: a
+/// whole volume in-core, and a three-slice slab at a z offset streamed
+/// from a partial ring whose valid rows wrap around its end.
 #[test]
 fn avx2_and_scalar_backends_are_bit_identical() {
     if simd_backend() != SimdBackend::Avx2 {
@@ -135,26 +157,39 @@ fn avx2_and_scalar_backends_are_bit_identical() {
     let g = CbctGeometry::ideal(21, 10, 30, 26);
     let stack = noisy_stack(&g, 0x51D_BEEF);
     let mats = ProjectionMatrix::full_scan(&g);
-    for tuning in [SimdTuning::EXACT, SimdTuning::BATCHED] {
-        let mut a = Volume::zeros(g.nx, g.ny, g.nz);
-        let mut b = Volume::zeros(g.nx, g.ny, g.nz);
-        let sa = backproject_simd_with_backend(&stack, &mats, &mut a, tuning, SimdBackend::Avx2);
-        let sb = backproject_simd_with_backend(&stack, &mats, &mut b, tuning, SimdBackend::Scalar);
-        assert_eq!(
-            a.data(),
-            b.data(),
-            "batch {}: backends diverged",
-            tuning.batch
-        );
-        assert_eq!(sa, sb, "batch {}: kernel stats diverged", tuning.batch);
-    }
+    let tuning = SimdTuning::default();
+    let mut a = Volume::zeros(g.nx, g.ny, g.nz);
+    let mut b = Volume::zeros(g.nx, g.ny, g.nz);
+    let sa = backproject_simd_with_backend(&stack, &mats, &mut a, tuning, SimdBackend::Avx2);
+    let sb = backproject_simd_with_backend(&stack, &mats, &mut b, tuning, SimdBackend::Scalar);
+    assert_eq!(a.data(), b.data(), "in-core: backends diverged");
+    assert_eq!(sa, sb, "in-core: kernel stats diverged");
+
+    let h = 14;
+    let mut window = TextureWindow::new(h, g.np, g.nu, 0);
+    window.write_rows(stack.rows_block(0, h), 0, h);
+    window.write_rows(stack.rows_block(h, h + 5), h, h + 5);
+    let slab = || Volume::zeros_slab(g.nx, g.ny, 3, 9);
+    let (mut oracle, mut a, mut b) = (slab(), slab(), slab());
+    backproject_window(&window, &mats, &mut oracle);
+    let sa =
+        backproject_window_simd_with_backend(&window, &mats, &mut a, tuning, SimdBackend::Avx2);
+    let sb =
+        backproject_window_simd_with_backend(&window, &mats, &mut b, tuning, SimdBackend::Scalar);
+    assert_eq!(a.data(), b.data(), "thin slab: backends diverged");
+    assert_eq!(
+        oracle.data(),
+        b.data(),
+        "thin slab: scalar vs the window oracle"
+    );
+    assert_eq!(sa.updates, sb.updates, "thin slab: updates diverged");
 }
 
 proptest! {
     // Each case runs two full (small) back-projections.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `simd` with batch 1 is bit-identical to `reference` for every volume
+    /// `simd` is bit-identical to `reference` for every volume
     /// width (including non-multiples of 8, which exercise the masked
     /// tail lanes), tile shape, z-slab depth, volume-slab offset and
     /// partial detector window — with matching update counts.
@@ -189,7 +224,7 @@ proptest! {
             &part,
             &mats,
             &mut simd,
-            SimdTuning { tile, batch: 1, zslab },
+            SimdTuning { tile, zslab },
         );
         prop_assert_eq!(
             oracle.data(),
@@ -200,33 +235,45 @@ proptest! {
         prop_assert_eq!(so, ss, "kernel stats diverged");
     }
 
-    /// Projection batching regroups only the per-voxel sum: for every
-    /// batch size the result stays inside the simd-batched drift contract,
-    /// and the extreme batch (all projections in one partial) is as far
-    /// as the regrouping can go.
+    /// The column-invariant hoist applies only to projections whose `k`
+    /// column is `±0.0` in the `u` and depth rows. Corrupting a few
+    /// projections' entries with any value of [`K_COLUMN`] must leave
+    /// `simd` bit-identical to the oracle, in-core on a slab at a random z
+    /// offset and streaming through the ring.
     #[test]
-    fn simd_batched_drift_bounded_for_every_batch_size(
-        batch in 2usize..=MAX_SIMD_BATCH,
+    fn simd_bit_identical_whatever_the_k_column_holds(
+        picks in proptest::collection::vec(0usize..16 * 2 * K_COLUMN.len(), 1..6),
+        z_begin in 0usize..14,
         seed in any::<u64>(),
     ) {
-        let g = CbctGeometry::ideal(14, 12, 24, 20);
+        let g = CbctGeometry::ideal(14, 16, 24, 20);
         let stack = noisy_stack(&g, seed);
-        let mats = ProjectionMatrix::full_scan(&g);
-        let mut exact = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_simd(&stack, &mats, &mut exact);
-        let mut batched = Volume::zeros(g.nx, g.ny, g.nz);
-        backproject_simd_with(
-            &stack,
-            &mats,
-            &mut batched,
-            SimdTuning { batch, ..SimdTuning::EXACT },
-        );
-        let d = DriftStats::measure(exact.data(), batched.data(), DRIFT_SIGNIFICANCE);
-        prop_assert!(
-            d.within(SIMD_BATCHED_ULP_BOUND, SIMD_BATCHED_REL_ABS_BOUND),
-            "batch {}: {} ULP / rel_abs {:.3e} outside the contract",
-            batch, d.max_ulp_significant, d.rel_abs()
-        );
+        let mut mats = ProjectionMatrix::full_scan(&g);
+        for &p in &picks {
+            let (s, row, value) = (p % g.np, 2 * (p / g.np % 2), K_COLUMN[p / (2 * g.np)]);
+            mats[s].rows_f32[row][2] = value;
+        }
+
+        let mut oracle = Volume::zeros_slab(g.nx, g.ny, g.nz - z_begin, z_begin);
+        let mut simd = oracle.clone();
+        let so = backproject_reference(&stack, &mats, &mut oracle);
+        let ss = backproject_simd(&stack, &mats, &mut simd);
+        prop_assert_eq!(oracle.data(), simd.data(), "in-core, picks {:?}", picks);
+        prop_assert_eq!(so, ss, "in-core kernel stats diverged");
+
+        let decomp = VolumeDecomposition::full(&g, 3);
+        let mut window = TextureWindow::new(decomp.max_rows(), g.np, g.nu, 0);
+        for task in decomp.tasks() {
+            let r = task.new_rows;
+            if !r.is_empty() {
+                window.write_rows(stack.rows_block(r.begin, r.end), r.begin, r.end);
+            }
+            let mut oracle = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
+            let mut simd = oracle.clone();
+            backproject_window(&window, &mats, &mut oracle);
+            backproject_window_simd(&window, &mats, &mut simd);
+            prop_assert_eq!(oracle.data(), simd.data(), "slab at {}, picks {:?}", task.z_begin, picks);
+        }
     }
 
     /// The streaming (ring-buffer window) SIMD kernel reproduces
@@ -260,7 +307,7 @@ proptest! {
                         &window,
                         &mats,
                         &mut slab,
-                        SimdTuning { tile: TileShape::new(bi, 8), batch: 1, zslab },
+                        SimdTuning { tile: TileShape::new(bi, 8), zslab },
                     );
                 } else {
                     backproject_window(&window, &mats, &mut slab);
