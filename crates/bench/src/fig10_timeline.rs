@@ -8,7 +8,7 @@
 //! ```
 
 use scalefbp::timing::simulate_distributed;
-use scalefbp::{DeviceSpec, FdkConfig, PipelinedReconstructor};
+use scalefbp::{DeviceSpec, FdkConfig, PipelinedReconstructor, ReduceMode};
 use scalefbp_bench::MeasuredWorkload;
 use scalefbp_geom::{DatasetPreset, RankLayout};
 use scalefbp_perfmodel::MachineParams;
@@ -22,7 +22,13 @@ pub fn run(_: &crate::Options) {
         .unwrap()
         .geometry
         .with_volume(2048, 2048, 2048);
-    let a = simulate_distributed(&g29, RankLayout::new(1, 1, 8), &machine);
+    let a = simulate_distributed(
+        &g29,
+        RankLayout::new(1, 1, 8),
+        &machine,
+        ReduceMode::default(),
+        1.0,
+    );
     println!("Figure 10a — tomo_00029 → 2048³ on one V100 (paper: 137.7 s end-to-end)");
     println!(
         "simulated end-to-end: {:.1} s (projected {:.1} s)\n",
@@ -37,7 +43,13 @@ pub fn run(_: &crate::Options) {
     // 512; Figure 10b says N_gpus=128, N_g=64, N_r=8 with 2 ranks... we
     // follow the caption's N_r=8 ⇒ N_g=16).
     let bee = DatasetPreset::by_name("bumblebee").unwrap().geometry;
-    let b = simulate_distributed(&bee, RankLayout::new(8, 16, 8), &machine);
+    let b = simulate_distributed(
+        &bee,
+        RankLayout::new(8, 16, 8),
+        &machine,
+        ReduceMode::default(),
+        1.0,
+    );
     println!("\nFigure 10b — bumblebee → 4096³ on 128 GPUs (paper: ~35.5 s end-to-end)");
     println!(
         "simulated end-to-end: {:.1} s (projected {:.1} s)\n",

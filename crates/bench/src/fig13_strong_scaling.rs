@@ -8,6 +8,7 @@
 //! ```
 
 use scalefbp::timing::strong_scaling_sweep;
+use scalefbp::ReduceMode;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 
@@ -77,7 +78,7 @@ pub fn run(_: &crate::Options) {
             "{:>6} {:>12} {:>13} {:>11} {:>9}",
             "GPUs", "measured(s)", "projected(s)", "paper(s)", "ratio"
         );
-        let sweep = strong_scaling_sweep(&geom, p.nr, 8, p.gpus, &machine);
+        let sweep = strong_scaling_sweep(&geom, p.nr, 8, p.gpus, &machine, ReduceMode::default());
         for (out, &paper) in sweep.iter().zip(p.paper) {
             println!(
                 "{:>6} {:>12.1} {:>13.1} {:>11.1} {:>9.2}",

@@ -7,6 +7,7 @@
 //! ```
 
 use scalefbp::timing::weak_scaling_sweep;
+use scalefbp::ReduceMode;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 
@@ -26,7 +27,7 @@ pub fn run(_: &crate::Options) {
         "{:>6} {:>7} {:>5} {:>12} {:>13} {:>9}",
         "GPUs", "N_p", "N_r", "measured(s)", "projected(s)", "paper(s)"
     );
-    for (out, ((np, nr), paper)) in weak_scaling_sweep(&coffee, &pairs_a, &gpus_a, 8, &machine)
+    for (out, ((np, nr), paper)) in weak_scaling_sweep(&coffee, &pairs_a, &gpus_a, 8, &machine, ReduceMode::default())
         .iter()
         .zip(pairs_a.iter().zip(paper_a))
     {
@@ -46,7 +47,7 @@ pub fn run(_: &crate::Options) {
         "{:>6} {:>7} {:>5} {:>12} {:>13} {:>9}",
         "GPUs", "N_p", "N_r", "measured(s)", "projected(s)", "paper(s)"
     );
-    for (out, ((np, nr), paper)) in weak_scaling_sweep(&bee, &pairs_b, &gpus_b, 8, &machine)
+    for (out, ((np, nr), paper)) in weak_scaling_sweep(&bee, &pairs_b, &gpus_b, 8, &machine, ReduceMode::default())
         .iter()
         .zip(pairs_b.iter().zip(paper_b))
     {

@@ -7,6 +7,7 @@
 //! ```
 
 use scalefbp::timing::strong_scaling_sweep;
+use scalefbp::ReduceMode;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 
@@ -36,7 +37,7 @@ pub fn run(_: &crate::Options) {
                 .unwrap()
                 .geometry
                 .with_volume(4096, 4096, 4096);
-            strong_scaling_sweep(&geom, *nr, 8, gpus, &machine)
+            strong_scaling_sweep(&geom, *nr, 8, gpus, &machine, ReduceMode::default())
                 .into_iter()
                 .map(|o| (o.gpus, o.gups))
                 .collect()

@@ -11,6 +11,7 @@
 //! projected runtime — the paper's choices should land on (or next to)
 //! the model's optimum.
 
+use scalefbp::ReduceMode;
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::{MachineParams, PerfModel};
 
@@ -26,7 +27,7 @@ pub fn run(_: &crate::Options) {
             .unwrap()
             .geometry
             .with_volume(4096, 4096, 4096);
-        let ranked = model.optimal_layout(&geom, 1024, 8);
+        let ranked = model.optimal_layout(&geom, 1024, 8, ReduceMode::default());
         println!("--- {name} (paper uses N_r = {paper_nr}) ---");
         println!("{:>6} {:>6} {:>12}", "N_r", "N_g", "runtime (s)");
         for (layout, secs) in ranked.iter().take(6) {

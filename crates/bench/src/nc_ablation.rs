@@ -10,7 +10,7 @@
 //! shrinks the device working set (thinner slabs) at the cost of pipeline
 //! fill and more (smaller) transfers — quantifying why 8 is a sweet spot.
 
-use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor};
+use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode};
 use scalefbp_bench::{fmt_bytes, MeasuredWorkload};
 use scalefbp_geom::{DatasetPreset, RankLayout, VolumeDecomposition};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
@@ -44,7 +44,7 @@ pub fn run(_: &crate::Options) {
             nb,
             fmt_bytes(slab),
             fmt_bytes(window),
-            model.runtime(&shape)
+            model.runtime(&shape, ReduceMode::default())
         );
     }
 

@@ -6,7 +6,7 @@
 use scalefbp::substrates::geom::{CbctGeometry, DatasetPreset, RankLayout};
 use scalefbp::substrates::mpisim::CommCostModel;
 use scalefbp::substrates::perfmodel::{MachineParams, PerfModel, RunShape};
-use scalefbp::timing::simulate_distributed_with_mode;
+use scalefbp::timing::simulate_distributed;
 use scalefbp::ReduceMode;
 use scalefbp_bench::{json_record, write_json, JsonValue};
 
@@ -103,11 +103,11 @@ fn scaling_point(
                     owner_bytes,
                 ),
             };
-            let sim = simulate_distributed_with_mode(geom, layout, machine, mode);
+            let sim = simulate_distributed(geom, layout, machine, mode, 1.0);
             ScalingModePoint {
                 mode: mode.name(),
                 collective_secs,
-                eq17_secs: model.runtime_for_mode(&shape, mode),
+                eq17_secs: model.runtime(&shape, mode),
                 des_makespan_secs: sim.measured_secs,
                 root_ingress_bytes: ingress,
                 // The busiest rank IS the root/owner in every algorithm.

@@ -7,8 +7,8 @@ use std::path::Path;
 
 use scalefbp::substrates::geom::{CbctGeometry, DatasetPreset, RankLayout};
 use scalefbp::substrates::perfmodel::MachineParams;
-use scalefbp::timing::{simulate_with_stragglers, straggler_comparison};
-use scalefbp::{DeviceSpec, FdkConfig, MetricsRegistry};
+use scalefbp::timing::{simulate_distributed, straggler_comparison};
+use scalefbp::{DeviceSpec, FdkConfig, MetricsRegistry, ReduceMode};
 use scalefbp_bench::{json_record, write_json, JsonValue};
 use scalefbp_integration::testsupport::fresh_dir;
 use scalefbp_serve::{generate, FleetFaultPlan, Scheduler, ServeConfig, WorkloadSpec};
@@ -79,9 +79,9 @@ pub fn run(opts: &crate::Options) {
     let mut points = Vec::new();
     for &f in factors {
         let (wait_wall, wasted_seg, wasted_global) =
-            straggler_comparison(&geom, layout, &machine, f);
+            straggler_comparison(&geom, layout, &machine, ReduceMode::default(), f);
         let spec_factor = f.min(timeout_scale + 1.0);
-        let spec_wall = simulate_with_stragglers(&geom, layout, &machine, spec_factor, 1)
+        let spec_wall = simulate_distributed(&geom, layout, &machine, ReduceMode::default(), spec_factor)
             .measured_secs
             .min(wait_wall);
         assert!(

@@ -11,7 +11,7 @@
 //! does not exist here); a final section *measures* the same pipeline at
 //! laptop scale with real computation to validate the shape.
 
-use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor};
+use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode};
 use scalefbp_bench::{fmt_secs, MeasuredWorkload};
 use scalefbp_geom::{DatasetPreset, RankLayout};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
@@ -46,10 +46,10 @@ fn paper_scale_section(device: &DeviceSpec, machine: &MachineParams) {
                 geom: geom.clone(),
                 layout: RankLayout::new(1, 1, 8),
             };
-            let b = model.batch_times(&shape);
+            let b = model.batch_times(&shape, ReduceMode::default());
             let sum =
                 |f: fn(&scalefbp_perfmodel::BatchTimes) -> f64| -> f64 { b.iter().map(f).sum() };
-            let runtime = model.runtime(&shape);
+            let runtime = model.runtime(&shape, ReduceMode::default());
             let gups = geom.voxel_updates() as f64 / runtime / 1e9;
             println!(
                 "{:>11} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9.1} {:>5}",

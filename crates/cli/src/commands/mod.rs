@@ -5,12 +5,12 @@ use std::path::{Path, PathBuf};
 use rand::SeedableRng;
 use scalefbp::{
     fault_tolerant_reconstruct, fdk_reconstruct_configured, iterative_reconstruct_distributed,
-    BackendChoice, CheckpointSpec, DeviceSpec, FaultTolerantOutcome, FdkConfig, FilterWindow,
-    IterativeConfig, IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot,
-    OutOfCoreReconstructor, PipelineReport, PipelinedReconstructor, RankLayout, ReduceMode, Volume,
+    BackendChoice, CheckpointSpec, DeviceSpec, FdkConfig, FilterWindow, IterativeConfig,
+    IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor,
+    PipelinedReconstructor, RankLayout, ReduceMode,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
-use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack, RowSource};
+use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
 use scalefbp_iosim::format::{
     decode_projections, decode_volume, encode_projections, encode_volume, geometry_from_text,
     geometry_to_text, mip_to_pgm, slice_to_pgm, ScanFile,
@@ -322,46 +322,28 @@ fn read_scan(file: &ScanFile, path: &Path) -> Result<ProjectionStack, CliError> 
         .map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
 }
 
-/// A scan on disk, read by the drivers as they need it, or one
-/// synthesized in memory.
-enum Scan {
-    File(ScanFile, PathBuf),
-    Memory(ProjectionStack),
+/// The geometry sidecar of `scan`: `--geom` when given, otherwise the
+/// `.geom` file written next to the scan.
+fn read_geometry(args: &mut Args, scan: &Path) -> Result<CbctGeometry, CliError> {
+    let path = args
+        .opt("geom")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| geometry_path(scan));
+    geometry_from_text(&std::fs::read_to_string(&path)?)
+        .map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
 }
 
-impl Scan {
-    /// The scan as the streaming drivers read it.
-    fn rows(&self) -> &dyn RowSource {
-        match self {
-            Scan::File(file, _) => file,
-            Scan::Memory(stack) => stack,
-        }
-    }
-
-    /// The whole scan in memory.
-    fn into_stack(self) -> Result<ProjectionStack, CliError> {
-        match self {
-            Scan::File(file, path) => read_scan(&file, &path),
-            Scan::Memory(stack) => Ok(stack),
-        }
-    }
-}
-
-/// Input for the self-contained `pipeline` / `distributed` commands:
-/// an on-disk scan when `--scan` is given, otherwise a synthesized
-/// uniform-ball scan of an ideal geometry (`--ideal N`, default 24).
-fn load_or_synthesize(args: &mut Args) -> Result<(CbctGeometry, Scan, String), CliError> {
+/// Input for `iterative`: an on-disk scan when `--scan` is given,
+/// otherwise a synthesized uniform-ball scan of an ideal geometry
+/// (`--ideal N`, default 24).
+fn load_or_synthesize(
+    args: &mut Args,
+) -> Result<(CbctGeometry, ProjectionStack, String), CliError> {
     if let Some(scan) = args.opt("scan") {
         let scan_path = PathBuf::from(scan);
-        let geom_path = args
-            .opt("geom")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| geometry_path(&scan_path));
-        let geom = geometry_from_text(&std::fs::read_to_string(&geom_path)?)
-            .map_err(|e| CliError::Message(format!("{}: {e}", geom_path.display())))?;
-        let file = open_scan(&scan_path)?;
-        let source = format!("{}", scan_path.display());
-        Ok((geom, Scan::File(file, scan_path), source))
+        let geom = read_geometry(args, &scan_path)?;
+        let projections = read_scan(&open_scan(&scan_path)?, &scan_path)?;
+        Ok((geom, projections, format!("{}", scan_path.display())))
     } else {
         let _ = args.opt("geom");
         let n: usize = args.typed_or("ideal", 24, "integer")?;
@@ -369,11 +351,7 @@ fn load_or_synthesize(args: &mut Args) -> Result<(CbctGeometry, Scan, String), C
         geom.validate()
             .map_err(|e| CliError::Message(format!("invalid geometry: {e}")))?;
         let projections = forward_project(&geom, &uniform_ball(&geom, 0.55, 1.0));
-        Ok((
-            geom,
-            Scan::Memory(projections),
-            format!("synthetic ball, ideal {n}"),
-        ))
+        Ok((geom, projections, format!("synthetic ball, ideal {n}")))
     }
 }
 
@@ -411,69 +389,9 @@ where
     )
 }
 
-/// The pipelined driver as `pipeline` and `reconstruct --mode pipeline`
-/// both run it. With `nvme` the load stage reads from the modelled
-/// node-local NVMe endpoint, whose `io.*` traffic then lands in the
-/// report's metrics; `pipeline` always attaches it, `reconstruct` only
-/// under a fault plan (the endpoint is where storage faults are injected).
-fn run_pipeline(
-    cfg: FdkConfig,
-    projections: &dyn RowSource,
-    plan: &FaultPlan,
-    nvme: bool,
-) -> Result<(Volume, PipelineReport), CliError> {
-    let rec = PipelinedReconstructor::new(cfg).map_err(|e| CliError::Message(e.to_string()))?;
-    let nvme = nvme.then(|| StorageEndpoint::local_nvme(None));
-    rec.reconstruct(projections, plan, nvme.as_ref())
-        .map_err(|e| CliError::Message(e.to_string()))
-}
-
-/// The distributed driver as `distributed` and `reconstruct --mode
-/// distributed` both run it: `--nr`/`--ng` and the fault, straggler and
-/// timeout flags complete `cfg`, then the world runs (checkpointed when
-/// `checkpoint` is given). Returns the outcome and the
-/// summary both commands print: layout, reduce mode, traffic, checkpoint
-/// and recovery notes.
-fn run_distributed(
-    args: &mut Args,
-    cfg: FdkConfig,
-    projections: &ProjectionStack,
-    checkpoint: &Option<(StorageEndpoint, CheckpointSpec)>,
-) -> Result<(FaultTolerantOutcome, String), CliError> {
-    let nr: usize = args.typed_or("nr", 2, "integer")?;
-    let ng: usize = args.typed_or("ng", 2, "integer")?;
-    let world = nr.saturating_mul(ng);
-    let plan =
-        parse_fault_plan(args, &FaultScenario::mixed(world))?.unwrap_or_else(FaultPlan::none);
-    let plan = apply_straggler_plan(args, plan, world)?;
-    let cfg = cfg.with_timeout_scale(parse_timeout_scale(args)?);
-    // A struct literal, not `RankLayout::new`: the driver validates the
-    // layout against the scan and reports a bad one as an error.
-    let out = fault_tolerant_reconstruct(
-        &cfg,
-        RankLayout { nr, ng, nc: 2 },
-        projections,
-        &plan,
-        checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
-    )
-    .map_err(|e| CliError::Message(e.to_string()))?;
-    let summary = format!(
-        "N_r={nr} N_g={ng}, {} reduce, {:.1} MB network{}{}",
-        cfg.reduce_mode,
-        out.network.bytes as f64 / 1e6,
-        checkpoint_note(checkpoint),
-        recovery_summary(&out.recovery)
-    );
-    Ok((out, summary))
-}
-
 /// `scalefbp reconstruct`.
 pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let scan_path = PathBuf::from(args.require("scan")?);
-    let geom_path = args
-        .opt("geom")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| geometry_path(&scan_path));
     let out_path = PathBuf::from(args.require("out")?);
     let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
     let mode = args.opt("mode").unwrap_or_else(|| "incore".into());
@@ -501,8 +419,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
         None => None,
     };
 
-    let geom = geometry_from_text(&std::fs::read_to_string(&geom_path)?)
-        .map_err(|e| CliError::Message(format!("{}: {e}", geom_path.display())))?;
+    let geom = read_geometry(args, &scan_path)?;
     let scan = open_scan(&scan_path)?;
 
     let t0 = std::time::Instant::now();
@@ -517,8 +434,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let (volume, detail, trace_json, metrics) = match mode.as_str() {
         "incore" => {
             let projections = read_scan(&scan, &scan_path)?;
-            let v = fdk_reconstruct_configured(&cfg, &projections, slab)
-                .map_err(|e| CliError::Message(e.to_string()))?;
+            let v = fdk_reconstruct_configured(&cfg, &projections, slab)?;
             let what = match slab {
                 Some((z0, z1)) => format!("ROI slab [{z0}, {z1})"),
                 None => "in-core".to_string(),
@@ -531,11 +447,9 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             )
         }
         "outofcore" => {
-            let rec = OutOfCoreReconstructor::new(cfg.with_device(device))
-                .map_err(|e| CliError::Message(e.to_string()))?;
-            let (v, report) = rec
-                .reconstruct(&scan, checkpoint.as_ref().map(|(ep, spec)| (ep, spec)))
-                .map_err(|e| CliError::Message(e.to_string()))?;
+            let rec = OutOfCoreReconstructor::new(cfg.with_device(device))?;
+            let (v, report) =
+                rec.reconstruct(&scan, checkpoint.as_ref().map(|(ep, spec)| (ep, spec)))?;
             let ckpt_note = checkpoint_note(&checkpoint);
             let detail = format!(
                 "out-of-core: N_b={} over {} batches, H2D {:.1} MB{ckpt_note}",
@@ -548,11 +462,15 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
         }
         "pipeline" => {
             let plan = parse_fault_plan(args, &single_rank_scenario())?;
-            let (v, report) = run_pipeline(
-                cfg.with_device(device),
+            // The modelled NVMe endpoint attaches exactly when a fault plan
+            // is given: it is where storage faults are injected, and its
+            // `io.*` traffic then lands in the report's metrics.
+            let nvme = plan.as_ref().map(|_| StorageEndpoint::local_nvme(None));
+            let rec = PipelinedReconstructor::new(cfg.with_device(device))?;
+            let (v, report) = rec.reconstruct(
                 &scan,
                 plan.as_ref().unwrap_or(&FaultPlan::none()),
-                plan.is_some(),
+                nvme.as_ref(),
             )?;
             let faults = if plan.is_some() {
                 recovery_summary(&report.recovery)
@@ -567,10 +485,33 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             (v, detail, trace, report.metrics)
         }
         "distributed" => {
-            let cfg = cfg.with_reduce_mode(reduce_mode);
             let projections = read_scan(&scan, &scan_path)?;
-            let (out, summary) = run_distributed(args, cfg, &projections, &checkpoint)?;
-            let detail = format!("fault-tolerant distributed: {summary}");
+            let nr: usize = args.typed_or("nr", 2, "integer")?;
+            let ng: usize = args.typed_or("ng", 2, "integer")?;
+            let world = nr.saturating_mul(ng);
+            let plan = parse_fault_plan(args, &FaultScenario::mixed(world))?
+                .unwrap_or_else(FaultPlan::none);
+            let plan = apply_straggler_plan(args, plan, world)?;
+            let cfg = cfg
+                .with_reduce_mode(reduce_mode)
+                .with_timeout_scale(parse_timeout_scale(args)?);
+            // A struct literal, not `RankLayout::new`: the driver validates
+            // the layout against the scan and reports a bad one as an error.
+            let out = fault_tolerant_reconstruct(
+                &cfg,
+                RankLayout { nr, ng, nc: 2 },
+                &projections,
+                &plan,
+                checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
+            )?;
+            let detail = format!(
+                "fault-tolerant distributed: N_r={nr} N_g={ng}, {} reduce, \
+                 {:.1} MB network{}{}",
+                cfg.reduce_mode,
+                out.network.bytes as f64 / 1e6,
+                checkpoint_note(&checkpoint),
+                recovery_summary(&out.recovery)
+            );
             let trace = out.chrome_trace();
             (out.volume, detail, trace, out.metrics)
         }
@@ -592,73 +533,6 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     ))
 }
 
-/// `scalefbp pipeline` — a self-contained observability demo of the
-/// Figure 9 threaded pipeline: reconstructs a scan (or a synthesized
-/// ball) through the instrumented load → filter → bp → store pipeline
-/// against the modelled NVMe endpoint, exporting the deterministic model
-/// trace and metrics snapshot.
-pub fn pipeline(args: &mut Args) -> Result<String, CliError> {
-    let (geom, scan, source) = load_or_synthesize(args)?;
-    let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
-    let device = parse_device(&args.opt("device").unwrap_or_else(|| "v100".into()))?;
-    let backend: BackendChoice = parse_choice(args, "backend")?;
-    let plan = parse_fault_plan(args, &single_rank_scenario())?.unwrap_or_else(FaultPlan::none);
-
-    let cfg = FdkConfig::new(geom)
-        .with_window(window)
-        .with_device(device)
-        .with_backend(backend);
-    let (volume, report) = run_pipeline(cfg, scan.rows(), &plan, true)?;
-
-    let obs_note =
-        write_observability(args, &report.model_trace.to_chrome_trace(), &report.metrics)?;
-    if let Some(out) = args.opt("out") {
-        std::fs::write(&out, encode_volume(&volume))?;
-    }
-    Ok(format!(
-        "pipeline ({source}): {}×{}×{} over {} batches, \
-         model makespan {:.3} ms, overlap efficiency {:.0}%{}\n{obs_note}",
-        volume.nx(),
-        volume.ny(),
-        volume.nz(),
-        report
-            .metrics
-            .counter("pipeline.batches", Some(0))
-            .unwrap_or(0),
-        report.model_trace.makespan() * 1e3,
-        report.overlap_efficiency * 100.0,
-        recovery_summary(&report.recovery)
-    ))
-}
-
-/// `scalefbp distributed` — a self-contained observability demo of the
-/// fault-tolerant distributed driver: runs the N_r×N_g world (with an
-/// optional fault schedule), exporting the recovery timeline and the
-/// per-rank mergeable metrics snapshot.
-pub fn distributed(args: &mut Args) -> Result<String, CliError> {
-    let (geom, scan, source) = load_or_synthesize(args)?;
-    let projections = scan.into_stack()?;
-    let window = parse_window(&args.opt("window").unwrap_or_else(|| "ramlak".into()))?;
-    let backend: BackendChoice = parse_choice(args, "backend")?;
-    let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
-    let cfg = FdkConfig::new(geom)
-        .with_window(window)
-        .with_backend(backend)
-        .with_reduce_mode(reduce_mode);
-    let (out, summary) = run_distributed(args, cfg, &projections, &None)?;
-
-    let obs_note = write_observability(args, &out.chrome_trace(), &out.metrics)?;
-    if let Some(path) = args.opt("out") {
-        std::fs::write(&path, encode_volume(&out.volume))?;
-    }
-    Ok(format!(
-        "distributed ({source}): {}×{}×{} on {summary}\n{obs_note}",
-        out.volume.nx(),
-        out.volume.ny(),
-        out.volume.nz(),
-    ))
-}
-
 /// `scalefbp iterative` — distributed iterative reconstruction (SIRT or
 /// MLEM) sharded over simulated ranks, with the per-iteration correction
 /// merge running on the chosen `--reduce-mode` collective. The iterate
@@ -666,8 +540,7 @@ pub fn distributed(args: &mut Args) -> Result<String, CliError> {
 /// pair; `--checkpoint-dir`/`--resume` make long runs crash-consistent
 /// (see docs/iterative.md).
 pub fn iterative(args: &mut Args) -> Result<String, CliError> {
-    let (geom, scan, source) = load_or_synthesize(args)?;
-    let projections = scan.into_stack()?;
+    let (geom, projections, source) = load_or_synthesize(args)?;
     let solver_name = args.opt("solver").unwrap_or_else(|| "sirt".into());
     let iters: usize = args.typed_or("iters", 10, "integer")?;
     let ranks: usize = args.typed_or("ranks", 4, "integer")?;
@@ -693,8 +566,7 @@ pub fn iterative(args: &mut Args) -> Result<String, CliError> {
     let ckpt_note = checkpoint_note(&cfg.checkpoint);
 
     let t0 = std::time::Instant::now();
-    let out = iterative_reconstruct_distributed(&geom, &projections, &cfg)
-        .map_err(|e| CliError::Message(e.to_string()))?;
+    let out = iterative_reconstruct_distributed(&geom, &projections, &cfg)?;
     let secs = t0.elapsed().as_secs_f64();
 
     let obs_note = write_observability(args, &chrome_trace_json(&[]), &out.metrics)?;
@@ -930,8 +802,14 @@ pub fn model(args: &mut Args) -> Result<String, CliError> {
         layout: RankLayout::new(nr, gpus / nr, nc),
     };
     let model = PerfModel::new(machine);
-    let projected = model.runtime(&shape);
-    let sim = scalefbp::timing::simulate_distributed(&geom, shape.layout, &machine);
+    let projected = model.runtime(&shape, ReduceMode::default());
+    let sim = scalefbp::timing::simulate_distributed(
+        &geom,
+        shape.layout,
+        &machine,
+        ReduceMode::default(),
+        1.0,
+    );
     Ok(format!(
         "{preset} → {}³ on {gpus} GPUs (N_r={nr}, N_g={}, N_c={nc}):\n\
          projected (Eq 17): {projected:.1} s\n\

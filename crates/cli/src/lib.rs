@@ -42,6 +42,12 @@ impl From<ArgError> for CliError {
     }
 }
 
+impl From<scalefbp::ReconstructionError> for CliError {
+    fn from(e: scalefbp::ReconstructionError) -> Self {
+        CliError::Message(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
@@ -103,22 +109,6 @@ COMMANDS:
               [--trace-out trace.json] [--metrics-out metrics.json] [--stats]
                   export the deterministic chrome trace / metrics snapshot
                   (see docs/observability.md); --stats prints the table
-  pipeline    [--scan scan.sfbp | --ideal N] [--device SPEC] [--window W]
-              [--backend sim|cpu]
-              [--fault-seed N | --fault-plan FILE] [--out vol.sfbp]
-              [--trace-out F] [--metrics-out F] [--stats]
-              self-contained threaded-pipeline run (synthesized ball scan
-              by default) exporting the model trace and metrics
-  distributed [--scan scan.sfbp | --ideal N] [--nr N --ng N] [--window W]
-              [--reduce-mode dense|hierarchical|segmented] [--backend sim|cpu]
-              [--fault-seed N | --fault-plan FILE] [--out vol.sfbp]
-              [--straggler-seed N] [--stragglers N] [--slow-factor F]
-              [--timeout-scale F]
-              [--trace-out F] [--metrics-out F] [--stats]
-              self-contained fault-tolerant distributed run exporting the
-              recovery timeline and per-rank mergeable metrics; straggler
-              flags slow seeded worker devices, recovered by speculative
-              re-execution (see docs/fault-model.md)
   iterative   [--scan scan.sfbp | --ideal N] [--solver sirt|mlem]
               [--iters N] [--relaxation F] [--ranks N]
               [--reduce-mode dense|hierarchical|segmented]
@@ -162,8 +152,6 @@ pub fn run<I: IntoIterator<Item = String>>(tokens: I) -> Result<String, CliError
         "simulate" => commands::simulate(&mut args)?,
         "info" => commands::info(&mut args)?,
         "reconstruct" => commands::reconstruct(&mut args)?,
-        "pipeline" => commands::pipeline(&mut args)?,
-        "distributed" => commands::distributed(&mut args)?,
         "iterative" => commands::iterative(&mut args)?,
         "trace-validate" => commands::trace_validate(&mut args)?,
         "slice" => commands::slice(&mut args)?,

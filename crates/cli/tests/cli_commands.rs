@@ -218,28 +218,6 @@ fn reduce_mode_flag_accepts_all_modes_and_keeps_the_default() {
 }
 
 #[test]
-fn self_contained_distributed_command_takes_reduce_mode() {
-    let out = call(&[
-        "distributed",
-        "--ideal",
-        "16",
-        "--nr",
-        "2",
-        "--ng",
-        "2",
-        "--reduce-mode",
-        "segmented",
-    ])
-    .unwrap();
-    assert!(out.contains("segmented reduce"), "{out}");
-    let err = call(&["distributed", "--ideal", "16", "--reduce-mode", "tree"]);
-    assert!(
-        format!("{err:?}").contains("unknown reduce mode"),
-        "{err:?}"
-    );
-}
-
-#[test]
 fn slab_roi_reconstruction() {
     let dir = tmpdir("slab");
     let scan = dir.join("scan.sfbp");
@@ -390,59 +368,28 @@ fn observability_flags_on_all_reconstruct_modes() {
     }
 }
 
-/// The self-contained `pipeline` and `distributed` commands need no scan
-/// file at all and honour the same export flags.
-#[test]
-fn pipeline_and_distributed_commands_are_self_contained() {
-    let dir = tmpdir("selfcontained");
-    for cmd in ["pipeline", "distributed"] {
-        let trace = dir.join(format!("{cmd}.trace.json"));
-        let metrics = dir.join(format!("{cmd}.metrics.json"));
-        let out = call(&[
-            cmd,
-            "--ideal",
-            "16",
-            "--trace-out",
-            trace.to_str().unwrap(),
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-            "--stats",
-        ])
-        .unwrap();
-        assert!(out.contains("synthetic ball"), "{cmd}: {out}");
-        call(&[
-            "trace-validate",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ])
-        .unwrap();
-    }
-}
-
 /// An unwritable export path is a loud error, not a silent skip.
 #[test]
 fn unwritable_trace_path_is_an_error() {
-    let dir = tmpdir("unwritable");
-    let r = call(&[
+    let (dir, scan) = ideal_scan("unwritable", "16");
+    let vol = dir.join("vol.sfbp");
+    let pipeline = [
+        "reconstruct",
+        "--scan",
+        &scan,
+        "--out",
+        vol.to_str().unwrap(),
+        "--mode",
         "pipeline",
-        "--ideal",
-        "16",
-        "--trace-out",
-        dir.join("no/such/dir/trace.json").to_str().unwrap(),
-    ]);
+    ];
+    let trace = dir.join("no/such/dir/trace.json");
+    let r = call(&[&pipeline[..], &["--trace-out", trace.to_str().unwrap()]].concat());
     match r {
         Err(CliError::Message(m)) => assert!(m.contains("--trace-out"), "{m}"),
         other => panic!("expected CliError::Message, got {other:?}"),
     }
-    let r = call(&[
-        "pipeline",
-        "--ideal",
-        "16",
-        "--metrics-out",
-        dir.join("no/such/dir/metrics.json").to_str().unwrap(),
-    ]);
+    let metrics = dir.join("no/such/dir/metrics.json");
+    let r = call(&[&pipeline[..], &["--metrics-out", metrics.to_str().unwrap()]].concat());
     assert!(r.is_err());
 }
 
@@ -650,8 +597,8 @@ fn ideal_scan(tag: &str, n: &str) -> (PathBuf, String) {
 }
 
 /// A rank layout that does not fit the scan (16³ volume, 24 projections)
-/// is an ordinary error from both commands — not a panic (`--nr 0`,
-/// `--ng 17`) and not a world that never joins (`--nr 25`).
+/// is an ordinary error — not a panic (`--nr 0`, `--ng 17`) and not a
+/// world that never joins (`--nr 25`).
 #[test]
 fn distributed_layout_flags_are_validated() {
     let (dir, scan) = ideal_scan("layout", "16");
@@ -666,11 +613,9 @@ fn distributed_layout_flags_are_validated() {
             "--mode",
             "distributed",
         ];
-        for cmd in [&reconstruct[..], &["distributed", "--scan", &scan]] {
-            match call(&[cmd, &flag[..]].concat()) {
-                Err(CliError::Message(m)) => assert!(m.contains("invalid rank layout"), "{m}"),
-                other => panic!("{cmd:?} {flag:?}: {other:?}"),
-            }
+        match call(&[&reconstruct[..], &flag[..]].concat()) {
+            Err(CliError::Message(m)) => assert!(m.contains("invalid rank layout"), "{m}"),
+            other => panic!("{flag:?}: {other:?}"),
         }
     }
 }
@@ -705,47 +650,6 @@ fn slab_honours_kernel_and_backend_and_needs_incore_mode() {
     assert!(format!("{err:?}").contains("unknown backend"), "{err:?}");
 }
 
-/// Each self-contained command shares one function with its `reconstruct
-/// --mode` arm: on the same scan the pairs write the same volume, metrics
-/// and trace bytes. The pipeline pair needs a fault seed for that —
-/// without one `pipeline` still attaches the modelled NVMe endpoint and
-/// `reconstruct` does not, so only the volumes agree.
-#[test]
-fn self_contained_commands_match_their_reconstruct_modes() {
-    let (dir, scan) = ideal_scan("pairs", "16");
-    // Runs `head … extra` and returns its [volume, metrics, trace] bytes.
-    let exports = |head: &[&str], extra: &[&str]| -> [Vec<u8>; 3] {
-        let files = ["sfbp", "metrics", "trace"].map(|ext| {
-            dir.join(format!("{}.{ext}", head[0]))
-                .to_str()
-                .unwrap()
-                .to_string()
-        });
-        let outs = [
-            "--out",
-            &files[0],
-            "--metrics-out",
-            &files[1],
-            "--trace-out",
-            &files[2],
-        ];
-        call(&[head, &outs, extra].concat()).unwrap();
-        files.map(|f| std::fs::read(f).unwrap())
-    };
-    let pair = |cmd: &str, extra: &[&str]| {
-        (
-            exports(&[cmd, "--scan", &scan], extra),
-            exports(&["reconstruct", "--scan", &scan, "--mode", cmd], extra),
-        )
-    };
-    let (own, rec) = pair("pipeline", &["--fault-seed", "11"]);
-    assert!(own == rec, "pipeline pair under a fault seed");
-    let (own, rec) = pair("pipeline", &[]);
-    assert!(own[0] == rec[0] && own[1] != rec[1], "NVMe endpoint rows");
-    let (own, rec) = pair("distributed", &[]);
-    assert!(own == rec, "distributed pair");
-}
-
 /// A scan truncated by one byte, and a 25-byte header whose dimensions
 /// (`2^22` each) overflow `usize`: `info` and every driver refuse both
 /// with an error naming the container problem, before reading a row.
@@ -775,9 +679,6 @@ fn hostile_scans_are_refused_by_every_command() {
                 Err(CliError::Message(m)) => assert!(m.contains(why), "{name} {mode}: {m}"),
                 other => panic!("{name} {mode}: {other:?}"),
             }
-        }
-        for cmd in ["pipeline", "distributed"] {
-            assert!(call(&[cmd, "--scan", path]).is_err(), "{name}: {cmd}");
         }
     }
 }
@@ -819,5 +720,59 @@ fn non_finite_sidecar_geometry_is_refused() {
             assert!(!stderr.contains("panicked"), "{key} {mode}: {stderr}");
             assert!(!out.exists(), "{key} {mode} wrote a volume");
         }
+    }
+}
+
+/// Fault plans are outside input, so one the drivers cannot recover from
+/// is an error of the real binary (exit 1, no volume, no panic), within a
+/// minute: a pipeline plan that fails every retry of a device transfer
+/// or a storage read, and a distributed plan that kills rank 0.
+#[test]
+fn unrecoverable_fault_plans_exit_1_without_a_volume() {
+    let (dir, scan) = ideal_scan("hostile-plans", "16");
+    // Twelve failing ops outlast the nine-attempt transient budget.
+    let every_op = |channel: &str, kind: &str| -> String {
+        (0..12)
+            .map(|n| format!("rank 0 {channel} op {n} {kind}\n"))
+            .collect()
+    };
+    let cases = [
+        ("transfer", every_op("device-transfer", "transfer-error")),
+        ("read", every_op("storage-read", "read-error")),
+        ("root", "rank 0 recv op 0 rank-failure\n".to_string()),
+    ];
+    for (name, plan) in cases {
+        let plan_path = dir.join(format!("{name}.plan"));
+        std::fs::write(&plan_path, plan).unwrap();
+        let out = dir.join(format!("vol-{name}.sfbp"));
+        let mode: &[&str] = match name {
+            "root" => &["--mode", "distributed", "--nr", "2", "--ng", "2"],
+            _ => &["--mode", "pipeline"],
+        };
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
+            .args(["reconstruct", "--scan", &scan])
+            .args(mode)
+            .args(["--out", out.to_str().unwrap()])
+            .args(["--fault-plan", plan_path.to_str().unwrap()])
+            .stderr(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("{name}: still running after a minute");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(!out.exists(), "{name} wrote a volume");
     }
 }

@@ -44,8 +44,10 @@ pub enum ReconstructionError {
     /// The rank layout does not fit the problem: the distributed driver
     /// needs `1 ≤ N_r ≤ N_p` and `1 ≤ N_g ≤ N_z`.
     Layout(String),
-    /// Reading the projections failed: an I/O error, or a row source that
-    /// returned rows of the wrong shape.
+    /// Outside input the run cannot use: a failed projection read (an I/O
+    /// error, a row source that returned rows of the wrong shape, or an
+    /// injected read error that outlasted its retries), or a fault plan
+    /// that fails a rank no recovery path covers.
     Input(String),
 }
 

@@ -146,7 +146,7 @@ pub fn derive_deadlines(config: &FdkConfig, layout: RankLayout) -> FtDeadlines {
         layout,
     };
     let model = PerfModel::new(MachineParams::abci_v100());
-    let batches = model.batch_times_for_mode(&shape, config.reduce_mode);
+    let batches = model.batch_times(&shape, config.reduce_mode);
     let worst = batches
         .iter()
         .map(|b| b.steady_max())
@@ -388,7 +388,10 @@ impl FtCtx<'_> {
 ///
 /// The layout must give every rank a projection and every group a slice
 /// (`1 ≤ N_r ≤ N_p`, `1 ≤ N_g ≤ N_z`, `N_c ≥ 1`); anything else is
-/// [`ReconstructionError::Layout`].
+/// [`ReconstructionError::Layout`]. Rank 0 assembles the volume and
+/// coordinates recovery, and nothing recovers it, so a plan with a
+/// [`FaultKind::RankFailure`] on rank 0 is [`ReconstructionError::Input`]
+/// before any rank starts.
 ///
 /// The outcome's `metrics` snapshot carries the world's per-rank `mpi.*`
 /// traffic plus the protocol's `ft.*` per-rank counters; its per-rank
@@ -427,6 +430,15 @@ pub fn fault_tolerant_reconstruct(
     }
     if layout.nc == 0 {
         return Err(ReconstructionError::Layout("N_c must be positive".into()));
+    }
+    if let Some(e) = plan
+        .events()
+        .iter()
+        .find(|e| e.rank == 0 && e.kind == FaultKind::RankFailure)
+    {
+        return Err(ReconstructionError::Input(format!(
+            "fault plan event `{e}` fails rank 0, the assembly root, which nothing recovers"
+        )));
     }
     let ckpt: Option<FtCkpt> = checkpoint.map(|(endpoint, spec)| {
         let driver = format!("distributed:nr={},ng={}", layout.nr, layout.ng);
@@ -1054,9 +1066,12 @@ fn ft_root_inner(
         }
 
         let slabs = if group == 0 {
-            // Rank 0 leads group 0 itself.
+            // Rank 0 leads group 0 itself. Collection returns `None` only
+            // when the collecting rank is killed, and
+            // `fault_tolerant_reconstruct` refuses any plan that kills
+            // rank 0 before a rank starts.
             ft_collect_group_as_leader(comm, ctx, 0)
-                .expect("rank 0 must not be a fault target (it is the recovery coordinator)")
+                .expect("plans that fail rank 0 are refused before the world starts")
         } else {
             ft_collect_group_slabs(comm, ctx, group)
         };

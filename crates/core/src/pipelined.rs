@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use scalefbp_backproject::TextureWindow;
-use scalefbp_exec::{Executor, LaunchDescriptor};
+use scalefbp_exec::LaunchDescriptor;
 use scalefbp_faults::{
     retry_with_backoff, BackoffPolicy, FaultInject, FaultInjector, FaultPlan, RecoveryEvent,
     RecoveryLog,
@@ -79,71 +79,30 @@ impl RetryCounters {
     }
 }
 
-/// Transient device/IO faults funnel through the shared
-/// [`BackoffPolicy::transient`] budget. Injected faults are one-shot per
-/// scheduled operation, so a retry normally succeeds on the second
-/// attempt; the budget catches a misconfigured plan that would spin.
-fn h2d_with_retry(
-    exec: &dyn Executor,
-    bytes: u64,
+/// Runs one modelled device transfer or storage read under the shared
+/// [`BackoffPolicy::transient`] budget, recording each retry as
+/// `event(attempt)`. Injected faults are one-shot per scheduled
+/// operation, so a retry normally succeeds on the second attempt; a plan
+/// that fails every attempt gets the last attempt's error back.
+fn with_retry<E>(
     recovery: &RecoveryLog,
     retries: &RetryCounters,
-) -> f64 {
-    retry_with_backoff(
-        BackoffPolicy::transient(),
-        |_| exec.h2d(None, bytes),
-        |attempt, delay, _e| {
-            retries.on_retry(delay);
-            recovery.record(RecoveryEvent::DeviceRetry {
-                rank: RANK,
-                op: "h2d".to_string(),
-                attempt,
-            });
-        },
-    )
-    .unwrap_or_else(|e| panic!("h2d retry budget exhausted: {e}"))
+    event: impl Fn(u32) -> RecoveryEvent,
+    op: impl FnMut(u32) -> Result<f64, E>,
+) -> Result<f64, E> {
+    retry_with_backoff(BackoffPolicy::transient(), op, |attempt, delay, _e| {
+        retries.on_retry(delay);
+        recovery.record(event(attempt));
+    })
 }
 
-fn d2h_with_retry(
-    exec: &dyn Executor,
-    bytes: u64,
-    recovery: &RecoveryLog,
-    retries: &RetryCounters,
-) -> f64 {
-    retry_with_backoff(
-        BackoffPolicy::transient(),
-        |_| exec.d2h(None, bytes),
-        |attempt, delay, _e| {
-            retries.on_retry(delay);
-            recovery.record(RecoveryEvent::DeviceRetry {
-                rank: RANK,
-                op: "d2h".to_string(),
-                attempt,
-            });
-        },
-    )
-    .unwrap_or_else(|e| panic!("d2h retry budget exhausted: {e}"))
-}
-
-fn storage_read_with_retry(
-    storage: &StorageEndpoint,
-    bytes: u64,
-    recovery: &RecoveryLog,
-    retries: &RetryCounters,
-) -> f64 {
-    retry_with_backoff(
-        BackoffPolicy::transient(),
-        |_| storage.try_record_read(bytes),
-        |attempt, delay, _e| {
-            retries.on_retry(delay);
-            recovery.record(RecoveryEvent::IoRetry {
-                rank: RANK,
-                what: "projection batch".to_string(),
-                attempt,
-            });
-        },
-    )
-    .unwrap_or_else(|e| panic!("storage read retry budget exhausted: {e}"))
+/// The recovery event of a retried device transfer.
+fn device_retry(op: &'static str) -> impl Fn(u32) -> RecoveryEvent {
+    move |attempt| RecoveryEvent::DeviceRetry {
+        rank: RANK,
+        op: op.to_string(),
+        attempt,
+    }
 }
 
 /// The end-to-end threaded pipeline (Figure 9): one thread per stage,
@@ -199,7 +158,10 @@ impl PipelinedReconstructor {
     /// the trace. With `FaultPlan::none()` this is exactly the fault-free
     /// path, so recovered runs compare bit-for-bit against it. Storage
     /// reads and device transfers are modelled once per batch, whatever
-    /// its number of blocks.
+    /// its number of blocks. A plan that outlasts the retry budget makes
+    /// the run return [`ReconstructionError::Device`] (transfers) or
+    /// [`ReconstructionError::Input`] (storage reads), like a failed read,
+    /// after every stage thread has joined.
     ///
     /// The report's `metrics` snapshot carries the device's `gpu.*` and
     /// the pipeline's `pipeline.*` counters; with `storage` they are
@@ -256,7 +218,7 @@ impl PipelinedReconstructor {
             .build()
             .expect("a thread budget always builds");
 
-        let loaded = std::thread::scope(|scope| {
+        let stages = std::thread::scope(|scope| {
             // Load thread: reads each batch's *differential* rows, block
             // by block. On a failed read it stops; the closed queue then
             // drains every later stage.
@@ -273,7 +235,17 @@ impl PipelinedReconstructor {
                     let bytes = (r.len() * g.np * g.nu * 4) as u64;
                     let secs = if let Some(st) = &load_storage {
                         // Model (and fault-inject) the read from storage.
-                        storage_read_with_retry(st, bytes, load_recovery, load_retries)
+                        let retry = |attempt| RecoveryEvent::IoRetry {
+                            rank: RANK,
+                            what: "projection batch".to_string(),
+                            attempt,
+                        };
+                        with_retry(load_recovery, load_retries, retry, |_| {
+                            st.try_record_read(bytes)
+                        })
+                        .map_err(|e| {
+                            ReconstructionError::Input(format!("projection batch read: {e}"))
+                        })?
                     } else {
                         bytes as f64 / MODEL_HOST_LOAD_BW
                     };
@@ -300,15 +272,13 @@ impl PipelinedReconstructor {
             let filter_ref = &filter;
             let filter_exec = Arc::clone(&exec);
             let filter_model = &model_secs;
-            scope.spawn(move || {
+            let filter_stage = scope.spawn(move || -> Result<(), ReconstructionError> {
                 let mut batch_start = None;
                 while let Ok((task, mut rows, last)) = q1_rx.pop() {
                     let start = *batch_start.get_or_insert_with(now);
-                    stage_budget
-                        .install(|| {
-                            filter_exec.filter_stack(filter_ref, FilterChoice::default(), &mut rows)
-                        })
-                        .unwrap_or_else(|e| panic!("filter stage failed: {e}"));
+                    stage_budget.install(|| {
+                        filter_exec.filter_stack(filter_ref, FilterChoice::default(), &mut rows)
+                    })?;
                     if last {
                         let bytes = (task.new_rows.len() * g.np * g.nu * 4) as f64;
                         filter_model.lock().unwrap()[task.index][1] = bytes / MODEL_FILTER_BW;
@@ -316,9 +286,10 @@ impl PipelinedReconstructor {
                         batch_start = None;
                     }
                     if q2_tx.push((task, rows, last)).is_err() {
-                        return;
+                        return Ok(());
                     }
                 }
+                Ok(())
             });
 
             // Back-projection thread (the simulated GPU): every block goes
@@ -332,7 +303,7 @@ impl PipelinedReconstructor {
             let window_rows = self.window_rows;
             let kernel_choice = self.config.kernel;
             let bp_model = &model_secs;
-            scope.spawn(move || {
+            let bp_stage = scope.spawn(move || -> Result<(), ReconstructionError> {
                 let mut tex = TextureWindow::new(window_rows, g.np, g.nu, 0);
                 let mut batch_start = None;
                 while let Ok((task, rows, last)) = q2_rx.pop() {
@@ -349,29 +320,24 @@ impl PipelinedReconstructor {
                     let r = task.new_rows;
                     let mut device_secs = 0.0;
                     if !r.is_empty() {
-                        device_secs += h2d_with_retry(
-                            bp_exec.as_ref(),
-                            (r.len() * g.np * g.nu * 4) as u64,
-                            bp_recovery,
-                            bp_retries,
-                        );
+                        let bytes = (r.len() * g.np * g.nu * 4) as u64;
+                        device_secs +=
+                            with_retry(bp_recovery, bp_retries, device_retry("h2d"), |_| {
+                                bp_exec.h2d(None, bytes)
+                            })?;
                     }
                     let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
-                    let stats = stage_budget
-                        .install(|| {
-                            bp_exec.backproject_window(kernel_choice, &tex, mats_ref, &mut slab)
-                        })
-                        .unwrap_or_else(|e| panic!("back-projection stage failed: {e}"));
+                    let stats = stage_budget.install(|| {
+                        bp_exec.backproject_window(kernel_choice, &tex, mats_ref, &mut slab)
+                    })?;
                     kernel_updates.add(stats.updates);
-                    device_secs += bp_exec
-                        .launch(&LaunchDescriptor::backprojection(stats.updates))
-                        .unwrap_or_else(|e| panic!("back-projection launch rejected: {e}"));
-                    device_secs += d2h_with_retry(
-                        bp_exec.as_ref(),
-                        (slab.len() * 4) as u64,
-                        bp_recovery,
-                        bp_retries,
-                    );
+                    device_secs +=
+                        bp_exec.launch(&LaunchDescriptor::backprojection(stats.updates))?;
+                    let bytes = (slab.len() * 4) as u64;
+                    device_secs +=
+                        with_retry(bp_recovery, bp_retries, device_retry("d2h"), |_| {
+                            bp_exec.d2h(None, bytes)
+                        })?;
                     for v in slab.data_mut() {
                         *v *= scale;
                     }
@@ -379,9 +345,10 @@ impl PipelinedReconstructor {
                     batches_done.inc();
                     bp_trace.record("bp", task.index, start, now());
                     if q3_tx.push(slab).is_err() {
-                        return;
+                        return Ok(());
                     }
                 }
+                Ok(())
             });
 
             // Store thread: assembles the output volume.
@@ -399,11 +366,13 @@ impl PipelinedReconstructor {
                 }
             });
 
-            load.join()
+            // A failed stage returns, and its closed queues stop the
+            // others; the run fails after every stage has joined, with the
+            // most upstream error.
+            [load.join(), filter_stage.join(), bp_stage.join()]
         });
-        match loaded {
-            Ok(result) => result?,
-            Err(panic) => std::panic::resume_unwind(panic),
+        for joined in stages {
+            joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
         }
 
         // Replay the batches through the deterministic queue recurrence:

@@ -695,17 +695,6 @@ impl FaultInjector {
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
-
-    /// Events that have triggered so far, in canonical plan order.
-    pub fn fired_events(&self) -> Vec<FaultEvent> {
-        self.plan
-            .events
-            .iter()
-            .zip(&self.fired)
-            .filter(|(_, fired)| fired.load(Ordering::SeqCst))
-            .map(|(e, _)| *e)
-            .collect()
-    }
 }
 
 impl FaultInject for FaultInjector {

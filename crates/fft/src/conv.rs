@@ -1,8 +1,8 @@
-//! FFT-based convolution, plus the direct reference implementation.
+//! Convolution padding: the FFT length at which a circular convolution of
+//! a row with a kernel equals the linear one.
 
-use crate::{Complex, FftPlan};
-
-/// Smallest power of two `>= n`.
+/// Smallest power of two `>= n`. A row of `n` samples convolved with a
+/// kernel of up to `n` taps pads to `next_pow2(2·n)`.
 ///
 /// # Panics
 /// Panics if `n == 0` or the result would overflow `usize`.
@@ -12,86 +12,9 @@ pub fn next_pow2(n: usize) -> usize {
         .expect("next_pow2 overflowed usize")
 }
 
-/// Direct O(n·m) linear convolution; the validation reference for
-/// [`convolve`]. Output length is `a.len() + b.len() - 1`.
-pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![0.0; a.len() + b.len() - 1];
-    for (i, &x) in a.iter().enumerate() {
-        for (j, &y) in b.iter().enumerate() {
-            out[i + j] += x * y;
-        }
-    }
-    out
-}
-
-/// Linear convolution via zero-padded FFT. Output length is
-/// `a.len() + b.len() - 1`. This is the O(N log N) path the filtering stage
-/// uses; the paper quotes the resulting O(N² log N) filtering complexity.
-pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    let plan = FftPlan::new(n);
-
-    let mut fa: Vec<Complex> = a.iter().map(|&v| Complex::from_real(v)).collect();
-    fa.resize(n, Complex::ZERO);
-    let mut fb: Vec<Complex> = b.iter().map(|&v| Complex::from_real(v)).collect();
-    fb.resize(n, Complex::ZERO);
-
-    plan.forward(&mut fa);
-    plan.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    plan.inverse(&mut fa);
-
-    fa.truncate(out_len);
-    fa.into_iter().map(|z| z.re).collect()
-}
-
-/// Circular convolution of two equal-length signals via FFT.
-///
-/// # Panics
-/// Panics if the lengths differ or are not a power of two.
-pub fn circular_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "circular convolution requires equal lengths"
-    );
-    let n = a.len();
-    assert!(
-        n.is_power_of_two(),
-        "circular convolution length must be a power of two"
-    );
-    let plan = FftPlan::new(n);
-    let mut fa: Vec<Complex> = a.iter().map(|&v| Complex::from_real(v)).collect();
-    let mut fb: Vec<Complex> = b.iter().map(|&v| Complex::from_real(v)).collect();
-    plan.forward(&mut fa);
-    plan.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    plan.inverse(&mut fa);
-    fa.into_iter().map(|z| z.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 
     #[test]
     fn next_pow2_basics() {
@@ -106,67 +29,5 @@ mod tests {
     #[should_panic(expected = "undefined")]
     fn next_pow2_zero_panics() {
         let _ = next_pow2(0);
-    }
-
-    #[test]
-    fn direct_matches_hand_computed() {
-        // (1 + 2x)·(3 + 4x) = 3 + 10x + 8x².
-        assert_eq!(
-            convolve_direct(&[1.0, 2.0], &[3.0, 4.0]),
-            vec![3.0, 10.0, 8.0]
-        );
-    }
-
-    #[test]
-    fn fft_matches_direct_for_various_lengths() {
-        for (la, lb) in [(1, 1), (2, 3), (7, 5), (16, 16), (33, 9), (100, 63)] {
-            let a: Vec<f64> = (0..la).map(|i| (i as f64 * 0.7).sin()).collect();
-            let b: Vec<f64> = (0..lb).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-            let fast = convolve(&a, &b);
-            let slow = convolve_direct(&a, &b);
-            assert!(max_abs_diff(&fast, &slow) < 1e-9, "la={la} lb={lb}");
-        }
-    }
-
-    #[test]
-    fn convolution_is_commutative() {
-        let a: Vec<f64> = (0..13).map(|i| i as f64 - 6.0).collect();
-        let b: Vec<f64> = (0..29).map(|i| (i as f64).sqrt()).collect();
-        assert!(max_abs_diff(&convolve(&a, &b), &convolve(&b, &a)) < 1e-9);
-    }
-
-    #[test]
-    fn identity_kernel_preserves_signal() {
-        let a: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).cos()).collect();
-        let out = convolve(&a, &[1.0]);
-        assert!(max_abs_diff(&out, &a) < 1e-10);
-    }
-
-    #[test]
-    fn empty_inputs_give_empty_output() {
-        assert!(convolve(&[], &[1.0]).is_empty());
-        assert!(convolve(&[1.0], &[]).is_empty());
-        assert!(convolve_direct(&[], &[]).is_empty());
-    }
-
-    #[test]
-    fn circular_matches_wrapped_direct() {
-        let n = 16;
-        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin()).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let fast = circular_convolve(&a, &b);
-        let mut slow = vec![0.0; n];
-        for i in 0..n {
-            for j in 0..n {
-                slow[(i + j) % n] += a[i] * b[j];
-            }
-        }
-        assert!(max_abs_diff(&fast, &slow) < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn circular_rejects_mismatched_lengths() {
-        let _ = circular_convolve(&[1.0, 2.0], &[1.0]);
     }
 }

@@ -16,9 +16,8 @@
 //!   forward transform, frequency-response multiply and inverse, one row
 //!   per SIMD lane, bit-identical to running the scalar transforms per row
 //!   (the batched-FFT filtering the paper gets from IPP/MKL).
-//! * [`convolve`] / [`circular_convolve`] — FFT-based linear and circular
-//!   convolution, plus [`convolve_direct`] as the O(n²) reference used by the
-//!   test-suite to validate the fast paths.
+//! * [`next_pow2`] — the padded transform length at which the ramp
+//!   filter's circular convolution is the linear one.
 //!
 //! All transforms operate on `f64`; the filtering crate converts its `f32`
 //! detector rows at the boundary. For the row lengths used in CT (≤ 2¹⁴) the
@@ -32,7 +31,7 @@ mod plan;
 mod rfft;
 
 pub use complex::Complex;
-pub use conv::{circular_convolve, convolve, convolve_direct, next_pow2};
+pub use conv::next_pow2;
 pub use lanes::{LaneScratch, LANES};
 pub use plan::{Direction, FftPlan};
 pub use rfft::RealFftPlan;

@@ -21,10 +21,8 @@
 
 mod device;
 mod spec;
-mod stream;
 
 pub use device::{
     Device, DeviceBuffer, DeviceCounters, DeviceError, FLOPS_PER_UPDATE, TRANSFER_SIZE_BOUNDS,
 };
 pub use spec::DeviceSpec;
-pub use stream::{Stream, StreamOp};

@@ -446,17 +446,6 @@ impl Communicator {
         decode_f32(&bytes).expect("payload is not an f32 array")
     }
 
-    /// Fault-aware f32 receive with a deadline.
-    pub fn recv_f32_timeout(
-        &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        let bytes = self.recv_timeout(from, tag, timeout)?;
-        decode_f32(&bytes)
-    }
-
     /// Integrity-checked f32 send: seals the encoded payload in a CRC-32
     /// frame before transmission. Injection on [`Channel::Corrupt`] flips
     /// one seeded bit of the sealed frame *after* sealing, modelling

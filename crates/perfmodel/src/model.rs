@@ -53,13 +53,6 @@ pub struct RunShape {
     pub layout: RankLayout,
 }
 
-impl RunShape {
-    /// Total GPUs (= ranks, Eq 11).
-    pub fn num_gpus(&self) -> usize {
-        self.layout.num_ranks()
-    }
-}
-
 /// Evaluates the Section-5 model for a machine.
 #[derive(Clone, Debug)]
 pub struct PerfModel {
@@ -79,16 +72,7 @@ impl PerfModel {
     }
 
     /// Per-batch times for group 0 of the run (groups are symmetric),
-    /// charging the reduce stage under the default reduction algorithm
-    /// ([`ReduceMode::Hierarchical`]).
-    ///
-    /// Batch `i`'s projection traffic uses `SizeAB` for `i = 0` and the
-    /// differential `SizeBB` afterwards (Eq 13 / Eq 5 / Eq 7).
-    pub fn batch_times(&self, shape: &RunShape) -> Vec<BatchTimes> {
-        self.batch_times_for_mode(shape, ReduceMode::Hierarchical)
-    }
-
-    /// Per-batch times with the reduce stage charged per `mode`:
+    /// with the reduce stage charged per `mode`:
     ///
     /// * `hierarchical` — `⌈log₂(leaders)⌉` inter-node rounds of the full
     ///   sub-volume (Section 4.4.2; intra-node rounds assumed free).
@@ -98,7 +82,10 @@ impl PerfModel {
     ///   the chain carries the full sub-volume once, but the chain stages
     ///   overlap across chunks, so the critical path is one full-volume
     ///   transfer, scaled by `(N_r − 1)/N_r` (the share a rank forwards).
-    pub fn batch_times_for_mode(&self, shape: &RunShape, mode: ReduceMode) -> Vec<BatchTimes> {
+    ///
+    /// Batch `i`'s projection traffic uses `SizeAB` for `i = 0` and the
+    /// differential `SizeBB` afterwards (Eq 13 / Eq 5 / Eq 7).
+    pub fn batch_times(&self, shape: &RunShape, mode: ReduceMode) -> Vec<BatchTimes> {
         let g = &shape.geom;
         let m = &self.machine;
         let layout = shape.layout;
@@ -161,17 +148,12 @@ impl PerfModel {
             .collect()
     }
 
-    /// Equation 17: projected runtime assuming perfect stage overlap —
-    /// batch 0 runs through every stage, later batches cost their
-    /// bottleneck stage.
-    pub fn runtime(&self, shape: &RunShape) -> f64 {
-        self.runtime_for_mode(shape, ReduceMode::Hierarchical)
-    }
-
-    /// Equation 17 with the reduce stage charged per `mode`
-    /// (see [`PerfModel::batch_times_for_mode`]).
-    pub fn runtime_for_mode(&self, shape: &RunShape, mode: ReduceMode) -> f64 {
-        let batches = self.batch_times_for_mode(shape, mode);
+    /// Equation 17 with the reduce stage charged per `mode` (see
+    /// [`PerfModel::batch_times`]): projected runtime assuming perfect
+    /// stage overlap — batch 0 runs through every stage, later batches
+    /// cost their bottleneck stage.
+    pub fn runtime(&self, shape: &RunShape, mode: ReduceMode) -> f64 {
+        let batches = self.batch_times(shape, mode);
         if batches.is_empty() {
             return 0.0;
         }
@@ -183,9 +165,9 @@ impl PerfModel {
 
     /// Aggregate performance in GUPS (the paper's Figure 15 metric):
     /// `N_x·N_y·N_z·N_p / runtime / 1e9`.
-    pub fn gups(&self, shape: &RunShape) -> f64 {
+    pub fn gups(&self, shape: &RunShape, mode: ReduceMode) -> f64 {
         let updates = shape.geom.voxel_updates() as f64;
-        updates / self.runtime(shape) / 1e9
+        updates / self.runtime(shape, mode) / 1e9
     }
 
     /// Searches every divisor split `(N_r, N_g)` of `gpus` ranks and
@@ -198,6 +180,7 @@ impl PerfModel {
         geom: &CbctGeometry,
         gpus: usize,
         nc: usize,
+        mode: ReduceMode,
     ) -> Vec<(RankLayout, f64)> {
         assert!(gpus > 0, "need at least one GPU");
         let mut ranked: Vec<(RankLayout, f64)> = (1..=gpus)
@@ -210,32 +193,11 @@ impl PerfModel {
                     geom: geom.clone(),
                     layout,
                 };
-                (layout, self.runtime(&shape))
+                (layout, self.runtime(&shape, mode))
             })
             .collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         ranked
-    }
-
-    /// Strong-scaling sweep: runtimes for `gpus` GPU counts with a fixed
-    /// `nr` (the paper's per-dataset `N_r`), `ng = gpus / nr`.
-    pub fn strong_scaling(
-        &self,
-        geom: &CbctGeometry,
-        nr: usize,
-        nc: usize,
-        gpus: &[usize],
-    ) -> Vec<(usize, f64)> {
-        gpus.iter()
-            .map(|&n| {
-                assert!(n % nr == 0, "GPU count {n} not divisible by N_r={nr}");
-                let shape = RunShape {
-                    geom: geom.clone(),
-                    layout: RankLayout::new(nr, n / nr, nc),
-                };
-                (n, self.runtime(&shape))
-            })
-            .collect()
     }
 }
 
@@ -260,10 +222,10 @@ mod tests {
             geom: tomo30_1024(),
             layout: RankLayout::new(1, 1, 8),
         };
-        let batches = model.batch_times(&shape);
+        let batches = model.batch_times(&shape, ReduceMode::default());
         let t_bp: f64 = batches.iter().map(|b| b.bp).sum();
         assert!((t_bp - 6.7).abs() < 0.7, "T_bp modelled {t_bp}");
-        let rt = model.runtime(&shape);
+        let rt = model.runtime(&shape, ReduceMode::default());
         assert!(rt > 6.7 && rt < 11.0, "runtime modelled {rt}");
     }
 
@@ -274,7 +236,7 @@ mod tests {
             geom: tomo30_1024(),
             layout: RankLayout::new(1, 1, 8),
         };
-        let batches = model.batch_times(&shape);
+        let batches = model.batch_times(&shape, ReduceMode::default());
         assert_eq!(batches.len(), 8);
         for b in &batches[1..] {
             assert!(b.load < batches[0].load, "differential load not cheaper");
@@ -289,7 +251,16 @@ mod tests {
             .unwrap()
             .geometry
             .clone();
-        let sweep = model.strong_scaling(&geom, 16, 8, &[16, 32, 64, 128, 256, 512, 1024]);
+        let sweep: Vec<(usize, f64)> = [16, 32, 64, 128, 256, 512, 1024]
+            .into_iter()
+            .map(|n| {
+                let shape = RunShape {
+                    geom: geom.clone(),
+                    layout: RankLayout::new(16, n / 16, 8),
+                };
+                (n, model.runtime(&shape, ReduceMode::default()))
+            })
+            .collect();
         // Early regime: ~2× speedup per doubling.
         let r0 = sweep[0].1 / sweep[1].1;
         assert!(r0 > 1.7 && r0 < 2.1, "16→32 speedup {r0}");
@@ -317,7 +288,7 @@ mod tests {
             geom: geom.clone(),
             layout: RankLayout::new(16, 64, 8),
         };
-        let rt = model.runtime(&shape);
+        let rt = model.runtime(&shape, ReduceMode::default());
         assert!(
             rt >= vol_store * 0.95,
             "runtime {rt} below store floor {vol_store}"
@@ -335,8 +306,8 @@ mod tests {
             geom,
             layout: RankLayout::new(1, 1, 8),
         };
-        let v = PerfModel::new(MachineParams::abci_v100()).runtime(&shape);
-        let a = PerfModel::new(MachineParams::abci_a100()).runtime(&shape);
+        let v = PerfModel::new(MachineParams::abci_v100()).runtime(&shape, ReduceMode::default());
+        let a = PerfModel::new(MachineParams::abci_a100()).runtime(&shape, ReduceMode::default());
         assert!(a < v, "A100 {a} not faster than V100 {v}");
     }
 
@@ -344,14 +315,14 @@ mod tests {
     fn gups_grows_with_gpus() {
         let model = PerfModel::new(MachineParams::abci_v100());
         let geom = DatasetPreset::by_name("bumblebee").unwrap().geometry;
-        let g64 = model.gups(&RunShape {
-            geom: geom.clone(),
-            layout: RankLayout::new(8, 8, 8),
-        });
-        let g512 = model.gups(&RunShape {
-            geom: geom.clone(),
-            layout: RankLayout::new(8, 64, 8),
-        });
+        let gups_at = |ng: usize| {
+            let shape = RunShape {
+                geom: geom.clone(),
+                layout: RankLayout::new(8, ng, 8),
+            };
+            model.gups(&shape, ReduceMode::default())
+        };
+        let (g64, g512) = (gups_at(8), gups_at(64));
         // 8× the GPUs buys clearly more throughput, but sub-linearly — the
         // flattening visible at the right edge of Figure 15.
         assert!(g512 > 2.0 * g64, "GUPS {g64} → {g512}");
@@ -368,7 +339,7 @@ mod tests {
             geom: tomo30_1024(),
             layout: RankLayout::new(1, 1, 4),
         };
-        for b in model.batch_times(&shape) {
+        for b in model.batch_times(&shape, ReduceMode::default()) {
             assert_eq!(b.reduce, 0.0);
         }
     }
@@ -377,7 +348,7 @@ mod tests {
     fn optimal_layout_ranks_all_divisor_splits() {
         let model = PerfModel::new(MachineParams::abci_v100());
         let geom = DatasetPreset::by_name("bumblebee").unwrap().geometry;
-        let ranked = model.optimal_layout(&geom, 64, 8);
+        let ranked = model.optimal_layout(&geom, 64, 8, ReduceMode::default());
         // 64 = 2^6: seven divisor splits.
         assert_eq!(ranked.len(), 7);
         // Sorted ascending by runtime.
@@ -397,7 +368,7 @@ mod tests {
         // best.
         let model = PerfModel::new(MachineParams::abci_v100());
         let geom = DatasetPreset::by_name("coffee_bean").unwrap().geometry;
-        let ranked = model.optimal_layout(&geom, 1024, 8);
+        let ranked = model.optimal_layout(&geom, 1024, 8, ReduceMode::default());
         let best_nr = ranked[0].0.nr;
         let runtime_of = |nr: usize| {
             ranked
@@ -414,30 +385,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not divisible")]
-    fn strong_scaling_rejects_indivisible_counts() {
-        let model = PerfModel::new(MachineParams::abci_v100());
-        let _ = model.strong_scaling(&tomo30_1024(), 16, 8, &[24]);
-    }
-
-    #[test]
-    fn batch_times_delegate_to_hierarchical_mode() {
-        let model = PerfModel::new(MachineParams::abci_v100());
-        let shape = RunShape {
-            geom: DatasetPreset::by_name("coffee_bean").unwrap().geometry,
-            layout: RankLayout::new(16, 8, 8),
-        };
-        assert_eq!(
-            model.batch_times(&shape),
-            model.batch_times_for_mode(&shape, ReduceMode::Hierarchical)
-        );
-        assert_eq!(
-            model.runtime(&shape),
-            model.runtime_for_mode(&shape, ReduceMode::Hierarchical)
-        );
-    }
-
-    #[test]
     fn dense_reduce_cost_grows_linearly_with_nr() {
         // The dense root ingests N_r − 1 sub-volumes serially; widening the
         // group must widen the reduce stage proportionally.
@@ -448,7 +395,7 @@ mod tests {
                 geom: geom.clone(),
                 layout: RankLayout::new(nr, 1, 8),
             };
-            model.batch_times_for_mode(&shape, ReduceMode::Dense)[0].reduce
+            model.batch_times(&shape, ReduceMode::Dense)[0].reduce
         };
         let (r4, r32) = (reduce_of(4), reduce_of(32));
         assert!(r4 > 0.0);
@@ -468,9 +415,9 @@ mod tests {
                 geom: geom.clone(),
                 layout: RankLayout::new(nr, 1, 8),
             };
-            let dense = model.batch_times_for_mode(&shape, ReduceMode::Dense)[0].reduce;
-            let seg = model.batch_times_for_mode(&shape, ReduceMode::Segmented)[0].reduce;
-            let hier = model.batch_times_for_mode(&shape, ReduceMode::Hierarchical)[0].reduce;
+            let dense = model.batch_times(&shape, ReduceMode::Dense)[0].reduce;
+            let seg = model.batch_times(&shape, ReduceMode::Segmented)[0].reduce;
+            let hier = model.batch_times(&shape, ReduceMode::Hierarchical)[0].reduce;
             assert!(seg < dense, "nr={nr}: segmented {seg} vs dense {dense}");
             assert!(
                 seg <= hier + 1e-12,

@@ -8,7 +8,9 @@
 //! ```
 
 use scalefbp::timing::{simulate_distributed, strong_scaling_sweep};
-use scalefbp::{fault_tolerant_reconstruct, fdk_reconstruct, FaultPlan, FdkConfig, RankLayout};
+use scalefbp::{
+    fault_tolerant_reconstruct, fdk_reconstruct, FaultPlan, FdkConfig, RankLayout, ReduceMode,
+};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_perfmodel::MachineParams;
 use scalefbp_phantom::{bumblebee_like, forward_project};
@@ -60,6 +62,7 @@ fn main() {
         8,
         &[8, 16, 32, 64, 128, 256, 512, 1024],
         &machine,
+        ReduceMode::default(),
     ) {
         println!(
             "{:>6} {:>12.1} {:>12.1} {:>10.0}",
@@ -67,7 +70,13 @@ fn main() {
         );
     }
 
-    let single = simulate_distributed(&paper, RankLayout::new(1, 1, 8), &machine);
+    let single = simulate_distributed(
+        &paper,
+        RankLayout::new(1, 1, 8),
+        &machine,
+        ReduceMode::default(),
+        1.0,
+    );
     println!(
         "\n(single V100, out-of-core: {:.0} s — the paper's 8–17 min regime for 4096³)",
         single.measured_secs

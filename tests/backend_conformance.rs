@@ -358,11 +358,15 @@ fn perfmodel_charges_are_unchanged() {
         layout: RankLayout::new(4, 8, 8),
     };
     assert_eq!(
-        model.runtime(&shape).to_bits(),
+        model.runtime(&shape, ReduceMode::default()).to_bits(),
         0x3fc1_f271_43fd_1ab7,
         "runtime"
     );
-    assert_eq!(model.gups(&shape).to_bits(), 0x404e_a1d2_4675_635e, "gups");
+    assert_eq!(
+        model.gups(&shape, ReduceMode::default()).to_bits(),
+        0x404e_a1d2_4675_635e,
+        "gups"
+    );
 }
 
 // ---------------------------------------------------------------------

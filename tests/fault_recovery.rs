@@ -15,7 +15,8 @@
 //! rank (slow-device stragglers with speculative re-execution).
 
 use scalefbp::{
-    fault_tolerant_reconstruct, FaultTolerantOutcome, FdkConfig, PipelinedReconstructor, ReduceMode,
+    fault_tolerant_reconstruct, FaultTolerantOutcome, FdkConfig, PipelinedReconstructor,
+    ReconstructionError, ReduceMode,
 };
 use scalefbp_faults::{Channel, FaultEvent, FaultKind, FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, ProjectionStack, RankLayout};
@@ -429,6 +430,96 @@ fn storage_read_errors_are_retried_in_pipeline() {
     // Failed reads are never counted: one successful read per batch.
     let batches = g.nz.div_ceil(rec.nb()) as u64;
     assert_eq!(nvme.counters().reads, batches);
+}
+
+/// Runs `f` on its own thread and waits at most a minute for it: a
+/// driver that hangs fails the test instead of the suite.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(f()));
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("driver did not return within a minute");
+    worker
+        .join()
+        .expect("the driver thread returned")
+        .expect("the receiver was alive");
+    out
+}
+
+/// A plan that fails every attempt of an operation outlasts the retry
+/// budget: the pipeline returns a typed error after every stage thread
+/// has joined, never a panic.
+#[test]
+fn exhausted_pipeline_retries_are_errors_not_panics() {
+    let _s = SERIAL.lock().unwrap();
+    let g = geom();
+    let p = projections(&g);
+    let failing = |channel, kind| {
+        FaultPlan::from_events(
+            (0..12)
+                .map(|op_index| FaultEvent {
+                    rank: 0,
+                    channel,
+                    op_index,
+                    kind,
+                })
+                .collect(),
+        )
+    };
+    let cases = [
+        (
+            failing(Channel::DeviceTransfer, FaultKind::TransferError),
+            "device error",
+        ),
+        (
+            failing(Channel::StorageRead, FaultKind::ReadError),
+            "input error",
+        ),
+    ];
+    for (plan, want) in cases {
+        let (g, p) = (g.clone(), p.clone());
+        let outcome = within_a_minute(move || {
+            let rec = PipelinedReconstructor::new(FdkConfig::new(g)).unwrap();
+            let nvme = StorageEndpoint::local_nvme(None);
+            rec.reconstruct(&p, &plan, Some(&nvme)).map(|_| ())
+        });
+        match outcome {
+            Err(e) => assert!(e.to_string().starts_with(want), "{e}"),
+            Ok(()) => panic!("a plan past the retry budget reconstructed"),
+        }
+    }
+}
+
+/// Rank 0 assembles the volume and coordinates recovery, so a plan that
+/// fails it is refused before any rank starts, under every reduce mode.
+#[test]
+fn a_plan_that_fails_rank_0_is_refused_up_front() {
+    let _s = SERIAL.lock().unwrap();
+    let g = geom();
+    let p = projections(&g);
+    for channel in [Channel::Recv, Channel::Send] {
+        for mode in ReduceMode::ALL {
+            let plan = FaultPlan::from_events(vec![FaultEvent {
+                rank: 0,
+                channel,
+                op_index: 0,
+                kind: FaultKind::RankFailure,
+            }]);
+            let (g, p) = (g.clone(), p.clone());
+            let outcome = within_a_minute(move || {
+                let cfg = FdkConfig::new(g).with_nc(2).with_reduce_mode(mode);
+                fault_tolerant_reconstruct(&cfg, RankLayout::new(2, 2, 2), &p, &plan, None)
+                    .map(|_| ())
+            });
+            match outcome {
+                Err(ReconstructionError::Input(what)) => {
+                    assert!(what.contains("fails rank 0"), "{what}")
+                }
+                other => panic!("{channel:?} {mode}: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

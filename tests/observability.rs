@@ -1,11 +1,11 @@
 //! Golden-trace suite for the observability layer: the Chrome-trace and
 //! metrics exports are pure functions of the inputs — a fixed phantom
 //! plus a fixed `--fault-seed` must serialise to the *same bytes* on
-//! every run, no matter how the OS schedules the pipeline threads. The
-//! goldens here are self-relative (run twice, diff) so the suite pins
-//! determinism without baking serialised artefacts into the repo.
+//! every run, no matter how the OS schedules the pipeline threads. Most
+//! goldens here are self-relative (run twice, diff); the two golden CLI
+//! runs are also pinned by FNV-1a fingerprints of their exported bytes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use scalefbp::substrates::phantom::{forward_project, uniform_ball};
 use scalefbp::{
@@ -32,26 +32,60 @@ fn call(tokens: &[&str]) -> String {
     run(tokens.iter().map(|s| s.to_string())).expect("CLI call failed")
 }
 
-/// One full `scalefbp pipeline` run through the CLI under a fixed fault
-/// seed; returns the exported (trace, metrics) bytes.
-fn golden_pipeline_run(dir: &std::path::Path, tag: &str) -> (String, String) {
-    let trace = dir.join(format!("trace-{tag}.json"));
-    let metrics = dir.join(format!("metrics-{tag}.json"));
-    call(&[
-        "pipeline",
-        "--ideal",
-        "16",
-        "--fault-seed",
-        "11",
+/// The golden scan: `simulate --ideal 16` (the uniform ball) in `dir`.
+fn golden_scan(dir: &Path) -> PathBuf {
+    let scan = dir.join("scan.sfbp");
+    call(&["simulate", "--ideal", "16", "--out", scan.to_str().unwrap()]);
+    scan
+}
+
+/// One `reconstruct` of the golden scan through the CLI with `extra`
+/// flags; returns the exported (trace, metrics, volume) bytes.
+fn golden_run(dir: &Path, tag: &str, extra: &[&str]) -> (String, String, Vec<u8>) {
+    let scan = golden_scan(dir);
+    let [trace, metrics, volume] =
+        ["trace.json", "metrics.json", "sfbp"].map(|ext| dir.join(format!("{tag}.{ext}")));
+    let outs = [
         "--trace-out",
         trace.to_str().unwrap(),
         "--metrics-out",
         metrics.to_str().unwrap(),
-    ]);
+        "--out",
+        volume.to_str().unwrap(),
+    ];
+    call(
+        &[
+            &["reconstruct", "--scan", scan.to_str().unwrap()],
+            &outs[..],
+            extra,
+        ]
+        .concat(),
+    );
     (
         std::fs::read_to_string(&trace).unwrap(),
         std::fs::read_to_string(&metrics).unwrap(),
+        std::fs::read(&volume).unwrap(),
     )
+}
+
+/// The golden pipelined run: `--fault-seed 11`, so the modelled NVMe
+/// endpoint is attached and its `io.*` rows are exported.
+fn golden_pipeline_exports(dir: &Path, tag: &str) -> (String, String, Vec<u8>) {
+    golden_run(dir, tag, &["--mode", "pipeline", "--fault-seed", "11"])
+}
+
+/// The golden distributed run: a 2×2 world under `--fault-seed 5`.
+fn golden_distributed_exports(dir: &Path, tag: &str) -> (String, String, Vec<u8>) {
+    let flags = ["--nr", "2", "--ng", "2", "--fault-seed", "5"];
+    golden_run(dir, tag, &[&["--mode", "distributed"], &flags[..]].concat())
+}
+
+/// FNV-1a over bytes: the compact fingerprint the golden exports are
+/// pinned with.
+fn fnv(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h: u32, &b| {
+        (h ^ b as u32).wrapping_mul(0x0100_0193)
+    })
 }
 
 /// The tentpole acceptance test: two seeded CLI runs export
@@ -59,8 +93,8 @@ fn golden_pipeline_run(dir: &std::path::Path, tag: &str) -> (String, String) {
 #[test]
 fn golden_trace_is_byte_identical_across_runs() {
     let dir = tmpdir("golden");
-    let (trace_a, metrics_a) = golden_pipeline_run(&dir, "a");
-    let (trace_b, metrics_b) = golden_pipeline_run(&dir, "b");
+    let (trace_a, metrics_a, _) = golden_pipeline_exports(&dir, "a");
+    let (trace_b, metrics_b, _) = golden_pipeline_exports(&dir, "b");
     assert_eq!(trace_a, trace_b, "chrome trace must be byte-identical");
     assert_eq!(
         metrics_a, metrics_b,
@@ -79,7 +113,7 @@ fn golden_trace_is_byte_identical_across_runs() {
 #[test]
 fn golden_trace_json_structure() {
     let dir = tmpdir("structure");
-    let (trace, _) = golden_pipeline_run(&dir, "s");
+    let (trace, _, _) = golden_pipeline_exports(&dir, "s");
     let doc = parse_json(&trace).unwrap();
     let events = doc
         .get("traceEvents")
@@ -198,28 +232,30 @@ fn distributed_snapshot_equals_merge_of_rank_views() {
 fn distributed_cli_export_is_deterministic_under_faults() {
     let _serial = WORLD_LOCK.lock().unwrap();
     let dir = tmpdir("dist");
-    let run_once = |tag: &str| {
-        let trace = dir.join(format!("trace-{tag}.json"));
-        let metrics = dir.join(format!("metrics-{tag}.json"));
-        call(&[
-            "distributed",
-            "--ideal",
-            "16",
-            "--nr",
-            "2",
-            "--ng",
-            "2",
-            "--fault-seed",
-            "5",
-            "--trace-out",
-            trace.to_str().unwrap(),
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ]);
-        std::fs::read_to_string(&trace).unwrap()
-    };
-    let a = run_once("a");
-    let b = run_once("b");
+    let (a, _, _) = golden_distributed_exports(&dir, "a");
+    let (b, _, _) = golden_distributed_exports(&dir, "b");
     assert_eq!(a, b, "recovery timeline must not depend on wall clock");
     validate_chrome_trace(&a).unwrap();
+}
+
+/// The golden runs' trace, metrics and volume bytes, pinned as the
+/// former self-contained `pipeline` and `distributed` commands wrote
+/// them: `reconstruct --mode` must keep writing these exact bytes.
+#[test]
+fn golden_exports_match_their_pinned_fingerprints() {
+    let _serial = WORLD_LOCK.lock().unwrap();
+    let dir = tmpdir("pins");
+    let fingerprints = |(trace, metrics, volume): (String, String, Vec<u8>)| {
+        [fnv(trace.as_bytes()), fnv(metrics.as_bytes()), fnv(&volume)]
+    };
+    assert_eq!(
+        fingerprints(golden_pipeline_exports(&dir, "pipeline")),
+        [0x65db_f675, 0xb9aa_e30a, 0x17da_cdbe],
+        "pipeline [trace, metrics, volume]"
+    );
+    assert_eq!(
+        fingerprints(golden_distributed_exports(&dir, "distributed")),
+        [0x80fb_8b7c, 0x29f7_3ef8, 0x6e98_d7cf],
+        "distributed [trace, metrics, volume]"
+    );
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use scalefbp_backproject::{backproject_reference, backproject_simd, TextureWindow};
-use scalefbp_fft::{convolve, convolve_direct, Complex, FftPlan, RealFftPlan};
+use scalefbp_fft::{Complex, FftPlan, RealFftPlan};
 use scalefbp_geom::{
     compute_ab, projection_angle, CbctGeometry, ProjectionMatrix, ProjectionStack, RowRange,
     Volume, VolumeDecomposition,
@@ -56,26 +56,6 @@ proptest! {
         }
         freq_energy /= n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
-    }
-
-    #[test]
-    fn convolution_agrees_with_direct(
-        la in 1usize..40,
-        lb in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let a: Vec<f64> = (0..la).map(|_| next()).collect();
-        let b: Vec<f64> = (0..lb).map(|_| next()).collect();
-        let fast = convolve(&a, &b);
-        let slow = convolve_direct(&a, &b);
-        for (x, y) in fast.iter().zip(&slow) {
-            prop_assert!((x - y).abs() < 1e-8);
-        }
     }
 
     #[test]
