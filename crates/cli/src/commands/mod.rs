@@ -551,6 +551,11 @@ pub fn iterative(args: &mut Args) -> Result<String, CliError> {
     }
     let relaxation: f32 = args.typed_or("relaxation", 1.0, "number")?;
     let solver = match solver_name.as_str() {
+        "sirt" if relaxation.is_nan() || relaxation <= 0.0 || relaxation > 2.0 => {
+            return Err(CliError::Message(format!(
+                "--relaxation must be in (0, 2], got {relaxation}"
+            )))
+        }
         "sirt" => IterativeSolver::Sirt { relaxation },
         "mlem" => IterativeSolver::Mlem,
         other => {
@@ -662,6 +667,14 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
     let jobs: usize = args.typed_or("jobs", 24, "integer")?;
     let tenants: usize = args.typed_or("tenants", 3, "integer")?;
     let rate: f64 = args.typed_or("rate", 200.0, "number")?;
+    if tenants == 0 {
+        return Err(CliError::Message("--tenants must be positive".into()));
+    }
+    if rate.is_nan() || rate <= 0.0 {
+        return Err(CliError::Message(format!(
+            "--rate must be a positive number, got {rate}"
+        )));
+    }
     let seed: u64 = args.typed_or("seed", 42, "integer")?;
     let ckpt_root = args.opt("ckpt-dir").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("scalefbp-serve-{}", std::process::id()))

@@ -749,30 +749,85 @@ fn unrecoverable_fault_plans_exit_1_without_a_volume() {
             "root" => &["--mode", "distributed", "--nr", "2", "--ng", "2"],
             _ => &["--mode", "pipeline"],
         };
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
-            .args(["reconstruct", "--scan", &scan])
-            .args(mode)
-            .args(["--out", out.to_str().unwrap()])
-            .args(["--fault-plan", plan_path.to_str().unwrap()])
-            .stderr(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let status = loop {
-            if let Some(status) = child.try_wait().unwrap() {
-                break status;
-            }
-            if std::time::Instant::now() > deadline {
-                child.kill().unwrap();
-                panic!("{name}: still running after a minute");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let mut stderr = String::new();
-        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        let mut args = vec!["reconstruct", "--scan", &scan];
+        args.extend(mode);
+        args.extend(["--out", out.to_str().unwrap()]);
+        args.extend(["--fault-plan", plan_path.to_str().unwrap()]);
+        let (status, stderr) = run_binary_within_a_minute(&args);
         assert_eq!(status.code(), Some(1), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
         assert!(!out.exists(), "{name} wrote a volume");
+    }
+}
+
+/// Runs the real binary with `args`; fails the test if it is still running
+/// after a minute. Returns its exit status and stderr.
+fn run_binary_within_a_minute(args: &[&str]) -> (std::process::ExitStatus, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
+        .args(args)
+        .stderr(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("{args:?}: still running after a minute");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    (status, stderr)
+}
+
+/// Numeric flags are outside input: a value the scheduler or the solver
+/// cannot use is an error of the real binary that names the flag (exit
+/// 1, no output file, no panic), not an assertion deep inside a run.
+#[test]
+fn hostile_numeric_flags_exit_1_naming_the_flag() {
+    let dir = tmpdir("hostile-flags");
+    let out = dir.join("out.bin");
+    let out_path = out.to_str().unwrap();
+    let serve = |flag, value| {
+        let mut args = vec!["serve", "--jobs", "4", "--schedule-out", out_path];
+        args.extend([flag, value]);
+        args
+    };
+    let iterative = |value| {
+        let args = [
+            "iterative",
+            "--ideal",
+            "8",
+            "--iters",
+            "1",
+            "--out",
+            out_path,
+        ];
+        [&args[..], &["--relaxation", value]].concat()
+    };
+    let cases = [
+        serve("--tenants", "0"),
+        serve("--rate", "0"),
+        serve("--rate", "-5"),
+        serve("--rate", "nan"),
+        iterative("nan"),
+        iterative("-1"),
+        iterative("3"),
+    ];
+    for args in cases {
+        let (status, stderr) = run_binary_within_a_minute(&args);
+        let flag = args[args.len() - 2];
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "{args:?} does not name {flag}: {stderr}"
+        );
+        assert!(!out.exists(), "{args:?} wrote {out_path}");
     }
 }

@@ -16,8 +16,9 @@
 //! 1. **Chunked point-to-point reduction.** Each worker ships its partial
 //!    sub-volume (one *chunk* per batch) to the group leader, which
 //!    accumulates chunks in a fixed rank order — in every
-//!    [`ReduceMode`], which here only selects the wire framing and the
-//!    modelled deadlines (see `docs/communication.md`). The fixed order
+//!    [`ReduceMode`], which here only selects how many pieces a chunk
+//!    travels in and the modelled deadlines (see
+//!    `docs/communication.md`). The fixed order
 //!    makes the summation bitwise reproducible no matter when — or on
 //!    which surviving rank — a chunk was produced.
 //! 2. **Timeout + retry-with-backoff failure detection.** Every awaited
@@ -40,6 +41,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,8 +67,13 @@ use scalefbp_pipeline::TraceCollector;
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
 use crate::{with_rank_budget, FdkConfig, ReconstructionError};
 
-/// Worker → leader partial sub-volume, tag + batch index.
-const CHUNK_TAG: u64 = 20_000;
+/// Worker → leader chunk *piece*, tag + `b·nr + piece`. A chunk travels
+/// as one message per piece ([`FtCtx::pieces`]): one per z-segment in
+/// [`ReduceMode::Segmented`], so faults can land mid-reduce-scatter, and
+/// one whole-chunk piece in every other mode. The leader joins the
+/// pieces before the (unchanged) fixed-order fold; recovery resends are
+/// always whole chunks ([`RECHUNK_TAG`]).
+const PIECE_TAG: u64 = 60_000;
 /// Recomputed chunk (survivor → leader), tag + `b·nr + j` — the tag
 /// encodes *which* rank's chunk was recomputed, so a late speculative
 /// reply for `(b, j)` can never satisfy a wait for a different chunk of
@@ -83,12 +90,6 @@ const SHUTDOWN_TAG: u64 = 42_000;
 const SLAB_TAG: u64 = 7_000;
 /// Deputy → root finished slab after takeover, tag + slab z offset.
 const TAKEOVER_SLAB_TAG: u64 = 50_000;
-/// Segmented-mode worker → leader chunk *piece*, tag + `b·nr + segment`.
-/// In [`ReduceMode::Segmented`] each per-batch chunk travels as one
-/// message per z-segment so faults can land mid-reduce-scatter; the
-/// leader reassembles the pieces before the (unchanged) fixed-order fold,
-/// and recovery resends are always whole chunks ([`RECHUNK_TAG`]).
-const SEGPIECE_TAG: u64 = 60_000;
 
 /// Floor of the first deadline when a leader awaits a chunk. The actual
 /// deadline is derived from the perf-model batch estimate (see
@@ -214,20 +215,31 @@ impl ChunkLedger {
         z_begin: usize,
         scale: f32,
     ) -> Volume {
-        let mut slab = Volume::zeros_slab(nx, ny, nz, z_begin);
-        for j in 0..self.nr {
-            let data = self.slots[b * self.nr + j]
-                .as_ref()
-                .expect("every chunk was recovered");
-            for (acc, v) in slab.data_mut().iter_mut().zip(data) {
-                *acc += *v;
-            }
-        }
-        for v in slab.data_mut() {
-            *v *= scale;
-        }
-        slab
+        let slots = self.slots[b * self.nr..(b + 1) * self.nr].iter();
+        let chunks = slots.map(|slot| slot.as_deref().expect("every chunk was recovered"));
+        let slab = Volume::zeros_slab(nx, ny, nz, z_begin);
+        fold_chunks(slab, chunks, |c| c, scale)
     }
+}
+
+/// The one fixed-order fold: adds every chunk's `data` into `slab` in
+/// the order given — rank order at every call site — then scales, so the
+/// bits never depend on arrival or recovery history.
+fn fold_chunks<C>(
+    mut slab: Volume,
+    chunks: impl IntoIterator<Item = C>,
+    data: impl Fn(&C) -> &[f32],
+    scale: f32,
+) -> Volume {
+    for chunk in chunks {
+        for (acc, v) in slab.data_mut().iter_mut().zip(data(&chunk)) {
+            *acc += *v;
+        }
+    }
+    for v in slab.data_mut() {
+        *v *= scale;
+    }
+    slab
 }
 
 /// The recompute-reply tag for chunk `(b, j)` in a group of `nr` ranks.
@@ -292,11 +304,11 @@ struct FtCtx<'a> {
     /// for bit on any backend.
     exec: &'a dyn Executor,
     kernel: KernelChoice,
-    /// Wire format of the worker→leader data plane:
-    /// [`ReduceMode::Segmented`] ships per-segment pieces, everything
-    /// else one message per chunk. The summation order never changes, so
-    /// recovered volumes are bitwise identical across modes.
-    reduce_mode: ReduceMode,
+    /// Pieces per worker→leader chunk: `N_r` z-segments in
+    /// [`ReduceMode::Segmented`], one whole chunk in every other mode.
+    /// The summation order never changes, so recovered volumes are
+    /// bitwise identical across modes.
+    pieces: usize,
     /// `ft.chunks.computed`, labelled with this rank — every
     /// [`compute_chunk`](Self::compute_chunk) call, including recoveries.
     chunks_computed: Counter,
@@ -358,17 +370,39 @@ impl FtCtx<'_> {
     /// A finished (summed + scaled) slab for `task`, recomputed from
     /// scratch in fixed chunk order — the takeover path.
     fn recompute_task(&self, group: usize, task: &SubVolumeTask) -> Volume {
-        let mut slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
-        for j in 0..self.layout.nr {
-            let chunk = self.compute_chunk(group, task, j);
-            for (acc, v) in slab.data_mut().iter_mut().zip(chunk.data()) {
-                *acc += *v;
-            }
-        }
-        for v in slab.data_mut() {
-            *v *= self.scale;
-        }
-        slab
+        let slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
+        let chunks = (0..self.layout.nr).map(|j| self.compute_chunk(group, task, j));
+        fold_chunks(slab, chunks, Volume::data, self.scale)
+    }
+
+    /// The wire framing of chunk `b` of `task`: `(piece, tag, span)` per
+    /// non-empty piece, where `span` indexes the chunk's voxels. One
+    /// message per piece, so fault-plan send ops count pieces.
+    fn pieces_of(
+        &self,
+        b: usize,
+        task: &SubVolumeTask,
+    ) -> impl Iterator<Item = (usize, u64, Range<usize>)> {
+        let (nr, stride) = (self.layout.nr, self.g.nx * self.g.ny);
+        let parts = segment_partition(task.nz(), self.pieces).into_iter();
+        parts
+            .enumerate()
+            .filter(|(_, z)| !z.is_empty())
+            .map(move |(s, z)| {
+                let tag = PIECE_TAG + (b * nr + s) as u64;
+                (s, tag, z.start * stride..z.end * stride)
+            })
+    }
+
+    /// Books a sealed frame that failed its CRC on receive: one
+    /// `integrity.mpi.failures` and one `CorruptionDetected` for `what`.
+    fn corruption(&self, what: String, attempt: u32) {
+        self.integrity_failures.inc();
+        self.recovery.record(RecoveryEvent::CorruptionDetected {
+            rank: self.me,
+            what,
+            attempt,
+        });
     }
 
     fn group_decomp(&self, group: usize) -> VolumeDecomposition {
@@ -448,42 +482,40 @@ pub fn fault_tolerant_reconstruct(
 
     let injector = FaultInjector::new(plan.clone());
     let recovery = RecoveryLog::new();
-    let window = config.window;
     let deadlines = derive_deadlines(config, layout);
     // One compute backend shared by every rank: dispatch is pure, and
     // its accounting stays out of the run's registry (as before the
     // executor refactor, the FT protocol records no `gpu.*` metrics).
     let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new());
-    let exec_ref = &exec;
-    let recovery_ref = &recovery;
-    let registry_ref = &registry;
-    let injector_ref = &injector;
     let (results, network) = World::run_with_observability(
         layout.num_ranks(),
         injector.clone() as Arc<dyn FaultInject>,
         registry.clone(),
         with_rank_budget(layout.num_ranks(), |mut comm| {
-            let filter = FilterPipeline::new(g, window);
+            let filter = FilterPipeline::new(g, config.window);
             let mats = ProjectionMatrix::full_scan(g);
             let ctx = FtCtx {
                 g,
                 layout,
                 me: comm.rank(),
-                injector: injector_ref.clone() as Arc<dyn FaultInject>,
+                injector: injector.clone() as Arc<dyn FaultInject>,
                 slow_factor: Cell::new(1),
                 deadlines,
                 projections,
                 filter: &filter,
                 mats: &mats,
-                recovery: recovery_ref,
+                recovery: &recovery,
                 scale: filter.backprojection_scale() as f32,
-                exec: exec_ref.as_ref(),
+                exec: exec.as_ref(),
                 kernel: config.kernel,
-                reduce_mode: config.reduce_mode,
-                chunks_computed: registry_ref.rank_counter("ft.chunks.computed", comm.rank()),
-                integrity_failures: registry_ref
-                    .rank_counter("integrity.mpi.failures", comm.rank()),
-                chunk_duplicates: registry_ref.rank_counter("ft.chunks.deduped", comm.rank()),
+                pieces: if config.reduce_mode == ReduceMode::Segmented {
+                    layout.nr
+                } else {
+                    1
+                },
+                chunks_computed: registry.rank_counter("ft.chunks.computed", comm.rank()),
+                integrity_failures: registry.rank_counter("integrity.mpi.failures", comm.rank()),
+                chunk_duplicates: registry.rank_counter("ft.chunks.deduped", comm.rank()),
             };
             let assign = layout.assignment(g, comm.rank());
             if comm.rank() == 0 {
@@ -536,47 +568,58 @@ fn ft_worker(comm: &mut Communicator, ctx: &FtCtx) {
             return dead_wait(comm);
         }
     }
+    if serve(comm, ctx, assign.group, &decomp).is_err() {
+        dead_wait(comm);
+    }
+}
 
-    // Serve loop: recompute requests from the leader, takeover orders
-    // from the root, until shutdown. Polling never touches the fault
-    // injector (only deliveries do), so op counts stay deterministic.
+/// The worker's serve loop: recompute requests from the leader, takeover
+/// orders from the root, until shutdown. Polling never touches the fault
+/// injector (only deliveries do), so op counts stay deterministic. `Err`
+/// means this rank failed: a killed rank's next poll reports it.
+fn serve(
+    comm: &mut Communicator,
+    ctx: &FtCtx,
+    group: usize,
+    decomp: &VolumeDecomposition,
+) -> Result<(), CommError> {
+    let leader = group * ctx.layout.nr;
     loop {
-        match comm.recv_timeout(leader, CTRL_TAG, POLL) {
-            Ok(payload) => {
-                let (b, j) = decode_ctrl(&payload);
-                let chunk = ctx.compute_chunk(assign.group, &decomp.tasks()[b], j);
-                let _ =
-                    comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), chunk.data());
-                if comm.self_failed() {
-                    return dead_wait(comm);
-                }
-            }
-            Err(CommError::Timeout { .. }) => {}
-            Err(_) => return dead_wait(comm),
+        if let Some(payload) = poll(comm, leader, CTRL_TAG)? {
+            let (b, j) = decode_ctrl(&payload);
+            let chunk = ctx.compute_chunk(group, &decomp.tasks()[b], j);
+            let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), chunk.data());
         }
-        match comm.recv_timeout(0, TAKEOVER_TAG, POLL) {
-            Ok(payload) => {
-                let group = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-                ft_takeover(comm, ctx, group);
-                if comm.self_failed() {
-                    return dead_wait(comm);
-                }
+        if let Some(payload) = poll(comm, 0, TAKEOVER_TAG)? {
+            // Deputy leader: recompute the dead leader's slabs (every
+            // chunk, fixed order — bitwise identical to what it would
+            // have produced) and ship them to the root.
+            let group = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+            for task in ctx.group_decomp(group).tasks() {
+                let slab = ctx.recompute_task(group, task);
+                let tag = TAKEOVER_SLAB_TAG + task.z_begin as u64;
+                let _ = comm.send_f32_checked(0, tag, slab.data());
             }
-            Err(CommError::Timeout { .. }) => {}
-            Err(_) => return dead_wait(comm),
         }
-        match comm.recv_timeout(0, SHUTDOWN_TAG, POLL) {
-            Ok(_) => return,
-            Err(CommError::Timeout { .. }) => {}
-            Err(_) => return dead_wait(comm),
+        if poll(comm, 0, SHUTDOWN_TAG)?.is_some() {
+            return Ok(());
         }
     }
 }
 
-/// Ships one computed chunk to the group leader. In dense/hierarchical
-/// mode that is a single message; in segmented mode the chunk travels as
-/// one piece per non-empty z-segment (tags `SEGPIECE_TAG + b·nr + s`),
-/// so an injected fault can kill or delay a rank *between* pieces —
+/// One serve-loop poll of `(from, tag)`: `None` when nothing arrives
+/// within [`POLL`].
+fn poll(comm: &mut Communicator, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
+    match comm.recv_timeout(from, tag, POLL) {
+        Ok(payload) => Ok(Some(payload)),
+        Err(CommError::Timeout { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Ships one computed chunk to the group leader, one message per piece
+/// (tags `PIECE_TAG + b·nr + piece`). In segmented mode an injected fault
+/// can therefore kill or delay a rank *between* pieces —
 /// mid-reduce-scatter.
 fn send_chunk(
     comm: &Communicator,
@@ -586,31 +629,15 @@ fn send_chunk(
     task: &SubVolumeTask,
     chunk: &Volume,
 ) {
-    match ctx.reduce_mode {
-        ReduceMode::Segmented => {
-            let nr = ctx.layout.nr;
-            let stride = ctx.g.nx * ctx.g.ny;
-            for (s, part) in segment_partition(task.nz(), nr).iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let _ = comm.send_f32_checked(
-                    leader,
-                    SEGPIECE_TAG + (b * nr + s) as u64,
-                    &chunk.data()[part.start * stride..part.end * stride],
-                );
-            }
-        }
-        _ => {
-            let _ = comm.send_f32_checked(leader, CHUNK_TAG + b as u64, chunk.data());
-        }
+    for (_, tag, span) in ctx.pieces_of(b, task) {
+        let _ = comm.send_f32_checked(leader, tag, &chunk.data()[span]);
     }
 }
 
-/// Leader-side receive of one worker chunk in segmented mode: awaits
-/// every still-missing piece, reassembling the full chunk once all are
-/// present. Pieces already received survive a timeout, so a retry only
-/// re-awaits what is actually missing.
+/// Leader-side receive of one worker chunk: awaits every still-missing
+/// piece, each within `timeout`, then joins them — a one-piece chunk is
+/// moved, not copied. Pieces already received survive a miss, so a retry
+/// re-awaits only what is actually missing.
 fn recv_chunk_pieces(
     comm: &mut Communicator,
     ctx: &FtCtx,
@@ -620,45 +647,82 @@ fn recv_chunk_pieces(
     pieces: &mut [Option<Vec<f32>>],
     timeout: Duration,
 ) -> Result<Vec<f32>, CommError> {
-    let nr = ctx.layout.nr;
-    let stride = ctx.g.nx * ctx.g.ny;
-    let parts = segment_partition(task.nz(), nr);
-    for (s, part) in parts.iter().enumerate() {
-        if part.is_empty() || pieces[s].is_some() {
-            continue;
-        }
-        let piece =
-            comm.recv_f32_checked_timeout(from, SEGPIECE_TAG + (b * nr + s) as u64, timeout)?;
-        debug_assert_eq!(piece.len(), part.len() * stride, "piece length mismatch");
-        pieces[s] = Some(piece);
-    }
-    let mut data = Vec::with_capacity(task.nz() * stride);
-    for (s, part) in parts.iter().enumerate() {
-        if !part.is_empty() {
-            data.extend_from_slice(pieces[s].as_ref().expect("all pieces received"));
+    for (s, tag, _) in ctx.pieces_of(b, task) {
+        if pieces[s].is_none() {
+            pieces[s] = Some(comm.recv_f32_checked_timeout(from, tag, timeout)?);
         }
     }
-    Ok(data)
+    let joined = pieces
+        .iter_mut()
+        .filter_map(Option::take)
+        .reduce(|mut chunk, piece| {
+            chunk.extend_from_slice(&piece);
+            chunk
+        });
+    Ok(joined.unwrap_or_default())
 }
 
-/// Deputy-leader path: recompute the whole group's slabs (every chunk,
-/// fixed order — bitwise identical to what the dead leader would have
-/// produced) and ship them to the root.
-fn ft_takeover(comm: &mut Communicator, ctx: &FtCtx, group: usize) {
-    let decomp = ctx.group_decomp(group);
-    for task in decomp.tasks() {
-        let slab = ctx.recompute_task(group, task);
-        let _ = comm.send_f32_checked(0, TAKEOVER_SLAB_TAG + task.z_begin as u64, slab.data());
+/// How a wait on one peer's deadline ladder ended.
+enum Awaited<T> {
+    /// The frame arrived intact.
+    Got(T),
+    /// The peer missed every attempt and was declared dead (recorded).
+    Dead,
+    /// This rank itself failed, or its mailbox closed, mid-wait.
+    Failed(CommError),
+}
+
+/// The protocol's one receive-with-deadline. Awaits a frame from `peer`
+/// on the ladder that starts at `base`; `recv(comm,
+/// deadline, attempt)` makes one attempt. A frame that fails its CRC is
+/// booked as corruption of `"{what} from rank {peer}"` and a missed
+/// deadline as a `MessageRetry`; either costs an attempt, and after
+/// [`MAX_ATTEMPTS`] the peer is declared dead. A corrupt frame was
+/// consumed, so from then on it is indistinguishable from a dropped
+/// message. Callers keep only their policy: what to do on a miss lives in
+/// `recv`, what to do with a dead peer follows [`Awaited::Dead`].
+fn await_peer<T>(
+    comm: &mut Communicator,
+    ctx: &FtCtx,
+    peer: usize,
+    base: Duration,
+    what: std::fmt::Arguments,
+    mut recv: impl FnMut(&mut Communicator, Duration, u32) -> Result<T, CommError>,
+) -> Awaited<T> {
+    let mut attempt = 0;
+    while attempt < MAX_ATTEMPTS {
+        match recv(comm, attempt_deadline(base, attempt, peer), attempt) {
+            Ok(frame) => return Awaited::Got(frame),
+            Err(CommError::IntegrityFailure { detail, .. }) => {
+                attempt += 1;
+                ctx.corruption(format!("{what} from rank {peer}: {detail}"), attempt);
+            }
+            Err(CommError::Timeout { .. }) => {
+                attempt += 1;
+                ctx.recovery.record(RecoveryEvent::MessageRetry {
+                    rank: ctx.me,
+                    peer,
+                    attempt,
+                });
+            }
+            Err(e) => return Awaited::Failed(e),
+        }
     }
+    ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
+        group: peer / ctx.layout.nr,
+        rank: peer,
+        detected_by: ctx.me,
+    });
+    Awaited::Dead
 }
 
 /// Phase-1 wait for rank `j`'s chunk `b` with straggler speculation. On
 /// the *first* missed deadline the sender is suspected slow — not yet
 /// dead — and the chunk is speculatively requeued onto a healthy
-/// survivor ([`speculation_target`]; the leader itself when the group
-/// has no third rank). From then on the leader alternates short polls
-/// across both sources: the first copy to land wins the slot, and the
-/// loser's twin is discarded by the ledger on arrival (every copy is a
+/// survivor ([`next_survivor`]; the leader itself when the group has no
+/// third rank). From then on each attempt alternates short polls across
+/// both sources: the first copy to land wins the slot, and the loser's
+/// twin is discarded by the ledger on arrival (every copy is a
 /// bitwise-identical pure recompute, so either yields the same fold).
 /// A sender whose original arrives late is slow, not dead; only a
 /// sender that misses the whole doubled ladder is declared dead.
@@ -674,176 +738,126 @@ fn await_chunk_speculatively(
     dead: &mut BTreeSet<usize>,
     ledger: &mut ChunkLedger,
 ) -> Result<(), ()> {
-    let me = comm.rank();
+    let me = ctx.me;
     let nr = ctx.layout.nr;
     let from = group * nr + j;
-    // Segmented mode: pieces received before a timeout survive the
-    // retry, so only missing pieces are re-awaited.
-    let mut pieces: Vec<Option<Vec<f32>>> = match ctx.reduce_mode {
-        ReduceMode::Segmented => vec![None; nr],
-        _ => Vec::new(),
-    };
+    let mut pieces = vec![None; ctx.pieces];
     let mut spec_from: Option<usize> = None; // world rank owing the speculative copy
-    let mut attempt = 0u32;
-
-    loop {
-        let window = attempt_deadline(ctx.deadlines.chunk, attempt, from);
-        if spec_from.is_none() {
-            let received = match ctx.reduce_mode {
-                ReduceMode::Segmented => {
-                    recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, window)
-                }
-                _ => comm.recv_f32_checked_timeout(from, CHUNK_TAG + b as u64, window),
-            };
-            match received {
-                Ok(data) => {
-                    ledger.offer(b, j, data);
-                    return Ok(());
-                }
-                // A corrupt frame was consumed and discarded — from here
-                // on it is indistinguishable from a dropped message, so
-                // it shares the timeout bookkeeping.
-                Err(CommError::IntegrityFailure { detail, .. }) => {
-                    attempt += 1;
-                    ctx.integrity_failures.inc();
-                    ctx.recovery.record(RecoveryEvent::CorruptionDetected {
-                        rank: me,
-                        what: format!("chunk {b} from rank {from}: {detail}"),
-                        attempt,
-                    });
-                }
-                Err(CommError::Timeout { .. }) => {
-                    attempt += 1;
-                    ctx.recovery.record(RecoveryEvent::MessageRetry {
-                        rank: me,
-                        peer: from,
-                        attempt,
-                    });
-                    // First deadline miss: suspect a straggler and
-                    // requeue the chunk speculatively instead of just
-                    // waiting the sender out.
+    let awaited = await_peer(
+        comm,
+        ctx,
+        from,
+        ctx.deadlines.chunk,
+        format_args!("chunk {b}"),
+        |comm, window, attempt| {
+            let Some(spec) = spec_from else {
+                let received = recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, window);
+                if matches!(received, Err(CommError::Timeout { .. })) {
+                    // First miss: suspect a straggler, requeue speculatively.
                     ctx.recovery.record(RecoveryEvent::StragglerDetected {
                         group,
                         rank: from,
                         chunk: b,
                     });
-                    match speculation_target(j, nr, dead) {
-                        Some(t) => {
-                            let target = group * nr + t;
-                            ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                                group,
-                                from_rank: from,
-                                to_rank: target,
-                                chunk: b,
-                            });
-                            comm.send(target, CTRL_TAG, encode_ctrl(b, j));
-                            spec_from = Some(target);
-                        }
-                        None => {
-                            // No healthy third rank: the leader is the
-                            // speculative executor itself.
-                            ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                                group,
-                                from_rank: from,
-                                to_rank: me,
-                                chunk: b,
-                            });
-                            ledger.offer(b, j, ctx.compute_chunk(group, task, j).data().to_vec());
+                    let target = next_survivor(j, nr, dead).map_or(me, |t| group * nr + t);
+                    if let Some(data) = requeue(comm, ctx, group, task, b, j, target) {
+                        ledger.offer(b, j, data);
+                        ctx.recovery.record(RecoveryEvent::SpeculativeWin {
+                            group,
+                            chunk: b,
+                            winner: me,
+                        });
+                    }
+                    spec_from = Some(target);
+                }
+                return received;
+            };
+            // Speculation in flight: alternate short polls across the
+            // original and the speculative reply for one window. A
+            // corrupt frame is booked and polled past.
+            let rounds = (window.as_millis() / (2 * POLL.as_millis())).max(1);
+            for _ in 0..rounds {
+                for speculative in [false, true] {
+                    let (received, peer) = if !speculative {
+                        let r = recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, POLL);
+                        (r, from)
+                    } else if spec != me && !ledger.has(b, j) {
+                        let tag = rechunk_tag(b, j, nr);
+                        (comm.recv_f32_checked_timeout(spec, tag, POLL), spec)
+                    } else {
+                        continue;
+                    };
+                    match received {
+                        // The original ends the wait even after a
+                        // speculative win; the ledger discards the twin.
+                        Ok(data) if !speculative => return Ok(data),
+                        Ok(data) => {
+                            ledger.offer(b, j, data);
                             ctx.recovery.record(RecoveryEvent::SpeculativeWin {
                                 group,
                                 chunk: b,
-                                winner: me,
+                                winner: spec,
                             });
-                            spec_from = Some(me);
                         }
-                    }
-                }
-                Err(_) => return Err(()),
-            }
-        } else {
-            // Speculation in flight: alternate short polls across the
-            // original and the speculative reply for one doubled
-            // window. First arrival wins; the twin is deduplicated.
-            let rounds = (window.as_millis() / (2 * POLL.as_millis())).max(1);
-            let mut original_landed = false;
-            'window: for _ in 0..rounds {
-                let received = match ctx.reduce_mode {
-                    ReduceMode::Segmented => {
-                        recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, POLL)
-                    }
-                    _ => comm.recv_f32_checked_timeout(from, CHUNK_TAG + b as u64, POLL),
-                };
-                match received {
-                    Ok(data) => {
-                        if !ledger.offer(b, j, data) {
-                            // Late original after a speculative win:
-                            // consumed and discarded, same bits.
-                            ctx.chunk_duplicates.inc();
+                        Err(CommError::Timeout { .. }) => {}
+                        Err(CommError::IntegrityFailure { detail, .. }) => {
+                            let label = if speculative { "speculative " } else { "" };
+                            ctx.corruption(
+                                format!("{label}chunk {b} from rank {peer}: {detail}"),
+                                attempt + 1,
+                            );
                         }
-                        original_landed = true;
-                        break 'window;
-                    }
-                    Err(CommError::Timeout { .. }) => {}
-                    Err(CommError::IntegrityFailure { detail, .. }) => {
-                        ctx.integrity_failures.inc();
-                        ctx.recovery.record(RecoveryEvent::CorruptionDetected {
-                            rank: me,
-                            what: format!("chunk {b} from rank {from}: {detail}"),
-                            attempt: attempt + 1,
-                        });
-                    }
-                    Err(_) => return Err(()),
-                }
-                if let Some(target) = spec_from.filter(|&t| t != me) {
-                    if !ledger.has(b, j) {
-                        match comm.recv_f32_checked_timeout(target, rechunk_tag(b, j, nr), POLL) {
-                            Ok(data) => {
-                                ledger.offer(b, j, data);
-                                ctx.recovery.record(RecoveryEvent::SpeculativeWin {
-                                    group,
-                                    chunk: b,
-                                    winner: target,
-                                });
-                            }
-                            Err(CommError::Timeout { .. }) => {}
-                            Err(CommError::IntegrityFailure { detail, .. }) => {
-                                ctx.integrity_failures.inc();
-                                ctx.recovery.record(RecoveryEvent::CorruptionDetected {
-                                    rank: me,
-                                    what: format!(
-                                        "speculative chunk {b} from rank {target}: {detail}"
-                                    ),
-                                    attempt: attempt + 1,
-                                });
-                            }
-                            Err(_) => return Err(()),
-                        }
+                        Err(e) => return Err(e),
                     }
                 }
             }
-            if original_landed {
-                // Slow but alive: no death declaration, ever.
-                return Ok(());
+            // The window ran out without the original: a missed attempt.
+            Err(CommError::Timeout {
+                from,
+                tag: PIECE_TAG,
+            })
+        },
+    );
+    match awaited {
+        Awaited::Got(data) => {
+            if !ledger.offer(b, j, data) {
+                ctx.chunk_duplicates.inc();
             }
-            attempt += 1;
-            ctx.recovery.record(RecoveryEvent::MessageRetry {
-                rank: me,
-                peer: from,
-                attempt,
-            });
+            Ok(())
         }
-        if attempt >= MAX_ATTEMPTS {
+        // If the speculative copy landed the slot is already filled;
+        // otherwise phase 2 requeues it.
+        Awaited::Dead => {
             dead.insert(j);
-            ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
-                group,
-                rank: from,
-                detected_by: me,
-            });
-            // If the speculative copy landed the slot is already
-            // filled; otherwise phase 2 requeues it.
-            return Ok(());
+            Ok(())
         }
+        Awaited::Failed(_) => Err(()),
     }
+}
+
+/// Records the requeue of rank `j`'s chunk `b` onto world rank `target`
+/// and hands it over: a worker gets a recompute order, while this leader
+/// computes the chunk at once and returns it.
+fn requeue(
+    comm: &Communicator,
+    ctx: &FtCtx,
+    group: usize,
+    task: &SubVolumeTask,
+    b: usize,
+    j: usize,
+    target: usize,
+) -> Option<Vec<f32>> {
+    ctx.recovery.record(RecoveryEvent::WorkRequeued {
+        group,
+        from_rank: group * ctx.layout.nr + j,
+        to_rank: target,
+        chunk: b,
+    });
+    if target == ctx.me {
+        return Some(ctx.compute_chunk(group, task, j).data().to_vec());
+    }
+    comm.send(target, CTRL_TAG, encode_ctrl(b, j));
+    None
 }
 
 /// Group-leader collection: gather every batch's chunks from the group's
@@ -855,7 +869,6 @@ fn ft_collect_group_as_leader(
     ctx: &FtCtx,
     group: usize,
 ) -> Option<Vec<Volume>> {
-    let me = comm.rank();
     let nr = ctx.layout.nr;
     let decomp = ctx.group_decomp(group);
     let tasks = decomp.tasks();
@@ -880,84 +893,34 @@ fn ft_collect_group_as_leader(
 
     // Phase 2: requeue every still-missing chunk onto a surviving rank
     // of the group — the next live worker after the dead one in cyclic
-    // order, falling back to this leader.
+    // order — and onto this leader when none is left or it dies too.
     for (b, task) in tasks.iter().enumerate() {
         for j in 1..nr {
             if ledger.has(b, j) {
                 continue;
             }
-            let from_world = group * nr + j;
-            let mut data = None;
-            if let Some(t) = next_survivor(j, nr, &dead) {
-                let target = group * nr + t;
-                ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                    group,
-                    from_rank: from_world,
-                    to_rank: target,
-                    chunk: b,
-                });
-                comm.send(target, CTRL_TAG, encode_ctrl(b, j));
-                let mut attempt = 0u32;
-                loop {
-                    match comm.recv_f32_checked_timeout(
-                        target,
-                        rechunk_tag(b, j, nr),
-                        attempt_deadline(ctx.deadlines.chunk, attempt, target),
-                    ) {
-                        Ok(d) => {
-                            data = Some(d);
-                            break;
-                        }
-                        Err(CommError::IntegrityFailure { detail, .. }) => {
-                            attempt += 1;
-                            ctx.integrity_failures.inc();
-                            ctx.recovery.record(RecoveryEvent::CorruptionDetected {
-                                rank: me,
-                                what: format!("recomputed chunk {b} from rank {target}: {detail}"),
-                                attempt,
-                            });
-                            if attempt >= MAX_ATTEMPTS {
-                                dead.insert(t);
-                                ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
-                                    group,
-                                    rank: target,
-                                    detected_by: me,
-                                });
-                                break;
-                            }
-                        }
-                        Err(CommError::Timeout { .. }) => {
-                            attempt += 1;
-                            ctx.recovery.record(RecoveryEvent::MessageRetry {
-                                rank: me,
-                                peer: target,
-                                attempt,
-                            });
-                            if attempt >= MAX_ATTEMPTS {
-                                dead.insert(t);
-                                ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
-                                    group,
-                                    rank: target,
-                                    detected_by: me,
-                                });
-                                break;
-                            }
-                        }
-                        Err(_) => return None,
-                    }
+            let mut target = next_survivor(j, nr, &dead).map_or(ctx.me, |t| group * nr + t);
+            let tag = rechunk_tag(b, j, nr);
+            let data = loop {
+                if let Some(data) = requeue(comm, ctx, group, task, b, j, target) {
+                    break data;
                 }
-            }
-            let data = data.unwrap_or_else(|| {
-                // No surviving worker could take it: the leader is the
-                // group's last survivor and recomputes locally.
-                ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                    group,
-                    from_rank: from_world,
-                    to_rank: me,
-                    chunk: b,
-                });
-                ctx.compute_chunk(group, task, j).data().to_vec()
-            });
+                match await_peer(
+                    comm,
+                    ctx,
+                    target,
+                    ctx.deadlines.chunk,
+                    format_args!("recomputed chunk {b}"),
+                    |comm, deadline, _| comm.recv_f32_checked_timeout(target, tag, deadline),
+                ) {
+                    Awaited::Got(data) => break data,
+                    Awaited::Dead => {
+                        dead.insert(target - group * nr);
+                        target = ctx.me;
+                    }
+                    Awaited::Failed(_) => return None,
+                }
+            };
             if !ledger.offer(b, j, data) {
                 ctx.chunk_duplicates.inc();
             }
@@ -977,38 +940,28 @@ fn ft_collect_group_as_leader(
     )
 }
 
-/// The speculative executor for rank `j`'s chunk: the next healthy
-/// worker after `j` in cyclic group order — never `j` itself (it is the
-/// suspected straggler) and never the leader, who is the explicit local
-/// fallback when the group has no healthy third rank.
-fn speculation_target(j: usize, nr: usize, dead: &BTreeSet<usize>) -> Option<usize> {
+/// The next healthy worker after `j` in cyclic group order: the
+/// speculative executor for a suspected straggler `j`, and the recompute
+/// target for a dead one. Never `j` itself and never the leader — slot
+/// 0 — which is the explicit local fallback.
+fn next_survivor(j: usize, nr: usize, dead: &BTreeSet<usize>) -> Option<usize> {
     (1..nr)
         .map(|step| 1 + (j - 1 + step) % (nr - 1))
         .find(|&t| t != j && !dead.contains(&t))
 }
 
-/// The next surviving worker after `j` in cyclic group order (never the
-/// leader — slot 0 — which is the explicit fallback).
-fn next_survivor(j: usize, nr: usize, dead: &BTreeSet<usize>) -> Option<usize> {
-    (1..nr)
-        .map(|step| 1 + (j - 1 + step) % (nr - 1))
-        .find(|t| !dead.contains(t))
-}
-
 fn ft_leader(comm: &mut Communicator, ctx: &FtCtx) {
-    let assign = ctx.layout.assignment(ctx.g, comm.rank());
-    match ft_collect_group_as_leader(comm, ctx, assign.group) {
-        Some(finished) => {
-            for slab in &finished {
-                let _ = comm.send_f32_checked(0, SLAB_TAG + slab.z_offset() as u64, slab.data());
-            }
-            if comm.self_failed() {
-                return dead_wait(comm);
-            }
-            shutdown_wait(comm);
-        }
-        None => dead_wait(comm),
+    let group = ctx.layout.assignment(ctx.g, comm.rank()).group;
+    let Some(finished) = ft_collect_group_as_leader(comm, ctx, group) else {
+        return dead_wait(comm);
+    };
+    for slab in &finished {
+        let _ = comm.send_f32_checked(0, SLAB_TAG + slab.z_offset() as u64, slab.data());
     }
+    if comm.self_failed() {
+        return dead_wait(comm);
+    }
+    shutdown_wait(comm);
 }
 
 fn ft_root(
@@ -1023,6 +976,13 @@ fn ft_root(
         comm.send_control(r, SHUTDOWN_TAG, vec![0]);
     }
     result
+}
+
+/// What the root reports when its own receive fails. Only an injected
+/// failure of rank 0 can cause it, and `fault_tolerant_reconstruct`
+/// refuses such plans before a rank starts.
+fn root_failed(e: impl std::fmt::Display) -> ReconstructionError {
+    ReconstructionError::Input(format!("the assembly root failed: {e}"))
 }
 
 fn ft_root_inner(
@@ -1066,14 +1026,12 @@ fn ft_root_inner(
         }
 
         let slabs = if group == 0 {
-            // Rank 0 leads group 0 itself. Collection returns `None` only
-            // when the collecting rank is killed, and
-            // `fault_tolerant_reconstruct` refuses any plan that kills
-            // rank 0 before a rank starts.
+            // Rank 0 leads group 0 itself; collection returns `None`
+            // only when the collecting rank is killed.
             ft_collect_group_as_leader(comm, ctx, 0)
-                .expect("plans that fail rank 0 are refused before the world starts")
+                .ok_or_else(|| root_failed("killed while leading group 0"))?
         } else {
-            ft_collect_group_slabs(comm, ctx, group)
+            ft_collect_group_slabs(comm, ctx, group)?
         };
         for slab in slabs {
             out.paste_slab(&slab);
@@ -1087,8 +1045,13 @@ fn ft_root_inner(
 
 /// Root-side collection of one remote group's finished slabs, degrading
 /// through the group's leader set: original leader → deputies in rank
-/// order → the root itself.
-fn ft_collect_group_slabs(comm: &mut Communicator, ctx: &FtCtx, group: usize) -> Vec<Volume> {
+/// order → the root itself. A provider declared dead forfeits its partial
+/// slabs; the successor resends the full set, bit-identical.
+fn ft_collect_group_slabs(
+    comm: &mut Communicator,
+    ctx: &FtCtx,
+    group: usize,
+) -> Result<Vec<Volume>, ReconstructionError> {
     let nr = ctx.layout.nr;
     let leader = group * nr;
     let decomp = ctx.group_decomp(group);
@@ -1097,106 +1060,60 @@ fn ft_collect_group_slabs(comm: &mut Communicator, ctx: &FtCtx, group: usize) ->
     let mut provider = leader;
     let mut tag_base = SLAB_TAG;
     loop {
-        match try_collect_slabs(comm, ctx, group, provider, tag_base, tasks) {
-            Some(slabs) => return slabs,
-            None => {
-                let next = provider + 1;
-                if next >= leader + nr {
-                    // Leader set exhausted: the root recomputes the group.
-                    ctx.recovery.record(RecoveryEvent::LeaderSetDegraded {
-                        group,
-                        dead_leader: provider,
-                        new_leader: 0,
-                    });
-                    return tasks
-                        .iter()
-                        .enumerate()
-                        .map(|(b, task)| {
-                            ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                                group,
-                                from_rank: provider,
-                                to_rank: 0,
-                                chunk: b,
-                            });
-                            ctx.recompute_task(group, task)
-                        })
-                        .collect();
+        let mut slabs = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let tag = tag_base + task.z_begin as u64;
+            match await_peer(
+                comm,
+                ctx,
+                provider,
+                ctx.deadlines.slab,
+                format_args!("slab z{}", task.z_begin),
+                |comm, deadline, _| comm.recv_f32_checked_timeout(provider, tag, deadline),
+            ) {
+                Awaited::Got(data) => {
+                    let mut slab = Volume::zeros_slab(ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin);
+                    slab.data_mut().copy_from_slice(&data);
+                    slabs.push(slab);
                 }
-                ctx.recovery.record(RecoveryEvent::LeaderSetDegraded {
-                    group,
-                    dead_leader: provider,
-                    new_leader: next,
-                });
-                comm.send(next, TAKEOVER_TAG, (group as u32).to_le_bytes().to_vec());
-                provider = next;
-                tag_base = TAKEOVER_SLAB_TAG;
+                Awaited::Dead => break,
+                Awaited::Failed(e) => return Err(root_failed(e)),
             }
         }
-    }
-}
-
-/// Collects all of a group's slabs from one provider; `None` once the
-/// provider is declared dead (recorded), discarding any partial slabs —
-/// the successor resends the full set, bit-identical.
-fn try_collect_slabs(
-    comm: &mut Communicator,
-    ctx: &FtCtx,
-    group: usize,
-    provider: usize,
-    tag_base: u64,
-    tasks: &[SubVolumeTask],
-) -> Option<Vec<Volume>> {
-    let mut slabs = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        let mut attempt = 0u32;
-        let data = loop {
-            match comm.recv_f32_checked_timeout(
-                provider,
-                tag_base + task.z_begin as u64,
-                attempt_deadline(ctx.deadlines.slab, attempt, provider),
-            ) {
-                Ok(d) => break d,
-                Err(CommError::IntegrityFailure { detail, .. }) => {
-                    attempt += 1;
-                    ctx.integrity_failures.inc();
-                    ctx.recovery.record(RecoveryEvent::CorruptionDetected {
-                        rank: 0,
-                        what: format!("slab z{} from rank {provider}: {detail}", task.z_begin),
-                        attempt,
+        if slabs.len() == tasks.len() {
+            return Ok(slabs);
+        }
+        let next = provider + 1;
+        if next >= leader + nr {
+            // Leader set exhausted: the root recomputes the group.
+            ctx.recovery.record(RecoveryEvent::LeaderSetDegraded {
+                group,
+                dead_leader: provider,
+                new_leader: 0,
+            });
+            return Ok(tasks
+                .iter()
+                .enumerate()
+                .map(|(b, task)| {
+                    ctx.recovery.record(RecoveryEvent::WorkRequeued {
+                        group,
+                        from_rank: provider,
+                        to_rank: 0,
+                        chunk: b,
                     });
-                    if attempt >= MAX_ATTEMPTS {
-                        ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
-                            group,
-                            rank: provider,
-                            detected_by: 0,
-                        });
-                        return None;
-                    }
-                }
-                Err(CommError::Timeout { .. }) => {
-                    attempt += 1;
-                    ctx.recovery.record(RecoveryEvent::MessageRetry {
-                        rank: 0,
-                        peer: provider,
-                        attempt,
-                    });
-                    if attempt >= MAX_ATTEMPTS {
-                        ctx.recovery.record(RecoveryEvent::RankDeclaredDead {
-                            group,
-                            rank: provider,
-                            detected_by: 0,
-                        });
-                        return None;
-                    }
-                }
-                Err(e) => panic!("root receive failed: {e}"),
-            }
-        };
-        let mut slab = Volume::zeros_slab(ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin);
-        slab.data_mut().copy_from_slice(&data);
-        slabs.push(slab);
+                    ctx.recompute_task(group, task)
+                })
+                .collect());
+        }
+        ctx.recovery.record(RecoveryEvent::LeaderSetDegraded {
+            group,
+            dead_leader: provider,
+            new_leader: next,
+        });
+        comm.send(next, TAKEOVER_TAG, (group as u32).to_le_bytes().to_vec());
+        provider = next;
+        tag_base = TAKEOVER_SLAB_TAG;
     }
-    Some(slabs)
 }
 
 fn encode_ctrl(b: usize, j: usize) -> Vec<u8> {
@@ -1433,16 +1350,16 @@ mod tests {
     fn speculation_target_skips_suspect_and_dead() {
         let none = BTreeSet::new();
         // nr = 4: the next worker after the suspect, cyclically.
-        assert_eq!(speculation_target(1, 4, &none), Some(2));
-        assert_eq!(speculation_target(3, 4, &none), Some(1));
+        assert_eq!(next_survivor(1, 4, &none), Some(2));
+        assert_eq!(next_survivor(3, 4, &none), Some(1));
         // Dead ranks are skipped.
         let dead: BTreeSet<usize> = [2].into_iter().collect();
-        assert_eq!(speculation_target(1, 4, &dead), Some(3));
+        assert_eq!(next_survivor(1, 4, &dead), Some(3));
         // nr = 2: the only other worker IS the suspect — leader-local.
-        assert_eq!(speculation_target(1, 2, &none), None);
+        assert_eq!(next_survivor(1, 2, &none), None);
         // Everyone else dead — leader-local.
         let all: BTreeSet<usize> = [2, 3].into_iter().collect();
-        assert_eq!(speculation_target(1, 4, &all), None);
+        assert_eq!(next_survivor(1, 4, &all), None);
     }
 
     /// Regression for the silent failure mode the hard-coded timeouts

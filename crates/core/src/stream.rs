@@ -82,7 +82,7 @@ mod tests {
     use scalefbp_geom::{CbctGeometry, VolumeDecomposition};
     use scalefbp_gpusim::DeviceSpec;
     use scalefbp_iosim::format::{encode_projections, ScanFile};
-    use scalefbp_iosim::{DatasetStore, StorageEndpoint};
+    use scalefbp_iosim::StorageEndpoint;
     use scalefbp_phantom::{forward_project, uniform_ball};
 
     use super::*;
@@ -321,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn file_memory_and_dataset_sources_give_the_in_core_bits() {
+    fn file_and_memory_sources_give_the_in_core_bits() {
         let g = geom();
         let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
         let reference = fdk_reconstruct(&g, &p).unwrap();
@@ -329,10 +329,7 @@ mod tests {
         let scan_path = dir.join("scan.sfbp");
         std::fs::write(&scan_path, encode_projections(&p)).unwrap();
         let scan = ScanFile::open(&scan_path).unwrap();
-        let endpoint = StorageEndpoint::local_nvme(Some(dir.clone()));
-        let dataset = DatasetStore::create(&endpoint, "ds".as_ref(), &g, &p, 5).unwrap();
-        let sources: [(&str, &dyn RowSource); 3] =
-            [("stack", &p), ("file", &scan), ("dataset", &dataset)];
+        let sources: [(&str, &dyn RowSource); 2] = [("stack", &p), ("file", &scan)];
         for driver in Driver::ALL {
             for (name, source) in sources {
                 let (vol, _) = driver.run(&g, source).unwrap();

@@ -1,7 +1,7 @@
 //! Detector-row-major projection stack: the input container of Figure 3a.
 
 /// Where a streaming driver reads detector rows from: a scan held in
-/// memory, a `.sfbp` file read by rows, or a row-sharded dataset.
+/// memory or a `.sfbp` file read by rows.
 ///
 /// A driver asks only for the row bands it needs (Eq 6–7), so a source
 /// that reads lazily bounds host memory by the ring of rows, not by the

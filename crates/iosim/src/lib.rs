@@ -15,9 +15,7 @@
 //!   or by detector rows ([`format::ScanFile`]), and binary PGM slice export
 //!   for visual inspection (the Figure 8 / Figure 11 deliverables).
 
-pub mod dataset;
 pub mod format;
 mod storage;
 
-pub use dataset::{DatasetError, DatasetStore, ShardInfo};
 pub use storage::{StorageCounters, StorageEndpoint};

@@ -138,12 +138,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the per-dispatch overhead.
-    pub fn with_dispatch_overhead_secs(mut self, secs: f64) -> Self {
-        self.dispatch_overhead_secs = secs;
-        self
-    }
-
     /// Keeps completed volumes in the report.
     pub fn keeping_volumes(mut self) -> Self {
         self.keep_volumes = true;

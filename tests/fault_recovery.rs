@@ -592,3 +592,117 @@ fn cli_reconstructs_under_fault_seed() {
     ]);
     assert!(out.contains("threaded pipeline"), "{out}");
 }
+
+/// FNV-1a over bytes: the fingerprint the recovery pins are kept in.
+fn fnv(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h: u32, &b| {
+        (h ^ b as u32).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// One pinned distributed fault run: reduce mode, ranks per group
+/// (`N_g = N_c = 2`), the plan, and the FNV-1a of its recovery log (one
+/// event per line), metrics JSON and volume bytes.
+type PinnedRun = (ReduceMode, usize, &'static str, [u32; 3]);
+
+/// Every recovery path of the distributed driver, pinned byte for byte:
+/// which events fire (the log is canonically sorted), with which `what`
+/// labels and attempt numbers, and which `mpi.*`/`ft.*` counts result. Any refactor of the data plane
+/// must reproduce all of them. Segmented chunks travel as `N_r` pieces,
+/// so a plan that targets a later send op carries a per-mode op index.
+const PINNED_RUNS: &[PinnedRun] = &[
+    // Worker death: rank 4 dies on its first send; the leader speculates
+    // onto rank 5, declares rank 4 dead, and phase 2 requeues batch 1.
+    (D, 3, "rank 4 send op 0 rank-failure", [0x76c73717, 0x1abe359b, 0x660a59f4]),
+    (S, 3, "rank 4 send op 0 rank-failure", [0x76c73717, 0xf586b26b, 0x660a59f4]),
+    // Leader death: rank 2 dies on its first receive; the root's slab
+    // ladder declares it dead and rank 3 takes over as deputy.
+    (D, 2, "rank 2 recv op 0 rank-failure", [0xfd31fd6b, 0x3a4d3c9c, 0xb1b9cc80]),
+    (S, 2, "rank 2 recv op 0 rank-failure", [0xfd31fd6b, 0x460ecc16, 0xb1b9cc80]),
+    // Dropped message: rank 1's first send vanishes.
+    (D, 2, "rank 1 send op 0 drop", [0xd2e2c160, 0xabe8e3d4, 0xb1b9cc80]),
+    (S, 2, "rank 1 send op 0 drop", [0xd2e2c160, 0xa3768eba, 0xb1b9cc80]),
+    // Corrupted chunk: rank 1's first sealed frame fails its CRC.
+    (D, 2, "rank 1 corrupt op 0 bit-flip:7", [0xe2320743, 0x5ffafe86, 0xb1b9cc80]),
+    (S, 2, "rank 1 corrupt op 0 bit-flip:7", [0x761e96a9, 0xb3c6bb28, 0xb1b9cc80]),
+    // Corrupted recompute replies: rank 4 dies, rank 5's speculative
+    // copy and then its phase-2 recompute both fail their CRC.
+    (
+        D,
+        3,
+        "rank 4 send op 0 rank-failure\nrank 5 corrupt op 2 bit-flip:7\nrank 5 corrupt op 3 bit-flip:9",
+        [0x7b063122, 0x631e3aa3, 0x660a59f4],
+    ),
+    (
+        S,
+        3,
+        "rank 4 send op 0 rank-failure\nrank 5 corrupt op 6 bit-flip:7\nrank 5 corrupt op 7 bit-flip:9",
+        [0x7b063122, 0xb9e47b63, 0x660a59f4],
+    ),
+    // Corrupted slab: leader 2's first slab to the root fails its CRC.
+    (D, 2, "rank 2 corrupt op 0 bit-flip:7", [0x094fee8a, 0x49bffbfd, 0xb1b9cc80]),
+    (S, 2, "rank 2 corrupt op 0 bit-flip:7", [0x094fee8a, 0xff042bb5, 0xb1b9cc80]),
+    // Straggler: rank 4's device slows; speculation wins, the late
+    // original is deduplicated.
+    (D, 3, "rank 4 compute op 0 slow:4:0", [0x803392b0, 0x3694a721, 0x660a59f4]),
+    (S, 3, "rank 4 compute op 0 slow:4:0", [0x803392b0, 0xbb5660b7, 0x660a59f4]),
+    // Mid-piece kill: rank 3 dies on send op 1 — in segmented mode the
+    // second piece of its first chunk.
+    (D, 2, "rank 3 send op 1 rank-failure", [0xcb3db33a, 0xe755d983, 0xb1b9cc80]),
+    (S, 2, "rank 3 send op 1 rank-failure", [0x8cae90fb, 0x959b1d61, 0xb1b9cc80]),
+];
+const D: ReduceMode = ReduceMode::Dense;
+const S: ReduceMode = ReduceMode::Segmented;
+
+#[test]
+fn distributed_recovery_logs_match_their_pins() {
+    let _s = SERIAL.lock().unwrap();
+    let g = geom();
+    let p = projections(&g);
+    let mut whats = Vec::new();
+    let mut moved = Vec::new();
+    for &(mode, nr, plan, want) in PINNED_RUNS {
+        let out = run_ft_mode(
+            &g,
+            &p,
+            RankLayout::new(nr, 2, 2),
+            &FaultPlan::parse(plan).unwrap(),
+            mode,
+        );
+        let log: String = out.recovery.iter().map(|e| format!("{e}\n")).collect();
+        let volume: Vec<u8> = out
+            .volume
+            .data()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let pins = [
+            fnv(log.as_bytes()),
+            fnv(out.metrics.to_json().as_bytes()),
+            fnv(&volume),
+        ];
+        whats.extend(out.recovery.into_iter().filter_map(|e| match e {
+            RecoveryEvent::CorruptionDetected { what, .. } => Some(what),
+            _ => None,
+        }));
+        if pins != want {
+            moved.push(format!("{mode} nr={nr} {plan:?}: {pins:#010x?}\n{log}"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "runs off their pins:\n{}",
+        moved.join("\n")
+    );
+    for prefix in [
+        "chunk ",
+        "speculative chunk ",
+        "recomputed chunk ",
+        "slab z",
+    ] {
+        assert!(
+            whats.iter().any(|w| w.starts_with(prefix)),
+            "no pinned run detects corruption on `{prefix}`: {whats:?}"
+        );
+    }
+}
