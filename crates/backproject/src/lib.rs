@@ -37,9 +37,10 @@ mod texture;
 
 pub use counters::{KernelStats, FLOPS_PER_UPDATE};
 pub use kernels::{backproject_reference, backproject_window};
+pub use scalefbp_geom::{detected_cpu_features, simd_backend, SimdBackend};
 pub use simd::{
     backproject_simd, backproject_simd_with, backproject_simd_with_backend,
     backproject_window_simd, backproject_window_simd_with, backproject_window_simd_with_backend,
-    detected_cpu_features, simd_backend, SimdBackend, SimdTuning, TileShape,
+    SimdTuning, TileShape,
 };
 pub use texture::TextureWindow;

@@ -53,7 +53,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
-use scalefbp_geom::{ProjectionMatrix, ProjectionStack, Volume};
+use scalefbp_geom::{simd_backend, ProjectionMatrix, ProjectionStack, SimdBackend, Volume};
 
 use crate::kernels::{check_args, depth_ok};
 use crate::{KernelStats, TextureWindow};
@@ -108,64 +108,6 @@ impl Default for TileShape {
     fn default() -> Self {
         TileShape::L1
     }
-}
-
-/// Which implementation backs the SIMD kernels on this run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdBackend {
-    /// 8-lane `core::arch` AVX2 intrinsics.
-    Avx2,
-    /// The portable scalar twin (identical operation sequence → identical
-    /// bits).
-    Scalar,
-}
-
-impl SimdBackend {
-    /// Stable lowercase name for logs and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdBackend::Avx2 => "avx2",
-            SimdBackend::Scalar => "scalar",
-        }
-    }
-}
-
-/// Selects the backend: AVX2 when the CPU reports it, unless
-/// `SCALEFBP_SIMD=scalar` forces the portable path (read per call, so CI
-/// can exercise both backends in one binary).
-pub fn simd_backend() -> SimdBackend {
-    if std::env::var_os("SCALEFBP_SIMD").is_some_and(|v| v == "scalar") {
-        return SimdBackend::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return SimdBackend::Avx2;
-        }
-    }
-    SimdBackend::Scalar
-}
-
-/// Runtime-detected x86 vector features relevant to the kernels, for the
-/// bench JSON's `detected_features` field (empty on non-x86 targets).
-pub fn detected_cpu_features() -> Vec<&'static str> {
-    #[allow(unused_mut)]
-    let mut features = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    {
-        for (name, present) in [
-            ("sse4.1", is_x86_feature_detected!("sse4.1")),
-            ("avx", is_x86_feature_detected!("avx")),
-            ("avx2", is_x86_feature_detected!("avx2")),
-            ("fma", is_x86_feature_detected!("fma")),
-            ("avx512f", is_x86_feature_detected!("avx512f")),
-        ] {
-            if present {
-                features.push(name);
-            }
-        }
-    }
-    features
 }
 
 /// Tuning knobs of the SIMD loop nest. Any positive values give the same
@@ -758,7 +700,7 @@ pub fn backproject_window_simd_with_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{backproject_reference, backproject_window};
+    use crate::{backproject_reference, backproject_window, detected_cpu_features};
     use scalefbp_geom::{CbctGeometry, VolumeDecomposition};
 
     fn geom() -> CbctGeometry {

@@ -40,9 +40,14 @@ pub fn run(_: &crate::Options) {
         None,
     )
     .expect("distributed run failed");
+    // Wall seconds go to stderr: stdout is model-deterministic and must
+    // compare byte for byte across runs and builds.
+    eprintln!(
+        "4-rank group-reduce reconstruction: {:.2} s wall",
+        t0.elapsed().as_secs_f64()
+    );
     println!(
-        "4-rank group-reduce reconstruction: {:.2} s wall, {:.1} MB over the network",
-        t0.elapsed().as_secs_f64(),
+        "4-rank group-reduce reconstruction: {:.1} MB over the network",
         out.network.bytes as f64 / 1e6
     );
 

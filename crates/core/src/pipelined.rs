@@ -205,8 +205,11 @@ impl PipelinedReconstructor {
         // `task.index`; replayed through the DES after the threads join.
         let model_secs = Mutex::new(vec![[0.0f64; 4]; tasks.len()]);
 
-        // Queues of Figure 9 (load→filter, filter→bp, bp→store).
-        let (q1_tx, q1_rx) = BoundedQueue::<Block>::new(2).split();
+        // Queues of Figure 9 (load→filter, filter→bp, bp→store). Load
+        // reads a block from the page cache several times faster than the
+        // filter consumes it, so a second load→filter slot buys no
+        // overlap, only one more block in memory.
+        let (q1_tx, q1_rx) = BoundedQueue::<Block>::new(1).split();
         let (q2_tx, q2_rx) = BoundedQueue::<Block>::new(2).split();
         let (q3_tx, q3_rx) = BoundedQueue::<Volume>::new(2).split();
 
@@ -376,8 +379,10 @@ impl PipelinedReconstructor {
         }
 
         // Replay the batches through the deterministic queue recurrence:
-        // same stage order and queue capacity as the real threads, but on
-        // modelled durations, so the exported timeline is reproducible.
+        // the real threads' stage order on modelled durations, so the
+        // exported timeline is reproducible. The replay queues whole
+        // batches, two deep; the threads queue row blocks (one deep into
+        // the filter, two deep after it).
         let durations = model_secs.into_inner().unwrap();
         let stage_rows: Vec<Vec<f64>> = (0..4)
             .map(|s| durations.iter().map(|d| d[s]).collect())

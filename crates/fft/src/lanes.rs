@@ -9,6 +9,16 @@
 //! contracts a multiply and an add into an FMA, so each lane's output is
 //! bit-identical to the scalar path's, whatever vector instructions LLVM
 //! picks for the `[f64; LANES]` arithmetic.
+//!
+//! Everything on the hot path — [`RealFftPlan::filter_lanes`], the
+//! butterflies, the untangling and the lane operators — is
+//! `#[inline(always)]`, so it compiles into its caller at the caller's
+//! vector width. `scalefbp-filter` instantiates its group step twice, once
+//! portable (a `[f64; 4]` lane op is two SSE2 halves on baseline x86-64)
+//! and once under `#[target_feature(enable = "avx2")]` (one 256-bit op),
+//! and picks one per call with `scalefbp_geom::simd_backend`. An
+//! out-of-line call here would be compiled for the baseline and quietly
+//! give the AVX2 instance back its SSE2 halves.
 
 use std::ops::{Add, Mul, Sub};
 
@@ -19,6 +29,7 @@ pub const LANES: usize = 4;
 
 type Lane = [f64; LANES];
 
+#[inline(always)]
 fn lanes(f: impl FnMut(usize) -> f64) -> Lane {
     std::array::from_fn(f)
 }
@@ -31,6 +42,7 @@ struct LaneComplex {
 }
 
 impl LaneComplex {
+    #[inline(always)]
     fn conj(self) -> Self {
         LaneComplex {
             re: self.re,
@@ -38,6 +50,7 @@ impl LaneComplex {
         }
     }
 
+    #[inline(always)]
     fn scale(self, s: f64) -> Self {
         LaneComplex {
             re: lanes(|l| self.re[l] * s),
@@ -48,6 +61,7 @@ impl LaneComplex {
 
 impl Add for LaneComplex {
     type Output = LaneComplex;
+    #[inline(always)]
     fn add(self, rhs: LaneComplex) -> LaneComplex {
         LaneComplex {
             re: lanes(|l| self.re[l] + rhs.re[l]),
@@ -58,6 +72,7 @@ impl Add for LaneComplex {
 
 impl Sub for LaneComplex {
     type Output = LaneComplex;
+    #[inline(always)]
     fn sub(self, rhs: LaneComplex) -> LaneComplex {
         LaneComplex {
             re: lanes(|l| self.re[l] - rhs.re[l]),
@@ -69,6 +84,7 @@ impl Sub for LaneComplex {
 /// `lanes · w`: [`Complex`]'s product with the lanes as `self`.
 impl Mul<Complex> for LaneComplex {
     type Output = LaneComplex;
+    #[inline(always)]
     fn mul(self, w: Complex) -> LaneComplex {
         LaneComplex {
             re: lanes(|l| self.re[l] * w.re - self.im[l] * w.im),
@@ -80,6 +96,7 @@ impl Mul<Complex> for LaneComplex {
 /// `w · lanes`: [`Complex`]'s product with the lanes as `rhs`.
 impl Mul<LaneComplex> for Complex {
     type Output = LaneComplex;
+    #[inline(always)]
     fn mul(self, z: LaneComplex) -> LaneComplex {
         LaneComplex {
             re: lanes(|l| self.re * z.re[l] - self.im * z.im[l]),
@@ -111,6 +128,7 @@ impl RealFftPlan {
     /// # Panics
     /// If `rows` is longer than `len()`, `response` is not
     /// `spectrum_len()` long, or `scratch` was made for another length.
+    #[inline(always)]
     pub fn filter_lanes(&self, rows: &mut [Lane], response: &[f64], scratch: &mut LaneScratch) {
         assert!(
             rows.len() <= self.len(),
@@ -167,6 +185,7 @@ impl RealFftPlan {
 
 /// Bin `k` of the real spectrum from `Z[k]` and `Z[half−k]`, as
 /// [`RealFftPlan::forward_into`] computes it.
+#[inline(always)]
 fn untangle(zk: LaneComplex, zm: LaneComplex, tw: Complex) -> LaneComplex {
     let zmk = zm.conj();
     let e = (zk + zmk).scale(0.5);
@@ -176,6 +195,7 @@ fn untangle(zk: LaneComplex, zm: LaneComplex, tw: Complex) -> LaneComplex {
 
 /// `Z[k]` of the half-length spectrum from bins `k` and `half−k`, as
 /// [`RealFftPlan::inverse_into`] computes it.
+#[inline(always)]
 fn retangle(xk: LaneComplex, xm: LaneComplex, tw: Complex) -> LaneComplex {
     let xmk = xm.conj();
     let e = (xk + xmk).scale(0.5);
@@ -188,6 +208,7 @@ fn retangle(xk: LaneComplex, xm: LaneComplex, tw: Complex) -> LaneComplex {
 const TILE: usize = 512;
 
 /// [`FftPlan::process`] on every lane.
+#[inline(always)]
 fn process(plan: &FftPlan, data: &mut [LaneComplex], direction: Direction) {
     if plan.len() == 1 {
         return;
@@ -291,8 +312,44 @@ mod tests {
         out
     }
 
+    /// [`RealFftPlan::filter_lanes`] compiled for AVX2, as an AVX2 caller
+    /// inlines it.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn filter_lanes_avx2(
+        plan: &RealFftPlan,
+        rows: &mut [Lane],
+        response: &[f64],
+        scratch: &mut LaneScratch,
+    ) {
+        plan.filter_lanes(rows, response, scratch);
+    }
+
+    type FilterLanes = fn(&RealFftPlan, &mut [Lane], &[f64], &mut LaneScratch);
+
+    /// Every instantiation of `filter_lanes` this host runs, called
+    /// directly: the portable one and, where the CPU has AVX2, the AVX2 one.
+    fn instantiations() -> Vec<(&'static str, FilterLanes)> {
+        let mut all: Vec<(&'static str, FilterLanes)> =
+            vec![("portable", |p, rows, h, s| p.filter_lanes(rows, h, s))];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected.
+            all.push(("avx2", |p, rows, h, s| unsafe {
+                filter_lanes_avx2(p, rows, h, s)
+            }));
+            return all;
+        }
+        eprintln!("skipping the AVX2 leg: AVX2 not detected");
+        all
+    }
+
     #[test]
     fn every_lane_is_bit_identical_to_the_scalar_path() {
+        let instantiations = instantiations();
         for bits in 1..=12 {
             let n = 1usize << bits;
             let plan = RealFftPlan::new(n);
@@ -309,17 +366,24 @@ mod tests {
                     let inputs: Vec<Vec<f64>> = (0..LANES)
                         .map(|l| samples((l + case as usize) % 5, len, case * 31 + l as u64))
                         .collect();
-                    let mut rows: Vec<Lane> = (0..len).map(|t| lanes(|l| inputs[l][t])).collect();
-                    plan.filter_lanes(&mut rows, &response, &mut scratch);
-                    for (l, input) in inputs.iter().enumerate() {
-                        let want = scalar(&plan, input, &response);
-                        for (t, (row, w)) in rows.iter().zip(&want).enumerate() {
-                            assert!(
-                                same_bits(row[l], *w),
-                                "n={n} len={len} case={case} lane={l} t={t}: {:#x} vs {:#x}",
-                                row[l].to_bits(),
-                                w.to_bits()
-                            );
+                    let wants: Vec<Vec<f64>> = inputs
+                        .iter()
+                        .map(|input| scalar(&plan, input, &response))
+                        .collect();
+                    for (name, filter) in &instantiations {
+                        let mut rows: Vec<Lane> =
+                            (0..len).map(|t| lanes(|l| inputs[l][t])).collect();
+                        filter(&plan, &mut rows, &response, &mut scratch);
+                        for (l, want) in wants.iter().enumerate() {
+                            for (t, (row, w)) in rows.iter().zip(want).enumerate() {
+                                assert!(
+                                    same_bits(row[l], *w),
+                                    "{name} n={n} len={len} case={case} lane={l} t={t}: \
+                                     {:#x} vs {:#x}",
+                                    row[l].to_bits(),
+                                    w.to_bits()
+                                );
+                            }
                         }
                     }
                 }

@@ -84,6 +84,7 @@ impl FftPlan {
     }
 
     /// The bit-reversal permutation [`process`](Self::process) applies.
+    #[inline(always)]
     pub(crate) fn rev(&self) -> &[u32] {
         &self.rev
     }
@@ -91,6 +92,7 @@ impl FftPlan {
     /// Each butterfly stage's forward twiddles, in the order
     /// [`process`](Self::process) runs the stages: stage `s` has half-size
     /// `2^s` and that many twiddles.
+    #[inline(always)]
     pub(crate) fn stages(&self) -> impl Iterator<Item = &[Complex]> {
         self.stage_offsets
             .iter()

@@ -11,8 +11,9 @@
 //!   axis, with Ram-Lak, Shepp-Logan, cosine, Hamming and Hann windows.
 //! * [`FilterPipeline`] — a reusable per-geometry plan that filters whole
 //!   detector-row-major `ProjectionStack`s in place, parallelised with
-//!   rayon, producing rows ready for back-projection with the
-//!   `Δφ·D_so²/z²` weighting.
+//!   rayon and, where the CPU has AVX2, at its vector width (a
+//!   runtime-dispatched instance with the same bits), producing rows
+//!   ready for back-projection with the `Δφ·D_so²/z²` weighting.
 //!
 //! Normalisation convention: the pipeline folds the fan-beam/FDK `1/2`
 //! full-scan redundancy factor and the `Δa` convolution step into the

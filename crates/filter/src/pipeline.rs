@@ -2,7 +2,7 @@
 
 use rayon::prelude::*;
 use scalefbp_fft::{LaneScratch, RealFftPlan, LANES};
-use scalefbp_geom::{CbctGeometry, ProjectionStack};
+use scalefbp_geom::{simd_backend, CbctGeometry, ProjectionStack, SimdBackend};
 
 use crate::{FilterWindow, RampKernel};
 
@@ -116,6 +116,12 @@ impl FilterPipeline {
     /// back to back in `group`, in one lane transform; a short group's
     /// missing lanes are zero rows. Each row gets exactly
     /// [`filter_row`](Self::filter_row)'s operations, so its bits.
+    ///
+    /// The one body of both instantiations: inlined as is, it is the
+    /// portable group step; inlined into
+    /// [`filter_group_avx2`](Self::filter_group_avx2), together with the
+    /// whole `#[inline(always)]` lane transform, it is the AVX2 one.
+    #[inline(always)]
     fn filter_group(&self, group: &mut [f32], v: usize, s: &mut GroupScratch) {
         let nu = self.geom.nu;
         if s.weights_v != Some(v) {
@@ -143,17 +149,52 @@ impl FilterPipeline {
         }
     }
 
+    /// [`filter_group`](Self::filter_group) compiled for AVX2: every
+    /// `[f64; 4]` lane op is one 256-bit instruction instead of two SSE2
+    /// halves. Rust never contracts `a·b + c` into an FMA, so it runs the
+    /// same IEEE operations in the same order and writes the same bits.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn filter_group_avx2(&self, group: &mut [f32], v: usize, s: &mut GroupScratch) {
+        self.filter_group(group, v, s);
+    }
+
     /// Filters a whole (possibly partial) projection stack in place,
-    /// [`LANES`] projection rows of one detector row per lane transform.
+    /// [`LANES`] projection rows of one detector row per lane transform,
+    /// on the backend [`simd_backend`] picks, once per call. Returns the
+    /// backend that ran.
+    ///
     /// Parallel chunks are runs of a few lane groups inside one detector
     /// row, with one set of buffers (and one cached weight vector) per
     /// worker. Respects the stack's `v_offset` so partial stacks weight
     /// with their global row index. A stack with no rows or no projections
     /// is left untouched.
-    pub fn filter_stack(&self, stack: &mut ProjectionStack) {
+    pub fn filter_stack(&self, stack: &mut ProjectionStack) -> SimdBackend {
+        self.filter_stack_with_backend(stack, simd_backend())
+    }
+
+    /// [`filter_stack`](Self::filter_stack) on a pinned backend; `Avx2` on
+    /// a host without AVX2 runs the portable body. Both write the same
+    /// bits. Returns the backend that ran.
+    fn filter_stack_with_backend(
+        &self,
+        stack: &mut ProjectionStack,
+        backend: SimdBackend,
+    ) -> SimdBackend {
+        #[cfg(target_arch = "x86_64")]
+        let backend = if backend == SimdBackend::Avx2 && is_x86_feature_detected!("avx2") {
+            SimdBackend::Avx2
+        } else {
+            SimdBackend::Scalar
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let backend = SimdBackend::Scalar;
         assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
         if stack.data().is_empty() {
-            return;
+            return backend;
         }
         let nu = stack.nu();
         let v_offset = stack.v_offset();
@@ -178,10 +219,16 @@ impl FilterPipeline {
             |scratch, (i, chunk)| {
                 let v = v_offset + i / chunks_per_row;
                 for group in chunk[0].chunks_mut(group_len) {
-                    self.filter_group(group, v, scratch);
+                    match backend {
+                        // SAFETY: `Avx2` survived the detection above.
+                        #[cfg(target_arch = "x86_64")]
+                        SimdBackend::Avx2 => unsafe { self.filter_group_avx2(group, v, scratch) },
+                        _ => self.filter_group(group, v, scratch),
+                    }
                 }
             },
         );
+        backend
     }
 
     /// The back-projection scale that completes the FDK normalisation when
@@ -259,14 +306,46 @@ mod tests {
         }
     }
 
+    /// Every instantiation of the group step this host runs, each pinned
+    /// directly rather than through `SCALEFBP_SIMD` (`set_var` races the
+    /// other test threads): the portable one and, with AVX2, the AVX2 one.
+    fn backends() -> Vec<SimdBackend> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return vec![SimdBackend::Scalar, SimdBackend::Avx2];
+        }
+        eprintln!("skipping the AVX2 leg: AVX2 not detected");
+        vec![SimdBackend::Scalar]
+    }
+
+    /// `filter_stack` runs, and reports, the backend `simd_backend` picks:
+    /// on an AVX2 host that is the AVX2 group step.
+    #[test]
+    fn filter_stack_runs_the_backend_simd_backend_picks() {
+        if simd_backend() != SimdBackend::Avx2 {
+            eprintln!("skipping: AVX2 not detected (or disabled via SCALEFBP_SIMD)");
+            return;
+        }
+        let g = geom();
+        let f = FilterPipeline::new(&g, FilterWindow::RamLak);
+        let mut stack = ProjectionStack::zeros(g.nv, g.np, g.nu);
+        assert_eq!(f.filter_stack(&mut stack), SimdBackend::Avx2);
+        assert_eq!(
+            f.filter_stack(&mut ProjectionStack::zeros(0, g.np, g.nu)),
+            SimdBackend::Avx2,
+            "an empty stack reports the backend too"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The lane path writes `filter_row`'s bits into every row, for
         /// every remainder of `N_p` mod [`LANES`] (zero lanes pad the last
         /// group), odd and one-sample rows, a stack that starts below
-        /// detector row 0, and every window. NaNs compare as NaN: which
-        /// NaN an operation on two NaNs returns is up to codegen.
+        /// detector row 0, and every window, on every instantiation of the
+        /// group step the host runs. NaNs compare as NaN: which NaN an
+        /// operation on two NaNs returns is up to codegen.
         #[test]
         fn filter_stack_is_filter_row_bit_for_bit(
             nu in proptest::sample::select(&[1usize, 2, 3, 8, 13, 24, 31]),
@@ -290,17 +369,19 @@ mod tests {
                     for (i, px) in stack.data_mut().iter_mut().enumerate() {
                         *px = hostile_sample(seed, i / nu, i % nu);
                     }
-                    let mut by_stack = stack.clone();
-                    f.filter_stack(&mut by_stack);
-                    for v in 0..nv {
-                        for s in 0..np {
-                            let mut row = stack.row(v, s).to_vec();
-                            f.filter_row(&mut row, v + v_offset + w);
-                            for (u, (a, b)) in by_stack.row(v, s).iter().zip(&row).enumerate() {
-                                prop_assert!(
-                                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                                    "{window:?} np={np} v={v} s={s} u={u}: {a} vs {b}"
-                                );
+                    for &backend in &backends() {
+                        let mut by_stack = stack.clone();
+                        prop_assert_eq!(f.filter_stack_with_backend(&mut by_stack, backend), backend);
+                        for v in 0..nv {
+                            for s in 0..np {
+                                let mut row = stack.row(v, s).to_vec();
+                                f.filter_row(&mut row, v + v_offset + w);
+                                for (u, (a, b)) in by_stack.row(v, s).iter().zip(&row).enumerate() {
+                                    prop_assert!(
+                                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                                        "{backend:?} {window:?} np={np} v={v} s={s} u={u}: {a} vs {b}"
+                                    );
+                                }
                             }
                         }
                     }

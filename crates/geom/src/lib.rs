@@ -25,6 +25,9 @@
 //!   the paper uses: volume `[z][y][x]`, projections `[v][s][u]` (detector-row
 //!   major, so a row range is one contiguous block across all projections —
 //!   the property that makes the 2-D input split cheap).
+//! * [`SimdBackend`] / [`simd_backend`] — the one run-time choice between
+//!   the AVX2 instantiations of the back-projection kernel and the lane
+//!   filter and their portable twins.
 //! * `datasets` — presets for the six real-world datasets of Section 6.1 /
 //!   Table 4, plus scaled-down variants for laptop-sized runs.
 
@@ -35,6 +38,7 @@ mod grouping;
 mod matrix;
 mod params;
 mod projection;
+mod simd;
 mod volume;
 
 pub use datasets::{DatasetPreset, DATASET_PRESETS};
@@ -46,6 +50,7 @@ pub use grouping::{RankAssignment, RankLayout};
 pub use matrix::{Mat3x4, Mat4x4, ProjectionMatrix, Vec4};
 pub use params::{CbctGeometry, GeometryError};
 pub use projection::{ProjectionStack, RowSource};
+pub use simd::{detected_cpu_features, simd_backend, SimdBackend};
 pub use volume::Volume;
 
 /// Full-scan angle (radians) of projection `s` out of `np`: `φ = 2π·s/N_p`.
