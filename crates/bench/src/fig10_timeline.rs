@@ -8,7 +8,7 @@
 //! ```
 
 use scalefbp::timing::simulate_distributed;
-use scalefbp::{DeviceSpec, FdkConfig, PipelinedReconstructor, ReduceMode};
+use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode, Schedule};
 use scalefbp_bench::MeasuredWorkload;
 use scalefbp_geom::{DatasetPreset, RankLayout};
 use scalefbp_perfmodel::MachineParams;
@@ -69,17 +69,17 @@ pub fn run(_: &crate::Options) {
     println!("\nreal-compute trace (tomo_00030 scaled, threaded Figure-9 pipeline):");
     let w = MeasuredWorkload::new("tomo_00030", 3);
     let budget = ((w.geom.projection_bytes() + w.geom.volume_bytes()) / 3) as u64;
-    let rec = PipelinedReconstructor::new(
+    let rec = OutOfCoreReconstructor::new(
         FdkConfig::new(w.geom.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .expect("plan");
     let (_, report) = rec
-        .reconstruct(&w.projections, &scalefbp_faults::FaultPlan::none(), None)
+        .reconstruct(&w.projections, Schedule::Overlapped)
         .expect("run");
     print!("{}", report.trace.render_ascii(76));
     println!(
         "overlap efficiency {:.0}% over {:.2} s wall",
-        report.overlap_efficiency * 100.0,
+        report.trace.overlap_efficiency() * 100.0,
         report.wall_secs
     );
 }

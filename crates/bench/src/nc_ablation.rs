@@ -10,7 +10,7 @@
 //! shrinks the device working set (thinner slabs) at the cost of pipeline
 //! fill and more (smaller) transfers — quantifying why 8 is a sweet spot.
 
-use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode};
+use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode, Schedule};
 use scalefbp_bench::{fmt_bytes, MeasuredWorkload};
 use scalefbp_geom::{DatasetPreset, RankLayout, VolumeDecomposition};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
@@ -62,7 +62,9 @@ pub fn run(_: &crate::Options) {
                 (w.geom.projection_bytes() + w.geom.volume_bytes()) as u64,
             ));
         let rec = OutOfCoreReconstructor::new(cfg).expect("plan");
-        let (_, report) = rec.reconstruct(&w.projections, None).expect("run");
+        let (_, report) = rec
+            .reconstruct(&w.projections, Schedule::Serial)
+            .expect("run");
         let rows: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         println!(
             "{:>5} {:>8} {:>10} {:>12} {:>11.2}",

@@ -9,7 +9,7 @@
 
 use scalefbp::baselines::{scheme_costs, Scheme};
 use scalefbp::{
-    fault_tolerant_reconstruct, DeviceSpec, FdkConfig, OutOfCoreReconstructor, RankLayout,
+    fault_tolerant_reconstruct, DeviceSpec, FdkConfig, OutOfCoreReconstructor, RankLayout, Schedule,
 };
 use scalefbp_bench::{fmt_bytes, MeasuredWorkload};
 use scalefbp_faults::FaultPlan;
@@ -68,7 +68,7 @@ fn measured_section() {
         FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .unwrap();
-    let (_, report) = rec.reconstruct(&w.projections, None).unwrap();
+    let (_, report) = rec.reconstruct(&w.projections, Schedule::Serial).unwrap();
     let chunks = report.batches.len() as u64;
     let lu_h2d = g.projection_bytes() as u64 * chunks;
     println!(

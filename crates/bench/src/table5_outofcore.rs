@@ -11,7 +11,7 @@
 //! does not exist here); a final section *measures* the same pipeline at
 //! laptop scale with real computation to validate the shape.
 
-use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode};
+use scalefbp::{DeviceSpec, FdkConfig, OutOfCoreReconstructor, ReduceMode, Schedule};
 use scalefbp_bench::{fmt_secs, MeasuredWorkload};
 use scalefbp_geom::{DatasetPreset, RankLayout};
 use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
@@ -86,7 +86,9 @@ fn measured_section() {
         let budget = ((w.geom.projection_bytes() + w.geom.volume_bytes()) / 3) as u64;
         let cfg = FdkConfig::new(w.geom.clone()).with_device(DeviceSpec::tiny(budget));
         let rec = OutOfCoreReconstructor::new(cfg).expect("plan");
-        let (_, report) = rec.reconstruct(&w.projections, None).expect("run");
+        let (_, report) = rec
+            .reconstruct(&w.projections, Schedule::Serial)
+            .expect("run");
         let rows: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         println!(
             "{:>11} {:>7} {:>10} {:>12} {:>11.2} {:>10.4}",

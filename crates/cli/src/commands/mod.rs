@@ -7,7 +7,7 @@ use scalefbp::{
     fault_tolerant_reconstruct, fdk_reconstruct_configured, iterative_reconstruct_distributed,
     BackendChoice, CheckpointSpec, DeviceSpec, FdkConfig, FilterWindow, IterativeConfig,
     IterativeSolver, KernelChoice, MetricsRegistry, MetricsSnapshot, OutOfCoreReconstructor,
-    PipelinedReconstructor, RankLayout, ReduceMode,
+    RankLayout, ReduceMode, Schedule, StreamRun,
 };
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
@@ -243,7 +243,7 @@ fn apply_straggler_plan(
         .parse()
         .map_err(|_| CliError::Message(format!("bad --straggler-seed `{ss}`")))?;
     let count: usize = args.typed_or("stragglers", 1, "integer")?;
-    let factor: u32 = args.typed_or("slow-factor", 4, "integer")?;
+    let factor = parse_slow_factor(args)?;
     let mut events = plan.events().to_vec();
     events.extend(
         FaultPlan::stragglers(sseed, world_size, count, factor)
@@ -252,6 +252,18 @@ fn apply_straggler_plan(
             .cloned(),
     );
     Ok(FaultPlan::from_events(events))
+}
+
+/// Resolves `--slow-factor` (default 4): a straggler runs at least
+/// twice as slow, so 0 and 1 are errors rather than silently raised to 2.
+fn parse_slow_factor(args: &mut Args) -> Result<u32, CliError> {
+    let factor: u32 = args.typed_or("slow-factor", 4, "integer")?;
+    if factor < 2 {
+        return Err(CliError::Message(format!(
+            "--slow-factor must be an integer ≥ 2, got {factor}"
+        )));
+    }
+    Ok(factor)
 }
 
 /// Resolves `--timeout-scale` (default 2.0) for the fault-tolerant
@@ -270,7 +282,7 @@ fn parse_timeout_scale(args: &mut Args) -> Result<f64, CliError> {
         })
 }
 
-/// Fault scenario for a single-rank pipeline run: only device and
+/// Fault scenario for a single-rank streaming run: only device and
 /// storage faults are meaningful for a generated plan.
 fn single_rank_scenario() -> FaultScenario {
     FaultScenario {
@@ -400,9 +412,9 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let backend: BackendChoice = parse_choice(args, "backend")?;
     let reduce_mode: ReduceMode = parse_choice(args, "reduce-mode")?;
     let checkpoint = parse_checkpoint_spec(args)?;
-    if checkpoint.is_some() && mode != "outofcore" && mode != "distributed" {
+    if checkpoint.is_some() && mode == "incore" {
         return Err(CliError::Message(format!(
-            "--checkpoint-dir needs --mode outofcore or distributed (got `{mode}`)"
+            "--checkpoint-dir needs --mode outofcore, pipeline or distributed (got `{mode}`)"
         )));
     }
     let slab: Option<(usize, usize)> = match args.opt("slab") {
@@ -446,43 +458,46 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                 MetricsRegistry::new().snapshot(),
             )
         }
-        "outofcore" => {
-            let rec = OutOfCoreReconstructor::new(cfg.with_device(device))?;
-            let (v, report) =
-                rec.reconstruct(&scan, checkpoint.as_ref().map(|(ep, spec)| (ep, spec)))?;
-            let ckpt_note = checkpoint_note(&checkpoint);
-            let detail = format!(
-                "out-of-core: N_b={} over {} batches, H2D {:.1} MB{ckpt_note}",
-                report.nb,
-                report.batches.len(),
-                report.device.h2d_bytes as f64 / 1e6
-            );
-            let trace = report.serial_trace().to_chrome_trace();
-            (v, detail, trace, report.metrics)
-        }
-        "pipeline" => {
+        "outofcore" | "pipeline" => {
+            let schedule = match mode.as_str() {
+                "outofcore" => Schedule::Serial,
+                _ => Schedule::Overlapped,
+            };
             let plan = parse_fault_plan(args, &single_rank_scenario())?;
             // The modelled NVMe endpoint attaches exactly when a fault plan
             // is given: it is where storage faults are injected, and its
             // `io.*` traffic then lands in the report's metrics.
             let nvme = plan.as_ref().map(|_| StorageEndpoint::local_nvme(None));
-            let rec = PipelinedReconstructor::new(cfg.with_device(device))?;
-            let (v, report) = rec.reconstruct(
-                &scan,
-                plan.as_ref().unwrap_or(&FaultPlan::none()),
-                nvme.as_ref(),
-            )?;
-            let faults = if plan.is_some() {
-                recovery_summary(&report.recovery)
-            } else {
-                String::new()
+            let run = StreamRun {
+                schedule,
+                faults: plan.as_ref(),
+                storage: nvme.as_ref(),
+                checkpoint: checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
             };
-            let detail = format!(
-                "threaded pipeline: overlap efficiency {:.0}%{faults}",
-                report.overlap_efficiency * 100.0
-            );
-            let trace = report.model_trace.to_chrome_trace();
-            (v, detail, trace, report.metrics)
+            let rec = OutOfCoreReconstructor::new(cfg.with_device(device))?;
+            let (v, report) = rec.reconstruct(&scan, run)?;
+            let mut notes = checkpoint_note(&checkpoint);
+            if plan.is_some() {
+                notes.push_str(&recovery_summary(&report.recovery));
+            }
+            let detail = match schedule {
+                Schedule::Serial => format!(
+                    "out-of-core: N_b={} over {} batches, H2D {:.1} MB{notes}",
+                    report.nb,
+                    report.batches.len(),
+                    report.device.h2d_bytes as f64 / 1e6
+                ),
+                Schedule::Overlapped => format!(
+                    "threaded pipeline: overlap efficiency {:.0}%{notes}",
+                    report.trace.overlap_efficiency() * 100.0
+                ),
+            };
+            (
+                v,
+                detail,
+                report.model_trace.to_chrome_trace(),
+                report.metrics,
+            )
         }
         "distributed" => {
             let projections = read_scan(&scan, &scan_path)?;
@@ -670,9 +685,9 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
     if tenants == 0 {
         return Err(CliError::Message("--tenants must be positive".into()));
     }
-    if rate.is_nan() || rate <= 0.0 {
+    if !rate.is_finite() || rate <= 0.0 {
         return Err(CliError::Message(format!(
-            "--rate must be a positive number, got {rate}"
+            "--rate must be a positive finite number, got {rate}"
         )));
     }
     let seed: u64 = args.typed_or("seed", 42, "integer")?;
@@ -696,7 +711,7 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
             .parse()
             .map_err(|_| CliError::Message(format!("bad --straggler-seed `{ss}`")))?;
         let count: usize = args.typed_or("stragglers", 1, "integer")?;
-        let factor: u32 = args.typed_or("slow-factor", 4, "integer")?;
+        let factor = parse_slow_factor(args)?;
         let horizon = (jobs as f64 / rate * 1e9).round() as u64;
         let mut plan = cfg.faults.clone();
         plan.slowdowns.extend(

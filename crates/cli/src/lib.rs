@@ -91,19 +91,19 @@ COMMANDS:
                   reduce cost the deadlines derive from (default
                   hierarchical; see docs/communication.md)
               [--fault-seed N | --fault-plan FILE]
-                  inject a deterministic fault schedule (pipeline and
-                  distributed modes) and recover; prints the recovery log
+                  inject a deterministic fault schedule (every mode but
+                  incore) and recover; prints the recovery log
               [--straggler-seed N] [--stragglers N] [--slow-factor F]
-                  additionally slow seeded worker devices (distributed
-                  mode); the driver detects the stragglers and
+                  additionally slow seeded worker devices F ≥ 2 times
+                  (distributed mode); the driver detects the stragglers and
                   speculatively re-executes their chunks on healthy peers
               [--timeout-scale F]
                   patience multiplier on the perf-model-derived failure
                   detection deadlines (distributed mode, default 2.0;
                   see docs/fault-model.md)
               [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-                  crash-consistent slab checkpoints (outofcore and
-                  distributed modes); --resume picks up from the latest
+                  crash-consistent slab checkpoints (every mode but
+                  incore); --resume picks up from the latest
                   valid checkpoint, bitwise identical to an uninterrupted
                   run (see docs/checkpointing.md)
               [--trace-out trace.json] [--metrics-out metrics.json] [--stats]

@@ -433,7 +433,7 @@ fn checkpoint_flag_validation() {
     assert!(format!("{err:?}").contains("--checkpoint-dir"), "{err:?}");
     let err = base(&["--checkpoint-dir", ck.to_str().unwrap(), "--mode", "incore"]);
     assert!(
-        format!("{err:?}").contains("needs --mode outofcore or distributed"),
+        format!("{err:?}").contains("needs --mode outofcore, pipeline or distributed"),
         "{err:?}"
     );
     let err = base(&[
@@ -461,6 +461,7 @@ fn checkpointed_reconstruct_and_resume_are_bitwise() {
 
     for (mode, extra) in [
         ("outofcore", vec!["--device", "tiny:2000000"]),
+        ("pipeline", vec!["--device", "tiny:2000000"]),
         ("distributed", vec!["--nr", "2", "--ng", "2"]),
     ] {
         let golden = dir.join(format!("golden_{mode}.sfbp"));
@@ -810,11 +811,29 @@ fn hostile_numeric_flags_exit_1_naming_the_flag() {
         ];
         [&args[..], &["--relaxation", value]].concat()
     };
+    let scan = dir.join("scan.sfbp");
+    let scan_path = scan.to_str().unwrap();
+    call(&["simulate", "--ideal", "8", "--out", scan_path]).unwrap();
+    let serve_slow = |value| {
+        let mut args = serve("--straggler-seed", "1");
+        args.extend(["--slow-factor", value]);
+        args
+    };
+    let distributed_slow = |value| {
+        let mode = ["--mode", "distributed", "--straggler-seed", "1"];
+        let args = ["reconstruct", "--scan", scan_path, "--out", out_path];
+        [&args[..], &mode, &["--slow-factor", value]].concat()
+    };
     let cases = [
         serve("--tenants", "0"),
         serve("--rate", "0"),
         serve("--rate", "-5"),
         serve("--rate", "nan"),
+        serve("--rate", "inf"),
+        serve_slow("0"),
+        serve_slow("1"),
+        distributed_slow("0"),
+        distributed_slow("1"),
         iterative("nan"),
         iterative("-1"),
         iterative("3"),

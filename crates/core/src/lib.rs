@@ -27,18 +27,14 @@
 //!   [`fdk_reconstruct_configured`] is the same run under an
 //!   [`FdkConfig`] (window, kernel, backend), optionally restricted to a
 //!   slice range.
-//! * [`OutOfCoreReconstructor`] — Algorithm 3 on a simulated device with a
-//!   hard memory capacity: reads detector-row blocks from a [`RowSource`]
-//!   (a [`ProjectionStack`], or a `.sfbp` file read by rows), streams them
-//!   through a [`scalefbp_backproject::TextureWindow`] and emits
-//!   sub-volume slabs; `reconstruct(p, checkpoint)` optionally commits and
-//!   resumes slab checkpoints.
-//! * [`PipelinedReconstructor`] — the five-stage threaded pipeline of
-//!   Figure 9 (load → filter → back-project → store on one rank, reading
-//!   from a [`RowSource`] block by block), with
-//!   span tracing for the Figure 10 timelines;
-//!   `reconstruct(p, plan, storage)` runs it under a fault plan against
-//!   an optional modelled storage endpoint.
+//! * [`OutOfCoreReconstructor`] — the streaming driver on a simulated
+//!   device with a hard memory capacity: reads detector-row blocks from a
+//!   [`RowSource`] (a [`ProjectionStack`], or a `.sfbp` file read by rows),
+//!   streams them through a [`scalefbp_backproject::TextureWindow`] and
+//!   emits sub-volume slabs. `reconstruct(p, run)` takes a [`StreamRun`]:
+//!   the [`Schedule`] (Algorithm 3's serial loop, or Figure 9's
+//!   four-thread pipeline with span tracing for the Figure 10 timelines),
+//!   a fault plan, a modelled storage endpoint and slab checkpoints.
 //! * [`fault_tolerant_reconstruct`] — the distributed framework on the
 //!   in-process MPI substrate: rank groups (Eq 9–12), per-group sub-volume
 //!   batches, one rank-ordered reduction per group and batch
@@ -109,8 +105,7 @@ pub use iterative::{
     iterative_fingerprint, iterative_reconstruct_distributed, IterativeConfig, IterativeOutcome,
     IterativeSolver,
 };
-pub use outofcore::{OutOfCoreReconstructor, OutOfCoreReport};
-pub use pipelined::{PipelineReport, PipelinedReconstructor};
+pub use outofcore::{OutOfCoreReconstructor, OutOfCoreReport, Schedule, StreamRun};
 pub use scalefbp_ckpt::{CheckpointSpec, CheckpointStore};
 // The other argument types of the entry points above.
 pub use scalefbp_faults::FaultPlan;

@@ -1,12 +1,9 @@
-//! How the streaming drivers cut a batch's detector rows into blocks: the
-//! unit they read from a [`RowSource`], filter, and write into the ring.
-//!
-//! A block is dropped as soon as it is in the ring, so a driver holds the
-//! ring plus a few blocks, never the scan.
+//! How the streaming driver cuts a batch's detector rows into blocks: the
+//! unit it reads from a [`scalefbp_geom::RowSource`], filters, and writes
+//! into the ring. A block is dropped as soon as it is in the ring, so a
+//! run holds the ring plus a few blocks, never the scan.
 
-use scalefbp_geom::{ProjectionStack, RowRange, RowSource, SubVolumeTask};
-
-use crate::ReconstructionError;
+use scalefbp_geom::{RowRange, SubVolumeTask};
 
 /// Bytes of one row block (rounded down to whole rows, at least one).
 pub(crate) const BLOCK_BYTES: usize = 4 << 20;
@@ -48,31 +45,6 @@ impl RowBlocks {
     }
 }
 
-/// Reads rows `r` of every projection from `source`, checking the shape
-/// of what comes back: a failed or malformed read is an error, never a
-/// panic further down.
-pub(crate) fn read_block(
-    source: &dyn RowSource,
-    r: RowRange,
-) -> Result<ProjectionStack, ReconstructionError> {
-    let what =
-        |e: String| ReconstructionError::Input(format!("rows [{}, {}): {e}", r.begin, r.end));
-    let rows = source
-        .read_rows(r.begin, r.end)
-        .map_err(|e| what(e.to_string()))?;
-    let (_, np, nu) = source.shape();
-    if (rows.nv(), rows.np(), rows.nu(), rows.v_offset()) != (r.len(), np, nu, r.begin) {
-        return Err(what(format!(
-            "source returned {}×{}×{} rows from {}",
-            rows.nv(),
-            rows.np(),
-            rows.nu(),
-            rows.v_offset()
-        )));
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Mutex;
@@ -86,9 +58,11 @@ mod tests {
     use scalefbp_phantom::{forward_project, uniform_ball};
 
     use super::*;
+    use crate::ReconstructionError;
     use crate::{
-        fdk_reconstruct, FaultPlan, FdkConfig, OutOfCoreReconstructor, PipelinedReconstructor,
+        fdk_reconstruct, FdkConfig, OutOfCoreReconstructor, OutOfCoreReport, Schedule, StreamRun,
     };
+    use scalefbp_geom::{ProjectionStack, RowSource};
 
     /// Rows per block in these tests: small enough that most batches
     /// arrive in several blocks.
@@ -110,7 +84,7 @@ mod tests {
         d
     }
 
-    /// Both streaming drivers behind one call, cut into `ROWS`-row blocks.
+    /// Both schedules of the streaming driver, cut into `ROWS`-row blocks.
     #[derive(Clone, Copy, Debug)]
     enum Driver {
         OutOfCore,
@@ -126,25 +100,40 @@ mod tests {
             g: &CbctGeometry,
             source: &dyn RowSource,
         ) -> Result<(scalefbp_geom::Volume, u64), ReconstructionError> {
-            let block_bytes = ROWS * g.np * g.nu * 4;
-            match self {
-                Driver::OutOfCore => {
-                    let mut rec = OutOfCoreReconstructor::new(config(g))?;
-                    rec.block_bytes = block_bytes;
-                    let (vol, report) = rec.reconstruct(source, None)?;
-                    Ok((
-                        vol,
-                        report.metrics.counter("ooc.rows.loaded", None).unwrap(),
-                    ))
-                }
-                Driver::Pipeline => {
-                    let mut rec = PipelinedReconstructor::new(config(g))?;
-                    rec.block_bytes = block_bytes;
-                    let (vol, report) = rec.reconstruct(source, &FaultPlan::none(), None)?;
-                    let loaded = report.metrics.counter("pipeline.rows.loaded", Some(0));
-                    Ok((vol, loaded.unwrap()))
-                }
-            }
+            let (vol, report) = self.run_with(g, source, None)?;
+            Ok((vol, self.rows_loaded(&report)))
+        }
+
+        /// The rows the driver's own counter says it loaded.
+        fn rows_loaded(self, report: &OutOfCoreReport) -> u64 {
+            let loaded = match self {
+                Driver::OutOfCore => report.metrics.counter("ooc.rows.loaded", None),
+                Driver::Pipeline => report.metrics.counter("pipeline.rows.loaded", Some(0)),
+            };
+            loaded.unwrap()
+        }
+
+        /// A run with an optional checkpoint, on a fresh reconstructor
+        /// per call, as after a real crash.
+        fn run_with(
+            self,
+            g: &CbctGeometry,
+            source: &dyn RowSource,
+            checkpoint: Option<(&StorageEndpoint, &CheckpointSpec)>,
+        ) -> Result<(scalefbp_geom::Volume, OutOfCoreReport), ReconstructionError> {
+            let mut rec = OutOfCoreReconstructor::new(config(g))?;
+            rec.block_bytes = ROWS * g.np * g.nu * 4;
+            let schedule = match self {
+                Driver::OutOfCore => Schedule::Serial,
+                Driver::Pipeline => Schedule::Overlapped,
+            };
+            rec.reconstruct(
+                source,
+                StreamRun {
+                    checkpoint,
+                    ..schedule.into()
+                },
+            )
         }
     }
 
@@ -349,36 +338,31 @@ mod tests {
         let scan_path = dir.join("scan.sfbp");
         std::fs::write(&scan_path, encode_projections(&p)).unwrap();
         let scan = ScanFile::open(&scan_path).unwrap();
-        // A fresh reconstructor per run, as after a real crash: the
-        // `ooc.*` counters then count this run's reads only.
-        let rec = || {
-            let mut rec = OutOfCoreReconstructor::new(config(&g)).unwrap();
-            rec.block_bytes = ROWS * g.np * g.nu * 4;
-            rec
-        };
-        let ep = StorageEndpoint::local_nvme(Some(dir.clone()));
-        let kill = CheckpointSpec::new("ck", 1).killing_after(2);
-        assert!(matches!(
-            rec().reconstruct(&scan, Some((&ep, &kill))),
-            Err(ReconstructionError::Interrupted { completed_slabs: 2 })
-        ));
-        let source = Counting::new(&scan, None);
-        let resume = CheckpointSpec::new("ck", 1).resuming();
-        let (vol, report) = rec().reconstruct(&source, Some((&ep, &resume))).unwrap();
-        assert_eq!(vol.data(), reference.data());
-        // The committed slabs were loaded, not read again from the scan.
-        let read: usize = source.reads().iter().map(|r| r.len()).sum();
-        assert_eq!(
-            report.metrics.counter("ooc.rows.loaded", None),
-            Some(read as u64)
-        );
-        assert_eq!(
-            report.batches[..2]
-                .iter()
-                .map(|b| b.rows_loaded)
-                .sum::<usize>(),
-            0
-        );
+        for driver in Driver::ALL {
+            // A fresh reconstructor per run, as after a real crash: the
+            // driver's counters then count this run's reads only.
+            let ep = StorageEndpoint::local_nvme(Some(dir.join(format!("{driver:?}"))));
+            let kill = CheckpointSpec::new("ck", 1).killing_after(2);
+            assert!(matches!(
+                driver.run_with(&g, &scan, Some((&ep, &kill))),
+                Err(ReconstructionError::Interrupted { completed_slabs: 2 })
+            ));
+            let source = Counting::new(&scan, None);
+            let resume = CheckpointSpec::new("ck", 1).resuming();
+            let (vol, report) = driver.run_with(&g, &source, Some((&ep, &resume))).unwrap();
+            assert_eq!(vol.data(), reference.data(), "{driver:?}");
+            // The committed slabs were loaded, not read again from the scan.
+            let read: usize = source.reads().iter().map(|r| r.len()).sum();
+            assert_eq!(driver.rows_loaded(&report), read as u64, "{driver:?}");
+            assert_eq!(
+                report.batches[..2]
+                    .iter()
+                    .map(|b| b.rows_loaded)
+                    .sum::<usize>(),
+                0,
+                "{driver:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

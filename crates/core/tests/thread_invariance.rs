@@ -7,7 +7,7 @@
 //! really start helper threads.
 
 use rayon::ThreadPoolBuilder;
-use scalefbp::{fdk_reconstruct_configured, FaultPlan, FdkConfig, PipelinedReconstructor};
+use scalefbp::{fdk_reconstruct_configured, FdkConfig, OutOfCoreReconstructor, Schedule};
 use scalefbp_backproject::{
     backproject_simd, backproject_window, backproject_window_simd, KernelStats, TextureWindow,
 };
@@ -138,10 +138,10 @@ fn drivers_ignore_the_thread_budget() {
         bits(vol.data())
     });
     // Two batches: slabs thick enough that each stage's calls split too.
-    let pipeline = PipelinedReconstructor::new(config.with_nc(2)).unwrap();
-    assert_invariant("PipelinedReconstructor::reconstruct", || {
+    let pipeline = OutOfCoreReconstructor::new(config.with_nc(2)).unwrap();
+    assert_invariant("OutOfCoreReconstructor::reconstruct, overlapped", || {
         let (vol, report) = pipeline
-            .reconstruct(&s.projections, &FaultPlan::none(), None)
+            .reconstruct(&s.projections, Schedule::Overlapped)
             .unwrap();
         let updates = report.metrics.counter("pipeline.kernel.updates", Some(0));
         (bits(vol.data()), updates)

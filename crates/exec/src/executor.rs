@@ -89,8 +89,8 @@ pub struct LaunchDescriptor {
     pub kind: KernelKind,
     /// Human-readable tag for traces and error messages.
     pub label: &'static str,
-    /// Buffers the kernel reads. May be empty for drivers that account
-    /// launches without device-resident operands (the pipeline path).
+    /// Buffers the kernel reads. May be empty for a launch accounted
+    /// without device-resident operands.
     pub inputs: Vec<BufferId>,
     /// Buffer the kernel writes, if device-resident. Must not alias any
     /// input.

@@ -279,22 +279,6 @@ impl FaultScenario {
             op_horizon: 24,
         }
     }
-
-    /// A corruption-only scenario: every event is a seeded
-    /// [`FaultKind::BitFlip`] on a sealed payload, so runs exercise the
-    /// detect → retry → escalate integrity path in isolation.
-    pub fn corruption_only(world_size: usize, count: usize) -> Self {
-        FaultScenario {
-            world_size,
-            max_rank_failures: 0,
-            message_drops: 0,
-            message_delays: 0,
-            device_faults: 0,
-            io_faults: 0,
-            corrupt_faults: count,
-            op_horizon: 24,
-        }
-    }
 }
 
 /// Error from [`FaultPlan::parse`], qualified with the source span of
@@ -1085,16 +1069,6 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         apply_bit_flip(&mut empty, 1);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn generated_corruption_only_plans_target_the_corrupt_channel() {
-        let plan = FaultPlan::generate(11, &FaultScenario::corruption_only(4, 3));
-        assert!(!plan.is_empty());
-        assert!(plan
-            .events()
-            .iter()
-            .all(|e| e.channel == Channel::Corrupt && matches!(e.kind, FaultKind::BitFlip { .. })));
     }
 
     #[test]

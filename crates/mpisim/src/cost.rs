@@ -27,11 +27,6 @@ impl Default for CommCostModel {
 }
 
 impl CommCostModel {
-    /// Time for one point-to-point message of `bytes`.
-    pub fn p2p_secs(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-
     /// Binomial-tree reduction of `bytes` over `participants` ranks:
     /// `⌈log₂ p⌉ · (α + bytes·β + bytes·γ)`.
     ///
@@ -125,13 +120,6 @@ impl CommCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn p2p_has_latency_floor() {
-        let m = CommCostModel::default();
-        assert!(m.p2p_secs(0) == m.latency);
-        assert!(m.p2p_secs(1 << 30) > 0.1);
-    }
 
     #[test]
     fn reduce_is_logarithmic_in_group_size() {

@@ -59,13 +59,6 @@ impl TraceCollector {
         Self::default()
     }
 
-    /// Shares an existing [`EventSink`] (e.g. a run-wide one) so this
-    /// collector's diagnostics land in the same exported trace.
-    pub fn with_sink(mut self, sink: EventSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
     /// The event sink receiving this collector's rate-limited diagnostics.
     pub fn sink(&self) -> &EventSink {
         &self.sink
@@ -380,14 +373,6 @@ mod tests {
             .filter(|e| e.track() == "warnings")
             .count();
         assert_eq!(warn_instants as u64, scalefbp_obs::WARN_EVENT_LIMIT);
-    }
-
-    #[test]
-    fn shared_sink_receives_collector_warnings() {
-        let sink = EventSink::new();
-        let t = TraceCollector::new().with_sink(sink.clone());
-        t.record("x", 0, 5.0, 4.0);
-        assert_eq!(sink.warn_count("trace.span_clamped"), 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use scalefbp::{
     fdk_reconstruct_configured, BackendChoice, FdkConfig, OutOfCoreReconstructor,
-    ReconstructionError,
+    ReconstructionError, Schedule, StreamRun,
 };
 use scalefbp_faults::{crc32, NoFaults};
 use scalefbp_geom::{CbctGeometry, Volume, VolumeDecomposition};
@@ -199,7 +199,7 @@ fn small_secs(spec: &DeviceSpec, g: &CbctGeometry) -> f64 {
 }
 
 /// Per-slab analytic costs of a long job's out-of-core plan, mirroring
-/// the streaming loop in `OutOfCoreReconstructor` exactly: the first
+/// the serial schedule of `OutOfCoreReconstructor` exactly: the first
 /// computed slab of a run loads its full row range, later slabs load
 /// only the differential rows.
 #[derive(Clone, Copy, Debug)]
@@ -1322,7 +1322,13 @@ impl<'a> Engine<'a> {
             let _ = dev.d2h(d2h);
         }
 
-        match rec.reconstruct(&job.spec.projections, Some((&endpoint, &spec))) {
+        match rec.reconstruct(
+            &job.spec.projections,
+            StreamRun {
+                checkpoint: Some((&endpoint, &spec)),
+                ..Schedule::Serial.into()
+            },
+        ) {
             Err(ReconstructionError::Interrupted { completed_slabs }) if !is_final => {
                 debug_assert_eq!(completed_slabs, to - from);
                 job.slabs_done = to;
@@ -1571,7 +1577,7 @@ mod tests {
             .find(|j| matches!(j.class, JobClass::Long { .. }))
             .unwrap()
             .projections;
-        let (_, report) = rec.reconstruct(&p, None).unwrap();
+        let (_, report) = rec.reconstruct(&p, Schedule::Serial).unwrap();
         let actual: f64 = report
             .batches
             .iter()

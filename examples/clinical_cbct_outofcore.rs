@@ -6,7 +6,7 @@
 //! cargo run --release -p scalefbp --example clinical_cbct_outofcore
 //! ```
 
-use scalefbp::{DeviceSpec, FaultPlan, FdkConfig, FilterWindow, PipelinedReconstructor};
+use scalefbp::{DeviceSpec, FdkConfig, FilterWindow, OutOfCoreReconstructor, Schedule};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::slice_to_pgm;
 use scalefbp_phantom::{bead_pile, forward_project};
@@ -34,11 +34,11 @@ fn main() {
     let config = FdkConfig::new(geom.clone())
         .with_window(FilterWindow::Hamming)
         .with_device(DeviceSpec::tiny(budget));
-    let rec = PipelinedReconstructor::new(config).expect("planning failed");
+    let rec = OutOfCoreReconstructor::new(config).expect("planning failed");
     println!("pipeline plan: N_b = {} slices/batch", rec.nb());
 
     let (volume, report) = rec
-        .reconstruct(&projections, &FaultPlan::none(), None)
+        .reconstruct(&projections, Schedule::Overlapped)
         .expect("reconstruction failed");
 
     println!("\nFigure-10-style stage timeline (load → filter → bp → store):");
@@ -46,7 +46,7 @@ fn main() {
     println!(
         "\nmakespan {:.2} s, overlap efficiency {:.0}% (1.0 = bottleneck fully hides the rest)",
         report.trace.makespan(),
-        report.overlap_efficiency * 100.0
+        report.trace.overlap_efficiency() * 100.0
     );
     for stage in report.trace.stages() {
         println!(

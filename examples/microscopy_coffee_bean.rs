@@ -11,7 +11,7 @@
 //! dark/blank fields, the Equation 1 normalisation, and the streaming
 //! out-of-core reconstruction on a deliberately undersized device.
 
-use scalefbp::{DeviceSpec, FdkConfig, FilterWindow, OutOfCoreReconstructor};
+use scalefbp::{DeviceSpec, FdkConfig, FilterWindow, OutOfCoreReconstructor, Schedule};
 use scalefbp_geom::DatasetPreset;
 use scalefbp_iosim::format::slice_to_pgm;
 use scalefbp_phantom::{
@@ -66,7 +66,7 @@ fn main() {
     );
 
     let (volume, report) = rec
-        .reconstruct(&projections, None)
+        .reconstruct(&projections, Schedule::Serial)
         .expect("reconstruction failed");
 
     println!("\nper-batch streaming (differential rows, Figure 4):");

@@ -24,7 +24,7 @@ use scalefbp::substrates::phantom::{forward_project, uniform_ball};
 use scalefbp::{
     fault_tolerant_reconstruct, fdk_reconstruct, fdk_reconstruct_configured, BackendChoice,
     CbctGeometry, CheckpointSpec, DeviceSpec, FdkConfig, KernelChoice, MetricsSnapshot,
-    OutOfCoreReconstructor, PipelinedReconstructor, RankLayout, ReconstructionError, ReduceMode,
+    OutOfCoreReconstructor, RankLayout, ReconstructionError, ReduceMode, Schedule, StreamRun,
     Volume,
 };
 use scalefbp_backproject::backproject_reference;
@@ -125,7 +125,7 @@ fn outofcore_grid_matches_across_backends_and_kernels() {
                 .with_kernel(kernel)
                 .with_backend(backend);
             let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-            runs.push(rec.reconstruct(&p, None).unwrap());
+            runs.push(rec.reconstruct(&p, Schedule::Serial).unwrap());
         }
         let (sim_vol, sim_rep) = &runs[0];
         let (cpu_vol, cpu_rep) = &runs[1];
@@ -169,8 +169,8 @@ fn pipelined_driver_matches_across_backends() {
     let mut runs = Vec::new();
     for backend in BackendChoice::ALL {
         let cfg = FdkConfig::new(g.clone()).with_backend(backend);
-        let rec = PipelinedReconstructor::new(cfg).unwrap();
-        runs.push(rec.reconstruct(&p, &FaultPlan::none(), None).unwrap());
+        let rec = OutOfCoreReconstructor::new(cfg).unwrap();
+        runs.push(rec.reconstruct(&p, Schedule::Overlapped).unwrap());
     }
     let (sim_vol, sim_rep) = &runs[0];
     let (cpu_vol, cpu_rep) = &runs[1];
@@ -231,7 +231,7 @@ fn checkpoint_resume_is_bitwise_identical_on_both_backends() {
         let cfg = FdkConfig::new(g.clone()).with_device(golden_device(&g));
         OutOfCoreReconstructor::new(cfg)
             .unwrap()
-            .reconstruct(&p, None)
+            .reconstruct(&p, Schedule::Serial)
             .unwrap()
     };
     let slabs = golden.1.batches.len();
@@ -242,17 +242,28 @@ fn checkpoint_resume_is_bitwise_identical_on_both_backends() {
             .with_backend(backend);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
         let ep = scratch_endpoint(&format!("backend-ckpt-{backend}"));
+        let kill = CheckpointSpec::new("", 1).killing_after(k);
         match rec.reconstruct(
             &p,
-            Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+            StreamRun {
+                checkpoint: Some((&ep, &kill)),
+                ..Schedule::Serial.into()
+            },
         ) {
             Err(ReconstructionError::Interrupted { completed_slabs }) => {
                 assert_eq!(completed_slabs, k)
             }
             other => panic!("expected Interrupted, got {:?}", other.map(|_| ())),
         }
+        let resume = CheckpointSpec::new("", 1).resuming();
         let (resumed, _) = rec
-            .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
+            .reconstruct(
+                &p,
+                StreamRun {
+                    checkpoint: Some((&ep, &resume)),
+                    ..Schedule::Serial.into()
+                },
+            )
             .unwrap();
         assert_bitwise(&golden.0, &resumed, &format!("ckpt resume on {backend}"));
         assert_eq!(
@@ -276,7 +287,7 @@ fn ooc_sim_accounting_matches_pre_refactor_golden() {
     let (g, p) = golden_scan();
     let cfg = FdkConfig::new(g.clone()).with_device(golden_device(&g));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    let (vol, rep) = rec.reconstruct(&p, None).unwrap();
+    let (vol, rep) = rec.reconstruct(&p, Schedule::Serial).unwrap();
 
     assert_eq!((rep.nb, rep.window_rows), (4, 13), "plan");
     let d = &rep.device;
@@ -315,8 +326,8 @@ fn ooc_sim_accounting_matches_pre_refactor_golden() {
 #[test]
 fn pipeline_sim_accounting_matches_pre_refactor_golden() {
     let (g, p) = golden_scan();
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g)).unwrap();
-    let (vol, rep) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
+    let (vol, rep) = rec.reconstruct(&p, Schedule::Overlapped).unwrap();
 
     let d = &rep.device;
     assert_eq!(d.h2d_bytes, 663_552);
@@ -421,7 +432,7 @@ proptest! {
         );
         let cfg = FdkConfig::new(g.clone()).with_device(spec);
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (_, rep) = rec.reconstruct(&p, None).unwrap();
+        let (_, rep) = rec.reconstruct(&p, Schedule::Serial).unwrap();
 
         let batches = rep.batches.len() as u64;
         let d = &rep.device;

@@ -6,7 +6,7 @@
 use scalefbp::baselines::{scheme_costs, Scheme};
 use scalefbp::{
     fault_tolerant_reconstruct, DeviceSpec, FaultPlan, FdkConfig, OutOfCoreReconstructor,
-    RankLayout,
+    RankLayout, Schedule,
 };
 use scalefbp_geom::{CbctGeometry, DatasetPreset};
 use scalefbp_phantom::{forward_project, uniform_ball};
@@ -49,7 +49,7 @@ fn measured_h2d_traffic_ours_vs_lu_restreaming() {
         FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(budget)),
     )
     .unwrap();
-    let (_, report) = rec.reconstruct(&projections, None).unwrap();
+    let (_, report) = rec.reconstruct(&projections, Schedule::Serial).unwrap();
     let chunks = report.batches.len() as u64;
     let lu_h2d = g.projection_bytes() as u64 * chunks;
     assert!(

@@ -12,7 +12,7 @@
 
 use scalefbp::{
     fault_tolerant_reconstruct, CheckpointSpec, DeviceSpec, FdkConfig, OutOfCoreReconstructor,
-    ReconstructionError, ReduceMode,
+    ReconstructionError, ReduceMode, Schedule, StreamRun,
 };
 use scalefbp_faults::{
     open_frame, seal_frame, Channel, FaultEvent, FaultKind, FaultPlan, FaultScenario, RecoveryEvent,
@@ -38,23 +38,34 @@ fn killed_outofcore_run_resumes_bitwise() {
         let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
         let cfg = FdkConfig::new(g).with_device(DeviceSpec::tiny(device_bytes));
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (golden, report) = rec.reconstruct(&p, None).unwrap();
+        let (golden, report) = rec.reconstruct(&p, Schedule::Serial).unwrap();
         let slabs = report.batches.len();
 
         for k in kill_points(slabs) {
             let what = format!("outofcore n={n} device={device_bytes} k={k}");
             let ep = scratch_endpoint(&format!("ckpt-ooc-{n}-{device_bytes}-{k}"));
+            let kill = CheckpointSpec::new("", 1).killing_after(k);
             match rec.reconstruct(
                 &p,
-                Some((&ep, &CheckpointSpec::new("", 1).killing_after(k))),
+                StreamRun {
+                    checkpoint: Some((&ep, &kill)),
+                    ..Schedule::Serial.into()
+                },
             ) {
                 Err(ReconstructionError::Interrupted { completed_slabs }) => {
                     assert_eq!(completed_slabs, k, "{what}")
                 }
                 other => panic!("{what}: expected Interrupted, got {:?}", other.map(|_| ())),
             }
+            let resume = CheckpointSpec::new("", 1).resuming();
             let (resumed, _) = rec
-                .reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1).resuming())))
+                .reconstruct(
+                    &p,
+                    StreamRun {
+                        checkpoint: Some((&ep, &resume)),
+                        ..Schedule::Serial.into()
+                    },
+                )
                 .unwrap();
             assert_bitwise(&golden, &resumed, &what);
             assert_eq!(resumed_slabs(&ep), k as u64, "{what}");
@@ -175,8 +186,14 @@ fn stale_checkpoint_is_refused_by_both_drivers() {
     let ep = scratch_endpoint("ckpt-stale-cross");
     let cfg = FdkConfig::new(g.clone()).with_device(DeviceSpec::tiny(1_000_000));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    rec.reconstruct(&p, Some((&ep, &CheckpointSpec::new("", 1))))
-        .unwrap();
+    rec.reconstruct(
+        &p,
+        StreamRun {
+            checkpoint: Some((&ep, &CheckpointSpec::new("", 1))),
+            ..Schedule::Serial.into()
+        },
+    )
+    .unwrap();
 
     let layout = RankLayout::new(2, 2, 2);
     let dcfg = FdkConfig::new(g).with_nc(2);

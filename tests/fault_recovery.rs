@@ -15,8 +15,8 @@
 //! rank (slow-device stragglers with speculative re-execution).
 
 use scalefbp::{
-    fault_tolerant_reconstruct, FaultTolerantOutcome, FdkConfig, PipelinedReconstructor,
-    ReconstructionError, ReduceMode,
+    fault_tolerant_reconstruct, FaultTolerantOutcome, FdkConfig, OutOfCoreReconstructor,
+    ReconstructionError, ReduceMode, Schedule, StreamRun,
 };
 use scalefbp_faults::{Channel, FaultEvent, FaultKind, FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, ProjectionStack, RankLayout};
@@ -368,8 +368,8 @@ fn device_transfer_errors_are_retried_in_pipeline() {
     let _s = SERIAL.lock().unwrap();
     let g = geom();
     let p = projections(&g);
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone())).unwrap();
+    let (reference, _) = rec.reconstruct(&p, Schedule::Overlapped).unwrap();
     // First h2d and first d2h both fail once.
     let plan = FaultPlan::from_events(vec![
         FaultEvent {
@@ -385,7 +385,15 @@ fn device_transfer_errors_are_retried_in_pipeline() {
             kind: FaultKind::TransferError,
         },
     ]);
-    let (vol, report) = rec.reconstruct(&p, &plan, None).unwrap();
+    let (vol, report) = rec
+        .reconstruct(
+            &p,
+            StreamRun {
+                faults: Some(&plan),
+                ..Schedule::Overlapped.into()
+            },
+        )
+        .unwrap();
     assert_eq!(vol.data(), reference.data());
     let retries: Vec<_> = report
         .recovery
@@ -402,8 +410,8 @@ fn storage_read_errors_are_retried_in_pipeline() {
     let _s = SERIAL.lock().unwrap();
     let g = geom();
     let p = projections(&g);
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone())).unwrap();
+    let (reference, _) = rec.reconstruct(&p, Schedule::Overlapped).unwrap();
     let plan = FaultPlan::from_events(vec![
         FaultEvent {
             rank: 0,
@@ -419,7 +427,16 @@ fn storage_read_errors_are_retried_in_pipeline() {
         },
     ]);
     let nvme = StorageEndpoint::local_nvme(None);
-    let (vol, report) = rec.reconstruct(&p, &plan, Some(&nvme)).unwrap();
+    let (vol, report) = rec
+        .reconstruct(
+            &p,
+            StreamRun {
+                faults: Some(&plan),
+                storage: Some(&nvme),
+                ..Schedule::Overlapped.into()
+            },
+        )
+        .unwrap();
     assert_eq!(vol.data(), reference.data());
     let retries = report
         .recovery
@@ -430,6 +447,54 @@ fn storage_read_errors_are_retried_in_pipeline() {
     // Failed reads are never counted: one successful read per batch.
     let batches = g.nz.div_ceil(rec.nb()) as u64;
     assert_eq!(nvme.counters().reads, batches);
+}
+
+/// Both schedules take a fault plan and charge the device the same way:
+/// the overlapped one allocates its working set too, so a `device-oom`
+/// fires there, and the serial one retries a failed transfer. Each writes
+/// the fault-free bits.
+#[test]
+fn device_faults_are_retried_under_both_schedules() {
+    let _s = SERIAL.lock().unwrap();
+    let g = geom();
+    let p = projections(&g);
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone())).unwrap();
+    let (reference, _) = rec.reconstruct(&p, Schedule::Serial).unwrap();
+    let first = |channel, kind| {
+        FaultPlan::from_events(vec![FaultEvent {
+            rank: 0,
+            channel,
+            op_index: 0,
+            kind,
+        }])
+    };
+    let cases = [
+        (
+            Schedule::Overlapped,
+            first(Channel::DeviceAlloc, FaultKind::DeviceOom),
+            "alloc",
+        ),
+        (
+            Schedule::Serial,
+            first(Channel::DeviceTransfer, FaultKind::TransferError),
+            "h2d",
+        ),
+    ];
+    for (schedule, plan, op) in cases {
+        let run = StreamRun {
+            faults: Some(&plan),
+            ..schedule.into()
+        };
+        let (vol, report) = rec.reconstruct(&p, run).unwrap();
+        assert_eq!(vol.data(), reference.data(), "{schedule:?}");
+        let retry = RecoveryEvent::DeviceRetry {
+            rank: 0,
+            op: op.to_string(),
+            attempt: 1,
+        };
+        assert_eq!(report.recovery, [retry], "{schedule:?}");
+        assert_eq!(report.trace.recovery_events(), report.recovery);
+    }
 }
 
 /// Runs `f` on its own thread and waits at most a minute for it: a
@@ -480,9 +545,17 @@ fn exhausted_pipeline_retries_are_errors_not_panics() {
     for (plan, want) in cases {
         let (g, p) = (g.clone(), p.clone());
         let outcome = within_a_minute(move || {
-            let rec = PipelinedReconstructor::new(FdkConfig::new(g)).unwrap();
+            let rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
             let nvme = StorageEndpoint::local_nvme(None);
-            rec.reconstruct(&p, &plan, Some(&nvme)).map(|_| ())
+            rec.reconstruct(
+                &p,
+                StreamRun {
+                    faults: Some(&plan),
+                    storage: Some(&nvme),
+                    ..Schedule::Overlapped.into()
+                },
+            )
+            .map(|_| ())
         });
         match outcome {
             Err(e) => assert!(e.to_string().starts_with(want), "{e}"),
@@ -527,8 +600,8 @@ fn generated_device_io_plans_are_deterministic_in_pipeline() {
     let _s = SERIAL.lock().unwrap();
     let g = geom();
     let p = projections(&g);
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (reference, _) = rec.reconstruct(&p, &FaultPlan::none(), None).unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone())).unwrap();
+    let (reference, _) = rec.reconstruct(&p, Schedule::Overlapped).unwrap();
     let scenario = FaultScenario {
         world_size: 1,
         max_rank_failures: 0,
@@ -542,10 +615,28 @@ fn generated_device_io_plans_are_deterministic_in_pipeline() {
     for seed in [7u64, 8] {
         let plan = FaultPlan::generate(seed, &scenario);
         let nvme = StorageEndpoint::local_nvme(None);
-        let (vol, report) = rec.reconstruct(&p, &plan, Some(&nvme)).unwrap();
+        let (vol, report) = rec
+            .reconstruct(
+                &p,
+                StreamRun {
+                    faults: Some(&plan),
+                    storage: Some(&nvme),
+                    ..Schedule::Overlapped.into()
+                },
+            )
+            .unwrap();
         assert_eq!(vol.data(), reference.data(), "seed {seed}");
         let nvme2 = StorageEndpoint::local_nvme(None);
-        let (vol2, report2) = rec.reconstruct(&p, &plan, Some(&nvme2)).unwrap();
+        let (vol2, report2) = rec
+            .reconstruct(
+                &p,
+                StreamRun {
+                    faults: Some(&plan),
+                    storage: Some(&nvme2),
+                    ..Schedule::Overlapped.into()
+                },
+            )
+            .unwrap();
         assert_eq!(vol.data(), vol2.data());
         assert_eq!(report.recovery, report2.recovery, "seed {seed}");
     }

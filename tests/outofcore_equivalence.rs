@@ -4,8 +4,8 @@
 //! fails.
 
 use scalefbp::{
-    fdk_reconstruct_configured, DeviceSpec, FaultPlan, FdkConfig, FilterWindow,
-    OutOfCoreReconstructor, PipelinedReconstructor,
+    fdk_reconstruct_configured, DeviceSpec, FdkConfig, FilterWindow, OutOfCoreReconstructor,
+    Schedule,
 };
 use scalefbp_geom::CbctGeometry;
 use scalefbp_gpusim::Device;
@@ -44,7 +44,7 @@ fn bit_identical_across_device_budgets() {
         match OutOfCoreReconstructor::new(cfg) {
             Ok(rec) => {
                 plans.insert(rec.nb());
-                let (vol, _) = rec.reconstruct(&projections, None).unwrap();
+                let (vol, _) = rec.reconstruct(&projections, Schedule::Serial).unwrap();
                 assert_eq!(vol.data(), reference.data(), "budget {budget}");
             }
             Err(_) => break,
@@ -83,7 +83,7 @@ fn every_window_choice_is_equivalent() {
             ));
         let (vol, _) = OutOfCoreReconstructor::new(cfg)
             .unwrap()
-            .reconstruct(&projections, None)
+            .reconstruct(&projections, Schedule::Serial)
             .unwrap();
         assert_eq!(vol.data(), reference.data(), "{window:?}");
     }
@@ -97,11 +97,11 @@ fn pipelined_and_sequential_streaming_agree() {
     ));
     let (seq, _) = OutOfCoreReconstructor::new(cfg.clone())
         .unwrap()
-        .reconstruct(&projections, None)
+        .reconstruct(&projections, Schedule::Serial)
         .unwrap();
-    let (pipe, _) = PipelinedReconstructor::new(cfg)
+    let (pipe, _) = OutOfCoreReconstructor::new(cfg)
         .unwrap()
-        .reconstruct(&projections, &FaultPlan::none(), None)
+        .reconstruct(&projections, Schedule::Overlapped)
         .unwrap();
     assert_eq!(seq.data(), pipe.data());
 }
@@ -128,7 +128,7 @@ fn table5_feasibility_boundary() {
     // Ours: streams within the budget.
     let cfg = FdkConfig::new(geom.clone()).with_device(DeviceSpec::tiny(device_budget));
     let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-    let (vol, report) = rec.reconstruct(&projections, None).unwrap();
+    let (vol, report) = rec.reconstruct(&projections, Schedule::Serial).unwrap();
     assert_eq!(vol.len(), geom.volume_voxels());
     assert!(report.device.peak_allocated <= device_budget);
 }
@@ -140,7 +140,7 @@ fn streaming_never_reloads_rows() {
         let budget = (geom.projection_bytes() + geom.volume_bytes()) as u64 / denom + 65536;
         let cfg = FdkConfig::new(geom.clone()).with_device(DeviceSpec::tiny(budget));
         let rec = OutOfCoreReconstructor::new(cfg).unwrap();
-        let (_, report) = rec.reconstruct(&projections, None).unwrap();
+        let (_, report) = rec.reconstruct(&projections, Schedule::Serial).unwrap();
         let rows: usize = report.batches.iter().map(|b| b.rows_loaded).sum();
         assert!(
             rows <= geom.nv + 2 * report.batches.len(),

@@ -3,7 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
-use scalefbp::{fdk_reconstruct, CbctGeometry, FaultPlan, FdkConfig, PipelinedReconstructor};
+use scalefbp::{fdk_reconstruct, CbctGeometry, FdkConfig, OutOfCoreReconstructor, Schedule};
 use scalefbp_iosim::format::{
     decode_projections, decode_volume, encode_projections, encode_volume, slice_to_pgm,
 };
@@ -36,8 +36,8 @@ fn storage_roundtrip_through_the_pipeline() {
     assert_eq!(loaded, projections);
 
     // Reconstruct through the pipeline.
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone())).unwrap();
-    let (vol, report) = rec.reconstruct(&loaded, &FaultPlan::none(), None).unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone())).unwrap();
+    let (vol, report) = rec.reconstruct(&loaded, Schedule::Overlapped).unwrap();
     assert!(report.wall_secs > 0.0);
 
     // Store thread's job: write the volume to the PFS and verify.
@@ -116,10 +116,8 @@ fn pgm_export_of_reconstruction_looks_like_a_disc() {
 fn pipeline_queue_statistics_reflect_batches() {
     let g = geom();
     let projections = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
-    let rec = PipelinedReconstructor::new(FdkConfig::new(g.clone()).with_nc(4)).unwrap();
-    let (_, report) = rec
-        .reconstruct(&projections, &FaultPlan::none(), None)
-        .unwrap();
+    let rec = OutOfCoreReconstructor::new(FdkConfig::new(g.clone()).with_nc(4)).unwrap();
+    let (_, report) = rec.reconstruct(&projections, Schedule::Overlapped).unwrap();
     let batches = g.nz.div_ceil(rec.nb());
     // Every stage span count equals the batch count; spans nest within the
     // makespan.
