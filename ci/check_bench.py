@@ -88,9 +88,9 @@ def check_required(kind, doc):
 
 
 def check_backproject(bp, path, backend):
-    # The executor backend the timings were measured on. The harness
-    # refuses to emit the file unless the sim backend agreed bitwise
-    # with this one in-process, so "cpu" here certifies conformance.
+    # The cost model the timings correspond to: the host kernels on the
+    # wall clock, no modelled time. The sim and cpu volumes are held
+    # bitwise equal by tests/backend_conformance.rs.
     assert bp["backend"] == "cpu", bp["backend"]
     assert bp["simd_backend"] in ("avx2", "scalar"), bp["simd_backend"]
     if backend is not None:

@@ -75,9 +75,11 @@ COMMANDS:
                   reproduces the reference oracle bit for bit; see
                   docs/performance.md)
               [--backend sim|cpu]
-                  compute backend behind the executor seam: `sim` charges
-                  the gpusim cost model, `cpu` runs natively with zero
-                  modelled time; volumes are bitwise identical on both
+                  cost model of the streaming modes' device: `sim`
+                  charges the gpusim V100 model, `cpu` counts bytes with
+                  unlimited memory and zero modelled time; device faults
+                  fire on both, volumes are bitwise identical, and the
+                  incore and distributed modes charge no device
                   (see docs/backends.md)
               [--device v100|a100|tiny:BYTES]
               [--slab Z0:Z1]            (incore mode: only these slices)

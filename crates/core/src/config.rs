@@ -2,11 +2,10 @@
 
 use std::sync::Arc;
 
-use scalefbp_exec::{CpuExecutor, ExecError, Executor, SimExecutor};
 use scalefbp_faults::FaultInject;
 use scalefbp_filter::FilterWindow;
 use scalefbp_geom::{CbctGeometry, GeometryError, RowSource};
-use scalefbp_gpusim::{DeviceError, DeviceSpec};
+use scalefbp_gpusim::{Device, DeviceError, DeviceSpec};
 use scalefbp_obs::MetricsRegistry;
 
 pub use scalefbp_exec::{BackendChoice, FilterChoice, KernelChoice};
@@ -38,9 +37,6 @@ pub enum ReconstructionError {
         /// Slab checkpoints this run committed before dying.
         completed_slabs: usize,
     },
-    /// An executor operation failed outside the device error model
-    /// (e.g. a zero-work launch).
-    Backend(String),
     /// The rank layout does not fit the problem: the distributed driver
     /// needs `1 ≤ N_r ≤ N_p` and `1 ≤ N_g ≤ N_z`.
     Layout(String),
@@ -66,7 +62,6 @@ impl std::fmt::Display for ReconstructionError {
                 f,
                 "run interrupted by chaos kill switch after {completed_slabs} checkpointed slab(s)"
             ),
-            ReconstructionError::Backend(what) => write!(f, "backend error: {what}"),
             ReconstructionError::Layout(what) => write!(f, "invalid rank layout: {what}"),
             ReconstructionError::Input(what) => write!(f, "input error: {what}"),
         }
@@ -93,17 +88,8 @@ impl From<scalefbp_ckpt::CheckpointError> for ReconstructionError {
     }
 }
 
-impl From<ExecError> for ReconstructionError {
-    fn from(e: ExecError) -> Self {
-        match e {
-            ExecError::Device(d) => ReconstructionError::Device(d),
-            other => ReconstructionError::Backend(other.to_string()),
-        }
-    }
-}
-
 // `KernelChoice`, `FilterChoice` and `BackendChoice` are defined in
-// `scalefbp-exec` (the executors dispatch on them) and re-exported above.
+// `scalefbp-exec`, beside the host kernels, and re-exported above.
 
 /// Configuration of a reconstruction run.
 #[derive(Clone, Debug)]
@@ -125,10 +111,12 @@ pub struct FdkConfig {
     /// one message per z-segment) and the modelled reduce cost its
     /// deadlines derive from. See `docs/communication.md`.
     pub reduce_mode: ReduceMode,
-    /// Compute backend the drivers execute on. The default
-    /// ([`BackendChoice::Sim`]) reproduces the pre-executor `gpusim`
-    /// accounting exactly; `Cpu` produces bitwise-identical volumes
-    /// with zero modelled time (see `docs/backends.md`).
+    /// Cost model of the streaming driver's device (see
+    /// [`build_device`](Self::build_device)): the default
+    /// ([`BackendChoice::Sim`]) charges the `gpusim` model of
+    /// [`device`](Self::device), `Cpu` counts bytes with unlimited memory
+    /// and zero modelled time. Volumes are bitwise identical on both; the
+    /// in-core and distributed drivers charge no device.
     pub backend: BackendChoice,
     /// Multiplier applied to the perf-model batch estimate when the
     /// fault-tolerant driver derives its failure-detection deadlines
@@ -187,7 +175,7 @@ impl FdkConfig {
         self
     }
 
-    /// Builder: compute backend.
+    /// Builder: the device cost model (`sim` or `cpu`).
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
@@ -226,24 +214,21 @@ impl FdkConfig {
         Ok(())
     }
 
-    /// Builds the configured compute backend: `sim` wraps a simulated
-    /// device of [`self.device`](FdkConfig::device) that consults
-    /// `injector` (as `rank`) and records rank-labelled `gpu.*` metrics
-    /// into `registry`; `cpu` records byte-domain metrics only.
-    pub fn build_executor(
+    /// The streaming driver's device under the configured cost model:
+    /// `sim` models [`self.device`](FdkConfig::device), `cpu` counts
+    /// ([`Device::counted`]). Either consults `injector` (as `rank`) and
+    /// records rank-labelled `gpu.*` metrics into `registry`.
+    pub fn build_device(
         &self,
         injector: Arc<dyn FaultInject>,
         rank: usize,
         registry: MetricsRegistry,
-    ) -> Arc<dyn Executor> {
+    ) -> Device {
         match self.backend {
-            BackendChoice::Sim => Arc::new(SimExecutor::with_observability(
-                self.device.clone(),
-                injector,
-                rank,
-                registry,
-            )),
-            BackendChoice::Cpu => Arc::new(CpuExecutor::with_observability(rank, registry)),
+            BackendChoice::Sim => {
+                Device::with_observability(self.device.clone(), injector, rank, registry)
+            }
+            BackendChoice::Cpu => Device::counted(injector, rank, registry),
         }
     }
 }

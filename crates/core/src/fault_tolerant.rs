@@ -46,10 +46,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use scalefbp_ckpt::CheckpointSpec;
-use scalefbp_exec::{Executor, FilterChoice, KernelChoice};
+use scalefbp_exec::{host, KernelChoice};
 use scalefbp_faults::{
-    BackoffPolicy, Channel, FaultInject, FaultInjector, FaultKind, FaultPlan, NoFaults,
-    RecoveryEvent, RecoveryLog,
+    BackoffPolicy, Channel, FaultInject, FaultInjector, FaultKind, FaultPlan, RecoveryEvent,
+    RecoveryLog,
 };
 use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{
@@ -299,10 +299,8 @@ struct FtCtx<'a> {
     mats: &'a [ProjectionMatrix],
     recovery: &'a RecoveryLog,
     scale: f32,
-    /// The compute backend every chunk runs on, with the configured
-    /// kernel. Dispatch is pure, so any rank can recompute any chunk bit
-    /// for bit on any backend.
-    exec: &'a dyn Executor,
+    /// The configured back-projection kernel. Dispatch is pure, so any
+    /// rank can recompute any chunk bit for bit.
     kernel: KernelChoice,
     /// Pieces per worker→leader chunk: `N_r` z-segments in
     /// [`ReduceMode::Segmented`], one whole chunk in every other mode.
@@ -352,18 +350,10 @@ impl FtCtx<'_> {
         let mut part =
             self.projections
                 .extract_window(task.rows.begin, task.rows.end, a.s_begin, a.s_end);
-        self.exec
-            .filter_stack(self.filter, FilterChoice::default(), &mut part)
-            .expect("filter stage failed");
+        self.filter.filter_stack(&mut part);
         let mut slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
-        self.exec
-            .backproject(
-                self.kernel,
-                &part,
-                &self.mats[a.s_begin..a.s_end],
-                &mut slab,
-            )
-            .expect("back-projection failed");
+        let mats = &self.mats[a.s_begin..a.s_end];
+        host::run_backprojection(self.kernel, &part, mats, &mut slab);
         slab
     }
 
@@ -483,10 +473,6 @@ pub fn fault_tolerant_reconstruct(
     let injector = FaultInjector::new(plan.clone());
     let recovery = RecoveryLog::new();
     let deadlines = derive_deadlines(config, layout);
-    // One compute backend shared by every rank: dispatch is pure, and
-    // its accounting stays out of the run's registry (as before the
-    // executor refactor, the FT protocol records no `gpu.*` metrics).
-    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new());
     let (results, network) = World::run_with_observability(
         layout.num_ranks(),
         injector.clone() as Arc<dyn FaultInject>,
@@ -506,7 +492,6 @@ pub fn fault_tolerant_reconstruct(
                 mats: &mats,
                 recovery: &recovery,
                 scale: filter.backprojection_scale() as f32,
-                exec: exec.as_ref(),
                 kernel: config.kernel,
                 pieces: if config.reduce_mode == ReduceMode::Segmented {
                     layout.nr

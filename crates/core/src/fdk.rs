@@ -1,13 +1,10 @@
 //! In-core FDK reconstruction: the quickstart call and its configured form.
 
-use std::sync::Arc;
-
-use scalefbp_faults::NoFaults;
+use scalefbp_exec::host;
 use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{compute_ab, CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
-use scalefbp_obs::MetricsRegistry;
 
-use crate::{FdkConfig, FilterChoice, ReconstructionError};
+use crate::{FdkConfig, ReconstructionError};
 
 /// Reconstructs the full volume in memory with the Ram-Lak window:
 /// filtering (Eq 2) → back-projection (Algorithm 1) → FDK normalisation.
@@ -22,11 +19,11 @@ pub fn fdk_reconstruct(
     fdk_reconstruct_configured(&FdkConfig::new(geom.clone()), projections, None)
 }
 
-/// In-core reconstruction honouring the full [`FdkConfig`]: apodisation
-/// window, back-projection [`KernelChoice`](crate::KernelChoice) and
-/// compute [`BackendChoice`](crate::BackendChoice). The `Reference` oracle
-/// and the `cpu` backend are validated bitwise against the default in the
-/// workspace property tests.
+/// In-core reconstruction honouring the [`FdkConfig`]'s apodisation
+/// window and back-projection [`KernelChoice`](crate::KernelChoice). It
+/// charges no device, so its [`BackendChoice`](crate::BackendChoice)
+/// changes nothing. The `Reference` oracle is validated bitwise against
+/// the default in the workspace property tests.
 ///
 /// `slices = Some((z_begin, z_end))` is the region-of-interest form: only
 /// global slices `[z_begin, z_end)`, from only the detector rows those
@@ -63,13 +60,11 @@ pub fn fdk_reconstruct_configured(
         }
     };
 
-    let exec = config.build_executor(Arc::new(NoFaults), 0, MetricsRegistry::new());
-
     let pipeline = FilterPipeline::new(geom, config.window);
-    exec.filter_stack(&pipeline, FilterChoice::default(), &mut part)?;
+    pipeline.filter_stack(&mut part);
 
     let mats = ProjectionMatrix::full_scan(geom);
-    exec.backproject(config.kernel, &part, &mats, &mut vol)?;
+    host::run_backprojection(config.kernel, &part, &mats, &mut vol);
 
     let scale = pipeline.backprojection_scale() as f32;
     for v in vol.data_mut() {

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use scalefbp_backproject::TextureWindow;
 use scalefbp_ckpt::{resume_partition, CheckpointSpec, CheckpointStore};
-use scalefbp_exec::{ExecBuffer, ExecError, Executor, LaunchDescriptor};
+use scalefbp_exec::host;
 use scalefbp_faults::{
     retry_with_backoff, BackoffPolicy, FaultInject, FaultInjector, FaultPlan, NoFaults,
     RecoveryEvent, RecoveryLog,
@@ -19,7 +19,7 @@ use scalefbp_geom::{
     ProjectionMatrix, ProjectionStack, RowRange, RowSource, SubVolumeTask, Volume,
     VolumeDecomposition,
 };
-use scalefbp_gpusim::DeviceCounters;
+use scalefbp_gpusim::{Device, DeviceBuffer, DeviceCounters, DeviceError};
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::TraceCollector;
@@ -27,7 +27,7 @@ use scalefbp_pipeline::TraceCollector;
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
 use crate::pipelined::{overlapped, replay};
 use crate::stream::{RowBlocks, BLOCK_BYTES};
-use crate::{FdkConfig, FilterChoice, ReconstructionError};
+use crate::{FdkConfig, ReconstructionError};
 
 /// Modelled host bandwidths (bytes/second) of the load, filter and store
 /// stages, for the overlapped schedule's deterministic replay.
@@ -300,7 +300,7 @@ impl OutOfCoreReconstructor {
             nb: self.nb,
             window_rows: self.window_rows,
             batches,
-            device: stages.exec.counters(),
+            device: stages.device.counters(),
             wall_secs: t0.elapsed().as_secs_f64(),
             trace,
             model_trace,
@@ -323,7 +323,7 @@ fn serial(
         let load_secs = stages.load(rows)?;
         for block in stages.blocks.split(rows) {
             let mut block = stages.read(block)?;
-            stages.filter(&mut block)?;
+            stages.filter(&mut block);
             ring.write(block);
         }
         let (slab, batch) = stages.backproject(task, rows, load_secs, &ring)?;
@@ -348,11 +348,10 @@ fn serial_trace(batches: &[OocBatch]) -> TraceCollector {
 }
 
 /// The ring of detector rows, with the run's working set on the device:
-/// the ring's and the matrix table's allocations.
+/// the matrix table's and the ring's allocations, held for the run.
 pub(crate) struct Ring {
     rows: TextureWindow,
-    buf: ExecBuffer,
-    mats: ExecBuffer,
+    _allocs: [DeviceBuffer; 2],
 }
 
 impl Ring {
@@ -381,7 +380,7 @@ pub(crate) struct Stages<'a> {
     config: &'a FdkConfig,
     source: &'a dyn RowSource,
     storage: Option<StorageEndpoint>,
-    exec: Arc<dyn Executor>,
+    device: Device,
     filter: FilterPipeline,
     mats: Vec<ProjectionMatrix>,
     pub(crate) blocks: RowBlocks,
@@ -414,7 +413,7 @@ impl<'a> Stages<'a> {
         Stages {
             config,
             source,
-            exec: config.build_executor(injector.clone(), RANK, registry.clone()),
+            device: config.build_device(injector.clone(), RANK, registry.clone()),
             storage: run.storage.map(|s| s.with_fault_injector(injector, RANK)),
             filter: FilterPipeline::new(g, config.window),
             mats: ProjectionMatrix::full_scan(g),
@@ -444,7 +443,11 @@ impl<'a> Stages<'a> {
     }
 
     /// Device operation `op` (`alloc`, `h2d` or `d2h`) under retry.
-    fn device<T>(&self, op: &str, f: impl Fn() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    fn on_device<T>(
+        &self,
+        op: &str,
+        f: impl Fn() -> Result<T, DeviceError>,
+    ) -> Result<T, DeviceError> {
         let event = |attempt| RecoveryEvent::DeviceRetry {
             rank: RANK,
             op: op.to_string(),
@@ -462,10 +465,11 @@ impl<'a> Stages<'a> {
     /// device for the run.
     pub(crate) fn ring(&self) -> Result<Ring, ReconstructionError> {
         let g = &self.config.geometry;
+        let mats = self.on_device("alloc", || self.device.alloc((g.np * 12 * 4) as u64))?;
+        let ring = self.on_device("alloc", || self.device.alloc(self.bytes(self.window_rows)))?;
         Ok(Ring {
-            mats: self.device("alloc", || self.exec.alloc((g.np * 12 * 4) as u64))?,
-            buf: self.device("alloc", || self.exec.alloc(self.bytes(self.window_rows)))?,
             rows: TextureWindow::new(self.window_rows, g.np, g.nu, 0),
+            _allocs: [mats, ring],
         })
     }
 
@@ -514,16 +518,16 @@ impl<'a> Stages<'a> {
     }
 
     /// Filter (Equation 2, the paper's CPU stage), one block in place.
-    pub(crate) fn filter(&self, block: &mut ProjectionStack) -> Result<(), ReconstructionError> {
-        Ok(self
-            .exec
-            .filter_stack(&self.filter, FilterChoice::default(), block)?)
+    pub(crate) fn filter(&self, block: &mut ProjectionStack) {
+        self.filter.filter_stack(block);
     }
 
     /// Back-projection of `task`, whose `rows` are in `ring`: the slab's
     /// alloc, the rows' h2d, the kernel and its launch, the slab's d2h
     /// (alloc and transfers under retry), and the FDK normalisation.
-    /// Returns the slab and the batch's record, with `load_secs`.
+    /// Returns the slab and the batch's record, with `load_secs`. A slab
+    /// no voxel of which passes the depth guard is refused: a validated
+    /// geometry reaches that only when its distances overflow `f32`.
     pub(crate) fn backproject(
         &self,
         task: &SubVolumeTask,
@@ -533,22 +537,23 @@ impl<'a> Stages<'a> {
     ) -> Result<(Volume, OocBatch), ReconstructionError> {
         let g = &self.config.geometry;
         let slab_bytes = (g.nx * g.ny * task.nz() * 4) as u64;
-        let slab_buf = self.device("alloc", || self.exec.alloc(slab_bytes))?;
+        let _slab_buf = self.on_device("alloc", || self.device.alloc(slab_bytes))?;
         let (bytes, mut h2d_secs) = (self.bytes(rows.len()), 0.0);
         if !rows.is_empty() {
-            h2d_secs = self.device("h2d", || self.exec.h2d(Some(ring.buf.id()), bytes))?;
+            h2d_secs = self.on_device("h2d", || self.device.h2d(bytes))?;
         }
         let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
         let stats =
-            self.exec
-                .backproject_window(self.config.kernel, &ring.rows, &self.mats, &mut slab)?;
+            host::run_window_backprojection(self.config.kernel, &ring.rows, &self.mats, &mut slab);
+        if stats.updates == 0 {
+            return Err(ReconstructionError::Input(format!(
+                "slab [{}, {}): no voxel passed the depth guard",
+                task.z_begin, task.z_end
+            )));
+        }
         self.kernel_updates.add(stats.updates);
-        let bp_secs = self.exec.launch(
-            &LaunchDescriptor::backprojection(stats.updates)
-                .with_inputs(vec![ring.mats.id(), ring.buf.id()])
-                .with_output(slab_buf.id()),
-        )?;
-        let d2h_secs = self.device("d2h", || self.exec.d2h(Some(slab_buf.id()), slab_bytes))?;
+        let bp_secs = self.device.launch_backprojection(stats.updates);
+        let d2h_secs = self.on_device("d2h", || self.device.d2h(slab_bytes))?;
         let scale = self.filter.backprojection_scale() as f32;
         for v in slab.data_mut() {
             *v *= scale;
@@ -905,5 +910,26 @@ mod tests {
             rec.reconstruct(&bad, Schedule::Serial),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
+    }
+
+    /// Distances that validate in `f64` but overflow `f32` make every
+    /// matrix row infinite, so no voxel passes the depth guard: both
+    /// schedules refuse the first slab instead of charging an empty
+    /// launch and writing zeros.
+    #[test]
+    fn slab_without_updates_is_refused() {
+        let mut g = CbctGeometry::ideal(8, 8, 8, 8);
+        (g.dso, g.dsd) = (1e39, 2e39);
+        g.validate().unwrap();
+        let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
+        let rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
+        for schedule in [Schedule::Serial, Schedule::Overlapped] {
+            match rec.reconstruct(&p, schedule) {
+                Err(ReconstructionError::Input(what)) => {
+                    assert!(what.contains("no voxel passed the depth guard"), "{what}")
+                }
+                other => panic!("{schedule:?}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 }

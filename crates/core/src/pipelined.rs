@@ -66,7 +66,7 @@ pub(crate) fn overlapped(
             let mut batch_start = None;
             while let Ok((task, rows, mut block, last)) = q1_rx.pop() {
                 let start = *batch_start.get_or_insert_with(now);
-                budget.install(|| stages.filter(&mut block))?;
+                budget.install(|| stages.filter(&mut block));
                 if last.is_some() {
                     trace.record("filter", task.index, start, now());
                     batch_start = None;

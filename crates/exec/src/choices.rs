@@ -1,9 +1,6 @@
-//! The dispatch enums shared by every driver: which back-projection
-//! kernel and which compute backend.
-//!
-//! These lived in `scalefbp::config` before the executor split; they
-//! moved here so the executors can dispatch on them without a circular
-//! dependency, and `scalefbp` re-exports them unchanged.
+//! The choices shared by every driver: which back-projection kernel, and
+//! which cost model charges the streaming driver's device. `scalefbp`
+//! re-exports them unchanged.
 
 /// Which back-projection kernel the drivers run: the oracle or the fast
 /// kernel. Both produce bit-identical volumes on the in-core and streaming
@@ -65,21 +62,21 @@ pub enum FilterChoice {
     TwoPass,
 }
 
-/// Which executor backs the drivers' transfers and kernel launches.
+/// Which cost model charges the streaming driver's device
+/// (`scalefbp_gpusim::Device`).
 ///
-/// `Sim` and `Cpu` run the identical host kernels — volumes are bitwise
-/// equal across the two — and differ only in accounting: `Sim` charges
-/// the `gpusim` cost model (capacity, modelled seconds, `gpu.*` time
-/// counters), `Cpu` records the same byte/call counters with zero
-/// modelled time (see `docs/backends.md`).
+/// The kernels are the same under both — volumes are bitwise equal — and
+/// so are the fault operations: `Sim` charges the `gpusim` model
+/// (capacity, modelled seconds, `gpu.*` time counters), `Cpu` records
+/// the same byte/call counters with unlimited memory and zero modelled
+/// time (see `docs/backends.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// The `gpusim` cost model: enforced capacity, modelled seconds,
-    /// exact `gpu.*` accounting. The default — byte-identical to the
-    /// pre-executor drivers.
+    /// The modelled device: enforced capacity, modelled seconds, exact
+    /// `gpu.*` accounting. The default.
     #[default]
     Sim,
-    /// Native host execution: unlimited memory, zero modelled time,
+    /// The counted device: unlimited memory, zero modelled time,
     /// byte/call accounting only.
     Cpu,
 }

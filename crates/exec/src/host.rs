@@ -1,6 +1,6 @@
-//! The shared host-side kernel dispatch: both computing backends run
-//! exactly these functions, which is what makes `sim` and `cpu` volumes
-//! bitwise identical by construction.
+//! The host-side kernel dispatch: every driver runs exactly these
+//! functions under either cost model, which is what makes `sim` and
+//! `cpu` volumes bitwise identical by construction.
 
 use scalefbp_backproject::{
     backproject_reference, backproject_simd, backproject_window, backproject_window_simd,

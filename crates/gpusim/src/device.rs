@@ -15,9 +15,7 @@ pub const FLOPS_PER_UPDATE: u64 = 42;
 
 /// Bucket bounds (bytes) for the transfer-size histogram: 64 KiB to 4 GiB
 /// in 16× steps, spanning single-row slabs up to whole sub-volumes.
-/// Public so alternative executors record `gpu.transfer.bytes` with the
-/// identical bucketing (a cross-backend conformance requirement).
-pub const TRANSFER_SIZE_BOUNDS: [u64; 5] = [
+const TRANSFER_SIZE_BOUNDS: [u64; 5] = [
     64 * 1024,
     1024 * 1024,
     16 * 1024 * 1024,
@@ -90,7 +88,10 @@ pub struct DeviceCounters {
 }
 
 struct Inner {
-    spec: DeviceSpec,
+    /// The cost model: `Some(spec)` enforces the spec's capacity and
+    /// charges its seconds; `None` is the counted model, with unlimited
+    /// capacity and zero seconds.
+    spec: Option<DeviceSpec>,
     allocated: u64,
     /// Simulated-seconds accumulators stay `f64` (not registry nanos):
     /// callers assert exact equality with the per-call returns.
@@ -106,7 +107,8 @@ struct Inner {
 }
 
 /// Cached registry handles for one device — registered at construction,
-/// one atomic op per counted event afterwards.
+/// one atomic op per counted event afterwards. A counted device has no
+/// time-domain handles.
 struct DeviceMetrics {
     h2d_bytes: Counter,
     h2d_calls: Counter,
@@ -115,14 +117,15 @@ struct DeviceMetrics {
     kernel_updates: Counter,
     kernel_launches: Counter,
     kernel_flops: Counter,
-    transfer_nanos: Counter,
-    kernel_nanos: Counter,
+    transfer_nanos: Option<Counter>,
+    kernel_nanos: Option<Counter>,
     peak_allocated: Gauge,
     transfer_sizes: Histogram,
 }
 
 impl DeviceMetrics {
-    fn new(registry: &MetricsRegistry, rank: usize) -> Self {
+    fn new(registry: &MetricsRegistry, rank: usize, timed: bool) -> Self {
+        let nanos = |name: &str| timed.then(|| registry.rank_counter(name, rank));
         DeviceMetrics {
             h2d_bytes: registry.rank_counter("gpu.h2d.bytes", rank),
             h2d_calls: registry.rank_counter("gpu.h2d.calls", rank),
@@ -131,8 +134,8 @@ impl DeviceMetrics {
             kernel_updates: registry.rank_counter("gpu.kernel.updates", rank),
             kernel_launches: registry.rank_counter("gpu.kernel.launches", rank),
             kernel_flops: registry.rank_counter("gpu.kernel.flops", rank),
-            transfer_nanos: registry.rank_counter("gpu.transfer.nanos", rank),
-            kernel_nanos: registry.rank_counter("gpu.kernel.nanos", rank),
+            transfer_nanos: nanos("gpu.transfer.nanos"),
+            kernel_nanos: nanos("gpu.kernel.nanos"),
             peak_allocated: registry.rank_gauge("gpu.mem.peak_bytes", rank),
             transfer_sizes: registry.rank_histogram(
                 "gpu.transfer.bytes",
@@ -143,16 +146,17 @@ impl DeviceMetrics {
     }
 }
 
-/// A simulated accelerator with enforced memory capacity and counted,
-/// time-modelled transfers and kernel launches. Cheap to clone (shared
-/// state).
+/// A simulated accelerator under one of two cost models: modelled
+/// ([`with_observability`](Self::with_observability): the spec's
+/// capacity, PCIe and kernel seconds) or counted
+/// ([`counted`](Self::counted): unlimited capacity, zero seconds, byte
+/// and call counters only). Both consult the fault injector at the same
+/// operations. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct Device {
     inner: Arc<Mutex<Inner>>,
     metrics: Arc<DeviceMetrics>,
-    registry: MetricsRegistry,
-    /// Fault hook consulted by allocations and transfers; `NoFaults`
-    /// unless the device was built with [`Device::with_injector`].
+    /// Fault hook consulted by allocations, transfers and launches.
     injector: Arc<dyn FaultInject>,
     /// World rank this device belongs to (the fault plan's site address).
     rank: usize,
@@ -163,14 +167,6 @@ pub struct Device {
 pub struct DeviceBuffer {
     device: Arc<Mutex<Inner>>,
     bytes: u64,
-}
-
-impl DeviceBuffer {
-    /// Allocation size in bytes.
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 impl std::fmt::Debug for DeviceBuffer {
@@ -192,35 +188,49 @@ impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("Device")
-            .field("spec", &inner.spec.name)
+            .field("spec", &inner.spec.as_ref().map_or("counted", |s| s.name))
             .field("allocated", &inner.allocated)
             .finish()
     }
 }
 
 impl Device {
-    /// Creates a device of the given spec.
+    /// Creates a fault-free modelled device of the given spec.
     pub fn new(spec: DeviceSpec) -> Self {
-        Self::with_injector(spec, Arc::new(NoFaults), 0)
+        Self::with_observability(spec, Arc::new(NoFaults), 0, MetricsRegistry::new())
     }
 
-    /// Creates a device whose allocations and transfers consult a fault
-    /// injector, addressed as `rank` in the fault plan.
-    pub fn with_injector(spec: DeviceSpec, injector: Arc<dyn FaultInject>, rank: usize) -> Self {
-        Self::with_observability(spec, injector, rank, MetricsRegistry::new())
-    }
-
-    /// [`with_injector`](Self::with_injector) recording this device's
-    /// counters (`gpu.h2d.bytes`, `gpu.kernel.flops`, …) into a shared
-    /// registry, rank-labelled, so they land in the run's exported
-    /// snapshot alongside communication and I/O metrics.
+    /// A modelled device whose operations consult `injector`, addressed
+    /// as `rank` in the fault plan, and whose counters (`gpu.h2d.bytes`,
+    /// `gpu.kernel.flops`, …) land rank-labelled in `registry`, so they
+    /// join the run's exported snapshot alongside communication and I/O
+    /// metrics.
     pub fn with_observability(
         spec: DeviceSpec,
         injector: Arc<dyn FaultInject>,
         rank: usize,
         registry: MetricsRegistry,
     ) -> Self {
+        Self::build(Some(spec), injector, rank, &registry)
+    }
+
+    /// A counted device: unlimited capacity, 0.0 s from every call, and
+    /// the byte-domain `gpu.*` metrics only — it never registers
+    /// `gpu.transfer.nanos` or `gpu.kernel.nanos`. It consults `injector`
+    /// exactly as a modelled device does, so a fault plan fires at the
+    /// same operations under either model.
+    pub fn counted(injector: Arc<dyn FaultInject>, rank: usize, registry: MetricsRegistry) -> Self {
+        Self::build(None, injector, rank, &registry)
+    }
+
+    fn build(
+        spec: Option<DeviceSpec>,
+        injector: Arc<dyn FaultInject>,
+        rank: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
         Device {
+            metrics: Arc::new(DeviceMetrics::new(registry, rank, spec.is_some())),
             inner: Arc::new(Mutex::new(Inner {
                 spec,
                 allocated: 0,
@@ -229,32 +239,9 @@ impl Device {
                 slow_factor: 1.0,
                 slow_from_nanos: 0,
             })),
-            metrics: Arc::new(DeviceMetrics::new(&registry, rank)),
-            registry,
             injector,
             rank,
         }
-    }
-
-    /// The registry this device reports into.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The device spec.
-    pub fn spec(&self) -> DeviceSpec {
-        self.inner.lock().spec.clone()
-    }
-
-    /// Currently allocated bytes.
-    pub fn allocated(&self) -> u64 {
-        self.inner.lock().allocated
-    }
-
-    /// Free bytes.
-    pub fn free(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.spec.memory_bytes - inner.allocated
     }
 
     /// Allocates `bytes` of device memory, enforcing the capacity. An
@@ -262,7 +249,8 @@ impl Device {
     /// (memory is not actually consumed, so retrying succeeds).
     pub fn alloc(&self, bytes: u64) -> Result<DeviceBuffer, DeviceError> {
         let mut inner = self.inner.lock();
-        let free = inner.spec.memory_bytes - inner.allocated;
+        let capacity = inner.spec.as_ref().map_or(u64::MAX, |s| s.memory_bytes);
+        let free = capacity - inner.allocated;
         if matches!(
             self.injector.on_op(self.rank, Channel::DeviceAlloc),
             Some(FaultKind::DeviceOom)
@@ -286,64 +274,44 @@ impl Device {
         })
     }
 
-    /// Records a host→device copy; returns the simulated duration (s).
-    /// Panics on an injected transfer fault — fault-aware callers use
-    /// [`try_h2d`](Self::try_h2d).
-    pub fn h2d(&self, bytes: u64) -> f64 {
-        self.try_h2d(bytes).expect("unhandled injected h2d fault")
-    }
-
-    /// Fault-aware host→device copy: an injected
+    /// Host→device copy; returns the simulated duration (s). An injected
     /// [`FaultKind::TransferError`] fails the call transiently (no bytes
     /// counted; a retry succeeds).
-    pub fn try_h2d(&self, bytes: u64) -> Result<f64, DeviceError> {
-        if self.transfer_faulted() {
-            return Err(DeviceError::TransferError { op: "h2d", bytes });
-        }
-        let mut inner = self.inner.lock();
-        let secs = inner.spec.transfer_secs(bytes);
-        inner.transfer_secs += secs;
-        drop(inner);
-        self.metrics.h2d_bytes.add(bytes);
-        self.metrics.h2d_calls.inc();
-        self.record_transfer(bytes, secs);
-        Ok(secs)
+    pub fn h2d(&self, bytes: u64) -> Result<f64, DeviceError> {
+        let m = &self.metrics;
+        self.transfer("h2d", bytes, &m.h2d_bytes, &m.h2d_calls)
     }
 
-    /// Records a device→host copy; returns the simulated duration (s).
-    /// Panics on an injected transfer fault — fault-aware callers use
-    /// [`try_d2h`](Self::try_d2h).
-    pub fn d2h(&self, bytes: u64) -> f64 {
-        self.try_d2h(bytes).expect("unhandled injected d2h fault")
+    /// Device→host copy (see [`h2d`](Self::h2d)).
+    pub fn d2h(&self, bytes: u64) -> Result<f64, DeviceError> {
+        let m = &self.metrics;
+        self.transfer("d2h", bytes, &m.d2h_bytes, &m.d2h_calls)
     }
 
-    /// Fault-aware device→host copy (see [`try_h2d`](Self::try_h2d)).
-    pub fn try_d2h(&self, bytes: u64) -> Result<f64, DeviceError> {
-        if self.transfer_faulted() {
-            return Err(DeviceError::TransferError { op: "d2h", bytes });
-        }
-        let mut inner = self.inner.lock();
-        let secs = inner.spec.transfer_secs(bytes);
-        inner.transfer_secs += secs;
-        drop(inner);
-        self.metrics.d2h_bytes.add(bytes);
-        self.metrics.d2h_calls.inc();
-        self.record_transfer(bytes, secs);
-        Ok(secs)
-    }
-
-    /// Direction-independent transfer metrics (modelled duration as
-    /// integer nanoseconds plus the size histogram).
-    fn record_transfer(&self, bytes: u64, secs: f64) {
-        self.metrics.transfer_nanos.add((secs * 1e9).round() as u64);
-        self.metrics.transfer_sizes.observe(bytes);
-    }
-
-    fn transfer_faulted(&self) -> bool {
-        matches!(
+    fn transfer(
+        &self,
+        op: &'static str,
+        bytes: u64,
+        total: &Counter,
+        calls: &Counter,
+    ) -> Result<f64, DeviceError> {
+        if matches!(
             self.injector.on_op(self.rank, Channel::DeviceTransfer),
             Some(FaultKind::TransferError)
-        )
+        ) {
+            return Err(DeviceError::TransferError { op, bytes });
+        }
+        let mut inner = self.inner.lock();
+        let secs = inner.spec.as_ref().map_or(0.0, |s| s.transfer_secs(bytes));
+        inner.transfer_secs += secs;
+        drop(inner);
+        total.add(bytes);
+        calls.inc();
+        if let Some(nanos) = &self.metrics.transfer_nanos {
+            nanos.add((secs * 1e9).round() as u64);
+        }
+        self.metrics.transfer_sizes.observe(bytes);
+        Ok(secs)
     }
 
     /// Records a back-projection launch of `updates` voxel updates; returns
@@ -364,7 +332,10 @@ impl Device {
             inner.slow_from_nanos = from_nanos;
         }
         let mut inner = self.inner.lock();
-        let honest = inner.spec.backprojection_secs(updates);
+        let honest = inner
+            .spec
+            .as_ref()
+            .map_or(0.0, |s| s.backprojection_secs(updates));
         let degraded = inner.slow_factor > 1.0
             && (inner.kernel_secs * 1e9).round() as u64 >= inner.slow_from_nanos;
         let secs = if degraded {
@@ -379,14 +350,10 @@ impl Device {
         self.metrics
             .kernel_flops
             .add(updates.saturating_mul(FLOPS_PER_UPDATE));
-        self.metrics.kernel_nanos.add((secs * 1e9).round() as u64);
+        if let Some(nanos) = &self.metrics.kernel_nanos {
+            nanos.add((secs * 1e9).round() as u64);
+        }
         secs
-    }
-
-    /// The device's current compute slowdown multiplier: `1.0` while
-    /// healthy, the fired [`FaultKind::SlowDevice`] factor once degraded.
-    pub fn slow_factor(&self) -> f64 {
-        self.inner.lock().slow_factor
     }
 
     /// Snapshot of the counters (assembled from the registry-backed
@@ -405,26 +372,6 @@ impl Device {
             peak_allocated: self.metrics.peak_allocated.get() as u64,
         }
     }
-
-    /// Resets the counters (not the allocations). Registry-backed values
-    /// are zeroed in place, so a shared registry sees the reset too.
-    pub fn reset_counters(&self) {
-        let mut inner = self.inner.lock();
-        inner.transfer_secs = 0.0;
-        inner.kernel_secs = 0.0;
-        drop(inner);
-        self.metrics.h2d_bytes.reset();
-        self.metrics.d2h_bytes.reset();
-        self.metrics.h2d_calls.reset();
-        self.metrics.d2h_calls.reset();
-        self.metrics.kernel_updates.reset();
-        self.metrics.kernel_launches.reset();
-        self.metrics.kernel_flops.reset();
-        self.metrics.transfer_nanos.reset();
-        self.metrics.kernel_nanos.reset();
-        self.metrics.peak_allocated.reset();
-        self.metrics.transfer_sizes.reset();
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +382,6 @@ mod tests {
     fn alloc_enforces_capacity() {
         let d = Device::new(DeviceSpec::tiny(1000));
         let a = d.alloc(600).unwrap();
-        assert_eq!(d.allocated(), 600);
         let err = d.alloc(500).unwrap_err();
         assert_eq!(
             err,
@@ -445,7 +391,6 @@ mod tests {
             }
         );
         drop(a);
-        assert_eq!(d.allocated(), 0);
         d.alloc(1000).unwrap();
     }
 
@@ -463,8 +408,8 @@ mod tests {
     #[test]
     fn counters_track_traffic_and_time() {
         let d = Device::new(DeviceSpec::tiny(1 << 20));
-        let t1 = d.h2d(2_000_000);
-        let t2 = d.d2h(4_000_000);
+        let t1 = d.h2d(2_000_000).unwrap();
+        let t2 = d.d2h(4_000_000).unwrap();
         let t3 = d.launch_backprojection(50_000_000);
         let c = d.counters();
         assert_eq!(c.h2d_bytes, 2_000_000);
@@ -476,8 +421,6 @@ mod tests {
         assert!((c.transfer_secs - (t1 + t2)).abs() < 1e-12);
         assert!((c.kernel_secs - t3).abs() < 1e-12);
         assert!(t2 > t1);
-        d.reset_counters();
-        assert_eq!(d.counters(), DeviceCounters::default());
     }
 
     #[test]
@@ -495,8 +438,8 @@ mod tests {
         let d = Device::new(DeviceSpec::tiny(1000));
         let d2 = d.clone();
         let _buf = d.alloc(400).unwrap();
-        assert_eq!(d2.allocated(), 400);
-        d2.h2d(100);
+        assert!(d2.alloc(601).is_err(), "the clone sees the allocation");
+        d2.h2d(100).unwrap();
         assert_eq!(d.counters().h2d_bytes, 100);
     }
 
@@ -517,7 +460,12 @@ mod tests {
                 kind: FaultKind::TransferError,
             },
         ]);
-        let d = Device::with_injector(DeviceSpec::tiny(1000), FaultInjector::new(plan), 3);
+        let d = Device::with_observability(
+            DeviceSpec::tiny(1000),
+            FaultInjector::new(plan),
+            3,
+            MetricsRegistry::new(),
+        );
         // First alloc hits the injected OOM; the retry succeeds.
         assert!(matches!(
             d.alloc(100),
@@ -525,15 +473,15 @@ mod tests {
         ));
         let _buf = d.alloc(100).unwrap();
         // Transfer op 0 is clean, op 1 faults, op 2 (retry) succeeds.
-        assert!(d.try_h2d(10).is_ok());
+        assert!(d.h2d(10).is_ok());
         assert_eq!(
-            d.try_d2h(20),
+            d.d2h(20),
             Err(DeviceError::TransferError {
                 op: "d2h",
                 bytes: 20
             })
         );
-        assert!(d.try_d2h(20).is_ok());
+        assert!(d.d2h(20).is_ok());
         // Failed transfers never pollute the counters.
         assert_eq!(d.counters().d2h_calls, 1);
         assert_eq!(d.counters().d2h_bytes, 20);
@@ -541,37 +489,24 @@ mod tests {
 
     #[test]
     fn injected_slow_device_degrades_kernel_time_after_threshold() {
-        use scalefbp_faults::{FaultEvent, FaultInjector, FaultPlan};
+        use scalefbp_faults::{FaultInjector, FaultPlan};
         let spec = DeviceSpec::tiny(1 << 20);
-        let healthy = Device::new(spec.clone());
-        let h1 = healthy.launch_backprojection(1_000_000);
+        let h1 = Device::new(spec.clone()).launch_backprojection(1_000_000);
         // Slowdown ×3 once 1 launch worth of kernel nanos has accrued:
         // the first launch runs at full rate, later ones degraded.
         let from_nanos = (h1 * 1e9).round() as u64;
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            rank: 5,
-            channel: Channel::Compute,
-            op_index: 0,
-            kind: FaultKind::SlowDevice {
-                factor: 3,
-                from_nanos,
-            },
-        }]);
-        let d = Device::with_injector(spec, FaultInjector::new(plan), 5);
-        assert_eq!(d.slow_factor(), 1.0);
+        let slowed = || {
+            let plan = FaultPlan::parse(&format!("rank 5 compute op 0 slow:3:{from_nanos}"));
+            let injector = FaultInjector::new(plan.unwrap());
+            Device::with_observability(spec.clone(), injector, 5, MetricsRegistry::new())
+        };
+        let d = slowed();
         let t1 = d.launch_backprojection(1_000_000);
         assert_eq!(t1.to_bits(), h1.to_bits(), "pre-threshold launch is honest");
-        assert_eq!(d.slow_factor(), 3.0);
         let t2 = d.launch_backprojection(1_000_000);
         assert_eq!(t2.to_bits(), (h1 * 3.0).to_bits(), "degraded launch is ×3");
         // Model time is deterministic: a replay is bit-identical.
-        let d2 = Device::with_injector(
-            d.spec(),
-            FaultInjector::new(
-                FaultPlan::parse(&format!("rank 5 compute op 0 slow:3:{from_nanos}")).unwrap(),
-            ),
-            5,
-        );
+        let d2 = slowed();
         assert_eq!(d2.launch_backprojection(1_000_000).to_bits(), t1.to_bits());
         assert_eq!(d2.launch_backprojection(1_000_000).to_bits(), t2.to_bits());
     }
@@ -586,8 +521,8 @@ mod tests {
             reg.clone(),
         );
         let _buf = d.alloc(4096).unwrap();
-        d.h2d(1_000_000);
-        d.d2h(2_000_000);
+        d.h2d(1_000_000).unwrap();
+        d.d2h(2_000_000).unwrap();
         d.launch_backprojection(10);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("gpu.h2d.bytes", Some(2)), Some(1_000_000));
@@ -602,6 +537,50 @@ mod tests {
     }
 
     #[test]
+    fn counted_device_records_byte_domain_metrics_with_zero_time() {
+        use scalefbp_faults::{FaultInjector, FaultPlan};
+        let plan = FaultPlan::parse(
+            "rank 0 device-alloc op 0 device-oom\n\
+             rank 0 device-transfer op 0 transfer-error\n\
+             rank 0 compute op 0 slow:3:0",
+        )
+        .unwrap();
+        let reg = MetricsRegistry::new();
+        let d = Device::counted(FaultInjector::new(plan), 0, reg.clone());
+        // The injector is consulted on every channel, as on a modelled
+        // device: the first alloc and the first transfer fail.
+        assert!(matches!(
+            d.alloc(1),
+            Err(DeviceError::OutOfMemory { free: 0, .. })
+        ));
+        let buf = d.alloc(1 << 50).unwrap(); // unlimited capacity
+        let _more = d.alloc(1 << 50).unwrap();
+        assert!(matches!(
+            d.h2d(12345),
+            Err(DeviceError::TransferError { .. })
+        ));
+        assert_eq!(d.h2d(12345), Ok(0.0));
+        assert_eq!(d.d2h(6789), Ok(0.0));
+        assert_eq!(d.launch_backprojection(1000), 0.0); // slowed, still 0
+        assert_eq!(d.launch_backprojection(1000), 0.0);
+        drop(buf);
+        let c = d.counters();
+        assert_eq!((c.h2d_bytes, c.h2d_calls), (12345, 1));
+        assert_eq!((c.d2h_bytes, c.d2h_calls), (6789, 1));
+        assert_eq!((c.kernel_updates, c.kernel_launches), (2000, 2));
+        assert_eq!((c.transfer_secs, c.kernel_secs), (0.0, 0.0));
+        assert_eq!(c.peak_allocated, 1 << 51);
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counter("gpu.kernel.flops", Some(0)),
+            Some(2000 * FLOPS_PER_UPDATE)
+        );
+        // A counted device never registers modelled time.
+        assert_eq!(snap.counter("gpu.transfer.nanos", Some(0)), None);
+        assert_eq!(snap.counter("gpu.kernel.nanos", Some(0)), None);
+    }
+
+    #[test]
     fn concurrent_allocation_is_safe() {
         let d = Device::new(DeviceSpec::tiny(100_000));
         std::thread::scope(|s| {
@@ -610,14 +589,15 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..100 {
                         if let Ok(buf) = d.alloc(1000) {
-                            d.h2d(1000);
+                            d.h2d(1000).unwrap();
                             drop(buf);
                         }
                     }
                 });
             }
         });
-        assert_eq!(d.allocated(), 0);
+        // Every buffer came back: the whole capacity is free again.
+        d.alloc(100_000).unwrap();
         assert_eq!(d.counters().h2d_bytes, d.counters().h2d_calls * 1000);
     }
 }

@@ -17,12 +17,13 @@
 //!
 //! Transfers and kernel launches are also *counted* ([`DeviceCounters`]) so
 //! ablation benches can compare data-movement volumes between decomposition
-//! schemes without any timing at all.
+//! schemes without any timing at all. A [`Device::counted`] device keeps
+//! only that half — unlimited capacity, zero seconds — and is what
+//! `--backend cpu` charges; both cost models consult the fault injector
+//! at the same operations.
 
 mod device;
 mod spec;
 
-pub use device::{
-    Device, DeviceBuffer, DeviceCounters, DeviceError, FLOPS_PER_UPDATE, TRANSFER_SIZE_BOUNDS,
-};
+pub use device::{Device, DeviceBuffer, DeviceCounters, DeviceError, FLOPS_PER_UPDATE};
 pub use spec::DeviceSpec;

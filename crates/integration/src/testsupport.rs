@@ -75,8 +75,8 @@ pub fn snapshot_lines(snapshot: &MetricsSnapshot, exclude: &[&str]) -> Vec<Strin
 
 /// Asserts two metrics snapshots are identical outside the `exclude`d
 /// metric names, printing the exact lines that differ. Pass `&[]` to
-/// demand full equality (the golden-replay tests), or the executor
-/// layer's `TIME_DOMAIN_METRICS` for sim-vs-cpu comparisons.
+/// demand full equality (the golden-replay tests), or
+/// `scalefbp_exec::TIME_DOMAIN_METRICS` for sim-vs-cpu comparisons.
 pub fn assert_snapshots_match(
     golden: &MetricsSnapshot,
     got: &MetricsSnapshot,

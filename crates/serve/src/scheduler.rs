@@ -92,10 +92,10 @@ pub struct ServeConfig {
     /// the fault plan — a healthy fleet never triggers detection.
     /// Disable for a wait-it-out baseline.
     pub hedging: bool,
-    /// Compute backend every job's numerics run on. Scheduling always
-    /// uses the [`DeviceSpec`] cost model, so the schedule, logs and
-    /// metric exports are identical on both compute backends — only
-    /// the executor behind each job changes (see `docs/backends.md`).
+    /// Cost model of each job's own device. Scheduling always uses the
+    /// [`DeviceSpec`] cost model, so the schedule, logs and metric
+    /// exports are identical on both backends, and so are the volumes
+    /// (see `docs/backends.md`).
     pub backend: BackendChoice,
 }
 
@@ -157,7 +157,7 @@ impl ServeConfig {
         self
     }
 
-    /// Selects the compute backend jobs execute on.
+    /// Selects the cost model of each job's own device.
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
@@ -1266,7 +1266,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Mirrors a small job's traffic onto the fleet device so the
-    /// per-device `gpu.*` metrics reflect scheduled work.
+    /// per-device `gpu.*` metrics reflect scheduled work. Fleet devices
+    /// inject no faults, so the mirrored transfers never fail.
     fn mirror_small(&self, d: usize, g: &CbctGeometry) {
         let (h2d, updates, d2h) = small_cost(g);
         let dev = &self.devices[d].device;

@@ -1,5 +1,5 @@
-//! Cross-backend conformance suite for the executor seam (ROADMAP
-//! item 2, PR 9 tentpole).
+//! Cross-backend conformance suite for the device's two cost models
+//! (`sim` modelled, `cpu` counted; see docs/backends.md).
 //!
 //! Two contracts, asserted over a differential grid of
 //! backend × kernel × driver cells (including the out-of-core and
@@ -271,6 +271,61 @@ fn checkpoint_resume_is_bitwise_identical_on_both_backends() {
             k as u64,
             "{backend} must load, not recompute"
         );
+    }
+}
+
+/// Device-fault cells: one plan that fails an allocation, two transfers
+/// and slows the kernel fires at the same operations on both cost models
+/// and under both schedules. Every run logs the same recoveries, writes
+/// the fault-free volume, and the backends' snapshots agree outside the
+/// time domain.
+#[test]
+fn device_faults_recover_identically_on_both_backends() {
+    let (g, p) = golden_scan();
+    let plan = FaultPlan::parse(
+        "rank 0 device-alloc op 0 device-oom\n\
+         rank 0 device-transfer op 1 transfer-error\n\
+         rank 0 device-transfer op 4 transfer-error\n\
+         rank 0 compute op 0 slow:3:0",
+    )
+    .unwrap();
+    let cfg = FdkConfig::new(g.clone()).with_device(golden_device(&g));
+    let (clean, _) = OutOfCoreReconstructor::new(cfg.clone())
+        .unwrap()
+        .reconstruct(&p, Schedule::Serial)
+        .unwrap();
+    let mut logs = Vec::new();
+    for schedule in [Schedule::Serial, Schedule::Overlapped] {
+        let runs = BackendChoice::ALL.map(|backend| {
+            let rec = OutOfCoreReconstructor::new(cfg.clone().with_backend(backend)).unwrap();
+            let run = StreamRun {
+                faults: Some(&plan),
+                ..schedule.into()
+            };
+            let (vol, rep) = rec.reconstruct(&p, run).unwrap();
+            assert_bitwise(
+                &clean,
+                &vol,
+                &format!("{schedule:?} {backend} under faults"),
+            );
+            logs.push((schedule, backend, rep.recovery.clone()));
+            rep.metrics
+        });
+        assert_snapshots_match(
+            &runs[0],
+            &runs[1],
+            TIME_DOMAIN_METRICS,
+            &format!("{schedule:?} snapshots under faults"),
+        );
+    }
+    let (_, _, first) = &logs[0];
+    assert_eq!(
+        first.len(),
+        3,
+        "one alloc and two transfer retries: {first:?}"
+    );
+    for (schedule, backend, log) in &logs {
+        assert_eq!(log, first, "{schedule:?} {backend} recovery log");
     }
 }
 
