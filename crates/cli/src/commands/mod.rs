@@ -12,8 +12,8 @@ use scalefbp::{
 use scalefbp_faults::{FaultPlan, FaultScenario, RecoveryEvent};
 use scalefbp_geom::{CbctGeometry, DatasetPreset, ProjectionStack};
 use scalefbp_iosim::format::{
-    decode_projections, decode_volume, encode_projections, encode_volume, geometry_from_text,
-    geometry_to_text, mip_to_pgm, slice_to_pgm, ScanFile,
+    decode_projections, decode_volume, encode_projections, geometry_from_text, geometry_to_text,
+    mip_to_pgm, slice_to_pgm, write_volume, ScanFile,
 };
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{chrome_trace_json, validate_chrome_trace, validate_metrics_json};
@@ -538,7 +538,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     };
     let obs_note = write_observability(args, &trace_json, &metrics)?;
     let secs = t0.elapsed().as_secs_f64();
-    std::fs::write(&out_path, encode_volume(&volume))?;
+    write_volume(&out_path, &volume)?;
     Ok(format!(
         "reconstructed {}×{}×{} ({detail}) in {secs:.2} s → {}\n{obs_note}",
         volume.nx(),
@@ -591,7 +591,7 @@ pub fn iterative(args: &mut Args) -> Result<String, CliError> {
 
     let obs_note = write_observability(args, &chrome_trace_json(&[]), &out.metrics)?;
     if let Some(path) = args.opt("out") {
-        std::fs::write(&path, encode_volume(&out.volume))?;
+        write_volume(Path::new(&path), &out.volume)?;
     }
     let resumed = if out.resumed_iterations > 0 {
         format!(" ({} resumed)", out.resumed_iterations)

@@ -724,6 +724,48 @@ fn non_finite_sidecar_geometry_is_refused() {
     }
 }
 
+/// A `.geom` sidecar whose distances are finite in f64 but overflow f32
+/// (`dso = 1e39`, `dsd = 2e39`) is refused by geometry validation, so
+/// every `--mode` exits 1 with the same message and writes no volume.
+/// Before the check, `incore` and `distributed` exited 0 with an all-NaN
+/// volume while the streaming modes refused the scan at the depth guard.
+#[test]
+fn f32_overflowing_sidecar_geometry_is_refused_by_every_mode() {
+    let (dir, scan) = ideal_scan("f32overflow", "12");
+    let sidecar = std::fs::read_to_string(format!("{scan}.geom")).unwrap();
+    let bad = dir.join("far.sfbp");
+    std::fs::copy(&scan, &bad).unwrap();
+    let text: String = sidecar
+        .lines()
+        .map(|l| match l.split_once(" = ") {
+            Some(("dso", _)) => "dso = 1e39\n".to_string(),
+            Some(("dsd", _)) => "dsd = 2e39\n".to_string(),
+            _ => format!("{l}\n"),
+        })
+        .collect();
+    assert_eq!(text.matches("e39").count(), 2, "{text}");
+    std::fs::write(dir.join("far.sfbp.geom"), text).unwrap();
+    let mut messages = Vec::new();
+    for mode in ["incore", "outofcore", "pipeline", "distributed"] {
+        let out = dir.join(format!("vol-{mode}.sfbp"));
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
+            .args(["reconstruct", "--scan", bad.to_str().unwrap()])
+            .args(["--out", out.to_str().unwrap(), "--mode", mode])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr).to_string();
+        assert_eq!(run.status.code(), Some(1), "{mode}: {stderr}");
+        assert!(
+            stderr.contains("`dso` = 1e39 overflows f32"),
+            "{mode}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{mode}: {stderr}");
+        assert!(!out.exists(), "{mode} wrote a volume");
+        messages.push(stderr);
+    }
+    assert!(messages.windows(2).all(|w| w[0] == w[1]), "{messages:?}");
+}
+
 /// Fault plans are outside input, so one the drivers cannot recover from
 /// is an error of the real binary (exit 1, no volume, no panic), within a
 /// minute: a pipeline plan that fails every retry of a device transfer

@@ -15,7 +15,8 @@
 //!
 //! 1. **Chunked point-to-point reduction.** Each worker ships its partial
 //!    sub-volume (one *chunk* per batch) to the group leader, which
-//!    accumulates chunks in a fixed rank order — in every
+//!    folds each chunk into the batch's slab as soon as every chunk
+//!    before it in a fixed rank order is in, and frees it — in every
 //!    [`ReduceMode`], which here only selects how many pieces a chunk
 //!    travels in and the modelled deadlines (see
 //!    `docs/communication.md`). The fixed order
@@ -42,6 +43,7 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,9 +72,10 @@ use crate::{with_rank_budget, FdkConfig, ReconstructionError};
 /// Worker → leader chunk *piece*, tag + `b·nr + piece`. A chunk travels
 /// as one message per piece ([`FtCtx::pieces`]): one per z-segment in
 /// [`ReduceMode::Segmented`], so faults can land mid-reduce-scatter, and
-/// one whole-chunk piece in every other mode. The leader joins the
-/// pieces before the (unchanged) fixed-order fold; recovery resends are
-/// always whole chunks ([`RECHUNK_TAG`]).
+/// one whole-chunk piece in every other mode. The leader receives each
+/// piece straight into its span of the chunk's buffer before the
+/// (unchanged) fixed-order fold; recovery resends are always whole
+/// chunks ([`RECHUNK_TAG`]).
 const PIECE_TAG: u64 = 60_000;
 /// Recomputed chunk (survivor → leader), tag + `b·nr + j` — the tag
 /// encodes *which* rank's chunk was recomputed, so a late speculative
@@ -160,15 +163,36 @@ pub fn derive_deadlines(config: &FdkConfig, layout: RankLayout) -> FtDeadlines {
     FtDeadlines { chunk, slab }
 }
 
+/// One `(batch, rank-in-group)` slot of a [`ChunkLedger`].
+enum Slot {
+    /// No copy offered yet.
+    Empty,
+    /// Offered, and waiting for a chunk before it in rank order.
+    Held(Vec<f32>),
+    /// Folded into its batch's sum and freed.
+    Folded,
+}
+
 /// Per-group chunk ledger: one slot per `(batch, rank-in-group)`. The
 /// first copy offered to a slot wins; later duplicates — a straggler's
 /// late original after a speculative win, or a twin recompute — are
-/// discarded. Every copy of a chunk is a bitwise-identical pure
-/// recompute, so offer order can never change the fixed-order fold.
+/// counted and discarded, also after the slot was folded.
+/// [`fold_ready`](Self::fold_ready) folds, in rank order, every chunk
+/// whose predecessors are already in the batch's sum and frees it, so a
+/// leader that folds as chunks land holds only chunks that arrived ahead
+/// of a missing one: rows of unfinished batches, never the whole
+/// `N_c × N_r` grid. Every copy of a chunk is a bitwise-identical pure
+/// recompute, and each voxel sees its additions in rank order whatever
+/// the arrival order, so offer order can never change the fold.
 pub struct ChunkLedger {
     nr: usize,
-    slots: Vec<Option<Vec<f32>>>,
+    slots: Vec<Slot>,
+    /// Per batch, how many leading chunks (in rank order) its sum holds.
+    folded: Vec<usize>,
     duplicates: u64,
+    /// Chunk buffers offered and not yet folded, now and at most.
+    held: usize,
+    peak_held: usize,
 }
 
 impl ChunkLedger {
@@ -176,8 +200,11 @@ impl ChunkLedger {
     pub fn new(batches: usize, nr: usize) -> Self {
         ChunkLedger {
             nr,
-            slots: vec![None; batches * nr],
+            slots: (0..batches * nr).map(|_| Slot::Empty).collect(),
+            folded: vec![0; batches],
             duplicates: 0,
+            held: 0,
+            peak_held: 0,
         }
     }
 
@@ -186,17 +213,19 @@ impl ChunkLedger {
     /// filled and the duplicate discarded.
     pub fn offer(&mut self, b: usize, j: usize, data: Vec<f32>) -> bool {
         let slot = &mut self.slots[b * self.nr + j];
-        if slot.is_some() {
+        if !matches!(slot, Slot::Empty) {
             self.duplicates += 1;
             return false;
         }
-        *slot = Some(data);
+        *slot = Slot::Held(data);
+        self.held += 1;
+        self.peak_held = self.peak_held.max(self.held);
         true
     }
 
-    /// True once chunk `(b, j)` holds a copy.
+    /// True once chunk `(b, j)` holds a copy (held or already folded).
     pub fn has(&self, b: usize, j: usize) -> bool {
-        self.slots[b * self.nr + j].is_some()
+        !matches!(self.slots[b * self.nr + j], Slot::Empty)
     }
 
     /// Duplicate copies discarded so far.
@@ -204,8 +233,41 @@ impl ChunkLedger {
         self.duplicates
     }
 
-    /// Fixed-rank-order fold of batch `b`'s chunks into a scaled slab.
-    /// Panics if a slot is still empty — phase 2 guarantees it is not.
+    /// The most chunk buffers the ledger held at once, counting each
+    /// from its offer to its fold.
+    pub fn peak_held(&self) -> usize {
+        self.peak_held
+    }
+
+    /// Folds into `sum` — batch `b`'s slab, all zeros before its first
+    /// chunk — every held chunk of the batch whose predecessors in rank
+    /// order are already in, freeing each, and scales `sum` once its last
+    /// chunk is in.
+    pub fn fold_ready(&mut self, b: usize, sum: &mut [f32], scale: f32) {
+        let row = &mut self.slots[b * self.nr..(b + 1) * self.nr];
+        let first = self.folded[b];
+        let ready = row[first..]
+            .iter()
+            .take_while(|slot| matches!(slot, Slot::Held(_)))
+            .count();
+        let chunks = row[first..first + ready].iter_mut().map(|slot| {
+            match std::mem::replace(slot, Slot::Folded) {
+                Slot::Held(chunk) => chunk,
+                _ => unreachable!("counted as held"),
+            }
+        });
+        fold_chunks(sum, chunks);
+        self.held -= ready;
+        self.folded[b] += ready;
+        if ready > 0 && self.folded[b] == self.nr {
+            scale_sum(sum, scale);
+        }
+    }
+
+    /// Fixed-rank-order fold of batch `b`'s chunks into a fresh scaled
+    /// slab: the fold [`fold_ready`](Self::fold_ready) does, for a ledger
+    /// that holds every chunk of the batch and has folded none. Panics
+    /// otherwise.
     pub fn fold_batch(
         &self,
         b: usize,
@@ -215,31 +277,35 @@ impl ChunkLedger {
         z_begin: usize,
         scale: f32,
     ) -> Volume {
-        let slots = self.slots[b * self.nr..(b + 1) * self.nr].iter();
-        let chunks = slots.map(|slot| slot.as_deref().expect("every chunk was recovered"));
-        let slab = Volume::zeros_slab(nx, ny, nz, z_begin);
-        fold_chunks(slab, chunks, |c| c, scale)
+        let row = &self.slots[b * self.nr..(b + 1) * self.nr];
+        let chunks = row.iter().map(|slot| match slot {
+            Slot::Held(chunk) => chunk.as_slice(),
+            _ => panic!("batch {b} has a chunk missing or already folded"),
+        });
+        let mut slab = Volume::zeros_slab(nx, ny, nz, z_begin);
+        fold_chunks(slab.data_mut(), chunks);
+        scale_sum(slab.data_mut(), scale);
+        slab
     }
 }
 
-/// The one fixed-order fold: adds every chunk's `data` into `slab` in
-/// the order given — rank order at every call site — then scales, so the
-/// bits never depend on arrival or recovery history.
-fn fold_chunks<C>(
-    mut slab: Volume,
-    chunks: impl IntoIterator<Item = C>,
-    data: impl Fn(&C) -> &[f32],
-    scale: f32,
-) -> Volume {
+/// The one fixed-order fold: adds every chunk into `sum` in the order
+/// given — rank order at every call site — dropping each once it is in.
+/// Callers scale with [`scale_sum`] after the last chunk, so the bits
+/// never depend on arrival or recovery history.
+fn fold_chunks<C: AsRef<[f32]>>(sum: &mut [f32], chunks: impl IntoIterator<Item = C>) {
     for chunk in chunks {
-        for (acc, v) in slab.data_mut().iter_mut().zip(data(&chunk)) {
+        for (acc, v) in sum.iter_mut().zip(chunk.as_ref()) {
             *acc += *v;
         }
     }
-    for v in slab.data_mut() {
+}
+
+/// Scales a finished sum by the back-projection weight.
+fn scale_sum(sum: &mut [f32], scale: f32) {
+    for v in sum {
         *v *= scale;
     }
-    slab
 }
 
 /// The recompute-reply tag for chunk `(b, j)` in a group of `nr` ranks.
@@ -260,6 +326,10 @@ pub struct FaultTolerantOutcome {
     /// Snapshot of the run's metrics registry: per-rank `mpi.*` traffic
     /// and `ft.*` protocol counters — deterministic for a given plan.
     pub metrics: MetricsSnapshot,
+    /// The most chunk buffers any group leader that finished its
+    /// collection held at once ([`ChunkLedger::peak_held`]): 1 in a
+    /// fault-free run, where every chunk is folded as it lands.
+    pub peak_held_chunks: usize,
 }
 
 impl FaultTolerantOutcome {
@@ -316,6 +386,8 @@ struct FtCtx<'a> {
     /// `ft.chunks.deduped`, labelled with this rank — every duplicate
     /// chunk copy discarded by the ledger (speculation twins).
     chunk_duplicates: Counter,
+    /// The most chunk buffers any finished leader's ledger held at once.
+    peak_held: &'a AtomicUsize,
 }
 
 /// Checkpoint wiring handed to the root: storage endpoint, spec, and the
@@ -326,7 +398,7 @@ impl FtCtx<'_> {
     /// The partial sub-volume rank `j` of `group` owes for `task`:
     /// its projection share filtered and back-projected onto the batch
     /// slab. Pure — any rank can recompute any chunk, bit for bit.
-    fn compute_chunk(&self, group: usize, task: &SubVolumeTask, j: usize) -> Volume {
+    fn compute_chunk(&self, group: usize, task: &SubVolumeTask, j: usize) -> Vec<f32> {
         self.chunks_computed.inc();
         // Straggler channel: one compute op per chunk. A fired
         // SlowDevice sticks — this rank's device stays slow for the
@@ -354,15 +426,37 @@ impl FtCtx<'_> {
         let mut slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
         let mats = &self.mats[a.s_begin..a.s_end];
         host::run_backprojection(self.kernel, &part, mats, &mut slab);
-        slab
+        slab.into_data()
     }
 
-    /// A finished (summed + scaled) slab for `task`, recomputed from
-    /// scratch in fixed chunk order — the takeover path.
-    fn recompute_task(&self, group: usize, task: &SubVolumeTask) -> Volume {
-        let slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
+    /// The finished (summed + scaled) slab for `task`, recomputed from
+    /// scratch in fixed chunk order into `sum` — the takeover path. Each
+    /// chunk is freed as soon as it is folded.
+    fn recompute_task(&self, group: usize, task: &SubVolumeTask, sum: &mut [f32]) {
+        sum.fill(0.0);
         let chunks = (0..self.layout.nr).map(|j| self.compute_chunk(group, task, j));
-        fold_chunks(slab, chunks, Volume::data, self.scale)
+        fold_chunks(sum, chunks);
+        scale_sum(sum, self.scale);
+    }
+
+    /// Voxels per z-slice.
+    fn stride(&self) -> usize {
+        self.g.nx * self.g.ny
+    }
+
+    /// Where a group's batches live: the group's voxel range in the
+    /// volume, and each batch's span relative to that range. A group's
+    /// batches tile its z-range in order, so a slab is one contiguous
+    /// span.
+    fn batch_spans(&self, tasks: &[SubVolumeTask]) -> (Range<usize>, Vec<Range<usize>>) {
+        let stride = self.stride();
+        let z0 = tasks.first().map_or(0, |t| t.z_begin);
+        let spans: Vec<Range<usize>> = tasks
+            .iter()
+            .map(|t| (t.z_begin - z0) * stride..(t.z_begin - z0 + t.nz()) * stride)
+            .collect();
+        let len = spans.last().map_or(0, |s| s.end);
+        (z0 * stride..z0 * stride + len, spans)
     }
 
     /// The wire framing of chunk `b` of `task`: `(piece, tag, span)` per
@@ -373,7 +467,7 @@ impl FtCtx<'_> {
         b: usize,
         task: &SubVolumeTask,
     ) -> impl Iterator<Item = (usize, u64, Range<usize>)> {
-        let (nr, stride) = (self.layout.nr, self.g.nx * self.g.ny);
+        let (nr, stride) = (self.layout.nr, self.stride());
         let parts = segment_partition(task.nz(), self.pieces).into_iter();
         parts
             .enumerate()
@@ -473,6 +567,7 @@ pub fn fault_tolerant_reconstruct(
     let injector = FaultInjector::new(plan.clone());
     let recovery = RecoveryLog::new();
     let deadlines = derive_deadlines(config, layout);
+    let peak_held = AtomicUsize::new(0);
     let (results, network) = World::run_with_observability(
         layout.num_ranks(),
         injector.clone() as Arc<dyn FaultInject>,
@@ -501,6 +596,7 @@ pub fn fault_tolerant_reconstruct(
                 chunks_computed: registry.rank_counter("ft.chunks.computed", comm.rank()),
                 integrity_failures: registry.rank_counter("integrity.mpi.failures", comm.rank()),
                 chunk_duplicates: registry.rank_counter("ft.chunks.deduped", comm.rank()),
+                peak_held: &peak_held,
             };
             let assign = layout.assignment(g, comm.rank());
             if comm.rank() == 0 {
@@ -525,6 +621,7 @@ pub fn fault_tolerant_reconstruct(
         network,
         recovery: recovery.events(),
         metrics: registry.snapshot(),
+        peak_held_chunks: peak_held.into_inner(),
     })
 }
 
@@ -573,7 +670,7 @@ fn serve(
         if let Some(payload) = poll(comm, leader, CTRL_TAG)? {
             let (b, j) = decode_ctrl(&payload);
             let chunk = ctx.compute_chunk(group, &decomp.tasks()[b], j);
-            let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), chunk.data());
+            let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), &chunk);
         }
         if let Some(payload) = poll(comm, 0, TAKEOVER_TAG)? {
             // Deputy leader: recompute the dead leader's slabs (every
@@ -581,9 +678,10 @@ fn serve(
             // have produced) and ship them to the root.
             let group = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
             for task in ctx.group_decomp(group).tasks() {
-                let slab = ctx.recompute_task(group, task);
+                let mut slab = vec![0.0; task.nz() * ctx.stride()];
+                ctx.recompute_task(group, task, &mut slab);
                 let tag = TAKEOVER_SLAB_TAG + task.z_begin as u64;
-                let _ = comm.send_f32_checked(0, tag, slab.data());
+                let _ = comm.send_f32_checked(0, tag, &slab);
             }
         }
         if poll(comm, 0, SHUTDOWN_TAG)?.is_some() {
@@ -612,39 +710,51 @@ fn send_chunk(
     leader: usize,
     b: usize,
     task: &SubVolumeTask,
-    chunk: &Volume,
+    chunk: &[f32],
 ) {
     for (_, tag, span) in ctx.pieces_of(b, task) {
-        let _ = comm.send_f32_checked(leader, tag, &chunk.data()[span]);
+        let _ = comm.send_f32_checked(leader, tag, &chunk[span]);
+    }
+}
+
+/// A worker chunk on its way in: its buffer, and which pieces have landed.
+struct PartialChunk {
+    data: Vec<f32>,
+    got: Vec<bool>,
+}
+
+impl PartialChunk {
+    /// An empty chunk of `task`'s size. The zeroed buffer is only backed
+    /// by memory once pieces land in it.
+    fn new(ctx: &FtCtx, task: &SubVolumeTask) -> Self {
+        PartialChunk {
+            data: vec![0.0; task.nz() * ctx.stride()],
+            got: vec![false; ctx.pieces],
+        }
     }
 }
 
 /// Leader-side receive of one worker chunk: awaits every still-missing
-/// piece, each within `timeout`, then joins them — a one-piece chunk is
-/// moved, not copied. Pieces already received survive a miss, so a retry
-/// re-awaits only what is actually missing.
+/// piece, each within `timeout`, verifying and decoding it straight into
+/// its span of the chunk's buffer, then hands the buffer over. Pieces
+/// already received survive a miss, so a retry re-awaits only what is
+/// actually missing.
 fn recv_chunk_pieces(
     comm: &mut Communicator,
     ctx: &FtCtx,
     from: usize,
     b: usize,
     task: &SubVolumeTask,
-    pieces: &mut [Option<Vec<f32>>],
+    chunk: &mut PartialChunk,
     timeout: Duration,
 ) -> Result<Vec<f32>, CommError> {
-    for (s, tag, _) in ctx.pieces_of(b, task) {
-        if pieces[s].is_none() {
-            pieces[s] = Some(comm.recv_f32_checked_timeout(from, tag, timeout)?);
+    for (s, tag, span) in ctx.pieces_of(b, task) {
+        if !chunk.got[s] {
+            comm.recv_f32_checked_into(from, tag, timeout, &mut chunk.data[span])?;
+            chunk.got[s] = true;
         }
     }
-    let joined = pieces
-        .iter_mut()
-        .filter_map(Option::take)
-        .reduce(|mut chunk, piece| {
-            chunk.extend_from_slice(&piece);
-            chunk
-        });
-    Ok(joined.unwrap_or_default())
+    Ok(std::mem::take(&mut chunk.data))
 }
 
 /// How a wait on one peer's deadline ladder ended.
@@ -726,7 +836,7 @@ fn await_chunk_speculatively(
     let me = ctx.me;
     let nr = ctx.layout.nr;
     let from = group * nr + j;
-    let mut pieces = vec![None; ctx.pieces];
+    let mut pieces = PartialChunk::new(ctx, task);
     let mut spec_from: Option<usize> = None; // world rank owing the speculative copy
     let awaited = await_peer(
         comm,
@@ -839,7 +949,7 @@ fn requeue(
         chunk: b,
     });
     if target == ctx.me {
-        return Some(ctx.compute_chunk(group, task, j).data().to_vec());
+        return Some(ctx.compute_chunk(group, task, j));
     }
     comm.send(target, CTRL_TAG, encode_ctrl(b, j));
     None
@@ -847,32 +957,37 @@ fn requeue(
 
 /// Group-leader collection: gather every batch's chunks from the group's
 /// workers (speculating against stragglers, detecting dead ones),
-/// requeue missing chunks onto survivors, then sum in fixed rank order
-/// and scale. `None` means this leader was itself killed mid-collection.
+/// requeue missing chunks onto survivors, folding each chunk into `out`
+/// — the group's range of the volume, all zeros on entry — in fixed rank
+/// order as soon as the chunks before it are in, and scaling each batch
+/// once its last chunk is in. `None` means this leader was itself killed
+/// mid-collection.
 fn ft_collect_group_as_leader(
     comm: &mut Communicator,
     ctx: &FtCtx,
     group: usize,
-) -> Option<Vec<Volume>> {
+    out: &mut [f32],
+) -> Option<()> {
     let nr = ctx.layout.nr;
     let decomp = ctx.group_decomp(group);
     let tasks = decomp.tasks();
+    let (_, spans) = ctx.batch_spans(tasks);
     let mut ledger = ChunkLedger::new(tasks.len(), nr);
     let mut dead: BTreeSet<usize> = BTreeSet::new();
 
     // Phase 1: own chunks + collection with straggler speculation and
-    // failure detection.
+    // failure detection. Batch b's chunks are awaited before batch b+1
+    // is computed; each is folded as soon as its predecessors are in.
     for (b, task) in tasks.iter().enumerate() {
-        ledger.offer(b, 0, ctx.compute_chunk(group, task, 0).data().to_vec());
+        let sum = &mut out[spans[b].clone()];
+        ledger.offer(b, 0, ctx.compute_chunk(group, task, 0));
+        ledger.fold_ready(b, sum, ctx.scale);
         for j in 1..nr {
             if dead.contains(&j) {
                 continue; // requeued in phase 2
             }
-            if await_chunk_speculatively(comm, ctx, group, b, task, j, &mut dead, &mut ledger)
-                .is_err()
-            {
-                return None;
-            }
+            await_chunk_speculatively(comm, ctx, group, b, task, j, &mut dead, &mut ledger).ok()?;
+            ledger.fold_ready(b, sum, ctx.scale);
         }
     }
 
@@ -909,20 +1024,15 @@ fn ft_collect_group_as_leader(
             if !ledger.offer(b, j, data) {
                 ctx.chunk_duplicates.inc();
             }
+            ledger.fold_ready(b, &mut out[spans[b].clone()], ctx.scale);
         }
     }
-
-    // Phase 3: fixed-order summation + scaling. The order never depends
-    // on arrival or recovery history, so results are bitwise stable.
-    Some(
-        tasks
-            .iter()
-            .enumerate()
-            .map(|(b, task)| {
-                ledger.fold_batch(b, ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin, ctx.scale)
-            })
-            .collect(),
-    )
+    // Every slot is filled, so every batch is folded and scaled; the
+    // fold order never depended on arrival or recovery history.
+    debug_assert!((0..tasks.len()).all(|b| (0..nr).all(|j| ledger.has(b, j))));
+    ctx.peak_held
+        .fetch_max(ledger.peak_held(), Ordering::Relaxed);
+    Some(())
 }
 
 /// The next healthy worker after `j` in cyclic group order: the
@@ -937,11 +1047,14 @@ fn next_survivor(j: usize, nr: usize, dead: &BTreeSet<usize>) -> Option<usize> {
 
 fn ft_leader(comm: &mut Communicator, ctx: &FtCtx) {
     let group = ctx.layout.assignment(ctx.g, comm.rank()).group;
-    let Some(finished) = ft_collect_group_as_leader(comm, ctx, group) else {
+    let decomp = ctx.group_decomp(group);
+    let (range, spans) = ctx.batch_spans(decomp.tasks());
+    let mut sums = vec![0.0; range.len()];
+    if ft_collect_group_as_leader(comm, ctx, group, &mut sums).is_none() {
         return dead_wait(comm);
-    };
-    for slab in &finished {
-        let _ = comm.send_f32_checked(0, SLAB_TAG + slab.z_offset() as u64, slab.data());
+    }
+    for (task, span) in decomp.tasks().iter().zip(spans) {
+        let _ = comm.send_f32_checked(0, SLAB_TAG + task.z_begin as u64, &sums[span]);
     }
     if comm.self_failed() {
         return dead_wait(comm);
@@ -988,9 +1101,9 @@ fn ft_root_inner(
     let mut out = Volume::zeros(ctx.g.nx, ctx.g.ny, ctx.g.nz);
     let mut pending: Vec<Volume> = Vec::new();
     for group in 0..ctx.layout.ng {
-        let ranges: Vec<(usize, usize)> = ctx
-            .group_decomp(group)
-            .tasks()
+        let decomp = ctx.group_decomp(group);
+        let tasks = decomp.tasks();
+        let ranges: Vec<(usize, usize)> = tasks
             .iter()
             .map(|t| (t.z_begin, t.z_begin + t.nz()))
             .collect();
@@ -1010,17 +1123,23 @@ fn ft_root_inner(
             continue;
         }
 
-        let slabs = if group == 0 {
+        // Both paths fill the group's range of `out` in place: group 0's
+        // chunks are folded straight into it, and remote slabs are
+        // received straight into it.
+        let (range, spans) = ctx.batch_spans(tasks);
+        let sums = &mut out.data_mut()[range];
+        if group == 0 {
             // Rank 0 leads group 0 itself; collection returns `None`
             // only when the collecting rank is killed.
-            ft_collect_group_as_leader(comm, ctx, 0)
-                .ok_or_else(|| root_failed("killed while leading group 0"))?
+            ft_collect_group_as_leader(comm, ctx, 0, sums)
+                .ok_or_else(|| root_failed("killed while leading group 0"))?;
         } else {
-            ft_collect_group_slabs(comm, ctx, group)?
-        };
-        for slab in slabs {
-            out.paste_slab(&slab);
-            if let Some((s, spec)) = store.as_mut() {
+            ft_collect_group_slabs(comm, ctx, group, sums)?;
+        }
+        if let Some((s, spec)) = store.as_mut() {
+            for (task, span) in tasks.iter().zip(spans) {
+                let mut slab = Volume::zeros_slab(ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin);
+                slab.data_mut().copy_from_slice(&sums[span]);
                 commit_slab(s, spec, &mut pending, slab)?;
             }
         }
@@ -1028,45 +1147,45 @@ fn ft_root_inner(
     Ok(out)
 }
 
-/// Root-side collection of one remote group's finished slabs, degrading
-/// through the group's leader set: original leader → deputies in rank
-/// order → the root itself. A provider declared dead forfeits its partial
-/// slabs; the successor resends the full set, bit-identical.
+/// Root-side collection of one remote group's finished slabs straight
+/// into `out`, the group's range of the volume, degrading through the
+/// group's leader set: original leader → deputies in rank order → the
+/// root itself. A provider declared dead forfeits its partial slabs; the
+/// successor resends the full set, bit-identical, over them.
 fn ft_collect_group_slabs(
     comm: &mut Communicator,
     ctx: &FtCtx,
     group: usize,
-) -> Result<Vec<Volume>, ReconstructionError> {
+    out: &mut [f32],
+) -> Result<(), ReconstructionError> {
     let nr = ctx.layout.nr;
     let leader = group * nr;
     let decomp = ctx.group_decomp(group);
     let tasks = decomp.tasks();
+    let (_, spans) = ctx.batch_spans(tasks);
 
     let mut provider = leader;
     let mut tag_base = SLAB_TAG;
     loop {
-        let mut slabs = Vec::with_capacity(tasks.len());
-        for task in tasks {
+        let mut received = 0;
+        for (task, span) in tasks.iter().zip(&spans) {
             let tag = tag_base + task.z_begin as u64;
+            let slab = &mut out[span.clone()];
             match await_peer(
                 comm,
                 ctx,
                 provider,
                 ctx.deadlines.slab,
                 format_args!("slab z{}", task.z_begin),
-                |comm, deadline, _| comm.recv_f32_checked_timeout(provider, tag, deadline),
+                |comm, deadline, _| comm.recv_f32_checked_into(provider, tag, deadline, slab),
             ) {
-                Awaited::Got(data) => {
-                    let mut slab = Volume::zeros_slab(ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin);
-                    slab.data_mut().copy_from_slice(&data);
-                    slabs.push(slab);
-                }
+                Awaited::Got(()) => received += 1,
                 Awaited::Dead => break,
                 Awaited::Failed(e) => return Err(root_failed(e)),
             }
         }
-        if slabs.len() == tasks.len() {
-            return Ok(slabs);
+        if received == tasks.len() {
+            return Ok(());
         }
         let next = provider + 1;
         if next >= leader + nr {
@@ -1076,19 +1195,16 @@ fn ft_collect_group_slabs(
                 dead_leader: provider,
                 new_leader: 0,
             });
-            return Ok(tasks
-                .iter()
-                .enumerate()
-                .map(|(b, task)| {
-                    ctx.recovery.record(RecoveryEvent::WorkRequeued {
-                        group,
-                        from_rank: provider,
-                        to_rank: 0,
-                        chunk: b,
-                    });
-                    ctx.recompute_task(group, task)
-                })
-                .collect());
+            for (b, (task, span)) in tasks.iter().zip(spans).enumerate() {
+                ctx.recovery.record(RecoveryEvent::WorkRequeued {
+                    group,
+                    from_rank: provider,
+                    to_rank: 0,
+                    chunk: b,
+                });
+                ctx.recompute_task(group, task, &mut out[span]);
+            }
+            return Ok(());
         }
         ctx.recovery.record(RecoveryEvent::LeaderSetDegraded {
             group,
@@ -1406,6 +1522,49 @@ mod tests {
         }
     }
 
+    /// The leader folds each chunk as it lands: fault-free, with
+    /// N_r = 3 and N_c = 8, it never holds more than one chunk buffer
+    /// (a ledger that folds at the end holds all 24). When rank 1's first
+    /// chunk is dropped, rank 1 is declared dead and its chunks wait for
+    /// phase 2, so each batch it owes holds rank 2's chunk until then:
+    /// only rows of unfinished batches are held, at most one chunk per
+    /// batch plus the one landing, and the volume keeps its bits.
+    #[test]
+    fn leader_holds_only_chunks_of_unfinished_batches() {
+        let _serial = crate::TIMING_TEST_LOCK.lock();
+        let g = CbctGeometry::ideal(16, 16, 24, 20);
+        let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
+        let (nr, nc) = (3, 8);
+        let layout = RankLayout::new(nr, 1, nc);
+        let cfg = FdkConfig::new(g).with_nc(nc);
+        let clean = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None).unwrap();
+        assert_eq!(
+            clean.peak_held_chunks, 1,
+            "fault-free leader held more than one chunk"
+        );
+        assert!(clean.peak_held_chunks <= nr);
+
+        let plan = FaultPlan::from_events(vec![scalefbp_faults::FaultEvent {
+            rank: 1,
+            channel: Channel::Send,
+            op_index: 0,
+            kind: FaultKind::MessageDrop,
+        }]);
+        let dropped = fault_tolerant_reconstruct(&cfg, layout, &p, &plan, None).unwrap();
+        assert_eq!(dropped.volume.data(), clean.volume.data());
+        assert!(
+            dropped
+                .recovery
+                .iter()
+                .any(|e| matches!(e, RecoveryEvent::RankDeclaredDead { rank: 1, .. })),
+            "{:?}",
+            dropped.recovery
+        );
+        let held = dropped.peak_held_chunks;
+        assert!(held > 1, "no chunk waited for rank 1's: {held}");
+        assert!(held <= (nr - 2) * nc + 1, "held {held} chunks");
+    }
+
     #[test]
     fn chunk_ledger_first_copy_wins_and_folds_in_rank_order() {
         let mut ledger = ChunkLedger::new(1, 2);
@@ -1418,5 +1577,37 @@ mod tests {
         assert!(ledger.offer(0, 0, vec![0.5; 4]));
         let slab = ledger.fold_batch(0, 2, 2, 1, 0, 2.0);
         assert_eq!(slab.data(), &[3.0; 4]);
+    }
+
+    /// Folding as chunks land gives `fold_batch`'s bits whatever the
+    /// arrival order: a chunk that lands ahead of a predecessor is held,
+    /// and folds (and is freed) the moment the gap closes; a late twin of
+    /// a folded chunk is still counted and discarded.
+    #[test]
+    fn chunk_ledger_folds_as_chunks_land() {
+        let chunk = |j: usize| -> Vec<f32> { (0..4).map(|i| 0.1 * (i + 7 * j) as f32).collect() };
+        let mut whole = ChunkLedger::new(1, 3);
+        for j in 0..3 {
+            whole.offer(0, j, chunk(j));
+        }
+        let want = whole.fold_batch(0, 2, 2, 1, 0, 0.75);
+
+        let mut ledger = ChunkLedger::new(1, 3);
+        let mut sum = vec![0.0f32; 4];
+        ledger.offer(0, 2, chunk(2));
+        ledger.fold_ready(0, &mut sum, 0.75);
+        assert_eq!(sum, vec![0.0; 4], "rank 2 waits for 0 and 1");
+        ledger.offer(0, 0, chunk(0));
+        ledger.fold_ready(0, &mut sum, 0.75);
+        assert_eq!(sum, chunk(0), "rank 0 is in, unscaled; rank 2 still waits");
+        assert!(!ledger.offer(0, 0, chunk(0)), "late twin of a folded chunk");
+        ledger.offer(0, 1, chunk(1));
+        ledger.fold_ready(0, &mut sum, 0.75);
+        assert_eq!(sum, want.data());
+        assert_eq!(ledger.peak_held(), 2);
+        assert_eq!(ledger.duplicates(), 1);
+        // A complete batch is never scaled twice.
+        ledger.fold_ready(0, &mut sum, 0.75);
+        assert_eq!(sum, want.data());
     }
 }

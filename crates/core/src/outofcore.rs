@@ -526,8 +526,9 @@ impl<'a> Stages<'a> {
     /// alloc, the rows' h2d, the kernel and its launch, the slab's d2h
     /// (alloc and transfers under retry), and the FDK normalisation.
     /// Returns the slab and the batch's record, with `load_secs`. A slab
-    /// no voxel of which passes the depth guard is refused: a validated
-    /// geometry reaches that only when its distances overflow `f32`.
+    /// no voxel of which passes the depth guard is refused. Geometry
+    /// validation refuses the distances known to reach that (ones too
+    /// large for `f32` arithmetic), so the guard is a second line.
     pub(crate) fn backproject(
         &self,
         task: &SubVolumeTask,
@@ -912,17 +913,18 @@ mod tests {
         ));
     }
 
-    /// Distances that validate in `f64` but overflow `f32` make every
-    /// matrix row infinite, so no voxel passes the depth guard: both
-    /// schedules refuse the first slab instead of charging an empty
-    /// launch and writing zeros.
+    /// Matrices built from distances that overflow `f32` have infinite
+    /// rows, so no voxel passes the depth guard: both schedules refuse
+    /// the first slab instead of charging an empty launch and writing
+    /// zeros. Validation refuses such a geometry, so the test swaps it
+    /// in after planning a validated one.
     #[test]
     fn slab_without_updates_is_refused() {
-        let mut g = CbctGeometry::ideal(8, 8, 8, 8);
-        (g.dso, g.dsd) = (1e39, 2e39);
-        g.validate().unwrap();
+        let g = CbctGeometry::ideal(8, 8, 8, 8);
         let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
-        let rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
+        let mut rec = OutOfCoreReconstructor::new(FdkConfig::new(g)).unwrap();
+        (rec.config.geometry.dso, rec.config.geometry.dsd) = (1e39, 2e39);
+        assert!(rec.config.geometry.validate().is_err());
         for schedule in [Schedule::Serial, Schedule::Overlapped] {
             match rec.reconstruct(&p, schedule) {
                 Err(ReconstructionError::Input(what)) => {

@@ -9,6 +9,10 @@ pub enum GeometryError {
     ZeroDimension(&'static str),
     /// A length, pitch or correction offset is NaN or infinite.
     NonFinite(&'static str),
+    /// A length, pitch or correction offset is finite in f64 but too
+    /// large for the f32 arithmetic of the projection matrices and
+    /// kernels, which square it: `|value| > √f32::MAX ≈ 1.8e19`.
+    OverflowsF32 { name: &'static str, value: f64 },
     /// A physical length (distance or pitch) is not strictly positive.
     NonPositiveLength(&'static str),
     /// The detector must sit beyond the rotation axis: `Dsd > Dso`.
@@ -23,6 +27,12 @@ impl std::fmt::Display for GeometryError {
         match self {
             GeometryError::ZeroDimension(name) => write!(f, "dimension `{name}` must be nonzero"),
             GeometryError::NonFinite(name) => write!(f, "`{name}` must be finite"),
+            GeometryError::OverflowsF32 { name, value } => write!(
+                f,
+                "`{name}` = {value:e} overflows f32 arithmetic (|value| must be ≤ {:.3e}, \
+                 so that its square stays finite in f32)",
+                f32_square_limit()
+            ),
             GeometryError::NonPositiveLength(name) => {
                 write!(f, "length `{name}` must be strictly positive")
             }
@@ -39,6 +49,13 @@ impl std::fmt::Display for GeometryError {
 }
 
 impl std::error::Error for GeometryError {}
+
+/// The largest magnitude whose square is finite in f32: `√f32::MAX`.
+/// Past it the kernels' squared distances turn into ∞ and the volume
+/// into NaN (and past `f32::MAX` the values themselves do).
+fn f32_square_limit() -> f64 {
+    (f32::MAX as f64).sqrt()
+}
 
 /// The full parameter set of a cone-beam CT system (Table 1 of the paper).
 ///
@@ -148,6 +165,9 @@ impl CbctGeometry {
         for &(v, name) in lengths.iter().chain(&offsets) {
             if !v.is_finite() {
                 return Err(GeometryError::NonFinite(name));
+            }
+            if v.abs() > f32_square_limit() {
+                return Err(GeometryError::OverflowsF32 { name, value: v });
             }
         }
         for (v, name) in lengths {
@@ -303,6 +323,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Distances finite in f64 but too large for the kernels' f32
+    /// arithmetic are refused: past `f32::MAX` (1e39) and past the
+    /// square root of it (1e20) every voxel came out NaN.
+    #[test]
+    fn values_overflowing_f32_rejected() {
+        let mut g = CbctGeometry::ideal(16, 30, 24, 24);
+        g.dso = 1e39;
+        g.dsd = 2e39;
+        assert_eq!(
+            g.validate(),
+            Err(GeometryError::OverflowsF32 {
+                name: "dso",
+                value: 1e39
+            })
+        );
+        let mut g = CbctGeometry::ideal(16, 30, 24, 24);
+        g.sigma_cor = -1e39;
+        assert!(matches!(
+            g.validate(),
+            Err(GeometryError::OverflowsF32 {
+                name: "sigma_cor",
+                ..
+            })
+        ));
+        let mut g = CbctGeometry::ideal(16, 30, 24, 24);
+        (g.dso, g.dsd) = (1e20, 2e20);
+        assert!(matches!(
+            g.validate(),
+            Err(GeometryError::OverflowsF32 { name: "dso", .. })
+        ));
+        // At the limit the square is still finite, and the value passes.
+        let mut g = CbctGeometry::ideal(16, 30, 24, 24);
+        (g.dso, g.dsd) = (1e19, 1.8e19);
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

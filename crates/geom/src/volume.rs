@@ -111,6 +111,11 @@ impl Volume {
         &mut self.data
     }
 
+    /// Unwraps the voxel buffer, dropping the shape.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// One contiguous local Z slice.
     pub fn slice(&self, k: usize) -> &[f32] {
         assert!(k < self.nz, "slice {k} out of {}", self.nz);

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use scalefbp_faults::{apply_bit_flip, open_frame, seal_frame, Channel, FaultInject, FaultKind};
+use scalefbp_faults::{apply_bit_flip, open_frame, Channel, Crc32, FaultInject, FaultKind};
 use scalefbp_obs::{Counter, MetricValue, MetricsRegistry};
 
 /// Communication failures surfaced to fault-aware callers.
@@ -446,14 +446,15 @@ impl Communicator {
         decode_f32(&bytes).expect("payload is not an f32 array")
     }
 
-    /// Integrity-checked f32 send: seals the encoded payload in a CRC-32
-    /// frame before transmission. Injection on [`Channel::Corrupt`] flips
-    /// one seeded bit of the sealed frame *after* sealing, modelling
-    /// on-the-wire corruption the receiver's checksum must catch. Used by
-    /// the fault-tolerant data plane; the raw [`send_f32`](Self::send_f32)
-    /// path and the collectives keep their unsealed framing.
+    /// Integrity-checked f32 send: encodes and seals the payload in a
+    /// CRC-32 frame in one pass ([`seal_f32`]) before transmission.
+    /// Injection on [`Channel::Corrupt`] flips one seeded bit of the
+    /// sealed frame *after* sealing, modelling on-the-wire corruption the
+    /// receiver's checksum must catch. Used by the fault-tolerant data
+    /// plane; the raw [`send_f32`](Self::send_f32) path and the
+    /// collectives keep their unsealed framing.
     pub fn send_f32_checked(&self, to: usize, tag: u64, data: &[f32]) -> Result<(), CommError> {
-        let mut frame = seal_frame(&encode_f32(data));
+        let mut frame = seal_f32(data);
         let me = self.world_rank();
         if let Some(FaultKind::BitFlip { seed }) = self.network.injector.on_op(me, Channel::Corrupt)
         {
@@ -462,19 +463,47 @@ impl Communicator {
         self.try_send(to, tag, frame)
     }
 
-    /// Integrity-checked f32 receive with a deadline. Verifies the CRC-32
-    /// seal before decoding; a mismatch is reported as
-    /// [`CommError::IntegrityFailure`] and the corrupt frame is consumed —
-    /// callers recover exactly as they would from a dropped message.
+    /// Integrity-checked f32 receive with a deadline, into a fresh
+    /// vector: [`recv_sealed`](Self::recv_sealed), then a decode.
     pub fn recv_f32_checked_timeout(
         &mut self,
         from: usize,
         tag: u64,
         timeout: Duration,
     ) -> Result<Vec<f32>, CommError> {
+        let frame = self.recv_sealed(from, tag, timeout)?;
+        decode_f32(&frame[4..])
+    }
+
+    /// Integrity-checked f32 receive with a deadline, straight into the
+    /// caller's `dst`: [`recv_sealed`](Self::recv_sealed), then a decode
+    /// into place. A payload whose length is not `dst.len()` values is
+    /// [`CommError::MalformedFrame`]. On any error `dst` is untouched.
+    pub fn recv_f32_checked_into(
+        &mut self,
+        from: usize,
+        tag: u64,
+        timeout: Duration,
+        dst: &mut [f32],
+    ) -> Result<(), CommError> {
+        let frame = self.recv_sealed(from, tag, timeout)?;
+        decode_f32_into(&frame[4..], dst)
+    }
+
+    /// The one integrity-checked receive: awaits `(from, tag)` within
+    /// `timeout` and verifies the CRC-32 seal, returning the whole frame
+    /// (payload from byte 4). A mismatch is reported as
+    /// [`CommError::IntegrityFailure`] and the corrupt frame is consumed —
+    /// callers recover exactly as they would from a dropped message.
+    fn recv_sealed(
+        &mut self,
+        from: usize,
+        tag: u64,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, CommError> {
         let frame = self.recv_timeout(from, tag, timeout)?;
         match open_frame(&frame) {
-            Ok(payload) => decode_f32(payload),
+            Ok(_) => Ok(frame),
             Err(e) => Err(CommError::IntegrityFailure {
                 from,
                 tag,
@@ -841,26 +870,71 @@ impl Communicator {
     }
 }
 
+/// Values encoded per step of [`seal_f32`]: 16 KiB of payload, so the
+/// checksum reads each block while the encoder's writes are still in L1.
+const SEAL_BLOCK: usize = 4096;
+
+/// Appends `data` to `out` as little-endian f32 bytes.
+fn put_f32_le(out: &mut Vec<u8>, data: &[f32]) {
+    let start = out.len();
+    out.resize(start + data.len() * 4, 0);
+    for (b, v) in out[start..].chunks_exact_mut(4).zip(data) {
+        b.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Encodes an f32 slice as a little-endian payload.
 fn encode_f32(data: &[f32]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32_le(&mut bytes, data);
     bytes
+}
+
+/// Encodes and seals `data` as `[crc32 u32-le][f32-le payload]` in one
+/// pass: each block is encoded into the frame and checksummed while it is
+/// cache-hot. The bytes are those of `seal_frame(&encode_f32(data))`,
+/// without the intermediate payload copy.
+fn seal_f32(data: &[f32]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + data.len() * 4);
+    frame.extend_from_slice(&[0; 4]);
+    let mut crc = Crc32::new();
+    for block in data.chunks(SEAL_BLOCK) {
+        let start = frame.len();
+        put_f32_le(&mut frame, block);
+        crc.update(&frame[start..]);
+    }
+    frame[..4].copy_from_slice(&crc.finish().to_le_bytes());
+    frame
 }
 
 /// Decodes a little-endian f32 payload, rejecting ragged lengths.
 fn decode_f32(bytes: &[u8]) -> Result<Vec<f32>, CommError> {
+    let mut out = vec![0.0; bytes.len() / 4];
+    decode_f32_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a little-endian f32 payload into `dst`, which it must fill
+/// exactly; on a ragged or mismatched length `dst` is untouched.
+fn decode_f32_into(bytes: &[u8], dst: &mut [f32]) -> Result<(), CommError> {
     if bytes.len() % 4 != 0 {
         return Err(CommError::MalformedFrame {
             detail: format!("f32 payload length {} is not a multiple of 4", bytes.len()),
         });
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    if bytes.len() / 4 != dst.len() {
+        return Err(CommError::MalformedFrame {
+            detail: format!(
+                "f32 payload of {} values, expected {}",
+                bytes.len() / 4,
+                dst.len()
+            ),
+        });
+    }
+    for (v, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    Ok(())
 }
 
 /// Deserializes the `(color, key, rank)` triples allgathered by
@@ -1103,6 +1177,66 @@ mod tests {
             }
         });
         assert_eq!(results[1].as_deref(), Ok(&[1.0, -2.0, 3.5][..]));
+    }
+
+    /// The one-pass seal writes the bytes of the two-pass
+    /// `seal_frame(&encode_f32(..))`, across block edges.
+    #[test]
+    fn one_pass_seal_matches_seal_of_encoding() {
+        for n in [
+            0,
+            1,
+            3,
+            SEAL_BLOCK - 1,
+            SEAL_BLOCK,
+            SEAL_BLOCK + 5,
+            3 * SEAL_BLOCK,
+        ] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 * -0.75 + 0.125).collect();
+            assert_eq!(
+                seal_f32(&data),
+                scalefbp_faults::seal_frame(&encode_f32(&data)),
+                "n = {n}"
+            );
+        }
+    }
+
+    /// A checked receive lands in the caller's slice; a frame of the
+    /// wrong length or a corrupt one leaves the slice untouched.
+    #[test]
+    fn checked_receive_lands_in_place_or_not_at_all() {
+        use scalefbp_faults::{FaultEvent, FaultInjector, FaultPlan};
+        use std::time::Duration;
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            rank: 0,
+            channel: Channel::Corrupt,
+            op_index: 1,
+            kind: FaultKind::BitFlip { seed: 3 },
+        }]);
+        let (results, _) = World::run_with_faults(2, FaultInjector::new(plan), |mut c| {
+            if c.rank() == 0 {
+                c.send_f32_checked(1, 1, &[1.0, 2.0]).unwrap(); // wrong length
+                c.send_f32_checked(1, 2, &[5.0, 6.0, 7.0]).unwrap(); // corrupted
+                c.send_f32_checked(1, 3, &[-1.5, 0.0, 9.0]).unwrap();
+                return Ok::<_, CommError>(vec![]);
+            }
+            let t = Duration::from_secs(2);
+            let mut dst = vec![4.0f32; 5];
+            let short = c.recv_f32_checked_into(0, 1, t, &mut dst[1..4]);
+            assert!(
+                matches!(short, Err(CommError::MalformedFrame { .. })),
+                "{short:?}"
+            );
+            let bad = c.recv_f32_checked_into(0, 2, t, &mut dst[1..4]);
+            assert!(
+                matches!(bad, Err(CommError::IntegrityFailure { .. })),
+                "{bad:?}"
+            );
+            assert_eq!(dst, vec![4.0; 5]);
+            c.recv_f32_checked_into(0, 3, t, &mut dst[1..4])?;
+            Ok(dst)
+        });
+        assert_eq!(results[1].as_deref(), Ok(&[4.0, -1.5, 0.0, 9.0, 4.0][..]));
     }
 
     #[test]
