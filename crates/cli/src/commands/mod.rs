@@ -328,12 +328,6 @@ fn open_scan(path: &Path) -> Result<ScanFile, CliError> {
     ScanFile::open(path).map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
 }
 
-/// The whole scan of `file`, for the drivers that take it in memory.
-fn read_scan(file: &ScanFile, path: &Path) -> Result<ProjectionStack, CliError> {
-    file.read_all()
-        .map_err(|e| CliError::Message(format!("{}: {e}", path.display())))
-}
-
 /// The geometry sidecar of `scan`: `--geom` when given, otherwise the
 /// `.geom` file written next to the scan.
 fn read_geometry(args: &mut Args, scan: &Path) -> Result<CbctGeometry, CliError> {
@@ -354,7 +348,9 @@ fn load_or_synthesize(
     if let Some(scan) = args.opt("scan") {
         let scan_path = PathBuf::from(scan);
         let geom = read_geometry(args, &scan_path)?;
-        let projections = read_scan(&open_scan(&scan_path)?, &scan_path)?;
+        let projections = open_scan(&scan_path)?
+            .read_all()
+            .map_err(|e| CliError::Message(format!("{}: {e}", scan_path.display())))?;
         Ok((geom, projections, format!("{}", scan_path.display())))
     } else {
         let _ = args.opt("geom");
@@ -445,8 +441,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
         .with_backend(backend);
     let (volume, detail, trace_json, metrics) = match mode.as_str() {
         "incore" => {
-            let projections = read_scan(&scan, &scan_path)?;
-            let v = fdk_reconstruct_configured(&cfg, &projections, slab)?;
+            let v = fdk_reconstruct_configured(&cfg, &scan, slab)?;
             let what = match slab {
                 Some((z0, z1)) => format!("ROI slab [{z0}, {z1})"),
                 None => "in-core".to_string(),
@@ -500,7 +495,6 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             )
         }
         "distributed" => {
-            let projections = read_scan(&scan, &scan_path)?;
             let nr: usize = args.typed_or("nr", 2, "integer")?;
             let ng: usize = args.typed_or("ng", 2, "integer")?;
             let world = nr.saturating_mul(ng);
@@ -515,7 +509,7 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             let out = fault_tolerant_reconstruct(
                 &cfg,
                 RankLayout { nr, ng, nc: 2 },
-                &projections,
+                &scan,
                 &plan,
                 checkpoint.as_ref().map(|(ep, spec)| (ep, spec)),
             )?;

@@ -732,35 +732,97 @@ fn non_finite_sidecar_geometry_is_refused() {
 #[test]
 fn f32_overflowing_sidecar_geometry_is_refused_by_every_mode() {
     let (dir, scan) = ideal_scan("f32overflow", "12");
+    sidecar_distances_are_refused_by_every_mode(
+        &dir,
+        &scan,
+        "1e39",
+        "2e39",
+        "`dso` = 1e39 overflows f32",
+    );
+}
+
+/// Sidecar distances that validate in f32 but magnify extremely. At
+/// `dso = 100`, `dsd = 1.8e19` no slice projects onto the detector, so
+/// every `--mode` exits 1 with one message and no panic. At `dso = 1e18`,
+/// `dsd = 1.8e19` adjacent slices' rows leave a gap, as on any z grid
+/// coarser than the detector's rows: every mode reconstructs it, with
+/// the in-core bits.
+#[test]
+fn extreme_magnification_sidecars_are_refused_or_reconstruct_alike() {
+    let (dir, scan) = ideal_scan("magnification", "12");
+    sidecar_distances_are_refused_by_every_mode(&dir, &scan, "100", "1.8e19", "no slice");
+    let gap = with_distances(&dir, &scan, "1e18", "1.8e19");
+    let runs = reconstruct_in_every_mode(&dir, &gap);
+    let incore = std::fs::read(&runs[0].2).unwrap();
+    for (mode, run, out) in runs {
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{mode}: {stderr}");
+        assert_eq!(std::fs::read(out).unwrap(), incore, "{mode}");
+    }
+}
+
+/// A copy of `scan` in `dir` whose sidecar has `dso` and `dsd` replaced.
+fn with_distances(dir: &std::path::Path, scan: &str, dso: &str, dsd: &str) -> PathBuf {
     let sidecar = std::fs::read_to_string(format!("{scan}.geom")).unwrap();
-    let bad = dir.join("far.sfbp");
-    std::fs::copy(&scan, &bad).unwrap();
+    let bad = dir.join(format!("far-{dso}.sfbp"));
+    std::fs::copy(scan, &bad).unwrap();
     let text: String = sidecar
         .lines()
         .map(|l| match l.split_once(" = ") {
-            Some(("dso", _)) => "dso = 1e39\n".to_string(),
-            Some(("dsd", _)) => "dsd = 2e39\n".to_string(),
+            Some(("dso", _)) => format!("dso = {dso}\n"),
+            Some(("dsd", _)) => format!("dsd = {dsd}\n"),
             _ => format!("{l}\n"),
         })
         .collect();
-    assert_eq!(text.matches("e39").count(), 2, "{text}");
-    std::fs::write(dir.join("far.sfbp.geom"), text).unwrap();
+    assert!(text.contains(&format!("dso = {dso}\n")) && text.contains(&format!("dsd = {dsd}\n")));
+    std::fs::write(dir.join(format!("far-{dso}.sfbp.geom")), text).unwrap();
+    bad
+}
+
+/// Runs every `--mode` on `scan`, `distributed` with one rank per group
+/// (so with the in-core bits): each mode, its run, and its volume's path.
+fn reconstruct_in_every_mode(
+    dir: &std::path::Path,
+    scan: &std::path::Path,
+) -> Vec<(&'static str, std::process::Output, PathBuf)> {
+    let name = scan.file_stem().unwrap().to_str().unwrap();
+    ["incore", "outofcore", "pipeline", "distributed"]
+        .into_iter()
+        .map(|mode| {
+            let out = dir.join(format!("vol-{name}-{mode}.sfbp"));
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
+                .args(["reconstruct", "--scan", scan.to_str().unwrap()])
+                .args(["--out", out.to_str().unwrap(), "--mode", mode])
+                .args(
+                    ["--nr", "1", "--ng", "2"]
+                        .iter()
+                        .filter(|_| mode == "distributed"),
+                )
+                .output()
+                .unwrap();
+            (mode, run, out)
+        })
+        .collect()
+}
+
+/// Runs every `--mode` on `scan` under a copy of its sidecar with `dso`
+/// and `dsd` replaced: each must exit 1 with one message containing
+/// `message`, without a panic or a volume.
+fn sidecar_distances_are_refused_by_every_mode(
+    dir: &std::path::Path,
+    scan: &str,
+    dso: &str,
+    dsd: &str,
+    message: &str,
+) {
+    let bad = with_distances(dir, scan, dso, dsd);
     let mut messages = Vec::new();
-    for mode in ["incore", "outofcore", "pipeline", "distributed"] {
-        let out = dir.join(format!("vol-{mode}.sfbp"));
-        let run = std::process::Command::new(env!("CARGO_BIN_EXE_scalefbp"))
-            .args(["reconstruct", "--scan", bad.to_str().unwrap()])
-            .args(["--out", out.to_str().unwrap(), "--mode", mode])
-            .output()
-            .unwrap();
+    for (mode, run, out) in reconstruct_in_every_mode(dir, &bad) {
         let stderr = String::from_utf8_lossy(&run.stderr).to_string();
-        assert_eq!(run.status.code(), Some(1), "{mode}: {stderr}");
-        assert!(
-            stderr.contains("`dso` = 1e39 overflows f32"),
-            "{mode}: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{mode}: {stderr}");
-        assert!(!out.exists(), "{mode} wrote a volume");
+        assert_eq!(run.status.code(), Some(1), "{dso} {mode}: {stderr}");
+        assert!(stderr.contains(message), "{dso} {mode}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{dso} {mode}: {stderr}");
+        assert!(!out.exists(), "{dso} {mode} wrote a volume");
         messages.push(stderr);
     }
     assert!(messages.windows(2).all(|w| w[0] == w[1]), "{messages:?}");

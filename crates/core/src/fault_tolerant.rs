@@ -2,16 +2,16 @@
 //! substrate: rank groups (Eq 9–12), per-group sub-volume batches, one
 //! reduction per group and batch — run under an explicit failure model.
 //!
-//! Every rank takes its `N_p/N_r` projection share and the detector-row
-//! ranges of its group's sub-volume batches (the 2-D input split of
-//! Figure 3a), filters and back-projects a *partial* sub-volume per batch,
-//! and the group leader ships the reduced, normalised slabs to world rank
-//! 0 (the stand-in for the parallel file system), which assembles the
-//! volume. A group collective deadlocks the moment a rank dies, and a
-//! blocking receive waits forever on a lost message, so the data plane is
-//! point-to-point with deadlines, and a [`scalefbp_faults::FaultPlan`]
-//! (possibly empty) says what goes wrong. The recovery protocol has three
-//! ingredients:
+//! Every rank streams its `N_p/N_r` projection share's rows for its
+//! group's sub-volume batches (the 2-D input split of Figure 3a) through
+//! every driver's data path, one ring across its batches, and
+//! back-projects a *partial* sub-volume per batch; the group leader ships
+//! the reduced, normalised slabs to world rank 0 (the stand-in for the
+//! parallel file system), which assembles the volume. A group collective
+//! deadlocks the moment a rank dies, and a blocking receive waits forever
+//! on a lost message, so the data plane is point-to-point with deadlines,
+//! and a [`scalefbp_faults::FaultPlan`] (possibly empty) says what goes
+//! wrong. The recovery protocol has three ingredients:
 //!
 //! 1. **Chunked point-to-point reduction.** Each worker ships its partial
 //!    sub-volume (one *chunk* per batch) to the group leader, which
@@ -44,19 +44,16 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use scalefbp_ckpt::CheckpointSpec;
-use scalefbp_exec::{host, KernelChoice};
 use scalefbp_faults::{
     BackoffPolicy, Channel, FaultInject, FaultInjector, FaultKind, FaultPlan, RecoveryEvent,
     RecoveryLog,
 };
-use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{
-    CbctGeometry, ProjectionMatrix, ProjectionStack, RankLayout, SubVolumeTask, Volume,
-    VolumeDecomposition,
+    CbctGeometry, RankLayout, RowSource, SubVolumeTask, Volume, VolumeDecomposition,
 };
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_mpisim::{
@@ -67,6 +64,7 @@ use scalefbp_perfmodel::{MachineParams, PerfModel, RunShape};
 use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
+use crate::stream::{scale_sum, DataPath, Ring, BLOCK_BYTES};
 use crate::{with_rank_budget, FdkConfig, ReconstructionError};
 
 /// Worker → leader chunk *piece*, tag + `b·nr + piece`. A chunk travels
@@ -301,13 +299,6 @@ fn fold_chunks<C: AsRef<[f32]>>(sum: &mut [f32], chunks: impl IntoIterator<Item 
     }
 }
 
-/// Scales a finished sum by the back-projection weight.
-fn scale_sum(sum: &mut [f32], scale: f32) {
-    for v in sum {
-        *v *= scale;
-    }
-}
-
 /// The recompute-reply tag for chunk `(b, j)` in a group of `nr` ranks.
 fn rechunk_tag(b: usize, j: usize, nr: usize) -> u64 {
     RECHUNK_TAG + (b * nr + j) as u64
@@ -364,14 +355,11 @@ struct FtCtx<'a> {
     slow_factor: Cell<u32>,
     /// Model-derived failure-detection deadlines for this run.
     deadlines: FtDeadlines,
-    projections: &'a ProjectionStack,
-    filter: &'a FilterPipeline,
-    mats: &'a [ProjectionMatrix],
+    /// The data path of every chunk: pure, so any rank recomputes any.
+    path: &'a DataPath<'a>,
+    /// The run's first failed read: the run's error once the world joins.
+    failed_read: &'a OnceLock<ReconstructionError>,
     recovery: &'a RecoveryLog,
-    scale: f32,
-    /// The configured back-projection kernel. Dispatch is pure, so any
-    /// rank can recompute any chunk bit for bit.
-    kernel: KernelChoice,
     /// Pieces per worker→leader chunk: `N_r` z-segments in
     /// [`ReduceMode::Segmented`], one whole chunk in every other mode.
     /// The summation order never changes, so recovered volumes are
@@ -395,10 +383,11 @@ struct FtCtx<'a> {
 type FtCkpt<'a> = (&'a StorageEndpoint, &'a CheckpointSpec, u64);
 
 impl FtCtx<'_> {
-    /// The partial sub-volume rank `j` of `group` owes for `task`:
-    /// its projection share filtered and back-projected onto the batch
-    /// slab. Pure — any rank can recompute any chunk, bit for bit.
-    fn compute_chunk(&self, group: usize, task: &SubVolumeTask, j: usize) -> Vec<f32> {
+    /// The partial sub-volume owed for `task`, back-projected from `ring`
+    /// (the owing rank's share, walking its batches in order) once the
+    /// rows it lacks are loaded. Once a read failed anywhere the run has
+    /// failed, so the chunk is zeros and the protocol winds down at once.
+    fn compute_chunk(&self, task: &SubVolumeTask, ring: &mut Ring) -> Vec<f32> {
         self.chunks_computed.inc();
         // Straggler channel: one compute op per chunk. A fired
         // SlowDevice sticks — this rank's device stays slow for the
@@ -418,15 +407,30 @@ impl FtCtx<'_> {
             // rather than the rank being declared dead).
             std::thread::sleep((self.deadlines.chunk * 2).min(Duration::from_secs(3)));
         }
+        let rows = if ring.is_empty() {
+            task.rows
+        } else {
+            task.new_rows
+        };
+        if self.failed_read.get().is_none() {
+            match self.path.fill(ring, rows) {
+                Ok(()) => return self.path.backproject(task, ring).0.into_data(),
+                Err(e) => _ = self.failed_read.set(e),
+            }
+        }
+        vec![0.0; task.nz() * self.stride()]
+    }
+
+    /// A ring for `group`'s batches over its rank `j`'s share.
+    fn ring(&self, group: usize, j: usize) -> Ring {
         let a = self.layout.assignment(self.g, group * self.layout.nr + j);
-        let mut part =
-            self.projections
-                .extract_window(task.rows.begin, task.rows.end, a.s_begin, a.s_end);
-        self.filter.filter_stack(&mut part);
-        let mut slab = Volume::zeros_slab(self.g.nx, self.g.ny, task.nz(), task.z_begin);
-        let mats = &self.mats[a.s_begin..a.s_end];
-        host::run_backprojection(self.kernel, &part, mats, &mut slab);
-        slab.into_data()
+        self.path
+            .ring(&self.group_decomp(group), a.s_begin..a.s_end)
+    }
+
+    /// Rank `j` of `group`'s chunk of `task` from a fresh ring (recovery).
+    fn recompute_chunk(&self, group: usize, task: &SubVolumeTask, j: usize) -> Vec<f32> {
+        self.compute_chunk(task, &mut self.ring(group, j))
     }
 
     /// The finished (summed + scaled) slab for `task`, recomputed from
@@ -434,9 +438,9 @@ impl FtCtx<'_> {
     /// chunk is freed as soon as it is folded.
     fn recompute_task(&self, group: usize, task: &SubVolumeTask, sum: &mut [f32]) {
         sum.fill(0.0);
-        let chunks = (0..self.layout.nr).map(|j| self.compute_chunk(group, task, j));
+        let chunks = (0..self.layout.nr).map(|j| self.recompute_chunk(group, task, j));
         fold_chunks(sum, chunks);
-        scale_sum(sum, self.scale);
+        scale_sum(sum, self.path.weight());
     }
 
     /// Voxels per z-slice.
@@ -504,6 +508,9 @@ impl FtCtx<'_> {
 /// in the same fixed order, so a recovered volume equals the fault-free
 /// volume bit for bit.
 ///
+/// Ranks read their shares' rows from `source` as they need them; a
+/// failed read is [`ReconstructionError::Input`] once the world joins.
+///
 /// The layout must give every rank a projection and every group a slice
 /// (`1 ≤ N_r ≤ N_p`, `1 ≤ N_g ≤ N_z`, `N_c ≥ 1`); anything else is
 /// [`ReconstructionError::Layout`]. Rank 0 assembles the volume and
@@ -527,13 +534,13 @@ impl FtCtx<'_> {
 pub fn fault_tolerant_reconstruct(
     config: &FdkConfig,
     layout: RankLayout,
-    projections: &ProjectionStack,
+    source: &dyn RowSource,
     plan: &FaultPlan,
     checkpoint: Option<(&StorageEndpoint, &CheckpointSpec)>,
 ) -> Result<FaultTolerantOutcome, ReconstructionError> {
     config.validate()?;
     let g = &config.geometry;
-    config.check_projections(projections)?;
+    config.check_projections(source)?;
     if layout.nr == 0 || layout.nr > g.np {
         return Err(ReconstructionError::Layout(format!(
             "N_r={} must be between 1 and N_p={} (every rank needs a projection)",
@@ -568,13 +575,13 @@ pub fn fault_tolerant_reconstruct(
     let recovery = RecoveryLog::new();
     let deadlines = derive_deadlines(config, layout);
     let peak_held = AtomicUsize::new(0);
+    let path = DataPath::new(config, source, BLOCK_BYTES);
+    let failed_read = OnceLock::new();
     let (results, network) = World::run_with_observability(
         layout.num_ranks(),
         injector.clone() as Arc<dyn FaultInject>,
         registry.clone(),
         with_rank_budget(layout.num_ranks(), |mut comm| {
-            let filter = FilterPipeline::new(g, config.window);
-            let mats = ProjectionMatrix::full_scan(g);
             let ctx = FtCtx {
                 g,
                 layout,
@@ -582,12 +589,9 @@ pub fn fault_tolerant_reconstruct(
                 injector: injector.clone() as Arc<dyn FaultInject>,
                 slow_factor: Cell::new(1),
                 deadlines,
-                projections,
-                filter: &filter,
-                mats: &mats,
+                path: &path,
+                failed_read: &failed_read,
                 recovery: &recovery,
-                scale: filter.backprojection_scale() as f32,
-                kernel: config.kernel,
                 pieces: if config.reduce_mode == ReduceMode::Segmented {
                     layout.nr
                 } else {
@@ -611,6 +615,7 @@ pub fn fault_tolerant_reconstruct(
         }),
     );
 
+    failed_read.into_inner().map_or(Ok(()), Err)?;
     let volume = results
         .into_iter()
         .next()
@@ -643,13 +648,16 @@ fn ft_worker(comm: &mut Communicator, ctx: &FtCtx) {
     let leader = assign.group * ctx.layout.nr;
     let decomp = ctx.group_decomp(assign.group);
 
+    // One ring across the rank's batches: each loads Eq 6's new rows.
+    let mut ring = ctx.ring(assign.group, assign.rank_in_group);
     for (b, task) in decomp.tasks().iter().enumerate() {
-        let chunk = ctx.compute_chunk(assign.group, task, assign.rank_in_group);
+        let chunk = ctx.compute_chunk(task, &mut ring);
         send_chunk(comm, ctx, leader, b, task, &chunk);
         if comm.self_failed() {
             return dead_wait(comm);
         }
     }
+    drop(ring);
     if serve(comm, ctx, assign.group, &decomp).is_err() {
         dead_wait(comm);
     }
@@ -669,7 +677,7 @@ fn serve(
     loop {
         if let Some(payload) = poll(comm, leader, CTRL_TAG)? {
             let (b, j) = decode_ctrl(&payload);
-            let chunk = ctx.compute_chunk(group, &decomp.tasks()[b], j);
+            let chunk = ctx.recompute_chunk(group, &decomp.tasks()[b], j);
             let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), &chunk);
         }
         if let Some(payload) = poll(comm, 0, TAKEOVER_TAG)? {
@@ -949,7 +957,7 @@ fn requeue(
         chunk: b,
     });
     if target == ctx.me {
-        return Some(ctx.compute_chunk(group, task, j));
+        return Some(ctx.recompute_chunk(group, task, j));
     }
     comm.send(target, CTRL_TAG, encode_ctrl(b, j));
     None
@@ -978,16 +986,18 @@ fn ft_collect_group_as_leader(
     // Phase 1: own chunks + collection with straggler speculation and
     // failure detection. Batch b's chunks are awaited before batch b+1
     // is computed; each is folded as soon as its predecessors are in.
+    // The own chunks share one ring, as a worker's do.
+    let mut ring = ctx.ring(group, 0);
     for (b, task) in tasks.iter().enumerate() {
         let sum = &mut out[spans[b].clone()];
-        ledger.offer(b, 0, ctx.compute_chunk(group, task, 0));
-        ledger.fold_ready(b, sum, ctx.scale);
+        ledger.offer(b, 0, ctx.compute_chunk(task, &mut ring));
+        ledger.fold_ready(b, sum, ctx.path.weight());
         for j in 1..nr {
             if dead.contains(&j) {
                 continue; // requeued in phase 2
             }
             await_chunk_speculatively(comm, ctx, group, b, task, j, &mut dead, &mut ledger).ok()?;
-            ledger.fold_ready(b, sum, ctx.scale);
+            ledger.fold_ready(b, sum, ctx.path.weight());
         }
     }
 
@@ -1024,7 +1034,7 @@ fn ft_collect_group_as_leader(
             if !ledger.offer(b, j, data) {
                 ctx.chunk_duplicates.inc();
             }
-            ledger.fold_ready(b, &mut out[spans[b].clone()], ctx.scale);
+            ledger.fold_ready(b, &mut out[spans[b].clone()], ctx.path.weight());
         }
     }
     // Every slot is filled, so every batch is folded and scaled; the
@@ -1233,6 +1243,7 @@ fn decode_ctrl(payload: &[u8]) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::fdk_reconstruct;
+    use scalefbp_geom::ProjectionStack;
     use scalefbp_phantom::{forward_project, uniform_ball};
 
     #[test]

@@ -1,9 +1,8 @@
 //! In-core FDK reconstruction: the quickstart call and its configured form.
 
-use scalefbp_exec::host;
-use scalefbp_filter::FilterPipeline;
-use scalefbp_geom::{compute_ab, CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
+use scalefbp_geom::{CbctGeometry, ProjectionStack, RowSource, Volume, VolumeDecomposition};
 
+use crate::stream::{scale_sum, DataPath, BLOCK_BYTES};
 use crate::{FdkConfig, ReconstructionError};
 
 /// Reconstructs the full volume in memory with the Ram-Lak window:
@@ -25,51 +24,41 @@ pub fn fdk_reconstruct(
 /// changes nothing. The `Reference` oracle is validated bitwise against
 /// the default in the workspace property tests.
 ///
+/// It is every driver's data path over a one-slab plan: the slab's rows
+/// (`ComputeAB`) are read from `source` block by block, filtered into a
+/// ring that holds only them, and back-projected straight into the
+/// output. A source that reads lazily (a `.sfbp` file) is never held
+/// whole; a failed read is [`ReconstructionError::Input`].
+///
 /// `slices = Some((z_begin, z_end))` is the region-of-interest form: only
 /// global slices `[z_begin, z_end)`, from only the detector rows those
-/// slices need (`ComputeAB`). The returned slab's `z_offset` is `z_begin`
-/// and its voxels are bit-identical to the same slices of the full
+/// slices need. The returned slab's `z_offset` is `z_begin` and its
+/// voxels are bit-identical to the same slices of the full
 /// reconstruction — a clinician re-reconstructing ten slices around a
 /// feature pays for ten slices, not for the volume. `None` is the whole
-/// volume from the whole stack.
+/// volume.
 pub fn fdk_reconstruct_configured(
     config: &FdkConfig,
-    projections: &ProjectionStack,
+    source: &dyn RowSource,
     slices: Option<(usize, usize)>,
 ) -> Result<Volume, ReconstructionError> {
     let geom = &config.geometry;
     config.validate()?;
-    config.check_projections(projections)?;
-    let (mut part, mut vol) = match slices {
-        None => (
-            projections.clone(),
-            Volume::zeros(geom.nx, geom.ny, geom.nz),
-        ),
-        Some((z_begin, z_end)) => {
-            if z_begin >= z_end || z_end > geom.nz {
-                return Err(ReconstructionError::ShapeMismatch(format!(
-                    "slice range [{z_begin}, {z_end}) invalid for nz={}",
-                    geom.nz
-                )));
-            }
-            let rows = compute_ab(geom, z_begin, z_end);
-            (
-                projections.extract_window(rows.begin, rows.end, 0, geom.np),
-                Volume::zeros_slab(geom.nx, geom.ny, z_end - z_begin, z_begin),
-            )
-        }
-    };
-
-    let pipeline = FilterPipeline::new(geom, config.window);
-    pipeline.filter_stack(&mut part);
-
-    let mats = ProjectionMatrix::full_scan(geom);
-    host::run_backprojection(config.kernel, &part, &mats, &mut vol);
-
-    let scale = pipeline.backprojection_scale() as f32;
-    for v in vol.data_mut() {
-        *v *= scale;
+    config.check_projections(source)?;
+    let (z_begin, z_end) = slices.unwrap_or((0, geom.nz));
+    if z_begin >= z_end || z_end > geom.nz {
+        return Err(ReconstructionError::ShapeMismatch(format!(
+            "slice range [{z_begin}, {z_end}) invalid for nz={}",
+            geom.nz
+        )));
     }
+    let plan = VolumeDecomposition::new(geom, z_begin, z_end, z_end - z_begin);
+    let task = &plan.tasks()[0];
+    let path = DataPath::new(config, source, BLOCK_BYTES);
+    let mut ring = path.ring(&plan, 0..geom.np);
+    path.fill(&mut ring, task.rows)?;
+    let (mut vol, _) = path.backproject(task, &ring);
+    scale_sum(vol.data_mut(), path.weight());
     Ok(vol)
 }
 

@@ -7,18 +7,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use scalefbp_backproject::TextureWindow;
 use scalefbp_ckpt::{resume_partition, CheckpointSpec, CheckpointStore};
-use scalefbp_exec::host;
 use scalefbp_faults::{
     retry_with_backoff, BackoffPolicy, FaultInject, FaultInjector, FaultPlan, NoFaults,
     RecoveryEvent, RecoveryLog,
 };
-use scalefbp_filter::FilterPipeline;
-use scalefbp_geom::{
-    ProjectionMatrix, ProjectionStack, RowRange, RowSource, SubVolumeTask, Volume,
-    VolumeDecomposition,
-};
+use scalefbp_geom::{RowRange, RowSource, SubVolumeTask, Volume, VolumeDecomposition};
 use scalefbp_gpusim::{Device, DeviceBuffer, DeviceCounters, DeviceError};
 use scalefbp_iosim::StorageEndpoint;
 use scalefbp_obs::{Counter, MetricsRegistry, MetricsSnapshot};
@@ -26,7 +20,7 @@ use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
 use crate::pipelined::{overlapped, replay};
-use crate::stream::{RowBlocks, BLOCK_BYTES};
+use crate::stream::{scale_sum, DataPath, Ring, BLOCK_BYTES};
 use crate::{FdkConfig, ReconstructionError};
 
 /// Modelled host bandwidths (bytes/second) of the load, filter and store
@@ -317,15 +311,11 @@ fn serial(
     todo: &[(&SubVolumeTask, RowRange)],
     sink: &mut Sink,
 ) -> Result<Vec<OocBatch>, ReconstructionError> {
-    let mut ring = stages.ring()?;
+    let (mut ring, _allocs) = stages.ring()?;
     let mut batches = Vec::with_capacity(todo.len());
     for &(task, rows) in todo {
         let load_secs = stages.load(rows)?;
-        for block in stages.blocks.split(rows) {
-            let mut block = stages.read(block)?;
-            stages.filter(&mut block);
-            ring.write(block);
-        }
+        stages.path.fill(&mut ring, rows)?;
         let (slab, batch) = stages.backproject(task, rows, load_secs, &ring)?;
         batches.push(batch);
         stages.store(sink, slab)?;
@@ -347,23 +337,6 @@ fn serial_trace(batches: &[OocBatch]) -> TraceCollector {
     trace
 }
 
-/// The ring of detector rows, with the run's working set on the device:
-/// the matrix table's and the ring's allocations, held for the run.
-pub(crate) struct Ring {
-    rows: TextureWindow,
-    _allocs: [DeviceBuffer; 2],
-}
-
-impl Ring {
-    /// Writes a filtered block into the ring, which drops it.
-    pub(crate) fn write(&mut self, block: ProjectionStack) {
-        if block.nv() > 0 {
-            let v = block.v_offset();
-            self.rows.write_rows(block.data(), v, v + block.nv());
-        }
-    }
-}
-
 /// Where the store stage writes: the volume, and the checkpoint with the
 /// slabs waiting for their commit.
 pub(crate) struct Sink<'a> {
@@ -372,18 +345,17 @@ pub(crate) struct Sink<'a> {
     pending: Vec<Volume>,
 }
 
-/// One run's stages and what they share. Per batch a schedule calls
-/// [`load`](Self::load); block by block [`read`](Self::read),
-/// [`filter`](Self::filter) and [`Ring::write`]; then
+/// One run's stages: the shared [`DataPath`] with the device, its
+/// retries and the run's counters around it. Per batch a schedule calls
+/// [`load`](Self::load); block by block [`DataPath::read`],
+/// [`DataPath::filter`] and [`Ring::write`]; then
 /// [`backproject`](Self::backproject) and [`store`](Self::store).
 pub(crate) struct Stages<'a> {
-    config: &'a FdkConfig,
-    source: &'a dyn RowSource,
+    pub(crate) config: &'a FdkConfig,
+    pub(crate) path: DataPath<'a>,
+    decomp: &'a VolumeDecomposition,
     storage: Option<StorageEndpoint>,
     device: Device,
-    filter: FilterPipeline,
-    mats: Vec<ProjectionMatrix>,
-    pub(crate) blocks: RowBlocks,
     window_rows: usize,
     log: Arc<RecoveryLog>,
     retries: Counter,
@@ -396,12 +368,12 @@ pub(crate) struct Stages<'a> {
 impl<'a> Stages<'a> {
     fn new(
         rec: &'a OutOfCoreReconstructor,
-        decomp: &VolumeDecomposition,
+        decomp: &'a VolumeDecomposition,
         source: &'a dyn RowSource,
         run: &StreamRun,
         registry: &MetricsRegistry,
     ) -> Self {
-        let (config, g) = (&rec.config, &rec.config.geometry);
+        let config = &rec.config;
         let injector: Arc<dyn FaultInject> = match run.faults {
             Some(plan) => FaultInjector::new(plan.clone()),
             None => Arc::new(NoFaults),
@@ -412,12 +384,10 @@ impl<'a> Stages<'a> {
         };
         Stages {
             config,
-            source,
+            path: DataPath::new(config, source, rec.block_bytes),
+            decomp,
             device: config.build_device(injector.clone(), RANK, registry.clone()),
             storage: run.storage.map(|s| s.with_fault_injector(injector, RANK)),
-            filter: FilterPipeline::new(g, config.window),
-            mats: ProjectionMatrix::full_scan(g),
-            blocks: RowBlocks::new(decomp.tasks(), g.np, g.nu, rec.block_bytes),
             window_rows: rec.window_rows,
             log: RecoveryLog::new(),
             retries: registry.counter("retry.backoff.attempts"),
@@ -461,21 +431,18 @@ impl<'a> Stages<'a> {
         (rows * g.np * g.nu * 4) as u64
     }
 
-    /// An empty ring, with the matrix table and the ring allocated on the
-    /// device for the run.
-    pub(crate) fn ring(&self) -> Result<Ring, ReconstructionError> {
+    /// An empty ring, and the run's working set on the device: the matrix
+    /// table's and the ring's allocations, held for the run.
+    pub(crate) fn ring(&self) -> Result<(Ring, [DeviceBuffer; 2]), ReconstructionError> {
         let g = &self.config.geometry;
         let mats = self.on_device("alloc", || self.device.alloc((g.np * 12 * 4) as u64))?;
         let ring = self.on_device("alloc", || self.device.alloc(self.bytes(self.window_rows)))?;
-        Ok(Ring {
-            rows: TextureWindow::new(self.window_rows, g.np, g.nu, 0),
-            _allocs: [mats, ring],
-        })
+        Ok((self.path.ring(self.decomp, 0..g.np), [mats, ring]))
     }
 
     /// Load, once per batch: the modelled read of `rows` from the storage
     /// endpoint under retry, or at host bandwidth without one. Returns
-    /// its seconds; the rows come block by block from [`read`](Self::read).
+    /// its seconds; the rows come block by block from [`DataPath::read`].
     pub(crate) fn load(&self, rows: RowRange) -> Result<f64, ReconstructionError> {
         let bytes = self.bytes(rows.len());
         let secs = match &self.storage {
@@ -494,32 +461,6 @@ impl<'a> Stages<'a> {
         };
         self.rows_loaded.add(rows.len() as u64);
         Ok(secs)
-    }
-
-    /// Reads rows `r` of every projection, checking the shape of what
-    /// comes back: a failed or malformed read is an error, never a panic
-    /// further down.
-    pub(crate) fn read(&self, r: RowRange) -> Result<ProjectionStack, ReconstructionError> {
-        let what =
-            |e: String| ReconstructionError::Input(format!("rows [{}, {}): {e}", r.begin, r.end));
-        let rows = self
-            .source
-            .read_rows(r.begin, r.end)
-            .map_err(|e| what(e.to_string()))?;
-        let (_, np, nu) = self.source.shape();
-        let got = (rows.nv(), rows.np(), rows.nu(), rows.v_offset());
-        if got != (r.len(), np, nu, r.begin) {
-            let (nv, np, nu, v) = got;
-            return Err(what(format!(
-                "source returned {nv}×{np}×{nu} rows from {v}"
-            )));
-        }
-        Ok(rows)
-    }
-
-    /// Filter (Equation 2, the paper's CPU stage), one block in place.
-    pub(crate) fn filter(&self, block: &mut ProjectionStack) {
-        self.filter.filter_stack(block);
     }
 
     /// Back-projection of `task`, whose `rows` are in `ring`: the slab's
@@ -543,9 +484,7 @@ impl<'a> Stages<'a> {
         if !rows.is_empty() {
             h2d_secs = self.on_device("h2d", || self.device.h2d(bytes))?;
         }
-        let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
-        let stats =
-            host::run_window_backprojection(self.config.kernel, &ring.rows, &self.mats, &mut slab);
+        let (mut slab, stats) = self.path.backproject(task, ring);
         if stats.updates == 0 {
             return Err(ReconstructionError::Input(format!(
                 "slab [{}, {}): no voxel passed the depth guard",
@@ -555,10 +494,7 @@ impl<'a> Stages<'a> {
         self.kernel_updates.add(stats.updates);
         let bp_secs = self.device.launch_backprojection(stats.updates);
         let d2h_secs = self.on_device("d2h", || self.device.d2h(slab_bytes))?;
-        let scale = self.filter.backprojection_scale() as f32;
-        for v in slab.data_mut() {
-            *v *= scale;
-        }
+        scale_sum(slab.data_mut(), self.path.weight());
         let batch = OocBatch {
             index: task.index,
             rows_loaded: rows.len(),

@@ -44,13 +44,14 @@ pub(crate) fn overlapped(
 
     let (upstream, bp, store) = std::thread::scope(|scope| {
         let load = scope.spawn(move || -> Result<(), ReconstructionError> {
+            let all = 0..stages.config.geometry.np;
             for &(task, rows) in todo {
                 let start = now();
                 let secs = stages.load(rows)?;
-                let blocks = stages.blocks.split(rows);
+                let blocks = stages.path.split(rows, &all);
                 let n = blocks.len();
                 for (i, block) in blocks.into_iter().enumerate() {
-                    let block = stages.read(block)?;
+                    let block = stages.path.read(block, all.clone())?;
                     let last = (i + 1 == n).then_some(secs);
                     if last.is_some() {
                         trace.record("load", task.index, start, now());
@@ -66,7 +67,7 @@ pub(crate) fn overlapped(
             let mut batch_start = None;
             while let Ok((task, rows, mut block, last)) = q1_rx.pop() {
                 let start = *batch_start.get_or_insert_with(now);
-                budget.install(|| stages.filter(&mut block));
+                budget.install(|| stages.path.filter(&mut block));
                 if last.is_some() {
                     trace.record("filter", task.index, start, now());
                     batch_start = None;
@@ -80,10 +81,13 @@ pub(crate) fn overlapped(
         // The simulated GPU: every block goes into the ring, and the
         // batch's last block runs the back-projection.
         let bp = scope.spawn(move || -> Result<_, ReconstructionError> {
-            let mut ring = stages.ring()?;
+            let (mut ring, _allocs) = stages.ring()?;
             let mut batches = Vec::with_capacity(todo.len());
             let mut batch_start = None;
             while let Ok((task, rows, block, last)) = q2_rx.pop() {
+                if batch_start.is_none() {
+                    ring.start_batch(rows);
+                }
                 let start = *batch_start.get_or_insert_with(now);
                 ring.write(block);
                 let Some(load_secs) = last else { continue };

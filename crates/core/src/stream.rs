@@ -1,47 +1,184 @@
-//! How the streaming driver cuts a batch's detector rows into blocks: the
-//! unit it reads from a [`scalefbp_geom::RowSource`], filters, and writes
-//! into the ring. A block is dropped as soon as it is in the ring, so a
-//! run holds the ring plus a few blocks, never the scan.
+//! The one data path every driver computes with: read a block of
+//! detector rows over a projection share from a [`RowSource`], filter it,
+//! write it into a ring of rows, and back-project a slab from the ring.
+//! The in-core driver runs it over a one-slab plan, each distributed rank
+//! over its projection share, and the single-device driver wraps it in
+//! device charges, retries and counters (`outofcore.rs`). A block is
+//! dropped as soon as it is in the ring, so a run holds the ring plus a
+//! few blocks, never the scan.
 
-use scalefbp_geom::{RowRange, SubVolumeTask};
+use std::ops::Range;
+
+use scalefbp_backproject::{KernelStats, TextureWindow};
+use scalefbp_exec::host;
+use scalefbp_filter::FilterPipeline;
+use scalefbp_geom::{
+    ProjectionMatrix, ProjectionStack, RowRange, RowSource, SubVolumeTask, Volume,
+    VolumeDecomposition,
+};
+
+use crate::{FdkConfig, ReconstructionError};
 
 /// Bytes of one row block (rounded down to whole rows, at least one).
 pub(crate) const BLOCK_BYTES: usize = 4 << 20;
 
-/// The block plan of one decomposition.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RowBlocks {
-    /// Rows per block.
-    rows: usize,
-    /// Whether the slabs walk down the detector. Then each batch's new
-    /// rows lie below the ring, and its blocks must arrive top-down for
-    /// every write to stay contiguous with the ring's window.
-    downward: bool,
+/// A ring of filtered detector rows over one projection share.
+pub(crate) struct Ring {
+    rows: TextureWindow,
 }
 
-impl RowBlocks {
-    /// Blocks of `max(1, block_bytes / (np·nu·4))` rows for `tasks`.
-    pub(crate) fn new(tasks: &[SubVolumeTask], np: usize, nu: usize, block_bytes: usize) -> Self {
-        RowBlocks {
-            rows: (block_bytes / (np * nu * 4).max(1)).max(1),
-            downward: tasks.windows(2).any(|w| w[1].rows.begin < w[0].rows.begin),
+impl Ring {
+    /// Writes a filtered block into the ring, which drops it.
+    pub(crate) fn write(&mut self, block: ProjectionStack) {
+        if block.nv() > 0 {
+            let v = block.v_offset();
+            self.rows.write_rows(block.data(), v, v + block.nv());
         }
     }
 
-    /// `r` as consecutive blocks in the order the ring accepts them. An
-    /// empty range is one empty block, so every batch sends something.
-    pub(crate) fn split(&self, r: RowRange) -> Vec<RowRange> {
+    /// Makes way for a batch loading `rows`: unless they extend the
+    /// window at either end, the window starts afresh. That is a batch
+    /// after a resumed one, or after a slab whose rows lie above `rows`
+    /// with a gap between (a z grid coarser than the detector's rows).
+    pub(crate) fn start_batch(&mut self, rows: RowRange) {
+        let (lo, hi) = self.rows.valid_rows();
+        if !rows.is_empty() && lo < hi && rows.begin != hi && rows.end != lo {
+            let w = &self.rows;
+            self.rows = TextureWindow::new(w.height(), w.np(), w.nu(), w.s_offset());
+        }
+    }
+
+    /// Whether no row was written into the ring yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.rows_written() == 0
+    }
+
+    /// The global projections the ring holds.
+    fn share(&self) -> Range<usize> {
+        self.rows.s_offset()..self.rows.s_offset() + self.rows.np()
+    }
+}
+
+/// What every driver computes with: the source, the filter, the full
+/// scan's matrices, the kernel choice and the block size.
+pub(crate) struct DataPath<'a> {
+    config: &'a FdkConfig,
+    source: &'a dyn RowSource,
+    filter: FilterPipeline,
+    mats: Vec<ProjectionMatrix>,
+    /// Bytes per row block ([`BLOCK_BYTES`]; the stream tests shrink it).
+    block_bytes: usize,
+}
+
+impl<'a> DataPath<'a> {
+    /// The path of `config` over `source`, reading blocks of about
+    /// `block_bytes`.
+    pub(crate) fn new(
+        config: &'a FdkConfig,
+        source: &'a dyn RowSource,
+        block_bytes: usize,
+    ) -> Self {
+        let g = &config.geometry;
+        DataPath {
+            config,
+            source,
+            filter: FilterPipeline::new(g, config.window),
+            mats: ProjectionMatrix::full_scan(g),
+            block_bytes,
+        }
+    }
+
+    /// An empty ring for `plan`'s slabs over the projections `share`, as
+    /// tall as the plan's tallest row range (Algorithm 3's `H`).
+    pub(crate) fn ring(&self, plan: &VolumeDecomposition, share: Range<usize>) -> Ring {
+        let (np, nu) = (share.len(), self.config.geometry.nu);
+        Ring {
+            rows: TextureWindow::new(plan.max_rows().max(1), np, nu, share.start),
+        }
+    }
+
+    /// `r` as blocks of `max(1, block_bytes / (np·nu·4))` rows over the
+    /// projections `share`, top-down: world Z maps to the detector's
+    /// downward `v` ([`ProjectionMatrix::new`]), so slabs walk down the
+    /// detector, each batch's new rows lie below the ring, and only
+    /// top-down blocks stay contiguous with its window. An empty range is
+    /// one empty block, so every batch sends something.
+    pub(crate) fn split(&self, r: RowRange, share: &Range<usize>) -> Vec<RowRange> {
+        let rows = (self.block_bytes / (share.len() * self.config.geometry.nu * 4).max(1)).max(1);
         if r.is_empty() {
             return vec![r];
         }
         let mut blocks: Vec<RowRange> = (r.begin..r.end)
-            .step_by(self.rows)
-            .map(|b| RowRange::new(b, (b + self.rows).min(r.end)))
+            .step_by(rows)
+            .map(|b| RowRange::new(b, (b + rows).min(r.end)))
             .collect();
-        if self.downward {
-            blocks.reverse();
-        }
+        blocks.reverse();
         blocks
+    }
+
+    /// Reads rows `r` of the projections `share`, checking the shape of
+    /// what comes back: a failed or malformed read is an error naming the
+    /// rows, never a panic further down.
+    pub(crate) fn read(
+        &self,
+        r: RowRange,
+        share: Range<usize>,
+    ) -> Result<ProjectionStack, ReconstructionError> {
+        let what = |msg: String| {
+            let (b, e, s0, s1) = (r.begin, r.end, share.start, share.end);
+            let what = format!("rows [{b}, {e}) of projections [{s0}, {s1}): {msg}");
+            ReconstructionError::Input(what)
+        };
+        let rows = self.source.read_rows(r, share.clone());
+        let rows = rows.map_err(|e| what(e.to_string()))?;
+        let got = (rows.shape(), rows.v_offset(), rows.s_offset());
+        let want = (r.len(), share.len(), self.config.geometry.nu);
+        if got != (want, r.begin, share.start) {
+            let ((nv, np, nu), v, s) = got;
+            let at = format!("row {v}, projection {s}");
+            return Err(what(format!("source returned {nv}×{np}×{nu} from {at}")));
+        }
+        Ok(rows)
+    }
+
+    /// Filter (Equation 2, the paper's CPU stage), one block in place.
+    pub(crate) fn filter(&self, block: &mut ProjectionStack) {
+        self.filter.filter_stack(block);
+    }
+
+    /// Loads `rows` into `ring` block by block: read, filter, write.
+    pub(crate) fn fill(&self, ring: &mut Ring, rows: RowRange) -> Result<(), ReconstructionError> {
+        ring.start_batch(rows);
+        for block in self.split(rows, &ring.share()) {
+            let mut block = self.read(block, ring.share())?;
+            self.filter(&mut block);
+            ring.write(block);
+        }
+        Ok(())
+    }
+
+    /// Back-projects `task`'s slab over the ring's share, from the ring,
+    /// which must hold `task.rows`. The slab is not yet normalised
+    /// ([`scale_sum`]): a distributed chunk is one term of a sum.
+    pub(crate) fn backproject(&self, task: &SubVolumeTask, ring: &Ring) -> (Volume, KernelStats) {
+        let g = &self.config.geometry;
+        let mut slab = Volume::zeros_slab(g.nx, g.ny, task.nz(), task.z_begin);
+        let mats = &self.mats[ring.share()];
+        let stats =
+            host::run_window_backprojection(self.config.kernel, &ring.rows, mats, &mut slab);
+        (slab, stats)
+    }
+
+    /// The FDK normalisation weight of a finished sum ([`scale_sum`]).
+    pub(crate) fn weight(&self) -> f32 {
+        self.filter.backprojection_scale() as f32
+    }
+}
+
+/// Scales a finished sum by the back-projection weight.
+pub(crate) fn scale_sum(sum: &mut [f32], weight: f32) {
+    for v in sum {
+        *v *= weight;
     }
 }
 
@@ -60,9 +197,11 @@ mod tests {
     use super::*;
     use crate::ReconstructionError;
     use crate::{
-        fdk_reconstruct, FdkConfig, OutOfCoreReconstructor, OutOfCoreReport, Schedule, StreamRun,
+        fault_tolerant_reconstruct, fdk_reconstruct, fdk_reconstruct_configured, FaultPlan,
+        FdkConfig, OutOfCoreReconstructor, OutOfCoreReport, Schedule, StreamRun,
     };
-    use scalefbp_geom::{ProjectionStack, RowSource};
+    use scalefbp_faults::{Channel, FaultEvent, FaultKind};
+    use scalefbp_geom::{compute_ab, RankLayout};
 
     /// Rows per block in these tests: small enough that most batches
     /// arrive in several blocks.
@@ -137,26 +276,56 @@ mod tests {
         }
     }
 
-    /// Records every read, and fails the `fail_at`-th one.
+    /// Records every read, and fails the reads `fail` picks: it is
+    /// called with the read's projections and how many reads of them came
+    /// before it.
     struct Counting<'a> {
         inner: &'a dyn RowSource,
-        reads: Mutex<Vec<RowRange>>,
-        fail_at: Option<usize>,
+        reads: Mutex<Vec<(RowRange, Range<usize>)>>,
+        fail: Pick,
     }
 
+    /// Which reads a [`Counting`] source fails.
+    type Pick = Box<dyn Fn(&Range<usize>, usize) -> bool + Send + Sync>;
+
     impl<'a> Counting<'a> {
-        fn new(inner: &'a dyn RowSource, fail_at: Option<usize>) -> Self {
+        fn new(inner: &'a dyn RowSource) -> Self {
+            Counting::failing(inner, Box::new(|_, _| false))
+        }
+
+        fn failing(inner: &'a dyn RowSource, fail: Pick) -> Self {
             Counting {
                 inner,
                 reads: Mutex::new(Vec::new()),
-                fail_at,
+                fail,
             }
         }
 
         /// The non-empty reads, in order.
         fn reads(&self) -> Vec<RowRange> {
             let reads = self.reads.lock().unwrap();
-            reads.iter().copied().filter(|r| !r.is_empty()).collect()
+            reads
+                .iter()
+                .map(|(r, _)| *r)
+                .filter(|r| !r.is_empty())
+                .collect()
+        }
+
+        /// How often each detector row of `share` was read.
+        fn times_read(&self, share: &Range<usize>) -> Vec<usize> {
+            let mut times = vec![0; self.inner.shape().0];
+            for (r, _) in self
+                .reads
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|(_, s)| s == share)
+            {
+                for n in &mut times[r.begin..r.end] {
+                    *n += 1;
+                }
+            }
+            times
         }
     }
 
@@ -165,40 +334,38 @@ mod tests {
             self.inner.shape()
         }
 
-        fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
+        fn read_rows(&self, rows: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
             let mut reads = self.reads.lock().unwrap();
-            if self.fail_at == Some(reads.len()) {
+            let before = reads.iter().filter(|(_, other)| *other == s).count();
+            if (self.fail)(&s, before) {
                 return Err(std::io::Error::other("injected read failure"));
             }
-            reads.push(RowRange::new(v_begin, v_end));
+            reads.push((rows, s.clone()));
             drop(reads);
-            self.inner.read_rows(v_begin, v_end)
+            self.inner.read_rows(rows, s)
         }
     }
 
     #[test]
     fn split_covers_the_range_in_ring_order() {
         let g = geom();
+        let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
+        let cfg = FdkConfig::new(g.clone());
+        let path = DataPath::new(&cfg, &p, ROWS * g.np * g.nu * 4);
+        let all = 0..g.np;
+        // Increasing Z maps to decreasing detector v: every plan walks down.
         let tasks = VolumeDecomposition::full(&g, 4).tasks().to_vec();
-        let blocks = RowBlocks::new(&tasks, g.np, g.nu, ROWS * g.np * g.nu * 4);
-        // Increasing Z maps to decreasing detector v: this plan walks down.
-        assert!(blocks.downward);
-        assert_eq!(
-            blocks.split(RowRange::new(10, 18)),
-            [(16, 18), (13, 16), (10, 13)].map(|(b, e)| RowRange::new(b, e))
-        );
-        let up = RowBlocks {
-            downward: false,
-            ..blocks
-        };
-        assert_eq!(
-            up.split(RowRange::new(10, 17)),
-            [(10, 13), (13, 16), (16, 17)].map(|(b, e)| RowRange::new(b, e))
-        );
-        assert_eq!(blocks.split(RowRange::new(7, 7)), [RowRange::new(7, 7)]);
+        assert!(tasks.windows(2).all(|w| w[1].rows.begin <= w[0].rows.begin));
+        let ranges = |r: &[(usize, usize)]| r.iter().map(|&(b, e)| RowRange::new(b, e)).collect();
+        let blocks: Vec<RowRange> = ranges(&[(16, 18), (13, 16), (10, 13)]);
+        assert_eq!(path.split(RowRange::new(10, 18), &all), blocks);
+        assert_eq!(path.split(RowRange::new(7, 7), &all), [RowRange::new(7, 7)]);
+        // Half the projections make blocks twice as tall.
+        let blocks: Vec<RowRange> = ranges(&[(16, 18), (10, 16)]);
+        assert_eq!(path.split(RowRange::new(10, 18), &(0..g.np / 2)), blocks);
         // Rows wider than a block still make one-row blocks.
-        let one = RowBlocks::new(&tasks, g.np, g.nu, 1);
-        assert_eq!(one.split(RowRange::new(0, 2)).len(), 2);
+        let one = DataPath::new(&cfg, &p, 1);
+        assert_eq!(one.split(RowRange::new(0, 2), &all).len(), 2);
     }
 
     #[test]
@@ -214,7 +381,7 @@ mod tests {
             "expected a batch cut into several blocks"
         );
         for driver in Driver::ALL {
-            let source = Counting::new(&p, None);
+            let source = Counting::new(&p);
             let (vol, loaded) = driver.run(&g, &source).unwrap();
             assert_eq!(vol.data(), reference.data(), "{driver:?}");
             let reads = source.reads();
@@ -265,7 +432,7 @@ mod tests {
         let g = geom();
         let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
         let reads = {
-            let source = Counting::new(&p, None);
+            let source = Counting::new(&p);
             Driver::OutOfCore.run(&g, &source).unwrap();
             source.reads().len()
         };
@@ -274,7 +441,7 @@ mod tests {
             for k in [0, 1, reads / 2, reads - 1] {
                 let (g, p) = (g.clone(), p.clone());
                 let outcome = within_a_minute(move || {
-                    let source = Counting::new(&p, Some(k));
+                    let source = Counting::failing(&p, Box::new(move |_, n| n == k));
                     driver.run(&g, &source).map(|_| ())
                 });
                 match outcome {
@@ -294,9 +461,9 @@ mod tests {
             fn shape(&self) -> (usize, usize, usize) {
                 self.0.shape()
             }
-            fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
-                self.0
-                    .read_rows(v_begin, v_end.saturating_sub(1).max(v_begin))
+            fn read_rows(&self, r: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
+                let short = RowRange::new(r.begin, r.end.saturating_sub(1).max(r.begin));
+                self.0.read_rows(short, s)
             }
         }
         let g = geom();
@@ -347,7 +514,7 @@ mod tests {
                 driver.run_with(&g, &scan, Some((&ep, &kill))),
                 Err(ReconstructionError::Interrupted { completed_slabs: 2 })
             ));
-            let source = Counting::new(&scan, None);
+            let source = Counting::new(&scan);
             let resume = CheckpointSpec::new("ck", 1).resuming();
             let (vol, report) = driver.run_with(&g, &source, Some((&ep, &resume))).unwrap();
             assert_eq!(vol.data(), reference.data(), "{driver:?}");
@@ -364,5 +531,192 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// In core, the one-slab plan reads each row its slab needs once,
+    /// and a region of interest reads only its own rows.
+    #[test]
+    fn in_core_reads_each_needed_row_once() {
+        let g = geom();
+        let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+        let full = fdk_reconstruct(&g, &p).unwrap();
+        for (z0, z1) in [(0, g.nz), (20, 28), (g.nz - 3, g.nz)] {
+            let source = Counting::new(&p);
+            let cfg = FdkConfig::new(g.clone());
+            let vol = fdk_reconstruct_configured(&cfg, &source, Some((z0, z1))).unwrap();
+            assert_eq!(vol.data(), &full.data()[z0 * g.nx * g.ny..z1 * g.nx * g.ny]);
+            let needed = compute_ab(&g, z0, z1);
+            for (v, n) in source.times_read(&(0..g.np)).into_iter().enumerate() {
+                assert_eq!(n, usize::from(needed.contains(v)), "[{z0}, {z1}): row {v}");
+            }
+        }
+    }
+
+    /// The reference a ring must match: the whole filtered stack
+    /// back-projected at once.
+    fn whole_stack(g: &CbctGeometry, p: &ProjectionStack) -> Volume {
+        let cfg = FdkConfig::new(g.clone());
+        let filter = FilterPipeline::new(g, cfg.window);
+        let mut filtered = p.clone();
+        filter.filter_stack(&mut filtered);
+        let mut vol = Volume::zeros(g.nx, g.ny, g.nz);
+        let mats = ProjectionMatrix::full_scan(g);
+        host::run_backprojection(cfg.kernel, &filtered, &mats, &mut vol);
+        scale_sum(vol.data_mut(), filter.backprojection_scale() as f32);
+        vol
+    }
+
+    /// A rectangular footprint's corner voxel is off the diagonal that
+    /// `ComputeAB` samples, so its slabs' rows come from the conservative
+    /// bound: the one-slab ring holds every row the kernel samples. A wide
+    /// cone and noise on every row make a missed row show.
+    #[test]
+    fn in_core_on_a_rectangular_footprint_is_the_whole_stack_bits() {
+        let mut g = CbctGeometry::ideal(16, 8, 256, 320);
+        g.ny = 4;
+        let mut p = ProjectionStack::zeros(g.nv, g.np, g.nu);
+        let mut x = 0x2545_f491_u32;
+        for v in p.data_mut() {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            *v = x as f32 / u32::MAX as f32;
+        }
+        let vol = fdk_reconstruct(&g, &p).unwrap();
+        assert_eq!(vol.data(), whole_stack(&g, &p).data());
+    }
+
+    /// A z grid coarser than the detector's rows: adjacent slabs' rows
+    /// leave a gap, so a batch's rows do not extend the ring's window and
+    /// the window starts afresh. Every mode still writes the in-core bits.
+    #[test]
+    fn a_coarse_z_grid_reconstructs_in_every_mode() {
+        let _serial = crate::TIMING_TEST_LOCK.lock();
+        let g = CbctGeometry::ideal(16, 16, 64, 64).with_volume(6, 6, 6);
+        let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+        let gap = |nb| {
+            let plan = VolumeDecomposition::full(&g, nb);
+            let tasks = plan.tasks().to_vec();
+            tasks.windows(2).any(|w| w[1].rows.end < w[0].rows.begin)
+        };
+        let reference = fdk_reconstruct(&g, &p).unwrap();
+        assert_eq!(reference.data(), whole_stack(&g, &p).data());
+        assert!(gap(OutOfCoreReconstructor::new(config(&g)).unwrap().nb()));
+        for driver in Driver::ALL {
+            let (vol, _) = driver.run(&g, &p).unwrap();
+            assert_eq!(vol.data(), reference.data(), "{driver:?}");
+        }
+        // One rank per group, each walking its three one-slice batches.
+        assert!(gap(1));
+        let cfg = FdkConfig::new(g.clone()).with_nc(3);
+        let layout = RankLayout::new(1, 2, 3);
+        let out = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None).unwrap();
+        assert_eq!(out.volume.data(), reference.data());
+    }
+
+    /// Each distributed rank keeps one ring across its batches, so at
+    /// `N_c = 8` it reads (and filters) each row of its share once, not
+    /// once per batch whose window holds the row.
+    #[test]
+    fn each_rank_reads_each_row_of_its_share_once() {
+        let _serial = crate::TIMING_TEST_LOCK.lock();
+        let g = geom();
+        let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+        let layout = RankLayout::new(2, 1, 8);
+        let cfg = FdkConfig::new(g.clone()).with_nc(8);
+        let source = Counting::new(&p);
+        let out =
+            fault_tolerant_reconstruct(&cfg, layout, &source, &FaultPlan::none(), None).unwrap();
+        assert!(out.recovery.is_empty(), "{:?}", out.recovery);
+        let tasks = VolumeDecomposition::full(&g, g.nz.div_ceil(8))
+            .tasks()
+            .to_vec();
+        assert_eq!(tasks.len(), 8);
+        let windows: usize = tasks.iter().map(|t| t.rows.len()).sum();
+        for rank in 0..layout.num_ranks() {
+            let a = layout.assignment(&g, rank);
+            let times = source.times_read(&(a.s_begin..a.s_end));
+            for (v, &n) in times.iter().enumerate() {
+                let needed = tasks.iter().any(|t| t.rows.contains(v));
+                assert_eq!(n, usize::from(needed), "rank {rank}: row {v}");
+            }
+            assert!(windows > times.iter().sum::<usize>() * 3 / 2);
+        }
+    }
+
+    /// A read that fails on a distributed rank — a worker, a leader, or a
+    /// deputy recomputing a dead leader's slabs — is the run's input
+    /// error naming the rows, however the protocol recovered, and the
+    /// world joins.
+    #[test]
+    fn a_failed_read_on_a_rank_is_an_error_and_the_world_joins() {
+        let _serial = crate::TIMING_TEST_LOCK.lock();
+        let g = CbctGeometry::ideal(16, 16, 24, 20);
+        let p = forward_project(&g, &uniform_ball(&g, 0.5, 1.0));
+        let half = g.np / 2;
+        // Rank 2 leads group 1 and dies at its first receive, after its
+        // first read; its deputy's takeover recompute reads fail.
+        let kill_leader = FaultPlan::from_events(vec![FaultEvent {
+            rank: 2,
+            channel: Channel::Recv,
+            op_index: 0,
+            kind: FaultKind::RankFailure,
+        }]);
+        let cases: Vec<(&str, usize, FaultPlan, Pick)> = vec![
+            (
+                "root",
+                1,
+                FaultPlan::none(),
+                Box::new(|s, n| s.start == 0 && n == 0),
+            ),
+            (
+                "root, second batch",
+                1,
+                FaultPlan::none(),
+                Box::new(|s, n| s.start == 0 && n == 1),
+            ),
+            (
+                "worker",
+                1,
+                FaultPlan::none(),
+                Box::new(move |s, n| s.start == half && n == 0),
+            ),
+            (
+                "worker, second batch",
+                1,
+                FaultPlan::none(),
+                Box::new(move |s, n| s.start == half && n == 1),
+            ),
+            (
+                "takeover",
+                2,
+                kill_leader,
+                Box::new(|s, n| s.start == 0 && n >= 3),
+            ),
+        ];
+        let threads: Vec<_> = cases
+            .into_iter()
+            .map(|(name, ng, plan, fail)| {
+                let (g, p) = (g.clone(), p.clone());
+                let run = std::thread::spawn(move || {
+                    within_a_minute(move || {
+                        let source = Counting::failing(&p, fail);
+                        let cfg = FdkConfig::new(g).with_nc(2);
+                        let layout = RankLayout::new(2, ng, 2);
+                        fault_tolerant_reconstruct(&cfg, layout, &source, &plan, None).map(|_| ())
+                    })
+                });
+                (name, run)
+            })
+            .collect();
+        for (name, run) in threads {
+            match run.join().unwrap() {
+                Err(ReconstructionError::Input(what)) => assert!(
+                    what.contains("injected read failure") && what.starts_with("rows ["),
+                    "{name}: {what}"
+                ),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
     }
 }

@@ -100,10 +100,16 @@ fn ab_from_extrema(geom: &CbctGeometry, y_min: f64, y_max: f64) -> RowRange {
 /// the matrices at 135° and 315° — the angles at which that voxel makes its
 /// farthest and nearest approach to the source (Figure 5) — and takes
 /// floor/ceil of the four detector `v` coordinates. Exact for square
-/// footprints (`N_x·Δx = N_y·Δy`, the paper's setting); see
-/// [`compute_ab_conservative`] for the general bound.
+/// footprints, whose corner voxel lies on the diagonal (`(N_x−1)·Δx =
+/// (N_y−1)·Δy`, the paper's setting); any other footprint gets
+/// [`compute_ab_conservative`]'s bound, so every row a slab samples is in
+/// its range.
 pub fn compute_ab(geom: &CbctGeometry, begin_idx: usize, end_idx: usize) -> RowRange {
     assert!(begin_idx < end_idx, "empty slab [{begin_idx}, {end_idx})");
+    let half = |n: usize, d: f64| n.saturating_sub(1) as f64 * d;
+    if half(geom.nx, geom.dx) != half(geom.ny, geom.dy) {
+        return compute_ab_conservative(geom, begin_idx, end_idx);
+    }
     let m135 = ProjectionMatrix::new(geom, 135f64.to_radians());
     let m315 = ProjectionMatrix::new(geom, 315f64.to_radians());
     let k0 = begin_idx as f64;

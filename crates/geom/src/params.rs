@@ -20,6 +20,9 @@ pub enum GeometryError {
     /// The reconstructed cylinder must fit between source and rotation axis,
     /// otherwise rays pass through the source (depth `z ≤ 0`).
     ObjectReachesSource { dso: f64, radius: f64 },
+    /// No slice needs a detector row (Algorithm 2): each projects past
+    /// the detector's top or bottom edge, so nothing can be reconstructed.
+    NoSliceOnDetector { magnification: f64 },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -43,6 +46,10 @@ impl std::fmt::Display for GeometryError {
             GeometryError::ObjectReachesSource { dso, radius } => write!(
                 f,
                 "volume footprint radius {radius} reaches the X-ray source (Dso={dso})"
+            ),
+            GeometryError::NoSliceOnDetector { magnification } => write!(
+                f,
+                "no slice projects onto the detector (magnification Dsd/Dso = {magnification:e})"
             ),
         }
     }
@@ -134,7 +141,9 @@ impl CbctGeometry {
         }
     }
 
-    /// Validates the parameter set.
+    /// Validates the parameter set. Some slice must need a detector row
+    /// (Algorithm 2); at extreme magnification every slice projects past
+    /// the detector's edges.
     pub fn validate(&self) -> Result<(), GeometryError> {
         for (v, name) in [
             (self.np, "np"),
@@ -187,6 +196,10 @@ impl CbctGeometry {
                 dso: self.dso,
                 radius,
             });
+        }
+        if (0..self.nz).all(|k| crate::compute_ab(self, k, k + 1).is_empty()) {
+            let magnification = self.magnification();
+            return Err(GeometryError::NoSliceOnDetector { magnification });
         }
         Ok(())
     }
@@ -399,6 +412,23 @@ mod tests {
         assert_eq!(g.projection_elements(), 14 * 10 * 12);
         assert_eq!(g.volume_bytes(), 2048);
         assert_eq!(g.voxel_updates(), 5120);
+    }
+
+    /// At extreme magnification no slice projects onto the detector, so
+    /// nothing can be reconstructed; a gap between adjacent slices' rows
+    /// is only a coarse z grid and validates.
+    #[test]
+    fn a_geometry_with_no_slice_on_the_detector_is_refused() {
+        let mut g = CbctGeometry::ideal(12, 18, 18, 18);
+        g.validate().unwrap();
+        (g.dso, g.dsd) = (100.0, 1.8e19);
+        assert!(matches!(
+            g.validate(),
+            Err(GeometryError::NoSliceOnDetector { .. })
+        ));
+        // Adjacent slices whose rows leave a gap still reconstruct.
+        (g.dso, g.dsd) = (1e18, 1.8e19);
+        g.validate().unwrap();
     }
 
     #[test]

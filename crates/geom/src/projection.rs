@@ -1,19 +1,27 @@
 //! Detector-row-major projection stack: the input container of Figure 3a.
 
-/// Where a streaming driver reads detector rows from: a scan held in
-/// memory or a `.sfbp` file read by rows.
+use std::ops::Range;
+
+use crate::RowRange;
+
+/// Where a driver reads detector rows from: a scan held in memory or a
+/// `.sfbp` file read by rows.
 ///
-/// A driver asks only for the row bands it needs (Eq 6–7), so a source
-/// that reads lazily bounds host memory by the ring of rows, not by the
-/// scan.
+/// A driver asks only for the row bands it needs (Eq 6–7), over only its
+/// own projection share (Eq 5), so a source that reads lazily bounds host
+/// memory by the ring of rows, not by the scan.
 pub trait RowSource: Sync {
     /// `(N_v, N_p, N_u)` of the whole scan.
     fn shape(&self) -> (usize, usize, usize);
 
-    /// Global detector rows `[v_begin, v_end)` of every projection, as a
-    /// partial stack with `v_offset = v_begin`. A range outside the scan
-    /// is an error, never a panic.
-    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack>;
+    /// Global detector `rows` of global `projections`, as a partial stack
+    /// with `v_offset = rows.begin` and `s_offset = projections.start`. A
+    /// range outside the scan is an error, never a panic.
+    fn read_rows(
+        &self,
+        rows: RowRange,
+        projections: Range<usize>,
+    ) -> std::io::Result<ProjectionStack>;
 }
 
 impl RowSource for ProjectionStack {
@@ -21,18 +29,15 @@ impl RowSource for ProjectionStack {
         (self.nv, self.np, self.nu)
     }
 
-    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
-        if v_begin < self.v_offset || v_begin > v_end || v_end > self.v_offset + self.nv {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "rows [{v_begin}, {v_end}) outside held [{}, {})",
-                    self.v_offset,
-                    self.v_offset + self.nv
-                ),
-            ));
+    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
+        let held = |lo: usize, n: usize, b: usize, e: usize| lo <= b && b <= e && e <= lo + n;
+        if !held(self.v_offset, self.nv, rows.begin, rows.end)
+            || !held(self.s_offset, self.np, s.start, s.end)
+        {
+            let what = format!("rows {rows:?} of projections {s:?} outside the held stack");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, what));
         }
-        Ok(self.extract_window(v_begin, v_end, self.s_offset, self.s_offset + self.np))
+        Ok(self.extract_window(rows.begin, rows.end, s.start, s.end))
     }
 }
 
@@ -42,8 +47,8 @@ impl<T: RowSource + Send> RowSource for std::sync::Arc<T> {
         T::shape(self)
     }
 
-    fn read_rows(&self, v_begin: usize, v_end: usize) -> std::io::Result<ProjectionStack> {
-        T::read_rows(self, v_begin, v_end)
+    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
+        T::read_rows(self, rows, s)
     }
 }
 
@@ -324,14 +329,35 @@ mod tests {
     #[test]
     fn read_rows_is_extract_window_and_refuses_out_of_range() {
         let p = counting_stack(6, 4, 3);
+        let rows = |b, e| RowRange { begin: b, end: e };
         assert_eq!(p.shape(), (6, 4, 3));
-        assert_eq!(p.read_rows(2, 5).unwrap(), p.extract_window(2, 5, 0, 4));
-        assert_eq!(p.read_rows(3, 3).unwrap().nv(), 0);
-        let w = p.extract_window(2, 5, 0, 4);
-        assert_eq!(w.read_rows(3, 5).unwrap(), p.extract_window(3, 5, 0, 4));
-        for (b, e) in [(0, 7), (4, 3), (1, 3)] {
-            let err = w.read_rows(b, e).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "[{b}, {e})");
+        assert_eq!(
+            p.read_rows(rows(2, 5), 0..4).unwrap(),
+            p.extract_window(2, 5, 0, 4)
+        );
+        assert_eq!(
+            p.read_rows(rows(2, 5), 1..3).unwrap(),
+            p.extract_window(2, 5, 1, 3)
+        );
+        assert_eq!(p.read_rows(rows(3, 3), 0..4).unwrap().nv(), 0);
+        let w = p.extract_window(2, 5, 1, 4);
+        assert_eq!(
+            w.read_rows(rows(3, 5), 2..4).unwrap(),
+            p.extract_window(3, 5, 2, 4)
+        );
+        for (b, e, s) in [
+            (0, 7, 1..4),
+            (4, 3, 1..4),
+            (1, 3, 1..4),
+            (2, 5, 0..4),
+            (2, 5, 3..5),
+        ] {
+            let err = w.read_rows(rows(b, e), s.clone()).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidInput,
+                "[{b}, {e}) {s:?}"
+            );
         }
     }
 

@@ -2,11 +2,12 @@
 
 use std::fs::File;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use bytes::BufMut;
-use scalefbp_geom::{ProjectionStack, RowSource, Volume};
+use scalefbp_geom::{ProjectionStack, RowRange, RowSource, Volume};
 
 /// Magic bytes of the raw container.
 const MAGIC: &[u8; 4] = b"SFBP";
@@ -17,8 +18,6 @@ const KIND_PROJECTIONS: u8 = 2;
 /// little-endian `u32` fields.
 const VOLUME_HEADER: usize = 21;
 const PROJECTIONS_HEADER: usize = 25;
-/// Bytes [`ScanFile`] reads and converts per positioned read.
-const READ_CHUNK: usize = 1 << 18;
 /// Values per encoded block of a volume payload: 1 MiB of bytes, so
 /// writing a volume never stages a second volume-sized buffer.
 const WRITE_BLOCK: usize = 1 << 18;
@@ -113,13 +112,11 @@ fn payload_elements(dims: [usize; 3], payload_bytes: u64) -> Result<usize, Forma
     Ok(n)
 }
 
-/// Refuses rows `[v_begin, v_end)` unless they lie inside `[lo, hi)`.
-pub(crate) fn check_rows(lo: usize, hi: usize, v_begin: usize, v_end: usize) -> io::Result<()> {
-    if v_begin < lo || v_begin > v_end || v_end > hi {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("rows [{v_begin}, {v_end}) outside the scan's [{lo}, {hi})"),
-        ));
+/// Refuses the rows or projections `r` unless the scan's `held` has them.
+fn check_held(what: &str, r: Range<usize>, held: Range<usize>) -> io::Result<()> {
+    if r.start < held.start || r.start > r.end || r.end > held.end {
+        let msg = format!("{what} {r:?} outside the scan's {held:?}");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     }
     Ok(())
 }
@@ -203,9 +200,9 @@ pub fn decode_projections(data: &[u8]) -> Result<ProjectionStack, FormatError> {
 /// A projection-stack container opened for reading by detector rows.
 ///
 /// [`open`](Self::open) reads and checks the header and the file length
-/// once. The stack is `[v][s][u]`, so a band of rows is one contiguous
-/// byte range: [`RowSource::read_rows`] reads it with one positioned read
-/// through a small buffer, and a streaming driver holds only the rows it
+/// once. The stack is `[v][s][u]`, so each row of a projection share is
+/// one contiguous byte range: [`RowSource::read_rows`] reads a share with
+/// one positioned read per row, and a driver holds only the rows it
 /// asked for. The values are bit-identical to [`decode_projections`].
 #[derive(Debug)]
 pub struct ScanFile {
@@ -242,26 +239,11 @@ impl ScanFile {
         })
     }
 
-    /// The whole stack, in one allocation: what the in-core and
-    /// distributed drivers take.
+    /// The whole stack, in one allocation: what the iterative solvers
+    /// take.
     pub fn read_all(&self) -> io::Result<ProjectionStack> {
-        let mut p =
-            ProjectionStack::zeros_window(self.nv, self.np, self.nu, self.v_offset, self.s_offset);
-        self.read_into(0, p.data_mut())?;
-        Ok(p)
-    }
-
-    /// Fills `out` from the payload, starting at element `first`.
-    fn read_into(&self, first: usize, out: &mut [f32]) -> io::Result<()> {
-        let mut buf = vec![0u8; READ_CHUNK.min(out.len() * 4)];
-        let mut offset = PROJECTIONS_HEADER as u64 + first as u64 * 4;
-        for dst in out.chunks_mut(READ_CHUNK / 4) {
-            let bytes = &mut buf[..dst.len() * 4];
-            self.file.read_exact_at(bytes, offset)?;
-            f32s_from_le(bytes, dst);
-            offset += bytes.len() as u64;
-        }
-        Ok(())
+        let rows = RowRange::new(self.v_offset, self.v_offset + self.nv);
+        self.read_rows(rows, self.s_offset..self.s_offset + self.np)
     }
 }
 
@@ -270,16 +252,21 @@ impl RowSource for ScanFile {
         (self.nv, self.np, self.nu)
     }
 
-    fn read_rows(&self, v_begin: usize, v_end: usize) -> io::Result<ProjectionStack> {
-        check_rows(self.v_offset, self.v_offset + self.nv, v_begin, v_end)?;
-        let mut p = ProjectionStack::zeros_window(
-            v_end - v_begin,
-            self.np,
-            self.nu,
-            v_begin,
-            self.s_offset,
-        );
-        self.read_into((v_begin - self.v_offset) * self.np * self.nu, p.data_mut())?;
+    /// One positioned read per row: a row of a projection share is one
+    /// contiguous byte range.
+    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> io::Result<ProjectionStack> {
+        let (v0, s0, nu) = (self.v_offset, self.s_offset, self.nu);
+        check_held("rows", rows.begin..rows.end, v0..v0 + self.nv)?;
+        check_held("projections", s.clone(), s0..s0 + self.np)?;
+        let mut p = ProjectionStack::zeros_window(rows.len(), s.len(), nu, rows.begin, s.start);
+        let mut buf = vec![0u8; s.len() * nu * 4];
+        let row_data = p.data_mut().chunks_exact_mut((s.len() * nu).max(1));
+        for (v, dst) in (rows.begin..rows.end).zip(row_data) {
+            let element = ((v - v0) * self.np + s.start - s0) * nu;
+            let offset = PROJECTIONS_HEADER as u64 + element as u64 * 4;
+            self.file.read_exact_at(&mut buf, offset)?;
+            f32s_from_le(&buf, dst);
+        }
         Ok(p)
     }
 }
@@ -518,7 +505,7 @@ mod tests {
         for (i, x) in p.data_mut().iter_mut().enumerate() {
             *x = (i as f32 * 0.37).sin() * 1e3;
         }
-        // Enough rows that a band spans several read chunks.
+        // Wide rows: each is one read of 80 kB.
         let mut big = ProjectionStack::zeros(9, 40, 500);
         for (i, x) in big.data_mut().iter_mut().enumerate() {
             *x = f32::from_bits(i as u32 ^ 0x3f80_1234);
@@ -531,14 +518,31 @@ mod tests {
             assert_eq!(scan.read_all().unwrap(), decoded);
             assert_eq!(scan.shape(), (stack.nv(), stack.np(), stack.nu()), "{tag}");
             let (lo, hi) = (stack.v_offset(), stack.v_offset() + stack.nv());
+            let (s0, s1) = (stack.s_offset(), stack.s_offset() + stack.np());
+            let shares = [s0..s1, s0 + 1..s1, s0..s0 + 1, s1 - 1..s1, s0 + 1..s0 + 1];
             for (b, e) in [(lo, hi), (lo + 1, hi - 2), (hi - 1, hi), (lo + 3, lo + 3)] {
-                let rows = scan.read_rows(b, e).unwrap();
-                assert_eq!(rows, decoded.read_rows(b, e).unwrap(), "{tag} [{b}, {e})");
-                assert_eq!(rows.v_offset(), b);
+                for s in shares.clone() {
+                    let rows = scan.read_rows(RowRange::new(b, e), s.clone()).unwrap();
+                    let want = decoded.read_rows(RowRange::new(b, e), s.clone()).unwrap();
+                    assert_eq!(rows, want, "{tag} [{b}, {e}) {s:?}");
+                    assert_eq!((rows.v_offset(), rows.s_offset()), (b, s.start));
+                }
             }
-            for (b, e) in [(hi - 1, hi + 1), (lo + 2, lo + 1)] {
-                let err = scan.read_rows(b, e).unwrap_err();
-                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{tag} [{b}, {e})");
+            let bad = [
+                (RowRange::new(hi - 1, hi + 1), s0..s1),
+                (
+                    RowRange {
+                        begin: lo + 2,
+                        end: lo + 1,
+                    },
+                    s0..s1,
+                ),
+                (RowRange::new(lo, hi), s0..s1 + 1),
+                (RowRange::new(lo, hi), s0.wrapping_sub(1)..s1),
+            ];
+            for (r, s) in bad {
+                let err = scan.read_rows(r, s.clone()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{tag} {r:?} {s:?}");
             }
             std::fs::remove_file(&path).unwrap();
         }
