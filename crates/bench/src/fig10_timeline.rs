@@ -1,7 +1,7 @@
 //! Regenerates **Figure 10**: the end-to-end pipeline overlap timelines —
 //! (a) a single GPU reconstructing tomo_00029 → 2048³, (b) 128 GPUs
 //! reconstructing the bumblebee → 4096³ — plus a real-compute laptop-scale
-//! trace from the threaded pipeline.
+//! trace: the streaming driver's stages on the wall clock.
 //!
 //! ```text
 //! cargo run --release -p scalefbp-bench -- fig10_timeline
@@ -65,8 +65,9 @@ pub fn run(_: &crate::Options) {
         b.trace.overlap_efficiency() * 100.0
     );
 
-    // Real-compute trace at laptop scale: the actual threaded pipeline.
-    println!("\nreal-compute trace (tomo_00030 scaled, threaded Figure-9 pipeline):");
+    // Real-compute trace at laptop scale: the slab loop runs its stages
+    // back to back; Figure 9's replay of its batches models the overlap.
+    println!("\nreal-compute trace (tomo_00030 scaled, the slab loop's stages):");
     let w = MeasuredWorkload::new("tomo_00030", 3);
     let budget = ((w.geom.projection_bytes() + w.geom.volume_bytes()) / 3) as u64;
     let rec = OutOfCoreReconstructor::new(
@@ -78,8 +79,8 @@ pub fn run(_: &crate::Options) {
         .expect("run");
     print!("{}", report.trace.render_ascii(76));
     println!(
-        "overlap efficiency {:.0}% over {:.2} s wall",
-        report.trace.overlap_efficiency() * 100.0,
-        report.wall_secs
+        "{:.2} s wall; Figure 9's replay of these batches: overlap efficiency {:.0}%",
+        report.wall_secs,
+        report.model_trace.overlap_efficiency() * 100.0
     );
 }

@@ -51,11 +51,11 @@ fn parse_device(spec: &str) -> Result<DeviceSpec, CliError> {
     if let Some(bytes) = spec.strip_prefix("tiny:") {
         let b: u64 = bytes
             .parse()
-            .map_err(|_| CliError::Message(format!("bad device size `{bytes}`")))?;
+            .map_err(|_| CliError::Message(format!("bad --device size `{bytes}`")))?;
         return Ok(DeviceSpec::tiny(b));
     }
     Err(CliError::Message(format!(
-        "unknown device `{spec}` (v100 | a100 | tiny:BYTES)"
+        "unknown --device `{spec}` (v100 | a100 | tiny:BYTES)"
     )))
 }
 
@@ -242,7 +242,8 @@ fn apply_straggler_plan(
     let sseed: u64 = ss
         .parse()
         .map_err(|_| CliError::Message(format!("bad --straggler-seed `{ss}`")))?;
-    let count: usize = args.typed_or("stragglers", 1, "integer")?;
+    let why = format!("rank 0 of a {world_size}-rank world never straggles");
+    let count = parse_stragglers(args, world_size.saturating_sub(1), &why)?;
     let factor = parse_slow_factor(args)?;
     let mut events = plan.events().to_vec();
     events.extend(
@@ -252,6 +253,19 @@ fn apply_straggler_plan(
             .cloned(),
     );
     Ok(FaultPlan::from_events(events))
+}
+
+/// Resolves `--stragglers` against the `limit` ranks or devices that may
+/// straggle (`why` says why no more): a count past it is an error naming
+/// the flag, and the default, one, is clamped to it.
+fn parse_stragglers(args: &mut Args, limit: usize, why: &str) -> Result<usize, CliError> {
+    let count = args.typed_or("stragglers", limit.min(1), "integer")?;
+    if count > limit {
+        return Err(CliError::Message(format!(
+            "--stragglers {count} exceeds {limit}: {why}"
+        )));
+    }
+    Ok(count)
 }
 
 /// Resolves `--slow-factor` (default 4): a straggler runs at least
@@ -428,6 +442,12 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     };
 
     let geom = read_geometry(args, &scan_path)?;
+    if let Some((z0, z1)) = slab.filter(|&(z0, z1)| z0 >= z1 || z1 > geom.nz) {
+        return Err(CliError::Message(format!(
+            "bad --slab `{z0}:{z1}` (want Z0 < Z1 <= {})",
+            geom.nz
+        )));
+    }
     let scan = open_scan(&scan_path)?;
 
     let t0 = std::time::Instant::now();
@@ -483,8 +503,8 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
                     report.device.h2d_bytes as f64 / 1e6
                 ),
                 Schedule::Overlapped => format!(
-                    "threaded pipeline: overlap efficiency {:.0}%{notes}",
-                    report.trace.overlap_efficiency() * 100.0
+                    "pipeline: modelled overlap efficiency {:.0}%{notes}",
+                    report.model_trace.overlap_efficiency() * 100.0
                 ),
             };
             (
@@ -704,7 +724,8 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
         let sseed: u64 = ss
             .parse()
             .map_err(|_| CliError::Message(format!("bad --straggler-seed `{ss}`")))?;
-        let count: usize = args.typed_or("stragglers", 1, "integer")?;
+        let why = format!("one of the {devices} devices stays healthy");
+        let count = parse_stragglers(args, devices - 1, &why)?;
         let factor = parse_slow_factor(args)?;
         let horizon = (jobs as f64 / rate * 1e9).round() as u64;
         let mut plan = cfg.faults.clone();

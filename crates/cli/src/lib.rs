@@ -44,7 +44,13 @@ impl From<ArgError> for CliError {
 
 impl From<scalefbp::ReconstructionError> for CliError {
     fn from(e: scalefbp::ReconstructionError) -> Self {
-        CliError::Message(e.to_string())
+        match e {
+            // The one planning error a flag alone decides.
+            scalefbp::ReconstructionError::DeviceTooSmall { .. } => {
+                CliError::Message(format!("--device {e}"))
+            }
+            e => CliError::Message(e.to_string()),
+        }
     }
 }
 
@@ -82,7 +88,8 @@ COMMANDS:
                   incore and distributed modes charge no device
                   (see docs/backends.md)
               [--device v100|a100|tiny:BYTES]
-              [--slab Z0:Z1]            (incore mode: only these slices)
+              [--slab Z0:Z1]            (incore mode: only slices
+                                         Z0 ≤ z < Z1 ≤ N_z)
               [--nr N --ng N]           (distributed rank layout,
                                          1 ≤ nr ≤ N_p and 1 ≤ ng ≤ N_z)
               [--reduce-mode dense|hierarchical|segmented]
@@ -96,8 +103,8 @@ COMMANDS:
                   inject a deterministic fault schedule (every mode but
                   incore) and recover; prints the recovery log
               [--straggler-seed N] [--stragglers N] [--slow-factor F]
-                  additionally slow seeded worker devices F ≥ 2 times
-                  (distributed mode); the driver detects the stragglers and
+                  additionally slow N (default 1, at most ranks − 1)
+                  seeded worker devices F ≥ 2 times (distributed mode); the driver detects the stragglers and
                   speculatively re-executes their chunks on healthy peers
               [--timeout-scale F]
                   patience multiplier on the perf-model-derived failure
@@ -130,7 +137,8 @@ COMMANDS:
               [--tenants 3] [--rate HZ] [--seed N] [--fault-seed N]
               [--straggler-seed N] [--stragglers N] [--slow-factor F]
               [--no-hedging] [--aging-nanos N]
-                  slow seeded devices mid-run; the scheduler detects the
+                  slow N (default 1, at most devices − 1) seeded devices
+                  mid-run; the scheduler detects the
                   stragglers and hedges their stuck small-job batches
                   onto idle healthy devices (disable with --no-hedging);
                   --aging-nanos overrides the FIFO-aging limit that also

@@ -928,6 +928,12 @@ fn hostile_numeric_flags_exit_1_naming_the_flag() {
         let args = ["reconstruct", "--scan", scan_path, "--out", out_path];
         [&args[..], &mode, &["--slow-factor", value]].concat()
     };
+    let reconstruct = |mode: &[&'static str], flag, value| {
+        let args = ["reconstruct", "--scan", scan_path, "--out", out_path];
+        [&args[..], mode, &[flag, value]].concat()
+    };
+    let pipeline = ["--mode", "pipeline"];
+    let stragglers = ["--mode", "distributed", "--straggler-seed", "1"];
     let cases = [
         serve("--tenants", "0"),
         serve("--rate", "0"),
@@ -941,6 +947,15 @@ fn hostile_numeric_flags_exit_1_naming_the_flag() {
         iterative("nan"),
         iterative("-1"),
         iterative("3"),
+        reconstruct(&pipeline, "--device", "tiny:-1"),
+        reconstruct(&pipeline, "--device", "tiny:abc"),
+        reconstruct(&pipeline, "--device", "h100"),
+        reconstruct(&pipeline, "--device", "tiny:0"),
+        reconstruct(&[], "--slab", "5:2"),
+        reconstruct(&[], "--slab", "3:3"),
+        reconstruct(&[], "--slab", "0:999"),
+        reconstruct(&stragglers, "--stragglers", "99"),
+        [serve("--straggler-seed", "1"), vec!["--stragglers", "99"]].concat(),
     ];
     for args in cases {
         let (status, stderr) = run_binary_within_a_minute(&args);

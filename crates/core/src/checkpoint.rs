@@ -45,12 +45,12 @@ pub fn config_fingerprint(config: &FdkConfig, driver: &str) -> u64 {
     fingerprint(&canonical)
 }
 
-/// Encodes a slab volume's voxels as the little-endian f32 payload the
+/// Encodes a slab's voxels as the little-endian f32 payload the
 /// checkpoint store seals. The z-range is carried by the manifest key,
 /// not the payload.
-pub fn slab_to_bytes(slab: &Volume) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(slab.len() * 4);
-    for v in slab.data() {
+pub fn slab_to_bytes(voxels: &[f32]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(voxels.len() * 4);
+    for v in voxels {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
     bytes
@@ -96,24 +96,27 @@ pub(crate) fn open_store(
     })
 }
 
-/// Queues one finished slab in `pending` and, once `spec.every` slabs
-/// wait there, durably commits them one by one. The chaos kill switch
+/// Queues the finished slab `z = (z0, z1)` of the whole volume `out` in
+/// `pending` and, once `spec.every` slabs wait there, durably commits
+/// them one by one from `out`. The chaos kill switch
 /// (`spec.kill_after_saves`) is checked after each commit — so a kill can
 /// land between a slab's commit and the next, exactly the crash window
 /// the resume path must cover.
 pub(crate) fn commit_slab(
     store: &mut CheckpointStore,
     spec: &CheckpointSpec,
-    pending: &mut Vec<Volume>,
-    slab: Volume,
+    pending: &mut Vec<(usize, usize)>,
+    out: &Volume,
+    z: (usize, usize),
 ) -> Result<(), ReconstructionError> {
-    pending.push(slab);
+    pending.push(z);
     if pending.len() < spec.every {
         return Ok(());
     }
-    for slab in pending.drain(..) {
-        let z0 = slab.z_offset();
-        store.save_slab(z0, z0 + slab.nz(), &slab_to_bytes(&slab))?;
+    let plane = out.nx() * out.ny();
+    for (z0, z1) in pending.drain(..) {
+        let voxels = &out.data()[z0 * plane..z1 * plane];
+        store.save_slab(z0, z1, &slab_to_bytes(voxels))?;
         if spec
             .kill_after_saves
             .is_some_and(|k| store.saves_this_run() >= k)
@@ -155,7 +158,7 @@ mod tests {
         for (i, v) in slab.data_mut().iter_mut().enumerate() {
             *v = i as f32 * 0.25 - 3.0;
         }
-        let bytes = slab_to_bytes(&slab);
+        let bytes = slab_to_bytes(slab.data());
         let back = slab_from_bytes(3, 4, (7, 9), &bytes).unwrap();
         assert_eq!(back.data(), slab.data());
         assert_eq!(back.z_offset(), 7);

@@ -414,7 +414,7 @@ impl FtCtx<'_> {
         };
         if self.failed_read.get().is_none() {
             match self.path.fill(ring, rows) {
-                Ok(()) => return self.path.backproject(task, ring).0.into_data(),
+                Ok(_) => return self.path.backproject(task, ring).0.into_data(),
                 Err(e) => _ = self.failed_read.set(e),
             }
         }
@@ -1109,7 +1109,7 @@ fn ft_root_inner(
     }
 
     let mut out = Volume::zeros(ctx.g.nx, ctx.g.ny, ctx.g.nz);
-    let mut pending: Vec<Volume> = Vec::new();
+    let mut pending = Vec::new();
     for group in 0..ctx.layout.ng {
         let decomp = ctx.group_decomp(group);
         let tasks = decomp.tasks();
@@ -1136,7 +1136,7 @@ fn ft_root_inner(
         // Both paths fill the group's range of `out` in place: group 0's
         // chunks are folded straight into it, and remote slabs are
         // received straight into it.
-        let (range, spans) = ctx.batch_spans(tasks);
+        let (range, _) = ctx.batch_spans(tasks);
         let sums = &mut out.data_mut()[range];
         if group == 0 {
             // Rank 0 leads group 0 itself; collection returns `None`
@@ -1147,10 +1147,8 @@ fn ft_root_inner(
             ft_collect_group_slabs(comm, ctx, group, sums)?;
         }
         if let Some((s, spec)) = store.as_mut() {
-            for (task, span) in tasks.iter().zip(spans) {
-                let mut slab = Volume::zeros_slab(ctx.g.nx, ctx.g.ny, task.nz(), task.z_begin);
-                slab.data_mut().copy_from_slice(&sums[span]);
-                commit_slab(s, spec, &mut pending, slab)?;
+            for task in tasks {
+                commit_slab(s, spec, &mut pending, &out, (task.z_begin, task.z_end))?;
             }
         }
     }

@@ -32,9 +32,10 @@
 //!   [`RowSource`] (a [`ProjectionStack`], or a `.sfbp` file read by rows),
 //!   streams them through a [`scalefbp_backproject::TextureWindow`] and
 //!   emits sub-volume slabs. `reconstruct(p, run)` takes a [`StreamRun`]:
-//!   the [`Schedule`] (Algorithm 3's serial loop, or Figure 9's
-//!   four-thread pipeline with span tracing for the Figure 10 timelines),
-//!   a fault plan, a modelled storage endpoint and slab checkpoints.
+//!   the [`Schedule`], which picks what the one slab loop exports
+//!   (Algorithm 3's serial trace, or Figure 9's pipeline replayed for the
+//!   Figure 10 timelines), a fault plan, a modelled storage endpoint and
+//!   slab checkpoints.
 //! * [`fault_tolerant_reconstruct`] — the distributed framework on the
 //!   in-process MPI substrate: rank groups (Eq 9–12), per-group sub-volume
 //!   batches, one rank-ordered reduction per group and batch

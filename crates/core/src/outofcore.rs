@@ -1,8 +1,9 @@
 //! The streaming driver on one device — Algorithm 3's slab plan, its
-//! stages and its report — run under a [`Schedule`]: the stages back to
-//! back (Algorithm 3, Table 5) or overlapped on four threads (Figure 9,
-//! `pipelined.rs`). Both make the same calls per batch in the same order,
-//! so they write the same bits and charge the device the same bytes.
+//! stages and its report. Every run walks the batches through one slab
+//! loop on the caller's thread, starting no thread; the [`Schedule`]
+//! picks only what the run exports, Table 5's serial timeline or Figure
+//! 9's replayed pipeline (`pipelined.rs`). So both schedules write the
+//! same bits and charge the device the same bytes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use scalefbp_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use scalefbp_pipeline::TraceCollector;
 
 use crate::checkpoint::{commit_slab, config_fingerprint, open_store, slab_from_bytes};
-use crate::pipelined::{overlapped, replay};
+use crate::pipelined::replay;
 use crate::stream::{scale_sum, DataPath, Ring, BLOCK_BYTES};
 use crate::{FdkConfig, ReconstructionError};
 
@@ -33,14 +34,16 @@ const MODEL_STORE_BW: f64 = 6.0e9;
 /// and `pipeline.*` / `gpu.*` metrics are all labelled rank 0.
 const RANK: usize = 0;
 
-/// How [`OutOfCoreReconstructor::reconstruct`] runs its stages.
+/// What a run of [`OutOfCoreReconstructor::reconstruct`] exports. Under
+/// either, the stages run back to back on the caller's thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
-    /// Back to back on the caller's thread, starting none (Algorithm 3);
-    /// records the `ooc.*` counters and exports Table 5's serial trace.
+    /// Algorithm 3: records the `ooc.*` counters and exports Table 5's
+    /// serial trace.
     Serial,
-    /// A thread per stage, bounded queues between (Figure 9); records the
-    /// rank-0 `pipeline.*` metrics and exports Figure 10's model trace.
+    /// Figure 9: records the rank-0 `pipeline.*` metrics and exports
+    /// Figure 10's model trace, the batches replayed through the
+    /// pipeline's queue recurrence.
     Overlapped,
 }
 
@@ -110,8 +113,8 @@ pub struct OutOfCoreReport {
     pub device: DeviceCounters,
     /// Total wall-clock seconds of the reconstruction.
     pub wall_secs: f64,
-    /// Wall-clock stage spans of the overlapped schedule, with the
-    /// recovery log absorbed.
+    /// Wall-clock stage spans, one per stage and batch, back to back in
+    /// `load → filter → bp → store` order, with the recovery log absorbed.
     pub trace: TraceCollector,
     /// Deterministic model-time timeline, what `--trace-out` exports:
     /// each batch's h2d → bp → d2h back to back (serial), or the batches
@@ -274,10 +277,7 @@ impl OutOfCoreReconstructor {
             .collect();
 
         let trace = TraceCollector::new();
-        batches.extend(match run.schedule {
-            Schedule::Serial => serial(&stages, &todo, &mut sink)?,
-            Schedule::Overlapped => overlapped(&stages, &todo, &mut sink, &trace)?,
-        });
+        batches.extend(serial(&stages, &todo, &mut sink, &trace)?);
         batches.sort_unstable_by_key(|b| b.index);
         let model_trace = match run.schedule {
             Schedule::Serial => serial_trace(&batches),
@@ -305,20 +305,39 @@ impl OutOfCoreReconstructor {
     }
 }
 
-/// Algorithm 3: each batch's stages back to back on the caller's thread.
+/// Algorithm 3: each batch's stages back to back on the caller's thread,
+/// one wall-clock span per stage and batch recorded into `trace`. A batch
+/// reads and filters block by block, so its load span is its reads'
+/// seconds and its filter span the rest of the fill.
 fn serial(
     stages: &Stages,
     todo: &[(&SubVolumeTask, RowRange)],
     sink: &mut Sink,
+    trace: &TraceCollector,
 ) -> Result<Vec<OocBatch>, ReconstructionError> {
+    let t0 = Instant::now();
+    let now = || t0.elapsed().as_secs_f64();
     let (mut ring, _allocs) = stages.ring()?;
     let mut batches = Vec::with_capacity(todo.len());
     for &(task, rows) in todo {
+        let start = now();
         let load_secs = stages.load(rows)?;
-        stages.path.fill(&mut ring, rows)?;
+        let fill_start = now();
+        let read_secs = stages.path.fill(&mut ring, rows)?;
+        let filtered = now();
+        let loaded = (fill_start + read_secs).min(filtered);
         let (slab, batch) = stages.backproject(task, rows, load_secs, &ring)?;
+        let projected = now();
         batches.push(batch);
         stages.store(sink, slab)?;
+        for (stage, from, to) in [
+            ("load", start, loaded),
+            ("filter", loaded, filtered),
+            ("bp", filtered, projected),
+            ("store", projected, now()),
+        ] {
+            trace.record(stage, task.index, from, to);
+        }
     }
     Ok(batches)
 }
@@ -338,21 +357,20 @@ fn serial_trace(batches: &[OocBatch]) -> TraceCollector {
 }
 
 /// Where the store stage writes: the volume, and the checkpoint with the
-/// slabs waiting for their commit.
-pub(crate) struct Sink<'a> {
+/// z-ranges of the slabs waiting for their commit.
+struct Sink<'a> {
     out: Volume,
     ckpt: Option<(CheckpointStore, &'a CheckpointSpec)>,
-    pending: Vec<Volume>,
+    pending: Vec<(usize, usize)>,
 }
 
 /// One run's stages: the shared [`DataPath`] with the device, its
-/// retries and the run's counters around it. Per batch a schedule calls
-/// [`load`](Self::load); block by block [`DataPath::read`],
-/// [`DataPath::filter`] and [`Ring::write`]; then
+/// retries and the run's counters around it. Per batch the slab loop
+/// calls [`load`](Self::load), [`DataPath::fill`],
 /// [`backproject`](Self::backproject) and [`store`](Self::store).
-pub(crate) struct Stages<'a> {
-    pub(crate) config: &'a FdkConfig,
-    pub(crate) path: DataPath<'a>,
+struct Stages<'a> {
+    config: &'a FdkConfig,
+    path: DataPath<'a>,
     decomp: &'a VolumeDecomposition,
     storage: Option<StorageEndpoint>,
     device: Device,
@@ -433,7 +451,7 @@ impl<'a> Stages<'a> {
 
     /// An empty ring, and the run's working set on the device: the matrix
     /// table's and the ring's allocations, held for the run.
-    pub(crate) fn ring(&self) -> Result<(Ring, [DeviceBuffer; 2]), ReconstructionError> {
+    fn ring(&self) -> Result<(Ring, [DeviceBuffer; 2]), ReconstructionError> {
         let g = &self.config.geometry;
         let mats = self.on_device("alloc", || self.device.alloc((g.np * 12 * 4) as u64))?;
         let ring = self.on_device("alloc", || self.device.alloc(self.bytes(self.window_rows)))?;
@@ -442,8 +460,8 @@ impl<'a> Stages<'a> {
 
     /// Load, once per batch: the modelled read of `rows` from the storage
     /// endpoint under retry, or at host bandwidth without one. Returns
-    /// its seconds; the rows come block by block from [`DataPath::read`].
-    pub(crate) fn load(&self, rows: RowRange) -> Result<f64, ReconstructionError> {
+    /// its seconds; the rows come block by block through [`DataPath::fill`].
+    fn load(&self, rows: RowRange) -> Result<f64, ReconstructionError> {
         let bytes = self.bytes(rows.len());
         let secs = match &self.storage {
             None => bytes as f64 / MODEL_HOST_LOAD_BW,
@@ -470,7 +488,7 @@ impl<'a> Stages<'a> {
     /// no voxel of which passes the depth guard is refused. Geometry
     /// validation refuses the distances known to reach that (ones too
     /// large for `f32` arithmetic), so the guard is a second line.
-    pub(crate) fn backproject(
+    fn backproject(
         &self,
         task: &SubVolumeTask,
         rows: RowRange,
@@ -509,10 +527,11 @@ impl<'a> Stages<'a> {
     }
 
     /// Store: pastes the slab into the volume and commits its checkpoint.
-    pub(crate) fn store(&self, sink: &mut Sink, slab: Volume) -> Result<(), ReconstructionError> {
+    fn store(&self, sink: &mut Sink, slab: Volume) -> Result<(), ReconstructionError> {
         sink.out.paste_slab(&slab);
         if let Some((store, spec)) = sink.ckpt.as_mut() {
-            commit_slab(store, spec, &mut sink.pending, slab)?;
+            let z = (slab.z_offset(), slab.z_offset() + slab.nz());
+            commit_slab(store, spec, &mut sink.pending, &sink.out, z)?;
         }
         self.batches.inc();
         Ok(())

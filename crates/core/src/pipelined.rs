@@ -1,135 +1,18 @@
 //! The overlapped schedule of the streaming driver: Figure 9's pipeline
-//! on one rank. Load, filter, back-project and store each run on their
-//! own thread, joined by bounded queues, with span tracing and the
-//! deterministic replay behind the Figure 10 timelines.
+//! on one rank, as the deterministic replay behind the Figure 10
+//! timelines. The batches run the serial slab loop (`outofcore.rs`); the
+//! replay lays their modelled stage times out as the four stages would
+//! overlap, each batch's filter beside the previous batch's
+//! back-projection.
 
-use std::time::Instant;
+use scalefbp_pipeline::{PipelineModel, TraceCollector};
 
-use scalefbp_geom::{ProjectionStack, RowRange, SubVolumeTask, Volume};
-use scalefbp_pipeline::{BoundedQueue, PipelineModel, TraceCollector};
-
-use crate::outofcore::{OocBatch, Sink, Stages};
-use crate::ReconstructionError;
-
-/// What the first two queues carry: a batch, the rows it loads, one
-/// block of them, and on the batch's last block its load seconds.
-type Block<'t> = (&'t SubVolumeTask, RowRange, ProjectionStack, Option<f64>);
-
-/// Runs the stages of `todo` overlapped, which turns the sum of the stage
-/// times into (roughly) their maximum (Figure 10), recording one
-/// wall-clock span per stage and batch into `trace`. A failed stage
-/// returns, and its closed queues stop the others; the run fails after
-/// every stage has joined, with the most upstream error.
-pub(crate) fn overlapped(
-    stages: &Stages,
-    todo: &[(&SubVolumeTask, RowRange)],
-    sink: &mut Sink,
-    trace: &TraceCollector,
-) -> Result<Vec<OocBatch>, ReconstructionError> {
-    let t0 = Instant::now();
-    let now = move || t0.elapsed().as_secs_f64();
-    // Queues of Figure 9 (load→filter, filter→bp, bp→store). Load reads a
-    // block from the page cache several times faster than the filter
-    // consumes it, so a second load→filter slot buys no overlap, only one
-    // more block in memory.
-    let (q1_tx, q1_rx) = BoundedQueue::<Block>::new(1).split();
-    let (q2_tx, q2_rx) = BoundedQueue::<Block>::new(2).split();
-    let (q3_tx, q3_rx) = BoundedQueue::<(usize, Volume)>::new(2).split();
-    // The filter and back-projection stages compute with the caller's
-    // thread budget, as they would on the caller's own thread.
-    let budget = &rayon::ThreadPoolBuilder::new()
-        .num_threads(rayon::current_num_threads())
-        .build()
-        .expect("a thread budget always builds");
-
-    let (upstream, bp, store) = std::thread::scope(|scope| {
-        let load = scope.spawn(move || -> Result<(), ReconstructionError> {
-            let all = 0..stages.config.geometry.np;
-            for &(task, rows) in todo {
-                let start = now();
-                let secs = stages.load(rows)?;
-                let blocks = stages.path.split(rows, &all);
-                let n = blocks.len();
-                for (i, block) in blocks.into_iter().enumerate() {
-                    let block = stages.path.read(block, all.clone())?;
-                    let last = (i + 1 == n).then_some(secs);
-                    if last.is_some() {
-                        trace.record("load", task.index, start, now());
-                    }
-                    if q1_tx.push((task, rows, block, last)).is_err() {
-                        return Ok(());
-                    }
-                }
-            }
-            Ok(())
-        });
-        let filter = scope.spawn(move || -> Result<(), ReconstructionError> {
-            let mut batch_start = None;
-            while let Ok((task, rows, mut block, last)) = q1_rx.pop() {
-                let start = *batch_start.get_or_insert_with(now);
-                budget.install(|| stages.path.filter(&mut block));
-                if last.is_some() {
-                    trace.record("filter", task.index, start, now());
-                    batch_start = None;
-                }
-                if q2_tx.push((task, rows, block, last)).is_err() {
-                    return Ok(());
-                }
-            }
-            Ok(())
-        });
-        // The simulated GPU: every block goes into the ring, and the
-        // batch's last block runs the back-projection.
-        let bp = scope.spawn(move || -> Result<_, ReconstructionError> {
-            let (mut ring, _allocs) = stages.ring()?;
-            let mut batches = Vec::with_capacity(todo.len());
-            let mut batch_start = None;
-            while let Ok((task, rows, block, last)) = q2_rx.pop() {
-                if batch_start.is_none() {
-                    ring.start_batch(rows);
-                }
-                let start = *batch_start.get_or_insert_with(now);
-                ring.write(block);
-                let Some(load_secs) = last else { continue };
-                batch_start = None;
-                let (slab, batch) =
-                    budget.install(|| stages.backproject(task, rows, load_secs, &ring))?;
-                batches.push(batch);
-                trace.record("bp", task.index, start, now());
-                if q3_tx.push((task.index, slab)).is_err() {
-                    break;
-                }
-            }
-            Ok(batches)
-        });
-        let store = scope.spawn(move || -> Result<(), ReconstructionError> {
-            while let Ok((index, slab)) = q3_rx.pop() {
-                let start = now();
-                stages.store(sink, slab)?;
-                trace.record("store", index, start, now());
-            }
-            Ok(())
-        });
-        ([load.join(), filter.join()], bp.join(), store.join())
-    });
-    for stage in upstream {
-        joined(stage)?;
-    }
-    let batches = joined(bp)?;
-    joined(store)?;
-    Ok(batches)
-}
-
-/// A joined stage's result; a stage that panicked panics here.
-fn joined<T>(stage: std::thread::Result<T>) -> T {
-    stage.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-}
+use crate::outofcore::OocBatch;
 
 /// Replays `batches` through the deterministic Figure 9 queue recurrence:
-/// the threads' stage order on modelled durations, so the exported
-/// timeline is reproducible. The replay queues whole batches, two deep;
-/// the threads queue row blocks (one deep into the filter, two deep
-/// after it). Returns the timeline and its makespan.
+/// load, filter, back-project and store as four stages joined by queues
+/// of whole batches, two deep, on modelled durations, so the exported
+/// timeline is reproducible. Returns the timeline and its makespan.
 pub(crate) fn replay(batches: &[OocBatch]) -> (TraceCollector, f64) {
     let stage = |secs: fn(&OocBatch) -> f64| batches.iter().map(secs).collect();
     let stages = vec![
@@ -196,8 +79,7 @@ mod tests {
         assert!(report.trace.overlap_efficiency() <= 1.0 + 1e-9);
 
         // The wall-clock trace is checked for structure only: one span
-        // per stage per batch, and the filter thread picked up some
-        // batch k+1 before the bp thread finished batch k.
+        // per stage per batch.
         let spans = report.trace.spans();
         for stage in ["load", "filter", "bp", "store"] {
             let mut items: Vec<usize> = spans
@@ -212,16 +94,6 @@ mod tests {
                 "stage {stage}: want one span per batch"
             );
         }
-        let span = |stage: &str, item: usize| {
-            spans
-                .iter()
-                .find(|s| s.stage == stage && s.item == item)
-                .expect("checked above")
-        };
-        assert!(
-            (0..batches - 1).any(|k| span("filter", k + 1).start < span("bp", k).end),
-            "filter never ran ahead of back-projection: {spans:?}"
-        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The in-core driver runs it over a one-slab plan, each distributed rank
 //! over its projection share, and the single-device driver wraps it in
 //! device charges, retries and counters (`outofcore.rs`). A block is
-//! dropped as soon as it is in the ring, so a run holds the ring plus a
-//! few blocks, never the scan.
+//! dropped as soon as it is in the ring, so whoever owns a ring holds it
+//! plus one block, never the scan.
 
 use std::ops::Range;
+use std::time::Instant;
 
 use scalefbp_backproject::{KernelStats, TextureWindow};
 use scalefbp_exec::host;
@@ -29,7 +30,7 @@ pub(crate) struct Ring {
 
 impl Ring {
     /// Writes a filtered block into the ring, which drops it.
-    pub(crate) fn write(&mut self, block: ProjectionStack) {
+    fn write(&mut self, block: ProjectionStack) {
         if block.nv() > 0 {
             let v = block.v_offset();
             self.rows.write_rows(block.data(), v, v + block.nv());
@@ -40,7 +41,7 @@ impl Ring {
     /// window at either end, the window starts afresh. That is a batch
     /// after a resumed one, or after a slab whose rows lie above `rows`
     /// with a gap between (a z grid coarser than the detector's rows).
-    pub(crate) fn start_batch(&mut self, rows: RowRange) {
+    fn start_batch(&mut self, rows: RowRange) {
         let (lo, hi) = self.rows.valid_rows();
         if !rows.is_empty() && lo < hi && rows.begin != hi && rows.end != lo {
             let w = &self.rows;
@@ -103,7 +104,7 @@ impl<'a> DataPath<'a> {
     /// detector, each batch's new rows lie below the ring, and only
     /// top-down blocks stay contiguous with its window. An empty range is
     /// one empty block, so every batch sends something.
-    pub(crate) fn split(&self, r: RowRange, share: &Range<usize>) -> Vec<RowRange> {
+    fn split(&self, r: RowRange, share: &Range<usize>) -> Vec<RowRange> {
         let rows = (self.block_bytes / (share.len() * self.config.geometry.nu * 4).max(1)).max(1);
         if r.is_empty() {
             return vec![r];
@@ -119,7 +120,7 @@ impl<'a> DataPath<'a> {
     /// Reads rows `r` of the projections `share`, checking the shape of
     /// what comes back: a failed or malformed read is an error naming the
     /// rows, never a panic further down.
-    pub(crate) fn read(
+    fn read(
         &self,
         r: RowRange,
         share: Range<usize>,
@@ -141,20 +142,20 @@ impl<'a> DataPath<'a> {
         Ok(rows)
     }
 
-    /// Filter (Equation 2, the paper's CPU stage), one block in place.
-    pub(crate) fn filter(&self, block: &mut ProjectionStack) {
-        self.filter.filter_stack(block);
-    }
-
-    /// Loads `rows` into `ring` block by block: read, filter, write.
-    pub(crate) fn fill(&self, ring: &mut Ring, rows: RowRange) -> Result<(), ReconstructionError> {
+    /// Loads `rows` into `ring` block by block: read, filter (Equation 2,
+    /// the paper's CPU stage) in place, write. Returns the seconds the
+    /// reads took.
+    pub(crate) fn fill(&self, ring: &mut Ring, rows: RowRange) -> Result<f64, ReconstructionError> {
         ring.start_batch(rows);
+        let mut read_secs = 0.0;
         for block in self.split(rows, &ring.share()) {
+            let t = Instant::now();
             let mut block = self.read(block, ring.share())?;
-            self.filter(&mut block);
+            read_secs += t.elapsed().as_secs_f64();
+            self.filter.filter_stack(&mut block);
             ring.write(block);
         }
-        Ok(())
+        Ok(read_secs)
     }
 
     /// Back-projects `task`'s slab over the ring's share, from the ring,
@@ -409,6 +410,36 @@ mod tests {
                     end = r.begin;
                 }
             }
+        }
+    }
+
+    /// Both schedules run one slab loop: the overlapped one makes the
+    /// serial one's reads in the same order and the same device charges,
+    /// and its wall trace holds one span per stage and batch, back to
+    /// back in `load → filter → bp → store` order.
+    #[test]
+    fn both_schedules_run_one_slab_loop() {
+        let g = geom();
+        let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+        let run = |driver: Driver| {
+            let source = Counting::new(&p);
+            let (_, report) = driver.run_with(&g, &source, None).unwrap();
+            (source.reads.into_inner().unwrap(), report)
+        };
+        let (serial_reads, serial) = run(Driver::OutOfCore);
+        let (reads, report) = run(Driver::Pipeline);
+        assert_eq!(reads, serial_reads);
+        assert_eq!(report.device, serial.device);
+        let spans = report.trace.spans();
+        let want: Vec<_> = report
+            .batches
+            .iter()
+            .flat_map(|b| ["load", "filter", "bp", "store"].map(|s| (s, b.index)))
+            .collect();
+        let got: Vec<_> = spans.iter().map(|s| (s.stage.as_str(), s.item)).collect();
+        assert_eq!(got, want);
+        for w in spans.windows(2) {
+            assert!(w[0].end <= w[1].start, "overlapping spans: {w:?}");
         }
     }
 

@@ -681,7 +681,7 @@ fn cli_reconstructs_under_fault_seed() {
         "--fault-seed",
         "6",
     ]);
-    assert!(out.contains("threaded pipeline"), "{out}");
+    assert!(out.contains("modelled overlap efficiency"), "{out}");
 }
 
 /// FNV-1a over bytes: the fingerprint the recovery pins are kept in.
