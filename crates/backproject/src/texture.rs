@@ -1,6 +1,7 @@
 //! The modular ring buffer over detector rows — the CPU analogue of the
 //! 3-D texture of Listing 1 (`devPixel`'s `Z = z % dimZ`).
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A device-resident window of `h` detector rows across `np` projections,
@@ -119,56 +120,69 @@ impl TextureWindow {
         &self.data
     }
 
-    /// Streams the contiguous row block for global rows `[v_begin, v_end)`
-    /// into the ring. `rows` is laid out `[v][s][u]` like
-    /// `ProjectionStack::rows_block`.
+    /// Streams the row block `rows` of global rows `[v_begin, v_end)`,
+    /// `[v][s][u]` like `ProjectionStack::rows_block`, into the ring by
+    /// [`fill_rows`](Self::fill_rows); also panics if its length mismatches.
+    pub fn write_rows(&mut self, rows: &[f32], v_begin: usize, v_end: usize) {
+        let stride = self.np * self.nu;
+        let want = v_end.saturating_sub(v_begin) * stride;
+        assert_eq!(rows.len(), want, "row block length mismatch");
+        let Ok(()) = self.fill_rows(v_begin, v_end, |b, e, dst| {
+            dst.copy_from_slice(&rows[(b - v_begin) * stride..(e - v_begin) * stride]);
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    /// Hands `fill` the ring slots of global rows `[v_begin, v_end)` as
+    /// runs `(b, e, slots)` of contiguous slots to write `[v][s][u]`: two,
+    /// upper first, where the rows cross a multiple of the ring height
+    /// (Algorithm 3's two `cudaMemcpy3D`s into `devMem(s % H …)`), else
+    /// one. Once every run is filled the rows are the window's newest; a
+    /// failed run leaves the window as it was.
     ///
     /// The stream may advance **upward** (`v_begin == v_hi`) or **downward**
     /// (`v_end == v_lo`) in detector rows — the paper's decomposition walks
     /// downward because increasing world Z maps to decreasing detector `v`
-    /// — and each write evicts the oldest rows at the far end of the window
-    /// (`cudaMemcpy3D` into `devMem(s % H …)` in Algorithm 3).
+    /// — and each write evicts the oldest rows at the far end of the window.
     ///
     /// # Panics
-    /// * if the block length mismatches,
-    /// * if the block is taller than the ring,
-    /// * if the write is not contiguous with the current window on either
-    ///   side (after the first write).
-    pub fn write_rows(&mut self, rows: &[f32], v_begin: usize, v_end: usize) {
+    /// If the rows are more than the ring holds, or not contiguous with
+    /// the window on either side (after the first write).
+    pub fn fill_rows<E>(
+        &mut self,
+        v_begin: usize,
+        v_end: usize,
+        mut fill: impl FnMut(usize, usize, &mut [f32]) -> Result<(), E>,
+    ) -> Result<(), E> {
         assert!(v_begin <= v_end, "bad row range");
-        let n = v_end - v_begin;
-        let stride = self.np * self.nu;
-        assert_eq!(rows.len(), n * stride, "row block length mismatch");
-        assert!(
-            n <= self.h,
-            "block of {n} rows exceeds ring height {}",
-            self.h
-        );
-        let first_write = self.v_lo == self.v_hi;
-        if first_write {
-            self.v_lo = v_begin;
-            self.v_hi = v_end;
+        let (n, h, stride) = (v_end - v_begin, self.h, self.np * self.nu);
+        assert!(n <= h, "block of {n} rows exceeds ring height {h}");
+        let (lo, hi) = if n == 0 || self.v_lo == self.v_hi {
+            (v_begin, v_end)
         } else if v_begin == self.v_hi {
             // Upward: evict from the bottom once the ring is full.
-            self.v_hi = v_end;
-            self.v_lo = self.v_lo.max(self.v_hi.saturating_sub(self.h));
+            (self.v_lo.max(v_end.saturating_sub(h)), v_end)
         } else if v_end == self.v_lo {
             // Downward: evict from the top.
-            self.v_lo = v_begin;
-            self.v_hi = self.v_hi.min(self.v_lo + self.h);
+            (v_begin, self.v_hi.min(v_begin + h))
         } else {
             panic!(
                 "streaming writes must be contiguous with the window [{}, {}); got [{v_begin}, {v_end})",
                 self.v_lo, self.v_hi
             );
+        };
+        let cut = (v_end.saturating_sub(1) / h * h).max(v_begin);
+        let runs = [(cut, v_end), (v_begin, cut)];
+        for (b, e) in runs.into_iter().take(1 + usize::from(cut > v_begin)) {
+            let slots = b % h * stride..(b % h + e - b) * stride;
+            fill(b, e, &mut self.data[slots])?;
         }
-        for (idx, v) in (v_begin..v_end).enumerate() {
-            let slot = v % self.h;
-            self.data[slot * stride..(slot + 1) * stride]
-                .copy_from_slice(&rows[idx * stride..(idx + 1) * stride]);
+        if n > 0 {
+            (self.v_lo, self.v_hi) = (lo, hi);
+            self.rows_written += n;
+            self.unaccounted_rows.fetch_add(n, Ordering::Relaxed);
         }
-        self.rows_written += n;
-        self.unaccounted_rows.fetch_add(n, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Single-pixel fetch at **global** detector row `v` (the `devPixel` of
@@ -285,6 +299,36 @@ mod tests {
         assert_eq!(w.pixel(1, 2, 9), p.get(9, 1, 2));
         assert_eq!(w.pixel(1, 2, 10), 0.0);
         assert_eq!(w.pixel(1, 2, 5), 0.0);
+    }
+
+    /// A wrapped block comes as its two runs of slots, upper first, and a
+    /// fill that fails leaves the window as it was.
+    #[test]
+    fn fill_rows_hands_out_runs_of_slots_and_a_failed_fill_changes_nothing() {
+        let p = stack(12, 2, 3);
+        let mut w = TextureWindow::new(4, 2, 3, 0);
+        w.write_rows(p.rows_block(9, 12), 9, 12);
+        let mut runs = Vec::new();
+        let failed = w.fill_rows(6, 9, |b, e, dst| {
+            runs.push((b, e, dst.len()));
+            dst.fill(f32::NAN);
+            Err("read failed")
+        });
+        assert_eq!((failed, runs), (Err("read failed"), vec![(8, 9, 6)]));
+        assert_eq!((w.valid_rows(), w.rows_written()), ((9, 12), 3));
+        assert_eq!(w.take_unaccounted_rows(), 3);
+        let mut runs = Vec::new();
+        w.fill_rows(6, 9, |b, e, dst| {
+            runs.push((b, e));
+            dst.copy_from_slice(p.rows_block(b, e));
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(runs, [(8, 9), (6, 8)]);
+        assert_eq!(w.valid_rows(), (6, 10));
+        for v in 6..10 {
+            assert_eq!(w.pixel(1, 2, v as isize), p.get(v, 1, 2), "v={v}");
+        }
     }
 
     #[test]

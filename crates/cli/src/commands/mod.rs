@@ -749,6 +749,13 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
     let report = Scheduler::new(cfg, MetricsRegistry::new())
         .run(generate(&workload))
         .map_err(|e| CliError::Message(e.to_string()))?;
+    // Nothing was admitted, so each job was refused with nothing else
+    // outstanding: it needs more than the fleet's devices have.
+    let admitted = report.jobs.len() + report.stranded.len();
+    if let Some(r) = report.rejections.first().filter(|_| admitted == 0) {
+        let why = format!("--device too small for any job: {}", r.reason);
+        return Err(CliError::Message(why));
+    }
 
     if let Some(path) = args.opt("schedule-out") {
         std::fs::write(&path, report.schedule_text())

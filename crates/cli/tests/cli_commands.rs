@@ -955,6 +955,7 @@ fn hostile_numeric_flags_exit_1_naming_the_flag() {
         reconstruct(&[], "--slab", "3:3"),
         reconstruct(&[], "--slab", "0:999"),
         reconstruct(&stragglers, "--stragglers", "99"),
+        serve("--device", "tiny:0"),
         [serve("--straggler-seed", "1"), vec!["--stragglers", "99"]].concat(),
     ];
     for args in cases {

@@ -1,11 +1,11 @@
 //! The one data path every driver computes with: read a block of
-//! detector rows over a projection share from a [`RowSource`], filter it,
-//! write it into a ring of rows, and back-project a slab from the ring.
-//! The in-core driver runs it over a one-slab plan, each distributed rank
-//! over its projection share, and the single-device driver wraps it in
-//! device charges, retries and counters (`outofcore.rs`). A block is
-//! dropped as soon as it is in the ring, so whoever owns a ring holds it
-//! plus one block, never the scan.
+//! detector rows over a projection share from a [`RowSource`] straight
+//! into its slots of a ring of rows, filter it there, and back-project a
+//! slab from the ring. The in-core driver runs it over a one-slab plan,
+//! each distributed rank over its projection share, and the single-device
+//! driver wraps it in device charges, retries and counters
+//! (`outofcore.rs`). A row is written once, into the ring, so whoever
+//! owns a ring holds it and one row's bytes, never a block or the scan.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -14,8 +14,7 @@ use scalefbp_backproject::{KernelStats, TextureWindow};
 use scalefbp_exec::host;
 use scalefbp_filter::FilterPipeline;
 use scalefbp_geom::{
-    ProjectionMatrix, ProjectionStack, RowRange, RowSource, SubVolumeTask, Volume,
-    VolumeDecomposition,
+    ProjectionMatrix, RowRange, RowSource, SubVolumeTask, Volume, VolumeDecomposition,
 };
 
 use crate::{FdkConfig, ReconstructionError};
@@ -29,14 +28,6 @@ pub(crate) struct Ring {
 }
 
 impl Ring {
-    /// Writes a filtered block into the ring, which drops it.
-    fn write(&mut self, block: ProjectionStack) {
-        if block.nv() > 0 {
-            let v = block.v_offset();
-            self.rows.write_rows(block.data(), v, v + block.nv());
-        }
-    }
-
     /// Makes way for a batch loading `rows`: unless they extend the
     /// window at either end, the window starts afresh. That is a batch
     /// after a resumed one, or after a slab whose rows lie above `rows`
@@ -117,43 +108,28 @@ impl<'a> DataPath<'a> {
         blocks
     }
 
-    /// Reads rows `r` of the projections `share`, checking the shape of
-    /// what comes back: a failed or malformed read is an error naming the
-    /// rows, never a panic further down.
-    fn read(
-        &self,
-        r: RowRange,
-        share: Range<usize>,
-    ) -> Result<ProjectionStack, ReconstructionError> {
-        let what = |msg: String| {
-            let (b, e, s0, s1) = (r.begin, r.end, share.start, share.end);
-            let what = format!("rows [{b}, {e}) of projections [{s0}, {s1}): {msg}");
-            ReconstructionError::Input(what)
-        };
-        let rows = self.source.read_rows(r, share.clone());
-        let rows = rows.map_err(|e| what(e.to_string()))?;
-        let got = (rows.shape(), rows.v_offset(), rows.s_offset());
-        let want = (r.len(), share.len(), self.config.geometry.nu);
-        if got != (want, r.begin, share.start) {
-            let ((nv, np, nu), v, s) = got;
-            let at = format!("row {v}, projection {s}");
-            return Err(what(format!("source returned {nv}×{np}×{nu} from {at}")));
-        }
-        Ok(rows)
-    }
-
-    /// Loads `rows` into `ring` block by block: read, filter (Equation 2,
-    /// the paper's CPU stage) in place, write. Returns the seconds the
-    /// reads took.
+    /// Loads `rows` into `ring` block by block, each read straight into
+    /// its ring slots and filtered there (Equation 2, the paper's CPU
+    /// stage); a block that wraps the ring's end as its two runs of slots,
+    /// upper first, so reads stay top-down. A failed or malformed read is
+    /// an error naming the rows. Returns the seconds the reads took.
     pub(crate) fn fill(&self, ring: &mut Ring, rows: RowRange) -> Result<f64, ReconstructionError> {
         ring.start_batch(rows);
+        let share = ring.share();
         let mut read_secs = 0.0;
-        for block in self.split(rows, &ring.share()) {
-            let t = Instant::now();
-            let mut block = self.read(block, ring.share())?;
-            read_secs += t.elapsed().as_secs_f64();
-            self.filter.filter_stack(&mut block);
-            ring.write(block);
+        for block in self.split(rows, &share) {
+            ring.rows.fill_rows(block.begin, block.end, |b, e, slots| {
+                let t = Instant::now();
+                let read = self
+                    .source
+                    .read_rows_into(RowRange::new(b, e), share.clone(), slots);
+                let (s0, s1) = (share.start, share.end);
+                let what = |err| format!("rows [{b}, {e}) of projections [{s0}, {s1}): {err}");
+                read.map_err(|err| ReconstructionError::Input(what(err)))?;
+                read_secs += t.elapsed().as_secs_f64();
+                self.filter.filter_rows(slots, b, share.len());
+                Ok::<_, ReconstructionError>(())
+            })?;
         }
         Ok(read_secs)
     }
@@ -189,7 +165,7 @@ mod tests {
     use std::time::Duration;
 
     use scalefbp_ckpt::CheckpointSpec;
-    use scalefbp_geom::{CbctGeometry, VolumeDecomposition};
+    use scalefbp_geom::{CbctGeometry, ProjectionStack, VolumeDecomposition};
     use scalefbp_gpusim::DeviceSpec;
     use scalefbp_iosim::format::{encode_projections, ScanFile};
     use scalefbp_iosim::StorageEndpoint;
@@ -595,6 +571,42 @@ mod tests {
         host::run_backprojection(cfg.kernel, &filtered, &mats, &mut vol);
         scale_sum(vol.data_mut(), filter.backprojection_scale() as f32);
         vol
+    }
+
+    /// An in-core region of interest whose rows start off a multiple of
+    /// the ring's height reads its one wrapped block as two runs of slots,
+    /// the upper first, and still gives the whole-stack bits, as every
+    /// mode does.
+    #[test]
+    fn a_wrapped_block_in_core_gives_the_whole_stack_bits_in_every_mode() {
+        let _serial = crate::TIMING_TEST_LOCK.lock();
+        let g = geom();
+        let p = forward_project(&g, &uniform_ball(&g, 0.55, 1.0));
+        let slab = |v: &Volume, z0: usize, z1: usize| {
+            v.data()[z0 * g.nx * g.ny..z1 * g.nx * g.ny].to_vec()
+        };
+        let reference = whole_stack(&g, &p);
+        let (z0, z1) = (20, 28);
+        let rows = compute_ab(&g, z0, z1);
+        let cut = rows.begin.div_ceil(rows.len()) * rows.len();
+        assert!(
+            rows.begin < cut && cut < rows.end,
+            "expected a wrapped block: {rows:?}"
+        );
+        let source = Counting::new(&p);
+        let roi = fdk_reconstruct_configured(&FdkConfig::new(g.clone()), &source, Some((z0, z1)));
+        assert_eq!(roi.unwrap().data(), slab(&reference, z0, z1));
+        let runs = [RowRange::new(cut, rows.end), RowRange::new(rows.begin, cut)];
+        assert_eq!(source.reads(), runs);
+        for driver in Driver::ALL {
+            let (vol, _) = driver.run(&g, &p).unwrap();
+            assert_eq!(vol.data(), reference.data(), "{driver:?}");
+        }
+        // One rank per group: a sum over every projection, as in core.
+        let cfg = FdkConfig::new(g.clone()).with_nc(2);
+        let layout = RankLayout::new(1, 2, 2);
+        let out = fault_tolerant_reconstruct(&cfg, layout, &p, &FaultPlan::none(), None).unwrap();
+        assert_eq!(out.volume.data(), reference.data());
     }
 
     /// A rectangular footprint's corner voxel is off the diagonal that

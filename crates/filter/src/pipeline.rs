@@ -162,26 +162,32 @@ impl FilterPipeline {
         self.filter_group(group, v, s);
     }
 
-    /// Filters a whole (possibly partial) projection stack in place,
-    /// [`LANES`] projection rows of one detector row per lane transform,
-    /// on the backend [`simd_backend`] picks, once per call. Returns the
-    /// backend that ran.
-    ///
-    /// Parallel chunks are runs of a few lane groups inside one detector
-    /// row, with one set of buffers (and one cached weight vector) per
-    /// worker. Respects the stack's `v_offset` so partial stacks weight
-    /// with their global row index. A stack with no rows or no projections
-    /// is left untouched.
+    /// [`filter_rows`](Self::filter_rows) over a whole (possibly partial)
+    /// projection stack, from its `v_offset`.
     pub fn filter_stack(&self, stack: &mut ProjectionStack) -> SimdBackend {
-        self.filter_stack_with_backend(stack, simd_backend())
+        assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
+        let (v_offset, np) = (stack.v_offset(), stack.np());
+        self.filter_rows(stack.data_mut(), v_offset, np)
     }
 
-    /// [`filter_stack`](Self::filter_stack) on a pinned backend; `Avx2` on
+    /// Filters `rows` (detector rows of `np` projections, `[v][s][u]`, from
+    /// global row `v_offset`) in place, [`LANES`] projection rows of one
+    /// detector row per lane transform, on the backend [`simd_backend`]
+    /// picks, once per call. Returns the backend that ran. Parallel chunks
+    /// are runs of a few lane groups inside one detector row, with one set
+    /// of buffers (and one cached weight vector) per worker.
+    pub fn filter_rows(&self, rows: &mut [f32], v_offset: usize, np: usize) -> SimdBackend {
+        self.filter_rows_with_backend(rows, v_offset, np, simd_backend())
+    }
+
+    /// [`filter_rows`](Self::filter_rows) on a pinned backend; `Avx2` on
     /// a host without AVX2 runs the portable body. Both write the same
     /// bits. Returns the backend that ran.
-    fn filter_stack_with_backend(
+    fn filter_rows_with_backend(
         &self,
-        stack: &mut ProjectionStack,
+        rows: &mut [f32],
+        v_offset: usize,
+        np: usize,
         backend: SimdBackend,
     ) -> SimdBackend {
         #[cfg(target_arch = "x86_64")]
@@ -192,20 +198,17 @@ impl FilterPipeline {
         };
         #[cfg(not(target_arch = "x86_64"))]
         let backend = SimdBackend::Scalar;
-        assert_eq!(stack.nu(), self.geom.nu, "stack width mismatch");
-        if stack.data().is_empty() {
+        let (nu, row_len) = (self.geom.nu, np * self.geom.nu);
+        if rows.is_empty() {
             return backend;
         }
-        let nu = stack.nu();
-        let v_offset = stack.v_offset();
-        let row_len = stack.np() * nu;
+        assert!(row_len > 0 && rows.len() % row_len == 0, "partial rows");
         let group_len = LANES * nu;
         let chunk_len = CHUNK_GROUPS * group_len;
         let chunks_per_row = row_len.div_ceil(chunk_len);
         // `par_chunks_mut` cuts at one fixed stride; listing the chunks
         // lets each detector row end its last chunk early.
-        let mut chunks: Vec<&mut [f32]> = stack
-            .data_mut()
+        let mut chunks: Vec<&mut [f32]> = rows
             .chunks_mut(row_len)
             .flat_map(|row| row.chunks_mut(chunk_len))
             .collect();
@@ -371,7 +374,8 @@ mod tests {
                     }
                     for &backend in &backends() {
                         let mut by_stack = stack.clone();
-                        prop_assert_eq!(f.filter_stack_with_backend(&mut by_stack, backend), backend);
+                        let ran = f.filter_rows_with_backend(by_stack.data_mut(), v_offset + w, np, backend);
+                        prop_assert_eq!(ran, backend);
                         for v in 0..nv {
                             for s in 0..np {
                                 let mut row = stack.row(v, s).to_vec();
@@ -386,6 +390,33 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The slice form on either backend writes `filter_stack`'s bits: the
+    /// ring's slots are filtered exactly as a block of the stack was.
+    #[test]
+    fn filter_rows_is_filter_stack_bit_for_bit() {
+        let g = CbctGeometry::ideal(8, 13, 24, 12);
+        let f = FilterPipeline::new(&g, FilterWindow::Hamming);
+        let mut stack = ProjectionStack::zeros_window(5, g.np, g.nu, 4, 0);
+        for (i, px) in stack.data_mut().iter_mut().enumerate() {
+            *px = hostile_sample(7, i / g.nu, i % g.nu);
+        }
+        let mut by_stack = stack.clone();
+        f.filter_stack(&mut by_stack);
+        for backend in backends() {
+            let mut rows = stack.data().to_vec();
+            assert_eq!(
+                f.filter_rows_with_backend(&mut rows, 4, g.np, backend),
+                backend
+            );
+            for (i, (a, b)) in rows.iter().zip(by_stack.data()).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{backend:?} value {i}: {a} vs {b}"
+                );
             }
         }
     }

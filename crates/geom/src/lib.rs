@@ -49,7 +49,7 @@ pub use frame::SourceDetectorFrame;
 pub use grouping::{RankAssignment, RankLayout};
 pub use matrix::{Mat3x4, Mat4x4, ProjectionMatrix, Vec4};
 pub use params::{CbctGeometry, GeometryError};
-pub use projection::{ProjectionStack, RowSource};
+pub use projection::{check_rows_len, ProjectionStack, RowSource};
 pub use simd::{detected_cpu_features, simd_backend, SimdBackend};
 pub use volume::Volume;
 

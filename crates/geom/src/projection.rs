@@ -1,5 +1,6 @@
 //! Detector-row-major projection stack: the input container of Figure 3a.
 
+use std::io;
 use std::ops::Range;
 
 use crate::RowRange;
@@ -9,7 +10,8 @@ use crate::RowRange;
 ///
 /// A driver asks only for the row bands it needs (Eq 6–7), over only its
 /// own projection share (Eq 5), so a source that reads lazily bounds host
-/// memory by the ring of rows, not by the scan.
+/// memory by the ring of rows, not by the scan: the drivers read straight
+/// into the ring's slots ([`read_rows_into`](Self::read_rows_into)).
 pub trait RowSource: Sync {
     /// `(N_v, N_p, N_u)` of the whole scan.
     fn shape(&self) -> (usize, usize, usize);
@@ -17,11 +19,34 @@ pub trait RowSource: Sync {
     /// Global detector `rows` of global `projections`, as a partial stack
     /// with `v_offset = rows.begin` and `s_offset = projections.start`. A
     /// range outside the scan is an error, never a panic.
-    fn read_rows(
-        &self,
-        rows: RowRange,
-        projections: Range<usize>,
-    ) -> std::io::Result<ProjectionStack>;
+    fn read_rows(&self, rows: RowRange, projections: Range<usize>) -> io::Result<ProjectionStack>;
+
+    /// [`read_rows`](Self::read_rows) into `dst`, which takes the
+    /// `rows.len() × s.len() × N_u` values of `rows` of projections `s` in
+    /// `[v][s][u]` order. A `dst` of another length, or a stack of another
+    /// shape from `read_rows`, is an error, never a panic. The default
+    /// copies what `read_rows` returns; a source that can decode in place
+    /// overrides it.
+    fn read_rows_into(&self, rows: RowRange, s: Range<usize>, dst: &mut [f32]) -> io::Result<()> {
+        let got = self.read_rows(rows, s.clone())?;
+        let want = (rows.len(), s.len(), self.shape().2);
+        if (got.shape(), got.v_offset, got.s_offset) != (want, rows.begin, s.start) {
+            let ((nv, np, nu), v, s) = (got.shape(), got.v_offset, got.s_offset);
+            let what = format!("source returned {nv}×{np}×{nu} from row {v}, projection {s}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
+        got.read_rows_into(rows, s, dst)
+    }
+}
+
+/// Checks that `dst` takes the `nv × np × nu` values a
+/// [`RowSource::read_rows_into`] writes.
+pub fn check_rows_len(dst: &[f32], nv: usize, np: usize, nu: usize) -> io::Result<()> {
+    if dst.len() == nv * np * nu {
+        return Ok(());
+    }
+    let what = format!("{} values cannot take {nv}×{np}×{nu} rows", dst.len());
+    Err(io::Error::new(io::ErrorKind::InvalidInput, what))
 }
 
 impl RowSource for ProjectionStack {
@@ -29,15 +54,24 @@ impl RowSource for ProjectionStack {
         (self.nv, self.np, self.nu)
     }
 
-    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
+    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> io::Result<ProjectionStack> {
+        ProjectionStack::read_from(self, rows, s)
+    }
+
+    fn read_rows_into(&self, rows: RowRange, s: Range<usize>, dst: &mut [f32]) -> io::Result<()> {
+        let (v0, s0) = (self.v_offset, self.s_offset);
         let held = |lo: usize, n: usize, b: usize, e: usize| lo <= b && b <= e && e <= lo + n;
-        if !held(self.v_offset, self.nv, rows.begin, rows.end)
-            || !held(self.s_offset, self.np, s.start, s.end)
-        {
-            let what = format!("rows {rows:?} of projections {s:?} outside the held stack");
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, what));
+        if !held(v0, self.nv, rows.begin, rows.end) || !held(s0, self.np, s.start, s.end) {
+            let what = format!("rows {rows:?} of projections {s:?} outside held stack");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
         }
-        Ok(self.extract_window(rows.begin, rows.end, s.start, s.end))
+        let width = s.len() * self.nu;
+        check_rows_len(dst, rows.len(), s.len(), self.nu)?;
+        for (v, out) in (rows.begin..rows.end).zip(dst.chunks_exact_mut(width.max(1))) {
+            let start = ((v - v0) * self.np + s.start - s0) * self.nu;
+            out.copy_from_slice(&self.data[start..start + width]);
+        }
+        Ok(())
     }
 }
 
@@ -47,8 +81,12 @@ impl<T: RowSource + Send> RowSource for std::sync::Arc<T> {
         T::shape(self)
     }
 
-    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> std::io::Result<ProjectionStack> {
+    fn read_rows(&self, rows: RowRange, s: Range<usize>) -> io::Result<ProjectionStack> {
         T::read_rows(self, rows, s)
+    }
+
+    fn read_rows_into(&self, rows: RowRange, s: Range<usize>, dst: &mut [f32]) -> io::Result<()> {
+        T::read_rows_into(self, rows, s, dst)
     }
 }
 
@@ -202,38 +240,25 @@ impl ProjectionStack {
     /// Extracts a copy of **global** detector rows `[v_begin, v_end)` and
     /// **global** projections `[s_begin, s_end)` as a new partial stack.
     ///
-    /// The requested window must be contained in this stack. This models one
-    /// rank's load of its partial projections (Eq 5 / Eq 7: `N_p` split into
-    /// `N_r` parts, rows restricted to `a_i b_i` or `b_i b_{i+1}`).
-    pub fn extract_window(
-        &self,
-        v_begin: usize,
-        v_end: usize,
-        s_begin: usize,
-        s_end: usize,
-    ) -> ProjectionStack {
-        assert!(
-            v_begin >= self.v_offset && v_end <= self.v_offset + self.nv && v_begin <= v_end,
-            "detector row window [{v_begin}, {v_end}) outside held [{}, {})",
-            self.v_offset,
-            self.v_offset + self.nv
-        );
-        assert!(
-            s_begin >= self.s_offset && s_end <= self.s_offset + self.np && s_begin <= s_end,
-            "projection window [{s_begin}, {s_end}) outside held [{}, {})",
-            self.s_offset,
-            self.s_offset + self.np
-        );
-        let nv = v_end - v_begin;
-        let np = s_end - s_begin;
-        let mut out = ProjectionStack::zeros_window(nv, np, self.nu, v_begin, s_begin);
-        for v in 0..nv {
-            for s in 0..np {
-                let src = self.row(v_begin - self.v_offset + v, s_begin - self.s_offset + s);
-                out.row_mut(v, s).copy_from_slice(src);
-            }
-        }
-        out
+    /// The requested window must be contained in this stack, else this
+    /// panics. This models one rank's load of its partial projections (Eq 5
+    /// / Eq 7: `N_p` split into `N_r` parts, rows restricted to `a_i b_i` or
+    /// `b_i b_{i+1}`).
+    pub fn extract_window(&self, v_begin: usize, v_end: usize, s0: usize, s1: usize) -> Self {
+        let rows = RowRange {
+            begin: v_begin,
+            end: v_end,
+        };
+        ProjectionStack::read_from(self, rows, s0..s1).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `src`'s [`RowSource::read_rows`] through its `read_rows_into`, for a
+    /// source that reads in place.
+    pub fn read_from(src: &impl RowSource, rows: RowRange, s: Range<usize>) -> io::Result<Self> {
+        let (nv, np, nu) = src.shape();
+        let nv = rows.end.saturating_sub(rows.begin).min(nv);
+        let mut p = ProjectionStack::zeros_window(nv, s.len().min(np), nu, rows.begin, s.start);
+        src.read_rows_into(rows, s, &mut p.data).map(|()| p)
     }
 
     /// Bilinear interpolation at sub-pixel **local** coordinates `(x, y)`
@@ -353,11 +378,7 @@ mod tests {
             (2, 5, 3..5),
         ] {
             let err = w.read_rows(rows(b, e), s.clone()).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                std::io::ErrorKind::InvalidInput,
-                "[{b}, {e}) {s:?}"
-            );
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "[{b}, {e}) {s:?}");
         }
     }
 

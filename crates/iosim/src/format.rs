@@ -7,7 +7,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use bytes::BufMut;
-use scalefbp_geom::{ProjectionStack, RowRange, RowSource, Volume};
+use scalefbp_geom::{check_rows_len, ProjectionStack, RowRange, RowSource, Volume};
 
 /// Magic bytes of the raw container.
 const MAGIC: &[u8; 4] = b"SFBP";
@@ -252,22 +252,26 @@ impl RowSource for ScanFile {
         (self.nv, self.np, self.nu)
     }
 
-    /// One positioned read per row: a row of a projection share is one
-    /// contiguous byte range.
     fn read_rows(&self, rows: RowRange, s: Range<usize>) -> io::Result<ProjectionStack> {
+        ProjectionStack::read_from(self, rows, s)
+    }
+
+    /// One positioned read per row into one byte buffer, decoded straight
+    /// into `dst`: a row of a projection share is one contiguous byte
+    /// range.
+    fn read_rows_into(&self, rows: RowRange, s: Range<usize>, dst: &mut [f32]) -> io::Result<()> {
         let (v0, s0, nu) = (self.v_offset, self.s_offset, self.nu);
         check_held("rows", rows.begin..rows.end, v0..v0 + self.nv)?;
         check_held("projections", s.clone(), s0..s0 + self.np)?;
-        let mut p = ProjectionStack::zeros_window(rows.len(), s.len(), nu, rows.begin, s.start);
+        check_rows_len(dst, rows.len(), s.len(), nu)?;
         let mut buf = vec![0u8; s.len() * nu * 4];
-        let row_data = p.data_mut().chunks_exact_mut((s.len() * nu).max(1));
-        for (v, dst) in (rows.begin..rows.end).zip(row_data) {
+        for (v, dst) in (rows.begin..rows.end).zip(dst.chunks_exact_mut((s.len() * nu).max(1))) {
             let element = ((v - v0) * self.np + s.start - s0) * nu;
             let offset = PROJECTIONS_HEADER as u64 + element as u64 * 4;
             self.file.read_exact_at(&mut buf, offset)?;
             f32s_from_le(&buf, dst);
         }
-        Ok(p)
+        Ok(())
     }
 }
 
@@ -546,6 +550,53 @@ mod tests {
             }
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// Reading into a caller's slice and `read_rows` give the stack's bits
+    /// from a file and from memory, over full, half and empty ranges; a
+    /// range outside the scan or a slice of the wrong length is an error,
+    /// not a panic.
+    #[test]
+    fn read_rows_into_is_read_rows_bit_for_bit() {
+        let mut p = ProjectionStack::zeros_window(8, 6, 5, 3, 2);
+        for (i, x) in p.data_mut().iter_mut().enumerate() {
+            *x = f32::from_bits(i as u32 ^ 0x7fc0_0001);
+        }
+        let path = scratch_file("into", &encode_projections(&p));
+        let scan = ScanFile::open(&path).unwrap();
+        let sources: [(&str, &dyn RowSource); 2] = [("file", &scan), ("stack", &p)];
+        for (tag, src) in sources {
+            for (b, e) in [(3, 11), (3, 7), (7, 11), (5, 5)] {
+                for s in [2..8, 2..5, 5..8, 4..4] {
+                    let r = RowRange::new(b, e);
+                    let want = p.extract_window(b, e, s.start, s.end);
+                    let rows = src.read_rows(r, s.clone()).unwrap();
+                    let mut got = vec![f32::NAN; want.len()];
+                    src.read_rows_into(r, s.clone(), &mut got).unwrap();
+                    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(want.data()), "{tag} [{b}, {e}) {s:?}");
+                    assert_eq!(
+                        bits(rows.data()),
+                        bits(want.data()),
+                        "{tag} [{b}, {e}) {s:?}"
+                    );
+                    assert_eq!((rows.v_offset(), rows.s_offset()), (b, s.start));
+                }
+            }
+            let wrong_len = (RowRange::new(3, 5), 2..8, 2 * 6 * 5 + 1);
+            let outside = [
+                (RowRange::new(10, 12), 2..8, 60),
+                (RowRange::new(3, 5), 1..8, 70),
+            ];
+            let reversed = (RowRange { begin: 5, end: 3 }, 2..8, 0);
+            for (r, s, len) in [wrong_len, reversed].into_iter().chain(outside) {
+                let err = src
+                    .read_rows_into(r, s.clone(), &mut vec![0.0; len])
+                    .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{tag} {r:?} {s:?}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

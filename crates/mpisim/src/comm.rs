@@ -447,7 +447,7 @@ impl Communicator {
     }
 
     /// Integrity-checked f32 send: encodes and seals the payload in a
-    /// CRC-32 frame in one pass ([`seal_f32`]) before transmission.
+    /// CRC-32 frame in one pass before transmission.
     /// Injection on [`Channel::Corrupt`] flips one seeded bit of the
     /// sealed frame *after* sealing, modelling on-the-wire corruption the
     /// receiver's checksum must catch. Used by the fault-tolerant data
@@ -464,7 +464,7 @@ impl Communicator {
     }
 
     /// Integrity-checked f32 receive with a deadline, into a fresh
-    /// vector: [`recv_sealed`](Self::recv_sealed), then a decode.
+    /// vector: awaits the frame, verifies its CRC-32 seal, then decodes.
     pub fn recv_f32_checked_timeout(
         &mut self,
         from: usize,
@@ -476,8 +476,8 @@ impl Communicator {
     }
 
     /// Integrity-checked f32 receive with a deadline, straight into the
-    /// caller's `dst`: [`recv_sealed`](Self::recv_sealed), then a decode
-    /// into place. A payload whose length is not `dst.len()` values is
+    /// caller's `dst`: awaits the frame, verifies its CRC-32 seal, then
+    /// decodes into place. A payload whose length is not `dst.len()` values is
     /// [`CommError::MalformedFrame`]. On any error `dst` is untouched.
     pub fn recv_f32_checked_into(
         &mut self,

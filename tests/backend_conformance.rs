@@ -161,7 +161,7 @@ fn outofcore_grid_matches_across_backends_and_kernels() {
     }
 }
 
-/// Pipelined-driver cells: the four-thread pipeline is bitwise
+/// Pipelined-driver cells: the overlapped schedule is bitwise
 /// identical and snapshot-equal (modulo modelled time) across backends.
 #[test]
 fn pipelined_driver_matches_across_backends() {
@@ -376,7 +376,7 @@ fn ooc_sim_accounting_matches_pre_refactor_golden() {
     assert_eq!(fnv(&vol), 0xdca9_a5ea, "volume fingerprint");
 }
 
-/// Pipelined golden: the four-thread driver's device charges and batch
+/// Pipelined golden: the overlapped schedule's device charges and batch
 /// count, plus the volume fingerprint (bitwise equal to out-of-core).
 #[test]
 fn pipeline_sim_accounting_matches_pre_refactor_golden() {

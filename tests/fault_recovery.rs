@@ -513,8 +513,8 @@ fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
 }
 
 /// A plan that fails every attempt of an operation outlasts the retry
-/// budget: the pipeline returns a typed error after every stage thread
-/// has joined, never a panic.
+/// budget: the pipeline returns a typed error from its one slab loop,
+/// never a panic.
 #[test]
 fn exhausted_pipeline_retries_are_errors_not_panics() {
     let _s = SERIAL.lock().unwrap();
