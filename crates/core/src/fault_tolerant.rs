@@ -45,7 +45,7 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use scalefbp_ckpt::CheckpointSpec;
 use scalefbp_faults::{
@@ -107,9 +107,6 @@ const CHUNK_TIMEOUT: Duration = Duration::from_millis(500);
 const SLAB_TIMEOUT: Duration = Duration::from_secs(4);
 /// Attempts before a peer is declared dead; deadline doubles per attempt.
 const MAX_ATTEMPTS: u32 = 2;
-/// Poll interval of the worker serve loop and of the leader's
-/// alternating original/speculative polls.
-const POLL: Duration = Duration::from_millis(20);
 
 /// Per-attempt receive deadline: the derived base deadline doubled per
 /// attempt (the legacy exponential ladder), plus deterministic seeded
@@ -640,7 +637,8 @@ fn dead_wait(comm: &mut Communicator) {
 /// Blocks until the root announces shutdown; any error (including a
 /// fault injected on the delivery itself) simply ends the rank.
 fn shutdown_wait(comm: &mut Communicator) {
-    let _ = comm.recv_timeout(0, SHUTDOWN_TAG, Duration::from_secs(60));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let _ = comm.recv_any(&[(0, SHUTDOWN_TAG)], Some(deadline));
 }
 
 fn ft_worker(comm: &mut Communicator, ctx: &FtCtx) {
@@ -664,9 +662,8 @@ fn ft_worker(comm: &mut Communicator, ctx: &FtCtx) {
 }
 
 /// The worker's serve loop: recompute requests from the leader, takeover
-/// orders from the root, until shutdown. Polling never touches the fault
-/// injector (only deliveries do), so op counts stay deterministic. `Err`
-/// means this rank failed: a killed rank's next poll reports it.
+/// orders from the root, until shutdown — one wait on all three. `Err`
+/// means this rank failed: a killed rank's next receive reports it.
 fn serve(
     comm: &mut Communicator,
     ctx: &FtCtx,
@@ -674,37 +671,28 @@ fn serve(
     decomp: &VolumeDecomposition,
 ) -> Result<(), CommError> {
     let leader = group * ctx.layout.nr;
+    let keys = [(leader, CTRL_TAG), (0, TAKEOVER_TAG), (0, SHUTDOWN_TAG)];
     loop {
-        if let Some(payload) = poll(comm, leader, CTRL_TAG)? {
-            let (b, j) = decode_ctrl(&payload);
-            let chunk = ctx.recompute_chunk(group, &decomp.tasks()[b], j);
-            let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), &chunk);
-        }
-        if let Some(payload) = poll(comm, 0, TAKEOVER_TAG)? {
-            // Deputy leader: recompute the dead leader's slabs (every
-            // chunk, fixed order — bitwise identical to what it would
-            // have produced) and ship them to the root.
-            let group = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-            for task in ctx.group_decomp(group).tasks() {
-                let mut slab = vec![0.0; task.nz() * ctx.stride()];
-                ctx.recompute_task(group, task, &mut slab);
-                let tag = TAKEOVER_SLAB_TAG + task.z_begin as u64;
-                let _ = comm.send_f32_checked(0, tag, &slab);
+        match comm.recv_any(&keys, None)? {
+            (0, payload) => {
+                let (b, j) = decode_ctrl(&payload);
+                let chunk = ctx.recompute_chunk(group, &decomp.tasks()[b], j);
+                let _ = comm.send_f32_checked(leader, rechunk_tag(b, j, ctx.layout.nr), &chunk);
             }
+            (1, payload) => {
+                // Deputy leader: recompute the dead leader's slabs (every
+                // chunk, fixed order — bitwise identical to what it would
+                // have produced) and ship them to the root.
+                let group = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+                for task in ctx.group_decomp(group).tasks() {
+                    let mut slab = vec![0.0; task.nz() * ctx.stride()];
+                    ctx.recompute_task(group, task, &mut slab);
+                    let tag = TAKEOVER_SLAB_TAG + task.z_begin as u64;
+                    let _ = comm.send_f32_checked(0, tag, &slab);
+                }
+            }
+            _ => return Ok(()),
         }
-        if poll(comm, 0, SHUTDOWN_TAG)?.is_some() {
-            return Ok(());
-        }
-    }
-}
-
-/// One serve-loop poll of `(from, tag)`: `None` when nothing arrives
-/// within [`POLL`].
-fn poll(comm: &mut Communicator, from: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
-    match comm.recv_timeout(from, tag, POLL) {
-        Ok(payload) => Ok(Some(payload)),
-        Err(CommError::Timeout { .. }) => Ok(None),
-        Err(e) => Err(e),
     }
 }
 
@@ -723,46 +711,6 @@ fn send_chunk(
     for (_, tag, span) in ctx.pieces_of(b, task) {
         let _ = comm.send_f32_checked(leader, tag, &chunk[span]);
     }
-}
-
-/// A worker chunk on its way in: its buffer, and which pieces have landed.
-struct PartialChunk {
-    data: Vec<f32>,
-    got: Vec<bool>,
-}
-
-impl PartialChunk {
-    /// An empty chunk of `task`'s size. The zeroed buffer is only backed
-    /// by memory once pieces land in it.
-    fn new(ctx: &FtCtx, task: &SubVolumeTask) -> Self {
-        PartialChunk {
-            data: vec![0.0; task.nz() * ctx.stride()],
-            got: vec![false; ctx.pieces],
-        }
-    }
-}
-
-/// Leader-side receive of one worker chunk: awaits every still-missing
-/// piece, each within `timeout`, verifying and decoding it straight into
-/// its span of the chunk's buffer, then hands the buffer over. Pieces
-/// already received survive a miss, so a retry re-awaits only what is
-/// actually missing.
-fn recv_chunk_pieces(
-    comm: &mut Communicator,
-    ctx: &FtCtx,
-    from: usize,
-    b: usize,
-    task: &SubVolumeTask,
-    chunk: &mut PartialChunk,
-    timeout: Duration,
-) -> Result<Vec<f32>, CommError> {
-    for (s, tag, span) in ctx.pieces_of(b, task) {
-        if !chunk.got[s] {
-            comm.recv_f32_checked_into(from, tag, timeout, &mut chunk.data[span])?;
-            chunk.got[s] = true;
-        }
-    }
-    Ok(std::mem::take(&mut chunk.data))
 }
 
 /// How a wait on one peer's deadline ladder ended.
@@ -819,17 +767,23 @@ fn await_peer<T>(
     Awaited::Dead
 }
 
-/// Phase-1 wait for rank `j`'s chunk `b` with straggler speculation. On
-/// the *first* missed deadline the sender is suspected slow — not yet
+/// Phase-1 wait for rank `j`'s chunk `b` with straggler speculation.
+/// Each attempt is one key-set wait on the original's next missing piece
+/// — decoded straight into its span of the chunk — plus, once speculation
+/// is in flight, the speculative reply; the window restarts whenever an
+/// original piece lands. Pieces are awaited in send order, as they are
+/// sent, so a piece queued behind a lost one is never delivered and the
+/// receive ops a fault plan indexes are those of a piece-by-piece wait.
+/// On the *first* missed deadline the sender is suspected slow — not yet
 /// dead — and the chunk is speculatively requeued onto a healthy
 /// survivor ([`next_survivor`]; the leader itself when the group has no
-/// third rank). From then on each attempt alternates short polls across
-/// both sources: the first copy to land wins the slot, and the loser's
+/// third rank). The first copy to land wins the slot, and the loser's
 /// twin is discarded by the ledger on arrival (every copy is a
-/// bitwise-identical pure recompute, so either yields the same fold).
-/// A sender whose original arrives late is slow, not dead; only a
-/// sender that misses the whole doubled ladder is declared dead.
-/// `Err(())` means this leader was itself killed mid-collection.
+/// bitwise-identical pure recompute, so either yields the same fold); the
+/// original still ends the wait. A sender whose original arrives late is
+/// slow, not dead; only a sender that misses the whole doubled ladder is
+/// declared dead. `Err(())` means this leader was itself killed
+/// mid-collection.
 #[allow(clippy::too_many_arguments)]
 fn await_chunk_speculatively(
     comm: &mut Communicator,
@@ -844,8 +798,12 @@ fn await_chunk_speculatively(
     let me = ctx.me;
     let nr = ctx.layout.nr;
     let from = group * nr + j;
-    let mut pieces = PartialChunk::new(ctx, task);
+    let len = task.nz() * ctx.stride();
+    // The zeroed buffer is only backed by memory once pieces land in it.
+    let mut data = vec![0.0; len];
+    let mut pieces = ctx.pieces_of(b, task).peekable();
     let mut spec_from: Option<usize> = None; // world rank owing the speculative copy
+    let spec_tag = rechunk_tag(b, j, nr);
     let awaited = await_peer(
         comm,
         ctx,
@@ -853,72 +811,68 @@ fn await_chunk_speculatively(
         ctx.deadlines.chunk,
         format_args!("chunk {b}"),
         |comm, window, attempt| {
-            let Some(spec) = spec_from else {
-                let received = recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, window);
-                if matches!(received, Err(CommError::Timeout { .. })) {
-                    // First miss: suspect a straggler, requeue speculatively.
-                    ctx.recovery.record(RecoveryEvent::StragglerDetected {
-                        group,
-                        rank: from,
-                        chunk: b,
-                    });
-                    let target = next_survivor(j, nr, dead).map_or(me, |t| group * nr + t);
-                    if let Some(data) = requeue(comm, ctx, group, task, b, j, target) {
-                        ledger.offer(b, j, data);
+            let mut deadline = Instant::now() + window;
+            loop {
+                let (_, tag, span) = pieces.peek().cloned().expect("a chunk has a piece");
+                let owed = spec_from.filter(|&s| s != me && !ledger.has(b, j));
+                let keys: Vec<(usize, u64)> = [(from, tag)]
+                    .into_iter()
+                    .chain(owed.map(|s| (s, spec_tag)))
+                    .collect();
+                match comm.recv_any_sealed(&keys, Some(deadline)) {
+                    Ok((0, frame)) => {
+                        frame.decode_into(&mut data[span])?;
+                        pieces.next();
+                        if pieces.peek().is_none() {
+                            // The original ends the wait even after a
+                            // speculative win; the ledger discards the twin.
+                            return Ok(std::mem::take(&mut data));
+                        }
+                        deadline = Instant::now() + window;
+                    }
+                    Ok((key, frame)) => {
+                        let mut chunk = vec![0.0; len];
+                        frame.decode_into(&mut chunk)?;
+                        ledger.offer(b, j, chunk);
                         ctx.recovery.record(RecoveryEvent::SpeculativeWin {
                             group,
                             chunk: b,
-                            winner: me,
+                            winner: keys[key].0,
                         });
                     }
-                    spec_from = Some(target);
-                }
-                return received;
-            };
-            // Speculation in flight: alternate short polls across the
-            // original and the speculative reply for one window. A
-            // corrupt frame is booked and polled past.
-            let rounds = (window.as_millis() / (2 * POLL.as_millis())).max(1);
-            for _ in 0..rounds {
-                for speculative in [false, true] {
-                    let (received, peer) = if !speculative {
-                        let r = recv_chunk_pieces(comm, ctx, from, b, task, &mut pieces, POLL);
-                        (r, from)
-                    } else if spec != me && !ledger.has(b, j) {
-                        let tag = rechunk_tag(b, j, nr);
-                        (comm.recv_f32_checked_timeout(spec, tag, POLL), spec)
-                    } else {
-                        continue;
-                    };
-                    match received {
-                        // The original ends the wait even after a
-                        // speculative win; the ledger discards the twin.
-                        Ok(data) if !speculative => return Ok(data),
-                        Ok(data) => {
+                    // Speculation in flight: a corrupt frame is booked and
+                    // the wait goes on.
+                    Err(CommError::IntegrityFailure {
+                        from: peer, detail, ..
+                    }) if spec_from.is_some() => {
+                        let label = if peer == from { "" } else { "speculative " };
+                        ctx.corruption(
+                            format!("{label}chunk {b} from rank {peer}: {detail}"),
+                            attempt + 1,
+                        );
+                    }
+                    Err(e @ CommError::Timeout { .. }) if spec_from.is_none() => {
+                        // First miss: suspect a straggler, requeue speculatively.
+                        ctx.recovery.record(RecoveryEvent::StragglerDetected {
+                            group,
+                            rank: from,
+                            chunk: b,
+                        });
+                        let target = next_survivor(j, nr, dead).map_or(me, |t| group * nr + t);
+                        if let Some(data) = requeue(comm, ctx, group, task, b, j, target) {
                             ledger.offer(b, j, data);
                             ctx.recovery.record(RecoveryEvent::SpeculativeWin {
                                 group,
                                 chunk: b,
-                                winner: spec,
+                                winner: me,
                             });
                         }
-                        Err(CommError::Timeout { .. }) => {}
-                        Err(CommError::IntegrityFailure { detail, .. }) => {
-                            let label = if speculative { "speculative " } else { "" };
-                            ctx.corruption(
-                                format!("{label}chunk {b} from rank {peer}: {detail}"),
-                                attempt + 1,
-                            );
-                        }
-                        Err(e) => return Err(e),
+                        spec_from = Some(target);
+                        return Err(e);
                     }
+                    Err(e) => return Err(e),
                 }
             }
-            // The window ran out without the original: a missed attempt.
-            Err(CommError::Timeout {
-                from,
-                tag: PIECE_TAG,
-            })
         },
     );
     match awaited {
@@ -1185,7 +1139,12 @@ fn ft_collect_group_slabs(
                 provider,
                 ctx.deadlines.slab,
                 format_args!("slab z{}", task.z_begin),
-                |comm, deadline, _| comm.recv_f32_checked_into(provider, tag, deadline, slab),
+                |comm, window, _| {
+                    let deadline = Some(Instant::now() + window);
+                    comm.recv_any_sealed(&[(provider, tag)], deadline)?
+                        .1
+                        .decode_into(slab)
+                },
             ) {
                 Awaited::Got(()) => received += 1,
                 Awaited::Dead => break,
@@ -1444,6 +1403,32 @@ mod tests {
             run(1, 1, &bad),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
+    }
+
+    /// The protocol blocks on messages, never on a timer: no poll
+    /// interval, no per-call timeout receive, and every `thread::sleep` is
+    /// in a function named in this allow-list, with its reason.
+    #[test]
+    fn protocol_waits_on_messages_and_never_polls() {
+        const SLEEPS: &[(&str, &str)] = &[(
+            "compute_chunk",
+            "a slow device's stall, so the straggler is detected",
+        )];
+        let src = include_str!("fault_tolerant.rs");
+        let code = &src[..src.find("#[cfg(test)]\nmod tests").unwrap()];
+        for banned in ["recv_timeout", "try_recv", "POLL", "poll(", "rounds"] {
+            assert!(!code.contains(banned), "`{banned}` in the protocol");
+        }
+        let sleepers: Vec<&str> = code
+            .match_indices("thread::sleep")
+            .map(|(at, _)| {
+                let def = code[..at].rfind("fn ").unwrap() + 3;
+                let name = &code[def..];
+                &name[..name.find(['(', '<']).unwrap()]
+            })
+            .collect();
+        let allowed: Vec<&str> = SLEEPS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(sleepers, allowed, "a sleep outside the allow-list");
     }
 
     #[test]

@@ -11,13 +11,9 @@ pub struct DeviceSpec {
     pub name: &'static str,
     /// Device memory capacity in bytes.
     pub memory_bytes: u64,
-    /// Peak single-precision FLOP/s (roofline ceiling, Figure 12).
-    pub peak_flops: f64,
     /// Sustained back-projection throughput in updates/s (the paper's GUPS
     /// × 1e9; Table 5 measures 111–129 GUPS on V100, 125–166 on A100).
     pub bp_updates_per_sec: f64,
-    /// Device-memory bandwidth in bytes/s (roofline slope).
-    pub hbm_bytes_per_sec: f64,
     /// Host↔device interconnect bandwidth in bytes/s (`BW_pci`).
     pub pcie_bytes_per_sec: f64,
 }
@@ -29,9 +25,7 @@ impl DeviceSpec {
         DeviceSpec {
             name: "V100-16GB",
             memory_bytes: 16 * (1 << 30),
-            peak_flops: 15.7e12,
             bp_updates_per_sec: 115e9,
-            hbm_bytes_per_sec: 900e9,
             pcie_bytes_per_sec: 12.0e9,
         }
     }
@@ -41,9 +35,7 @@ impl DeviceSpec {
         DeviceSpec {
             name: "A100-40GB",
             memory_bytes: 40 * (1 << 30),
-            peak_flops: 19.5e12,
             bp_updates_per_sec: 155e9,
-            hbm_bytes_per_sec: 1555e9,
             pcie_bytes_per_sec: 20.0e9,
         }
     }
@@ -54,9 +46,7 @@ impl DeviceSpec {
         DeviceSpec {
             name: "tiny-sim",
             memory_bytes,
-            peak_flops: 1e12,
             bp_updates_per_sec: 10e9,
-            hbm_bytes_per_sec: 100e9,
             pcie_bytes_per_sec: 2e9,
         }
     }
@@ -71,17 +61,6 @@ impl DeviceSpec {
     pub fn backprojection_secs(&self, updates: u64) -> f64 {
         updates as f64 / self.bp_updates_per_sec
     }
-
-    /// The roofline-attainable FLOP/s at arithmetic intensity `ai`
-    /// (FLOP/byte): `min(peak, AI·BW)`.
-    pub fn roofline_flops(&self, ai: f64) -> f64 {
-        (ai * self.hbm_bytes_per_sec).min(self.peak_flops)
-    }
-
-    /// The ridge point (FLOP/byte) where the roofline turns flat.
-    pub fn ridge_intensity(&self) -> f64 {
-        self.peak_flops / self.hbm_bytes_per_sec
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +71,6 @@ mod tests {
     fn v100_matches_paper_constants() {
         let v = DeviceSpec::v100_16gb();
         assert_eq!(v.memory_bytes, 17_179_869_184);
-        assert!((v.peak_flops - 15.7e12).abs() < 1e9);
         // Paper: RTK ≈ 104.7–113.7 GUPS, ours ≈ 115 average.
         assert!(v.bp_updates_per_sec >= 100e9 && v.bp_updates_per_sec <= 130e9);
     }
@@ -103,10 +81,6 @@ mod tests {
         let a = DeviceSpec::a100_40gb();
         assert!(a.memory_bytes > v.memory_bytes);
         assert!(a.bp_updates_per_sec > v.bp_updates_per_sec);
-        // Table 5: A100 speedup roughly tracks the peak-FLOPs ratio.
-        let flops_ratio = a.peak_flops / v.peak_flops;
-        let gups_ratio = a.bp_updates_per_sec / v.bp_updates_per_sec;
-        assert!((flops_ratio - gups_ratio).abs() < 0.2);
     }
 
     #[test]
@@ -126,16 +100,5 @@ mod tests {
         let updates = 1024u64 * 1024 * 1024 * 720;
         let t = v.backprojection_secs(updates);
         assert!((t - 6.7).abs() < 1.0, "modelled {t} s");
-    }
-
-    #[test]
-    fn roofline_has_bandwidth_and_compute_regimes() {
-        let v = DeviceSpec::v100_16gb();
-        let ridge = v.ridge_intensity();
-        assert!(ridge > 10.0 && ridge < 30.0); // 15.7e12/900e9 ≈ 17.4
-        assert!(v.roofline_flops(ridge / 2.0) < v.peak_flops);
-        assert_eq!(v.roofline_flops(ridge * 10.0), v.peak_flops);
-        // Figure 12: the kernel's AI (40.9+) puts it in the compute regime.
-        assert_eq!(v.roofline_flops(40.9), v.peak_flops);
     }
 }

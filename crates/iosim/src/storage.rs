@@ -211,22 +211,6 @@ impl StorageEndpoint {
         }
     }
 
-    /// Resets the counters. Registry-backed values are zeroed in place,
-    /// so every view sharing them (and the registry) sees the reset.
-    pub fn reset_counters(&self) {
-        let m = &self.inner.metrics;
-        m.read_bytes.reset();
-        m.written_bytes.reset();
-        m.reads.reset();
-        m.writes.reset();
-        m.fsyncs.reset();
-        m.renames.reset();
-        m.integrity_failures.reset();
-        m.read_latency.reset();
-        m.write_latency.reset();
-        *m.secs.lock() = 0.0;
-    }
-
     /// Records a modelled read of `bytes`; returns simulated seconds.
     pub fn record_read(&self, bytes: u64) -> f64 {
         let secs = bytes as f64 / self.inner.read_bw;
@@ -653,7 +637,5 @@ mod tests {
         s2.record_write(50);
         assert_eq!(s.counters().written_bytes, 50);
         assert_eq!(s2.counters().read_bytes, 100);
-        s.reset_counters();
-        assert_eq!(s2.counters(), StorageCounters::default());
     }
 }

@@ -317,82 +317,77 @@ impl Communicator {
 
     /// Blocking selective receive from local rank `from` with `tag`.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<u8> {
-        self.recv_inner(from, tag, None)
+        self.recv_any(&[(from, tag)], None)
             .expect("receive failed (injected rank failure without fault handling?)")
+            .1
     }
 
-    /// Selective receive with a deadline. Returns
-    /// [`CommError::Timeout`] when no matching message arrives in time —
-    /// the failure-detection primitive of the fault-tolerant paths.
-    pub fn recv_timeout(
+    /// The one selective receive, `MPI_Waitany`-style: blocks until a
+    /// message matching one of `keys` (`(from, tag)` pairs) is delivered,
+    /// or until `deadline`, and returns the index of the key it matched
+    /// with the payload. Among messages already stashed the key earlier in
+    /// `keys` wins; otherwise the first to arrive does. Messages matching
+    /// no key are stashed in arrival order, so two in the same `(from,
+    /// tag)` class never overtake each other. A missed deadline is
+    /// [`CommError::Timeout`] naming the first key.
+    ///
+    /// Injection is consulted once per *delivered* message, never per
+    /// key or per wake-up, so the operation count a fault plan indexes
+    /// into depends only on which messages are delivered.
+    pub fn recv_any(
         &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, CommError> {
-        self.recv_inner(from, tag, Some(timeout))
-    }
-
-    /// Shared receive core. Injection is consulted once per *delivered*
-    /// message (never per poll attempt), so the operation count a fault
-    /// plan indexes into stays deterministic even when callers poll with
-    /// short timeouts.
-    fn recv_inner(
-        &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<u8>, CommError> {
-        assert!(
-            from < self.size(),
-            "recv from rank {from} of {}",
-            self.size()
-        );
+        keys: &[(usize, u64)],
+        deadline: Option<Instant>,
+    ) -> Result<(usize, Vec<u8>), CommError> {
+        assert!(!keys.is_empty(), "receive on an empty key set");
+        for &(from, _) in keys {
+            assert!(
+                from < self.size(),
+                "recv from rank {from} of {}",
+                self.size()
+            );
+        }
         let me = self.world_rank();
         if self.network.injector.rank_failed(me) {
             return Err(CommError::SelfFailed);
         }
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let context = self.context;
+        let matches = |e: &Envelope, &(from, tag): &(usize, u64)| {
+            e.context == context && e.from == from && e.tag == tag
+        };
         let mut pending = self.pending.lock();
-        if let Some(idx) = pending
-            .iter()
-            .position(|e| e.context == self.context && e.from == from && e.tag == tag)
-        {
+        let stashed = keys.iter().enumerate().find_map(|(key, k)| {
+            let idx = pending.iter().position(|e| matches(e, k))?;
+            Some((key, idx))
+        });
+        let (key, payload) = match stashed {
             // `remove`, not `swap_remove`: the stash must stay in arrival
-            // order so two messages in the same `(from, tag)` class can
-            // never overtake each other (MPI's non-overtaking guarantee).
-            let payload = pending.remove(idx).payload;
-            drop(pending);
-            self.on_delivery(me)?;
-            return Ok(payload);
-        }
-        loop {
-            let env = match deadline {
-                None => match self.receiver.recv() {
-                    Ok(env) => env,
-                    Err(_) => return Err(CommError::Closed),
-                },
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(CommError::Timeout { from, tag });
-                    }
-                    match self.receiver.recv_timeout(d - now) {
+            // order (MPI's non-overtaking guarantee).
+            Some((key, idx)) => (key, pending.remove(idx).payload),
+            None => loop {
+                let env = match deadline {
+                    None => self.receiver.recv().map_err(|_| CommError::Closed)?,
+                    Some(d) => match self
+                        .receiver
+                        .recv_timeout(d.saturating_duration_since(Instant::now()))
+                    {
                         Ok(env) => env,
                         Err(RecvTimeoutError::Timeout) => {
-                            return Err(CommError::Timeout { from, tag })
+                            let (from, tag) = keys[0];
+                            return Err(CommError::Timeout { from, tag });
                         }
                         Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
-                    }
+                    },
+                };
+                match keys.iter().position(|k| matches(&env, k)) {
+                    Some(key) => break (key, env.payload),
+                    None => pending.push(env),
                 }
-            };
-            if env.context == self.context && env.from == from && env.tag == tag {
-                drop(pending);
-                self.on_delivery(me)?;
-                return Ok(env.payload);
-            }
-            pending.push(env);
-        }
+            },
+        };
+        drop(pending);
+        self.on_delivery(me)?;
+        Ok((key, payload))
     }
 
     /// Receive-side injection hook, called once per delivered message.
@@ -471,42 +466,27 @@ impl Communicator {
         tag: u64,
         timeout: Duration,
     ) -> Result<Vec<f32>, CommError> {
-        let frame = self.recv_sealed(from, tag, timeout)?;
-        decode_f32(&frame[4..])
+        let deadline = Instant::now() + timeout;
+        let (_, frame) = self.recv_any_sealed(&[(from, tag)], Some(deadline))?;
+        decode_f32(&frame.0[4..])
     }
 
-    /// Integrity-checked f32 receive with a deadline, straight into the
-    /// caller's `dst`: awaits the frame, verifies its CRC-32 seal, then
-    /// decodes into place. A payload whose length is not `dst.len()` values is
-    /// [`CommError::MalformedFrame`]. On any error `dst` is untouched.
-    pub fn recv_f32_checked_into(
+    /// The sealed twin of [`recv_any`](Self::recv_any): the same wait,
+    /// then the matched frame's CRC-32 seal is verified. A mismatch is
+    /// [`CommError::IntegrityFailure`] naming the matched key; the corrupt
+    /// frame is consumed, so callers recover exactly as they would from a
+    /// dropped message.
+    pub fn recv_any_sealed(
         &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-        dst: &mut [f32],
-    ) -> Result<(), CommError> {
-        let frame = self.recv_sealed(from, tag, timeout)?;
-        decode_f32_into(&frame[4..], dst)
-    }
-
-    /// The one integrity-checked receive: awaits `(from, tag)` within
-    /// `timeout` and verifies the CRC-32 seal, returning the whole frame
-    /// (payload from byte 4). A mismatch is reported as
-    /// [`CommError::IntegrityFailure`] and the corrupt frame is consumed —
-    /// callers recover exactly as they would from a dropped message.
-    fn recv_sealed(
-        &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, CommError> {
-        let frame = self.recv_timeout(from, tag, timeout)?;
+        keys: &[(usize, u64)],
+        deadline: Option<Instant>,
+    ) -> Result<(usize, SealedF32), CommError> {
+        let (key, frame) = self.recv_any(keys, deadline)?;
         match open_frame(&frame) {
-            Ok(_) => Ok(frame),
+            Ok(_) => Ok((key, SealedF32(frame))),
             Err(e) => Err(CommError::IntegrityFailure {
-                from,
-                tag,
+                from: keys[key].0,
+                tag: keys[key].1,
                 detail: e.to_string(),
             }),
         }
@@ -702,7 +682,7 @@ impl Communicator {
                     *a += *b;
                 }
             } else {
-                let bytes = self.recv_inner(r, COLLECTIVE_TAG + 4, None)?;
+                let bytes = self.recv_any(&[(r, COLLECTIVE_TAG + 4)], None)?.1;
                 let incoming = decode_f32(&bytes)?;
                 assert_eq!(incoming.len(), buf.len(), "reduce buffer length mismatch");
                 if r == 0 {
@@ -787,7 +767,7 @@ impl Communicator {
                 if me == 0 {
                     self.try_send(1, tag, encode_f32(&buf[c0..c1]))?;
                 } else {
-                    let bytes = self.recv_inner(me - 1, tag, None)?;
+                    let bytes = self.recv_any(&[(me - 1, tag)], None)?.1;
                     chain_bytes.add(bytes.len() as u64);
                     let mut partial = decode_f32(&bytes)?;
                     assert_eq!(partial.len(), c1 - c0, "chunk length mismatch");
@@ -810,7 +790,7 @@ impl Communicator {
             }
         }
         for (d0, d1, tag) in deliveries {
-            let bytes = self.recv_inner(p - 1, tag, None)?;
+            let bytes = self.recv_any(&[(p - 1, tag)], None)?.1;
             owner_bytes.add(bytes.len() as u64);
             let finished = decode_f32(&bytes)?;
             assert_eq!(finished.len(), d1 - d0, "delivered chunk length mismatch");
@@ -905,6 +885,20 @@ fn seal_f32(data: &[f32]) -> Vec<u8> {
     }
     frame[..4].copy_from_slice(&crc.finish().to_le_bytes());
     frame
+}
+
+/// A received frame whose CRC-32 seal verified, holding an f32 payload
+/// ([`Communicator::recv_any_sealed`]).
+#[derive(Debug)]
+pub struct SealedF32(Vec<u8>);
+
+impl SealedF32 {
+    /// Decodes the payload into `dst`, which it must fill exactly: a
+    /// payload of another length is [`CommError::MalformedFrame`] and
+    /// leaves `dst` untouched.
+    pub fn decode_into(&self, dst: &mut [f32]) -> Result<(), CommError> {
+        decode_f32_into(&self.0[4..], dst)
+    }
 }
 
 /// Decodes a little-endian f32 payload, rejecting ragged lengths.
@@ -1220,20 +1214,23 @@ mod tests {
                 c.send_f32_checked(1, 3, &[-1.5, 0.0, 9.0]).unwrap();
                 return Ok::<_, CommError>(vec![]);
             }
-            let t = Duration::from_secs(2);
+            let deadline = Some(std::time::Instant::now() + Duration::from_secs(2));
             let mut dst = vec![4.0f32; 5];
-            let short = c.recv_f32_checked_into(0, 1, t, &mut dst[1..4]);
+            let (_, short) = c.recv_any_sealed(&[(0, 1)], deadline)?;
+            let short = short.decode_into(&mut dst[1..4]);
             assert!(
                 matches!(short, Err(CommError::MalformedFrame { .. })),
                 "{short:?}"
             );
-            let bad = c.recv_f32_checked_into(0, 2, t, &mut dst[1..4]);
+            let bad = c.recv_any_sealed(&[(0, 2)], deadline);
             assert!(
-                matches!(bad, Err(CommError::IntegrityFailure { .. })),
+                matches!(bad, Err(CommError::IntegrityFailure { tag: 2, .. })),
                 "{bad:?}"
             );
             assert_eq!(dst, vec![4.0; 5]);
-            c.recv_f32_checked_into(0, 3, t, &mut dst[1..4])?;
+            c.recv_any_sealed(&[(0, 3)], deadline)?
+                .1
+                .decode_into(&mut dst[1..4])?;
             Ok(dst)
         });
         assert_eq!(results[1].as_deref(), Ok(&[4.0, -1.5, 0.0, 9.0, 4.0][..]));
@@ -1283,6 +1280,100 @@ mod tests {
             }
         });
         assert_eq!(results[1], vec![4, 2, 1, 3]);
+    }
+
+    /// Among stashed messages the key earlier in the list wins, whatever
+    /// the arrival order; with nothing stashed the first arrival wins.
+    #[test]
+    fn key_set_receive_prefers_the_earlier_stashed_key() {
+        let results = World::run(2, |mut comm| {
+            if comm.rank() == 0 {
+                for tag in [3, 2, 1] {
+                    comm.send(1, tag, vec![tag as u8]);
+                }
+                comm.send(1, 4, vec![4]); // the tag-1 receive stashes 3 and 2
+                return vec![];
+            }
+            let first = comm.recv(0, 1);
+            let keys = [(0, 2), (0, 3), (0, 4)];
+            let (a, pa) = comm.recv_any(&keys, None).unwrap();
+            let (b, pb) = comm.recv_any(&keys, None).unwrap();
+            let (c, pc) = comm.recv_any(&keys, None).unwrap();
+            vec![first[0], a as u8, pa[0], b as u8, pb[0], c as u8, pc[0]]
+        });
+        assert_eq!(results[1], vec![1, 0, 2, 1, 3, 2, 4]);
+    }
+
+    /// A key set that nothing matches times out at its deadline, naming
+    /// its first key, and leaves the unmatched traffic to a later receive.
+    #[test]
+    fn key_set_receive_times_out_at_its_deadline() {
+        let results = World::run(2, |mut comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 9, vec![9]);
+                return Ok(vec![]);
+            }
+            let start = Instant::now();
+            let deadline = Some(start + Duration::from_millis(30));
+            let missed = comm.recv_any(&[(0, 5), (0, 6)], deadline);
+            assert_eq!(missed, Err(CommError::Timeout { from: 0, tag: 5 }));
+            assert!(start.elapsed() >= Duration::from_millis(30));
+            comm.recv_any(&[(0, 9)], None).map(|(_, p)| p)
+        });
+        assert_eq!(results[1], Ok(vec![9]));
+    }
+
+    /// A stashed message that matches no key keeps its place: a later
+    /// message of its own class never overtakes it.
+    #[test]
+    fn key_set_receive_never_overtakes_a_stashed_non_match() {
+        let results = World::run(2, |mut comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 7, vec![1]);
+                comm.send(1, 8, vec![0]);
+                comm.send(1, 7, vec![2]);
+                comm.send(1, 5, vec![5]);
+                return vec![];
+            }
+            let (_, p5) = comm.recv_any(&[(0, 5), (0, 6)], None).unwrap();
+            let (k, p8) = comm.recv_any(&[(0, 6), (0, 8)], None).unwrap();
+            let first = comm.recv_any(&[(0, 6), (0, 7)], None).unwrap();
+            let second = comm.recv_any(&[(0, 7)], None).unwrap();
+            vec![p5[0], k as u8, p8[0], first.1[0], second.1[0]]
+        });
+        assert_eq!(results[1], vec![5, 1, 0, 1, 2]);
+    }
+
+    /// One receive-channel fault op is consumed per delivered message,
+    /// however many keys the receive waits on: the plan's op 2 lands on
+    /// the third delivery.
+    #[test]
+    fn key_set_receive_consumes_one_fault_op_per_delivery() {
+        use scalefbp_faults::{FaultEvent, FaultInjector, FaultPlan};
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            rank: 1,
+            channel: Channel::Recv,
+            op_index: 2,
+            kind: FaultKind::RankFailure,
+        }]);
+        let (results, _) = World::run_with_faults(2, FaultInjector::new(plan), |mut c| {
+            if c.rank() == 0 {
+                for tag in 0..4 {
+                    c.send(1, tag, vec![tag as u8]);
+                }
+                return Ok(vec![]);
+            }
+            let keys = [(0, 3), (0, 2), (0, 1), (0, 0)];
+            let mut got = Vec::new();
+            for _ in 0..3 {
+                match c.recv_any(&keys, None) {
+                    Ok((_, p)) => got.push(p[0]),
+                    Err(e) => return Err((got, e)),
+                }
+            }
+            Ok(got)
+        });
+        assert_eq!(results[1], Err((vec![0, 1], CommError::SelfFailed)));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! * [`World::run`] — launches `size` rank threads, hands each a
 //!   [`Communicator`], joins them and returns their results in rank order.
-//! * [`Communicator`] — `rank`/`size`, tagged `send`/`recv` with selective
-//!   receive, `barrier`, `bcast`, `gather`, binomial-tree
+//! * [`Communicator`] — `rank`/`size`, tagged `send`, one selective
+//!   receive ([`Communicator::recv_any`]: a set of `(from, tag)` keys and
+//!   an optional deadline, `MPI_Waitany`-style, with the CRC-checked twin
+//!   [`Communicator::recv_any_sealed`]; `recv` is its one-key form),
+//!   `barrier`, `bcast`, `gather`, binomial-tree
 //!   [`Communicator::reduce_sum_f32`], and [`Communicator::split`]
 //!   (the `MPI_Comm_split` of the paper, giving every group its own
 //!   context so collectives never cross groups).
@@ -42,7 +45,7 @@ mod cost;
 mod mode;
 mod world;
 
-pub use comm::{CommError, Communicator, NetworkStats};
+pub use comm::{CommError, Communicator, NetworkStats, SealedF32};
 pub use cost::CommCostModel;
 pub use mode::ReduceMode;
 pub use world::World;

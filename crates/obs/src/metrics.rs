@@ -77,11 +77,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last/max-value gauge stored as `f64` bits. Merges by `max`, which is
@@ -119,11 +114,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.set(0.0);
     }
 }
 
@@ -191,15 +181,6 @@ impl Histogram {
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Resets all buckets.
-    pub fn reset(&self) {
-        for b in &self.0.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
     }
 
     fn value(&self) -> MetricValue {
@@ -333,20 +314,6 @@ impl MetricsRegistry {
             entries.insert(k.clone(), h.value());
         }
         MetricsSnapshot { entries }
-    }
-
-    /// Zeroes every registered metric (handles stay valid).
-    pub fn reset(&self) {
-        let inner = self.inner.lock();
-        for c in inner.counters.values() {
-            c.reset();
-        }
-        for g in inner.gauges.values() {
-            g.reset();
-        }
-        for h in inner.histograms.values() {
-            h.reset();
-        }
     }
 }
 
@@ -783,17 +750,6 @@ mod tests {
             reg.snapshot().to_json()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("x");
-        c.add(9);
-        reg.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(reg.snapshot().counter("x", None), Some(1));
     }
 
     #[test]
