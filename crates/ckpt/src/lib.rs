@@ -4,8 +4,8 @@
 //! checksummed text [manifest](manifest::CheckpointManifest) that names
 //! exactly the slabs whose stage → fsync → rename commit completed. Kill
 //! the run at *any* instruction and the directory is still either
-//! resumable or cleanly empty — the property the chaos harness
-//! (`scalefbp-bench chaos`) verifies by killing runs mid-slab and
+//! resumable or cleanly empty — the property the kill/resume grid of
+//! `tests/checkpoint_restart.rs` verifies by killing runs mid-slab and
 //! asserting the resumed volume is bitwise identical to an uninterrupted
 //! one.
 //!

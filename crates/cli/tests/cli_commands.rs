@@ -402,6 +402,22 @@ fn trace_validate_rejects_garbage() {
     assert!(call(&["trace-validate", "--trace", bad.to_str().unwrap()]).is_err());
     std::fs::write(&bad, b"not json at all").unwrap();
     assert!(call(&["trace-validate", "--trace", bad.to_str().unwrap()]).is_err());
+    // Nesting past the parser's limit is an error, not a stack overflow.
+    // The real binary reads it, so an abort fails this test alone.
+    std::fs::write(&bad, "[".repeat(100_000)).unwrap();
+    let good = dir.join("good.json");
+    std::fs::write(&good, b"{\"traceEvents\": []}").unwrap();
+    let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+    assert!(call(&["trace-validate", "--trace", good]).is_ok());
+    for args in [
+        ["trace-validate", "--trace", bad].as_slice(),
+        &["trace-validate", "--trace", good, "--metrics", bad],
+    ] {
+        let (status, stderr) = run_binary_within_a_minute(args);
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("nesting"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 /// Checkpoint flags are validated up front: `--resume` /

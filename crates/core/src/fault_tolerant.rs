@@ -326,12 +326,8 @@ impl FaultTolerantOutcome {
     /// by canonical event index (model time, not wall clock) — so the
     /// export is byte-identical across runs of the same fault plan.
     pub fn chrome_trace(&self) -> String {
-        let log = RecoveryLog::new();
-        for ev in &self.recovery {
-            log.record(ev.clone());
-        }
-        let trace = TraceCollector::new();
-        trace.absorb_recovery_log(&log);
+        let mut trace = TraceCollector::new();
+        trace.absorb_recovery_log(&self.recovery);
         trace.to_chrome_trace()
     }
 }

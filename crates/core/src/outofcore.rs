@@ -276,10 +276,10 @@ impl OutOfCoreReconstructor {
             })
             .collect();
 
-        let trace = TraceCollector::new();
-        batches.extend(serial(&stages, &todo, &mut sink, &trace)?);
+        let mut trace = TraceCollector::new();
+        batches.extend(serial(&stages, &todo, &mut sink, &mut trace)?);
         batches.sort_unstable_by_key(|b| b.index);
-        let model_trace = match run.schedule {
+        let mut model_trace = match run.schedule {
             Schedule::Serial => serial_trace(&batches),
             Schedule::Overlapped => {
                 let (model, makespan) = replay(&batches);
@@ -288,8 +288,9 @@ impl OutOfCoreReconstructor {
                 model
             }
         };
-        trace.absorb_recovery_log(&stages.log);
-        model_trace.absorb_recovery_log(&stages.log);
+        let recovery = stages.log.events();
+        trace.absorb_recovery_log(&recovery);
+        model_trace.absorb_recovery_log(&recovery);
         let report = OutOfCoreReport {
             nb: self.nb,
             window_rows: self.window_rows,
@@ -298,7 +299,7 @@ impl OutOfCoreReconstructor {
             wall_secs: t0.elapsed().as_secs_f64(),
             trace,
             model_trace,
-            recovery: stages.log.events(),
+            recovery,
             metrics: registry.snapshot(),
         };
         Ok((sink.out, report))
@@ -313,7 +314,7 @@ fn serial(
     stages: &Stages,
     todo: &[(&SubVolumeTask, RowRange)],
     sink: &mut Sink,
-    trace: &TraceCollector,
+    trace: &mut TraceCollector,
 ) -> Result<Vec<OocBatch>, ReconstructionError> {
     let t0 = Instant::now();
     let now = || t0.elapsed().as_secs_f64();
@@ -345,7 +346,7 @@ fn serial(
 /// Table 5's serial timeline: per batch, h2d → bp → d2h back to back in
 /// model seconds.
 fn serial_trace(batches: &[OocBatch]) -> TraceCollector {
-    let trace = TraceCollector::new();
+    let mut trace = TraceCollector::new();
     let mut t = 0.0;
     for b in batches {
         for (stage, secs) in [("h2d", b.h2d_secs), ("bp", b.bp_secs), ("d2h", b.d2h_secs)] {

@@ -176,16 +176,31 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventSink;
+    use crate::event::{InstantEvent, SpanEvent};
+
+    fn span(rank: usize, track: &str, name: &str, start_us: u64, dur_us: u64) -> TraceEvent {
+        TraceEvent::Span(SpanEvent {
+            rank,
+            track: track.to_string(),
+            start_us,
+            dur_us,
+            name: name.to_string(),
+        })
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
-        let sink = EventSink::new();
-        sink.span(0, "load", "load #0", 0, 100);
-        sink.span(0, "load", "load #1", 100, 80);
-        sink.span(0, "bp", "bp #0", 100, 300);
-        sink.span(1, "bp", "bp #0", 50, 200);
-        sink.instant(0, "recovery", "retry h2d", 120);
-        sink.events()
+        vec![
+            span(0, "load", "load #0", 0, 100),
+            span(0, "load", "load #1", 100, 80),
+            span(0, "bp", "bp #0", 100, 300),
+            span(1, "bp", "bp #0", 50, 200),
+            TraceEvent::Instant(InstantEvent {
+                rank: 0,
+                track: "recovery".to_string(),
+                ts_us: 120,
+                name: "retry h2d".to_string(),
+            }),
+        ]
     }
 
     #[test]
@@ -206,20 +221,15 @@ mod tests {
 
     #[test]
     fn overlap_is_rejected() {
-        let sink = EventSink::new();
-        sink.span(0, "t", "a", 0, 100);
-        sink.span(0, "t", "b", 50, 100);
-        let json = chrome_trace_json(&sink.events());
+        let json = chrome_trace_json(&[span(0, "t", "a", 0, 100), span(0, "t", "b", 50, 100)]);
         let err = validate_chrome_trace(&json).unwrap_err();
         assert!(err.contains("overlapping"), "{err}");
     }
 
     #[test]
     fn same_track_on_two_ranks_does_not_collide() {
-        let sink = EventSink::new();
-        sink.span(0, "bp", "a", 0, 100);
-        sink.span(1, "bp", "b", 50, 100); // would overlap if pids merged
-        let json = chrome_trace_json(&sink.events());
+        // Would overlap if pids merged.
+        let json = chrome_trace_json(&[span(0, "bp", "a", 0, 100), span(1, "bp", "b", 50, 100)]);
         assert!(validate_chrome_trace(&json).is_ok());
     }
 

@@ -1,20 +1,10 @@
-//! The structured trace-event model and its collecting sink.
+//! The structured trace-event model.
 //!
 //! A [`TraceEvent`] generalises the pipeline's `Span`: every event lives
 //! on a `(rank, track)` pair — rank maps to a Chrome-trace *process*,
-//! track (a stage, device engine, or diagnostic channel) to a *thread* —
+//! track (a stage, a device engine or `recovery`) to a *thread* —
 //! and carries integer microsecond timestamps taken from the simulated
 //! timeline, never the wall clock.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-/// How many occurrences of one warning key become trace instants before
-/// the sink switches to counting only. Keeps injected-fault storms from
-/// flooding the trace (or, previously, stderr).
-pub const WARN_EVENT_LIMIT: u64 = 4;
 
 /// A duration on a track. Field order defines the canonical sort:
 /// rank, then track, then time.
@@ -32,7 +22,7 @@ pub struct SpanEvent {
     pub name: String,
 }
 
-/// A zero-duration marker on a track (recovery events, warnings).
+/// A zero-duration marker on a track (recovery events).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct InstantEvent {
     /// Owning rank (Chrome-trace pid).
@@ -72,147 +62,35 @@ impl TraceEvent {
     }
 }
 
-#[derive(Default)]
-struct SinkInner {
-    events: Vec<TraceEvent>,
-    warn_counts: BTreeMap<String, u64>,
-}
-
-/// Collects [`TraceEvent`]s from any number of threads. Cheap to clone
-/// (shared storage), like the pipeline's `TraceCollector`.
-///
-/// The [`warn`](Self::warn) channel is the rate-limited replacement for
-/// hot-path `eprintln!` diagnostics: the first [`WARN_EVENT_LIMIT`]
-/// occurrences of a key become instants on the `"warnings"` track
-/// (timestamped by occurrence index, so output stays deterministic);
-/// everything after that only bumps the per-key count.
-#[derive(Clone, Default)]
-pub struct EventSink {
-    inner: Arc<Mutex<SinkInner>>,
-}
-
-impl std::fmt::Debug for EventSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "EventSink({} events)", self.inner.lock().events.len())
-    }
-}
-
-impl EventSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a span.
-    pub fn span(&self, rank: usize, track: &str, name: &str, start_us: u64, dur_us: u64) {
-        self.inner.lock().events.push(TraceEvent::Span(SpanEvent {
-            rank,
-            track: track.to_string(),
-            start_us,
-            dur_us,
-            name: name.to_string(),
-        }));
-    }
-
-    /// Records an instant.
-    pub fn instant(&self, rank: usize, track: &str, name: &str, ts_us: u64) {
-        self.inner
-            .lock()
-            .events
-            .push(TraceEvent::Instant(InstantEvent {
-                rank,
-                track: track.to_string(),
-                ts_us,
-                name: name.to_string(),
-            }));
-    }
-
-    /// Reports a diagnostic condition. Returns the total occurrences of
-    /// `key` so far. Only the first [`WARN_EVENT_LIMIT`] occurrences
-    /// materialise as trace instants; `detail` is included in those.
-    pub fn warn(&self, rank: usize, key: &str, detail: &str) -> u64 {
-        let mut inner = self.inner.lock();
-        let count = inner.warn_counts.entry(key.to_string()).or_insert(0);
-        *count += 1;
-        let seen = *count;
-        if seen <= WARN_EVENT_LIMIT {
-            let name = format!("{key}: {detail}");
-            inner.events.push(TraceEvent::Instant(InstantEvent {
-                rank,
-                track: "warnings".to_string(),
-                ts_us: seen - 1,
-                name,
-            }));
-        }
-        seen
-    }
-
-    /// Total occurrences of one warning key.
-    pub fn warn_count(&self, key: &str) -> u64 {
-        self.inner.lock().warn_counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// All events in canonical order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut v = self.inner.lock().events.clone();
-        v.sort();
-        v
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn events_sort_canonically() {
-        let sink = EventSink::new();
-        sink.span(1, "bp", "bp #0", 10, 5);
-        sink.span(0, "load", "load #0", 0, 3);
-        sink.instant(0, "recovery", "retry", 2);
-        let evs = sink.events();
-        assert_eq!(evs.len(), 3);
+        let span = |rank: usize, track: &str, start_us| {
+            TraceEvent::Span(SpanEvent {
+                rank,
+                track: track.to_string(),
+                start_us,
+                dur_us: 5,
+                name: format!("{track} #0"),
+            })
+        };
+        let mut evs = [
+            span(1, "bp", 10),
+            span(0, "load", 0),
+            TraceEvent::Instant(InstantEvent {
+                rank: 0,
+                track: "recovery".to_string(),
+                ts_us: 2,
+                name: "retry".to_string(),
+            }),
+        ];
+        evs.sort();
         // Spans sort before instants; within spans, rank-major.
         assert_eq!(evs[0].rank(), 0);
         assert_eq!(evs[1].rank(), 1);
         assert!(matches!(evs[2], TraceEvent::Instant(_)));
-    }
-
-    #[test]
-    fn clones_share_events() {
-        let a = EventSink::new();
-        let b = a.clone();
-        a.span(0, "t", "x", 0, 1);
-        assert_eq!(b.events().len(), 1);
-    }
-
-    #[test]
-    fn warns_are_rate_limited_but_counted() {
-        let sink = EventSink::new();
-        for i in 0..100 {
-            sink.warn(0, "trace.span_clamped", &format!("span {i}"));
-        }
-        assert_eq!(sink.warn_count("trace.span_clamped"), 100);
-        let instants = sink
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, TraceEvent::Instant(_)))
-            .count();
-        assert_eq!(instants as u64, WARN_EVENT_LIMIT);
-    }
-
-    #[test]
-    fn warn_keys_are_independent() {
-        let sink = EventSink::new();
-        sink.warn(0, "a", "x");
-        sink.warn(0, "b", "y");
-        assert_eq!(sink.warn_count("a"), 1);
-        assert_eq!(sink.warn_count("b"), 1);
-        assert_eq!(sink.warn_count("c"), 0);
     }
 }

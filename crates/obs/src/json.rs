@@ -241,11 +241,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest. Every export of this
+/// workspace nests at most five levels; the limit keeps a hostile
+/// document from recursing the parser off the end of its stack.
+const MAX_DEPTH: usize = 256;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than 256 levels.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -259,6 +266,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -290,8 +299,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -465,6 +485,14 @@ mod tests {
         assert!(parse_json("{\"a\": 1} trailing").is_err());
         assert!(parse_json("not json").is_err());
         assert!(parse_json("").is_err());
+        // Nesting is refused one level past the limit, at that byte.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nested(MAX_DEPTH + 1)).unwrap_err().offset,
+            MAX_DEPTH
+        );
+        assert!(parse_json(&"{\"a\": ".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

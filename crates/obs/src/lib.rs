@@ -16,10 +16,8 @@
 //!   associative, commutative [`merge`](MetricsSnapshot::merge): counters
 //!   add, gauges take the max, histograms add bucket-wise. All sums are
 //!   integers (bytes, counts, nanoseconds) so the merge is *exact*.
-//! * [`EventSink`] + [`TraceEvent`] — the structured event model that
-//!   subsumes the pipeline `Span`: spans and instants on named tracks,
-//!   plus a rate-limited [`warn`](EventSink::warn) channel that replaces
-//!   hot-path `eprintln!` diagnostics.
+//! * [`TraceEvent`] — the structured event model that subsumes the
+//!   pipeline `Span`: spans and instants on named tracks.
 //! * [`chrome_trace_json`] — renders events as Chrome-trace JSON loadable
 //!   by `chrome://tracing` and Perfetto, with [`validate_chrome_trace`]
 //!   as the matching parser-side check used by tests and CI.
@@ -30,7 +28,7 @@ pub mod json;
 pub mod metrics;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceSummary};
-pub use event::{EventSink, InstantEvent, SpanEvent, TraceEvent, WARN_EVENT_LIMIT};
+pub use event::{InstantEvent, SpanEvent, TraceEvent};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use metrics::{
     validate_metrics_json, Counter, Gauge, Histogram, MetricKey, MetricValue, MetricsRegistry,

@@ -110,7 +110,7 @@ impl PipelineModel {
             }
         }
 
-        let trace = TraceCollector::new();
+        let mut trace = TraceCollector::new();
         let mut makespan = 0.0f64;
         for s in 0..s_count {
             for i in 0..n {

@@ -1,15 +1,17 @@
 //! The end-to-end pipeline substrate (Figure 9 of the paper).
 //!
 //! The paper overlaps five stages — load, filter, back-projection,
-//! segmented reduce, store — with one thread per stage and FIFO queues
-//! between them, and reports the resulting overlap as the Figure 10
-//! timelines. This crate supplies the three reusable pieces:
+//! segmented reduce, store — with FIFO queues between them, and reports
+//! the resulting overlap as the Figure 10 timelines. The streaming
+//! driver runs the stages back to back on one thread and draws the
+//! overlapped timeline from a model replay. This crate supplies the
+//! three reusable pieces:
 //!
-//! * [`BoundedQueue`] — the inter-thread FIFO of Figure 9 (a bounded
-//!   crossbeam channel with occupancy statistics and close semantics).
-//! * [`TraceCollector`] / [`Span`] — per-stage span recording with busy
-//!   times, makespan, overlap efficiency, and an ASCII timeline renderer
-//!   that regenerates Figure 10's Gantt view.
+//! * [`BoundedQueue`] — the FIFO of Figure 9 (a bounded crossbeam
+//!   channel with occupancy statistics).
+//! * [`TraceCollector`] / [`Span`] — per-stage span recording, by one
+//!   thread in order, with busy times, makespan, overlap efficiency, and
+//!   an ASCII timeline renderer that regenerates Figure 10's Gantt view.
 //! * [`PipelineModel`] — the discrete-event engine for **timing mode**: a
 //!   linear pipeline of single-server stages with per-item durations,
 //!   evaluated by the classic recurrence

@@ -18,9 +18,9 @@ pub struct QueueStats {
 
 /// A bounded FIFO connecting two pipeline stages, with statistics.
 ///
-/// Producers [`push`](Self::push) (blocking when full — the back-pressure
-/// that keeps the load thread from racing ahead of device memory);
-/// consumers [`pop`](Self::pop) until every producer handle is dropped.
+/// [`push`](Self::push) blocks while the queue is full (the back-pressure
+/// that keeps a producer from racing ahead of device memory) and
+/// [`pop`](Self::pop) while it is empty. Clones share one queue.
 #[derive(Clone)]
 pub struct BoundedQueue<T> {
     tx: Sender<T>,
@@ -34,12 +34,6 @@ impl<T> std::fmt::Debug for BoundedQueue<T> {
             .field("len", &self.rx.len())
             .finish()
     }
-}
-
-/// The consuming half after [`BoundedQueue::split`].
-pub struct QueuePopper<T> {
-    rx: Receiver<T>,
-    stats: Arc<Mutex<QueueStats>>,
 }
 
 impl<T> BoundedQueue<T> {
@@ -70,69 +64,6 @@ impl<T> BoundedQueue<T> {
         Ok(item)
     }
 
-    /// Splits into a producer (self keeps pushing) and a dedicated popper,
-    /// such that dropping every producer clone closes the queue.
-    pub fn split(self) -> (QueueProducer<T>, QueuePopper<T>) {
-        (
-            QueueProducer {
-                tx: self.tx,
-                stats: Arc::clone(&self.stats),
-            },
-            QueuePopper {
-                rx: self.rx,
-                stats: self.stats,
-            },
-        )
-    }
-
-    /// Snapshot of the statistics.
-    pub fn stats(&self) -> QueueStats {
-        *self.stats.lock()
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
-}
-
-/// The producing half after [`BoundedQueue::split`]. Dropping the last
-/// producer closes the queue (the "stage finished" signal of Figure 9).
-#[derive(Clone)]
-pub struct QueueProducer<T> {
-    tx: Sender<T>,
-    stats: Arc<Mutex<QueueStats>>,
-}
-
-impl<T> QueueProducer<T> {
-    /// Blocking push; returns `Err` if the popper is gone.
-    pub fn push(&self, item: T) -> Result<(), SendError<T>> {
-        self.tx.send(item)?;
-        let mut s = self.stats.lock();
-        s.pushed += 1;
-        s.peak = s.peak.max(self.tx.len() as u64);
-        Ok(())
-    }
-}
-
-impl<T> QueuePopper<T> {
-    /// Blocking pop; `Err` when closed and drained.
-    pub fn pop(&self) -> Result<T, RecvError> {
-        let item = self.rx.recv()?;
-        self.stats.lock().popped += 1;
-        Ok(item)
-    }
-
-    /// Iterates until the queue closes.
-    pub fn drain(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(move || self.pop().ok())
-    }
-
     /// Snapshot of the statistics.
     pub fn stats(&self) -> QueueStats {
         *self.stats.lock()
@@ -160,7 +91,7 @@ mod tests {
     #[test]
     fn bounded_capacity_applies_backpressure() {
         let q = BoundedQueue::new(2);
-        let (tx, rx) = q.split();
+        let tx = q.clone();
         let producer = std::thread::spawn(move || {
             for i in 0..10 {
                 tx.push(i).unwrap();
@@ -168,57 +99,35 @@ mod tests {
         });
         // Slow consumer still sees all items in order.
         let mut got = Vec::new();
-        while let Ok(v) = rx.pop() {
-            got.push(v);
+        for _ in 0..10 {
+            got.push(q.pop().unwrap());
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         producer.join().unwrap();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert!(
-            rx.stats().peak <= 2,
+            q.stats().peak <= 2,
             "peak {} exceeds capacity",
-            rx.stats().peak
+            q.stats().peak
         );
-    }
-
-    #[test]
-    fn dropping_producers_closes_queue() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let (tx, rx) = q.split();
-        tx.push(1).unwrap();
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.push(2).unwrap();
-        drop(tx2);
-        assert_eq!(rx.drain().collect::<Vec<_>>(), vec![1, 2]);
-        assert!(rx.pop().is_err());
-    }
-
-    #[test]
-    fn dropping_popper_errors_pushes() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        let (tx, rx) = q.split();
-        drop(rx);
-        assert!(tx.push(1).is_err());
     }
 
     #[test]
     fn multi_producer_single_consumer_counts() {
         let q: BoundedQueue<usize> = BoundedQueue::new(4);
-        let (tx, rx) = q.split();
         std::thread::scope(|s| {
             for t in 0..4 {
-                let tx = tx.clone();
+                let tx = q.clone();
                 s.spawn(move || {
                     for i in 0..25 {
                         tx.push(t * 100 + i).unwrap();
                     }
                 });
             }
-            drop(tx);
-            let got: Vec<_> = rx.drain().collect();
+            let got: Vec<_> = (0..100).map(|_| q.pop().unwrap()).collect();
             assert_eq!(got.len(), 100);
         });
+        assert_eq!(q.stats().pushed, 100);
     }
 
     #[test]

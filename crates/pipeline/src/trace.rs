@@ -1,11 +1,7 @@
 //! Stage-span tracing and the Figure 10 timeline rendering.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use scalefbp_faults::{RecoveryEvent, RecoveryLog};
-use scalefbp_obs::{chrome_trace_json, EventSink, InstantEvent, SpanEvent, TraceEvent};
+use scalefbp_faults::RecoveryEvent;
+use scalefbp_obs::{chrome_trace_json, InstantEvent, SpanEvent, TraceEvent};
 
 /// The rank that *acted* in a recovery event — the one whose timeline the
 /// event lands on when recoveries become trace instants.
@@ -37,20 +33,12 @@ pub struct Span {
     pub end: f64,
 }
 
-/// Collects [`Span`]s from any number of stage threads and derives the
-/// overlap metrics of Figure 10. Cheap to clone (shared storage).
-#[derive(Clone, Default)]
+/// The spans of one run, recorded in order by one thread, and the
+/// overlap metrics of Figure 10 derived from them.
+#[derive(Clone, Debug, Default)]
 pub struct TraceCollector {
-    spans: Arc<Mutex<Vec<Span>>>,
-    clamped: Arc<AtomicU64>,
-    recoveries: Arc<Mutex<Vec<RecoveryEvent>>>,
-    sink: EventSink,
-}
-
-impl std::fmt::Debug for TraceCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TraceCollector({} spans)", self.spans.lock().len())
-    }
+    spans: Vec<Span>,
+    recoveries: Vec<RecoveryEvent>,
 }
 
 impl TraceCollector {
@@ -59,60 +47,33 @@ impl TraceCollector {
         Self::default()
     }
 
-    /// The event sink receiving this collector's rate-limited diagnostics.
-    pub fn sink(&self) -> &EventSink {
-        &self.sink
-    }
-
-    /// Records one span. An inverted span (`end < start` — possible when
-    /// stage clocks are read across threads under injected delays) is
-    /// clamped to a zero-length span at `start` and counted in
-    /// [`clamped_spans`](Self::clamped_spans) instead of panicking. The
-    /// diagnostic goes through the event sink, rate-limited — recording
-    /// is a hot path shared by every stage thread, and an injected-delay
-    /// storm used to flood stderr from here.
-    pub fn record(&self, stage: &str, item: usize, start: f64, end: f64) {
-        let end = if end < start {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            self.sink.warn(
-                0,
-                "trace.span_clamped",
-                &format!("{stage}[{item}]: {end:.6} < {start:.6}"),
-            );
-            start
-        } else {
-            end
-        };
-        self.spans.lock().push(Span {
+    /// Records one span. An inverted span (`end < start`) is clamped to a
+    /// zero-length span at `start` instead of panicking.
+    pub fn record(&mut self, stage: &str, item: usize, start: f64, end: f64) {
+        self.spans.push(Span {
             stage: stage.to_string(),
             item,
             start,
-            end,
+            end: if end < start { start } else { end },
         });
     }
 
-    /// How many recorded spans had to be clamped because they ended
-    /// before they started.
-    pub fn clamped_spans(&self) -> u64 {
-        self.clamped.load(Ordering::Relaxed)
-    }
-
-    /// Absorbs a [`RecoveryLog`] produced by a fault-tolerant run, so the
+    /// Absorbs the recovery events of a fault-tolerant run, so the
     /// timeline and the recovery history travel together.
-    pub fn absorb_recovery_log(&self, log: &RecoveryLog) {
-        self.recoveries.lock().extend(log.events());
+    pub fn absorb_recovery_log(&mut self, events: &[RecoveryEvent]) {
+        self.recoveries.extend_from_slice(events);
     }
 
     /// Recovery events absorbed so far, canonically sorted.
     pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
-        let mut v = self.recoveries.lock().clone();
+        let mut v = self.recoveries.clone();
         v.sort();
         v
     }
 
     /// All spans, sorted by start time.
     pub fn spans(&self) -> Vec<Span> {
-        let mut v = self.spans.lock().clone();
+        let mut v = self.spans.clone();
         v.sort_by(|a, b| a.start.total_cmp(&b.start));
         v
     }
@@ -131,7 +92,6 @@ impl TraceCollector {
     /// Total busy seconds of one stage.
     pub fn stage_busy(&self, stage: &str) -> f64 {
         self.spans
-            .lock()
             .iter()
             .filter(|s| s.stage == stage)
             .map(|s| s.end - s.start)
@@ -140,7 +100,7 @@ impl TraceCollector {
 
     /// End-to-end makespan (max end − min start), 0 if empty.
     pub fn makespan(&self) -> f64 {
-        let spans = self.spans.lock();
+        let spans = &self.spans;
         let start = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
         let end = spans
             .iter()
@@ -229,7 +189,7 @@ impl TraceCollector {
     /// `"recovery"` track of the rank that acted, timestamped by their
     /// canonical index so the export never depends on the wall clock.
     pub fn trace_events(&self, rank: usize) -> Vec<TraceEvent> {
-        let mut events = self.sink.events();
+        let mut events = Vec::new();
         let spans = self.spans();
         for stage in self.stages() {
             let mut cursor = 0u64;
@@ -273,7 +233,7 @@ mod tests {
     use super::*;
 
     fn sample() -> TraceCollector {
-        let t = TraceCollector::new();
+        let mut t = TraceCollector::new();
         t.record("load", 0, 0.0, 1.0);
         t.record("bp", 0, 1.0, 3.0);
         t.record("load", 1, 1.0, 2.0);
@@ -297,7 +257,7 @@ mod tests {
 
     #[test]
     fn perfect_overlap_scores_one() {
-        let t = TraceCollector::new();
+        let mut t = TraceCollector::new();
         // One stage saturating the whole run.
         t.record("bp", 0, 0.0, 2.0);
         t.record("bp", 1, 2.0, 4.0);
@@ -336,19 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_spans() {
-        let t = TraceCollector::new();
-        let t2 = t.clone();
-        t.record("x", 0, 0.0, 1.0);
-        assert_eq!(t2.spans().len(), 1);
-    }
-
-    #[test]
     fn inverted_span_clamped_and_counted() {
-        let t = TraceCollector::new();
+        let mut t = TraceCollector::new();
         t.record("x", 0, 2.0, 1.0);
         t.record("x", 1, 3.0, 4.0);
-        assert_eq!(t.clamped_spans(), 1);
         let spans = t.spans();
         assert_eq!(spans[0].start, 2.0);
         assert_eq!(spans[0].end, 2.0); // clamped to zero length
@@ -356,36 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn clamped_spans_warn_through_sink_without_flooding() {
-        let t = TraceCollector::new();
-        // A storm of inverted spans — this used to eprintln! per span on
-        // the hot path; now the sink keeps at most WARN_EVENT_LIMIT
-        // instants while the clamped counter tracks every occurrence.
-        for i in 0..500 {
-            t.record("bp", i, 2.0, 1.0);
-        }
-        assert_eq!(t.clamped_spans(), 500);
-        assert_eq!(t.sink().warn_count("trace.span_clamped"), 500);
-        let warn_instants = t
-            .sink()
-            .events()
-            .into_iter()
-            .filter(|e| e.track() == "warnings")
-            .count();
-        assert_eq!(warn_instants as u64, scalefbp_obs::WARN_EVENT_LIMIT);
-    }
-
-    #[test]
     fn chrome_export_is_valid_and_deterministic() {
         let export = || {
-            let t = sample();
-            let log = RecoveryLog::new();
-            log.record(RecoveryEvent::DeviceRetry {
+            let mut t = sample();
+            t.absorb_recovery_log(&[RecoveryEvent::DeviceRetry {
                 rank: 0,
                 op: "h2d".to_string(),
                 attempt: 1,
-            });
-            t.absorb_recovery_log(&log);
+            }]);
             t.to_chrome_trace()
         };
         let json = export();
@@ -397,7 +326,7 @@ mod tests {
 
     #[test]
     fn sub_microsecond_spans_never_overlap_after_rounding() {
-        let t = TraceCollector::new();
+        let mut t = TraceCollector::new();
         // Rounding each span independently would put several of these on
         // the same microsecond; the monotonic fix-up must keep the track
         // valid.
@@ -411,21 +340,20 @@ mod tests {
 
     #[test]
     fn recovery_log_is_absorbed_and_rendered() {
-        use scalefbp_faults::{RecoveryEvent, RecoveryLog};
-        let t = sample();
-        let log = RecoveryLog::new();
-        log.record(RecoveryEvent::WorkRequeued {
-            group: 0,
-            from_rank: 2,
-            to_rank: 1,
-            chunk: 3,
-        });
-        log.record(RecoveryEvent::RankDeclaredDead {
-            group: 0,
-            rank: 2,
-            detected_by: 0,
-        });
-        t.absorb_recovery_log(&log);
+        let mut t = sample();
+        t.absorb_recovery_log(&[
+            RecoveryEvent::WorkRequeued {
+                group: 0,
+                from_rank: 2,
+                to_rank: 1,
+                chunk: 3,
+            },
+            RecoveryEvent::RankDeclaredDead {
+                group: 0,
+                rank: 2,
+                detected_by: 0,
+            },
+        ]);
         assert_eq!(t.recovery_events().len(), 2);
         let rendered = t.render_ascii(40);
         assert!(rendered.contains("recoveries (2):"));

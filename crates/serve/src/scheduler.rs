@@ -977,28 +977,16 @@ impl<'a> Engine<'a> {
                 secs += small_secs(&self.cfg.device, &job.spec.geom);
                 job.devices.push(target);
             }
-            let factor = self.cfg.faults.slow_factor_at(target, self.now);
-            let finish = self.now + nanos(secs * factor as f64);
-            let detect = (factor > 1)
-                .then(|| self.now + nanos(secs) * STRAGGLER_MARGIN_NUM / STRAGGLER_MARGIN_DEN);
             self.running[src].as_mut().unwrap().hedged = true;
             self.tallies.hedges_issued.inc();
             let ids: Vec<String> = hedge_jobs.iter().map(|j| j.spec.id.to_string()).collect();
+            let kind = WorkKind::Batch(hedge_jobs);
+            let finish = self.launch(target, secs, true, kind, reservations);
             self.push_log(format!(
                 "t={} hedge dev {src} -> dev {target} batch [{}] finish {finish}",
                 self.now,
                 ids.join(",")
             ));
-            self.running[target] = Some(Running {
-                start_nanos: self.now,
-                finish_nanos: finish,
-                detect_nanos: detect,
-                overrun: false,
-                hedged: true,
-                is_hedge: true,
-                kind: WorkKind::Batch(hedge_jobs),
-                _reservations: reservations,
-            });
         }
     }
 
@@ -1046,23 +1034,13 @@ impl<'a> Engine<'a> {
         }
         self.tallies.batches.inc();
         self.tallies.batch_jobs.add(batch.len() as u64);
-        let (finish, detect) = self.dispatch_window(d, secs);
         let ids: Vec<String> = batch.iter().map(|j| j.spec.id.to_string()).collect();
+        let finish = self.launch(d, secs, false, WorkKind::Batch(batch), reservations);
         self.push_log(format!(
             "t={} dispatch dev {d} batch [{}] finish {finish}",
             self.now,
             ids.join(",")
         ));
-        self.running[d] = Some(Running {
-            start_nanos: self.now,
-            finish_nanos: finish,
-            detect_nanos: detect,
-            overrun: false,
-            hedged: false,
-            is_hedge: false,
-            kind: WorkKind::Batch(batch),
-            _reservations: reservations,
-        });
         Ok(())
     }
 
@@ -1079,6 +1057,32 @@ impl<'a> Engine<'a> {
         let detect = (factor > 1)
             .then(|| self.now + nanos(secs) * STRAGGLER_MARGIN_NUM / STRAGGLER_MARGIN_DEN);
         (finish, detect)
+    }
+
+    /// Starts `kind` on device `d` now, holding `reservations`, for its
+    /// [`dispatch_window`](Self::dispatch_window) of healthy duration
+    /// `secs`. A hedge duplicate counts as hedged from the start, so it
+    /// is never hedged in turn. Returns the finish time.
+    fn launch(
+        &mut self,
+        d: usize,
+        secs: f64,
+        is_hedge: bool,
+        kind: WorkKind,
+        reservations: Vec<DeviceBuffer>,
+    ) -> u64 {
+        let (finish, detect) = self.dispatch_window(d, secs);
+        self.running[d] = Some(Running {
+            start_nanos: self.now,
+            finish_nanos: finish,
+            detect_nanos: detect,
+            overrun: false,
+            hedged: is_hedge,
+            is_hedge,
+            kind,
+            _reservations: reservations,
+        });
+        finish
     }
 
     /// Dispatches the next slice of the long job at the queue head.
@@ -1108,25 +1112,17 @@ impl<'a> Engine<'a> {
         }
         job.first_start.get_or_insert(self.now);
         job.devices.push(d);
-        let (finish, detect) = self.dispatch_window(d, secs);
+        let id = job.spec.id;
+        let kind = WorkKind::Slice {
+            job: Box::new(job),
+            from,
+            to,
+        };
+        let finish = self.launch(d, secs, false, kind, vec![reservation]);
         self.push_log(format!(
-            "t={} dispatch dev {d} job {} slice slabs {from}..{to} finish {finish}",
-            self.now, job.spec.id
+            "t={} dispatch dev {d} job {id} slice slabs {from}..{to} finish {finish}",
+            self.now
         ));
-        self.running[d] = Some(Running {
-            start_nanos: self.now,
-            finish_nanos: finish,
-            detect_nanos: detect,
-            overrun: false,
-            hedged: false,
-            is_hedge: false,
-            kind: WorkKind::Slice {
-                job: Box::new(job),
-                from,
-                to,
-            },
-            _reservations: vec![reservation],
-        });
         Ok(())
     }
 

@@ -304,7 +304,7 @@ proptest! {
         words in proptest::collection::vec(any::<u64>(), 0..40),
     ) {
         let stages = ["load", "filter", "bp"];
-        let trace = TraceCollector::new();
+        let mut trace = TraceCollector::new();
         for &w in &words {
             let endpoint = |z: u64| ((mix(z) >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0e3;
             trace.record(

@@ -266,4 +266,32 @@ fn golden_exports_match_their_pinned_fingerprints() {
         [0x80fb_8b7c, 0x29f7_3ef8, 0x6e98_d7cf],
         "distributed [trace, metrics, volume]"
     );
+    // The serial schedule's Table 5 trace: 8 batches, 24 model spans.
+    assert_eq!(
+        fingerprints(golden_run(
+            &dir,
+            "outofcore",
+            &["--mode", "outofcore", "--device", "tiny:400000"]
+        )),
+        [0x3bde_4944, 0x051d_73fa, 0x17da_cdbe],
+        "outofcore [trace, metrics, volume]"
+    );
+    // A corrupted chunk: seven recovery instants on the trace.
+    let plan = dir.join("corrupt.plan");
+    std::fs::write(&plan, "rank 1 corrupt op 0 bit-flip:7\n").unwrap();
+    let flags = [
+        "--mode",
+        "distributed",
+        "--nr",
+        "2",
+        "--ng",
+        "2",
+        "--fault-plan",
+        plan.to_str().unwrap(),
+    ];
+    assert_eq!(
+        fingerprints(golden_run(&dir, "corrupt", &flags)),
+        [0x9b47_5eed, 0x5ffa_fe86, 0x6e98_d7cf],
+        "distributed corrupt-chunk [trace, metrics, volume]"
+    );
 }

@@ -1,4 +1,4 @@
-//! The threaded pipeline plus real storage: load from disk-backed
+//! The streaming pipeline plus real storage: load from disk-backed
 //! endpoints, reconstruct, store, read back — the full Figure 9 loop.
 
 use std::path::{Path, PathBuf};
@@ -31,7 +31,7 @@ fn storage_roundtrip_through_the_pipeline() {
     nvme.write_file(Path::new("scan.sfbp"), &encode_projections(&projections))
         .unwrap();
 
-    // Load thread's job: read the scan back.
+    // Load stage's job: read the scan back.
     let loaded = decode_projections(&nvme.read_file(Path::new("scan.sfbp")).unwrap()).unwrap();
     assert_eq!(loaded, projections);
 
@@ -40,7 +40,7 @@ fn storage_roundtrip_through_the_pipeline() {
     let (vol, report) = rec.reconstruct(&loaded, Schedule::Overlapped).unwrap();
     assert!(report.wall_secs > 0.0);
 
-    // Store thread's job: write the volume to the PFS and verify.
+    // Store stage's job: write the volume to the PFS and verify.
     let pfs = StorageEndpoint::lustre_pfs(Some(tmpdir("pfs")));
     pfs.write_file(Path::new("volume.sfbp"), &encode_volume(&vol))
         .unwrap();
